@@ -11,9 +11,13 @@ package edelab
 // (internal/testbed, internal/scan).
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -36,6 +40,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/scan"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
@@ -1030,6 +1035,106 @@ func TestFrontdoorWireSpeedupGate(t *testing.T) {
 	}
 }
 
+// streamHitWindow is how many queries the stream benchmark keeps pipelined,
+// a resolver-to-resolver client's depth (the end-to-end tcp_hot workload
+// uses the same).
+const streamHitWindow = 32
+
+// streamHitBench serves a warm frontend over loopback TCP, with or without
+// the wire fast path, and returns a closed-loop driver: run(n) keeps
+// streamHitWindow queries for the cached name pipelined on one connection,
+// one Write each, until n are answered.
+func streamHitBench(t testing.TB, disableWire bool) (run func(n int)) {
+	fe, raw := wireBenchSetup(t)
+	srv := transport.NewServer(transport.Config{Handler: fe, DisableWire: disableWire})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() { defer close(served); srv.ServeTCP(ctx, l) }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close(); cancel(); <-served })
+
+	query := append(binary.BigEndian.AppendUint16(nil, uint16(len(raw))), raw...)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	resp := make([]byte, 2+0xFFFF)
+	return func(n int) {
+		for sent, done := 0, 0; done < n; done++ {
+			for ; sent < n && sent-done < streamHitWindow; sent++ {
+				if _, err := conn.Write(query); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := io.ReadFull(br, resp[:2]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(br, resp[2:2+binary.BigEndian.Uint16(resp)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkStreamPipelinedHit is the cache hit as a stream client sees it:
+// framing, the serve path, and the socket both ways, pipelined 32 deep.
+// wire is the inline fast path with coalesced writes; nowire (DisableWire)
+// is the goroutine-per-query path every declined query still takes.
+func BenchmarkStreamPipelinedHit(b *testing.B) {
+	for _, mode := range []struct {
+		name        string
+		disableWire bool
+	}{{"wire", false}, {"nowire", true}} {
+		b.Run(mode.name, func(b *testing.B) { benchStreamPipelinedHit(b, mode.disableWire) })
+	}
+}
+
+func benchStreamPipelinedHit(b *testing.B, disableWire bool) {
+	run := streamHitBench(b, disableWire)
+	run(streamHitWindow) // settle
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
+}
+
+// TestStreamWireSpeedupGate is the stream twin of the gate above, end to
+// end over loopback TCP: pipelined hits must run at least 1.4x faster with
+// the wire fast path than through DisableWire. Self-relative like its twin;
+// the margin is smaller because both sides pay for the sockets and the
+// client.
+func TestStreamWireSpeedupGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive comparison skipped in -short mode")
+	}
+	wire, nowire := streamHitBench(t, false), streamHitBench(t, true)
+	const n = 20000
+	measure := func(run func(int)) time.Duration {
+		run(streamHitWindow) // settle
+		start := time.Now()
+		run(n)
+		return time.Since(start) / n
+	}
+	var wirePer, nowirePer time.Duration
+	for round := 0; round < 3; round++ {
+		s, w := measure(nowire), measure(wire)
+		if nowirePer == 0 || s < nowirePer {
+			nowirePer = s
+		}
+		if wirePer == 0 || w < wirePer {
+			wirePer = w
+		}
+	}
+	t.Logf("pipelined TCP hit: no-wire %v, wire %v (%.2fx faster)", nowirePer, wirePer, float64(nowirePer)/float64(wirePer))
+	if float64(nowirePer) < 1.4*float64(wirePer) {
+		t.Errorf("wire fast path is %.2fx faster than DisableWire over TCP, gate is 1.4x", float64(nowirePer)/float64(wirePer))
+	}
+}
+
 // TestWriteBenchFrontdoorSnapshot regenerates BENCH_frontdoor.json, the
 // front door's serving-cost trajectory. Like the scan snapshot it only runs
 // under BENCH_SNAPSHOT=1:
@@ -1067,14 +1172,21 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 		}
 	}))
 
+	pipelined := func(disableWire bool) benchPoint {
+		return toPoint(testing.Benchmark(func(b *testing.B) { benchStreamPipelinedHit(b, disableWire) }))
+	}
+
 	snap := benchSnapshot{
-		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
+		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); frontdoor.tcp.pipelined is the same hit end to end over loopback TCP, 32 deep (slowpath = DisableWire); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
 		Go:   runtime.Version(),
 		CPUs: runtime.NumCPU(),
 		Current: map[string]benchPoint{
 			"frontdoor.cachehit":          wire,
 			"frontdoor.cachehit.slowpath": slow,
 			"dnswire.ScanQuery":           scanOnly,
+
+			"frontdoor.tcp.pipelined":          pipelined(false),
+			"frontdoor.tcp.pipelined.slowpath": pipelined(true),
 		},
 	}
 	if prev, err := os.ReadFile("BENCH_frontdoor.json"); err == nil {

@@ -26,6 +26,9 @@ func FuzzTCPFraming(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0xFF, 0x01, 0x02})
 	f.Add([]byte{0x00, 0x00})
+	// A whole frame whose payload does not parse (a header promising a
+	// question that never comes): the front door answers this one FORMERR.
+	f.Add([]byte{0x00, 0x0C, 0xDE, 0xAD, 0x01, 0x00, 0x00, 0x01, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := readTCPMessage(bytes.NewReader(data))

@@ -322,6 +322,45 @@ func TestCheckRRsetOutcomes(t *testing.T) {
 	})
 }
 
+// TestCheckRRsetKeyTagCollision: key tags are a 16-bit checksum, so two
+// keys of one zone can share one. The RRset must validate whichever of the
+// colliding DNSKEYs the validator meets first (RFC 4035 §5.3.1), and a
+// signature neither of them made must still fail as a crypto failure.
+func TestCheckRRsetKeyTagCollision(t *testing.T) {
+	byTag := map[uint16]*KeyPair{}
+	var signer, bystander *KeyPair
+	for i := 0; signer == nil; i++ {
+		if i == 20000 {
+			t.Fatal("no key-tag collision in 20,000 Ed25519 keys")
+		}
+		flags := uint16(dnswire.DNSKEYFlagZone)
+		if i%2 == 1 {
+			flags |= dnswire.DNSKEYFlagSEP // KSK against ZSK collisions count too
+		}
+		k := mustKey(t, AlgED25519, flags, 0)
+		if prev, ok := byTag[k.KeyTag()]; ok {
+			signer, bystander = k, prev
+		}
+		byTag[k.KeyTag()] = k
+	}
+
+	rrs := testRRset("w.example.net")
+	sig := []dnswire.RR{signSet(t, rrs, signer, "example.net")}
+	sup := StandardSupport()
+	for name, keys := range map[string][]dnswire.DNSKEY{
+		"signer first":    {signer.DNSKEY(), bystander.DNSKEY()},
+		"bystander first": {bystander.DNSKEY(), signer.DNSKEY()},
+	} {
+		c := CheckRRset(rrs, sig, keys, testNow, sup)
+		if c.Status != SigOK || c.VerifiedBy != signer.KeyTag() || c.VerifiedSEP != signer.DNSKEY().IsSEP() {
+			t.Errorf("%s: %+v, want SigOK by tag %d (SEP %t)", name, c, signer.KeyTag(), signer.DNSKEY().IsSEP())
+		}
+	}
+	if c := CheckRRset(rrs, sig, []dnswire.DNSKEY{bystander.DNSKEY()}, testNow, sup); c.Status != SigCryptoFailed {
+		t.Errorf("bystander alone: Status = %v, want SigCryptoFailed", c.Status)
+	}
+}
+
 func TestMatchDS(t *testing.T) {
 	ksk := mustKey(t, AlgECDSAP256SHA256, 257, 0)
 	owner := dnswire.MustName("child.example")

@@ -131,30 +131,37 @@ func CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnswire.DNSKEY, now 
 	}
 
 	for _, sig := range relevant {
-		key := findKey(keys, sig.KeyTag, sig.Algorithm)
-		if key == nil {
-			if !haveMatchDiag {
-				worst.Expiration, worst.Inception = sig.Expiration, sig.Inception
-			}
-			continue
-		}
 		alg := Algorithm(sig.Algorithm)
-		if !sup.Supports(alg) || rsaTooShort(sup, *key) {
-			record(RRsetCheck{Status: SigUnsupportedAlg, UnsupportedAlgs: []Algorithm{alg},
-				Expiration: sig.Expiration, Inception: sig.Inception})
-			continue
+		matched := false
+		// Key tags are not unique (RFC 4034 appendix B), so every zone key
+		// with the signature's tag and algorithm is a candidate until one
+		// verifies (RFC 4035 §5.3.1).
+		for i := range keys {
+			key := &keys[i]
+			if !key.IsZoneKey() || key.KeyTag() != sig.KeyTag || key.Algorithm != sig.Algorithm {
+				continue
+			}
+			matched = true
+			if !sup.Supports(alg) || rsaTooShort(sup, *key) {
+				record(RRsetCheck{Status: SigUnsupportedAlg, UnsupportedAlgs: []Algorithm{alg},
+					Expiration: sig.Expiration, Inception: sig.Inception})
+				continue
+			}
+			if ts := TimeStatus(sig, now); ts != SigOK {
+				record(RRsetCheck{Status: ts, Expiration: sig.Expiration, Inception: sig.Inception})
+				continue
+			}
+			if err := VerifyRRSIG(sig, rrs, *key); err != nil {
+				record(RRsetCheck{Status: SigCryptoFailed, Expiration: sig.Expiration, Inception: sig.Inception})
+				continue
+			}
+			return RRsetCheck{Status: SigOK, VerifiedBy: sig.KeyTag, VerifiedSEP: key.IsSEP(),
+				Wildcard:   int(sig.Labels) < rrs[0].Name.LabelCount(),
+				Expiration: sig.Expiration, Inception: sig.Inception}
 		}
-		if ts := TimeStatus(sig, now); ts != SigOK {
-			record(RRsetCheck{Status: ts, Expiration: sig.Expiration, Inception: sig.Inception})
-			continue
+		if !matched && !haveMatchDiag {
+			worst.Expiration, worst.Inception = sig.Expiration, sig.Inception
 		}
-		if err := VerifyRRSIG(sig, rrs, *key); err != nil {
-			record(RRsetCheck{Status: SigCryptoFailed, Expiration: sig.Expiration, Inception: sig.Inception})
-			continue
-		}
-		return RRsetCheck{Status: SigOK, VerifiedBy: sig.KeyTag, VerifiedSEP: key.IsSEP(),
-			Wildcard:   int(sig.Labels) < rrs[0].Name.LabelCount(),
-			Expiration: sig.Expiration, Inception: sig.Inception}
 	}
 	return worst
 }
@@ -182,19 +189,6 @@ func betterDiagnosis(a, b SigStatus) bool {
 		return 0
 	}
 	return rank(a) > rank(b)
-}
-
-func findKey(keys []dnswire.DNSKEY, tag uint16, alg uint8) *dnswire.DNSKEY {
-	for i := range keys {
-		k := &keys[i]
-		if !k.IsZoneKey() {
-			continue
-		}
-		if k.KeyTag() == tag && k.Algorithm == alg {
-			return k
-		}
-	}
-	return nil
 }
 
 func rsaTooShort(sup SupportSet, key dnswire.DNSKEY) bool {

@@ -90,3 +90,58 @@ func ScanQuery(data []byte) (WireQuery, bool) {
 	q.Name = name
 	return q, true
 }
+
+// TrailingOPT locates the OPT pseudo-RR of a packed message that ends with
+// it — where this package's packer always puts it — and returns the
+// message-relative offset of its owner byte; the RDLENGTH field sits nine
+// bytes further, the options directly behind that. It exists so the stream
+// transports can extend a pre-packed response's OPT in place. ok=false
+// means the message is malformed, carries no record, or ends in another RR.
+func TrailingOPT(msg []byte) (off int, ok bool) {
+	if len(msg) < 12 {
+		return 0, false
+	}
+	qd := int(binary.BigEndian.Uint16(msg[4:]))
+	rrs := int(binary.BigEndian.Uint16(msg[6:])) + int(binary.BigEndian.Uint16(msg[8:])) + int(binary.BigEndian.Uint16(msg[10:]))
+	if rrs == 0 {
+		return 0, false
+	}
+	end := 12
+	for i := 0; i < qd+rrs; i++ {
+		off = end
+		if end, ok = skipName(msg, off); !ok {
+			return 0, false
+		}
+		if i < qd {
+			end += 4 // type, class
+			continue
+		}
+		// type, class, TTL, RDLENGTH, RDATA
+		if end+10 > len(msg) {
+			return 0, false
+		}
+		end += 10 + int(binary.BigEndian.Uint16(msg[end+8:]))
+	}
+	if end != len(msg) || msg[off] != 0 || Type(binary.BigEndian.Uint16(msg[off+1:])) != TypeOPT {
+		return 0, false
+	}
+	return off, true
+}
+
+// skipName returns the offset just past the possibly compressed name at
+// off, without following pointers.
+func skipName(msg []byte, off int) (int, bool) {
+	for off < len(msg) {
+		switch b := msg[off]; {
+		case b == 0:
+			return off + 1, true
+		case b&0xC0 == 0xC0:
+			return off + 2, off+2 <= len(msg)
+		case b&0xC0 != 0:
+			return 0, false
+		default:
+			off += 1 + int(b)
+		}
+	}
+	return 0, false
+}

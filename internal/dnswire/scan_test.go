@@ -1,6 +1,9 @@
 package dnswire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"net/netip"
 	"testing"
 )
 
@@ -133,5 +136,60 @@ func TestScanQueryAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("ScanQuery allocates %.1f times per call, want <= 1", allocs)
+	}
+}
+
+// TestTrailingOPT: the offset points at the OPT that ends a packed message
+// — behind compressed owners and rdata of every length — extending the OPT
+// there yields what packing the extra option would have, and anything that
+// is not a whole message ending in an OPT is refused.
+func TestTrailingOPT(t *testing.T) {
+	m := sampleFuzzResponse()
+	m.Answer = []RR{{Name: m.Question[0].Name, Class: ClassIN, TTL: 60, Data: A{Addr: netip.MustParseAddr("192.0.2.7")}}}
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, ok := TrailingOPT(wire)
+	if !ok {
+		t.Fatal("TrailingOPT refused a packed response with an OPT")
+	}
+	if wire[off] != 0 || Type(binary.BigEndian.Uint16(wire[off+1:])) != TypeOPT {
+		t.Fatalf("offset %d is not an OPT owner: % x", off, wire[off:off+3])
+	}
+	if rdlen := int(binary.BigEndian.Uint16(wire[off+9:])); off+11+rdlen != len(wire) {
+		t.Fatalf("RDLENGTH %d at offset %d does not reach the end of the %d-byte message", rdlen, off+9, len(wire))
+	}
+
+	extended := append(append([]byte(nil), wire...), 0, byte(OptionCodeTCPKeepalive), 0, 2, 0, 70)
+	binary.BigEndian.PutUint16(extended[off+9:], binary.BigEndian.Uint16(wire[off+9:])+6)
+	withOption := *m
+	opt := *m.OPT
+	opt.Options = append(opt.Options[:len(opt.Options):len(opt.Options)], TCPKeepaliveOption{HasTimeout: true, Timeout: 70})
+	withOption.OPT = &opt
+	if want, _ := withOption.Pack(); !bytes.Equal(extended, want) {
+		t.Errorf("extending the OPT in place:\n got %x\nwant %x", extended, want)
+	}
+
+	for n := 0; n < len(wire); n++ {
+		if _, ok := TrailingOPT(wire[:n]); ok {
+			t.Fatalf("accepted the %d-byte prefix of a %d-byte message", n, len(wire))
+		}
+	}
+	if _, ok := TrailingOPT(append(append([]byte(nil), wire...), 0)); ok {
+		t.Error("accepted a message with a trailing byte")
+	}
+	m.OPT = nil
+	m.RCode = RCodeServFail
+	plain, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := TrailingOPT(plain); ok {
+		t.Error("found an OPT in a message that ends in an NSEC3")
+	}
+	query, _ := (&Message{ID: 1, Question: m.Question}).Pack()
+	if _, ok := TrailingOPT(query); ok {
+		t.Error("found an OPT in a message with no records")
 	}
 }

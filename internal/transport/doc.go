@@ -13,8 +13,10 @@
 //     truncation so the diagnostic reaches the client even when the data
 //     does not.
 //   - TCP (RFC 1035 §4.2.2 / RFC 7766), two-byte length framing with query
-//     pipelining and out-of-order responses: each query on a connection is
-//     handled concurrently and answered as soon as it completes.
+//     pipelining and out-of-order responses: wire-cache hits are answered
+//     inline by the connection's reader and written out in batches; every
+//     other query is handled concurrently and answered as soon as it
+//     completes.
 //   - DoT (RFC 7858): exactly the TCP stream core under crypto/tls.
 //   - DoH (RFC 8484): GET with the base64url ?dns= form and POST with
 //     application/dns-message on net/http, with Cache-Control: max-age

@@ -17,13 +17,18 @@ type metrics struct {
 	// truncations counts UDP responses cut down to the client's EDNS
 	// buffer size (TC=1 sent instead of an oversized datagram).
 	truncations *telemetry.Counter
-	// wireServes counts UDP responses answered by the wire fast path
-	// (pre-packed cache bytes patched in place, never touching Handler).
-	wireServes *telemetry.Counter
+	// wireServes counts responses answered by the wire fast path
+	// (pre-packed cache bytes patched in place, never touching Handler),
+	// on the transports that have one.
+	wireServes map[string]*telemetry.Counter
 	// batchRounds / batchDatagrams measure UDP read batching: datagrams
 	// per round is their ratio (1.0 means no batching benefit).
 	batchRounds    *telemetry.Counter
 	batchDatagrams *telemetry.Counter
+	// streamFlushes / streamFlushFrames are the stream twin: answer frames
+	// per Write of a connection's output buffer is their ratio.
+	streamFlushes     *telemetry.Counter
+	streamFlushFrames *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -35,6 +40,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		errors:  make(map[string]*telemetry.Counter, len(transports)),
 		sheds:   make(map[string]*telemetry.Counter, len(transports)),
 		open:    make(map[string]*telemetry.Gauge, len(transports)),
+
+		wireServes: make(map[string]*telemetry.Counter),
 	}
 	for _, tr := range transports {
 		l := telemetry.L("transport", tr)
@@ -53,12 +60,18 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.truncations = reg.Counter("edelab_frontdoor_truncations_total",
 		"UDP responses truncated to the client's advertised EDNS buffer size.",
 		telemetry.L("transport", TransportUDP))
-	m.wireServes = reg.Counter("edelab_frontdoor_wire_serves_total",
-		"UDP responses served from pre-packed wire-cache bytes.",
-		telemetry.L("transport", TransportUDP))
+	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
+		m.wireServes[tr] = reg.Counter("edelab_frontdoor_wire_serves_total",
+			"Responses served from pre-packed wire-cache bytes, by transport.",
+			telemetry.L("transport", tr))
+	}
 	m.batchRounds = reg.Counter("edelab_frontdoor_udp_batch_rounds_total",
 		"UDP receive rounds (one recvmmsg or ReadFrom call each).")
 	m.batchDatagrams = reg.Counter("edelab_frontdoor_udp_batch_datagrams_total",
 		"Datagrams received across all UDP receive rounds.")
+	m.streamFlushes = reg.Counter("edelab_frontdoor_stream_flushes_total",
+		"Writes of a stream connection's output buffer (inline answers only).")
+	m.streamFlushFrames = reg.Counter("edelab_frontdoor_stream_flush_frames_total",
+		"Answer frames written across all stream output-buffer flushes.")
 	return m
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -114,35 +116,89 @@ func (s *Server) shedConn(conn net.Conn, transport string) {
 	shedReply(q, "server overloaded: connection limit reached").WriteStream(conn)
 }
 
-// serveStream is the transport-agnostic core: a read loop that admits each
-// framed query into a bounded per-connection pipeline and answers it from
-// its own goroutine, so responses go out in completion order, not arrival
-// order. A write mutex keeps frames whole; WriteStream's single Write call
-// means no interleaving even mid-frame.
+// Stream core sizes. A connection owns one read buffer and one output
+// buffer; the output buffer is written out when it passes streamFlushAt, so
+// the two together stay under 64 KiB unless a single answer is larger.
+const (
+	streamReadBuf = 4 << 10
+	streamFlushAt = 32 << 10
+)
+
+// keepaliveOptLen is the wire size of a response's edns-tcp-keepalive
+// option: code, length, and the two-byte TIMEOUT (RFC 7828 §3.1).
+const keepaliveOptLen = 6
+
+// streamConn is one stream connection's serving state. The reader
+// goroutine owns br, frame, out, and frames; wmu orders its flushes against
+// the slow-path goroutines' writes so frames stay whole.
+type streamConn struct {
+	s         *Server
+	conn      net.Conn
+	transport string
+	br        *bufio.Reader
+	frame     []byte // the last frame read, reused for the next
+
+	wmu    sync.Mutex
+	out    []byte // framed answers built inline, not yet written
+	frames int    // how many answers out holds
+}
+
+// serveStream is the transport-agnostic core, shaped like the UDP loop: the
+// reader goroutine takes frames out of a buffered reader and answers what
+// it can inline — wire-cache hits and FORMERRs — into the connection's
+// output buffer, which goes out in one Write when the next read would block
+// or the buffer passes streamFlushAt. Everything the wire cache declines is
+// admitted into a bounded per-connection pipeline and answered from its own
+// goroutine with its own Write, so a slow resolution never holds back the
+// answers behind it (RFC 7766 §6.2.1.1). The idle deadline is armed only
+// when the reader is about to block, and covers the whole frame it waits
+// for.
 func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport string) {
 	defer conn.Close()
 	s.m.open[transport].Add(1)
 	defer s.m.open[transport].Add(-1)
 
+	c := &streamConn{s: s, conn: conn, transport: transport, br: bufio.NewReaderSize(conn, streamReadBuf)}
 	pipe := make(chan struct{}, s.cfg.MaxPipeline)
-	var wmu sync.Mutex
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	// Whatever ends the loop, answers already built still go out.
+	defer c.flush()
 
 	for {
-		if ctx.Err() != nil {
-			return
+		if !c.frameBuffered() {
+			c.flush()
+			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			// Checked after arming: a cancellation from here on expires
+			// the deadline just set, an earlier one is seen now.
+			if ctx.Err() != nil {
+				return
+			}
 		}
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		q, err := dnswire.ReadStream(conn)
+		frame, err := c.readFrame()
 		if err != nil {
-			// EOF, idle timeout, and shutdown-induced deadline are the
-			// normal ends of a connection; anything else (a malformed
-			// frame, a mid-frame disconnect) counts as an error.
+			// EOF between frames, idle timeout, and shutdown-induced
+			// deadline are the normal ends of a connection; a mid-frame
+			// disconnect or a frame too short to hold an ID is an error.
 			if err != io.EOF && !os.IsTimeout(err) && !errors.Is(err, net.ErrClosed) {
 				s.m.errors[transport].Inc()
 			}
 			return
+		}
+
+		if s.wire != nil {
+			if wq, ok := dnswire.ScanQuery(frame); ok && c.serveWire(wq) {
+				continue
+			}
+		}
+		q, err := dnswire.Unpack(frame)
+		if err != nil {
+			// The length prefix was honoured, so the stream is still in
+			// step: answer FORMERR as on UDP and keep serving.
+			s.m.errors[transport].Inc()
+			c.out = appendFORMERR(append(c.out, 0, formerrLen), frame)
+			c.queued()
+			continue
 		}
 		s.m.queries[transport].Inc()
 
@@ -150,60 +206,174 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 		case pipe <- struct{}{}:
 		default:
 			s.m.sheds[transport].Inc()
-			s.writeStream(conn, &wmu, transport,
-				shedReply(q, fmt.Sprintf("server overloaded: %d queries in flight on this connection", cap(pipe))))
+			c.write(shedReply(q, fmt.Sprintf("server overloaded: %d queries in flight on this connection", cap(pipe))))
 			continue
 		}
 		s.m.pipeline.Observe(float64(len(pipe)))
 
 		wg.Add(1)
-		go func(q *dnswire.Message) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-pipe }()
 			if resp := s.respond(ctx, transport, q); resp != nil {
-				s.writeStream(conn, &wmu, transport, resp)
+				c.write(resp)
 			}
-		}(q)
+		}()
 	}
 }
 
+// frameBuffered reports whether readFrame can return without reading from
+// the connection.
+func (c *streamConn) frameBuffered() bool {
+	have := c.br.Buffered()
+	if have < 2 {
+		return false
+	}
+	hdr, _ := c.br.Peek(2)
+	return have >= 2+int(binary.BigEndian.Uint16(hdr))
+}
+
+// errShortFrame rejects a frame that cannot hold a message ID: there is
+// nothing to echo in a FORMERR, so the connection closes.
+var errShortFrame = errors.New("transport: stream frame shorter than a message ID")
+
+// readFrame reads the next frame's payload into the connection's frame
+// buffer; the slice is valid until the next call. io.EOF means the stream
+// ended between frames, io.ErrUnexpectedEOF inside one.
+func (c *streamConn) readFrame() ([]byte, error) {
+	hdr, err := c.br.Peek(2)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint16(hdr))
+	if n < 2 {
+		return nil, errShortFrame
+	}
+	c.br.Discard(2) // just peeked, so it cannot fail
+	if cap(c.frame) < n {
+		c.frame = make([]byte, max(n, minUDPPayload)) // most connections never outgrow the first
+	}
+	if _, err := io.ReadFull(c.br, c.frame[:n]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return c.frame[:n], nil
+}
+
+// serveWire answers a scanned query from the wire cache into the output
+// buffer: the image is appended behind a two-byte gap that then takes its
+// length. It reports false, leaving the buffer as it was, when the cache
+// declines and the query must take the full path.
+func (c *streamConn) serveWire(wq dnswire.WireQuery) bool {
+	s := c.s
+	base := len(c.out)
+	limit := 0xFFFF
+	keepalive := s.keepalive != 0 && wq.HasEDNS
+	if keepalive {
+		limit -= keepaliveOptLen
+	}
+	out, ok := s.wire.ServeWire(wq, limit, append(c.out, 0, 0))
+	if !ok {
+		return false
+	}
+	if keepalive {
+		out = appendKeepalive(out, base+2, s.keepalive)
+	}
+	binary.BigEndian.PutUint16(out[base:], uint16(len(out)-base-2))
+	c.out = out
+	s.m.queries[c.transport].Inc()
+	s.m.wireServes[c.transport].Inc()
+	c.queued()
+	return true
+}
+
+// queued counts one more frame in the output buffer and writes the buffer
+// out once it is large enough that waiting for the reader to run dry would
+// only add latency.
+func (c *streamConn) queued() {
+	c.frames++
+	if len(c.out) >= streamFlushAt {
+		c.flush()
+	}
+}
+
+// flush writes the output buffer in one Write.
+func (c *streamConn) flush() {
+	if c.frames == 0 {
+		return
+	}
+	c.s.m.streamFlushes.Inc()
+	c.s.m.streamFlushFrames.Add(uint64(c.frames))
+	c.writeLocked(c.out)
+	c.out, c.frames = c.out[:0], 0
+}
+
+// write frames and sends one slow-path response with a Write of its own.
+// Stream responses to EDNS queries advertise the configured
+// edns-tcp-keepalive timeout; RFC 7828 §3.4 forbids the option over UDP, and
+// the option rides in OPT so non-EDNS responses cannot carry it.
+func (c *streamConn) write(resp *dnswire.Message) {
+	if c.s.keepalive != 0 && resp.OPT != nil {
+		resp = advertiseKeepalive(resp, c.s.keepalive)
+	}
+	wire, err := resp.AppendStream(nil)
+	if err != nil {
+		c.s.m.errors[c.transport].Inc()
+		return
+	}
+	c.writeLocked(wire)
+}
+
+// writeLocked sends whole frames under the write mutex with a bounded
+// deadline. A failed write closes the connection — the stream may hold a
+// torn frame — which also ends the reader's loop at its next read.
+func (c *streamConn) writeLocked(frames []byte) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	if _, err := c.conn.Write(frames); err != nil {
+		c.s.m.errors[c.transport].Inc()
+		c.conn.Close()
+	}
+}
+
+// keepaliveUnits converts the configured idle timeout to the option's
+// 100ms units (RFC 7828 §3.1), clamped to what the field holds; zero stays
+// zero and means nothing is advertised.
+func keepaliveUnits(d time.Duration) uint16 {
+	if d <= 0 {
+		return 0
+	}
+	return uint16(min(max(d/(100*time.Millisecond), 1), 0xFFFF))
+}
+
 // advertiseKeepalive returns a copy of resp whose OPT carries an
-// edns-tcp-keepalive TIMEOUT of d (RFC 7828 §3.3.2), leaving the original
-// untouched — resp's OPT may be shared with a cache entry.
-func advertiseKeepalive(resp *dnswire.Message, d time.Duration) *dnswire.Message {
-	units := d / (100 * time.Millisecond)
-	if units > 0xFFFF {
-		units = 0xFFFF
-	}
-	if units < 1 {
-		units = 1
-	}
+// edns-tcp-keepalive TIMEOUT of units (RFC 7828 §3.3.2), leaving the
+// original untouched — resp's OPT may be shared with a cache entry.
+func advertiseKeepalive(resp *dnswire.Message, units uint16) *dnswire.Message {
 	out := *resp
 	opt := *resp.OPT
 	opt.Options = append(opt.Options[:len(opt.Options):len(opt.Options)],
-		dnswire.TCPKeepaliveOption{HasTimeout: true, Timeout: uint16(units)})
+		dnswire.TCPKeepaliveOption{HasTimeout: true, Timeout: units})
 	out.OPT = &opt
 	return &out
 }
 
-// writeStream serializes resp and writes it under the connection's write
-// mutex with a bounded deadline. Stream responses to EDNS queries advertise
-// the configured edns-tcp-keepalive timeout; RFC 7828 §3.4 forbids the
-// option over UDP, and the option rides in OPT so non-EDNS responses cannot
-// carry it.
-func (s *Server) writeStream(conn net.Conn, wmu *sync.Mutex, transport string, resp *dnswire.Message) {
-	if s.cfg.TCPKeepalive > 0 && resp.OPT != nil {
-		resp = advertiseKeepalive(resp, s.cfg.TCPKeepalive)
+// appendKeepalive is advertiseKeepalive on packed bytes: buf[start:] is a
+// message whose last RR is its OPT (the canonical pack puts it there), and
+// the option goes behind the OPT's last option with RDLENGTH raised to
+// match. A message that does not end in an OPT is returned unchanged.
+func appendKeepalive(buf []byte, start int, units uint16) []byte {
+	at, ok := dnswire.TrailingOPT(buf[start:])
+	if !ok {
+		return buf
 	}
-	wire, err := resp.AppendStream(nil)
-	if err != nil {
-		s.m.errors[transport].Inc()
-		return
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	if _, err := conn.Write(wire); err != nil {
-		s.m.errors[transport].Inc()
-	}
+	rdlen := buf[start+at+9:]
+	binary.BigEndian.PutUint16(rdlen, binary.BigEndian.Uint16(rdlen)+keepaliveOptLen)
+	return append(buf, 0, byte(dnswire.OptionCodeTCPKeepalive), 0, 2, byte(units>>8), byte(units))
 }

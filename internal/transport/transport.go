@@ -86,9 +86,10 @@ type Config struct {
 // Serve* methods block until their context is cancelled or the listener
 // fails, and drain in-flight queries before returning.
 type Server struct {
-	cfg  Config
-	wire WireServer // nil when the wire fast path is off
-	m    *metrics
+	cfg       Config
+	wire      WireServer // nil when the wire fast path is off
+	keepalive uint16     // cfg.TCPKeepalive in RFC 7828 units; 0 advertises nothing
+	m         *metrics
 }
 
 // NewServer builds a Server, applying defaults for zero Config fields.
@@ -123,7 +124,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.DisableWire {
 		wire = nil
 	}
-	return &Server{cfg: cfg, wire: wire, m: newMetrics(cfg.Registry)}
+	return &Server{cfg: cfg, wire: wire, keepalive: keepaliveUnits(cfg.TCPKeepalive), m: newMetrics(cfg.Registry)}
 }
 
 // respond runs one query through the handler. A handler error or nil

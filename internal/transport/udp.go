@@ -130,7 +130,7 @@ func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.Pa
 			}
 			if out, served := s.wire.ServeWire(wq, limit, io.respBuf(i)); served {
 				s.m.queries[TransportUDP].Inc()
-				s.m.wireServes.Inc()
+				s.m.wireServes[TransportUDP].Inc()
 				io.queue(i, out)
 				return
 			}
@@ -160,9 +160,13 @@ func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.Pa
 	jobs <- udpJob{q: q, addr: io.addr(i)}
 }
 
-// appendFORMERR builds the minimal FORMERR for an unparseable datagram:
-// a bare 12-byte header echoing the query ID (plus opcode, RD, and CD when
-// the flag bytes are readable), QR set, RCODE=1, all counts zero.
+// formerrLen is the size of the message appendFORMERR builds.
+const formerrLen = 12
+
+// appendFORMERR builds the minimal FORMERR for an unparseable message q of
+// at least two bytes: a bare 12-byte header echoing the query ID (plus
+// opcode, RD, and CD when the flag bytes are readable), QR set, RCODE=1,
+// all counts zero.
 func appendFORMERR(dst, q []byte) []byte {
 	dst = append(dst, q[0], q[1])
 	b2 := byte(0x80) // QR

@@ -92,14 +92,14 @@ func TestUDPWireFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fill query: %v", err)
 	}
-	if srv.m.wireServes.Load() != 0 {
+	if srv.m.wireServes[TransportUDP].Load() != 0 {
 		t.Fatal("fill query cannot be a wire serve")
 	}
 	second, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(2, qname, dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("hit query: %v", err)
 	}
-	if got := srv.m.wireServes.Load(); got != 1 {
+	if got := srv.m.wireServes[TransportUDP].Load(); got != 1 {
 		t.Errorf("wire serves = %d, want 1 (cache hit must take the fast path)", got)
 	}
 	if len(second.Answer) != len(first.Answer) || second.RCode != first.RCode {
@@ -120,7 +120,7 @@ func TestUDPWireDisabled(t *testing.T) {
 			t.Fatalf("query %d: %v", id, err)
 		}
 	}
-	if got := srv.m.wireServes.Load(); got != 0 {
+	if got := srv.m.wireServes[TransportUDP].Load(); got != 0 {
 		t.Errorf("wire serves = %d with DisableWire, want 0", got)
 	}
 }
