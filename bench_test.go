@@ -29,6 +29,7 @@ import (
 	"net/netip"
 
 	"github.com/extended-dns-errors/edelab/internal/campaign"
+	"github.com/extended-dns-errors/edelab/internal/cluster"
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
@@ -1111,27 +1112,118 @@ func TestStreamWireSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive comparison skipped in -short mode")
 	}
-	wire, nowire := streamHitBench(t, false), streamHitBench(t, true)
-	const n = 20000
+	ratio := fasterBy(t, "pipelined TCP hit, DisableWire against wire",
+		streamHitBench(t, true), streamHitBench(t, false), 20000)
+	if ratio < 1.4 {
+		t.Errorf("wire fast path is %.2fx faster than DisableWire over TCP, gate is 1.4x", ratio)
+	}
+}
+
+// clusterForwardBench puts a router in front of one remote replica — a warm
+// frontend behind its own loopback UDP front door — with the wire relay or,
+// under DisableWire, the parsed forward, and returns a closed-loop driver:
+// run(n) keeps streamHitWindow queries for the cached name outstanding on
+// one client socket until n are answered.
+func clusterForwardBench(t testing.TB, disableWire bool) (run func(n int)) {
+	fe, raw := wireBenchSetup(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	var served sync.WaitGroup
+	serve := func(cfg transport.Config) string {
+		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served.Add(1)
+		go func() { defer served.Done(); transport.NewServer(cfg).ServeUDP(ctx, conn) }()
+		return conn.LocalAddr().String()
+	}
+	cl := cluster.New(cluster.Config{Seed: 20230515})
+	if err := cl.AddRemote("peer", serve(transport.Config{Handler: fe})); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", serve(transport.Config{Handler: cl, Wire: cl, DisableWire: disableWire}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close(); cancel(); served.Wait() })
+
+	resp := make([]byte, 0xFFFF)
+	return func(n int) {
+		// Loopback loses nothing at this depth; a deadline turns a lost
+		// datagram into a failure instead of a hang.
+		conn.SetReadDeadline(time.Now().Add(time.Minute))
+		for sent, done := 0, 0; done < n; done++ {
+			for ; sent < n && sent-done < streamHitWindow; sent++ {
+				if _, err := conn.Write(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := conn.Read(resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkClusterForward is a cached answer owned by a remote replica as a
+// UDP client of the router sees it, 32 outstanding: relay forwards the
+// datagram raw on the batched peer socket, parsed (DisableWire) unpacks it
+// for a worker that packs, forwards, waits, unpacks and packs again.
+func BenchmarkClusterForward(b *testing.B) {
+	for _, mode := range []struct {
+		name        string
+		disableWire bool
+	}{{"relay", false}, {"parsed", true}} {
+		b.Run(mode.name, func(b *testing.B) { benchClusterForward(b, mode.disableWire) })
+	}
+}
+
+func benchClusterForward(b *testing.B, disableWire bool) {
+	run := clusterForwardBench(b, disableWire)
+	run(streamHitWindow) // settle: dials the peer socket
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
+}
+
+// fasterBy runs two closed-loop drivers alternately, three rounds of n
+// operations each, and returns how many times faster fast's best round is
+// than slow's.
+func fasterBy(t *testing.T, what string, slow, fast func(int), n int) float64 {
 	measure := func(run func(int)) time.Duration {
 		run(streamHitWindow) // settle
 		start := time.Now()
 		run(n)
-		return time.Since(start) / n
+		return time.Since(start) / time.Duration(n)
 	}
-	var wirePer, nowirePer time.Duration
+	var slowPer, fastPer time.Duration
 	for round := 0; round < 3; round++ {
-		s, w := measure(nowire), measure(wire)
-		if nowirePer == 0 || s < nowirePer {
-			nowirePer = s
+		s, f := measure(slow), measure(fast)
+		if slowPer == 0 || s < slowPer {
+			slowPer = s
 		}
-		if wirePer == 0 || w < wirePer {
-			wirePer = w
+		if fastPer == 0 || f < fastPer {
+			fastPer = f
 		}
 	}
-	t.Logf("pipelined TCP hit: no-wire %v, wire %v (%.2fx faster)", nowirePer, wirePer, float64(nowirePer)/float64(wirePer))
-	if float64(nowirePer) < 1.4*float64(wirePer) {
-		t.Errorf("wire fast path is %.2fx faster than DisableWire over TCP, gate is 1.4x", float64(nowirePer)/float64(wirePer))
+	ratio := float64(slowPer) / float64(fastPer)
+	t.Logf("%s: %v against %v (%.2fx faster)", what, slowPer, fastPer, ratio)
+	return ratio
+}
+
+// TestClusterRelaySpeedupGate is the cluster twin of the stream gate: a
+// remotely owned hit must come back at least 1.5x faster through the relay
+// than through the parsed forward. Self-relative, both sides paying for the
+// same three sockets.
+func TestClusterRelaySpeedupGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive comparison skipped in -short mode")
+	}
+	ratio := fasterBy(t, "forwarded UDP hit, parsed forward against relay",
+		clusterForwardBench(t, true), clusterForwardBench(t, false), 20000)
+	if ratio < 1.5 {
+		t.Errorf("the relay is %.2fx faster than the parsed forward, gate is 1.5x", ratio)
 	}
 }
 
@@ -1175,9 +1267,12 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 	pipelined := func(disableWire bool) benchPoint {
 		return toPoint(testing.Benchmark(func(b *testing.B) { benchStreamPipelinedHit(b, disableWire) }))
 	}
+	forwarded := func(disableWire bool) benchPoint {
+		return toPoint(testing.Benchmark(func(b *testing.B) { benchClusterForward(b, disableWire) }))
+	}
 
 	snap := benchSnapshot{
-		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); frontdoor.tcp.pipelined is the same hit end to end over loopback TCP, 32 deep (slowpath = DisableWire); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
+		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); frontdoor.tcp.pipelined is the same hit end to end over loopback TCP, 32 deep (slowpath = DisableWire); cluster.forward is a hit owned by a remote replica, through the router over loopback UDP, 32 outstanding (relay = raw datagrams on the batched peer socket, parsed = DisableWire); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
 		Go:   runtime.Version(),
 		CPUs: runtime.NumCPU(),
 		Current: map[string]benchPoint{
@@ -1187,6 +1282,9 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 
 			"frontdoor.tcp.pipelined":          pipelined(false),
 			"frontdoor.tcp.pipelined.slowpath": pipelined(true),
+
+			"cluster.forward.relay":  forwarded(false),
+			"cluster.forward.parsed": forwarded(true),
 		},
 	}
 	if prev, err := os.ReadFile("BENCH_frontdoor.json"); err == nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
 // nodeState is a replica's routing state. Draining and down replicas take
@@ -101,10 +103,13 @@ func (c Config) withDefaults() Config {
 // node is one cluster member: an in-process frontend replica or a remote
 // one reached by UDP forwarding.
 type node struct {
-	id      string
-	addr    string             // DNS address for remote members, "" for local
-	local   *frontend.Frontend // non-nil for in-process replicas
-	backend netsim.Handler
+	c     *Cluster
+	id    string
+	addr  string             // DNS address for remote members, "" for local; guarded by Cluster.mu
+	local *frontend.Frontend // non-nil for in-process replicas
+	// remote is a remote member's forwarder, replaced when the member
+	// rejoins (possibly at another address) while queries are in flight.
+	remote atomic.Pointer[remoteBackend]
 
 	state        atomic.Int32
 	inflight     atomic.Int64
@@ -124,9 +129,10 @@ type view struct {
 }
 
 // Cluster is the multi-replica serving tier. It implements netsim.Handler
-// (route a parsed query to the owning replica) and transport.WireServer
-// (serve straight from the owner's pre-packed wire cache), so it slots
-// into the PR 6 front door wherever a single frontend did.
+// (route a parsed query to the owning replica) and transport.WireRouter
+// (serve straight from a local owner's pre-packed wire cache, name a remote
+// owner for the UDP front door to relay the datagram to), so it slots into
+// the PR 6 front door wherever a single frontend did.
 type Cluster struct {
 	cfg Config
 
@@ -174,12 +180,11 @@ func (c *Cluster) AddLocal(id string, up forwarder.Upstream) (*Replica, error) {
 	if c.findLocked(id) != nil {
 		return nil, fmt.Errorf("cluster: replica %q already exists", id)
 	}
-	nd := &node{id: id}
+	nd := &node{c: c, id: id}
 	fcfg := c.cfg.Frontend
 	fcfg.Peek = c.peekFor(nd)
 	fe := frontend.New(up, fcfg)
 	nd.local = fe
-	nd.backend = fe
 	reg := telemetry.NewRegistry()
 	fe.RegisterMetrics(reg)
 	c.regs[id] = reg
@@ -198,14 +203,15 @@ func (c *Cluster) AddRemote(id, addr string) error {
 			return fmt.Errorf("cluster: replica %q is local, cannot re-join as remote", id)
 		}
 		nd.addr = addr
-		nd.backend = newRemoteBackend(addr, c.cfg.ForwardTimeout)
+		nd.remote.Store(newRemoteBackend(addr, c.cfg.ForwardTimeout))
 		nd.failures.Store(0)
 		nd.state.Store(int32(stateActive))
 		c.bumpLocked("rejoin", id)
 		nd.appliedEpoch.Store(c.epoch)
 		return nil
 	}
-	nd := &node{id: id, addr: addr, backend: newRemoteBackend(addr, c.cfg.ForwardTimeout)}
+	nd := &node{c: c, id: id, addr: addr}
+	nd.remote.Store(newRemoteBackend(addr, c.cfg.ForwardTimeout))
 	c.admitLocked(nd, "join")
 	return nil
 }
@@ -323,20 +329,43 @@ func (c *Cluster) BumpZone(name string) {
 	c.bumpLocked("zone", name)
 }
 
-// candidates walks the ring from h: owner is the first node visited
-// regardless of state; cands are the active nodes in takeover order.
-func (c *Cluster) candidates(v *view, h uint64) (owner *node, cands []*node) {
+// walkBuf sizes the caller-owned array a ring walk fills; a larger cluster
+// spills the tail of its walk to the heap.
+const walkBuf = 8
+
+// servable reports whether nd takes new queries: in rotation and under the
+// bounded-load cap.
+func (c *Cluster) servable(nd *node) bool {
+	return nd.st() == stateActive && nd.inflight.Load() < int64(c.cfg.MaxNodeInflight)
+}
+
+// candidates walks the ring from h and appends the active nodes to buf in
+// takeover order. Routing needs it only when the owner is out of rotation,
+// over its cap, or failing.
+func (c *Cluster) candidates(v *view, h uint64, buf []*node) []*node {
 	v.ring.sequence(h, func(n int) bool {
-		nd := v.nodes[n]
-		if owner == nil {
-			owner = nd
-		}
-		if nd.st() == stateActive {
-			cands = append(cands, nd)
+		if nd := v.nodes[n]; nd.st() == stateActive {
+			buf = append(buf, nd)
 		}
 		return true
 	})
-	return owner, cands
+	return buf
+}
+
+// wireTarget is where the wire paths send hash h: the owner, or while it is
+// draining or down the first active node after it. nil when none is.
+func (c *Cluster) wireTarget(v *view, h uint64) (owner, target *node) {
+	owner = v.nodes[v.ring.owner(h)]
+	if owner.st() == stateActive {
+		return owner, owner
+	}
+	v.ring.sequence(h, func(n int) bool {
+		if nd := v.nodes[n]; nd.st() == stateActive {
+			target = nd
+		}
+		return target == nil
+	})
+	return owner, target
 }
 
 // HandleDNS implements netsim.Handler: hash the question onto the ring,
@@ -352,74 +381,106 @@ func (c *Cluster) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.M
 	if len(q.Question) == 1 {
 		h = keyHash(q.Question[0].Name, q.Question[0].Type, q.CheckingDisabled)
 	}
-	owner, cands := c.candidates(v, h)
-	if len(cands) == 0 {
-		c.m.unrouted.Add(1)
-		return failReply(q, "cluster: no replica available"), nil
+	owner := v.nodes[v.ring.owner(h)]
+
+	// Common case: the owner is in rotation and under its cap, and the ring
+	// is not walked at all.
+	var buf [walkBuf]*node
+	var cands []*node
+	target := owner
+	if !c.servable(owner) {
+		cands = c.candidates(v, h, buf[:0])
+		if len(cands) == 0 {
+			c.m.unrouted.Add(1)
+			return failReply(q, "cluster: no replica available"), nil
+		}
+		// Bounded load: prefer the first candidate under the inflight cap;
+		// when all are over it, the owner-side candidate still serves (an
+		// overloaded owner beats a refused client — the frontend sheds its
+		// own recursions with EDE 23 if it truly cannot keep up).
+		target = cands[0]
+		for _, nd := range cands {
+			if nd.inflight.Load() < int64(c.cfg.MaxNodeInflight) {
+				target = nd
+				break
+			}
+		}
+		if target != owner {
+			if owner.st() == stateActive {
+				c.m.spills.Add(1)
+			} else {
+				c.m.takeovers.Add(1)
+			}
+		}
+	}
+	if resp := c.serveOn(ctx, v, target, owner, q, h); resp != nil {
+		return resp, nil
 	}
 
-	// Bounded load: prefer the first candidate under the inflight cap;
-	// when all are over it, the owner-side candidate still serves (an
-	// overloaded owner beats a refused client — the frontend sheds its
-	// own recursions with EDE 23 if it truly cannot keep up).
-	start := 0
+	// The target failed: offer the query to every other active node, in
+	// ring order from the target on.
+	if cands == nil {
+		cands = c.candidates(v, h, buf[:0])
+	}
+	start := -1 // the target may have been marked down just now
 	for i, nd := range cands {
-		if nd.inflight.Load() < int64(c.cfg.MaxNodeInflight) {
+		if nd == target {
 			start = i
-			break
 		}
 	}
-	target := cands[start]
-	if target != owner {
-		if owner.st() == stateActive {
-			c.m.spills.Add(1)
-		} else {
-			c.m.takeovers.Add(1)
+	for i := 1; i <= len(cands); i++ {
+		nd := cands[(start+i)%len(cands)]
+		if nd == target || nd.st() != stateActive {
+			continue // tried, or marked down by a concurrent failure
 		}
-	}
-
-	for attempt := 0; attempt < len(cands); attempt++ {
-		nd := cands[(start+attempt)%len(cands)]
-		if attempt > 0 {
-			if nd.st() != stateActive {
-				continue // marked down by a concurrent failure
-			}
-			c.m.takeovers.Add(1)
-		}
-		resp, err := c.serveOn(ctx, nd, q)
-		if err == nil && resp != nil {
-			if nd.addr != "" {
-				nd.failures.Store(0)
-			}
-			if nd == owner && len(q.Question) == 1 {
-				pk := frontend.PeekKey{Name: q.Question[0].Name, Type: q.Question[0].Type, DO: q.DO(), CD: q.CheckingDisabled}
-				c.trackHot(v, owner, pk, h)
-			}
+		c.m.takeovers.Add(1)
+		if resp := c.serveOn(ctx, v, nd, owner, q, h); resp != nil {
 			return resp, nil
 		}
-		c.m.forwardFails.Add(1)
-		c.noteFailure(nd)
 	}
 	c.m.unrouted.Add(1)
 	return failReply(q, "cluster: every replica failed"), nil
 }
 
 // serveOn runs one query on nd, accounting inflight for the bounded-load
-// cap and the drain wait.
-func (c *Cluster) serveOn(ctx context.Context, nd *node, q *dnswire.Message) (*dnswire.Message, error) {
+// cap and the drain wait, and keeps the books on the outcome. nil means nd
+// failed and the caller should try the next node.
+func (c *Cluster) serveOn(ctx context.Context, v *view, nd, owner *node, q *dnswire.Message, h uint64) *dnswire.Message {
 	nd.inflight.Add(1)
 	defer nd.inflight.Add(-1)
 	nd.routed.Add(1)
-	return nd.backend.HandleDNS(ctx, q)
+	var resp *dnswire.Message
+	var err error
+	if nd.local != nil {
+		resp, err = nd.local.HandleDNS(ctx, q)
+	} else {
+		resp, err = nd.remote.Load().HandleDNS(ctx, q)
+	}
+	ok := err == nil && resp != nil
+	c.noteResult(nd, ok)
+	if !ok {
+		return nil
+	}
+	if nd == owner && len(q.Question) == 1 {
+		pk := frontend.PeekKey{Name: q.Question[0].Name, Type: q.Question[0].Type, DO: q.DO(), CD: q.CheckingDisabled}
+		c.trackHot(v, owner, pk, h)
+	}
+	return resp
 }
 
-// noteFailure counts a forward failure against a remote member, marking it
-// down at the configured limit so the ring stops offering it.
-func (c *Cluster) noteFailure(nd *node) {
-	if nd.addr == "" {
+// noteResult keeps the failure books for one query served on nd, parsed or
+// relayed: an answer clears a remote member's consecutive-failure count, a
+// failure is counted and, at the configured limit, marks the member down so
+// the ring stops offering it.
+func (c *Cluster) noteResult(nd *node, ok bool) {
+	if ok {
+		if nd.local == nil && nd.failures.Load() != 0 {
+			nd.failures.Store(0)
+		}
 		return
 	}
-	if int(nd.failures.Add(1)) >= c.cfg.RemoteFailureLimit && nd.st() == stateActive {
+	c.m.forwardFails.Add(1)
+	if nd.local == nil && int(nd.failures.Add(1)) >= c.cfg.RemoteFailureLimit && nd.st() == stateActive {
 		_ = c.setState(nd.id, stateDown, "down")
 	}
 }
@@ -433,11 +494,10 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 		return nil, false
 	}
 	h := keyHash(q.Name, q.Type, q.CD)
-	owner, cands := c.candidates(v, h)
-	if len(cands) == 0 || cands[0].local == nil {
+	owner, target := c.wireTarget(v, h)
+	if target == nil || target.local == nil {
 		return nil, false
 	}
-	target := cands[0]
 	out, ok := target.local.ServeWire(q, limit, dst)
 	if !ok {
 		return nil, false
@@ -446,6 +506,44 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 		c.trackHot(v, owner, frontend.PeekKey{Name: q.Name, Type: q.Type, DO: q.DO, CD: q.CD}, h)
 	}
 	return out, true
+}
+
+// RouteWire implements transport.WireRouter: for a query ServeWire
+// declined, name the remote owner (or takeover node) so the UDP front door
+// relays the datagram instead of parsing it for HandleDNS. A local target,
+// one over its inflight cap, or one without a usable address stays on the
+// parsed path, which knows how to spill and retry.
+func (c *Cluster) RouteWire(q dnswire.WireQuery) (transport.RelayPeer, bool) {
+	v := c.viewP.Load()
+	if v == nil || len(v.nodes) == 0 {
+		return nil, false
+	}
+	owner, target := c.wireTarget(v, keyHash(q.Name, q.Type, q.CD))
+	if target == nil || target.local != nil ||
+		target.inflight.Load() >= int64(c.cfg.MaxNodeInflight) || !target.Addr().IsValid() {
+		return nil, false
+	}
+	if target != owner {
+		c.m.takeovers.Add(1)
+	}
+	target.inflight.Add(1)
+	return target, true
+}
+
+// RelayTimeout implements transport.WireRouter: a relayed query waits for
+// its answer as long as a parsed forward does.
+func (c *Cluster) RelayTimeout() time.Duration { return c.cfg.ForwardTimeout }
+
+// Addr and Done make a remote node the transport.RelayPeer RouteWire hands
+// out. Done is serveOn's bookkeeping for a query the front door relayed.
+func (nd *node) Addr() netip.AddrPort { return nd.remote.Load().peer }
+
+func (nd *node) Done(o transport.RelayOutcome) {
+	nd.inflight.Add(-1)
+	if o != transport.RelayAbandoned {
+		nd.routed.Add(1)
+		nd.c.noteResult(nd, o == transport.RelayAnswered)
+	}
 }
 
 // trackHot counts router-observed traffic per key slot; crossing the
@@ -538,4 +636,7 @@ func failReply(q *dnswire.Message, text string) *dnswire.Message {
 	return r
 }
 
-var _ netsim.Handler = (*Cluster)(nil)
+var (
+	_ netsim.Handler       = (*Cluster)(nil)
+	_ transport.WireRouter = (*Cluster)(nil)
+)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,24 +13,50 @@ import (
 )
 
 // remoteBackend forwards queries to a peer replica's front door over UDP:
-// the router's half of cross-process clustering. The forwarded datagram is
-// the client's query re-packed with a fresh ID (so concurrent forwards on
-// pooled sockets cannot collide); the peer's answer comes back with the
-// client's ID restored. One forward, one timeout — ring-level retry and
+// the router's half of cross-process clustering. This parsed forward serves
+// the queries the UDP front door does not relay as raw datagrams
+// (transport/relay.go): stream and DoH clients, anything ScanQuery refuses,
+// and relayed queries that failed. The forwarded datagram is the client's
+// query re-packed with a fresh ID (so concurrent forwards on pooled sockets
+// cannot collide) and, when it carries an OPT, the largest UDP size there
+// is: the peer never truncates, and the router's own transport decides
+// once, against the client's real limit. The peer's answer comes back with
+// the client's ID restored. One forward, one timeout — ring-level retry and
 // down-marking live in the router.
 type remoteBackend struct {
 	addr    string
+	peer    netip.AddrPort // addr resolved once, for the relay; zero when it does not resolve
 	timeout time.Duration
 	nextID  atomic.Uint32
 	conns   sync.Pool // *net.UDPConn, connected to addr
 }
 
 func newRemoteBackend(addr string, timeout time.Duration) *remoteBackend {
-	return &remoteBackend{addr: addr, timeout: timeout}
+	r := &remoteBackend{addr: addr, timeout: timeout}
+	if ua, err := net.ResolveUDPAddr("udp", addr); err == nil {
+		r.peer = ua.AddrPort()
+	}
+	return r
+}
+
+// maxDatagram is the largest UDP payload the 16-bit EDNS size can ask for.
+const maxDatagram = 0xFFFF
+
+// answerBufs holds the forward's receive buffers: a peer told to send up
+// to maxDatagram must not meet a buffer that cuts its answer short.
+var answerBufs = sync.Pool{
+	New: func() any { b := make([]byte, maxDatagram); return &b },
 }
 
 func (r *remoteBackend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	wire, err := q.Pack()
+	fq := q
+	if q.OPT != nil {
+		opt, m := *q.OPT, *q
+		opt.UDPSize = maxDatagram
+		m.OPT = &opt
+		fq = &m
+	}
+	wire, err := fq.Pack()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: pack forward to %s: %w", r.addr, err)
 	}
@@ -64,7 +91,9 @@ func (r *remoteBackend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dns
 		return nil, fmt.Errorf("cluster: forward to %s: %w", r.addr, err)
 	}
 
-	buf := make([]byte, 4096)
+	bufp := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(bufp)
+	buf := *bufp
 	for {
 		n, err := conn.Read(buf)
 		if err != nil {

@@ -137,14 +137,18 @@ func (r *ring) sequence(h uint64, visit func(node int) bool) {
 	if start == len(r.points) {
 		start = 0
 	}
-	seen := make([]bool, r.nodes)
+	var small [4]uint64 // one bit per node; on the stack for up to 256
+	seen := small[:]
+	if r.nodes > 64*len(small) {
+		seen = make([]uint64, (r.nodes+63)/64)
+	}
 	offered := 0
 	for i := 0; i < len(r.points) && offered < r.nodes; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if seen[p.node] {
+		if seen[p.node/64]&(1<<(p.node%64)) != 0 {
 			continue
 		}
-		seen[p.node] = true
+		seen[p.node/64] |= 1 << (p.node % 64)
 		offered++
 		if !visit(p.node) {
 			return

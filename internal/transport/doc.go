@@ -11,7 +11,10 @@
 //     EDNS(0) buffer size — TC=1 and a minimal answer section, never an
 //     oversized datagram — while the OPT record and its EDE options survive
 //     truncation so the diagnostic reaches the client even when the data
-//     does not.
+//     does not. When the handler is a router (WireRouter), a query owned
+//     by a remote backend is relayed there and back as raw datagrams on
+//     one batched socket per peer (relay.go); stream and DoH clients keep
+//     the router's parsed forward.
 //   - TCP (RFC 1035 §4.2.2 / RFC 7766), two-byte length framing with query
 //     pipelining and out-of-order responses: wire-cache hits are answered
 //     inline by the connection's reader and written out in batches; every

@@ -29,7 +29,22 @@ type metrics struct {
 	// per Write of a connection's output buffer is their ratio.
 	streamFlushes     *telemetry.Counter
 	streamFlushFrames *telemetry.Counter
+	// relayed counts UDP queries forwarded to a remote owner as raw
+	// datagrams (relay.go); relayFailures the ones that came to nothing, by
+	// reason. relayRounds / relayDatagrams are the relay's twin of the
+	// batch counters: peer answers per receive round is their ratio.
+	relayed        *telemetry.Counter
+	relayFailures  map[string]*telemetry.Counter
+	relayRounds    *telemetry.Counter
+	relayDatagrams *telemetry.Counter
 }
+
+// Relay failure reasons: the label values of relayFailures.
+const (
+	relayExpired   = "expired"    // no answer within the router's RelayTimeout
+	relayPeerError = "peer_error" // the peer socket returned an error
+	relayUnmatched = "unmatched"  // an answer no pending query asked for; dropped
+)
 
 func newMetrics(reg *telemetry.Registry) *metrics {
 	if reg == nil {
@@ -73,5 +88,17 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		"Writes of a stream connection's output buffer (inline answers only).")
 	m.streamFlushFrames = reg.Counter("edelab_frontdoor_stream_flush_frames_total",
 		"Answer frames written across all stream output-buffer flushes.")
+	m.relayed = reg.Counter("edelab_frontdoor_relayed_total",
+		"UDP queries relayed to a remote owner as raw datagrams.")
+	m.relayFailures = make(map[string]*telemetry.Counter)
+	for _, reason := range []string{relayExpired, relayPeerError, relayUnmatched} {
+		m.relayFailures[reason] = reg.Counter("edelab_frontdoor_relay_failures_total",
+			"Relayed queries handed back to the parsed path (expired, peer_error) and peer answers dropped (unmatched).",
+			telemetry.L("reason", reason))
+	}
+	m.relayRounds = reg.Counter("edelab_frontdoor_relay_rounds_total",
+		"Receive rounds on relay peer sockets (one recvmmsg or ReadFrom call each).")
+	m.relayDatagrams = reg.Counter("edelab_frontdoor_relay_datagrams_total",
+		"Peer answers received across all relay receive rounds.")
 	return m
 }

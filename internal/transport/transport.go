@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"net/netip"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -35,6 +36,42 @@ const (
 type WireServer interface {
 	ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool)
 }
+
+// WireRouter is the optional extension of WireServer a router in front of
+// remote backends implements: for a query ServeWire declined, RouteWire
+// names the peer whose answer the client should get, and the UDP front
+// door relays the datagram there and the answer back without parsing
+// either (relay.go). ok=false keeps the query on the full Handler path.
+type WireRouter interface {
+	WireServer
+	RouteWire(q dnswire.WireQuery) (RelayPeer, bool)
+	// RelayTimeout is how long a relayed query may wait for the peer's
+	// answer before it is reported failed and handed to Handler instead.
+	RelayTimeout() time.Duration
+}
+
+// RelayPeer is one remote backend as RouteWire named it for one query.
+// Every RelayPeer RouteWire returns is paired with exactly one Done, so the
+// router can keep per-peer in-flight and failure accounting.
+type RelayPeer interface {
+	// Addr is the peer's UDP address.
+	Addr() netip.AddrPort
+	Done(RelayOutcome)
+}
+
+// RelayOutcome is how one relayed query ended.
+type RelayOutcome int
+
+const (
+	// RelayAnswered: the peer's answer was sent on to the client.
+	RelayAnswered RelayOutcome = iota
+	// RelayFailed: no answer within RelayTimeout, or the peer socket
+	// failed; the query went to Handler.
+	RelayFailed
+	// RelayAbandoned: the relay gave the query up for a reason that says
+	// nothing about the peer (pending table full, listener stopped).
+	RelayAbandoned
+)
 
 // Config configures a front-door Server.
 type Config struct {
@@ -88,6 +125,7 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	wire      WireServer // nil when the wire fast path is off
+	router    WireRouter // wire, when it can also route to remote peers
 	keepalive uint16     // cfg.TCPKeepalive in RFC 7828 units; 0 advertises nothing
 	m         *metrics
 }
@@ -124,7 +162,8 @@ func NewServer(cfg Config) *Server {
 	if cfg.DisableWire {
 		wire = nil
 	}
-	return &Server{cfg: cfg, wire: wire, keepalive: keepaliveUnits(cfg.TCPKeepalive), m: newMetrics(cfg.Registry)}
+	router, _ := wire.(WireRouter)
+	return &Server{cfg: cfg, wire: wire, router: router, keepalive: keepaliveUnits(cfg.TCPKeepalive), m: newMetrics(cfg.Registry)}
 }
 
 // respond runs one query through the handler. A handler error or nil

@@ -32,14 +32,7 @@ var udpBufPool = sync.Pool{
 // until the next recv call. It is driven by one goroutine (the read loop);
 // only the slow-path workers write to the connection independently.
 type udpIO interface {
-	// recv blocks until at least one datagram arrives, fills the receive
-	// slots, and returns how many.
-	recv() (int, error)
-	// in returns the bytes of received datagram i.
-	in(i int) []byte
-	// addr materializes the sender address of datagram i (allocates, so
-	// the fast path never calls it).
-	addr(i int) net.Addr
+	udpReceiver
 	// respBuf returns slot i's response buffer: length 0, fixed capacity.
 	respBuf(i int) []byte
 	// queue arms wire — which must alias respBuf(i)'s array — as the
@@ -49,20 +42,72 @@ type udpIO interface {
 	flush() error
 }
 
+// udpReceiver is the receive half of udpIO, all a relay peer socket's
+// reader needs (relay.go).
+type udpReceiver interface {
+	// recv blocks until at least one datagram arrives, fills the receive
+	// slots, and returns how many.
+	recv() (int, error)
+	// in returns the bytes of received datagram i.
+	in(i int) []byte
+	// addr materializes the sender address of datagram i (allocates, so
+	// the fast path never calls it).
+	addr(i int) net.Addr
+	// saveAddr copies the sender address of datagram i into a, without
+	// allocating, for a reply sent after the next recv.
+	saveAddr(i int, a *udpAddr)
+}
+
+// udpSender queues whole datagrams on one socket and sends them together.
+// It holds as many as one recv round yields and is driven by one goroutine,
+// which flushes before it receives again; queued bytes and addresses must
+// stay untouched until then.
+type udpSender interface {
+	// queueTo arms wire for to, or for the connected peer when to is nil.
+	queueTo(to *udpAddr, wire []byte)
+	flush() error
+}
+
+// udpAddr is a datagram sender's address kept past the receive round that
+// produced it, in the form the platform's I/O replies to without
+// allocating: the raw sockaddr on the batched path, the net.Addr ReadFrom
+// returned on the portable one.
+type udpAddr struct {
+	raw  [28]byte // room for a sockaddr_in6, the largest a UDP socket yields
+	rawn uint8
+	addr net.Addr
+}
+
 // udpJob is one slow-path query handed to the worker pool.
 type udpJob struct {
 	q    *dnswire.Message
 	addr net.Addr
 }
 
+// udpListener is the state of one ServeUDP call: the socket, its I/O, the
+// admission semaphore and worker ring of the slow path, and the relay when
+// the server has a router behind it.
+type udpListener struct {
+	s    *Server
+	conn net.PacketConn
+	io   udpIO
+	sem  chan struct{}
+	// jobs is the ring feeding the worker pool. Its capacity equals the
+	// admission bound and a sem slot is always acquired before enqueueing,
+	// so the send in enqueue can never block its caller.
+	jobs  chan udpJob
+	relay *udpRelay // nil without a WireRouter or a real UDP socket
+}
+
 // ServeUDP serves queries from conn until ctx is cancelled or the
 // connection fails. Compatible queries are answered inline from the wire
-// fast path (pre-packed cache bytes, batched sends); everything else is
-// parsed and fed to a fixed pool of UDPWorkers goroutines through a ring
-// bounded by MaxUDPInflight — excess queries are shed with SERVFAIL +
-// EDE 23. Responses never exceed the client's advertised EDNS buffer
-// size: an oversized answer is sent with TC=1 and an emptied answer
-// section instead (see packUDPResponse).
+// fast path (pre-packed cache bytes, batched sends) or, when a WireRouter
+// names a remote owner, relayed to it as raw datagrams (relay.go);
+// everything else is parsed and fed to a fixed pool of UDPWorkers
+// goroutines through a ring bounded by MaxUDPInflight — excess queries are
+// shed with SERVFAIL + EDE 23. Responses never exceed the client's
+// advertised EDNS buffer size: an oversized answer is sent with TC=1 and an
+// emptied answer section instead (see packUDPResponse).
 func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 	done := make(chan struct{})
 	defer close(done)
@@ -74,30 +119,37 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 		}
 	}()
 
-	sem := make(chan struct{}, s.cfg.MaxUDPInflight)
-	// jobs is the ring feeding the worker pool. Its capacity equals the
-	// admission bound and a sem slot is always acquired before enqueueing,
-	// so the send in serveDatagram can never block the read loop.
-	jobs := make(chan udpJob, s.cfg.MaxUDPInflight)
+	l := &udpListener{
+		s:    s,
+		conn: conn,
+		io:   newUDPIO(conn, udpBatchSize),
+		sem:  make(chan struct{}, s.cfg.MaxUDPInflight),
+		jobs: make(chan udpJob, s.cfg.MaxUDPInflight),
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < s.cfg.UDPWorkers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for j := range l.jobs {
 				if resp := s.respond(ctx, TransportUDP, j.q); resp != nil {
 					s.writeUDP(conn, j.addr, resp, j.q)
 				}
-				<-sem
+				<-l.sem
 			}
 		}()
 	}
 	defer wg.Wait()
-	defer close(jobs)
+	defer close(l.jobs)
+	if uc, ok := conn.(*net.UDPConn); ok && s.router != nil {
+		l.relay = newUDPRelay(l, uc, s.router)
+		// Runs before close(jobs): the relay's goroutines re-dispatch
+		// failed forwards onto the ring.
+		defer l.relay.close()
+	}
 
-	io := newUDPIO(conn, udpBatchSize)
 	for {
-		n, err := io.recv()
+		n, err := l.io.recv()
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -107,17 +159,21 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 		s.m.batchRounds.Inc()
 		s.m.batchDatagrams.Add(uint64(n))
 		for i := 0; i < n; i++ {
-			s.serveDatagram(ctx, io, i, conn, sem, jobs)
+			l.serveDatagram(i)
 		}
-		if err := io.flush(); err != nil && ctx.Err() == nil {
+		if l.relay != nil {
+			l.relay.flush()
+		}
+		if err := l.io.flush(); err != nil && ctx.Err() == nil {
 			s.m.errors[TransportUDP].Inc()
 		}
 	}
 }
 
-// serveDatagram routes one received datagram: wire fast path, FORMERR for
-// garbage, shed at the admission bound, or the worker ring.
-func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.PacketConn, sem chan struct{}, jobs chan udpJob) {
+// serveDatagram routes one received datagram: wire fast path, relay to a
+// remote owner, FORMERR for garbage, or the worker ring.
+func (l *udpListener) serveDatagram(i int) {
+	s, io := l.s, l.io
 	data := io.in(i)
 
 	// Wire fast path: a scannable query answered straight from pre-packed
@@ -132,6 +188,9 @@ func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.Pa
 				s.m.queries[TransportUDP].Inc()
 				s.m.wireServes[TransportUDP].Inc()
 				io.queue(i, out)
+				return
+			}
+			if l.relay != nil && l.relay.forward(i, wq) {
 				return
 			}
 		}
@@ -149,15 +208,20 @@ func (s *Server) serveDatagram(ctx context.Context, io udpIO, i int, conn net.Pa
 		return
 	}
 	s.m.queries[TransportUDP].Inc()
+	l.enqueue(q, io.addr(i))
+}
 
+// enqueue admits one parsed query to the worker ring, or sheds it at the
+// admission bound.
+func (l *udpListener) enqueue(q *dnswire.Message, addr net.Addr) {
 	select {
-	case sem <- struct{}{}:
+	case l.sem <- struct{}{}:
 	default:
-		s.m.sheds[TransportUDP].Inc()
-		s.writeUDP(conn, io.addr(i), shedReply(q, "server overloaded: UDP inflight limit reached"), q)
+		l.s.m.sheds[TransportUDP].Inc()
+		l.s.writeUDP(l.conn, addr, shedReply(q, "server overloaded: UDP inflight limit reached"), q)
 		return
 	}
-	jobs <- udpJob{q: q, addr: io.addr(i)}
+	l.jobs <- udpJob{q: q, addr: addr}
 }
 
 // formerrLen is the size of the message appendFORMERR builds.
@@ -284,10 +348,11 @@ func (o *oneIO) recv() (int, error) {
 	return 1, nil
 }
 
-func (o *oneIO) in(int) []byte         { return o.buf[:o.n] }
-func (o *oneIO) addr(int) net.Addr     { return o.raddr }
-func (o *oneIO) respBuf(int) []byte    { return o.resp[:0] }
-func (o *oneIO) queue(_ int, w []byte) { o.out = w }
+func (o *oneIO) in(int) []byte              { return o.buf[:o.n] }
+func (o *oneIO) addr(int) net.Addr          { return o.raddr }
+func (o *oneIO) saveAddr(_ int, a *udpAddr) { a.addr = o.raddr }
+func (o *oneIO) respBuf(int) []byte         { return o.resp[:0] }
+func (o *oneIO) queue(_ int, w []byte)      { o.out = w }
 
 func (o *oneIO) flush() error {
 	if o.out == nil {

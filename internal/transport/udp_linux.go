@@ -29,7 +29,10 @@ const sockaddrBuf = syscall.SizeofSockaddrAny
 // construction: the kernel scatters one datagram per slot, responses are
 // built in the paired response slots, and one sendmmsg flushes the lot,
 // reusing the received sockaddrs verbatim — the fast path materializes no
-// net.Addr at all.
+// net.Addr at all. The receive half (recv, in, addr, saveAddr) and the send
+// half (queue, queueTo, flush) share nothing but the RawConn, so a relay
+// peer socket's halves are driven by two goroutines: its reader and the
+// listener's read loop.
 type mmsgIO struct {
 	rc    syscall.RawConn
 	batch int
@@ -43,24 +46,62 @@ type mmsgIO struct {
 	shdrs []mmsghdr
 	siovs []syscall.Iovec
 	nq    int
+
+	// The callbacks RawConn.Read/Write run are built once and report
+	// through these fields, so a round allocates nothing.
+	recvmmsg func(fd uintptr) bool
+	rn       int
+	rerrno   syscall.Errno
+	sendmmsg func(fd uintptr) bool
+	sent, sn int
+	serrno   syscall.Errno
 }
 
-func newMmsgIO(conn *net.UDPConn, batch int) (*mmsgIO, error) {
+// newMmsgSender builds the send half alone.
+func newMmsgSender(conn *net.UDPConn, batch int) (*mmsgIO, error) {
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
 	m := &mmsgIO{
-		rc:     rc,
-		batch:  batch,
-		rhdrs:  make([]mmsghdr, batch),
-		riovs:  make([]syscall.Iovec, batch),
-		rnames: make([]byte, batch*sockaddrBuf),
-		rbufs:  make([]byte, batch*maxUDPPayload),
-		resps:  make([]byte, batch*maxUDPPayload),
-		shdrs:  make([]mmsghdr, batch),
-		siovs:  make([]syscall.Iovec, batch),
+		rc:    rc,
+		batch: batch,
+		shdrs: make([]mmsghdr, batch),
+		siovs: make([]syscall.Iovec, batch),
 	}
+	m.recvmmsg = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(m.batch),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // park on the netpoller until readable
+		}
+		m.rn, m.rerrno = int(r1), e
+		return true
+	}
+	m.sendmmsg = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&m.shdrs[m.sent])), uintptr(m.nq-m.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // park until writable
+		}
+		m.sn, m.serrno = int(r1), e
+		return true
+	}
+	return m, nil
+}
+
+// newMmsgReceiver adds the receive half: everything but the response slots.
+func newMmsgReceiver(conn *net.UDPConn, batch int) (*mmsgIO, error) {
+	m, err := newMmsgSender(conn, batch)
+	if err != nil {
+		return nil, err
+	}
+	m.rhdrs = make([]mmsghdr, batch)
+	m.riovs = make([]syscall.Iovec, batch)
+	m.rnames = make([]byte, batch*sockaddrBuf)
+	m.rbufs = make([]byte, batch*maxUDPPayload)
 	for i := 0; i < batch; i++ {
 		m.riovs[i].Base = &m.rbufs[i*maxUDPPayload]
 		m.rhdrs[i].hdr.Iov = &m.riovs[i]
@@ -70,32 +111,28 @@ func newMmsgIO(conn *net.UDPConn, batch int) (*mmsgIO, error) {
 	return m, nil
 }
 
+func newMmsgIO(conn *net.UDPConn, batch int) (*mmsgIO, error) {
+	m, err := newMmsgReceiver(conn, batch)
+	if err != nil {
+		return nil, err
+	}
+	m.resps = make([]byte, batch*maxUDPPayload)
+	return m, nil
+}
+
 func (m *mmsgIO) recv() (int, error) {
-	m.nq = 0
 	for i := 0; i < m.batch; i++ {
 		m.riovs[i].Len = maxUDPPayload
 		m.rhdrs[i].hdr.Namelen = sockaddrBuf
 		m.rhdrs[i].n = 0
 	}
-	var n int
-	var errno syscall.Errno
-	err := m.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(m.batch),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the netpoller until readable
-		}
-		n, errno = int(r1), e
-		return true
-	})
-	if err != nil {
+	if err := m.rc.Read(m.recvmmsg); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if m.rerrno != 0 {
+		return 0, m.rerrno
 	}
-	return n, nil
+	return m.rn, nil
 }
 
 func (m *mmsgIO) in(i int) []byte {
@@ -110,8 +147,18 @@ func (m *mmsgIO) respBuf(i int) []byte {
 
 // addr decodes slot i's raw sockaddr. Slow path only: the fast path sends
 // responses with the raw sockaddr bytes untouched.
-func (m *mmsgIO) addr(i int) net.Addr {
+func (m *mmsgIO) addr(i int) net.Addr { return sockaddrToUDPAddr(m.rnames[i*sockaddrBuf:]) }
+
+func (m *mmsgIO) saveAddr(i int, a *udpAddr) {
 	sa := m.rnames[i*sockaddrBuf:]
+	a.rawn = uint8(copy(a.raw[:], sa[:m.rhdrs[i].hdr.Namelen]))
+}
+
+// netAddr materializes a saved address (allocates; slow path only).
+func (a *udpAddr) netAddr() net.Addr { return sockaddrToUDPAddr(a.raw[:]) }
+
+// sockaddrToUDPAddr decodes a raw sockaddr_in or sockaddr_in6.
+func sockaddrToUDPAddr(sa []byte) net.Addr {
 	family := uint16(sa[0]) | uint16(sa[1])<<8 // native-endian; amd64/arm64 are LE
 	switch family {
 	case syscall.AF_INET:
@@ -130,46 +177,60 @@ func (m *mmsgIO) addr(i int) net.Addr {
 }
 
 func (m *mmsgIO) queue(i int, wire []byte) {
+	m.queueRaw(&m.rnames[i*sockaddrBuf], m.rhdrs[i].hdr.Namelen, wire)
+}
+
+func (m *mmsgIO) queueTo(to *udpAddr, wire []byte) {
+	if to == nil {
+		m.queueRaw(nil, 0, wire) // connected socket
+		return
+	}
+	m.queueRaw(&to.raw[0], uint32(to.rawn), wire)
+}
+
+// queueRaw arms wire for the raw sockaddr at name, which must stay put
+// until flush.
+func (m *mmsgIO) queueRaw(name *byte, namelen uint32, wire []byte) {
 	j := m.nq
 	m.siovs[j].Base = &wire[0]
 	m.siovs[j].Len = uint64(len(wire))
 	m.shdrs[j].hdr.Iov = &m.siovs[j]
 	m.shdrs[j].hdr.Iovlen = 1
-	m.shdrs[j].hdr.Name = &m.rnames[i*sockaddrBuf]
-	m.shdrs[j].hdr.Namelen = m.rhdrs[i].hdr.Namelen
+	m.shdrs[j].hdr.Name = name
+	m.shdrs[j].hdr.Namelen = namelen
 	m.shdrs[j].n = 0
 	m.nq++
 }
 
 func (m *mmsgIO) flush() error {
-	sent := 0
-	for sent < m.nq {
-		var n int
-		var errno syscall.Errno
-		err := m.rc.Write(func(fd uintptr) bool {
-			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&m.shdrs[sent])), uintptr(m.nq-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // park until writable
-			}
-			n, errno = int(r1), e
-			return true
-		})
-		if err != nil || errno != 0 {
+	m.sent = 0
+	for m.sent < m.nq {
+		err := m.rc.Write(m.sendmmsg)
+		if err != nil || m.serrno != 0 {
 			m.nq = 0
 			if err != nil {
 				return err
 			}
-			return errno
+			return m.serrno
 		}
-		if n <= 0 {
+		if m.sn <= 0 {
 			break
 		}
-		sent += n
+		m.sent += m.sn
 	}
 	m.nq = 0
 	return nil
+}
+
+// newPeerIO is the I/O of a relay's connected peer socket.
+func newPeerIO(conn *net.UDPConn, batch int) (udpReceiver, udpSender, error) {
+	m, err := newMmsgReceiver(conn, batch)
+	return m, m, err
+}
+
+// newUDPSender is a batched sender on conn beside whatever else drives it.
+func newUDPSender(conn *net.UDPConn, batch int) (udpSender, error) {
+	return newMmsgSender(conn, batch)
 }
 
 // newUDPIO picks batched I/O for real UDP sockets and falls back to
