@@ -307,6 +307,14 @@ func TestScanQueryAmplificationGate(t *testing.T) {
 	}
 }
 
+// timingGates reports whether the wall-clock gates run. A ratio of two
+// timings is a property of the machine's load as much as of the tree, so
+// tier-1 (`go test ./...`) checks only the exact halves — allocation counts —
+// and the CI jobs that own a quiet runner set BENCH_GATES=1 for the rest:
+//
+//	BENCH_GATES=1 go test -run 'SpeedupGate|TestTraceOverheadGate' .
+func timingGates() bool { return os.Getenv("BENCH_GATES") != "" }
+
 // TestTraceOverheadGate is the telemetry subsystem's performance acceptance
 // check (CI runs it explicitly): with tracing disabled — the steady state for
 // every scan and for unsampled server queries — the instrumentation must be
@@ -314,10 +322,10 @@ func TestScanQueryAmplificationGate(t *testing.T) {
 //
 //  1. Allocations: a warm cached Resolve through a context that explicitly
 //     carries a nil span must allocate exactly what a bare context does.
-//  2. Time: a 32-worker warm-infrastructure scan pass under the nil-span
-//     context must stay within 5% of the bare-context pass. Both sides take
-//     the minimum of interleaved runs, which strips scheduler noise the way
-//     a mean cannot.
+//  2. Time (under BENCH_GATES=1): a 32-worker warm-infrastructure scan pass
+//     under the nil-span context must stay within 5% of the bare-context
+//     pass. Both sides take the minimum of interleaved runs, which strips
+//     scheduler noise the way a mean cannot.
 func TestTraceOverheadGate(t *testing.T) {
 	tb, w, _ := fixtures(t)
 
@@ -332,6 +340,10 @@ func TestTraceOverheadGate(t *testing.T) {
 	if withNil != base {
 		t.Errorf("disabled tracing changed cached Resolve allocs: %.1f/op with nil span vs %.1f/op bare (must add 0)",
 			withNil, base)
+	}
+	if !timingGates() {
+		t.Log("ns/op half skipped: set BENCH_GATES=1 to time the 32-worker pass")
+		return
 	}
 
 	// ns/op over the 32-worker scan shape: one full population pass per run.
@@ -984,20 +996,27 @@ func BenchmarkFrontendServeWire(b *testing.B) {
 
 // TestFrontdoorWireSpeedupGate is the wire cache's acceptance check (the CI
 // frontdoor-bench assertion): a cache hit served from pre-packed wire bytes
-// must be at least 3x faster and allocate at least 5x less than the same
-// hit through the slow path. Both sides are measured in the same process on
-// the same entry, so the gate is self-relative and holds on any hardware —
-// the committed BENCH_frontdoor.json records the same two paths for the
+// must allocate at least 5x less than the same hit through the slow path and,
+// under BENCH_GATES=1, be at least 3x faster. Both sides are measured in the
+// same process on the same entry, so the gate is self-relative — the
+// committed BENCH_frontdoor.json records the same two paths for the
 // trajectory.
 func TestFrontdoorWireSpeedupGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive comparison skipped in -short mode")
-	}
 	fe, raw := wireBenchSetup(t)
 	buf := make([]byte, 0, 4096)
 
 	slowAllocs := testing.AllocsPerRun(300, func() { runHitSlowPath(t, fe, raw, buf) })
 	wireAllocs := testing.AllocsPerRun(300, func() { runHitWire(t, fe, raw, buf) })
+	if wireAllocs*5 > slowAllocs {
+		t.Errorf("wire fast path allocates %.1f/op vs slow path %.1f/op, gate is 5x fewer", wireAllocs, slowAllocs)
+	}
+	if wireAllocs > 2 {
+		t.Errorf("wire fast path allocates %.1f/op, budget is 2", wireAllocs)
+	}
+	if !timingGates() {
+		t.Log("timing half skipped: set BENCH_GATES=1 to compare the two paths' ns/op")
+		return
+	}
 
 	const n = 20000
 	measure := func(f func()) time.Duration {
@@ -1027,12 +1046,6 @@ func TestFrontdoorWireSpeedupGate(t *testing.T) {
 		float64(slowPer)/float64(wirePer), slowAllocs/wireAllocs)
 	if slowPer < 3*wirePer {
 		t.Errorf("wire fast path is %.2fx faster than the slow path, gate is 3x", float64(slowPer)/float64(wirePer))
-	}
-	if wireAllocs*5 > slowAllocs {
-		t.Errorf("wire fast path allocates %.1f/op vs slow path %.1f/op, gate is 5x fewer", wireAllocs, slowAllocs)
-	}
-	if wireAllocs > 2 {
-		t.Errorf("wire fast path allocates %.1f/op, budget is 2", wireAllocs)
 	}
 }
 
@@ -1107,10 +1120,10 @@ func benchStreamPipelinedHit(b *testing.B, disableWire bool) {
 // end over loopback TCP: pipelined hits must run at least 1.4x faster with
 // the wire fast path than through DisableWire. Self-relative like its twin;
 // the margin is smaller because both sides pay for the sockets and the
-// client.
+// client. All timing, so it runs only under BENCH_GATES=1.
 func TestStreamWireSpeedupGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive comparison skipped in -short mode")
+	if !timingGates() {
+		t.Skip("set BENCH_GATES=1 to run the wall-clock comparison")
 	}
 	ratio := fasterBy(t, "pipelined TCP hit, DisableWire against wire",
 		streamHitBench(t, true), streamHitBench(t, false), 20000)
@@ -1215,10 +1228,10 @@ func fasterBy(t *testing.T, what string, slow, fast func(int), n int) float64 {
 // TestClusterRelaySpeedupGate is the cluster twin of the stream gate: a
 // remotely owned hit must come back at least 1.5x faster through the relay
 // than through the parsed forward. Self-relative, both sides paying for the
-// same three sockets.
+// same three sockets. All timing, so it runs only under BENCH_GATES=1.
 func TestClusterRelaySpeedupGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive comparison skipped in -short mode")
+	if !timingGates() {
+		t.Skip("set BENCH_GATES=1 to run the wall-clock comparison")
 	}
 	ratio := fasterBy(t, "forwarded UDP hit, parsed forward against relay",
 		clusterForwardBench(t, true), clusterForwardBench(t, false), 20000)

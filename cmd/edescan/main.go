@@ -187,6 +187,7 @@ func main() {
 	}
 	qBase := regValue("edelab_resolver_queries_total")
 	rBase := regValue("edelab_resolver_resolutions_total")
+	vBase := regValue("edelab_dnssec_verifies_total")
 	stopProgress := make(chan struct{})
 	if *progress > 0 {
 		go func() {
@@ -204,15 +205,16 @@ func main() {
 					resolutions := regValue("edelab_resolver_resolutions_total") - rBase
 					rate := float64(d-lastDone) / time.Since(lastT).Seconds()
 					lastDone, lastT = d, time.Now()
-					qpr := 0.0
+					verifies := regValue("edelab_dnssec_verifies_total") - vBase
+					qpr, vpr := 0.0, 0.0
 					if resolutions > 0 {
-						qpr = queries / resolutions
+						qpr, vpr = queries/resolutions, verifies/resolutions
 					}
 					mu.Lock()
 					top := topCodes(agg, 4)
 					mu.Unlock()
-					fmt.Fprintf(os.Stderr, "progress: %d/%d domains (%.0f/s), ETA %s, %.2f queries/resolution, EDE %s\n",
-						d, len(pop.Domains), rate, etaString(uint64(len(pop.Domains))-uint64(d), rate), qpr, top)
+					fmt.Fprintf(os.Stderr, "progress: %d/%d domains (%.0f/s), ETA %s, %.2f queries/resolution, %.2f verifies/resolution, EDE %s\n",
+						d, len(pop.Domains), rate, etaString(uint64(len(pop.Domains))-uint64(d), rate), qpr, vpr, top)
 				}
 			}
 		}()

@@ -99,6 +99,13 @@ func serialLT(a, b uint32) bool {
 // keys should be the zone's DNSKEY RRset; keys without the zone-key bit are
 // ignored per RFC 4034 §2.1.1.
 func CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnswire.DNSKEY, now uint32, sup SupportSet) RRsetCheck {
+	return (*VerifyMemo)(nil).CheckRRset(rrs, sigs, keys, now, sup)
+}
+
+// CheckRRset is the package-level CheckRRset with the cryptographic step
+// behind the memo. Everything else — which keys are candidates, algorithm
+// support, the validity window at now — is decided afresh on every call.
+func (m *VerifyMemo) CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnswire.DNSKEY, now uint32, sup SupportSet) RRsetCheck {
 	if len(rrs) == 0 {
 		return RRsetCheck{Status: SigMissing}
 	}
@@ -142,7 +149,7 @@ func CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnswire.DNSKEY, now 
 				continue
 			}
 			matched = true
-			if !sup.Supports(alg) || rsaTooShort(sup, *key) {
+			if !sup.Supports(alg) || sup.RSATooShort(*key) {
 				record(RRsetCheck{Status: SigUnsupportedAlg, UnsupportedAlgs: []Algorithm{alg},
 					Expiration: sig.Expiration, Inception: sig.Inception})
 				continue
@@ -151,7 +158,7 @@ func CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnswire.DNSKEY, now 
 				record(RRsetCheck{Status: ts, Expiration: sig.Expiration, Inception: sig.Inception})
 				continue
 			}
-			if err := VerifyRRSIG(sig, rrs, *key); err != nil {
+			if err := m.verifyRRSIG(sig, rrs, *key); err != nil {
 				record(RRsetCheck{Status: SigCryptoFailed, Expiration: sig.Expiration, Inception: sig.Inception})
 				continue
 			}
@@ -191,14 +198,18 @@ func betterDiagnosis(a, b SigStatus) bool {
 	return rank(a) > rank(b)
 }
 
-func rsaTooShort(sup SupportSet, key dnswire.DNSKEY) bool {
-	if sup.MinRSABits == 0 {
+// RSATooShort reports whether key is an RSA key below the validator's size
+// floor. The algorithm decides whether the key material is read as RSA at
+// all: any 32-byte Ed25519 or GOST key whose first octet is 1–4 also parses
+// as a (tiny) RSA modulus.
+func (s SupportSet) RSATooShort(key dnswire.DNSKEY) bool {
+	if s.MinRSABits == 0 {
 		return false
 	}
 	switch Algorithm(key.Algorithm) {
 	case AlgRSASHA1, AlgRSASHA1NSEC3SHA1, AlgRSASHA256, AlgRSASHA512:
 		bits := RSAKeyBits(key.PublicKey)
-		return bits > 0 && bits < sup.MinRSABits
+		return bits > 0 && bits < s.MinRSABits
 	}
 	return false
 }

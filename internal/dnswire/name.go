@@ -190,8 +190,24 @@ func splitPresentation(s string) []string {
 	return out
 }
 
-// LabelCount returns the number of labels in n (0 for the root).
-func (n Name) LabelCount() int { return len(n.Labels()) }
+// LabelCount returns the number of labels in n (0 for the root): what
+// len(n.Labels()) would be, counted without building the slice.
+func (n Name) LabelCount() int {
+	if n.IsRoot() || n == "" {
+		return 0
+	}
+	s := strings.TrimSuffix(string(n), ".")
+	count := 1
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '.':
+			count++
+		}
+	}
+	return count
+}
 
 // Parent returns the name with the leftmost label removed; the parent of the
 // root is the root.
@@ -203,12 +219,37 @@ func (n Name) Parent() Name {
 	return Name(strings.Join(labels[1:], ".") + ".")
 }
 
-// Child returns the name formed by prepending label to n.
+// Child returns the name formed by prepending label to n. It panics, like
+// MustName, when the result is not a valid name.
 func (n Name) Child(label string) Name {
+	parent := string(n)
 	if n.IsRoot() {
-		return MustName(label + ".")
+		parent = ""
 	}
-	return MustName(label + "." + string(n))
+	s := label + "." + parent
+	// A label that is already canonical needs no parse, and n's presentation
+	// form is never shorter than its wire form, so len(s)+1 bounds the wire
+	// length of the result from above. Anything else (escapes, upper case, a
+	// name near the 255-octet limit) takes the validating path.
+	if plainLabel(label) && len(s)+1 <= MaxNameLength {
+		return Name(s)
+	}
+	return MustName(s)
+}
+
+// plainLabel reports whether label is one canonical label as NewName would
+// emit it unchanged: 1–63 octets of lower-case letters, digits, '-' and '_'.
+func plainLabel(label string) bool {
+	if len(label) == 0 || len(label) > MaxLabelLength {
+		return false
+	}
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '-' && c != '_' {
+			return false
+		}
+	}
+	return true
 }
 
 // IsSubdomainOf reports whether n is equal to or below parent.

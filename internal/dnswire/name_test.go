@@ -167,6 +167,11 @@ func TestLabelCount(t *testing.T) {
 	if got := MustName("a.b.c").LabelCount(); got != 3 {
 		t.Errorf("LabelCount(a.b.c.) = %d", got)
 	}
+	for _, s := range []string{"com", "a\\.b.example", "\\000.x", "a\\\\.b", "*.w.example", "\\046\\046.y"} {
+		if n := MustName(s); n.LabelCount() != len(n.Labels()) {
+			t.Errorf("LabelCount(%q) = %d, Labels has %d", n, n.LabelCount(), len(n.Labels()))
+		}
+	}
 }
 
 // TestNameWireRoundTripProperty packs random (valid) names through a message
@@ -226,5 +231,62 @@ func TestNameWithEscapedBytesRoundTrips(t *testing.T) {
 	}
 	if back.Question[0].Name != n {
 		t.Errorf("round trip %q -> %q", n, back.Question[0].Name)
+	}
+}
+
+// childReference is Child without the plain-label fast path: the name
+// NewName makes of label + "." + parent, or an error where Child panics.
+func childReference(parent Name, label string) (Name, error) {
+	if parent.IsRoot() {
+		return NewName(label + ".")
+	}
+	return NewName(label + "." + string(parent))
+}
+
+// FuzzChildEquivalence: for every parent NewName accepts and every label,
+// Child returns exactly what the validating path returns, and panics exactly
+// where that path fails — the fast path may skip the parse, never the limits.
+func FuzzChildEquivalence(f *testing.F) {
+	long := strings.Repeat("a", 63)
+	nearLimit := long + "." + long + "." + long + "." + strings.Repeat("b", 57) // 253 wire octets
+	for _, s := range [][2]string{
+		{"example.com", "www"}, {".", "com"}, {"com", "ns1"}, {"com", "_dmarc"},
+		{"com", "MiXed"}, {"com", "a.b"}, {"com", ""}, {"com", long}, {"com", long + "x"},
+		{"com", "\\000"}, {"com", "a\\.b"}, {"com", "tr\\"}, {"com", "*"}, {"com", "\x00"},
+		{nearLimit, "c"}, {nearLimit, "cc"}, {"a\\.b.example", "x"}, {"\\065bc.example", strings.Repeat("y", 60)},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, parentText, label string) {
+		parent, err := NewName(parentText)
+		if err != nil {
+			return
+		}
+		want, wantErr := childReference(parent, label)
+		var got Name
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			got = parent.Child(label)
+			return false
+		}()
+		if panicked != (wantErr != nil) {
+			t.Fatalf("%q.Child(%q): panicked=%t, reference error %v", parent, label, panicked, wantErr)
+		}
+		if got != want {
+			t.Fatalf("%q.Child(%q) = %q, reference %q", parent, label, got, want)
+		}
+	})
+}
+
+// TestChildPlainLabelAllocs gates the fast path: a canonical label costs the
+// one allocation of the result string.
+func TestChildPlainLabelAllocs(t *testing.T) {
+	parent := MustName("d000123.com")
+	var sink Name
+	if n := testing.AllocsPerRun(200, func() { sink = parent.Child("ns1") }); n != 1 {
+		t.Errorf("Child(plain label) = %.0f allocs, want 1", n)
+	}
+	if sink != MustName("ns1.d000123.com") {
+		t.Errorf("Child = %q", sink)
 	}
 }

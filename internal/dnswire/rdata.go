@@ -326,10 +326,14 @@ func (n NSEC) String() string {
 	return fmt.Sprintf("%s %s", n.NextName, typeListString(n.Types))
 }
 
+// NSEC3FlagOptOut is the Opt-Out flag (RFC 5155 §3.1.2.1): the record's span
+// may contain unsigned delegations that have no NSEC3 of their own.
+const NSEC3FlagOptOut uint8 = 0x01
+
 // NSEC3 provides hashed authenticated denial of existence (RFC 5155).
 type NSEC3 struct {
 	HashAlg    uint8 // 1 = SHA-1
-	Flags      uint8 // 0x01 = opt-out
+	Flags      uint8 // NSEC3FlagOptOut
 	Iterations uint16
 	Salt       []byte
 	NextHashed []byte // raw hash of the next owner in hash order

@@ -26,7 +26,7 @@ import (
 
 // Class is a wild-domain misconfiguration class, one per §4.2 item (plus
 // splits where one item covers several network behaviours).
-type Class int
+type Class uint8
 
 // Classes and the EDE codes they lead to under the Cloudflare profile.
 const (
@@ -177,21 +177,20 @@ type TLD struct {
 	Addr    netip.Addr
 }
 
-// Domain is one registered domain of the synthetic population.
+// Domain is one registered domain of the synthetic population. A scan holds
+// every one of them for its whole run, so the struct is kept to 48 bytes:
+// narrow integers, and nothing that only a handful of domains need.
 type Domain struct {
-	Name  dnswire.Name
-	TLD   *TLD
-	Class Class
-	// Rank is the Tranco-style popularity rank (0 = unranked).
-	Rank int
-	// BrokenNS indexes Population.BrokenNS for lame classes, else -1.
-	BrokenNS int
+	Name dnswire.Name
+	TLD  *TLD
 	// Keys holds DNSSEC material for signed classes (lazily built wild
 	// servers share it with the TLD's DS synthesis).
 	Keys *ChildKeys
-
-	// staleAddr is the dedicated dying endpoint of a ClassStale domain.
-	staleAddr netip.Addr
+	// Rank is the Tranco-style popularity rank (0 = unranked).
+	Rank int32
+	// BrokenNS indexes Population.BrokenNS for lame classes, else -1.
+	BrokenNS int32
+	Class    Class
 }
 
 // ChildKeys is the signing material of a signed wild domain.
@@ -663,7 +662,7 @@ func (p *Population) assignBrokenNS(rng *rand.Rand) {
 			continue
 		}
 		i := set[pick(len(set))]
-		d.BrokenNS = i
+		d.BrokenNS = int32(i)
 		p.BrokenNS[i].Domains++
 	}
 }
@@ -734,7 +733,7 @@ func (p *Population) assignTranco(rng *rand.Rand) {
 			hi++
 		}
 		if d != nil {
-			d.Rank = rank
+			d.Rank = int32(rank)
 		}
 	}
 }

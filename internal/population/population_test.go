@@ -167,7 +167,7 @@ func TestTrancoAssignment(t *testing.T) {
 			continue
 		}
 		ranked++
-		if d.Rank < 1 || d.Rank > p.TrancoSize {
+		if d.Rank < 1 || int(d.Rank) > p.TrancoSize {
 			t.Fatalf("rank %d out of range", d.Rank)
 		}
 		switch d.Class {

@@ -1,10 +1,11 @@
 package population
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,9 @@ type Wild struct {
 
 	providers []netip.Addr
 	index     map[dnswire.Name]*Domain
+	// staleAddrs holds the dedicated dying endpoint of each ClassStale
+	// domain — 32 of the paper's 303M, so it lives here, not in Domain.
+	staleAddrs map[*Domain]netip.Addr
 }
 
 // Now is the wild clock (ScanTime plus any offset set by AdvanceClock).
@@ -83,19 +87,26 @@ func Materialize(pop *Population) (*Wild, error) {
 		Net:   netsim.New(pop.Config.Seed ^ 0x57494C44), // "WILD"
 		Pop:   pop,
 		index: make(map[dnswire.Name]*Domain, len(pop.Domains)),
+
+		staleAddrs: make(map[*Domain]netip.Addr),
 	}
+	// Signing material for signed wild classes.
+	if err := buildChildKeys(pop); err != nil {
+		return nil, err
+	}
+	// The children with a DS are, with the apex, the owners of their TLD's
+	// opt-out NSEC3 chain.
+	withDS := make(map[*TLD][]*Domain)
 	for _, d := range pop.Domains {
 		w.index[d.Name] = d
+		if d.Keys != nil {
+			withDS[d.TLD] = append(withDS[d.TLD], d)
+		}
 	}
 
 	// Provider pool for healthy domains.
 	for i := 0; i < 16; i++ {
 		w.providers = append(w.providers, netip.AddrFrom4([4]byte{198, 21, 0, byte(i + 1)}))
-	}
-
-	// Signing material for signed wild classes.
-	if err := buildChildKeys(pop); err != nil {
-		return nil, err
 	}
 
 	// Root zone with one delegation per TLD.
@@ -105,7 +116,7 @@ func Materialize(pop *Population) (*Wild, error) {
 
 	tldServers := make([]*tldServer, 0, len(pop.TLDs))
 	for _, t := range pop.TLDs {
-		srv, err := newTLDServer(w, t)
+		srv, err := newTLDServer(w, t, withDS[t])
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +179,7 @@ func Materialize(pop *Population) (*Wild, error) {
 			broken = netsim.Unresponsive() // → EDE 3,22
 		}
 		w.Net.Register(addr, netsim.DieAfter(1, provider, broken))
-		d.staleAddr = addr
+		w.staleAddrs[d] = addr
 	}
 	return w, nil
 }
@@ -191,7 +202,7 @@ func (w *Wild) nsAddrsFor(d *Domain) []netip.Addr {
 	case ClassCachedError:
 		return []netip.Addr{notAuthAddr}
 	case ClassStale:
-		return []netip.Addr{d.staleAddr}
+		return []netip.Addr{w.staleAddrs[d]}
 	default:
 		return []netip.Addr{w.providerFor(d)}
 	}
@@ -277,11 +288,21 @@ type tldServer struct {
 	zsk  *dnssec.KeyPair
 	ds   dnswire.DS
 
-	mu         sync.Mutex
+	dnskeyOnce sync.Once
 	dnskeyResp *dnswire.Message
+
+	// withDS are the children that have a DS; chain is the opt-out NSEC3
+	// chain over them and the apex, in hash order, built on first use.
+	withDS    []*Domain
+	chainOnce sync.Once
+	chain     []*optOutLink
+	apexLink  *optOutLink
+
+	// signs counts the signatures this server has made.
+	signs atomic.Uint64
 }
 
-func newTLDServer(w *Wild, t *TLD) (*tldServer, error) {
+func newTLDServer(w *Wild, t *TLD, withDS []*Domain) (*tldServer, error) {
 	ksk, err := dnssec.GenerateKey(dnssec.AlgED25519, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, 0)
 	if err != nil {
 		return nil, err
@@ -294,7 +315,13 @@ func newTLDServer(w *Wild, t *TLD) (*tldServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tldServer{wild: w, tld: t, ksk: ksk, zsk: zsk, ds: ds}, nil
+	return &tldServer{wild: w, tld: t, ksk: ksk, zsk: zsk, ds: ds, withDS: withDS}, nil
+}
+
+// sign signs one of the zone's RRsets with key over the wild validity window.
+func (s *tldServer) sign(set []dnswire.RR, key *dnssec.KeyPair) (dnswire.RR, error) {
+	s.signs.Add(1)
+	return dnssec.SignRRset(set, key, s.tld.Name, wildInception, wildExpiration)
 }
 
 // HandleDNS implements netsim.Handler.
@@ -321,10 +348,6 @@ func (s *tldServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 	// Child query → referral.
 	child := childOf(question.Name, s.tld.Name)
 	domain, known := s.wild.index[child]
-	resp.Authority = append(resp.Authority, dnswire.RR{
-		Name: child, Class: dnswire.ClassIN, TTL: 3600,
-		Data: dnswire.NS{Host: child.Child("ns1")},
-	})
 	var glue []netip.Addr
 	if known {
 		glue = s.wild.nsAddrsFor(domain)
@@ -332,14 +355,11 @@ func (s *tldServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 		glue = []netip.Addr{s.wild.providers[0]}
 	}
 	for i, addr := range glue {
-		host := child.Child("ns1")
-		if i > 0 {
-			host = child.Child(fmt.Sprintf("ns%d", i+1))
-			resp.Authority = append(resp.Authority, dnswire.RR{
-				Name: child, Class: dnswire.ClassIN, TTL: 3600,
-				Data: dnswire.NS{Host: host},
-			})
-		}
+		host := child.Child("ns" + strconv.Itoa(i+1))
+		resp.Authority = append(resp.Authority, dnswire.RR{
+			Name: child, Class: dnswire.ClassIN, TTL: 3600,
+			Data: dnswire.NS{Host: host},
+		})
 		resp.Additional = append(resp.Additional, dnswire.RR{
 			Name: host, Class: dnswire.ClassIN, TTL: 3600,
 			Data: dnswire.A{Addr: addr},
@@ -356,15 +376,13 @@ func (s *tldServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 	return resp, nil
 }
 
+// dnskeyAnswer serves the apex DNSKEY RRset, built and signed on first use.
 func (s *tldServer) dnskeyAnswer(q *dnswire.Message) *dnswire.Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dnskeyResp == nil {
+	s.dnskeyOnce.Do(func() {
 		keys := []dnswire.RR{
 			{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: s.ksk.DNSKEY()},
 			{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: s.zsk.DNSKEY()},
 		}
-		signers := []*dnssec.KeyPair{s.ksk, s.zsk}
 		if s.tld.Standby {
 			// Publish a stand-by KSK with no covering signature (§4.2
 			// item 3): validators chain through the active key, Cloudflare
@@ -379,14 +397,13 @@ func (s *tldServer) dnskeyAnswer(q *dnswire.Message) *dnswire.Message {
 			OPT:      &dnswire.OPT{UDPSize: 1232, DO: true},
 		}
 		msg.Answer = append(msg.Answer, keys...)
-		for _, key := range signers {
-			sig, err := dnssec.SignRRset(keys, key, s.tld.Name, wildInception, wildExpiration)
-			if err == nil {
+		for _, key := range []*dnssec.KeyPair{s.ksk, s.zsk} {
+			if sig, err := s.sign(keys, key); err == nil {
 				msg.Answer = append(msg.Answer, sig)
 			}
 		}
 		s.dnskeyResp = msg
-	}
+	})
 	out := *s.dnskeyResp
 	out.ID = q.ID
 	return &out
@@ -394,73 +411,113 @@ func (s *tldServer) dnskeyAnswer(q *dnswire.Message) *dnswire.Message {
 
 func (s *tldServer) attachDS(resp *dnswire.Message, child dnswire.Name, ds dnswire.DS) {
 	rr := dnswire.RR{Name: child, Class: dnswire.ClassIN, TTL: 3600, Data: ds}
-	set := []dnswire.RR{rr}
 	resp.Authority = append(resp.Authority, rr)
-	if sig, err := dnssec.SignRRset(set, s.zsk, s.tld.Name, wildInception, wildExpiration); err == nil {
+	if sig, err := s.sign([]dnswire.RR{rr}, s.zsk); err == nil {
 		resp.Authority = append(resp.Authority, sig)
 	}
 }
 
-// attachInsecureProof adds the NSEC3 (or plain NSEC, for NSECDenial TLDs)
-// record proving the delegation has no DS. NoProof TLDs omit it;
-// BogusDenial TLDs corrupt its signature.
+// attachInsecureProof adds the records proving the delegation has no DS.
+// NoProof TLDs omit them; BogusDenial TLDs corrupt their signatures.
+//
+// NSEC TLDs answer with an NSEC at the cut, which names the child and so is
+// signed per child. NSEC3 TLDs are opt-out zones, as .com is: only the apex
+// and the children with a DS own an NSEC3, and an unsigned child is proven
+// by the apex NSEC3 (its closest encloser) plus the opt-out NSEC3 whose span
+// covers the child's hash (RFC 5155 §7.2.4) — two records that thousands of
+// unsigned children share, signed once.
 func (s *tldServer) attachInsecureProof(resp *dnswire.Message, child dnswire.Name) {
 	if s.tld.NoProof {
 		return
 	}
 	if s.tld.NSECDenial {
-		s.attachInsecureProofNSEC(resp, child)
+		rec := dnswire.RR{
+			Name: child, Class: dnswire.ClassIN, TTL: 3600,
+			Data: dnswire.NSEC{
+				NextName: child.Child("\000"),
+				Types:    []dnswire.Type{dnswire.TypeNS, dnswire.TypeRRSIG, dnswire.TypeNSEC},
+			},
+		}
+		resp.Authority = append(resp.Authority, rec)
+		if sig, err := s.sign([]dnswire.RR{rec}, s.zsk); err == nil {
+			resp.Authority = append(resp.Authority, s.maybeCorrupt(sig))
+		}
 		return
 	}
-	hash := dnssec.NSEC3Hash(child, 0, nil)
-	next := append([]byte(nil), hash...)
-	next[len(next)-1]++
-	owner := s.tld.Name.Child(dnswire.Base32HexNoPad(hash))
-	rec := dnswire.RR{
-		Name: owner, Class: dnswire.ClassIN, TTL: 3600,
-		Data: dnswire.NSEC3{
-			HashAlg: dnssec.NSEC3HashSHA1, NextHashed: next,
-			Types: []dnswire.Type{dnswire.TypeNS},
-		},
+	s.chainOnce.Do(s.buildChain)
+	resp.Authority = append(resp.Authority, s.apexLink.records(s)...)
+	if cover := s.covering(dnssec.NSEC3Hash(child, 0, nil)); cover != s.apexLink {
+		resp.Authority = append(resp.Authority, cover.records(s)...)
 	}
-	set := []dnswire.RR{rec}
-	resp.Authority = append(resp.Authority, rec)
-	sig, err := dnssec.SignRRset(set, s.zsk, s.tld.Name, wildInception, wildExpiration)
-	if err != nil {
-		return
-	}
-	if s.tld.BogusDenial {
-		data := sig.Data.(dnswire.RRSIG)
-		data.Signature = append([]byte(nil), data.Signature...)
-		data.Signature[0] ^= 0xFF
-		sig.Data = data
-	}
-	resp.Authority = append(resp.Authority, sig)
 }
 
-// attachInsecureProofNSEC is the plain-NSEC flavour of the no-DS proof: an
-// NSEC record at the cut whose bitmap lacks DS.
-func (s *tldServer) attachInsecureProofNSEC(resp *dnswire.Message, child dnswire.Name) {
-	rec := dnswire.RR{
-		Name: child, Class: dnswire.ClassIN, TTL: 3600,
-		Data: dnswire.NSEC{
-			NextName: child.Child("\000"),
-			Types:    []dnswire.Type{dnswire.TypeNS, dnswire.TypeRRSIG, dnswire.TypeNSEC},
-		},
+// maybeCorrupt returns sig as is, or with a broken signature on a
+// BogusDenial TLD.
+func (s *tldServer) maybeCorrupt(sig dnswire.RR) dnswire.RR {
+	if !s.tld.BogusDenial {
+		return sig
 	}
-	set := []dnswire.RR{rec}
-	resp.Authority = append(resp.Authority, rec)
-	sig, err := dnssec.SignRRset(set, s.zsk, s.tld.Name, wildInception, wildExpiration)
-	if err != nil {
-		return
+	data := sig.Data.(dnswire.RRSIG)
+	data.Signature = append([]byte(nil), data.Signature...)
+	data.Signature[0] ^= 0xFF
+	sig.Data = data
+	return sig
+}
+
+// optOutLink is one NSEC3 of a TLD's opt-out chain. Its RRSIG is made the
+// first time the link is served and both records are served as they are from
+// then on.
+type optOutLink struct {
+	hash []byte
+	nsec dnswire.RR
+
+	once   sync.Once
+	served []dnswire.RR // the NSEC3 and its RRSIG
+}
+
+func (l *optOutLink) records(s *tldServer) []dnswire.RR {
+	l.once.Do(func() {
+		l.served = []dnswire.RR{l.nsec}
+		if sig, err := s.sign(l.served, s.zsk); err == nil {
+			l.served = append(l.served, s.maybeCorrupt(sig))
+		}
+	})
+	return l.served
+}
+
+// buildChain lays out the zone's NSEC3 chain: one link for the apex and one
+// per child with a DS, in hash order, each pointing at the next and the last
+// back at the first, all with the Opt-Out flag. Nothing is signed here.
+func (s *tldServer) buildChain() {
+	link := func(owner dnswire.Name, types ...dnswire.Type) *optOutLink {
+		hash := dnssec.NSEC3Hash(owner, 0, nil)
+		return &optOutLink{hash: hash, nsec: dnswire.RR{
+			Name: s.tld.Name.Child(dnswire.Base32HexNoPad(hash)), Class: dnswire.ClassIN, TTL: 3600,
+			Data: dnswire.NSEC3{HashAlg: dnssec.NSEC3HashSHA1, Flags: dnswire.NSEC3FlagOptOut, Types: types},
+		}}
 	}
-	if s.tld.BogusDenial {
-		data := sig.Data.(dnswire.RRSIG)
-		data.Signature = append([]byte(nil), data.Signature...)
-		data.Signature[0] ^= 0xFF
-		sig.Data = data
+	s.apexLink = link(s.tld.Name, dnswire.TypeNS, dnswire.TypeSOA, dnswire.TypeRRSIG, dnswire.TypeDNSKEY, dnswire.TypeNSEC3PARAM)
+	chain := []*optOutLink{s.apexLink}
+	for _, d := range s.withDS {
+		chain = append(chain, link(d.Name, dnswire.TypeNS, dnswire.TypeDS, dnswire.TypeRRSIG))
 	}
-	resp.Authority = append(resp.Authority, sig)
+	sort.Slice(chain, func(i, j int) bool { return bytes.Compare(chain[i].hash, chain[j].hash) < 0 })
+	for i, l := range chain {
+		rec := l.nsec.Data.(dnswire.NSEC3)
+		rec.NextHashed = chain[(i+1)%len(chain)].hash
+		l.nsec.Data = rec
+	}
+	s.chain = chain
+}
+
+// covering returns the link whose span holds hash: the last one at or below
+// it in hash order, or — before the first — the last link, whose span wraps.
+func (s *tldServer) covering(hash []byte) *optOutLink {
+	i := sort.Search(len(s.chain), func(i int) bool { return bytes.Compare(s.chain[i].hash, hash) > 0 })
+	if i == 0 {
+		i = len(s.chain)
+	}
+	return s.chain[i-1]
 }
 
 // childOf returns the direct child of tld on the path to name.

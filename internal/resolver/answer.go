@@ -104,7 +104,7 @@ func cnameTarget(resp *dnswire.Message, qname dnswire.Name, qtype dnswire.Type) 
 func (st *resolution) checkAnswerRRset(set, sigs []dnswire.RR, keys []dnswire.DNSKEY, authority []dnswire.RR) bool {
 	now := uint32(st.r.Now().Unix())
 	sup := st.r.Profile.Support
-	chk := dnssec.CheckRRset(set, sigs, keys, now, sup)
+	chk := st.r.Cache.verified.CheckRRset(set, sigs, keys, now, sup)
 	owner := set[0].Name
 
 	if st.cur != nil {
@@ -158,7 +158,7 @@ func (st *resolution) wildcardCovered(owner dnswire.Name, keys []dnswire.DNSKEY,
 		if len(g.sigs) == 0 {
 			continue
 		}
-		if chk := dnssec.CheckRRset(g.set, g.sigs, keys, now, sup); chk.Status != dnssec.SigOK {
+		if chk := st.r.Cache.verified.CheckRRset(g.set, g.sigs, keys, now, sup); chk.Status != dnssec.SigOK {
 			continue
 		}
 		rec := g.set[0].Data.(dnswire.NSEC3)
@@ -173,7 +173,7 @@ func (st *resolution) wildcardCovered(owner dnswire.Name, keys []dnswire.DNSKEY,
 		if len(g.sigs) == 0 {
 			continue
 		}
-		if chk := dnssec.CheckRRset(g.set, g.sigs, keys, now, sup); chk.Status != dnssec.SigOK {
+		if chk := st.r.Cache.verified.CheckRRset(g.set, g.sigs, keys, now, sup); chk.Status != dnssec.SigOK {
 			continue
 		}
 		rec := g.set[0].Data.(dnswire.NSEC)
@@ -230,11 +230,9 @@ func (st *resolution) classifyMissingKey(sigs []dnswire.RR, keys []dnswire.DNSKE
 }
 
 func unsupportedAnswerDetail(chk dnssec.RRsetCheck, keys []dnswire.DNSKEY, sup dnssec.SupportSet) string {
-	if sup.MinRSABits > 0 {
-		for _, k := range keys {
-			if bits := dnssec.RSAKeyBits(k.PublicKey); bits > 0 && bits < sup.MinRSABits {
-				return "unsupported key size"
-			}
+	for _, k := range keys {
+		if sup.RSATooShort(k) {
+			return "unsupported key size"
 		}
 	}
 	if len(chk.UnsupportedAlgs) > 0 {
@@ -274,7 +272,7 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 				fmt.Sprintf("unsigned negative response for %s", qname))
 			return
 		}
-		soaChk := dnssec.CheckRRset(soaSet, soaSigs, keys, now, sup)
+		soaChk := st.r.Cache.verified.CheckRRset(soaSet, soaSigs, keys, now, sup)
 		if soaChk.Status != dnssec.SigOK {
 			st.addCond(ConditionDenialUnsignedSOA,
 				fmt.Sprintf("negative response SOA for %s failed validation", qname))
@@ -317,7 +315,7 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 				fmt.Sprintf("NSEC3 %s is unsigned", g.set[0].Name))
 			return
 		}
-		chk := dnssec.CheckRRset(g.set, g.sigs, keys, now, sup)
+		chk := st.r.Cache.verified.CheckRRset(g.set, g.sigs, keys, now, sup)
 		if chk.Status != dnssec.SigOK {
 			st.addCond(ConditionNSEC3BadRRSIG,
 				fmt.Sprintf("RRSIG over NSEC3 %s failed validation (%s)", g.set[0].Name, chk.Status))
@@ -465,7 +463,7 @@ func (st *resolution) validateNSECDenial(nsecs []nsecGroup, zoneName dnswire.Nam
 				fmt.Sprintf("NSEC %s is unsigned", g.set[0].Name))
 			return
 		}
-		chk := dnssec.CheckRRset(g.set, g.sigs, keys, now, sup)
+		chk := st.r.Cache.verified.CheckRRset(g.set, g.sigs, keys, now, sup)
 		if chk.Status != dnssec.SigOK {
 			st.addCond(ConditionNSEC3BadRRSIG,
 				fmt.Sprintf("RRSIG over NSEC %s failed validation (%s)", g.set[0].Name, chk.Status))

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
@@ -40,14 +41,15 @@ func (k cacheKey) shard() uint64 {
 }
 
 // cachedAnswer is a completed resolution stored for reuse, including failed
-// ones (the error cache behind EDE 13).
+// ones (the error cache behind EDE 13). A scan that never evicts keeps one
+// per name answered, so the entry is kept to 64 bytes: the expiry is Unix
+// nanoseconds rather than a time.Time.
 type cachedAnswer struct {
 	answer     []dnswire.RR
+	conditions []Condition
+	expiresAt  int64
 	rcode      dnswire.RCode
 	secure     bool
-	conditions []Condition
-	storedAt   time.Time
-	expiresAt  time.Time
 }
 
 // numShards is the answer-map shard count; a power of two so the hash can be
@@ -91,6 +93,10 @@ type Cache struct {
 	keyMu sync.RWMutex
 	keys  map[dnswire.Name]*zoneKeys
 
+	// verified remembers signatures this cache's resolver has already
+	// verified; every validation goes through it.
+	verified *dnssec.VerifyMemo
+
 	// StaleWindow is how long past expiry an entry may still be served as
 	// stale data (RFC 8767 suggests 1–3 days).
 	StaleWindow time.Duration
@@ -132,9 +138,9 @@ type condRecord struct {
 type cachedCut struct {
 	servers   []netip.Addr
 	ds        []dnswire.DS
-	secure    bool
 	conds     []condRecord
-	expiresAt time.Time
+	expiresAt int64 // Unix nanoseconds, as in cachedAnswer
+	secure    bool
 }
 
 // maxDelegationTTL caps how long a learned cut may be reused, whatever the
@@ -166,6 +172,7 @@ func nameShard(n dnswire.Name) uint64 {
 func NewCache() *Cache {
 	c := &Cache{
 		keys:        make(map[dnswire.Name]*zoneKeys),
+		verified:    new(dnssec.VerifyMemo),
 		StaleWindow: 24 * time.Hour,
 		ErrorTTL:    30 * time.Second,
 		MaxEntries:  DefaultMaxEntries,
@@ -184,11 +191,12 @@ func NewCache() *Cache {
 // entries are dropped on the way down, so lookup naturally falls back to the
 // parent cut — and ultimately the root — as TTLs run out.
 func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, *cachedCut) {
+	nowNs := now.UnixNano()
 	for n := qname; !n.IsRoot(); n = n.Parent() {
 		s := &c.delegations[nameShard(n)]
 		s.mu.Lock()
 		e, ok := s.entries[n]
-		if ok && now.Before(e.expiresAt) {
+		if ok && nowNs < e.expiresAt {
 			s.mu.Unlock()
 			return n, e
 		}
@@ -200,9 +208,12 @@ func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, 
 	return dnswire.Root, nil
 }
 
-// putDelegation stores a cut learned from a referral, evicting expired (or,
-// failing that, arbitrary) probed entries when the shard is at capacity.
-func (c *Cache) putDelegation(zone dnswire.Name, e *cachedCut, now time.Time) {
+// putDelegation stores a cut learned from a referral for ttl, evicting
+// expired (or, failing that, arbitrary) probed entries when the shard is at
+// capacity.
+func (c *Cache) putDelegation(zone dnswire.Name, e *cachedCut, now time.Time, ttl time.Duration) {
+	nowNs := now.UnixNano()
+	e.expiresAt = nowNs + int64(ttl)
 	max := c.MaxEntries
 	if max <= 0 {
 		max = DefaultMaxEntries
@@ -219,7 +230,7 @@ func (c *Cache) putDelegation(zone dnswire.Name, e *cachedCut, now time.Time) {
 		probed := 0
 		var victim dnswire.Name
 		for k, old := range s.entries {
-			if !now.Before(old.expiresAt) {
+			if nowNs >= old.expiresAt {
 				delete(s.entries, k)
 				evicted = true
 			} else if probed == 0 {
@@ -259,19 +270,20 @@ func (c *Cache) getAnswer(key cacheKey, now time.Time) (entry *cachedAnswer, fre
 	if !found {
 		return nil, false, false
 	}
-	if now.Before(e.expiresAt) {
+	nowNs := now.UnixNano()
+	if nowNs < e.expiresAt {
 		return e, true, true
 	}
-	if now.Before(e.expiresAt.Add(c.StaleWindow)) {
+	if nowNs < e.expiresAt+int64(c.StaleWindow) {
 		return e, false, true
 	}
 	delete(s.entries, key)
 	return nil, false, false
 }
 
-// putAnswer stores a resolution outcome with the given TTL, evicting from the
-// target shard if it is at capacity.
-func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, ttl time.Duration) {
+// putAnswer stores a resolution outcome at now with the given TTL, evicting
+// from the target shard if it is at capacity.
+func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, now time.Time, ttl time.Duration) {
 	max := c.MaxEntries
 	if max <= 0 {
 		max = DefaultMaxEntries
@@ -283,9 +295,10 @@ func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, ttl time.Duration) {
 	s := &c.shards[key.shard()]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e.expiresAt = e.storedAt.Add(ttl)
+	nowNs := now.UnixNano()
+	e.expiresAt = nowNs + int64(ttl)
 	if _, exists := s.entries[key]; !exists && len(s.entries) >= perShard {
-		c.evictLocked(s, e.storedAt)
+		c.evictLocked(s, nowNs)
 	}
 	s.entries[key] = e
 }
@@ -294,16 +307,16 @@ func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, ttl time.Duration) {
 // entries (map iteration order is effectively random), deleting any that are
 // past the stale window; if none are, it deletes the probed entry with the
 // earliest expiry. Called with s.mu held.
-func (c *Cache) evictLocked(s *answerShard, now time.Time) {
+func (c *Cache) evictLocked(s *answerShard, nowNs int64) {
 	var victim cacheKey
-	var victimExpiry time.Time
+	var victimExpiry int64
 	probed := 0
 	evicted := false
 	for k, e := range s.entries {
-		if !now.Before(e.expiresAt.Add(c.StaleWindow)) {
+		if nowNs >= e.expiresAt+int64(c.StaleWindow) {
 			delete(s.entries, k)
 			evicted = true
-		} else if probed == 0 || e.expiresAt.Before(victimExpiry) {
+		} else if probed == 0 || e.expiresAt < victimExpiry {
 			victim, victimExpiry = k, e.expiresAt
 		}
 		probed++
@@ -346,6 +359,10 @@ func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys) {
 	c.keys[zone] = k
 }
 
+// VerifyStats reports how many signature checks cost a verification and how
+// many the verified-signature memo answered.
+func (c *Cache) VerifyStats() dnssec.VerifyStats { return c.verified.Stats() }
+
 // Len reports the number of cached answers (for tests and benchmarks).
 func (c *Cache) Len() int {
 	n := 0
@@ -358,7 +375,8 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Flush clears everything: answers, zone keys, and delegations.
+// Flush clears everything: answers, zone keys, delegations, and the memory
+// of which signatures have verified.
 func (c *Cache) Flush() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -375,4 +393,5 @@ func (c *Cache) Flush() {
 	c.keyMu.Lock()
 	c.keys = make(map[dnswire.Name]*zoneKeys)
 	c.keyMu.Unlock()
+	c.verified.Reset()
 }

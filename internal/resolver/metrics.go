@@ -39,6 +39,12 @@ func (r *Resolver) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("edelab_resolver_queries_per_resolution",
 		"Average upstream queries per client resolution (query amplification).",
 		r.QueriesPerResolution)
+	reg.CounterFunc("edelab_dnssec_verifies_total",
+		"Cryptographic signature verifications performed by the validator.",
+		func() uint64 { return r.Cache.VerifyStats().Verifies })
+	reg.CounterFunc("edelab_dnssec_verify_memo_hits_total",
+		"Signature checks answered by the verified-signature memo instead of a verification.",
+		func() uint64 { return r.Cache.VerifyStats().MemoHits })
 
 	cacheEvent := func(layer, event string, c *atomic.Uint64) {
 		reg.CounterFunc("edelab_resolver_cache_events_total",

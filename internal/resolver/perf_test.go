@@ -108,7 +108,7 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 
 	for i := 0; i < 10000; i++ {
 		key := cacheKey{name: dnswire.MustName(fmt.Sprintf("churn-%d.example.com.", i)), qtype: dnswire.TypeA}
-		c.putAnswer(key, &cachedAnswer{rcode: dnswire.RCodeNoError, storedAt: now}, time.Hour)
+		c.putAnswer(key, &cachedAnswer{rcode: dnswire.RCodeNoError}, now, time.Hour)
 	}
 	// Each shard may briefly sit at its per-shard cap; the total must never
 	// exceed MaxEntries.
@@ -125,11 +125,11 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 	dead := time.Unix(tNow-10*86400, 0)
 	for i := 0; i < 512; i++ {
 		key := cacheKey{name: dnswire.MustName(fmt.Sprintf("dead-%d.example.com.", i)), qtype: dnswire.TypeA}
-		c.putAnswer(key, &cachedAnswer{storedAt: dead}, time.Minute)
+		c.putAnswer(key, &cachedAnswer{}, dead, time.Minute)
 	}
 	for i := 0; i < 512; i++ {
 		key := cacheKey{name: dnswire.MustName(fmt.Sprintf("live-%d.example.com.", i)), qtype: dnswire.TypeA}
-		c.putAnswer(key, &cachedAnswer{storedAt: now}, time.Hour)
+		c.putAnswer(key, &cachedAnswer{}, now, time.Hour)
 	}
 	live := 0
 	for i := 0; i < 512; i++ {
@@ -159,7 +159,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := cacheKey{name: dnswire.MustName(fmt.Sprintf("g%d-%d.example.com.", g, i)), qtype: dnswire.TypeA}
-				c.putAnswer(key, &cachedAnswer{storedAt: now}, time.Hour)
+				c.putAnswer(key, &cachedAnswer{}, now, time.Hour)
 				c.getAnswer(key, now)
 				if i%7 == 0 {
 					c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)})

@@ -136,6 +136,18 @@ func (r *Resolver) QueriesPerResolution() float64 {
 	return float64(r.QueryCount.Load()) / float64(res)
 }
 
+// VerifiesPerResolution returns the average number of cryptographic
+// signature verifications per client resolution since the resolver was
+// created. A scan of unsigned domains under opt-out TLDs drives it toward 0:
+// the proofs are shared and the memo has seen them.
+func (r *Resolver) VerifiesPerResolution() float64 {
+	res := r.ResolutionCount.Load()
+	if res == 0 {
+		return 0
+	}
+	return float64(r.Cache.VerifyStats().Verifies) / float64(res)
+}
+
 // resolution carries the working state of one client query.
 type resolution struct {
 	r         *Resolver
@@ -284,15 +296,14 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 		if !r.AnswerCacheReadOnly {
 			r.Cache.putAnswer(key, &cachedAnswer{
 				rcode: dnswire.RCodeServFail, conditions: append([]Condition(nil), st.conds...),
-				storedAt: now,
-			}, r.Cache.ErrorTTL)
+			}, now, r.Cache.ErrorTTL)
 		}
 	} else if !r.AnswerCacheReadOnly && (len(answer) > 0 || rcode == dnswire.RCodeNXDomain) {
 		ttl := answerTTL(answer)
 		r.Cache.putAnswer(key, &cachedAnswer{
 			answer: answer, rcode: rcode, secure: secure,
-			conditions: append([]Condition(nil), st.conds...), storedAt: now,
-		}, ttl)
+			conditions: append([]Condition(nil), st.conds...),
+		}, now, ttl)
 	}
 
 	return r.finish(st, qname, qtype, answer, rcode, secure)
@@ -534,7 +545,6 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 			// validating client would inherit a cut its own walk would have
 			// rejected before caching.
 			if cacheable && !r.DisableDelegationCache && !(st.cd && bogusAbort(st.conds)) {
-				now := r.Now()
 				ttl := time.Duration(cutTTL) * time.Second
 				if ttl > maxDelegationTTL {
 					ttl = maxDelegationTTL
@@ -542,9 +552,8 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 				if ttl > 0 {
 					r.Cache.putDelegation(child, &cachedCut{
 						servers: next, ds: childDS, secure: childSecure,
-						conds:     walkConds(inherited, st.conds[condBase:], st.details),
-						expiresAt: now.Add(ttl),
-					}, now)
+						conds: walkConds(inherited, st.conds[condBase:], st.details),
+					}, r.Now(), ttl)
 				}
 			}
 			if st.cur != nil {

@@ -1,8 +1,10 @@
 package resolver
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
+	"strings"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
@@ -74,8 +76,10 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 	}
 
 	now := uint32(st.r.Now().Unix())
+	sup := st.r.Profile.Support
+	verified := st.r.Cache.verified
 	if len(dsRRs) > 0 {
-		chk := dnssec.CheckRRset(dsRRs, dsSigs, parentKeys, now, st.r.Profile.Support)
+		chk := verified.CheckRRset(dsRRs, dsSigs, parentKeys, now, sup)
 		if chk.Status != dnssec.SigOK {
 			st.addCond(ConditionReferralProofBogus,
 				fmt.Sprintf("DS RRset for %s failed validation: %s", child, chk.Status))
@@ -92,65 +96,128 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 		return out, true
 	}
 
-	// No DS: the referral must prove the delegation is unsigned, with
-	// either an NSEC3 matching the cut or a plain NSEC at the cut whose
-	// bitmap lacks DS.
-	if nsecs := collectNSEC(resp.Authority); len(nsecs) > 0 {
-		for _, g := range nsecs {
-			if g.set[0].Name != child {
-				continue
-			}
-			rec := g.set[0].Data.(dnswire.NSEC)
-			for _, t := range rec.Types {
-				if t == dnswire.TypeDS {
-					st.addCond(ConditionReferralProofBogus,
-						fmt.Sprintf("insecure referral proof for %s asserts a DS exists", child))
-					return nil, false
-				}
-			}
-			chk := dnssec.CheckRRset(g.set, g.sigs, parentKeys, now, st.r.Profile.Support)
-			if chk.Status != dnssec.SigOK {
-				st.addCond(ConditionReferralProofBogus,
-					fmt.Sprintf("insecure referral proof for %s failed validation: %s", child, chk.Status))
-				return nil, false
-			}
-			st.addCond(ConditionInsecure, "")
-			return nil, false
-		}
-	}
-	nsec3s, bad := collectNSEC3(resp.Authority)
-	if len(nsec3s) == 0 || bad {
+	// No DS: the referral must prove the delegation is unsigned, with a
+	// plain NSEC at the cut whose bitmap lacks DS, an NSEC3 matching the cut
+	// whose bitmap lacks DS, or — in an opt-out zone, where unsigned
+	// delegations have no NSEC3 of their own — a closest-encloser proof
+	// whose covering NSEC3 has the Opt-Out flag (RFC 5155 §8.9).
+	missing := func() ([]dnswire.DS, bool) {
 		st.addCond(ConditionReferralProofMissing,
 			fmt.Sprintf("failed to verify an insecure referral proof for %s", child))
 		return nil, false
 	}
-	for _, grp := range nsec3s {
-		rec := grp.set[0].Data.(dnswire.NSEC3)
-		hash := dnssec.NSEC3Hash(child, rec.Iterations, rec.Salt)
-		owner := parent.Child(dnswire.Base32HexNoPad(hash))
-		if grp.set[0].Name != owner {
-			continue
-		}
-		for _, t := range rec.Types {
+	bogus := func(status dnssec.SigStatus) ([]dnswire.DS, bool) {
+		st.addCond(ConditionReferralProofBogus,
+			fmt.Sprintf("insecure referral proof for %s failed validation: %s", child, status))
+		return nil, false
+	}
+	assertsDS := func(types []dnswire.Type) bool {
+		for _, t := range types {
 			if t == dnswire.TypeDS {
 				st.addCond(ConditionReferralProofBogus,
 					fmt.Sprintf("insecure referral proof for %s asserts a DS exists", child))
-				return nil, false
+				return true
 			}
 		}
-		chk := dnssec.CheckRRset(grp.set, grp.sigs, parentKeys, now, st.r.Profile.Support)
-		if chk.Status != dnssec.SigOK {
-			st.addCond(ConditionReferralProofBogus,
-				fmt.Sprintf("insecure referral proof for %s failed validation: %s", child, chk.Status))
+		return false
+	}
+	for _, g := range collectNSEC(resp.Authority) {
+		if g.set[0].Name != child {
+			continue
+		}
+		if assertsDS(g.set[0].Data.(dnswire.NSEC).Types) {
 			return nil, false
 		}
-		// Proven insecure delegation.
+		if chk := verified.CheckRRset(g.set, g.sigs, parentKeys, now, sup); chk.Status != dnssec.SigOK {
+			return bogus(chk.Status)
+		}
 		st.addCond(ConditionInsecure, "")
 		return nil, false
 	}
-	st.addCond(ConditionReferralProofMissing,
-		fmt.Sprintf("failed to verify an insecure referral proof for %s", child))
+	nsec3s, bad := collectNSEC3(resp.Authority)
+	if len(nsec3s) == 0 || bad {
+		return missing()
+	}
+	for _, grp := range nsec3s {
+		rec := grp.set[0].Data.(dnswire.NSEC3)
+		if grp.set[0].Name != dnssec.NSEC3HashName(child, parent, rec.Iterations, rec.Salt) {
+			continue
+		}
+		if assertsDS(rec.Types) {
+			return nil, false
+		}
+		if chk := verified.CheckRRset(grp.set, grp.sigs, parentKeys, now, sup); chk.Status != dnssec.SigOK {
+			return bogus(chk.Status)
+		}
+		st.addCond(ConditionInsecure, "")
+		return nil, false
+	}
+	encloser, cover, ok := optOutProof(nsec3s, parent, child)
+	if !ok {
+		return missing()
+	}
+	if chk := verified.CheckRRset(encloser.set, encloser.sigs, parentKeys, now, sup); chk.Status != dnssec.SigOK {
+		return bogus(chk.Status)
+	}
+	if cover.set[0].Name != encloser.set[0].Name {
+		if chk := verified.CheckRRset(cover.set, cover.sigs, parentKeys, now, sup); chk.Status != dnssec.SigOK {
+			return bogus(chk.Status)
+		}
+	}
+	st.addCond(ConditionInsecure, "")
 	return nil, false
+}
+
+// optOutProof finds, among a referral's NSEC3 RRsets, the RFC 5155 §8.9
+// proof that child is an unsigned delegation of an opt-out zone: one NSEC3
+// matching the closest encloser of child inside zone, and one with the
+// Opt-Out flag covering the next closer name, both under the same hash
+// parameters. The caller validates the two RRsets' signatures.
+func optOutProof(nsec3s []nsec3Group, zone, child dnswire.Name) (encloser, cover nsec3Group, ok bool) {
+	for _, ce := range nsec3s {
+		params := ce.set[0].Data.(dnswire.NSEC3)
+		if params.HashAlg != dnssec.NSEC3HashSHA1 || params.Iterations > dnssec.MaxNSEC3Iterations {
+			continue
+		}
+		// Walk up from the delegation to the apex: the first ancestor this
+		// NSEC3 matches is the closest encloser it can vouch for, and the
+		// name one label below it is the next closer name.
+		nextCloser := child
+		for n := child.Parent(); ; nextCloser, n = n, n.Parent() {
+			if ce.set[0].Name == dnssec.NSEC3HashName(n, zone, params.Iterations, params.Salt) {
+				h := dnssec.NSEC3Hash(nextCloser, params.Iterations, params.Salt)
+				for _, c := range nsec3s {
+					rec := c.set[0].Data.(dnswire.NSEC3)
+					if rec.Flags&dnswire.NSEC3FlagOptOut == 0 || rec.HashAlg != params.HashAlg ||
+						rec.Iterations != params.Iterations || !bytes.Equal(rec.Salt, params.Salt) {
+						continue
+					}
+					if owner := nsec3OwnerHash(c.set[0].Name, zone); owner != nil && dnssec.CoversHash(owner, rec.NextHashed, h) {
+						return ce, c, true
+					}
+				}
+				break
+			}
+			if n == zone || n.IsRoot() {
+				break
+			}
+		}
+	}
+	return nsec3Group{}, nsec3Group{}, false
+}
+
+// nsec3OwnerHash decodes the hash an NSEC3 owner name carries as its single
+// label below zone; nil when owner is not such a name.
+func nsec3OwnerHash(owner, zone dnswire.Name) []byte {
+	suffix := "." + string(zone)
+	if zone.IsRoot() {
+		suffix = "."
+	}
+	label, ok := strings.CutSuffix(string(owner), suffix)
+	if !ok {
+		return nil
+	}
+	return decodeB32(label) // rejects dots and escapes along with bad digits
 }
 
 // nsec3Group is one NSEC3 RRset with its signatures.
@@ -306,7 +373,7 @@ func (st *resolution) fetchAndCheckKeys(zone dnswire.Name, dsSet []dnswire.DS, s
 			fmt.Sprintf("DS digest does not match DNSKEY %d at %s", dsSet[0].KeyTag, zone)
 	}
 
-	chk := dnssec.CheckRRset(keyRRs, keySigs, []dnswire.DNSKEY{*m.MatchedKey}, now, sup)
+	chk := st.r.Cache.verified.CheckRRset(keyRRs, keySigs, []dnswire.DNSKEY{*m.MatchedKey}, now, sup)
 	switch chk.Status {
 	case dnssec.SigOK:
 		conds = nil
@@ -335,7 +402,7 @@ func (st *resolution) fetchAndCheckKeys(zone dnswire.Name, dsSet []dnswire.DS, s
 	case dnssec.SigUnsupportedAlg:
 		return nil, []Condition{ConditionAlgUnsupported}, unsupportedDetail(chk, *m.MatchedKey, sup)
 	default: // SigCryptoFailed
-		full := dnssec.CheckRRset(keyRRs, keySigs, published, now, sup)
+		full := st.r.Cache.verified.CheckRRset(keyRRs, keySigs, published, now, sup)
 		if full.Status == dnssec.SigOK {
 			return nil, []Condition{ConditionBadRRSIGKSK},
 				fmt.Sprintf("signature by DS-matched key %d at %s is invalid", m.MatchedKey.KeyTag(), zone)
@@ -405,10 +472,8 @@ func standbyKSKWithoutSig(keys []dnswire.DNSKEY, sigs []dnswire.RR) (uint16, boo
 }
 
 func unsupportedDetail(chk dnssec.RRsetCheck, key dnswire.DNSKEY, sup dnssec.SupportSet) string {
-	if sup.MinRSABits > 0 {
-		if bits := dnssec.RSAKeyBits(key.PublicKey); bits > 0 && bits < sup.MinRSABits {
-			return "unsupported key size"
-		}
+	if sup.RSATooShort(key) {
+		return "unsupported key size"
 	}
 	if len(chk.UnsupportedAlgs) > 0 {
 		alg := chk.UnsupportedAlgs[0]

@@ -305,10 +305,48 @@ func TestUnsupportedDetailStrings(t *testing.T) {
 	}
 }
 
+// A 32-byte Ed25519 or GOST public key whose first octet is 1–4 also parses
+// as an RSA key (exponent length, exponent, a modulus of under 256 bits).
+// The key's algorithm, not its bytes, decides whether the size floor applies:
+// such a key is an unsupported algorithm, never an "unsupported key size".
+func TestUnsupportedDetailIgnoresRSAShapedNonRSAKeys(t *testing.T) {
+	pub := make([]byte, 32)
+	pub[0], pub[1] = 1, 3 // RSA wire form: one exponent octet, e = 3
+	for i := 2; i < len(pub); i++ {
+		pub[i] = 0xA5
+	}
+	if bits := dnssec.RSAKeyBits(pub); bits == 0 || bits >= 1024 {
+		t.Fatalf("crafted key reads as %d RSA bits; the test needs it to parse as a short RSA key", bits)
+	}
+	cfSup := dnssec.CloudflareSupport()
+	for _, c := range []struct {
+		alg  dnssec.Algorithm
+		want string
+	}{
+		{dnssec.AlgECCGOST, "unsupported DNSKEY algorithm GOST R 34.10-2001"},
+		{dnssec.AlgED448, "unsupported DNSKEY algorithm Ed448"},
+	} {
+		key := dnswire.DNSKEY{Flags: 257, Protocol: 3, Algorithm: uint8(c.alg), PublicKey: pub}
+		chk := dnssec.RRsetCheck{Status: dnssec.SigUnsupportedAlg, UnsupportedAlgs: []dnssec.Algorithm{c.alg}}
+		if got := unsupportedDetail(chk, key, cfSup); got != c.want {
+			t.Errorf("%s key-establishment detail = %q, want %q", c.alg, got, c.want)
+		}
+		want := "unsupported DNSKEY algorithm " + c.alg.String()
+		if got := unsupportedAnswerDetail(chk, []dnswire.DNSKEY{key}, cfSup); got != want {
+			t.Errorf("%s answer detail = %q, want %q", c.alg, got, want)
+		}
+	}
+	// The same bytes under an RSA algorithm number are a short RSA key.
+	rsa := dnswire.DNSKEY{Flags: 257, Protocol: 3, Algorithm: uint8(dnssec.AlgRSASHA256), PublicKey: pub}
+	if got := unsupportedDetail(dnssec.RRsetCheck{}, rsa, cfSup); got != "unsupported key size" {
+		t.Errorf("RSA detail = %q", got)
+	}
+}
+
 func TestCacheLenAndFlush(t *testing.T) {
 	c := NewCache()
 	c.putAnswer(cacheKey{name: dnswire.MustName("a.example"), qtype: dnswire.TypeA},
-		&cachedAnswer{rcode: dnswire.RCodeNoError, storedAt: time.Unix(0, 0)}, time.Hour)
+		&cachedAnswer{rcode: dnswire.RCodeNoError}, time.Unix(0, 0), time.Hour)
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
 	}

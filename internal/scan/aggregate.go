@@ -288,7 +288,7 @@ func (t *TrancoAggregate) Add(r Result) {
 	if r.RCode == dnswire.RCodeNoError {
 		t.stats.NoError++
 	}
-	t.stats.Ranks = append(t.stats.Ranks, d.Rank)
+	t.stats.Ranks = append(t.stats.Ranks, int(d.Rank))
 }
 
 // Merge folds another accumulator built over the same population into t.
