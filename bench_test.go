@@ -70,7 +70,7 @@ func fixtures(b testing.TB) (*testbed.Testbed, *population.Wild, []scan.Result) 
 		if benchErr != nil {
 			return
 		}
-		benchRes, _ = scan.WildScan(context.Background(), benchWild, resolver.ProfileCloudflare(), 16)
+		benchRes, _ = scan.WildScan(context.Background(), benchWild, resolver.ProfileCloudflare(), 16, nil)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -567,11 +567,18 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 		start := time.Now()
 		p.PeakHeapBytes = peakHeapDuring(func() {
 			if stream {
+				// The steps of scan.WildScan, with the measurement pass
+				// streamed into an aggregate instead of returned.
+				r := resolver.New(wild.Net, wild.Roots, wild.Anchor, resolver.ProfileCloudflare())
+				r.Now = wild.Now
+				s := scan.NewScanner(r)
+				s.Workers = 32
+				s.Scan(context.Background(), wild.WarmupDomains())
+				wild.AdvanceClock(2 * time.Hour)
 				agg := scan.NewAggregate()
-				scan.WildScanStream(context.Background(), wild, resolver.ProfileCloudflare(), 32, nil,
-					func(r scan.Result) { agg.Add(r) })
+				s.ScanStream(context.Background(), wild.Pop.Names(), func(r scan.Result) { agg.Add(r) })
 			} else {
-				results, _ := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32)
+				results, _ := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32, nil)
 				scan.Summarize(results)
 			}
 		})

@@ -24,8 +24,8 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/scenario"
 )
 
-// defaultSeed is the chaos convention seed shared with the chaostest golden
-// corpus.
+// defaultSeed is the chaos convention seed, the one CI's per-push suite and
+// the tier-1 library test replay.
 const defaultSeed = 20230515
 
 func main() {

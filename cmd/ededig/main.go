@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
@@ -119,7 +118,7 @@ func main() {
 	case *useTCP:
 		resp, err = transport.QueryTCP(ctx, *server, q)
 	default:
-		resp, err = authserver.QueryUDP(ctx, *server, q)
+		resp, err = transport.QueryUDP(ctx, *server, q)
 	}
 	rtt := time.Since(start)
 	if err != nil {

@@ -473,7 +473,7 @@ func compareProfiles(wild *population.Wild, workers int, tc *resolver.TransportC
 	byProfile := make(map[string][]scan.Result)
 	for _, p := range resolver.AllProfiles() {
 		fmt.Fprintf(os.Stderr, "scanning under %s ...\n", p.Name)
-		results, _ := scan.WildScanTransport(context.Background(), wild, p, workers, tc)
+		results, _ := scan.WildScan(context.Background(), wild, p, workers, tc)
 		byProfile[p.Name] = results
 	}
 	rows := scan.CompareProfiles(byProfile)

@@ -25,7 +25,7 @@
 // coalescing, RFC 8767 serve-stale (EDE 3/19), an error cache (EDE 13), and
 // overload shedding. Clients receive the Extended DNS Errors themselves:
 //
-//	edeserver -addr 127.0.0.1:5353 -mode resolver -metrics &
+//	edeserver -addr 127.0.0.1:5353 -mode resolver &
 //	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
 //
 // With -admin an HTTP admin plane comes up alongside the DNS socket:
@@ -41,11 +41,9 @@
 // verdicts, and where each EDE attached — into a bounded ring readable at
 // /api/trace. /debug/pprof/* is also served.
 //
-// With -metrics the serving counters (hits, misses, stale serves, coalesced
-// waits, per-EDE emissions, ...) are printed on SIGINT. This stderr dump is
-// deprecated in favour of scraping the admin plane's /metrics; it remains
-// for scripts that parse the exit-time summary. -no-frontend bypasses the
-// serving layer and runs one full recursion per packet, the pre-frontend
+// The serving counters (hits, misses, stale serves, coalesced waits, per-EDE
+// emissions, ...) are on the admin plane's /metrics. -no-frontend bypasses
+// the serving layer and runs one full recursion per packet, the pre-frontend
 // behaviour, for comparison.
 package main
 
@@ -77,7 +75,6 @@ func main() {
 	mode := flag.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
 	profileName := flag.String("profile", "cloudflare", "vendor profile for -mode resolver")
 	noFrontend := flag.Bool("no-frontend", false, "bypass the caching frontend in -mode resolver (one recursion per packet)")
-	metrics := flag.Bool("metrics", false, "print frontend serving metrics on SIGINT (deprecated: scrape -admin /metrics instead)")
 	admin := flag.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
 	traceSample := flag.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin to read back)")
 	traceRing := flag.Int("trace-ring", 256, "capacity of the sampled-trace ring buffer")
@@ -232,9 +229,6 @@ func main() {
 		if err := serveFrontDoor(ctx, conns, front, reg, fdOpts); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
 			os.Exit(1)
-		}
-		if *metrics && fe != nil {
-			fmt.Printf("\nfrontend metrics (cache entries: %d)\n%s", fe.CacheLen(), fe.Metrics().Snapshot())
 		}
 		return
 	}

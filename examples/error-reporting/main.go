@@ -36,7 +36,7 @@ func main() {
 	reporter := &errreport.Reporter{Net: wild.Net, Agent: agentDomain, AgentAddr: agentAddr}
 
 	ctx := context.Background()
-	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 32)
+	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 32, nil)
 
 	reported := 0
 	for _, r := range results {

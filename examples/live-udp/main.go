@@ -16,6 +16,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
@@ -38,8 +39,9 @@ func main() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	srv := transport.NewServer(transport.Config{Handler: authserver.New(z)})
 	go func() {
-		if err := authserver.ServeUDP(ctx, conn, authserver.New(z)); err != nil && ctx.Err() == nil {
+		if err := srv.ServeUDP(ctx, conn); err != nil && ctx.Err() == nil {
 			log.Print(err)
 		}
 	}()
@@ -50,7 +52,7 @@ func main() {
 	qctx, qcancel := context.WithTimeout(ctx, 2*time.Second)
 	defer qcancel()
 	q := dnswire.NewQuery(1, dnswire.MustName("live.example"), dnswire.TypeA)
-	resp, err := authserver.QueryUDP(qctx, addr, q)
+	resp, err := transport.QueryUDP(qctx, addr, q)
 	if err != nil {
 		log.Fatal(err)
 	}

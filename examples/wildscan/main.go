@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, scanner := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32)
+	results, scanner := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32, nil)
 	agg := scan.Summarize(results)
 
 	fmt.Print(report.Section42Table(agg))

@@ -2,10 +2,8 @@ package authserver
 
 import (
 	"context"
-	"net"
 	"net/netip"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
@@ -128,59 +126,6 @@ func TestNetsimUnroutableGlue(t *testing.T) {
 	}
 	if st := net_.Stats(); st.Unroutable != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestServeUDPEndToEnd(t *testing.T) {
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = ServeUDP(ctx, conn, New(testZone(t))) }()
-
-	qctx, qcancel := context.WithTimeout(ctx, 2*time.Second)
-	defer qcancel()
-	q := dnswire.NewQuery(8, dnswire.MustName("www.example.test"), dnswire.TypeA)
-	resp, err := QueryUDP(qctx, conn.LocalAddr().String(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 8 || len(resp.Answer) == 0 {
-		t.Errorf("bad UDP response: id=%d answers=%d", resp.ID, len(resp.Answer))
-	}
-}
-
-func TestServeUDPTruncates(t *testing.T) {
-	z := testZone(t)
-	// Fatten the answer so it exceeds a small EDNS buffer.
-	name := dnswire.MustName("big.example.test")
-	var rrs []dnswire.RR
-	for i := 0; i < 40; i++ {
-		rrs = append(rrs, dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.TXT{Strings: []string{string(make([]byte, 80))}}})
-	}
-	z.SetRRset(name, dnswire.TypeTXT, rrs)
-
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = ServeUDP(ctx, conn, New(z)) }()
-
-	qctx, qcancel := context.WithTimeout(ctx, 2*time.Second)
-	defer qcancel()
-	q := dnswire.NewQuery(9, name, dnswire.TypeTXT)
-	q.OPT.UDPSize = 512
-	resp, err := QueryUDP(qctx, conn.LocalAddr().String(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Truncated {
-		t.Error("oversized response not truncated")
 	}
 }
 

@@ -1,14 +1,12 @@
-package authserver
+package dnswire
 
 import (
 	"bytes"
 	"testing"
-
-	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
 // FuzzTCPFraming throws arbitrary byte streams at the RFC 1035 §4.2.2 TCP
-// framing layer. The invariants: reading never panics; any frame that reads
+// framing layer (ReadStream / WriteStream). The invariants: reading never panics; any frame that reads
 // successfully can be re-framed; and the re-framed bytes are a fixpoint —
 // reading and writing them again reproduces them exactly. This is the layer a
 // malicious or broken client talks to first, so it must be total.
@@ -16,9 +14,9 @@ func FuzzTCPFraming(f *testing.F) {
 	// Seed with a well-formed framed query, a framed response with an OPT,
 	// and the classic edge cases: empty, short length prefix, length prefix
 	// promising more than the stream holds, zero-length frame.
-	q := dnswire.NewQuery(0x1234, dnswire.MustName("valid.extended-dns-errors.com"), dnswire.TypeA)
+	q := NewQuery(0x1234, MustName("valid.extended-dns-errors.com"), TypeA)
 	var framed bytes.Buffer
-	if err := writeTCPMessage(&framed, q); err != nil {
+	if err := q.WriteStream(&framed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(framed.Bytes())
@@ -31,21 +29,21 @@ func FuzzTCPFraming(f *testing.F) {
 	f.Add([]byte{0x00, 0x0C, 0xDE, 0xAD, 0x01, 0x00, 0x00, 0x01, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := readTCPMessage(bytes.NewReader(data))
+		m, err := ReadStream(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must be rejected, never crash
 		}
 		var out bytes.Buffer
-		if err := writeTCPMessage(&out, m); err != nil {
+		if err := m.WriteStream(&out); err != nil {
 			// Re-packing can legitimately fail only on the frame limit.
 			return
 		}
-		m2, err := readTCPMessage(bytes.NewReader(out.Bytes()))
+		m2, err := ReadStream(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-framed message does not read back: %v", err)
 		}
 		var out2 bytes.Buffer
-		if err := writeTCPMessage(&out2, m2); err != nil {
+		if err := m2.WriteStream(&out2); err != nil {
 			t.Fatalf("second re-framing failed: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), out2.Bytes()) {

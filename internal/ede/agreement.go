@@ -150,27 +150,6 @@ func (m *Matrix) Render() string {
 	return b.String()
 }
 
-// Diff compares this matrix against other cell by cell over this matrix's
-// cases and systems, labelling the two sides aLabel and bLabel, and returns a
-// sorted list of human-readable mismatches ("case/system: a=... b=..."). This
-// is the shared probe/verdict primitive the chaos harness and the scenario
-// engine both evaluate steady-state hypotheses with.
-func (m *Matrix) Diff(other *Matrix, aLabel, bLabel string) []string {
-	var out []string
-	for _, c := range m.Cases {
-		for _, sys := range m.Systems {
-			sa := m.Results[c][sys]
-			sb := other.Results[c][sys]
-			if !sa.Equal(sb) {
-				out = append(out, fmt.Sprintf("%s/%s: %s=%s %s=%s",
-					c, sys, aLabel, sa, bLabel, sb))
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PairAgreement is the extension analysis of §3.3: per-pair agreement rates
 // reveal lineage (e.g. public services built on the same open-source
 // engine) that the all-or-nothing 4/63 statistic hides.

@@ -138,7 +138,7 @@ func TestEndToEndWithWildScan(t *testing.T) {
 	rep := &Reporter{Net: wild.Net, Agent: agentDomain, AgentAddr: agentAddr}
 
 	ctx := context.Background()
-	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 8)
+	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 8, nil)
 	wantReports := 0
 	for _, r := range results {
 		if r.RCode != dnswire.RCodeServFail || len(r.Codes) == 0 {

@@ -31,5 +31,5 @@
 //     with EXTRA-TEXT saying why, never an unbounded goroutine pile.
 //
 // All serving decisions are counted in a Metrics registry with a lock-free
-// Snapshot accessor, exposed by cmd/edeserver via its -metrics flag.
+// Snapshot accessor, exposed by cmd/edeserver on its admin plane's /metrics.
 package frontend

@@ -592,7 +592,4 @@ func TestSnapshotEDECounts(t *testing.T) {
 	if snap.EDECounts[uint16(ede.CodeCachedError)] != 1 {
 		t.Fatalf("EDE 13 count = %d, want 1", snap.EDECounts[uint16(ede.CodeCachedError)])
 	}
-	if s := snap.String(); s == "" {
-		t.Fatal("snapshot must render")
-	}
 }

@@ -1,13 +1,6 @@
 package frontend
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync/atomic"
-
-	"github.com/extended-dns-errors/edelab/internal/ede"
-)
+import "sync/atomic"
 
 // edeCodeSlots is the size of the fixed per-code counter array: the 30
 // registered codes (0–29) plus one overflow slot for anything unassigned.
@@ -132,35 +125,4 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// String renders the snapshot as the block cmd/edeserver prints on SIGINT.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "queries            %d\n", s.Queries)
-	fmt.Fprintf(&b, "cache hits         %d\n", s.Hits)
-	fmt.Fprintf(&b, "  wire fast path   %d\n", s.WireHits)
-	fmt.Fprintf(&b, "cache misses       %d\n", s.Misses)
-	fmt.Fprintf(&b, "stale answers      %d\n", s.StaleServes)
-	fmt.Fprintf(&b, "stale nxdomain     %d\n", s.StaleNXServes)
-	fmt.Fprintf(&b, "cached errors      %d\n", s.CachedErrorServes)
-	fmt.Fprintf(&b, "coalesced waits    %d\n", s.CoalescedWaits)
-	fmt.Fprintf(&b, "evictions          %d\n", s.Evictions)
-	fmt.Fprintf(&b, "overload sheds     %d\n", s.Overloads)
-	fmt.Fprintf(&b, "deadline exceeded  %d\n", s.DeadlineExceeded)
-	fmt.Fprintf(&b, "malformed queries  %d\n", s.Malformed)
-	fmt.Fprintf(&b, "upstream failures  %d\n", s.UpstreamFailures)
-	fmt.Fprintf(&b, "inflight high-water %d\n", s.InflightHighWater)
-	if len(s.EDECounts) > 0 {
-		codes := make([]int, 0, len(s.EDECounts))
-		for c := range s.EDECounts {
-			codes = append(codes, int(c))
-		}
-		sort.Ints(codes)
-		b.WriteString("ede emissions:\n")
-		for _, c := range codes {
-			fmt.Fprintf(&b, "  %-36s %d\n", ede.Code(c).String(), s.EDECounts[uint16(c)])
-		}
-	}
-	return b.String()
 }

@@ -27,11 +27,6 @@ type Resolver struct {
 	MaxSteps int
 	// MaxCNAME bounds CNAME chain length.
 	MaxCNAME int
-	// Retries is how many times each server is tried before moving on
-	// (default 1 — the single-shot behaviour of a zdns-style scanner;
-	// interactive resolvers typically retry lost datagrams). Superseded by
-	// Transport.Retries when that is set.
-	Retries int
 	// Transport tunes upstream timeouts, retry budget, backoff, and pacing.
 	// Nil or zero-valued reproduces the historical single-shot behaviour.
 	Transport *TransportConfig
@@ -85,7 +80,6 @@ func New(net *netsim.Network, roots []netip.Addr, anchor []dnswire.DS, profile *
 		Now:         time.Now,
 		MaxSteps:    24,
 		MaxCNAME:    8,
-		Retries:     1,
 		Cache:       NewCache(),
 	}
 }
@@ -627,7 +621,7 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 	var lastRCode dnswire.RCode
 	var invalidAddr, malformedAddr netip.Addr
 
-	retries := tc.retries(r.Retries)
+	retries := tc.retries()
 	budget := tc.budget()
 	timeout := tc.timeout()
 

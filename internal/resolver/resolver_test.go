@@ -345,7 +345,7 @@ func TestRetriesSurviveLoss(t *testing.T) {
 		failed := 0
 		for i := 0; i < 30; i++ {
 			r := w.resolver(ProfileCloudflare())
-			r.Retries = retries
+			r.Transport = &TransportConfig{Retries: retries}
 			res := r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
 			if res.Msg.RCode != dnswire.RCodeNoError {
 				failed++

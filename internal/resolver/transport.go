@@ -24,8 +24,8 @@ type TransportConfig struct {
 	// Zero means DefaultQueryTimeout.
 	Timeout time.Duration
 	// Retries is how many times each server is attempted before moving to
-	// the next. Zero falls back to the Resolver's legacy Retries field
-	// (default 1).
+	// the next. Zero means 1 — the single-shot behaviour of a zdns-style
+	// scanner; interactive resolvers typically retry lost datagrams.
 	Retries int
 	// RetryBudget caps the total attempts one queryServers round may spend
 	// across all servers, so a long NS list under total loss cannot stall a
@@ -57,12 +57,9 @@ func (tc *TransportConfig) timeout() time.Duration {
 	return DefaultQueryTimeout
 }
 
-func (tc *TransportConfig) retries(legacy int) int {
+func (tc *TransportConfig) retries() int {
 	if tc != nil && tc.Retries > 0 {
 		return tc.Retries
-	}
-	if legacy > 0 {
-		return legacy
 	}
 	return 1
 }

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,8 +47,10 @@ func TestWriteFuzzCorpus(t *testing.T) {
 }
 
 // FuzzDecodeSnapshot hammers the checkpoint decoder with arbitrary bytes:
-// it must never panic or over-allocate, and anything it accepts must be a
-// canonical fixed point (decode → encode → decode reproduces itself).
+// it must never panic or over-allocate, anything it accepts must carry the
+// one version it reads — the retired v1 seeds below and in the committed
+// corpus are must-reject inputs — and must be a canonical fixed point
+// (decode → encode → decode reproduces itself).
 func FuzzDecodeSnapshot(f *testing.F) {
 	pop := population.Generate(population.Config{TotalDomains: 3030, Seed: 42})
 	valid := snapOver(pop, synthResults(pop))
@@ -74,6 +77,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		s, err := DecodeSnapshot(b)
 		if err != nil {
 			return
+		}
+		if v := binary.BigEndian.Uint16(b[len(snapshotMagic):]); v != snapshotVersion {
+			t.Fatalf("accepted a snapshot of version %d", v)
 		}
 		re := s.Encode()
 		s2, err := DecodeSnapshot(re)

@@ -273,37 +273,10 @@ func (s *Scanner) ScanStreamOrdered(ctx context.Context, src NameSource, sink fu
 // WildScan runs the full §4 experiment against a materialized wild network:
 // the cache warmup pass (standing in for background client traffic, see
 // population.Wild.WarmupDomains), a two-hour clock advance so the warmed
-// entries expire, then the measurement scan of the whole population.
-func WildScan(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int) ([]Result, *Scanner) {
-	return WildScanTransport(ctx, w, profile, workers, nil)
-}
-
-// WildScanTransport is WildScan with an explicit resolver transport policy,
-// so chaos experiments can scan a faulty wild network with retries and
-// backoff instead of the single-shot default.
-func WildScanTransport(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig) ([]Result, *Scanner) {
-	s := wildScanner(ctx, w, profile, workers, tc)
-	names := make([]dnswire.Name, len(w.Pop.Domains))
-	for i, d := range w.Pop.Domains {
-		names[i] = d.Name
-	}
-	results := s.Scan(ctx, names)
-	return results, s
-}
-
-// WildScanStream is the constant-memory variant of WildScanTransport: the
-// measurement pass streams the population through sink instead of returning
-// a slice, so a wild scan runs in O(workers) live results whatever the
-// population size. sink is called serially in completion order.
-func WildScanStream(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig, sink func(Result)) *Scanner {
-	s := wildScanner(ctx, w, profile, workers, tc)
-	s.ScanStream(ctx, w.Pop.Names(), sink)
-	return s
-}
-
-// wildScanner builds the measurement resolver and runs the warmup pass
-// shared by the slice and streaming wild-scan entry points.
-func wildScanner(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig) *Scanner {
+// entries expire, then the measurement scan of the whole population. tc is
+// the resolver transport policy — chaos experiments scan a faulty wild
+// network with retries and backoff — and nil is the single-shot default.
+func WildScan(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig) ([]Result, *Scanner) {
 	r := resolver.New(w.Net, w.Roots, w.Anchor, profile)
 	r.Now = w.Now
 	r.Transport = tc
@@ -315,5 +288,9 @@ func wildScanner(ctx context.Context, w *population.Wild, profile *resolver.Prof
 		s.Scan(ctx, warm)
 		w.AdvanceClock(2 * time.Hour)
 	}
-	return s
+	names := make([]dnswire.Name, len(w.Pop.Domains))
+	for i, d := range w.Pop.Domains {
+		names[i] = d.Name
+	}
+	return s.Scan(ctx, names), s
 }

@@ -26,7 +26,7 @@ func sharedWildScan(t *testing.T) (*population.Wild, []Result) {
 		if wildErr != nil {
 			return
 		}
-		wildResults, _ = WildScan(context.Background(), wildVal, resolver.ProfileCloudflare(), 16)
+		wildResults, _ = WildScan(context.Background(), wildVal, resolver.ProfileCloudflare(), 16, nil)
 	})
 	if wildErr != nil {
 		t.Fatalf("materialize: %v", wildErr)
@@ -272,7 +272,7 @@ func TestCompareProfilesExtension(t *testing.T) {
 	for _, p := range resolver.AllProfiles() {
 		// Fresh wild clock offset accumulates across profiles; that only
 		// moves further past expiry, which is harmless.
-		results, _ := WildScan(context.Background(), w, p, 8)
+		results, _ := WildScan(context.Background(), w, p, 8, nil)
 		byProfile[p.Name] = results
 	}
 	rows := CompareProfiles(byProfile)
@@ -310,7 +310,7 @@ func TestWhatIfFixTopNameservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := WildScan(context.Background(), w, resolver.ProfileCloudflare(), 16)
+	before, _ := WildScan(context.Background(), w, resolver.ProfileCloudflare(), 16, nil)
 	aggBefore := Summarize(before)
 	if aggBefore.CodeCounts[22] == 0 {
 		t.Fatal("no lame domains before the fix")

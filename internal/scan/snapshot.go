@@ -50,19 +50,17 @@ type Snapshot struct {
 //
 //	magic "EDES" | version u16 | gzip(body) | crc32-IEEE u32 over everything preceding it
 //
-// where body is the v1 layout minus framing:
+// where body is:
 //
 //	shard u32 | shards u32 | position u64 | queries u64 | resolutions u64
 //	aggregate payload (see appendAggregates)
 //
-// v1 framed the body uncompressed in the same position; DecodeSnapshot
-// still accepts it so checkpoints written before the version bump resume
-// cleanly. The outer CRC covers the compressed bytes, so corruption is
-// rejected without paying for decompression first.
+// The outer CRC covers the compressed bytes, so corruption is rejected
+// without paying for decompression first. v1 framed the same body
+// uncompressed; DecodeSnapshot refuses it like any other unknown version.
 const (
-	snapshotMagic         = "EDES"
-	snapshotVersion       = 2
-	snapshotVersionLegacy = 1
+	snapshotMagic   = "EDES"
+	snapshotVersion = 2
 	// maxSnapshotBody caps the decompressed v2 body: a hostile checkpoint
 	// must not be able to balloon a few KiB of gzip into unbounded memory.
 	maxSnapshotBody = 64 << 20
@@ -262,8 +260,7 @@ func (r *snapReader) asInt(v uint64) int {
 	return int(v)
 }
 
-// DecodeSnapshot parses a canonical snapshot, accepting both the current
-// compressed v2 framing and legacy uncompressed v1 checkpoints. The
+// DecodeSnapshot parses a canonical snapshot. The
 // returned TLD and Tranco accumulators are merge-only: they carry counters
 // but no population index, so Add is a no-op on them — a resuming campaign
 // merges the decoded snapshot into fresh accumulators built over its
@@ -275,31 +272,26 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	if string(b[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, ErrSnapshotCorrupt
 	}
-	v := binary.BigEndian.Uint16(b[len(snapshotMagic):])
-	if v != snapshotVersion && v != snapshotVersionLegacy {
-		return nil, fmt.Errorf("%w: got v%d, want v%d or v%d", ErrSnapshotVersion, v, snapshotVersionLegacy, snapshotVersion)
+	if v := binary.BigEndian.Uint16(b[len(snapshotMagic):]); v != snapshotVersion {
+		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrSnapshotVersion, v, snapshotVersion)
 	}
 	framed, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(framed) != binary.BigEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrSnapshotCorrupt)
 	}
-	body := framed[len(snapshotMagic)+2:]
-	if v == snapshotVersion {
-		zr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		raw, err := io.ReadAll(io.LimitReader(zr, maxSnapshotBody+1))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		if len(raw) > maxSnapshotBody {
-			return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrSnapshotCorrupt, maxSnapshotBody)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-		body = raw
+	zr, err := gzip.NewReader(bytes.NewReader(framed[len(snapshotMagic)+2:]))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	body, err := io.ReadAll(io.LimitReader(zr, maxSnapshotBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	if len(body) > maxSnapshotBody {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrSnapshotCorrupt, maxSnapshotBody)
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	return decodeSnapshotBody(body)
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // encodeLegacyV1 frames a snapshot in the retired uncompressed v1 format,
-// standing in for checkpoints written before the gzip version bump.
+// which DecodeSnapshot no longer reads.
 func encodeLegacyV1(s *Snapshot) []byte {
 	buf := make([]byte, 0, 1024)
 	buf = append(buf, snapshotMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, snapshotVersionLegacy)
+	buf = binary.BigEndian.AppendUint16(buf, 1)
 	buf = s.appendBody(buf)
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
@@ -211,34 +211,19 @@ func TestSnapshotV2IsCompressed(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyV1Decodes pins the compatibility promise: uncompressed
-// checkpoints written before the version bump still decode, carry identical
-// aggregates, and re-encode into the current format.
-func TestSnapshotLegacyV1Decodes(t *testing.T) {
+// TestSnapshotLegacyV1Rejected: the decoder accepts exactly one version. An
+// uncompressed v1 checkpoint — whole, truncated or bit-flipped — is refused,
+// and a whole one is refused by name rather than misread as a corrupt v2.
+func TestSnapshotLegacyV1Rejected(t *testing.T) {
 	pop := snapPop(t)
 	orig := snapOver(pop, synthResults(pop)[:2222])
 	orig.Shard, orig.Shards = 3, 8
 	orig.Queries, orig.Resolutions = 123456, 2222
 
-	dec, err := DecodeSnapshot(encodeLegacyV1(orig))
-	if err != nil {
-		t.Fatalf("decode legacy v1: %v", err)
-	}
-	if dec.Shard != 3 || dec.Shards != 8 || dec.Position != 2222 ||
-		dec.Queries != 123456 || dec.Resolutions != 2222 {
-		t.Fatalf("meta mismatch: %+v", dec)
-	}
-	if !bytes.Equal(dec.AggregateBytes(), orig.AggregateBytes()) {
-		t.Fatal("legacy decode changed the aggregate payload")
-	}
-	// A resumed campaign rewrites the checkpoint: the migrated bytes must be
-	// current-format and round-trip.
-	if !bytes.Equal(dec.Encode(), orig.Encode()) {
-		t.Fatal("legacy snapshot does not migrate to the canonical v2 bytes")
-	}
-
-	// Truncations and bit flips of the legacy framing are still rejected.
 	v1 := encodeLegacyV1(orig)
+	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("legacy v1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	}
 	if _, err := DecodeSnapshot(v1[:len(v1)/2]); err == nil {
 		t.Fatal("truncated legacy snapshot decoded successfully")
 	}

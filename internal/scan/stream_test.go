@@ -52,7 +52,7 @@ func TestScanStreamMatchesSlicePath(t *testing.T) {
 	}
 	// Slice path.
 	sliceWild := build10x(t)
-	results, _ := WildScan(context.Background(), sliceWild, resolver.ProfileCloudflare(), 1)
+	results, _ := WildScan(context.Background(), sliceWild, resolver.ProfileCloudflare(), 1, nil)
 	wantAgg := Summarize(results)
 	wantRows := PerTLD(results, sliceWild.Pop)
 	wantStats := Figure2(results, sliceWild.Pop)

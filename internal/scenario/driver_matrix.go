@@ -18,7 +18,7 @@ import (
 )
 
 // noSleep replaces the backoff clock: pacing is policy under test, not wall
-// time (same convention as the chaostest harness).
+// time.
 func noSleep(context.Context, time.Duration) {}
 
 // transportFor converts the spec into a resolver transport policy, nil for
@@ -210,7 +210,7 @@ func needsMatrix(ph *Phase) bool {
 }
 
 // walkMatrix replays the selected cases through every selected profile
-// sequentially — the chaostest discipline that makes reports byte-stable.
+// sequentially, which is what makes reports byte-stable.
 func (d *matrixDriver) walkMatrix(ctx context.Context) *matrixObs {
 	m := &matrixObs{
 		edes:     make(map[string]map[string][]uint16),

@@ -14,9 +14,40 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
-// Client-side query helpers for the stream and HTTP transports, used by
-// ededig, the conformance suite, and the CI smoke job. The UDP client
-// counterpart lives in authserver.QueryUDP.
+// Client-side query helpers, one per transport, used by ededig, the
+// conformance suite, and the CI smoke job.
+
+// QueryUDP sends one query to addr over UDP and parses the first datagram
+// that comes back, honouring ctx's deadline. The receive buffer holds the
+// largest datagram UDP can carry, so the answer is never cut short by the
+// client whatever buffer size q advertises; a TC=1 answer is returned as
+// it is — retrying over QueryTCP is the caller's decision.
+func QueryUDP(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if dl, ok := ctx.Deadline(); ok {
+		if err := conn.SetDeadline(dl); err != nil {
+			return nil, err
+		}
+	}
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := conn.Write(wire); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 65535)
+	n, err := conn.Read(buf)
+	if err != nil {
+		return nil, err
+	}
+	return dnswire.Unpack(buf[:n])
+}
 
 // QueryTCP sends one framed query over a fresh TCP connection and reads
 // one response.

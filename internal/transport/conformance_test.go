@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
@@ -15,15 +16,17 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
+	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
+	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
-// frontDoor is one fully wired lab server: the paper's testbed behind a
-// real resolver and caching frontend, served over all four transports on
-// loopback.
+// frontDoor is one handler served over all four transports on loopback —
+// for startFrontDoor, the paper's testbed behind a real resolver and caching
+// frontend.
 type frontDoor struct {
-	tb      *testbed.Testbed
+	tb      *testbed.Testbed // set by startFrontDoor only
 	udpAddr string
 	tcpAddr string
 	dotAddr string
@@ -44,7 +47,16 @@ func startFrontDoor(t *testing.T) *frontDoor {
 		// per-transport probes, so responses can be compared exactly.
 		Now: tb.Clock,
 	})
-	srv := NewServer(Config{Handler: fe})
+	fd := startDoors(t, fe)
+	fd.tb = tb
+	return fd
+}
+
+// startDoors serves h over all four transports on loopback and registers
+// shutdown with t.
+func startDoors(t *testing.T, h netsim.Handler) *frontDoor {
+	t.Helper()
+	srv := NewServer(Config{Handler: h})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -81,7 +93,6 @@ func startFrontDoor(t *testing.T) *frontDoor {
 	go srv.ServeDoH(ctx, dohL, serverTLS.Clone())
 
 	return &frontDoor{
-		tb:      tb,
 		udpAddr: uconn.LocalAddr().String(),
 		tcpAddr: tcpL.Addr().String(),
 		dotAddr: dotL.Addr().String(),
@@ -172,12 +183,12 @@ func TestTransportParity(t *testing.T) {
 				// from later ones (the error cache appends EDE 13 on
 				// hits), and that difference is cache state, not
 				// transport behaviour.
-				if _, err := authserver.QueryUDP(ctx, fd.udpAddr, mkQuery()); err != nil {
+				if _, err := QueryUDP(ctx, fd.udpAddr, mkQuery()); err != nil {
 					t.Fatalf("warmup query: %v", err)
 				}
 
 				// UDP is the reference transport every other one must match.
-				ref, err := authserver.QueryUDP(ctx, fd.udpAddr, mkQuery())
+				ref, err := QueryUDP(ctx, fd.udpAddr, mkQuery())
 				if err != nil {
 					t.Fatalf("udp query: %v", err)
 				}
@@ -247,5 +258,104 @@ func TestParityObservationsNonEmpty(t *testing.T) {
 	}
 	if withEDE == 0 {
 		t.Fatal("no testbed case produced an EDE over the front door")
+	}
+}
+
+// authZone is a small signed zone with one RRset too large for a 512-byte
+// datagram.
+func authZone(t *testing.T) *zone.Zone {
+	t.Helper()
+	z := zone.New(dnswire.MustName("example.test"), 300)
+	z.AddNS(dnswire.MustName("ns1.example.test"), mustAddr("198.18.5.1"))
+	z.AddAddress(dnswire.MustName("example.test"), mustAddr("198.18.5.10"))
+	z.AddAddress(dnswire.MustName("www.example.test"), mustAddr("198.18.5.11"))
+	big := dnswire.MustName("big.example.test")
+	var rrs []dnswire.RR
+	for i := 0; i < 40; i++ {
+		rrs = append(rrs, dnswire.RR{Name: big, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.TXT{Strings: []string{string(make([]byte, 80))}}})
+	}
+	z.SetRRset(big, dnswire.TypeTXT, rrs)
+	if err := z.Sign(zone.SignOptions{Inception: 1700000000, Expiration: 1800000000}); err != nil {
+		t.Fatal(err)
+	}
+	return z
+}
+
+// TestAuthServerIdenticalOnEveryDoor puts an authoritative server, not the
+// caching frontend, behind the four doors: the bytes of a signed answer, an
+// NSEC3 denial and a REFUSED must not depend on the door, and an RRset too
+// large for the client's datagram buffer arrives TC=1 over UDP and whole
+// over TCP — the client-side fallback of RFC 7766.
+func TestAuthServerIdenticalOnEveryDoor(t *testing.T) {
+	fd := startDoors(t, authserver.New(authZone(t)))
+	client := fd.dohClient()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	for i, c := range []struct {
+		name  string
+		rcode dnswire.RCode
+	}{
+		{"www.example.test", dnswire.RCodeNoError},
+		{"missing.example.test", dnswire.RCodeNXDomain},
+		{"elsewhere.invalid", dnswire.RCodeRefused},
+	} {
+		mkQuery := func() *dnswire.Message {
+			return dnswire.NewQuery(uint16(200+i), dnswire.MustName(c.name), dnswire.TypeA)
+		}
+		ref, err := QueryUDP(ctx, fd.udpAddr, mkQuery())
+		if err != nil {
+			t.Fatalf("%s over udp: %v", c.name, err)
+		}
+		if ref.RCode != c.rcode {
+			t.Errorf("%s over udp: rcode %s, want %s", c.name, ref.RCode, c.rcode)
+		}
+		want, err := ref.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doors := map[string]func() (*dnswire.Message, error){
+			"tcp":      func() (*dnswire.Message, error) { return QueryTCP(ctx, fd.tcpAddr, mkQuery()) },
+			"dot":      func() (*dnswire.Message, error) { return QueryDoT(ctx, fd.dotAddr, fd.tlsConf.Clone(), mkQuery()) },
+			"doh-get":  func() (*dnswire.Message, error) { return QueryDoH(ctx, client, fd.dohURL, mkQuery(), false) },
+			"doh-post": func() (*dnswire.Message, error) { return QueryDoH(ctx, client, fd.dohURL, mkQuery(), true) },
+		}
+		for door, query := range doors {
+			resp, err := query()
+			if err != nil {
+				t.Fatalf("%s over %s: %v", c.name, door, err)
+			}
+			got, err := resp.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %s answer differs from udp:\n  udp: %x\n  %s: %x", c.name, door, want, door, got)
+			}
+		}
+	}
+
+	q := dnswire.NewQuery(210, dnswire.MustName("big.example.test"), dnswire.TypeTXT)
+	q.OPT.UDPSize = 512
+	resp, err := QueryUDP(ctx, fd.udpAddr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Truncated || len(resp.Answer) != 0 {
+		t.Errorf("oversized RRset over udp: tc=%t answers=%d, want TC=1 and no partial data", resp.Truncated, len(resp.Answer))
+	}
+	resp, err = QueryTCP(ctx, fd.tcpAddr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txts := 0
+	for _, rr := range resp.Answer {
+		if rr.Type() == dnswire.TypeTXT {
+			txts++
+		}
+	}
+	if resp.Truncated || txts != 40 {
+		t.Errorf("same question over tcp: tc=%t TXT records=%d, want the whole RRset of 40", resp.Truncated, txts)
 	}
 }

@@ -30,6 +30,13 @@
 // byte-identical across all four transports, including the CD-bit behaviour
 // on bogus domains.
 //
+// It is also the only package that opens DNS sockets: the client side of
+// each transport is here too (QueryUDP, QueryTCP, QueryDoT, QueryDoH for one
+// exchange, StreamClient for a kept connection), and a source-level test in
+// the module root fails if a server or client grows anywhere else. A handler
+// needs no socket code of its own to be served — an authserver.Server put
+// behind ServeTCP or ServeDoT transfers its zones (AXFR) like any answer.
+//
 // Load shedding reuses the frontend's semantics: when a per-connection
 // pipeline bound or a per-listener connection bound is exceeded, the excess
 // query is answered SERVFAIL with EDE 23 (Network Error) rather than queued

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
@@ -96,7 +95,7 @@ func TestTCPKeepaliveNeverOnUDP(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
+	resp, err := QueryUDP(ctx, addr, dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
 	if err != nil {
 		t.Fatal(err)
 	}

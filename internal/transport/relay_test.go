@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -463,10 +464,14 @@ func TestRelayStopAbandons(t *testing.T) {
 // syscall (udp_linux.go).
 var batchedUDP = runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
 
-// TestRelayBatching: 1,000 queries arriving in bursts of 16 share their
-// syscalls in all three directions. The forward socket is flushed at most
-// once per listener receive round, and the client side once per peer
-// receive round, so both ratios are read off the round counters.
+// TestRelayBatching: 1,008 queries arriving in bursts of 16 are all relayed
+// and answered, and share their syscalls in all three directions. The
+// forward socket is flushed at most once per listener receive round, and the
+// client side once per peer receive round, so both ratios are read off the
+// round counters. The listener's is exact — the gate below allows a burst two
+// rounds — and is checked on every run; how many wake-ups the relay's reader
+// takes to drain the peer's one batched send is the scheduler's choice, so
+// that bound is checked only under BENCH_GATES=1, on a quiet machine.
 func TestRelayBatching(t *testing.T) {
 	if !batchedUDP {
 		t.Skip("one datagram per syscall on this platform")
@@ -548,10 +553,10 @@ func TestRelayBatching(t *testing.T) {
 	if queries != burst*bursts {
 		t.Fatalf("relayed %v of %d queries", queries, burst*bursts)
 	}
-	if got := float64(m.batchRounds.Load()) / queries; got > 0.25 {
-		t.Errorf("%.3f listener receive rounds (an upper bound on forward-socket sends) per query, want <= 0.25", got)
+	if got := m.batchRounds.Load(); got > 2*bursts {
+		t.Errorf("%d listener receive rounds (an upper bound on forward-socket sends) for %d gated bursts, want <= 2 each", got, bursts)
 	}
-	if got := float64(m.relayRounds.Load()) / queries; got > 0.25 {
+	if got := float64(m.relayRounds.Load()) / queries; os.Getenv("BENCH_GATES") != "" && got > 0.25 {
 		t.Errorf("%.3f peer receive rounds (= client-side sends) per query, want <= 0.25", got)
 	}
 	t.Logf("%.1f forwards per listener round, %.1f answers per relay round",

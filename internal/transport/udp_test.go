@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 )
@@ -56,7 +55,7 @@ func TestUDPTruncationHonorsBufferSize(t *testing.T) {
 
 	q := dnswire.NewQuery(1, dnswire.MustName("big.example"), dnswire.TypeA)
 	q.OPT.UDPSize = 600
-	resp, err := authserver.QueryUDP(ctx, addr, q)
+	resp, err := QueryUDP(ctx, addr, q)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -88,7 +87,7 @@ func TestUDPNoOPTGets512(t *testing.T) {
 
 	q := dnswire.NewQuery(2, dnswire.MustName("big.example"), dnswire.TypeA)
 	q.OPT = nil
-	resp, err := authserver.QueryUDP(ctx, addr, q)
+	resp, err := QueryUDP(ctx, addr, q)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -109,7 +108,7 @@ func TestUDPFitsNoTruncation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	resp, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(3, dnswire.MustName("small.example"), dnswire.TypeA))
+	resp, err := QueryUDP(ctx, addr, dnswire.NewQuery(3, dnswire.MustName("small.example"), dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -187,7 +186,7 @@ func TestUDPInflightShed(t *testing.T) {
 	conn.Write(wire)
 	time.Sleep(100 * time.Millisecond)
 
-	resp, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(6, dnswire.MustName("fast.example"), dnswire.TypeA))
+	resp, err := QueryUDP(ctx, addr, dnswire.NewQuery(6, dnswire.MustName("fast.example"), dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}

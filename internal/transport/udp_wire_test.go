@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
@@ -88,14 +87,14 @@ func TestUDPWireFastPath(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	qname := dnswire.MustName("valid.extended-dns-errors.com.")
-	first, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(1, qname, dnswire.TypeA))
+	first, err := QueryUDP(ctx, addr, dnswire.NewQuery(1, qname, dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("fill query: %v", err)
 	}
 	if srv.m.wireServes[TransportUDP].Load() != 0 {
 		t.Fatal("fill query cannot be a wire serve")
 	}
-	second, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(2, qname, dnswire.TypeA))
+	second, err := QueryUDP(ctx, addr, dnswire.NewQuery(2, qname, dnswire.TypeA))
 	if err != nil {
 		t.Fatalf("hit query: %v", err)
 	}
@@ -116,7 +115,7 @@ func TestUDPWireDisabled(t *testing.T) {
 	defer cancel()
 	qname := dnswire.MustName("valid.extended-dns-errors.com.")
 	for id := uint16(1); id <= 2; id++ {
-		if _, err := authserver.QueryUDP(ctx, addr, dnswire.NewQuery(id, qname, dnswire.TypeA)); err != nil {
+		if _, err := QueryUDP(ctx, addr, dnswire.NewQuery(id, qname, dnswire.TypeA)); err != nil {
 			t.Fatalf("query %d: %v", id, err)
 		}
 	}
@@ -152,7 +151,7 @@ func TestListenUDPReusePort(t *testing.T) {
 	qctx, qcancel := context.WithTimeout(ctx, 10*time.Second)
 	defer qcancel()
 	for i := 0; i < 8; i++ {
-		resp, err := authserver.QueryUDP(qctx, conns[0].LocalAddr().String(),
+		resp, err := QueryUDP(qctx, conns[0].LocalAddr().String(),
 			dnswire.NewQuery(uint16(i+1), dnswire.MustName("shard.example."), dnswire.TypeA))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
