@@ -70,12 +70,22 @@ func fixtures(b testing.TB) (*testbed.Testbed, *population.Wild, []scan.Result) 
 		if benchErr != nil {
 			return
 		}
-		benchRes, _ = scan.WildScan(context.Background(), benchWild, resolver.ProfileCloudflare(), 16, nil)
+		benchRes = wildScan(benchWild, 16)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
 	return benchTB, benchWild, benchRes
+}
+
+// wildScan is the §4 scan with every result kept, in population order.
+func wildScan(w *population.Wild, workers int) []scan.Result {
+	ctx := context.Background()
+	names := make([]dnswire.Name, len(w.Pop.Domains))
+	for i, d := range w.Pop.Domains {
+		names[i] = d.Name
+	}
+	return scan.WarmScanner(ctx, w, resolver.ProfileCloudflare(), workers, nil).Scan(ctx, names)
 }
 
 // BenchmarkTable1RegistryLookup measures EDE registry lookups (Table 1).
@@ -143,8 +153,11 @@ func BenchmarkFigure1PerTLDAggregation(b *testing.B) {
 	_, w, results := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := scan.PerTLD(results, w.Pop)
-		g, cc := scan.Figure1(rows)
+		tld := scan.NewTLDAggregate(w.Pop)
+		for _, r := range results {
+			tld.Add(r)
+		}
+		g, cc := scan.Figure1(tld.Rows())
 		if len(g) == 0 || len(cc) == 0 {
 			b.Fatal("empty figure")
 		}
@@ -157,8 +170,11 @@ func BenchmarkFigure2TrancoJoin(b *testing.B) {
 	_, w, results := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats := scan.Figure2(results, w.Pop)
-		if stats.Overlap == 0 {
+		tranco := scan.NewTrancoAggregate(w.Pop)
+		for _, r := range results {
+			tranco.Add(r)
+		}
+		if tranco.Stats().Overlap == 0 {
 			b.Fatal("empty overlap")
 		}
 	}
@@ -233,7 +249,7 @@ func BenchmarkScannerThroughputParallel(b *testing.B) {
 func newScanResolver(w *population.Wild, disableDelegation bool) *resolver.Resolver {
 	r := resolver.New(w.Net, w.Roots, w.Anchor, resolver.ProfileCloudflare())
 	r.Now = w.Now
-	r.DisableAnswerCache = true
+	r.AnswerCacheReadOnly = true
 	r.DisableDelegationCache = disableDelegation
 	return r
 }
@@ -555,7 +571,7 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 	// working memory. Fresh wilds for each pass (scanning mutates die-after
 	// endpoint state).
 	for _, stream := range []bool{false, true} {
-		name := "scan.WildScan/slice/peak-heap"
+		name := "scan.WildScan/slice/peak-heap" // BENCH_scan.json keys; the function is scan.WarmScanner now
 		if stream {
 			name = "scan.WildScan/stream/peak-heap"
 		}
@@ -566,20 +582,15 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 		var p benchPoint
 		start := time.Now()
 		p.PeakHeapBytes = peakHeapDuring(func() {
+			agg := scan.NewAggregate()
 			if stream {
-				// The steps of scan.WildScan, with the measurement pass
-				// streamed into an aggregate instead of returned.
-				r := resolver.New(wild.Net, wild.Roots, wild.Anchor, resolver.ProfileCloudflare())
-				r.Now = wild.Now
-				s := scan.NewScanner(r)
-				s.Workers = 32
-				s.Scan(context.Background(), wild.WarmupDomains())
-				wild.AdvanceClock(2 * time.Hour)
-				agg := scan.NewAggregate()
-				s.ScanStream(context.Background(), wild.Pop.Names(), func(r scan.Result) { agg.Add(r) })
+				ctx := context.Background()
+				s := scan.WarmScanner(ctx, wild, resolver.ProfileCloudflare(), 32, nil)
+				s.ScanStream(ctx, wild.Pop.Names(), func(r scan.Result) { agg.Add(r) })
 			} else {
-				results, _ := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32, nil)
-				scan.Summarize(results)
+				for _, r := range wildScan(wild, 32) {
+					agg.Add(r)
+				}
 			}
 		})
 		p.NsPerOp = float64(time.Since(start).Nanoseconds())

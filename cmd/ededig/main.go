@@ -24,7 +24,7 @@
 // validation verdicts, and the exact point where each EDE attached:
 //
 //	ededig -trace ds-bogus-digest-value.extended-dns-errors.com
-//	ededig -trace -profile google rrsig-exp-all.extended-dns-errors.com
+//	ededig -trace -profile quad9 rrsig-exp-all.extended-dns-errors.com
 package main
 
 import (
@@ -58,7 +58,7 @@ func main() {
 	dohPost := flag.Bool("doh-post", false, "with -doh, use the POST application/dns-message form instead of GET ?dns=")
 	insecure := flag.Bool("insecure", false, "skip TLS certificate verification for -tls/-doh (edeserver's default cert is self-signed)")
 	traceMode := flag.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (ignores -server)")
-	profileName := flag.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, google, quad9, ...)")
+	profileName := flag.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	chaosSpec := flag.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
 	chaosSeed := flag.Uint64("chaos-seed", 20230515, "with -chaos, seed for the deterministic fault streams")
 	flag.Parse()
@@ -80,7 +80,12 @@ func main() {
 	}
 
 	if *traceMode {
-		runTrace(name, qtype, *profileName, *chaosSpec, *chaosSeed)
+		prof, ok := resolver.ProfileByName(*profileName)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "ededig: unknown profile %q\n", *profileName)
+			os.Exit(2)
+		}
+		runTrace(name, qtype, prof, *chaosSpec, *chaosSeed)
 		return
 	}
 	if *chaosSpec != "" {
@@ -151,7 +156,7 @@ func transportName(doh, dot, tcp bool) string {
 // trace in the context, then renders the span tree the resolver built.
 // A non-empty chaos spec installs a deterministic fault plan on every
 // testbed path, seeded so the same invocation replays the same failures.
-func runTrace(name dnswire.Name, qtype dnswire.Type, profileName, chaosSpec string, chaosSeed uint64) {
+func runTrace(name dnswire.Name, qtype dnswire.Type, prof *resolver.Profile, chaosSpec string, chaosSeed uint64) {
 	tb, err := testbed.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ededig: building testbed: %v\n", err)
@@ -167,7 +172,7 @@ func runTrace(name dnswire.Name, qtype dnswire.Type, profileName, chaosSpec stri
 		fmt.Printf(";; chaos: %s\n", fp.String())
 		fmt.Printf(";; effective seed: %d\n", chaosSeed)
 	}
-	res := tb.NewResolver(resolverProfile(profileName))
+	res := tb.NewResolver(prof)
 	ctx, tr := telemetry.StartTrace(context.Background(), fmt.Sprintf("%s %s", name, qtype))
 	start := time.Now()
 	result := res.Resolve(ctx, name, qtype)
@@ -209,16 +214,6 @@ func printDiagnosis(resp *dnswire.Message) {
 	fmt.Printf(";;   root cause:  %s\n", d.RootCause)
 	fmt.Printf(";;   party:       %s\n", d.Party)
 	fmt.Printf(";;   remediation: %s\n", d.Remediation)
-}
-
-// resolverProfile maps a CLI name to a vendor profile (Cloudflare default).
-func resolverProfile(name string) *resolver.Profile {
-	for _, p := range resolver.AllProfiles() {
-		if strings.Contains(strings.ToLower(p.Name), strings.ToLower(name)) {
-			return p
-		}
-	}
-	return resolver.ProfileCloudflare()
 }
 
 func parseType(s string) (dnswire.Type, bool) {

@@ -56,7 +56,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -73,7 +72,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:5353", "UDP listen address")
 	mode := flag.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
-	profileName := flag.String("profile", "cloudflare", "vendor profile for -mode resolver")
+	profileName := flag.String("profile", "cloudflare", "vendor profile for -mode resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	noFrontend := flag.Bool("no-frontend", false, "bypass the caching frontend in -mode resolver (one recursion per packet)")
 	admin := flag.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
 	traceSample := flag.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin to read back)")
@@ -109,6 +108,11 @@ func main() {
 	}
 	if *clusterN > 0 && *joinURL != "" {
 		fmt.Fprintln(os.Stderr, "edeserver: -cluster (primary) and -join (secondary) are mutually exclusive")
+		os.Exit(2)
+	}
+	prof, ok := resolver.ProfileByName(*profileName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "edeserver: unknown profile %q\n", *profileName)
 		os.Exit(2)
 	}
 
@@ -165,7 +169,6 @@ func main() {
 	}
 
 	if *mode == "resolver" {
-		prof := resolverProfile(*profileName)
 		var tcfg *resolver.TransportConfig
 		if *retries > 0 || *retryBudget > 0 {
 			tcfg = &resolver.TransportConfig{
@@ -421,16 +424,6 @@ func directHandler(res *resolver.Resolver) netsim.Handler {
 		}
 		return out, nil
 	})
-}
-
-// resolverProfile maps a CLI name to a vendor profile (Cloudflare default).
-func resolverProfile(name string) *resolver.Profile {
-	for _, p := range resolver.AllProfiles() {
-		if strings.Contains(strings.ToLower(p.Name), strings.ToLower(name)) {
-			return p
-		}
-	}
-	return resolver.ProfileCloudflare()
 }
 
 // step queries the candidate servers; a referral yields the next server

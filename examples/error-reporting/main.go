@@ -36,18 +36,17 @@ func main() {
 	reporter := &errreport.Reporter{Net: wild.Net, Agent: agentDomain, AgentAddr: agentAddr}
 
 	ctx := context.Background()
-	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 32, nil)
-
 	reported := 0
-	for _, r := range results {
-		if r.RCode != dnswire.RCodeServFail || len(r.Codes) == 0 {
-			continue
-		}
-		if err := reporter.ReportFailure(ctx, r.Domain, dnswire.TypeA, r.Codes[0]); err == nil {
-			reported++
-		}
-	}
-	fmt.Printf("scanned %d domains; reported %d failures to %s\n\n", len(results), reported, agentDomain)
+	scanned := scan.WarmScanner(ctx, wild, resolver.ProfileCloudflare(), 32, nil).
+		ScanStreamOrdered(ctx, pop.Names(), func(r scan.Result) {
+			if r.RCode != dnswire.RCodeServFail || len(r.Codes) == 0 {
+				return
+			}
+			if err := reporter.ReportFailure(ctx, r.Domain, dnswire.TypeA, r.Codes[0]); err == nil {
+				reported++
+			}
+		})
+	fmt.Printf("scanned %d domains; reported %d failures to %s\n\n", scanned, reported, agentDomain)
 
 	// One concrete report QNAME, to show the wire format.
 	if reports := agent.Reports(); len(reports) > 0 {

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
+	"github.com/extended-dns-errors/edelab/internal/campaign"
 	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/report"
-	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/scan"
 )
 
@@ -25,19 +25,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	results, scanner := scan.WildScan(context.Background(), wild, resolver.ProfileCloudflare(), 32, nil)
-	agg := scan.Summarize(results)
+	// The same pipeline edescan runs: one campaign shard over the whole
+	// population, no checkpoint, no rate cap.
+	runner, err := campaign.New(campaign.Config{}, wild)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap, err := runner.Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Print(report.Section42Table(agg))
-	fmt.Printf("\nscan issued %d upstream queries in %v\n\n", scanner.QueryCount, scanner.Elapsed)
+	fmt.Print(report.Section42Table(snap.Agg))
+	fmt.Printf("\nscan issued %d upstream queries in %v\n\n", snap.Queries, runner.Scanner.Elapsed)
 
-	rows := scan.PerTLD(results, pop)
-	g, cc := scan.Figure1(rows)
+	g, cc := scan.Figure1(snap.TLD.Rows())
 	fmt.Print(report.CDFPlot("Figure 1 (miniature): EDE ratio per TLD", "ratio (%)", 60, 12,
 		report.CDFSeries{Label: "gTLDs", Marker: 'g', Xs: g},
 		report.CDFSeries{Label: "ccTLDs", Marker: 'c', Xs: cc}))
 
-	tr := scan.Figure2(results, pop)
+	tr := snap.Tranco.Stats()
 	xs := make([]float64, len(tr.Ranks))
 	for i, r := range tr.Ranks {
 		xs[i] = float64(r)

@@ -256,12 +256,12 @@ func (r *Runner) writeCheckpoint(snap *scan.Snapshot) error {
 	return nil
 }
 
-// Run executes the shard: warmup, optional resume, the rate-governed
-// measurement pass with periodic checkpoints, and a final checkpoint. The
-// returned snapshot is the shard's state at exit; if ctx ended before the
-// shard finished, err wraps ErrInterrupted and the snapshot (also persisted
-// when checkpointing is enabled) is the exact prefix a resumed run continues
-// from.
+// Run executes the shard: warmup (scan.WarmScanner), optional resume, the
+// rate-governed measurement pass with periodic checkpoints, and a final
+// checkpoint. The returned snapshot is the shard's state at exit; if ctx
+// ended before the shard finished, err wraps ErrInterrupted and the snapshot
+// (also persisted when checkpointing is enabled) is the exact prefix a
+// resumed run continues from.
 func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 	cfg := r.cfg
 	w := r.wild
@@ -275,30 +275,14 @@ func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 		resumeFrom = snap
 	}
 
-	res := resolver.New(w.Net, w.Roots, w.Anchor, cfg.Profile)
-	res.Now = w.Now
-	res.Transport = cfg.Transport
-	scanner := scan.NewScanner(res)
-	scanner.Workers = cfg.Workers
-
-	// Warmup models the background client traffic that populated the
-	// production resolver's cache before the paper's scan: it runs
-	// unthrottled in every process (its determinism is what makes resumed
-	// shards reproduce serve-stale outcomes exactly).
-	if warm := w.WarmupDomains(); len(warm) > 0 {
-		scanner.Scan(ctx, warm)
-		w.AdvanceClock(2 * time.Hour)
-	}
+	scanner := scan.WarmScanner(ctx, w, cfg.Profile, cfg.Workers, cfg.Transport)
 	if ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: during warmup: %w", ErrInterrupted, ctx.Err())
 	}
+	res := scanner.Resolver
 
-	// Measurement phase: scan names are unique, so storing their answers
-	// would grow the heap linearly with the population for zero hit-rate;
-	// read-only mode keeps lookups (and serve-stale) while pinning the
-	// warmed entries. The admission gate and governor also attach here —
-	// warmup is not part of the governed scan.
-	res.AnswerCacheReadOnly = true
+	// The admission gate and governor attach only now: warmup is not part
+	// of the governed scan.
 	if r.limiter != nil {
 		tc := resolver.TransportConfig{}
 		if cfg.Transport != nil {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 // LimiterConfig tunes the campaign's admission policy. A zero field disables
@@ -142,11 +144,7 @@ func (l *Limiter) bucketFor(addr netip.Addr) *bucket {
 
 func shardIndex(addr netip.Addr) int {
 	b := addr.As16()
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return int(h % 16)
+	return int(fnv1a.Sum32(b[:]) % 16)
 }
 
 // Admit blocks until both buckets release a token for one query attempt

@@ -9,12 +9,10 @@ import (
 	"sort"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-
 	// DefaultVnodes is the virtual-node count per replica. 512 points per
 	// node keeps the 16-replica distribution over the scan population
 	// within 15% of uniform (see ring_test.go); ring rebuilds happen only
@@ -38,40 +36,25 @@ func mix64(h uint64) uint64 {
 // shards on, so both DO variants of a question land on the same owner and
 // each cache line lives once cluster-wide.
 func keyHash(name dnswire.Name, qtype dnswire.Type, cd bool) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime64
-	}
-	h ^= uint64(qtype)
-	h *= fnvPrime64
+	h := (fnv1a.Sum64(name) ^ uint64(qtype)) * fnv1a.Prime64
 	if cd {
-		h ^= 0xcd
-		h *= fnvPrime64
+		h = (h ^ 0xcd) * fnv1a.Prime64
 	}
 	return mix64(h)
 }
 
-// pointHash places one virtual node on the ring, mixing the cluster seed,
-// the replica id, and the vnode index.
+// pointHash places one virtual node on the ring: FNV-1a over the cluster
+// seed's significant bytes (low first), the replica id, '#', and the vnode
+// index as four little-endian bytes.
 func pointHash(seed uint64, id string, vnode int) uint64 {
-	h := uint64(fnvOffset64)
+	var buf [64]byte
+	b := buf[:0]
 	for s := seed; s != 0; s >>= 8 {
-		h ^= s & 0xff
-		h *= fnvPrime64
+		b = append(b, byte(s))
 	}
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= fnvPrime64
-	}
-	h ^= '#'
-	h *= fnvPrime64
-	v := uint64(vnode)
-	for i := 0; i < 4; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime64
-	}
-	return mix64(h)
+	b = append(b, id...)
+	b = append(b, '#', byte(vnode), byte(vnode>>8), byte(vnode>>16), byte(vnode>>24))
+	return mix64(fnv1a.Sum64(b))
 }
 
 // ringPoint is one virtual node: a position on the uint64 ring and the

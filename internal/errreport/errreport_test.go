@@ -138,17 +138,16 @@ func TestEndToEndWithWildScan(t *testing.T) {
 	rep := &Reporter{Net: wild.Net, Agent: agentDomain, AgentAddr: agentAddr}
 
 	ctx := context.Background()
-	results, _ := scan.WildScan(ctx, wild, resolver.ProfileCloudflare(), 8, nil)
 	wantReports := 0
-	for _, r := range results {
+	scan.WarmScanner(ctx, wild, resolver.ProfileCloudflare(), 8, nil).ScanStream(ctx, pop.Names(), func(r scan.Result) {
 		if r.RCode != dnswire.RCodeServFail || len(r.Codes) == 0 {
-			continue
+			return
 		}
 		wantReports++
 		if err := rep.ReportFailure(ctx, r.Domain, dnswire.TypeA, r.Codes[0]); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-	}
+	})
 	if wantReports == 0 {
 		t.Fatal("no failing domains in population")
 	}

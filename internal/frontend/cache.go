@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 // key addresses one cached message: the question tuple plus the DO bit,
@@ -23,24 +24,12 @@ type key struct {
 // shard hashes the key with FNV-1a and maps it onto one of n shards
 // (n must be a power of two).
 func (k key) shard(n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
-		h *= prime64
-	}
-	h ^= uint64(k.qtype)
-	h *= prime64
+	h := (fnv1a.Sum64(k.name) ^ uint64(k.qtype)) * fnv1a.Prime64
 	if k.do {
-		h ^= 0xff
-		h *= prime64
+		h = (h ^ 0xff) * fnv1a.Prime64
 	}
 	if k.cd {
-		h ^= 0xcd
-		h *= prime64
+		h = (h ^ 0xcd) * fnv1a.Prime64
 	}
 	return int(h & uint64(n-1))
 }

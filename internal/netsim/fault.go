@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 // FaultProfile describes the impairments one endpoint's network path
@@ -240,14 +241,8 @@ type faultState struct {
 
 // addrSeed folds an address into the plan seed with FNV-1a.
 func addrSeed(seed uint64, addr netip.Addr) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
 	b := addr.As16()
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h ^ seed
+	return fnv1a.Sum64(b[:]) ^ seed
 }
 
 func (p *FaultPlan) stateFor(addr netip.Addr) (*faultState, FaultProfile) {

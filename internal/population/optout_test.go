@@ -178,7 +178,7 @@ func TestBrokenTLDsFailEveryQuery(t *testing.T) {
 			t.Fatalf("no domain under a %s", c.flavour)
 		}
 		r := wildResolver(w)
-		r.DisableAnswerCache = true // the second ask of a name must reach the TLD again
+		r.AnswerCacheReadOnly = true // the second ask of a name must reach the TLD again
 		queries := append(append([]*Domain(nil), doms...), doms...)
 		for i, d := range queries {
 			before := r.Cache.VerifyStats().Verifies

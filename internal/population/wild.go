@@ -13,6 +13,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
@@ -619,10 +620,7 @@ func windowFor(w SigWindow) (uint32, uint32) {
 
 // addrForDomain derives a stable answer address.
 func addrForDomain(n dnswire.Name) netip.Addr {
-	h := uint32(2166136261)
-	for i := 0; i < len(n); i++ {
-		h = (h ^ uint32(n[i])) * 16777619
-	}
+	h := fnv1a.Sum32(n)
 	return netip.AddrFrom4([4]byte{203, 0, 113, byte(h%250 + 1)})
 }
 

@@ -10,13 +10,16 @@ import (
 )
 
 func sampleAggregate() *scan.Aggregate {
-	results := []scan.Result{
+	agg := scan.NewAggregate()
+	for _, r := range []scan.Result{
 		{Domain: dnswire.MustName("a.com"), RCode: dnswire.RCodeServFail, Codes: []uint16{22, 23}},
 		{Domain: dnswire.MustName("b.com"), RCode: dnswire.RCodeServFail, Codes: []uint16{22}},
 		{Domain: dnswire.MustName("c.com"), RCode: dnswire.RCodeNoError, Codes: []uint16{10}},
 		{Domain: dnswire.MustName("d.com"), RCode: dnswire.RCodeNoError},
+	} {
+		agg.Add(r)
 	}
-	return scan.Summarize(results)
+	return agg
 }
 
 func TestSection42Table(t *testing.T) {

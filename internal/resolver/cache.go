@@ -7,6 +7,7 @@ import (
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 // cacheKey addresses one cached question. The CD bit is part of the key: a
@@ -22,20 +23,9 @@ type cacheKey struct {
 // bytes mixed with the qtype, masked to the power-of-two shard count (the
 // same scheme as internal/frontend's cache).
 func (k cacheKey) shard() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
-		h *= prime64
-	}
-	h ^= uint64(k.qtype)
-	h *= prime64
+	h := (fnv1a.Sum64(k.name) ^ uint64(k.qtype)) * fnv1a.Prime64
 	if k.cd {
-		h ^= 0xff
-		h *= prime64
+		h = (h ^ 0xff) * fnv1a.Prime64
 	}
 	return h & (numShards - 1)
 }
@@ -63,10 +53,45 @@ const numShards = 64
 const DefaultMaxEntries = 1 << 20
 
 // evictProbes is how many entries an over-full shard examines per insert.
-// Expired entries among the probes are preferred victims; otherwise an
-// arbitrary probed entry goes. This approximate policy is O(1) per insert and
-// needs no auxiliary bookkeeping on the hit path.
+// Expired entries among the probes are preferred victims; otherwise the
+// probed entry closest to expiry goes. This approximate policy is O(1) per
+// insert and needs no auxiliary bookkeeping on the hit path.
 const evictProbes = 8
+
+// perShard is each shard's slice of MaxEntries, for both sharded maps.
+func (c *Cache) perShard() int {
+	n := c.MaxEntries
+	if n <= 0 {
+		n = DefaultMaxEntries
+	}
+	return max(n/numShards, 1)
+}
+
+// evictProbed removes at least one entry from a full shard map, whose lock
+// the caller holds. It probes a handful of entries (map iteration order is
+// effectively random), deleting any whose expiry is more than grace behind
+// nowNs; if none is, it deletes the probed entry with the earliest expiry.
+func evictProbed[K comparable, V any](m map[K]V, nowNs, grace int64, expiresAt func(V) int64) {
+	var victim K
+	var victimExpiry int64
+	probed := 0
+	evicted := false
+	for k, e := range m {
+		if exp := expiresAt(e); nowNs >= exp+grace {
+			delete(m, k)
+			evicted = true
+		} else if probed == 0 || exp < victimExpiry {
+			victim, victimExpiry = k, exp
+		}
+		probed++
+		if probed >= evictProbes {
+			break
+		}
+	}
+	if !evicted && probed > 0 {
+		delete(m, victim)
+	}
+}
 
 // answerShard is one lock-striped slice of the answer map.
 type answerShard struct {
@@ -156,16 +181,7 @@ type delegationShard struct {
 // nameShard hashes a zone name onto a shard index (FNV-1a, same scheme as
 // cacheKey.shard).
 func nameShard(n dnswire.Name) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(n); i++ {
-		h ^= uint64(n[i])
-		h *= prime64
-	}
-	return h & (numShards - 1)
+	return fnv1a.Sum64(n) & (numShards - 1)
 }
 
 // NewCache creates an empty cache with RFC 8767-ish defaults.
@@ -208,42 +224,16 @@ func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, 
 	return dnswire.Root, nil
 }
 
-// putDelegation stores a cut learned from a referral for ttl, evicting
-// expired (or, failing that, arbitrary) probed entries when the shard is at
-// capacity.
+// putDelegation stores a cut learned from a referral for ttl, evicting from
+// the target shard if it is at capacity (a cut is dead the moment it expires).
 func (c *Cache) putDelegation(zone dnswire.Name, e *cachedCut, now time.Time, ttl time.Duration) {
 	nowNs := now.UnixNano()
 	e.expiresAt = nowNs + int64(ttl)
-	max := c.MaxEntries
-	if max <= 0 {
-		max = DefaultMaxEntries
-	}
-	perShard := max / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
 	s := &c.delegations[nameShard(zone)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.entries[zone]; !exists && len(s.entries) >= perShard {
-		evicted := false
-		probed := 0
-		var victim dnswire.Name
-		for k, old := range s.entries {
-			if nowNs >= old.expiresAt {
-				delete(s.entries, k)
-				evicted = true
-			} else if probed == 0 {
-				victim = k
-			}
-			probed++
-			if probed >= evictProbes {
-				break
-			}
-		}
-		if !evicted && probed > 0 {
-			delete(s.entries, victim)
-		}
+	if _, exists := s.entries[zone]; !exists && len(s.entries) >= c.perShard() {
+		evictProbed(s.entries, nowNs, 0, func(e *cachedCut) int64 { return e.expiresAt })
 	}
 	s.entries[zone] = e
 }
@@ -282,51 +272,18 @@ func (c *Cache) getAnswer(key cacheKey, now time.Time) (entry *cachedAnswer, fre
 }
 
 // putAnswer stores a resolution outcome at now with the given TTL, evicting
-// from the target shard if it is at capacity.
+// from the target shard if it is at capacity (an answer is dead once it is
+// past the stale window).
 func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, now time.Time, ttl time.Duration) {
-	max := c.MaxEntries
-	if max <= 0 {
-		max = DefaultMaxEntries
-	}
-	perShard := max / numShards
-	if perShard < 1 {
-		perShard = 1
-	}
+	nowNs := now.UnixNano()
+	e.expiresAt = nowNs + int64(ttl)
 	s := &c.shards[key.shard()]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nowNs := now.UnixNano()
-	e.expiresAt = nowNs + int64(ttl)
-	if _, exists := s.entries[key]; !exists && len(s.entries) >= perShard {
-		c.evictLocked(s, nowNs)
+	if _, exists := s.entries[key]; !exists && len(s.entries) >= c.perShard() {
+		evictProbed(s.entries, nowNs, int64(c.StaleWindow), func(e *cachedAnswer) int64 { return e.expiresAt })
 	}
 	s.entries[key] = e
-}
-
-// evictLocked removes at least one entry from s. It probes a handful of
-// entries (map iteration order is effectively random), deleting any that are
-// past the stale window; if none are, it deletes the probed entry with the
-// earliest expiry. Called with s.mu held.
-func (c *Cache) evictLocked(s *answerShard, nowNs int64) {
-	var victim cacheKey
-	var victimExpiry int64
-	probed := 0
-	evicted := false
-	for k, e := range s.entries {
-		if nowNs >= e.expiresAt+int64(c.StaleWindow) {
-			delete(s.entries, k)
-			evicted = true
-		} else if probed == 0 || e.expiresAt < victimExpiry {
-			victim, victimExpiry = k, e.expiresAt
-		}
-		probed++
-		if probed >= evictProbes {
-			break
-		}
-	}
-	if !evicted && probed > 0 {
-		delete(s.entries, victim)
-	}
 }
 
 // getKeys returns the cached key establishment for zone. This is the

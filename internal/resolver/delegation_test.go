@@ -17,7 +17,7 @@ import (
 func TestDelegationCacheWarmSingleQuery(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	r.DisableAnswerCache = true // model a zdns scan: every name unique
+	r.AnswerCacheReadOnly = true // model a zdns scan: every name unique
 
 	res := r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
 	if res.Msg.RCode != dnswire.RCodeNoError || !res.Msg.AuthenticData {
@@ -46,7 +46,7 @@ func TestDelegationCacheWarmSingleQuery(t *testing.T) {
 func TestDelegationCacheDisabled(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	r.DisableAnswerCache = true
+	r.AnswerCacheReadOnly = true
 	r.DisableDelegationCache = true
 
 	r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
@@ -70,7 +70,7 @@ func TestDelegationCacheDisabled(t *testing.T) {
 func TestDelegationCacheTTLFallsBackToParent(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	r.DisableAnswerCache = true
+	r.AnswerCacheReadOnly = true
 
 	r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
 
@@ -141,7 +141,7 @@ func TestServersForReferralBailiwickGuard(t *testing.T) {
 func TestDelegationCacheConcurrent(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	r.DisableAnswerCache = true
+	r.AnswerCacheReadOnly = true
 	names := []dnswire.Name{
 		dnswire.MustName("www.example.com"),
 		dnswire.MustName("example.com"),

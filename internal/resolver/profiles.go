@@ -1,6 +1,8 @@
 package resolver
 
 import (
+	"strings"
+
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 )
@@ -324,6 +326,19 @@ func AllProfiles() []*Profile {
 		ProfileBIND9(), ProfileUnbound(), ProfilePowerDNS(), ProfileKnot(),
 		ProfileCloudflare(), ProfileQuad9(), ProfileOpenDNS(),
 	}
+}
+
+// ProfileByName resolves the name a user typed on a command line or in a
+// scenario file: the profile's exact Name, or a case-insensitive match on
+// the name's first word ("bind" selects "BIND 9.19.9"). Nothing else
+// matches — no substrings, no default.
+func ProfileByName(name string) (*Profile, bool) {
+	for _, p := range AllProfiles() {
+		if first, _, _ := strings.Cut(p.Name, " "); name == p.Name || strings.EqualFold(name, first) {
+			return p, true
+		}
+	}
+	return nil, false
 }
 
 // Codes maps a list of conditions to the profile's deduplicated EDE codes,

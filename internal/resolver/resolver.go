@@ -37,17 +37,15 @@ type Resolver struct {
 	// restoring the historical start-at-the-root behaviour. Used by the
 	// query-amplification benchmarks and ablation tests.
 	DisableDelegationCache bool
-	// DisableAnswerCache bypasses the completed-answer cache (lookup, store,
-	// serve-stale, and error caching), modelling a zdns-style scan where
-	// every name is unique: only the infrastructure caches stay warm.
-	DisableAnswerCache bool
 	// AnswerCacheReadOnly keeps answer-cache lookups (including serve-stale)
-	// active but stops new answers from being stored. A scan campaign flips
-	// this on after its warmup pass: scan names are unique and never
-	// re-queried, so storing their answers would only grow the heap with the
-	// population — while the warmed entries that serve-stale depends on stay
-	// pinned (nothing is inserted, so nothing can evict them). This is what
-	// keeps campaign peak heap O(workers) at any population size.
+	// active but stops new answers from being stored. The §4 scan flips
+	// this on after its warmup pass (scan.WarmScanner): scan names are unique
+	// and never re-queried, so storing their answers would only grow the heap
+	// with the population — while the warmed entries that serve-stale depends
+	// on stay pinned (nothing is inserted, so nothing can evict them). This
+	// is what keeps scan peak heap O(workers) at any population size. On a
+	// fresh resolver it models a zdns-style unique-name scan: the answer
+	// cache stays empty and only the infrastructure caches warm up.
 	AnswerCacheReadOnly bool
 
 	Cache *Cache
@@ -231,28 +229,26 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 	}
 
 	key := cacheKey{qname, qtype, st.cd}
-	if !r.DisableAnswerCache {
-		if entry, fresh, ok := r.Cache.getAnswer(key, now); ok {
-			if fresh {
-				r.stats.answerHits.Add(1)
-				if entry.rcode == dnswire.RCodeServFail {
-					r.stats.cachedErrorServes.Add(1)
-				}
-				if st.span != nil {
-					st.span.Eventf("answer cache: fresh hit (rcode %s, %d records, secure=%v)",
-						entry.rcode, len(entry.answer), entry.secure)
-				}
-				return r.finishFromCache(st, qname, qtype, entry, nil)
+	if entry, fresh, ok := r.Cache.getAnswer(key, now); ok {
+		if fresh {
+			r.stats.answerHits.Add(1)
+			if entry.rcode == dnswire.RCodeServFail {
+				r.stats.cachedErrorServes.Add(1)
 			}
-			// Expired: retry live, fall back to stale below.
 			if st.span != nil {
-				st.span.Event("answer cache: expired entry (will retry live, stale fallback armed)")
+				st.span.Eventf("answer cache: fresh hit (rcode %s, %d records, secure=%v)",
+					entry.rcode, len(entry.answer), entry.secure)
 			}
+			return r.finishFromCache(st, qname, qtype, entry, nil)
 		}
-		r.stats.answerMisses.Add(1)
+		// Expired: retry live, fall back to stale below.
 		if st.span != nil {
-			st.span.Event("answer cache: miss")
+			st.span.Event("answer cache: expired entry (will retry live, stale fallback armed)")
 		}
+	}
+	r.stats.answerMisses.Add(1)
+	if st.span != nil {
+		st.span.Event("answer cache: miss")
 	}
 
 	answer, rcode, secure := st.resolve(qname, qtype, 0)
@@ -264,9 +260,6 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 	}
 
 	class := worstClass(st.conds)
-	if r.DisableAnswerCache {
-		return r.finish(st, qname, qtype, answer, rcode, secure)
-	}
 	// Under CD a validation failure is not a serving failure: the answer is
 	// released to the client and cached (under the cd-keyed entry) like any
 	// positive outcome.

@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -317,6 +318,24 @@ func TestAllProfilesNamed(t *testing.T) {
 		names[p.Name] = true
 		if p.Support.Algorithms == nil {
 			t.Errorf("%s has no support set", p.Name)
+		}
+	}
+}
+
+func TestProfileByName(t *testing.T) {
+	for _, p := range AllProfiles() {
+		first, _, _ := strings.Cut(p.Name, " ")
+		for _, name := range []string{p.Name, first, strings.ToLower(first), strings.ToUpper(first)} {
+			if got, ok := ProfileByName(name); !ok || got.Name != p.Name {
+				t.Errorf("ProfileByName(%q) = %v, %t; want %s", name, got, ok, p.Name)
+			}
+		}
+	}
+	// The substring matcher this replaced read these as Cloudflare (the
+	// silent default), PowerDNS, BIND and BIND.
+	for _, name := range []string{"google", "dns", "9", "", "*", "bind 9", "BIND 9.19", "cloud"} {
+		if got, ok := ProfileByName(name); ok {
+			t.Errorf("ProfileByName(%q) matched %s, want no match", name, got.Name)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
 // DefaultQueryTimeout is the per-attempt upstream timeout when the transport
@@ -98,16 +100,8 @@ func (tc *TransportConfig) backoffFor(addr netip.Addr, attempt int) time.Duratio
 
 // addrSeedJitter is an FNV-1a hash over the address bytes and attempt index.
 func addrSeedJitter(addr netip.Addr, attempt int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
 	b := addr.As16()
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	h ^= uint64(attempt)
-	h *= prime64
-	return h
+	return (fnv1a.Sum64(b[:]) ^ uint64(attempt)) * fnv1a.Prime64
 }
 
 func (tc *TransportConfig) sleep(ctx context.Context, d time.Duration) {

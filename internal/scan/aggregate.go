@@ -74,16 +74,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	}
 }
 
-// Summarize computes the global counters over a completed scan (the
-// slice-shaped wrapper over Add).
-func Summarize(results []Result) *Aggregate {
-	a := NewAggregate()
-	for _, r := range results {
-		a.Add(r)
-	}
-	return a
-}
-
 // CodesByCount returns the observed INFO-CODEs sorted by descending domain
 // count — the §4.2 presentation order.
 func (a *Aggregate) CodesByCount() []uint16 {
@@ -180,16 +170,6 @@ func (t *TLDAggregate) Rows() []TLDRatio {
 	return out
 }
 
-// PerTLD joins scan results with the population's TLD table (the
-// slice-shaped wrapper over TLDAggregate).
-func PerTLD(results []Result, pop *population.Population) []TLDRatio {
-	t := NewTLDAggregate(pop)
-	for _, r := range results {
-		t.Add(r)
-	}
-	return t.Rows()
-}
-
 // CDF returns cumulative-distribution points (x sorted ascending, y in
 // [0,1]) for a sample.
 func CDF(sample []float64) (xs, ys []float64) {
@@ -245,7 +225,7 @@ func FullRatioCount(ratios []float64) int {
 	return n
 }
 
-// Figure2 computes the Tranco-rank analysis (§4.3): the ranks of
+// TrancoStats is the Tranco-rank analysis (§4.3, Figure 2): the ranks of
 // EDE-triggering domains within the popularity list, the overlap size, and
 // how many of those resolved NOERROR.
 type TrancoStats struct {
@@ -304,16 +284,6 @@ func (t *TrancoAggregate) Stats() TrancoStats {
 	return t.stats
 }
 
-// Figure2 joins scan results with the population ranking (the slice-shaped
-// wrapper over TrancoAggregate).
-func Figure2(results []Result, pop *population.Population) TrancoStats {
-	t := NewTrancoAggregate(pop)
-	for _, r := range results {
-		t.Add(r)
-	}
-	return t.Stats()
-}
-
 // NSConcentration reproduces §4.2 item 2: malfunctioning nameservers sorted
 // by the number of domains they strand, plus the fix-top-k curve.
 type NSConcentration struct {
@@ -364,11 +334,11 @@ type ProfileComparison struct {
 	Servfails int
 }
 
-// CompareProfiles summarizes per-profile scan outcomes.
-func CompareProfiles(byProfile map[string][]Result) []ProfileComparison {
+// CompareProfiles summarizes per-profile scan aggregates, most EDE-visible
+// profile first.
+func CompareProfiles(byProfile map[string]*Aggregate) []ProfileComparison {
 	out := make([]ProfileComparison, 0, len(byProfile))
-	for name, results := range byProfile {
-		agg := Summarize(results)
+	for name, agg := range byProfile {
 		out = append(out, ProfileComparison{
 			Profile:        name,
 			DomainsWithEDE: agg.WithEDE,

@@ -187,96 +187,85 @@ func (s *Scanner) Scan(ctx context.Context, names []dnswire.Name) []Result {
 	return results
 }
 
+// sequenced adapts a NameSource, which is read serially, to the concurrent
+// next that run expects, numbering the names in source order. ScanStream and
+// ScanStreamOrdered share it; they differ only in what their emit does with
+// the number.
+func sequenced(src NameSource) func() (dnswire.Name, int, bool) {
+	var mu sync.Mutex
+	seq := 0
+	return func() (dnswire.Name, int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		name, ok := src.Next()
+		if !ok {
+			return "", 0, false
+		}
+		seq++
+		return name, seq - 1, true
+	}
+}
+
 // ScanStream resolves every name src yields and hands each finished Result
 // to sink, never holding more than O(workers) results live: the scan's
 // memory footprint is independent of the population size. sink is called
 // serially (no locking needed inside) in completion order, which is not the
 // source order. It returns the number of results emitted.
 func (s *Scanner) ScanStream(ctx context.Context, src NameSource, sink func(Result)) int {
-	var (
-		srcMu  sync.Mutex
-		seq    int
-		sinkMu sync.Mutex
-		n      int
-	)
-	s.run(ctx,
-		func() (dnswire.Name, int, bool) {
-			srcMu.Lock()
-			defer srcMu.Unlock()
-			name, ok := src.Next()
-			if !ok {
-				return "", 0, false
-			}
-			i := seq
-			seq++
-			return name, i, true
-		},
-		func(_ int, r Result) {
-			sinkMu.Lock()
-			defer sinkMu.Unlock()
-			n++
-			sink(r)
-		},
-	)
+	var mu sync.Mutex
+	n := 0
+	s.run(ctx, sequenced(src), func(_ int, r Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		n++
+		sink(r)
+	})
 	return n
 }
 
 // ScanStreamOrdered is ScanStream with the sink called in source order
-// instead of completion order: an internal reorder buffer holds results that
-// finish ahead of an earlier name still in flight. Because each worker holds
-// at most one name, the buffer never exceeds O(workers) entries — the
-// constant-memory property is preserved. A campaign checkpoints through this
-// path: after the Nth sink call the aggregates describe exactly the first N
-// names of the source, so "resume at position N" is well defined even though
-// workers complete out of order.
+// instead of completion order: a reorder buffer holds results that finish
+// ahead of an earlier name still in flight. Every worker holds at most one
+// name, so the buffer stays small unless one resolution outlasts many
+// others. A campaign checkpoints through this path: after the Nth sink call
+// the aggregates describe exactly the first N names of the source, so
+// "resume at position N" is well defined even though workers complete out of
+// order.
 func (s *Scanner) ScanStreamOrdered(ctx context.Context, src NameSource, sink func(Result)) int {
-	var (
-		srcMu   sync.Mutex
-		seq     int
-		sinkMu  sync.Mutex
-		pending map[int]Result
-		nextSeq int
-		n       int
-	)
-	pending = make(map[int]Result, 64)
-	s.run(ctx,
-		func() (dnswire.Name, int, bool) {
-			srcMu.Lock()
-			defer srcMu.Unlock()
-			name, ok := src.Next()
+	var mu sync.Mutex
+	pending := make(map[int]Result, 64)
+	n := 0
+	s.run(ctx, sequenced(src), func(i int, r Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		pending[i] = r
+		for {
+			next, ok := pending[n]
 			if !ok {
-				return "", 0, false
+				return
 			}
-			i := seq
-			seq++
-			return name, i, true
-		},
-		func(i int, r Result) {
-			sinkMu.Lock()
-			defer sinkMu.Unlock()
-			pending[i] = r
-			for {
-				next, ok := pending[nextSeq]
-				if !ok {
-					return
-				}
-				delete(pending, nextSeq)
-				nextSeq++
-				n++
-				sink(next)
-			}
-		},
-	)
+			delete(pending, n)
+			n++
+			sink(next)
+		}
+	})
 	return n
 }
 
-// WildScan runs the full §4 experiment against a materialized wild network:
-// the cache warmup pass (standing in for background client traffic, see
-// population.Wild.WarmupDomains), a two-hour clock advance so the warmed
-// entries expire, then the measurement scan of the whole population. tc is
-// the resolver transport policy — chaos experiments scan a faulty wild
-// network with retries and backoff — and nil is the single-shot default.
-func WildScan(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig) ([]Result, *Scanner) {
+// WarmScanner is the paper's §4 scan protocol up to the measurement pass, and
+// the only place it is written down: build the resolver, resolve
+// population.Wild.WarmupDomains (standing in for the client traffic that had
+// filled the production resolver's cache), advance the wild clock two hours
+// so those entries expire into stale range, and pin the answer cache
+// read-only. Read-only is part of the protocol for every caller: scan names
+// are unique, so storing their answers buys no hit and grows the heap with
+// the population, while the warmed entries serve-stale needs can no longer
+// be evicted. The scanner returned is ready for the measurement pass over
+// w.Pop. tc is the resolver transport policy (nil is single-shot); workers
+// <= 0 keeps the default. The warm-up is unthrottled and deterministic, so a
+// resumed campaign shard reproduces serve-stale outcomes exactly; a caller
+// that can be cancelled checks ctx.Err afterwards.
+func WarmScanner(ctx context.Context, w *population.Wild, profile *resolver.Profile, workers int, tc *resolver.TransportConfig) *Scanner {
 	r := resolver.New(w.Net, w.Roots, w.Anchor, profile)
 	r.Now = w.Now
 	r.Transport = tc
@@ -288,9 +277,6 @@ func WildScan(ctx context.Context, w *population.Wild, profile *resolver.Profile
 		s.Scan(ctx, warm)
 		w.AdvanceClock(2 * time.Hour)
 	}
-	names := make([]dnswire.Name, len(w.Pop.Domains))
-	for i, d := range w.Pop.Domains {
-		names[i] = d.Name
-	}
-	return s.Scan(ctx, names), s
+	r.AnswerCacheReadOnly = true
+	return s
 }

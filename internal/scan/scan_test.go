@@ -26,12 +26,35 @@ func sharedWildScan(t *testing.T) (*population.Wild, []Result) {
 		if wildErr != nil {
 			return
 		}
-		wildResults, _ = WildScan(context.Background(), wildVal, resolver.ProfileCloudflare(), 16, nil)
+		wildResults, _ = wildScan(wildVal, resolver.ProfileCloudflare(), 16)
 	})
 	if wildErr != nil {
 		t.Fatalf("materialize: %v", wildErr)
 	}
 	return wildVal, wildResults
+}
+
+// wildScan is the §4 scan with every result kept, in population order.
+func wildScan(w *population.Wild, profile *resolver.Profile, workers int) ([]Result, *Scanner) {
+	ctx := context.Background()
+	s := WarmScanner(ctx, w, profile, workers, nil)
+	names := make([]dnswire.Name, len(w.Pop.Domains))
+	for i, d := range w.Pop.Domains {
+		names[i] = d.Name
+	}
+	return s.Scan(ctx, names), s
+}
+
+// fold runs a result slice through the three accumulators in one pass: the
+// reference the streamed and merged accumulators are compared with.
+func fold(results []Result, pop *population.Population) (*Aggregate, []TLDRatio, TrancoStats) {
+	agg, tld, tranco := NewAggregate(), NewTLDAggregate(pop), NewTrancoAggregate(pop)
+	for _, r := range results {
+		agg.Add(r)
+		tld.Add(r)
+		tranco.Add(r)
+	}
+	return agg, tld.Rows(), tranco.Stats()
 }
 
 // classCodes lists which EDE codes each population class must produce under
@@ -146,7 +169,7 @@ func TestWildHealthyResolvesCleanly(t *testing.T) {
 
 func TestSummarizeOrdering(t *testing.T) {
 	w, results := sharedWildScan(t)
-	agg := Summarize(results)
+	agg, _, _ := fold(results, w.Pop)
 	// Quota floors inflate tiny scales slightly; the generator records the
 	// actual size.
 	if agg.Total != len(w.Pop.Domains) {
@@ -174,7 +197,7 @@ func TestSummarizeOrdering(t *testing.T) {
 
 func TestFigure1Shares(t *testing.T) {
 	w, results := sharedWildScan(t)
-	rows := PerTLD(results, w.Pop)
+	_, rows, _ := fold(results, w.Pop)
 	g, cc := Figure1(rows)
 	gZero, ccZero := ZeroRatioShare(g), ZeroRatioShare(cc)
 	// Paper: 38% of gTLDs and 4% of ccTLDs have no misconfigured domain.
@@ -190,7 +213,7 @@ func TestFigure1Shares(t *testing.T) {
 
 func TestFigure2Tranco(t *testing.T) {
 	w, results := sharedWildScan(t)
-	stats := Figure2(results, w.Pop)
+	_, _, stats := fold(results, w.Pop)
 	if stats.Overlap == 0 {
 		t.Fatal("no Tranco overlap")
 	}
@@ -268,12 +291,12 @@ func TestCompareProfilesExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProfile := make(map[string][]Result)
+	byProfile := make(map[string]*Aggregate)
 	for _, p := range resolver.AllProfiles() {
 		// Fresh wild clock offset accumulates across profiles; that only
 		// moves further past expiry, which is harmless.
-		results, _ := WildScan(context.Background(), w, p, 8, nil)
-		byProfile[p.Name] = results
+		results, _ := wildScan(w, p, 8)
+		byProfile[p.Name], _, _ = fold(results, w.Pop)
 	}
 	rows := CompareProfiles(byProfile)
 	if len(rows) != 7 {
@@ -310,8 +333,8 @@ func TestWhatIfFixTopNameservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := WildScan(context.Background(), w, resolver.ProfileCloudflare(), 16, nil)
-	aggBefore := Summarize(before)
+	before, _ := wildScan(w, resolver.ProfileCloudflare(), 16)
+	aggBefore, _, _ := fold(before, w.Pop)
 	if aggBefore.CodeCounts[22] == 0 {
 		t.Fatal("no lame domains before the fix")
 	}
@@ -333,7 +356,7 @@ func TestWhatIfFixTopNameservers(t *testing.T) {
 	r := resolver.New(w.Net, w.Roots, w.Anchor, resolver.ProfileCloudflare())
 	r.Now = w.Now
 	after := NewScanner(r).Scan(context.Background(), names)
-	aggAfter := Summarize(after)
+	aggAfter, _, _ := fold(after, w.Pop)
 
 	// The measured recovery must match what the assignment table predicts
 	// (FixedShare); at full scale that prediction is the paper's >81%, and
@@ -387,7 +410,7 @@ func TestScanHonorsCancellation(t *testing.T) {
 	if skipped < len(names)-s.Workers {
 		t.Fatalf("only %d/%d names skipped after cancellation", skipped, len(names))
 	}
-	if agg := Summarize(results); agg.Total != len(names)-skipped {
+	if agg, _, _ := fold(results, w.Pop); agg.Total != len(names)-skipped {
 		t.Fatalf("aggregate counted %d observations, want %d (skipped must not count)", agg.Total, len(names)-skipped)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/population"
@@ -52,24 +51,15 @@ func TestScanStreamMatchesSlicePath(t *testing.T) {
 	}
 	// Slice path.
 	sliceWild := build10x(t)
-	results, _ := WildScan(context.Background(), sliceWild, resolver.ProfileCloudflare(), 1, nil)
-	wantAgg := Summarize(results)
-	wantRows := PerTLD(results, sliceWild.Pop)
-	wantStats := Figure2(results, sliceWild.Pop)
+	results, _ := wildScan(sliceWild, resolver.ProfileCloudflare(), 1)
+	wantAgg, wantRows, wantStats := fold(results, sliceWild.Pop)
 
 	// Streaming path.
 	streamWild := build10x(t)
 	agg := NewAggregate()
 	tldAgg := NewTLDAggregate(streamWild.Pop)
 	trancoAgg := NewTrancoAggregate(streamWild.Pop)
-	r := resolver.New(streamWild.Net, streamWild.Roots, streamWild.Anchor, resolver.ProfileCloudflare())
-	r.Now = streamWild.Now
-	s := NewScanner(r)
-	s.Workers = 1
-	if warm := streamWild.WarmupDomains(); len(warm) > 0 {
-		s.Scan(context.Background(), warm)
-		streamWild.AdvanceClock(2 * time.Hour)
-	}
+	s := WarmScanner(context.Background(), streamWild, resolver.ProfileCloudflare(), 1, nil)
 	n := s.ScanStream(context.Background(), streamWild.Pop.Names(), func(res Result) {
 		agg.Add(res)
 		tldAgg.Add(res)
@@ -117,14 +107,7 @@ func TestScanStreamBoundsLiveResults(t *testing.T) {
 		maxLive     int64
 		maxSinkConc int64
 	)
-	r := resolver.New(w.Net, w.Roots, w.Anchor, resolver.ProfileCloudflare())
-	r.Now = w.Now
-	s := NewScanner(r)
-	s.Workers = workers
-	if warm := w.WarmupDomains(); len(warm) > 0 {
-		s.Scan(context.Background(), warm)
-		w.AdvanceClock(2 * time.Hour)
-	}
+	s := WarmScanner(context.Background(), w, resolver.ProfileCloudflare(), workers, nil)
 	n := s.ScanStream(context.Background(), src, func(res Result) {
 		if c := inSink.Add(1); c > maxSinkConc {
 			maxSinkConc = c
@@ -178,7 +161,7 @@ func TestScanStreamHonorsCancellation(t *testing.T) {
 // agree with the single-pass one.
 func TestAggregateMergeMatchesSummarize(t *testing.T) {
 	w, results := sharedWildScan(t)
-	want := Summarize(results)
+	want, wantRows, wantStats := fold(results, w.Pop)
 	a, b := NewAggregate(), NewAggregate()
 	ta, tb := NewTLDAggregate(w.Pop), NewTLDAggregate(w.Pop)
 	ra, rb := NewTrancoAggregate(w.Pop), NewTrancoAggregate(w.Pop)
@@ -198,12 +181,12 @@ func TestAggregateMergeMatchesSummarize(t *testing.T) {
 		t.Errorf("merged Aggregate differs:\n merged: %+v\n   want: %+v", a, want)
 	}
 	ta.Merge(tb)
-	if !reflect.DeepEqual(ta.Rows(), PerTLD(results, w.Pop)) {
-		t.Error("merged TLDAggregate rows differ from PerTLD")
+	if !reflect.DeepEqual(ta.Rows(), wantRows) {
+		t.Error("merged TLDAggregate rows differ from the single-pass fold")
 	}
 	ra.Merge(rb)
-	if !reflect.DeepEqual(ra.Stats(), Figure2(results, w.Pop)) {
-		t.Error("merged TrancoAggregate stats differ from Figure2")
+	if !reflect.DeepEqual(ra.Stats(), wantStats) {
+		t.Error("merged TrancoAggregate stats differ from the single-pass fold")
 	}
 }
 

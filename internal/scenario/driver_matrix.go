@@ -162,13 +162,19 @@ func selectProfiles(tokens []string) ([]*resolver.Profile, error) {
 	if len(tokens) == 0 {
 		return all, nil
 	}
+	selected := make(map[string]bool)
+	for _, tok := range tokens {
+		if tok == "*" {
+			return all, nil
+		}
+		if p, ok := resolver.ProfileByName(tok); ok {
+			selected[p.Name] = true
+		}
+	}
 	var out []*resolver.Profile
 	for _, p := range all {
-		for _, tok := range tokens {
-			if systemMatches(tok, p.Name) {
-				out = append(out, p)
-				break
-			}
+		if selected[p.Name] {
+			out = append(out, p)
 		}
 	}
 	if len(out) == 0 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
@@ -227,17 +228,6 @@ func installFaults(drv driver, seed uint64, ph *Phase) error {
 	return nil
 }
 
-// systemMatches reports whether a spec-side system token selects a full
-// profile name: exact match, or a case-insensitive match on the name's first
-// word ("bind" selects "BIND 9.19.9") — spec tokens cannot contain spaces.
-func systemMatches(token, name string) bool {
-	if token == "*" || token == name {
-		return true
-	}
-	first, _, _ := strings.Cut(name, " ")
-	return strings.EqualFold(token, first)
-}
-
 func evalExpect(e Expect, obs *observations) check {
 	c := check{spec: "expect " + e.String(), kind: "expect"}
 	switch e.Kind {
@@ -270,13 +260,18 @@ func evalExpect(e Expect, obs *observations) check {
 			c.detail = "phase recorded no matrix cells"
 			return c
 		}
+		// Spec tokens cannot contain spaces: "bind" names "BIND 9.19.9".
+		system := e.System
+		if p, ok := resolver.ProfileByName(system); ok {
+			system = p.Name
+		}
 		matched, failedCell, got := 0, "", ""
 		for _, cs := range m.cases {
 			if e.Case != "*" && e.Case != cs {
 				continue
 			}
 			for _, sys := range m.systems {
-				if !systemMatches(e.System, sys) {
+				if system != "*" && system != sys {
 					continue
 				}
 				matched++
