@@ -210,7 +210,7 @@ func main() {
 		var front netsim.Handler
 		var fe *frontend.Frontend
 		if *noFrontend {
-			front = directHandler(res)
+			front = forwarder.New(forwarder.ResolverUpstream{R: res})
 		} else {
 			fe = frontend.New(forwarder.ResolverUpstream{R: res}, fcfg)
 			fe.RegisterMetrics(reg)
@@ -396,33 +396,6 @@ func tracedHandler(h netsim.Handler, sampler *telemetry.Sampler, tlog *telemetry
 		tr.Root().End()
 		tlog.Add(tr)
 		return resp, err
-	})
-}
-
-// directHandler runs one full recursion per query, bypassing the serving
-// layer. The resolver's message may be shared with its internal cache, so
-// the response is re-headed into a fresh reply for this client rather than
-// mutating the resolver's copy in place.
-func directHandler(res *resolver.Resolver) netsim.Handler {
-	return netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		if len(q.Question) == 0 {
-			r := q.Reply()
-			r.RCode = dnswire.RCodeFormErr
-			return r, nil
-		}
-		msg := res.Resolve(ctx, q.Question[0].Name, q.Question[0].Type).Msg
-		out := q.Reply()
-		out.RCode = msg.RCode
-		out.RecursionAvailable = true
-		out.AuthenticData = msg.AuthenticData
-		out.Answer = append([]dnswire.RR(nil), msg.Answer...)
-		out.Authority = append([]dnswire.RR(nil), msg.Authority...)
-		if q.OPT != nil {
-			for _, e := range msg.EDEs() {
-				out.AddEDE(e.InfoCode, e.ExtraText)
-			}
-		}
-		return out, nil
 	})
 }
 

@@ -21,6 +21,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/report"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -86,19 +87,19 @@ func main() {
 	}
 }
 
-// traceCase shows a dig-+trace-style view of one case's resolution.
+// traceCase renders the span tree of one case's resolution, as ededig
+// -trace does.
 func traceCase(tb *testbed.Testbed, label string) {
 	for _, c := range tb.Cases {
 		if c.Label != label {
 			continue
 		}
 		r := tb.NewResolver(resolver.ProfileCloudflare())
-		r.Trace = true
-		res := tb.RunCase(context.Background(), r, c)
+		ctx, tr := telemetry.StartTrace(context.Background(), c.Query.String()+" A")
+		res := tb.RunCase(ctx, r, c)
+		tr.Root().End()
 		fmt.Printf("; %s — %s\n", c.Label, c.Description)
-		for i, step := range res.Trace {
-			fmt.Printf("%2d. %s\n", i+1, step)
-		}
+		fmt.Print(tr.Render())
 		fmt.Printf("=> rcode=%s ad=%t conditions=%v codes=%v\n",
 			res.Msg.RCode, res.Msg.AuthenticData, res.Conditions, res.Codes())
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -314,6 +315,15 @@ func TestBase32HexNoPad(t *testing.T) {
 		if got := Base32HexNoPad([]byte(c.in)); got != c.want {
 			t.Errorf("Base32HexNoPad(%q) = %q, want %q", c.in, got, c.want)
 		}
+		// The decoder inverts it in either case.
+		for _, enc := range []string{c.want, strings.ToUpper(c.want)} {
+			if got, err := DecodeBase32Hex(enc); err != nil || string(got) != c.in {
+				t.Errorf("DecodeBase32Hex(%q) = %q, %v; want %q", enc, got, err, c.in)
+			}
+		}
+	}
+	if _, err := DecodeBase32Hex("cpn.w"); err == nil {
+		t.Error("DecodeBase32Hex accepted characters outside the alphabet")
 	}
 }
 

@@ -498,3 +498,30 @@ func Base32HexNoPad(b []byte) string {
 	}
 	return out.String()
 }
+
+// DecodeBase32Hex is the inverse of Base32HexNoPad, accepting either case.
+func DecodeBase32Hex(s string) ([]byte, error) {
+	var out []byte
+	var acc, bits uint
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		var v uint
+		switch {
+		case c >= '0' && c <= '9':
+			v = uint(c - '0')
+		case c >= 'a' && c <= 'v':
+			v = uint(c-'a') + 10
+		case c >= 'A' && c <= 'V':
+			v = uint(c-'A') + 10
+		default:
+			return nil, fmt.Errorf("bad base32hex %q", s)
+		}
+		acc = acc<<5 | v
+		bits += 5
+		if bits >= 8 {
+			bits -= 8
+			out = append(out, byte(acc>>bits))
+		}
+	}
+	return out, nil
+}

@@ -115,7 +115,7 @@ func TestFaultTruncateAndStreamBypass(t *testing.T) {
 		t.Fatal("truncated response kept its answer section")
 	}
 
-	resp, _, err = n.ExchangeStream(context.Background(), addr, faultQuery("tc.test."))
+	resp, _, err = n.Attempt(context.Background(), addr, faultQuery("tc.test."), 0, true)
 	if err != nil {
 		t.Fatalf("stream exchange: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestFaultVirtualLatency(t *testing.T) {
 	n, addr := faultTestNet(t)
 	n.SetFaults(NewFaultPlan(7, FaultProfile{Latency: 80 * time.Millisecond}))
 
-	// Without a deadline the latency is reported, not slept.
+	// Without a budget the latency is reported, not slept.
 	start := time.Now()
 	_, rtt, err := n.Exchange(context.Background(), addr, faultQuery("lat.test."))
 	if err != nil {
@@ -199,12 +199,17 @@ func TestFaultVirtualLatency(t *testing.T) {
 		t.Fatalf("virtual latency slept for real (%v elapsed)", wall)
 	}
 
-	// A deadline tighter than the latency turns the answer into a loss.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, _, err = n.Exchange(ctx, addr, faultQuery("lat.test."))
+	// A budget tighter than the latency turns the answer into a loss; one
+	// that covers it does not, however late the caller's wall clock says it is.
+	_, _, err = n.Attempt(context.Background(), addr, faultQuery("lat.test."), 10*time.Millisecond, false)
 	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("latency past deadline: err = %v, want ErrTimeout", err)
+		t.Fatalf("latency past budget: err = %v, want ErrTimeout", err)
+	}
+	n.SetFaults(NewFaultPlan(7, FaultProfile{Latency: time.Hour}))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, _, err = n.Attempt(ctx, addr, faultQuery("lat.test."), time.Hour, false); err != nil {
+		t.Fatalf("latency within budget under a nearer wall-clock deadline: err = %v", err)
 	}
 }
 

@@ -192,17 +192,18 @@ func (n *Network) Query(ctx context.Context, server netip.Addr, msg *dnswire.Mes
 // perfect network, the injected latency when a fault plan adds one. Clients
 // tracking SRTT for server selection feed from it.
 func (n *Network) Exchange(ctx context.Context, server netip.Addr, msg *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	return n.exchange(ctx, server, msg, false)
+	return n.Attempt(ctx, server, msg, 0, false)
 }
 
-// ExchangeStream is the stream-transport (TCP fallback) exchange: the same
-// endpoint and fault path, but datagram-only faults — truncation, garbling,
-// duplication, reordering — do not apply.
-func (n *Network) ExchangeStream(ctx context.Context, server netip.Addr, msg *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	return n.exchange(ctx, server, msg, true)
-}
-
-func (n *Network) exchange(ctx context.Context, server netip.Addr, msg *dnswire.Message, stream bool) (*dnswire.Message, time.Duration, error) {
+// Attempt is one exchange as a client with a per-attempt timeout sees it.
+// budget is that timeout: an answer whose injected latency exceeds it is a
+// loss, and zero waits for any answer. Latency is virtual — compared, never
+// slept, and never set against a wall-clock deadline, so a descheduled
+// caller cannot turn a delivered answer into a timeout. stream selects the
+// stream transport (TCP fallback): the same endpoint and fault path, but
+// datagram-only faults — truncation, garbling, duplication, reordering — do
+// not apply.
+func (n *Network) Attempt(ctx context.Context, server netip.Addr, msg *dnswire.Message, budget time.Duration, stream bool) (*dnswire.Message, time.Duration, error) {
 	n.queries.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -230,13 +231,9 @@ func (n *Network) exchange(ctx context.Context, server netip.Addr, msg *dnswire.
 		n.lost.Add(1)
 		return nil, 0, ErrTimeout
 	}
-	if v.latency > 0 {
-		// Latency is virtual: charged against the caller's deadline, never
-		// slept. An answer that would arrive after the deadline is a loss.
-		if deadline, ok := ctx.Deadline(); ok && time.Now().Add(v.latency).After(deadline) {
-			n.lost.Add(1)
-			return nil, 0, ErrTimeout
-		}
+	if budget > 0 && v.latency > budget {
+		n.lost.Add(1)
+		return nil, 0, ErrTimeout
 	}
 
 	parsed, err := roundTrip(msg)
@@ -353,18 +350,6 @@ func Flaky(h, broken Handler) Handler {
 	return HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		if turn.Add(1)%2 == 0 {
 			return broken.HandleDNS(ctx, q)
-		}
-		return h.HandleDNS(ctx, q)
-	})
-}
-
-// Slow wraps h with a fixed service delay, for latency experiments.
-func Slow(h Handler, d time.Duration) Handler {
-	return HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(d):
 		}
 		return h.HandleDNS(ctx, q)
 	})

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
@@ -103,23 +102,6 @@ func TestMismatchedQuestionRewrites(t *testing.T) {
 	}
 	if resp.Question[0].Name == dnswire.MustName("a.example") {
 		t.Error("question not rewritten")
-	}
-}
-
-func TestSlowRespectsContext(t *testing.T) {
-	h := Slow(echoHandler(), time.Hour)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := h.HandleDNS(ctx, dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)); err == nil {
-		t.Error("Slow ignored context cancellation")
-	}
-}
-
-func TestSlowDelivers(t *testing.T) {
-	h := Slow(echoHandler(), time.Millisecond)
-	resp, err := h.HandleDNS(context.Background(), dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
-	if err != nil || len(resp.EDEs()) != 1 {
-		t.Errorf("resp=%v err=%v", resp, err)
 	}
 }
 

@@ -163,9 +163,9 @@ func (st *resolution) wildcardCovered(owner dnswire.Name, keys []dnswire.DNSKEY,
 		}
 		rec := g.set[0].Data.(dnswire.NSEC3)
 		labels := g.set[0].Name.Labels()
-		ownerHash := decodeB32(labels[0])
+		ownerHash, err := dnswire.DecodeBase32Hex(labels[0])
 		h := dnssec.NSEC3Hash(owner, rec.Iterations, rec.Salt)
-		if ownerHash != nil && dnssec.CoversHash(ownerHash, rec.NextHashed, h) {
+		if err == nil && dnssec.CoversHash(ownerHash, rec.NextHashed, h) {
 			return true
 		}
 	}
@@ -339,9 +339,9 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 		h := dnssec.NSEC3Hash(n, iter, salt)
 		for _, g := range nsec3s {
 			ownerLabels := g.set[0].Name.Labels()
-			ownerHash := decodeB32(ownerLabels[0])
+			ownerHash, err := dnswire.DecodeBase32Hex(ownerLabels[0])
 			rec := g.set[0].Data.(dnswire.NSEC3)
-			if ownerHash != nil && dnssec.CoversHash(ownerHash, rec.NextHashed, h) {
+			if err == nil && dnssec.CoversHash(ownerHash, rec.NextHashed, h) {
 				return true
 			}
 		}
@@ -385,31 +385,6 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 		st.addCond(ConditionNSEC3BadNext,
 			fmt.Sprintf("wildcard at %s not covered by NSEC3 proof", ce))
 	}
-}
-
-// decodeB32 decodes a base32hex NSEC3 owner label; nil when malformed.
-func decodeB32(s string) []byte {
-	var out []byte
-	var acc, bits uint
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var v uint
-		switch {
-		case c >= '0' && c <= '9':
-			v = uint(c - '0')
-		case c >= 'a' && c <= 'v':
-			v = uint(c-'a') + 10
-		default:
-			return nil
-		}
-		acc = acc<<5 | v
-		bits += 5
-		if bits >= 8 {
-			bits -= 8
-			out = append(out, byte(acc>>bits))
-		}
-	}
-	return out
 }
 
 // nsecGroup is one NSEC RRset with its signatures.

@@ -30,9 +30,6 @@ type Resolver struct {
 	// Transport tunes upstream timeouts, retry budget, backoff, and pacing.
 	// Nil or zero-valued reproduces the historical single-shot behaviour.
 	Transport *TransportConfig
-	// Trace records per-step resolution events on the Result (a dig +trace
-	// equivalent); off by default to keep scans allocation-free.
-	Trace bool
 	// DisableDelegationCache turns off the zone-cut (infrastructure) cache,
 	// restoring the historical start-at-the-root behaviour. Used by the
 	// query-amplification benchmarks and ablation tests.
@@ -94,24 +91,10 @@ type Result struct {
 	Secure bool
 	// Details holds per-condition diagnostic text (EXTRA-TEXT source).
 	Details map[Condition]string
-	// Trace holds per-step events when the resolver's Trace flag is set.
-	Trace []TraceStep
 	// Cancelled reports that the client's context ended before resolution
 	// finished; the response is a SERVFAIL that was never cached, and scans
 	// should count the target as skipped rather than failed.
 	Cancelled bool
-}
-
-// TraceStep is one resolution event.
-type TraceStep struct {
-	Server  netip.Addr
-	QName   dnswire.Name
-	QType   dnswire.Type
-	Outcome string
-}
-
-func (t TraceStep) String() string {
-	return fmt.Sprintf("%s %s @%s -> %s", t.QName, t.QType, t.Server, t.Outcome)
 }
 
 // Codes returns the EDE codes attached to the response.
@@ -147,7 +130,6 @@ type resolution struct {
 	conds     []Condition
 	details   map[Condition]string
 	steps     int
-	trace     []TraceStep
 	cancelled bool
 	cd        bool // client set Checking Disabled (RFC 4035 §3.2.2)
 	attempts  int  // upstream attempts spent (counts against RetryBudget)
@@ -158,13 +140,6 @@ type resolution struct {
 	// the disabled path stays allocation-free.
 	span *telemetry.Span
 	cur  *telemetry.Span
-}
-
-func (st *resolution) traceEvent(server netip.Addr, qname dnswire.Name, qtype dnswire.Type, outcome string) {
-	if !st.r.Trace {
-		return
-	}
-	st.trace = append(st.trace, TraceStep{Server: server, QName: qname, QType: qtype, Outcome: outcome})
 }
 
 func (st *resolution) addCond(c Condition, detail string) {
@@ -377,7 +352,7 @@ func (r *Resolver) finish(st *resolution, qname dnswire.Name, qtype dnswire.Type
 		st.span.Eventf("response: rcode %s, %d answers, AD=%v, %d EDE options",
 			msg.RCode, len(msg.Answer), msg.AuthenticData, len(codes))
 	}
-	out.result = Result{Msg: msg, Conditions: st.conds, Secure: secure, Details: st.details, Trace: st.trace, Cancelled: st.cancelled}
+	out.result = Result{Msg: msg, Conditions: st.conds, Secure: secure, Details: st.details, Cancelled: st.cancelled}
 	return &out.result
 }
 
@@ -601,7 +576,8 @@ func referralChild(resp *dnswire.Message, zoneName, qname dnswire.Name) (dnswire
 // order until any RTT has been observed); each server gets the configured
 // number of attempts with exponential backoff and deterministic jitter
 // between them; the per-attempt timeout comes from the transport config and
-// always respects the parent context's deadline; a transport-level retry
+// is the budget the network charges virtual latency against, while the parent
+// context is checked before every attempt; a transport-level retry
 // budget caps total attempts per resolution. Truncated responses are retried
 // over the stream transport (RFC 7766 fallback). A response that fails the
 // sanity check is retried on the same server — under datagram reordering the
@@ -624,7 +600,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 		sawTimeout := false
 		for attempt := 0; attempt < retries; attempt++ {
 			if budget > 0 && st.attempts >= budget {
-				st.traceEvent(addr, qname, qtype, "retry budget exhausted")
 				if st.cur != nil {
 					st.cur.Eventf("@%s: retry budget exhausted after %d attempts", addr, st.attempts)
 				}
@@ -666,8 +641,7 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 			st.attempts++
 			var rtt time.Duration
 			wantID := q.ID
-			ctx, cancel := context.WithTimeout(st.ctx, timeout)
-			resp, rtt, err = r.Net.Exchange(ctx, addr, q)
+			resp, rtt, err = r.Net.Attempt(st.ctx, addr, q, timeout, false)
 			if err == nil && resp.Truncated {
 				// TC bit: the datagram answer did not fit (or the path
 				// truncates); re-ask over the stream transport.
@@ -680,14 +654,13 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 				r.QueryCount.Add(1)
 				var rtt2 time.Duration
 				var resp2 *dnswire.Message
-				resp2, rtt2, err = r.Net.ExchangeStream(ctx, addr, q2)
+				resp2, rtt2, err = r.Net.Attempt(st.ctx, addr, q2, timeout, true)
 				if err == nil {
 					resp = resp2
 					rtt += rtt2
 					wantID = q2.ID
 				}
 			}
-			cancel()
 			if err == nil {
 				r.srtt.observe(addr, rtt)
 				r.observeRTT(rtt.Seconds())
@@ -701,7 +674,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 					sawInvalid = true
 					invalidAddr = addr
 					r.stats.invalidResponses.Add(1)
-					st.traceEvent(addr, qname, qtype, "invalid response (mismatched question or missing OPT)")
 					if st.cur != nil {
 						st.cur.Eventf("query %s %s @%s → invalid response (mismatched question or missing OPT) rtt=%s", qname, qtype, addr, rtt)
 					}
@@ -720,7 +692,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 				sawMalformed = true
 				malformedAddr = addr
 				r.stats.malformed.Add(1)
-				st.traceEvent(addr, qname, qtype, "malformed datagram")
 				if st.cur != nil {
 					st.cur.Eventf("query %s %s @%s → malformed datagram", qname, qtype, addr)
 				}
@@ -728,7 +699,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 			}
 			sawTimeout = true
 			r.stats.timeouts.Add(1)
-			st.traceEvent(addr, qname, qtype, "timeout")
 			if st.cur != nil {
 				st.cur.Eventf("query %s %s @%s → timeout (%s)", qname, qtype, addr, timeout)
 			}
@@ -743,7 +713,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 		case dnswire.RCodeRefused:
 			sawRefused = true
 			lastAddr, lastRCode = addr, resp.RCode
-			st.traceEvent(addr, qname, qtype, "REFUSED")
 		case dnswire.RCodeServFail:
 			sawServfail = true
 			r.stats.upstreamServfails.Add(1)
@@ -755,9 +724,6 @@ func (st *resolution) queryServers(servers []netip.Addr, qname dnswire.Name, qty
 			sawInvalid = true
 			invalidAddr = addr
 		default:
-			if st.r.Trace {
-				st.traceEvent(addr, qname, qtype, fmt.Sprintf("%s (%d answers, %d authority)", resp.RCode, len(resp.Answer), len(resp.Authority)))
-			}
 			if sawRefused || sawServfail {
 				// A sibling nameserver failed before this one answered:
 				// resolution proceeds, with a Network Error advisory

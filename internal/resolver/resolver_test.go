@@ -12,6 +12,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
@@ -382,49 +383,58 @@ func TestRetriesSurviveLoss(t *testing.T) {
 	}
 }
 
-// TestTraceRecordsResolutionPath checks the dig-+trace-style event log.
+// queryEvents lists the rendered trace's upstream-query events, which
+// Render prints in the order the resolver issued them.
+func queryEvents(tr *telemetry.Trace) []string {
+	var out []string
+	for _, line := range strings.Split(tr.Render(), "\n") {
+		if _, q, ok := strings.Cut(line, "· query "); ok {
+			out = append(out, "query "+q)
+		}
+	}
+	return out
+}
+
+// TestTraceRecordsResolutionPath checks the dig-+trace view the span tree
+// gives: one query event per upstream exchange, root first.
 func TestTraceRecordsResolutionPath(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	r.Trace = true
-	res := r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
-	if len(res.Trace) < 3 {
-		t.Fatalf("trace has %d steps, want the root→com→example chain", len(res.Trace))
+	ctx, tr := telemetry.StartTrace(context.Background(), "www.example.com. A")
+	r.Resolve(ctx, dnswire.MustName("www.example.com"), dnswire.TypeA)
+	steps := queryEvents(tr)
+	if len(steps) < 3 {
+		t.Fatalf("trace has %d query steps, want the root→com→example chain: %q", len(steps), steps)
 	}
-	// The first step must be the root query; the last must be the final
-	// authoritative answer.
-	if res.Trace[0].Server != w.roots[0] {
-		t.Errorf("first step server = %s", res.Trace[0].Server)
+	// The first step must be the root query.
+	if want := "query www.example.com. A @" + w.roots[0].String(); !strings.HasPrefix(steps[0], want) {
+		t.Errorf("first step = %q, want prefix %q", steps[0], want)
 	}
 	// The trace must include the final answer query and the DNSKEY fetches
-	// of the validation chain (key establishment runs after the answer
-	// arrives, so DNSKEY steps may come last).
+	// of the validation chain.
 	var sawAnswer, sawDNSKEY bool
-	for _, step := range res.Trace {
-		if step.QName == dnswire.MustName("www.example.com") && step.QType == dnswire.TypeA {
+	for _, step := range steps {
+		if strings.HasPrefix(step, "query www.example.com. A @") && !strings.Contains(step, "(0 answers") {
 			sawAnswer = true
 		}
-		if step.QType == dnswire.TypeDNSKEY {
+		if strings.Contains(step, " DNSKEY @") {
 			sawDNSKEY = true
 		}
 	}
 	if !sawAnswer || !sawDNSKEY {
-		t.Errorf("trace missing answer (%t) or DNSKEY (%t) steps: %v", sawAnswer, sawDNSKEY, res.Trace)
-	}
-	for _, step := range res.Trace {
-		if step.String() == "" {
-			t.Error("unprintable trace step")
-		}
+		t.Errorf("trace missing answer (%t) or DNSKEY (%t) steps: %q", sawAnswer, sawDNSKEY, steps)
 	}
 }
 
-// TestTraceOffByDefault keeps scans allocation-free.
+// TestTraceOffByDefault: a resolution whose context carries no trace records
+// into none.
 func TestTraceOffByDefault(t *testing.T) {
 	w := buildWorld(t)
 	r := w.resolver(ProfileCloudflare())
-	res := r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
-	if res.Trace != nil {
-		t.Errorf("trace recorded without opting in: %v", res.Trace)
+	_, tr := telemetry.StartTrace(context.Background(), "bystander")
+	r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
+	if snap := tr.Snapshot(); snap.Spans != 1 || snap.Events != 0 {
+		t.Errorf("trace recorded without opting in: %d spans, %d events", snap.Spans, snap.Events)
 	}
 }
 

@@ -21,8 +21,9 @@ const DefaultQueryTimeout = 2 * time.Second
 // reproduces the historical single-shot behaviour (one 2-second attempt per
 // server, no backoff), which the Table 4 conformance matrix depends on.
 type TransportConfig struct {
-	// Timeout bounds each query attempt. The parent context's deadline is
-	// always honored on top of it, so a cancelled scan stops mid-lookup.
+	// Timeout bounds each query attempt: it is the budget the simulated
+	// network charges an exchange's latency against. The parent context is
+	// checked before every attempt, so a cancelled scan stops mid-lookup.
 	// Zero means DefaultQueryTimeout.
 	Timeout time.Duration
 	// Retries is how many times each server is attempted before moving to

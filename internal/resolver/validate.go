@@ -217,7 +217,10 @@ func nsec3OwnerHash(owner, zone dnswire.Name) []byte {
 	if !ok {
 		return nil
 	}
-	return decodeB32(label) // rejects dots and escapes along with bad digits
+	// The error only says the label is no hash — a bad digit, a dot, an
+	// escape — which the nil result already tells the caller.
+	hash, _ := dnswire.DecodeBase32Hex(label)
+	return hash
 }
 
 // nsec3Group is one NSEC3 RRset with its signatures.

@@ -3,16 +3,13 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"net/netip"
 	"strconv"
 	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/campaign"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
-	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // campaignDriver runs scenarios against a population slice: a synthetic
@@ -20,7 +17,7 @@ import (
 // the AIMD governor observing the failure rate — collapse and recovery
 // become assertable via the concurrency gauge.
 type campaignDriver struct {
-	wild *population.Wild
+	*lab
 	res  *resolver.Resolver
 	gov  *campaign.Governor
 	iter *population.NameIter
@@ -38,24 +35,28 @@ type campaignDriver struct {
 	scanned, scanFailed uint64
 }
 
-func (d *campaignDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error {
+func (d *campaignDriver) setup(l *lab) error {
+	d.lab = l
+	sc, reg := l.sc, l.reg
 	pop := population.Generate(population.Config{
 		TotalDomains: sc.Population.Total,
-		Seed:         seed,
+		Seed:         l.seed,
 	})
 	wild, err := population.Materialize(pop)
 	if err != nil {
 		return err
 	}
-	d.wild = wild
+	// The population has no symbolic endpoint names; only "all" fault rules
+	// apply to campaign scenarios.
+	l.useNetwork(wild.Net, nil)
 
-	profs, err := selectProfiles(defaultSystems(sc.Systems))
+	prof, err := l.profile()
 	if err != nil {
 		return err
 	}
-	d.res = resolver.New(wild.Net, wild.Roots, wild.Anchor, profs[0])
+	d.res = resolver.New(wild.Net, wild.Roots, wild.Anchor, prof)
 	d.res.Now = wild.Now
-	d.res.Transport = transportFor(sc.Transport)
+	d.res.Transport = l.transport()
 
 	g := sc.Governor
 	d.gov = campaign.NewGovernor(campaign.GovernorConfig{
@@ -74,7 +75,6 @@ func (d *campaignDriver) setup(ctx context.Context, seed uint64, sc *Scenario, r
 	}
 	d.iter = pop.NamesRange(lo, hi)
 
-	wild.Net.RegisterMetrics(reg)
 	d.res.RegisterMetrics(reg)
 	reg.GaugeFunc("edelab_campaign_governor_concurrency",
 		"The AIMD governor's current concurrency capacity.",
@@ -88,27 +88,7 @@ func (d *campaignDriver) setup(ctx context.Context, seed uint64, sc *Scenario, r
 	return nil
 }
 
-func (d *campaignDriver) network() *netsim.Network { return d.wild.Net }
-
-// endpoint: the population has no symbolic endpoint names; only "all" fault
-// rules apply to campaign scenarios.
-func (d *campaignDriver) endpoint(name string) (netip.Addr, bool) {
-	return netip.Addr{}, false
-}
-
-func (d *campaignDriver) close() {}
-
-func (d *campaignDriver) runPhase(ctx context.Context, ph *Phase) (*observations, error) {
-	obs := &observations{}
-	for _, a := range ph.Actions {
-		if err := d.runAction(ctx, a, obs); err != nil {
-			return nil, fmt.Errorf("action %q: %w", a, err)
-		}
-	}
-	return obs, nil
-}
-
-func (d *campaignDriver) runAction(ctx context.Context, a Action, obs *observations) error {
+func (d *campaignDriver) act(ctx context.Context, a Action, obs *observations) error {
 	switch a.Verb {
 	case "scan":
 		return d.scan(ctx, a.Args, obs)
@@ -118,7 +98,7 @@ func (d *campaignDriver) runAction(ctx context.Context, a Action, obs *observati
 		d.res.Cache.Flush()
 		return nil
 	}
-	return fmt.Errorf("%w: %q for driver campaign", ErrUnknownAction, a.Verb)
+	return ErrUnknownAction
 }
 
 // observe advances the cumulative feed from the resolver's counters and
@@ -140,13 +120,9 @@ func (d *campaignDriver) scan(ctx context.Context, args []string, obs *observati
 	if len(args) != 1 {
 		return fmt.Errorf("scan needs n=K")
 	}
-	ns, ok := strings.CutPrefix(args[0], "n=")
-	if !ok {
-		return fmt.Errorf("expected n=K, got %q", args[0])
-	}
-	n, err := strconv.Atoi(ns)
-	if err != nil || n < 1 {
-		return fmt.Errorf("n %q is not a positive count", ns)
+	n, err := countArg(args[0])
+	if err != nil {
+		return err
 	}
 	if d.iter.Len() < n {
 		return fmt.Errorf("population slice exhausted: %d names left, scan wants %d", d.iter.Len(), n)
@@ -158,11 +134,7 @@ func (d *campaignDriver) scan(ctx context.Context, args []string, obs *observati
 		if res.Msg.RCode == dnswire.RCodeServFail {
 			d.scanFailed++
 		}
-		obs.responses = append(obs.responses, response{
-			label: name.String(),
-			rcode: res.Msg.RCode.String(),
-			edes:  sortedCodes(res.Codes()),
-		})
+		obs.record(name.String(), res.Msg)
 		d.sinceObserve++
 		if d.sinceObserve >= d.observeEvery {
 			d.sinceObserve = 0

@@ -3,17 +3,11 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"net/netip"
-	"sync/atomic"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/cluster"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
-	"github.com/extended-dns-errors/edelab/internal/frontend"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
-	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -24,119 +18,55 @@ import (
 // sweep verb walks the selected Table 4 cases through the router so a
 // table4 expect proves cell invariance across replica churn.
 type clusterDriver struct {
-	tb      *testbed.Testbed
-	sc      *Scenario
-	reg     *telemetry.Registry
-	cl      *cluster.Cluster
-	prof    *resolver.Profile
-	cases   []testbed.Case
-	byLabel map[string]testbed.Case
-
-	// offset is the virtual serving/validation clock displacement, shared
-	// by every replica and resolver (same convention as frontendDriver).
-	offset atomic.Int64
-	qid    uint16
+	*lab
+	cl   *cluster.Cluster
+	prof *resolver.Profile
 }
 
-func (d *clusterDriver) now() time.Time {
-	return time.Unix(int64(testbed.Now), 0).Add(time.Duration(d.offset.Load()))
-}
-
-func (d *clusterDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error {
-	tb, err := testbed.Build()
-	if err != nil {
+func (d *clusterDriver) setup(l *lab) error {
+	d.lab = l
+	var err error
+	if err = l.useTestbed(); err != nil {
 		return err
 	}
-	d.tb, d.sc, d.reg = tb, sc, reg
-	d.byLabel = make(map[string]testbed.Case, len(tb.Cases))
-	for _, c := range tb.Cases {
-		d.byLabel[c.Label] = c
-	}
-	if len(sc.Cases) == 0 {
-		d.cases = tb.Cases
-	} else {
-		for _, label := range sc.Cases {
-			c, ok := d.byLabel[label]
-			if !ok {
-				return fmt.Errorf("unknown case %q", label)
-			}
-			d.cases = append(d.cases, c)
-		}
-	}
-
-	profs, err := selectProfiles(defaultSystems(sc.Systems))
-	if err != nil {
+	if d.prof, err = l.profile(); err != nil {
 		return err
 	}
-	d.prof = profs[0]
 
+	sc := l.sc
 	replicas := sc.Cluster.Replicas
 	if replicas <= 0 {
 		replicas = 3
 	}
-	fs := sc.Frontend
 	d.cl = cluster.New(cluster.Config{
-		Seed:         seed,
+		Seed:         l.seed,
 		HotThreshold: sc.Cluster.Hot,
-		Frontend: frontend.Config{
-			MaxInflight:  fs.MaxInflight,
-			QueryTimeout: fs.QueryTimeout,
-			StaleWindow:  fs.StaleWindow,
-			StaleTTL:     uint32(fs.StaleTTL),
-			ErrorTTL:     fs.ErrorTTL,
-			Now:          d.now,
-		},
+		Frontend:     l.frontendConfig(),
 	})
 	for i := 0; i < replicas; i++ {
-		r := tb.NewResolver(d.prof)
-		r.Transport = transportFor(sc.Transport)
-		r.Now = d.now
-		if _, err := d.cl.AddLocal(fmt.Sprintf("r%d", i), forwarder.ResolverUpstream{R: r}); err != nil {
+		up := forwarder.ResolverUpstream{R: l.newResolver(d.prof)}
+		if _, err := d.cl.AddLocal(fmt.Sprintf("r%d", i), up); err != nil {
 			return err
 		}
 	}
-
-	tb.Net.RegisterMetrics(reg)
-	d.cl.RegisterMetrics(reg)
+	d.cl.RegisterMetrics(l.reg)
 	return nil
 }
 
-func (d *clusterDriver) network() *netsim.Network { return d.tb.Net }
-
-func (d *clusterDriver) endpoint(name string) (netip.Addr, bool) {
-	addr, ok := d.tb.Addrs[name]
-	return addr, ok
-}
-
-func (d *clusterDriver) close() {}
-
-func (d *clusterDriver) runPhase(ctx context.Context, ph *Phase) (*observations, error) {
-	obs := &observations{}
-	for _, a := range ph.Actions {
-		if err := d.runAction(ctx, a, obs); err != nil {
-			return nil, fmt.Errorf("action %q: %w", a, err)
-		}
-	}
-	return obs, nil
-}
-
-func (d *clusterDriver) runAction(ctx context.Context, a Action, obs *observations) error {
+func (d *clusterDriver) act(ctx context.Context, a Action, obs *observations) error {
 	switch a.Verb {
 	case "advance":
-		if len(a.Args) != 1 {
-			return fmt.Errorf("advance needs a duration")
-		}
-		dur, err := time.ParseDuration(a.Args[0])
-		if err != nil || dur <= 0 {
-			return fmt.Errorf("bad duration %q", a.Args[0])
-		}
-		d.offset.Add(int64(dur))
-		return nil
+		return d.advance(a.Args)
 	case "sweep":
+		// One Table 4 column through the router: client-visible EDE sets must
+		// match the ground truth regardless of which replica — owner or
+		// takeover — served each cell.
 		if len(a.Args) != 0 {
 			return fmt.Errorf("sweep takes no arguments")
 		}
-		cells, err := d.sweep(ctx)
+		cells, err := d.walk([]*resolver.Profile{d.prof}, func(c testbed.Case, _ int) (*dnswire.Message, error) {
+			return d.cl.HandleDNS(ctx, d.newQuery(c.Query))
+		})
 		if err != nil {
 			return err
 		}
@@ -158,36 +88,7 @@ func (d *clusterDriver) runAction(ctx context.Context, a Action, obs *observatio
 	case "query":
 		return d.query(ctx, a.Args, obs)
 	}
-	return fmt.Errorf("%w: %q for driver cluster", ErrUnknownAction, a.Verb)
-}
-
-func (d *clusterDriver) newQuery(name dnswire.Name) *dnswire.Message {
-	d.qid++
-	return dnswire.NewQuery(d.qid, name, dnswire.TypeA)
-}
-
-// sweep walks the selected cases through the router sequentially and
-// records one Table 4 column for the selected profile. Client-visible EDE
-// sets must match the ground truth regardless of which replica — owner or
-// takeover — served each cell.
-func (d *clusterDriver) sweep(ctx context.Context) (*matrixObs, error) {
-	m := &matrixObs{
-		systems:  []string{d.prof.Name},
-		edes:     make(map[string]map[string][]uint16),
-		rcodes:   make(map[string]map[string]string),
-		expected: make(map[string]map[string][]uint16),
-	}
-	for _, c := range d.cases {
-		resp, err := d.cl.HandleDNS(ctx, d.newQuery(c.Query))
-		if err != nil {
-			return nil, fmt.Errorf("case %s: %w", c.Label, err)
-		}
-		m.cases = append(m.cases, c.Label)
-		m.edes[c.Label] = map[string][]uint16{d.prof.Name: sortedCodes(resp.EDECodes())}
-		m.rcodes[c.Label] = map[string]string{d.prof.Name: resp.RCode.String()}
-		m.expected[c.Label] = map[string][]uint16{d.prof.Name: sortedCodes(c.Expected[d.prof.Name])}
-	}
-	return m, nil
+	return ErrUnknownAction
 }
 
 // query sends n sequential client queries for one case through the router.
@@ -196,20 +97,16 @@ func (d *clusterDriver) query(ctx context.Context, args []string, obs *observati
 	if err != nil {
 		return err
 	}
-	c, ok := d.byLabel[label]
-	if !ok {
-		return fmt.Errorf("unknown case %q", label)
+	c, err := d.caseFor(label)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		resp, err := d.cl.HandleDNS(ctx, d.newQuery(c.Query))
 		if err != nil {
 			return err
 		}
-		obs.responses = append(obs.responses, response{
-			label: fmt.Sprintf("%s#%d", label, i+1),
-			rcode: resp.RCode.String(),
-			edes:  sortedCodes(resp.EDECodes()),
-		})
+		obs.record(fmt.Sprintf("%s#%d", label, i+1), resp)
 	}
 	return nil
 }

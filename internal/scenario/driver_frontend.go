@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/netip"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +11,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
-	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -89,80 +84,31 @@ func (g *gate) ExchangeWithOptions(ctx context.Context, qname dnswire.Name, qtyp
 // vendor-profile resolver over the Table 4 testbed, wrapped by the frontend,
 // with a controllable backend gate and a virtual serving clock.
 type frontendDriver struct {
-	tb      *testbed.Testbed
-	sc      *Scenario
-	reg     *telemetry.Registry
-	front   *frontend.Frontend
-	gate    *gate
-	byLabel map[string]testbed.Case
-
-	// offset is the virtual clock displacement from the frozen testbed
-	// instant; atomic because parked fill goroutines read the clock.
-	offset atomic.Int64
-	qid    uint16
+	*lab
+	front *frontend.Frontend
+	gate  *gate
 
 	fillWG  sync.WaitGroup
 	fills   []response
 	filling bool
 }
 
-// now is the shared virtual clock: frontend serving time and resolver
-// validation time both advance together via the advance action. The DNSSEC
-// windows are ±1.5 years wide, so advancing hours never flips validity.
-func (d *frontendDriver) now() time.Time {
-	return time.Unix(int64(testbed.Now), 0).Add(time.Duration(d.offset.Load()))
-}
-
-func (d *frontendDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error {
-	tb, err := testbed.Build()
+func (d *frontendDriver) setup(l *lab) error {
+	d.lab = l
+	if err := l.useTestbed(); err != nil {
+		return err
+	}
+	prof, err := l.profile()
 	if err != nil {
 		return err
 	}
-	d.tb, d.sc, d.reg = tb, sc, reg
-	d.byLabel = make(map[string]testbed.Case, len(tb.Cases))
-	for _, c := range tb.Cases {
-		d.byLabel[c.Label] = c
-	}
-
-	profs, err := selectProfiles(defaultSystems(sc.Systems))
-	if err != nil {
-		return err
-	}
-	r := tb.NewResolver(profs[0])
-	r.Transport = transportFor(sc.Transport)
-	r.Now = d.now
-
+	r := l.newResolver(prof)
 	d.gate = &gate{inner: forwarder.ResolverUpstream{R: r}}
-	fs := sc.Frontend
-	d.front = frontend.New(d.gate, frontend.Config{
-		MaxInflight:  fs.MaxInflight,
-		QueryTimeout: fs.QueryTimeout,
-		StaleWindow:  fs.StaleWindow,
-		StaleTTL:     uint32(fs.StaleTTL),
-		ErrorTTL:     fs.ErrorTTL,
-		Now:          d.now,
-	})
+	d.front = frontend.New(d.gate, l.frontendConfig())
 
-	tb.Net.RegisterMetrics(reg)
-	r.RegisterMetrics(reg)
-	d.front.RegisterMetrics(reg)
+	r.RegisterMetrics(l.reg)
+	d.front.RegisterMetrics(l.reg)
 	return nil
-}
-
-// defaultSystems picks Cloudflare when the scenario names no systems — the
-// single-resolver drivers want one profile, not seven.
-func defaultSystems(tokens []string) []string {
-	if len(tokens) == 0 {
-		return []string{"cloudflare"}
-	}
-	return tokens
-}
-
-func (d *frontendDriver) network() *netsim.Network { return d.tb.Net }
-
-func (d *frontendDriver) endpoint(name string) (netip.Addr, bool) {
-	addr, ok := d.tb.Addrs[name]
-	return addr, ok
 }
 
 func (d *frontendDriver) close() {
@@ -171,28 +117,10 @@ func (d *frontendDriver) close() {
 	d.fillWG.Wait()
 }
 
-func (d *frontendDriver) runPhase(ctx context.Context, ph *Phase) (*observations, error) {
-	obs := &observations{}
-	for _, a := range ph.Actions {
-		if err := d.runAction(ctx, a, obs); err != nil {
-			return nil, fmt.Errorf("action %q: %w", a, err)
-		}
-	}
-	return obs, nil
-}
-
-func (d *frontendDriver) runAction(ctx context.Context, a Action, obs *observations) error {
+func (d *frontendDriver) act(ctx context.Context, a Action, obs *observations) error {
 	switch a.Verb {
 	case "advance":
-		if len(a.Args) != 1 {
-			return fmt.Errorf("advance needs a duration")
-		}
-		dur, err := time.ParseDuration(a.Args[0])
-		if err != nil || dur <= 0 {
-			return fmt.Errorf("bad duration %q", a.Args[0])
-		}
-		d.offset.Add(int64(dur))
-		return nil
+		return d.advance(a.Args)
 	case "block-backend":
 		switch {
 		case len(a.Args) == 0:
@@ -219,7 +147,7 @@ func (d *frontendDriver) runAction(ctx context.Context, a Action, obs *observati
 	case "query":
 		return d.query(ctx, a.Args, obs)
 	}
-	return fmt.Errorf("%w: %q for driver frontend", ErrUnknownAction, a.Verb)
+	return ErrUnknownAction
 }
 
 // nameFor maps an action label to a query name: a testbed case's query, or a
@@ -230,11 +158,6 @@ func (d *frontendDriver) nameFor(label string) dnswire.Name {
 		return c.Query
 	}
 	return testbed.ParentZone.Child(label)
-}
-
-func (d *frontendDriver) newQuery(name dnswire.Name) *dnswire.Message {
-	d.qid++
-	return dnswire.NewQuery(d.qid, name, dnswire.TypeA)
 }
 
 // query sends n sequential client queries through the frontend and records
@@ -250,11 +173,7 @@ func (d *frontendDriver) query(ctx context.Context, args []string, obs *observat
 		if err != nil {
 			return err
 		}
-		obs.responses = append(obs.responses, response{
-			label: fmt.Sprintf("%s#%d", label, i+1),
-			rcode: resp.RCode.String(),
-			edes:  sortedCodes(resp.EDECodes()),
-		})
+		obs.record(fmt.Sprintf("%s#%d", label, i+1), resp)
 	}
 	return nil
 }
@@ -268,13 +187,9 @@ func (d *frontendDriver) fill(ctx context.Context, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("fill needs n=K")
 	}
-	ns, ok := strings.CutPrefix(args[0], "n=")
-	if !ok {
-		return fmt.Errorf("expected n=K, got %q", args[0])
-	}
-	k, err := strconv.Atoi(ns)
-	if err != nil || k < 1 {
-		return fmt.Errorf("n %q is not a positive count", ns)
+	k, err := countArg(args[0])
+	if err != nil {
+		return err
 	}
 	if mode, _ := d.gate.state(); mode != gatePark {
 		return fmt.Errorf("fill requires a parked backend (block-backend first)")
@@ -298,10 +213,9 @@ func (d *frontendDriver) fill(ctx context.Context, args []string) error {
 			defer done.Add(1)
 			resp, err := d.front.HandleDNS(ctx, q)
 			if err != nil {
-				*slot = response{label: label, rcode: "ERROR"}
-				return
+				resp = nil
 			}
-			*slot = response{label: label, rcode: resp.RCode.String(), edes: sortedCodes(resp.EDECodes())}
+			*slot = answer(label, resp)
 		}()
 	}
 	// Settle: each query is either holding an in-flight slot at the gate or

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
@@ -17,25 +16,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/zone"
 )
 
-// noSleep replaces the backoff clock: pacing is policy under test, not wall
-// time.
-func noSleep(context.Context, time.Duration) {}
-
-// transportFor converts the spec into a resolver transport policy, nil for
-// the zero spec (legacy single-shot behaviour).
-func transportFor(ts TransportSpec) *resolver.TransportConfig {
-	if ts.IsZero() {
-		return nil
-	}
-	return &resolver.TransportConfig{
-		Timeout:     ts.Timeout,
-		Retries:     ts.Retries,
-		RetryBudget: ts.Budget,
-		Backoff:     ts.Backoff,
-		Sleep:       noSleep,
-	}
-}
-
 // attackerAddr hosts the poisoning scenario's rogue server: if a resolver
 // ever believes injected glue, its queries land here and are counted.
 var attackerAddr = netip.AddrFrom4([4]byte{198, 18, 250, 1})
@@ -44,16 +24,11 @@ var attackerAddr = netip.AddrFrom4([4]byte{198, 18, 250, 1})
 // vendor profiles, with actions that mutate zones, inject poison, add NXNS
 // fan-out delegations, and walk the matrix.
 type matrixDriver struct {
-	tb        *testbed.Testbed
-	sc        *Scenario
-	seed      uint64
-	reg       *telemetry.Registry
+	*lab
 	profiles  []*resolver.Profile
 	resolvers []*resolver.Resolver
-	cases     []testbed.Case
-	byLabel   map[string]testbed.Case
 
-	saved map[string]savedKeys
+	saved map[string]zone.SignOptions // keys and window before a zone's first mutation
 
 	parentClean   netsim.Handler
 	attackerHits  *telemetry.Counter
@@ -62,76 +37,46 @@ type matrixDriver struct {
 	pseudoQueries map[string]dnswire.Name // nxns labels -> query name
 }
 
-type savedKeys struct {
-	opts zone.SignOptions
-}
-
-func (d *matrixDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error {
-	tb, err := testbed.Build()
-	if err != nil {
+func (d *matrixDriver) setup(l *lab) error {
+	d.lab = l
+	if err := l.useTestbed(); err != nil {
 		return err
 	}
-	d.tb, d.sc, d.seed, d.reg = tb, sc, seed, reg
-	d.saved = make(map[string]savedKeys)
+	tb, reg := l.tb, l.reg
+	d.saved = make(map[string]zone.SignOptions)
 	d.pseudoQueries = make(map[string]dnswire.Name)
 
-	d.byLabel = make(map[string]testbed.Case, len(tb.Cases))
-	for _, c := range tb.Cases {
-		d.byLabel[c.Label] = c
-	}
-	if len(sc.Cases) == 0 {
-		d.cases = tb.Cases
-	} else {
-		for _, label := range sc.Cases {
-			c, ok := d.byLabel[label]
-			if !ok {
-				return fmt.Errorf("unknown case %q", label)
-			}
-			d.cases = append(d.cases, c)
-		}
-	}
-
-	d.profiles, err = selectProfiles(sc.Systems)
-	if err != nil {
+	var err error
+	if d.profiles, err = selectProfiles(l.sc.Systems); err != nil {
 		return err
 	}
 	for _, p := range d.profiles {
-		r := tb.NewResolver(p)
-		r.Transport = transportFor(sc.Transport)
-		d.resolvers = append(d.resolvers, r)
+		d.resolvers = append(d.resolvers, l.newResolver(p))
 	}
+	l.afterActions = d.walkMatrix
 
 	// One resolver per profile means per-resolver RegisterMetrics would
 	// collide (registration is first-wins); publish aggregate views instead.
-	tb.Net.RegisterMetrics(reg)
+	sum := func(pick func(*resolver.Resolver) uint64) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, r := range d.resolvers {
+				n += pick(r)
+			}
+			return n
+		}
+	}
 	reg.CounterFunc("edelab_resolver_queries_total",
 		"Outgoing queries to authoritative servers, all profiles.",
-		func() uint64 {
-			var n uint64
-			for _, r := range d.resolvers {
-				n += r.QueryCount.Load()
-			}
-			return n
-		})
+		sum(func(r *resolver.Resolver) uint64 { return r.QueryCount.Load() }))
 	reg.CounterFunc("edelab_resolver_resolutions_total",
 		"Client Resolve calls, all profiles.",
-		func() uint64 {
-			var n uint64
-			for _, r := range d.resolvers {
-				n += r.ResolutionCount.Load()
-			}
-			return n
-		})
+		sum(func(r *resolver.Resolver) uint64 { return r.ResolutionCount.Load() }))
 	transportEvent := func(event string, pick func(resolver.TransportStats) uint64) {
 		reg.CounterFunc("edelab_resolver_transport_events_total",
 			"Transport-level events summed over all profiles.",
-			func() uint64 {
-				var n uint64
-				for _, r := range d.resolvers {
-					n += pick(r.TransportStats())
-				}
-				return n
-			}, telemetry.L("event", event))
+			sum(func(r *resolver.Resolver) uint64 { return pick(r.TransportStats()) }),
+			telemetry.L("event", event))
 	}
 	transportEvent("retry", func(s resolver.TransportStats) uint64 { return s.Retries })
 	transportEvent("timeout", func(s resolver.TransportStats) uint64 { return s.Timeouts })
@@ -155,99 +100,23 @@ func (d *matrixDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg
 	return nil
 }
 
-// selectProfiles resolves spec system tokens against the vendor profiles,
-// preserving canonical profile order. Empty means all seven.
-func selectProfiles(tokens []string) ([]*resolver.Profile, error) {
-	all := resolver.AllProfiles()
-	if len(tokens) == 0 {
-		return all, nil
-	}
-	selected := make(map[string]bool)
-	for _, tok := range tokens {
-		if tok == "*" {
-			return all, nil
-		}
-		if p, ok := resolver.ProfileByName(tok); ok {
-			selected[p.Name] = true
-		}
-	}
-	var out []*resolver.Profile
-	for _, p := range all {
-		if selected[p.Name] {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("systems %v match no vendor profile", tokens)
-	}
-	return out, nil
-}
-
-func (d *matrixDriver) network() *netsim.Network { return d.tb.Net }
-
-func (d *matrixDriver) endpoint(name string) (netip.Addr, bool) {
-	addr, ok := d.tb.Addrs[name]
-	return addr, ok
-}
-
-func (d *matrixDriver) close() {}
-
-func (d *matrixDriver) runPhase(ctx context.Context, ph *Phase) (*observations, error) {
-	obs := &observations{}
-	for _, a := range ph.Actions {
-		if err := d.runAction(ctx, a, obs); err != nil {
-			return nil, fmt.Errorf("action %q: %w", a, err)
-		}
-	}
-	if needsMatrix(ph) {
-		obs.cells = d.walkMatrix(ctx)
-	}
-	return obs, nil
-}
-
-// needsMatrix reports whether the phase's hypothesis reads Table 4 cells.
-func needsMatrix(ph *Phase) bool {
-	for _, e := range ph.Expects {
-		if e.Kind == "table4" || e.Kind == "cell" {
-			return true
-		}
-	}
-	return false
-}
-
 // walkMatrix replays the selected cases through every selected profile
-// sequentially, which is what makes reports byte-stable.
-func (d *matrixDriver) walkMatrix(ctx context.Context) *matrixObs {
-	m := &matrixObs{
-		edes:     make(map[string]map[string][]uint16),
-		rcodes:   make(map[string]map[string]string),
-		expected: make(map[string]map[string][]uint16),
+// when the phase's hypothesis reads Table 4 cells.
+func (d *matrixDriver) walkMatrix(ctx context.Context, ph *Phase, obs *observations) error {
+	readsCells := slices.ContainsFunc(ph.Expects, func(e Expect) bool {
+		return e.Kind == "table4" || e.Kind == "cell"
+	})
+	if !readsCells {
+		return nil
 	}
-	for _, p := range d.profiles {
-		m.systems = append(m.systems, p.Name)
-	}
-	for _, c := range d.cases {
-		m.cases = append(m.cases, c.Label)
-		m.edes[c.Label] = make(map[string][]uint16)
-		m.rcodes[c.Label] = make(map[string]string)
-		m.expected[c.Label] = make(map[string][]uint16)
-		for i, p := range d.profiles {
-			res := d.resolvers[i].Resolve(ctx, c.Query, dnswire.TypeA)
-			m.edes[c.Label][p.Name] = sortedCodes(res.Codes())
-			m.rcodes[c.Label][p.Name] = res.Msg.RCode.String()
-			m.expected[c.Label][p.Name] = sortedCodes(c.Expected[p.Name])
-		}
-	}
-	return m
+	var err error
+	obs.cells, err = d.walk(d.profiles, func(c testbed.Case, i int) (*dnswire.Message, error) {
+		return d.resolvers[i].Resolve(ctx, c.Query, dnswire.TypeA).Msg, nil
+	})
+	return err
 }
 
-func sortedCodes(codes []uint16) []uint16 {
-	out := append([]uint16(nil), codes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (d *matrixDriver) runAction(ctx context.Context, a Action, obs *observations) error {
+func (d *matrixDriver) act(ctx context.Context, a Action, obs *observations) error {
 	switch a.Verb {
 	case "flush":
 		for _, r := range d.resolvers {
@@ -292,7 +161,7 @@ func (d *matrixDriver) runAction(ctx context.Context, a Action, obs *observation
 		if !ok {
 			return fmt.Errorf("zone %q was never mutated", a.Args[0])
 		}
-		return z.Sign(saved.opts)
+		return z.Sign(saved)
 	case "poison":
 		if len(a.Args) != 1 {
 			return fmt.Errorf("poison needs a victim LABEL")
@@ -311,7 +180,7 @@ func (d *matrixDriver) runAction(ctx context.Context, a Action, obs *observation
 	case "query":
 		return d.query(ctx, a.Args, obs)
 	}
-	return fmt.Errorf("%w: %q for driver matrix", ErrUnknownAction, a.Verb)
+	return ErrUnknownAction
 }
 
 func (d *matrixDriver) zoneFor(label string) (*zone.Zone, error) {
@@ -358,7 +227,7 @@ func (d *matrixDriver) saveKeys(label string, z *zone.Zone) {
 	if len(z.ZSKs) > 0 {
 		opts.ZSK = z.ZSKs[0]
 	}
-	d.saved[label] = savedKeys{opts: opts}
+	d.saved[label] = opts
 }
 
 // poison wraps the parent server with a man-in-the-middle that appends an
@@ -432,7 +301,7 @@ func (d *matrixDriver) addNXNS(args []string) error {
 	}
 	d.tb.Parent.AddDelegation(child, hosts)
 	d.saveKeys("parent", d.tb.Parent)
-	if err := d.tb.Parent.Sign(d.saved["parent"].opts); err != nil {
+	if err := d.tb.Parent.Sign(d.saved["parent"]); err != nil {
 		return err
 	}
 	d.pseudoQueries[label] = child
@@ -448,9 +317,9 @@ func (d *matrixDriver) query(ctx context.Context, args []string, obs *observatio
 	}
 	qname, ok := d.pseudoQueries[label]
 	if !ok {
-		c, found := d.byLabel[label]
-		if !found {
-			return fmt.Errorf("unknown case %q", label)
+		c, err := d.caseFor(label)
+		if err != nil {
+			return err
 		}
 		qname = c.Query
 	}
@@ -462,31 +331,7 @@ func (d *matrixDriver) query(ctx context.Context, args []string, obs *observatio
 				d.poisonUptake.Inc()
 			}
 		}
-		obs.responses = append(obs.responses, response{
-			label: fmt.Sprintf("%s#%d", label, i+1),
-			rcode: res.Msg.RCode.String(),
-			edes:  sortedCodes(res.Codes()),
-		})
+		obs.record(fmt.Sprintf("%s#%d", label, i+1), res.Msg)
 	}
 	return nil
-}
-
-// queryArgs parses "LABEL [n=K]", defaulting to one query.
-func queryArgs(args []string) (string, int, error) {
-	if len(args) < 1 || len(args) > 2 {
-		return "", 0, fmt.Errorf("query needs LABEL [n=K]")
-	}
-	n := 1
-	if len(args) == 2 {
-		ns, ok := strings.CutPrefix(args[1], "n=")
-		if !ok {
-			return "", 0, fmt.Errorf("expected n=K, got %q", args[1])
-		}
-		v, err := strconv.Atoi(ns)
-		if err != nil || v < 1 {
-			return "", 0, fmt.Errorf("n %q is not a positive count", ns)
-		}
-		n = v
-	}
-	return args[0], n, nil
 }

@@ -5,15 +5,11 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net"
-	"net/netip"
 	"strings"
 	"sync"
 
-	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
-	"github.com/extended-dns-errors/edelab/internal/testbed"
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
@@ -55,8 +51,7 @@ func (l *trackingListener) killAll() int {
 // vendor-profile resolver over the Table 4 testbed, queried through
 // transport.StreamClient — the redial-once path under test.
 type streamDriver struct {
-	tb      *testbed.Testbed
-	byLabel map[string]testbed.Case
+	*lab
 
 	tcpLn, dotLn *trackingListener
 	tcpClient    *transport.StreamClient
@@ -64,28 +59,19 @@ type streamDriver struct {
 
 	cancel context.CancelFunc
 	served sync.WaitGroup
-	qid    uint16
 }
 
-func (d *streamDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error {
-	tb, err := testbed.Build()
+func (d *streamDriver) setup(l *lab) error {
+	d.lab = l
+	if err := l.useTestbed(); err != nil {
+		return err
+	}
+	prof, err := l.profile()
 	if err != nil {
 		return err
 	}
-	d.tb = tb
-	d.byLabel = make(map[string]testbed.Case, len(tb.Cases))
-	for _, c := range tb.Cases {
-		d.byLabel[c.Label] = c
-	}
-
-	profs, err := selectProfiles(defaultSystems(sc.Systems))
-	if err != nil {
-		return err
-	}
-	r := tb.NewResolver(profs[0])
-	r.Transport = transportFor(sc.Transport)
-
-	tb.Net.RegisterMetrics(reg)
+	r := l.newResolver(prof)
+	reg := l.reg
 	r.RegisterMetrics(reg)
 	srv := transport.NewServer(transport.Config{
 		Handler:  forwarder.New(forwarder.ResolverUpstream{R: r}),
@@ -140,13 +126,6 @@ func (d *streamDriver) setup(ctx context.Context, seed uint64, sc *Scenario, reg
 	return nil
 }
 
-func (d *streamDriver) network() *netsim.Network { return d.tb.Net }
-
-func (d *streamDriver) endpoint(name string) (netip.Addr, bool) {
-	addr, ok := d.tb.Addrs[name]
-	return addr, ok
-}
-
 func (d *streamDriver) close() {
 	if d.tcpClient != nil {
 		d.tcpClient.Close()
@@ -166,17 +145,7 @@ func (d *streamDriver) close() {
 	d.served.Wait()
 }
 
-func (d *streamDriver) runPhase(ctx context.Context, ph *Phase) (*observations, error) {
-	obs := &observations{}
-	for _, a := range ph.Actions {
-		if err := d.runAction(ctx, a, obs); err != nil {
-			return nil, fmt.Errorf("action %q: %w", a, err)
-		}
-	}
-	return obs, nil
-}
-
-func (d *streamDriver) runAction(ctx context.Context, a Action, obs *observations) error {
+func (d *streamDriver) act(ctx context.Context, a Action, obs *observations) error {
 	switch a.Verb {
 	case "query":
 		return d.query(ctx, a.Args, obs)
@@ -200,7 +169,7 @@ func (d *streamDriver) runAction(ctx context.Context, a Action, obs *observation
 		}
 		return nil
 	}
-	return fmt.Errorf("%w: %q for driver streamclient", ErrUnknownAction, a.Verb)
+	return ErrUnknownAction
 }
 
 // query sends n sequential queries for a case over the chosen stream
@@ -230,21 +199,16 @@ func (d *streamDriver) query(ctx context.Context, args []string, obs *observatio
 	default:
 		return fmt.Errorf("unknown transport %q", via)
 	}
-	c, ok := d.byLabel[label]
-	if !ok {
-		return fmt.Errorf("unknown case %q", label)
+	c, err := d.caseFor(label)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
-		d.qid++
-		resp, err := client.Query(ctx, dnswire.NewQuery(d.qid, c.Query, dnswire.TypeA))
-		rec := response{label: fmt.Sprintf("%s@%s#%d", label, via, i+1)}
+		resp, err := client.Query(ctx, d.newQuery(c.Query))
 		if err != nil {
-			rec.rcode = "ERROR"
-		} else {
-			rec.rcode = resp.RCode.String()
-			rec.edes = sortedCodes(resp.EDECodes())
+			resp = nil
 		}
-		obs.responses = append(obs.responses, rec)
+		obs.record(fmt.Sprintf("%s@%s#%d", label, via, i+1), resp)
 	}
 	return nil
 }

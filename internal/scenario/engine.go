@@ -3,7 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,39 +13,36 @@ import (
 )
 
 // driver executes one topology family. The engine owns phase sequencing,
-// fault installation, and hypothesis evaluation; the driver owns the
-// infrastructure and the action verbs.
+// the action loop, fault installation and hypothesis evaluation; the lab
+// owns the testbed, the clock and the response log; a driver owns its
+// infrastructure and the verbs no other driver has.
 type driver interface {
-	// setup builds the topology for one run. reg receives every metric the
-	// run exposes; probes are evaluated against it.
-	setup(ctx context.Context, seed uint64, sc *Scenario, reg *telemetry.Registry) error
-	// network returns the simulated network faults are installed on, or nil
-	// when the driver has none.
-	network() *netsim.Network
-	// endpoint resolves a symbolic fault endpoint ("root", a case label) to
-	// its address. "all" is handled by the engine and never passed here.
-	endpoint(name string) (netip.Addr, bool)
-	// runPhase executes the phase's actions in order and returns what the
-	// steady-state hypothesis is checked against.
-	runPhase(ctx context.Context, ph *Phase) (*observations, error)
+	// setup builds the topology for one run on l, which the driver keeps.
+	setup(l *lab) error
+	// act executes one action, recording what it observes. A verb the
+	// driver does not have is a bare ErrUnknownAction.
+	act(ctx context.Context, a Action, obs *observations) error
 	close()
 }
 
 // observations is what one phase exposes to expect evaluation.
 type observations struct {
-	// cells/cellRCodes/expected carry the Table 4 walk (matrix driver only):
-	// observed EDE sets, observed RCODE strings, and the paper's ground
-	// truth for the selected cells.
+	// cells is a Table 4 walk: the matrix driver's after a phase that reads
+	// cells, the cluster driver's sweep.
 	cells     *matrixObs
 	responses []response
 }
 
 type matrixObs struct {
-	cases    []string
-	systems  []string
-	edes     map[string]map[string][]uint16 // case -> system -> sorted EDE codes
-	rcodes   map[string]map[string]string   // case -> system -> RCODE string
-	expected map[string]map[string][]uint16 // ground truth EDE sets
+	cases   []string
+	systems []string
+	cells   map[[2]string]cell // (case, system)
+}
+
+// cell is one observed Table 4 cell beside the paper's ground truth.
+type cell struct {
+	rcode          string
+	edes, expected []uint16 // sorted
 }
 
 // response is one client answer observed by a query action.
@@ -84,7 +81,6 @@ const (
 type check struct {
 	pass   bool
 	spec   string // the expect/probe in canonical spec form
-	kind   string // "expect" or "probe"
 	detail string // measured value / mismatch summary, deterministic
 }
 
@@ -145,8 +141,8 @@ func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error)
 	if err != nil {
 		return nil, err
 	}
-	reg := telemetry.NewRegistry()
-	if err := drv.setup(ctx, seed, sc, reg); err != nil {
+	l := &lab{sc: sc, seed: seed, reg: telemetry.NewRegistry()}
+	if err := drv.setup(l); err != nil {
 		return nil, fmt.Errorf("scenario %s: setup: %w", sc.Name, err)
 	}
 	defer drv.close()
@@ -155,10 +151,10 @@ func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error)
 	for i := range sc.Phases {
 		ph := &sc.Phases[i]
 		pr := phaseResult{name: ph.Name}
-		if err := installFaults(drv, seed, ph); err != nil {
+		if err := l.installFaults(ph); err != nil {
 			return nil, fmt.Errorf("scenario %s: phase %s: %w", sc.Name, ph.Name, err)
 		}
-		obs, err := drv.runPhase(ctx, ph)
+		obs, err := runPhase(ctx, drv, l, ph)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: phase %s: %w", sc.Name, ph.Name, err)
 		}
@@ -166,7 +162,7 @@ func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error)
 			pr.checks = append(pr.checks, evalExpect(e, obs))
 		}
 		for _, p := range ph.Probes {
-			pr.checks = append(pr.checks, evalProbe(p, reg))
+			pr.checks = append(pr.checks, evalProbe(p, l.reg))
 		}
 		for _, c := range pr.checks {
 			res.total++
@@ -184,19 +180,33 @@ func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error)
 	return res, nil
 }
 
+// runPhase executes the phase's actions in order and returns what the
+// steady-state hypothesis is checked against.
+func runPhase(ctx context.Context, drv driver, l *lab, ph *Phase) (*observations, error) {
+	obs := &observations{}
+	for _, a := range ph.Actions {
+		err := drv.act(ctx, a, obs)
+		if err == ErrUnknownAction {
+			err = fmt.Errorf("%w: %q for driver %s", ErrUnknownAction, a.Verb, l.sc.Driver)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("action %q: %w", a, err)
+		}
+	}
+	if l.afterActions != nil {
+		if err := l.afterActions(ctx, ph, obs); err != nil {
+			return nil, err
+		}
+	}
+	return obs, nil
+}
+
 // installFaults composes the phase's fault rules into one FaultPlan: the
 // "all" rule is the plan default, every other endpoint becomes an override.
 // A phase with no fault lines clears all faults.
-func installFaults(drv driver, seed uint64, ph *Phase) error {
-	net := drv.network()
-	if net == nil {
-		if len(ph.Faults) > 0 {
-			return fmt.Errorf("driver has no network to fault")
-		}
-		return nil
-	}
+func (l *lab) installFaults(ph *Phase) error {
 	if len(ph.Faults) == 0 {
-		net.SetFaults(nil)
+		l.net.SetFaults(nil)
 		return nil
 	}
 	var def netsim.FaultProfile
@@ -209,12 +219,12 @@ func installFaults(drv driver, seed uint64, ph *Phase) error {
 			def = fp
 		}
 	}
-	plan := netsim.NewFaultPlan(seed, def)
+	plan := netsim.NewFaultPlan(l.seed, def)
 	for _, f := range ph.Faults {
 		if f.Endpoint == "all" {
 			continue
 		}
-		addr, ok := drv.endpoint(f.Endpoint)
+		addr, ok := l.addrs[f.Endpoint]
 		if !ok {
 			return fmt.Errorf("unknown fault endpoint %q", f.Endpoint)
 		}
@@ -224,25 +234,25 @@ func installFaults(drv driver, seed uint64, ph *Phase) error {
 		}
 		plan.Override(addr, fp)
 	}
-	net.SetFaults(plan)
+	l.net.SetFaults(plan)
 	return nil
 }
 
 func evalExpect(e Expect, obs *observations) check {
-	c := check{spec: "expect " + e.String(), kind: "expect"}
+	c := check{spec: "expect " + e.String()}
+	m := obs.cells
+	if m == nil && e.Kind != "responses" {
+		c.detail = "phase recorded no matrix cells"
+		return c
+	}
 	switch e.Kind {
 	case "table4":
-		m := obs.cells
-		if m == nil {
-			c.detail = "phase recorded no matrix cells"
-			return c
-		}
 		var mismatches []string
 		for _, cs := range m.cases {
 			for _, sys := range m.systems {
-				if !equalCodes(m.edes[cs][sys], m.expected[cs][sys]) {
+				if cel := m.cells[[2]string{cs, sys}]; !slices.Equal(cel.edes, cel.expected) {
 					mismatches = append(mismatches, fmt.Sprintf("%s/%s: got=%s want=%s",
-						cs, sys, codesString(m.edes[cs][sys]), codesString(m.expected[cs][sys])))
+						cs, sys, codesString(cel.edes), codesString(cel.expected)))
 				}
 			}
 		}
@@ -255,11 +265,6 @@ func evalExpect(e Expect, obs *observations) check {
 				len(mismatches), len(m.cases)*len(m.systems), mismatches[0])
 		}
 	case "cell":
-		m := obs.cells
-		if m == nil {
-			c.detail = "phase recorded no matrix cells"
-			return c
-		}
 		// Spec tokens cannot contain spaces: "bind" names "BIND 9.19.9".
 		system := e.System
 		if p, ok := resolver.ProfileByName(system); ok {
@@ -275,7 +280,8 @@ func evalExpect(e Expect, obs *observations) check {
 					continue
 				}
 				matched++
-				ok, observed := cellMatches(e, m.rcodes[cs][sys], m.edes[cs][sys])
+				cel := m.cells[[2]string{cs, sys}]
+				ok, observed := cellMatches(e, cel.rcode, cel.edes)
 				if !ok && failedCell == "" {
 					failedCell, got = cs+"/"+sys, observed
 				}
@@ -331,14 +337,14 @@ func cellMatches(e Expect, rcode string, edes []uint16) (bool, string) {
 	if e.RCode != "" && e.RCode != rcode {
 		return false, observed
 	}
-	if e.HasEDE && !equalCodes(edes, e.EDE) {
+	if e.HasEDE && !slices.Equal(edes, e.EDE) {
 		return false, observed
 	}
 	return true, observed
 }
 
 func evalProbe(p Probe, reg *telemetry.Registry) check {
-	c := check{spec: "probe " + p.String(), kind: "probe"}
+	c := check{spec: "probe " + p.String()}
 	v, ok := reg.Value(p.Metric, p.Labels...)
 	if !ok {
 		c.detail = "metric not registered"
@@ -354,18 +360,6 @@ func evalProbe(p Probe, reg *telemetry.Registry) check {
 		c.detail = "value " + formatFloat(v)
 	}
 	return c
-}
-
-func equalCodes(a, b []uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func codesString(codes []uint16) string {

@@ -357,7 +357,7 @@ func parseRData(typ string, f []string) (dnswire.RData, error) {
 		if err != nil {
 			return nil, err
 		}
-		next, err := decodeBase32Hex(f[4])
+		next, err := dnswire.DecodeBase32Hex(f[4])
 		if err != nil {
 			return nil, err
 		}
@@ -452,32 +452,6 @@ func typeByName(s string) (dnswire.Type, bool) {
 	return 0, false
 }
 
-func decodeBase32Hex(s string) ([]byte, error) {
-	var out []byte
-	var acc, bits uint
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var v uint
-		switch {
-		case c >= '0' && c <= '9':
-			v = uint(c - '0')
-		case c >= 'a' && c <= 'v':
-			v = uint(c-'a') + 10
-		case c >= 'A' && c <= 'V':
-			v = uint(c-'A') + 10
-		default:
-			return nil, fmt.Errorf("bad base32hex %q", s)
-		}
-		acc = acc<<5 | v
-		bits += 5
-		if bits >= 8 {
-			bits -= 8
-			out = append(out, byte(acc>>bits))
-		}
-	}
-	return out, nil
-}
-
 // RebuildDenialIndex reconstructs the NSEC3 or NSEC serving index from the
 // zone's stored records (after ParseMaster, or after manual record edits).
 // It also marks the zone signed when RRSIGs are present.
@@ -491,7 +465,7 @@ func (z *Zone) RebuildDenialIndex() {
 			if len(labels) == 0 {
 				continue
 			}
-			hash, err := decodeBase32Hex(labels[0])
+			hash, err := dnswire.DecodeBase32Hex(labels[0])
 			if err != nil {
 				continue
 			}

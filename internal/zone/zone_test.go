@@ -169,7 +169,7 @@ func ownerHashOf(t *testing.T, owner dnswire.Name) []byte {
 	if len(labels) == 0 {
 		t.Fatal("bad NSEC3 owner")
 	}
-	h, err := decodeBase32Hex(labels[0])
+	h, err := dnswire.DecodeBase32Hex(labels[0])
 	if err != nil {
 		t.Fatalf("bad NSEC3 owner label %q: %v", labels[0], err)
 	}

@@ -133,3 +133,118 @@ func TestOneScanProtocol(t *testing.T) {
 		t.Errorf("WarmupDomains is used by %q, want only %q: every scan starts from scan.WarmScanner", callers, want)
 	}
 }
+
+// TestOneScenarioLab fails when a scenario driver grows back what the engine
+// and the lab own: a second testbed.Build call site, a driver method named
+// for the phase loop, the clock, the fault-endpoint lookup or the query ID
+// sequence, or a fourth method on the driver interface. Each of those was
+// once written out per driver, five times over.
+func TestOneScenarioLab(t *testing.T) {
+	owned := map[string]bool{"runPhase": true, "network": true, "endpoint": true, "now": true, "newQuery": true}
+	builds, ifaceMethods := 0, -1
+	eachSourceFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		if !strings.HasPrefix(path, "internal/scenario/") {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "testbed" && n.Sel.Name == "Build" {
+					builds++
+				}
+			case *ast.FuncDecl:
+				if n.Recv == nil || !owned[n.Name.Name] {
+					break
+				}
+				recv := n.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && strings.HasSuffix(id.Name, "Driver") {
+					t.Errorf("%s: %s declares %s; the engine and the lab own it",
+						fset.Position(n.Pos()), id.Name, n.Name.Name)
+				}
+			case *ast.TypeSpec:
+				if it, ok := n.Type.(*ast.InterfaceType); ok && n.Name.Name == "driver" {
+					ifaceMethods = it.Methods.NumFields()
+				}
+			}
+			return true
+		})
+	})
+	if builds != 1 {
+		t.Errorf("internal/scenario calls testbed.Build at %d sites, want 1 (lab.useTestbed)", builds)
+	}
+	if ifaceMethods < 0 || ifaceMethods > 3 {
+		t.Errorf("the scenario driver interface has %d methods, want at most 3 (setup, act, close)", ifaceMethods)
+	}
+}
+
+// wallClockAllowed is every place the simulation side of the module may read
+// or wait on the wall clock, keyed "file: function: call", each with why it
+// does not leak into a replayed outcome. Everything else in those packages
+// runs on virtual time: injected latency is charged against the attempt
+// budget, validation and serving time come from an injected Now.
+var wallClockAllowed = map[string]string{
+	"internal/resolver/resolver.go: New: time.Now":           "the default validation clock; every deterministic caller injects Now",
+	"internal/resolver/transport.go: sleep: time.NewTimer":   "the real backoff sleep; scenarios and scans inject Sleep",
+	"internal/scan/scan.go: run: time.Now":                   "Stats.Elapsed, reported and never folded into an aggregate",
+	"internal/scan/scan.go: run: time.Since":                 "Stats.Elapsed, reported and never folded into an aggregate",
+	"internal/campaign/limiter.go: NewLimiter: time.Now":     "the default token-bucket clock; tests inject Now",
+	"internal/campaign/limiter.go: realSleep: time.NewTimer": "the real limiter wait; tests inject Sleep",
+	"internal/campaign/campaign.go: Progress: time.Since":    "the progress line's domains/s rate, display only",
+	"internal/campaign/campaign.go: Run: time.Now":           "measurement start and checkpoint cadence; neither reaches the snapshot's canonical payload",
+	"internal/campaign/campaign.go: Run: time.Since":         "checkpoint cadence",
+	"internal/campaign/campaign.go: Run: time.NewTicker":     "the governor's observation interval",
+	"internal/scenario/driver_frontend.go: fill: time.After": "the fill-settle poll: waits for goroutines to park, decides nothing",
+}
+
+// TestWallClockAllowList fails when a non-test file of the packages that
+// must replay from a seed touches the wall clock anywhere but at
+// wallClockAllowed, and when an allow-list entry has gone stale.
+func TestWallClockAllowList(t *testing.T) {
+	virtual := []string{"resolver", "netsim", "scan", "campaign", "scenario", "population", "testbed"}
+	wall := map[string]bool{
+		"time.Now": true, "time.Since": true, "time.Until": true, "time.After": true, "time.AfterFunc": true,
+		"time.Sleep": true, "time.Tick": true, "time.NewTimer": true, "time.NewTicker": true,
+		"context.WithTimeout": true, "context.WithDeadline": true,
+	}
+	seen := map[string]bool{}
+	eachSourceFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		inScope := false
+		for _, pkg := range virtual {
+			inScope = inScope || strings.HasPrefix(path, "internal/"+pkg+"/")
+		}
+		if !inScope {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				x, _ := sel.X.(*ast.Ident)
+				if x == nil || !wall[x.Name+"."+sel.Sel.Name] {
+					return true
+				}
+				key := path + ": " + fn.Name.Name + ": " + x.Name + "." + sel.Sel.Name
+				seen[key] = true
+				if wallClockAllowed[key] == "" {
+					t.Errorf("%s: %s reads or waits on the wall clock in a package that must replay from a seed; inject the clock, or add %q to wallClockAllowed with the reason",
+						fset.Position(sel.Pos()), x.Name+"."+sel.Sel.Name, key)
+				}
+				return true
+			})
+		}
+	})
+	for key := range wallClockAllowed {
+		if !seen[key] {
+			t.Errorf("wallClockAllowed entry %q matches nothing; delete it", key)
+		}
+	}
+}
