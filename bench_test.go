@@ -565,6 +565,53 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 		cur[name] = p
 	}
 
+	// The miss path one resolution at a time (EXPERIMENTS E20): healthy
+	// unsigned children of the largest ordinary TLD of each denial flavour,
+	// each resolved exactly once — a second ask would start at its cached
+	// cut — by one worker, the TLD's keys, cut and chain links warm.
+	// resolver's TestColdResolveAllocBudget gates the allocation counts;
+	// this records the time beside them.
+	coldWild, err := population.Materialize(population.Generate(population.Config{TotalDomains: 30300, Seed: 42}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldChildren := map[*population.TLD][]dnswire.Name{}
+	for _, d := range coldWild.Pop.Domains {
+		if d.Class == population.ClassHealthy && d.Keys == nil && !d.TLD.NoProof {
+			coldChildren[d.TLD] = append(coldChildren[d.TLD], d.Name)
+		}
+	}
+	for _, flavour := range []string{"nsec3", "nsec"} {
+		var children []dnswire.Name
+		for tld, under := range coldChildren {
+			if tld.NSECDenial == (flavour == "nsec") && len(under) > len(children) {
+				children = under
+			}
+		}
+		r := newScanResolver(coldWild, false)
+		ctx := context.Background()
+		warm, cold := children[:50], children[50:]
+		for _, name := range warm {
+			r.Resolve(ctx, name, dnswire.TypeA)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for _, name := range cold {
+			r.Resolve(ctx, name, dnswire.TypeA)
+		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		n := uint64(len(cold))
+		cur["resolver.ColdResolve/"+flavour] = benchPoint{
+			NsPerOp:      float64(elapsed.Nanoseconds()) / float64(n),
+			AllocsPerOp:  int64((after.Mallocs - before.Mallocs) / n),
+			BytesPerOp:   int64((after.TotalAlloc - before.TotalAlloc) / n),
+			ResolutionsS: float64(n) / elapsed.Seconds(),
+		}
+	}
+
 	// Whole-scan peak heap (scan-attributable growth): the slice path
 	// materializes every Result, the streaming path holds O(workers). Run at
 	// 10x the bench population so the result storage is visible over scan

@@ -1,6 +1,7 @@
 package dnssec
 
 import (
+	"bytes"
 	"crypto/sha1"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -17,61 +18,17 @@ const NSEC3HashSHA1 = 1
 const MaxNSEC3Iterations = 500
 
 // NSEC3Hash computes the iterated, salted SHA-1 owner-name hash of RFC 5155
-// §5: IH(0) = H(owner_wire || salt); IH(k) = H(IH(k-1) || salt).
+// §5: IH(0) = H(owner_wire || salt); IH(k) = H(IH(k-1) || salt). The owner is
+// hashed in uncompressed, lower-case wire form (Name is already lower case).
 func NSEC3Hash(name dnswire.Name, iterations uint16, salt []byte) []byte {
-	// Wire form of the owner name, uncompressed, lower case (Name is
-	// already canonical lower case).
-	wire := nameWire(name)
-	h := sha1.New()
-	h.Write(wire)
-	h.Write(salt)
-	digest := h.Sum(nil)
+	// Sized for the longest owner and the longest salt, so the only
+	// allocation is the digest returned.
+	var scratch [dnswire.MaxNameLength + 255]byte
+	sum := sha1.Sum(append(name.AppendWire(scratch[:0]), salt...))
 	for i := 0; i < int(iterations); i++ {
-		h.Reset()
-		h.Write(digest)
-		h.Write(salt)
-		digest = h.Sum(digest[:0])
+		sum = sha1.Sum(append(append(scratch[:0], sum[:]...), salt...))
 	}
-	return digest
-}
-
-// NSEC3HashName returns the hashed owner label for name within zone:
-// base32hex(hash) prepended to the zone apex.
-func NSEC3HashName(name, zone dnswire.Name, iterations uint16, salt []byte) dnswire.Name {
-	label := dnswire.Base32HexNoPad(NSEC3Hash(name, iterations, salt))
-	return zone.Child(label)
-}
-
-// nameWire encodes a name in uncompressed wire form.
-func nameWire(n dnswire.Name) []byte {
-	out := make([]byte, 0, n.WireLength())
-	for _, l := range n.Labels() {
-		raw := unescape(l)
-		out = append(out, byte(len(raw)))
-		out = append(out, raw...)
-	}
-	return append(out, 0)
-}
-
-func unescape(l string) []byte {
-	var out []byte
-	for i := 0; i < len(l); i++ {
-		c := l[i]
-		if c == '\\' && i+1 < len(l) {
-			next := l[i+1]
-			if next >= '0' && next <= '9' && i+3 < len(l) {
-				v := int(next-'0')*100 + int(l[i+2]-'0')*10 + int(l[i+3]-'0')
-				out = append(out, byte(v))
-				i += 3
-				continue
-			}
-			out = append(out, next)
-			i++
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
+	return append([]byte(nil), sum[:]...)
 }
 
 // CoversHash reports whether an NSEC3 record with owner hash ownerHash and
@@ -79,7 +36,7 @@ func unescape(l string) []byte {
 // Hashes are compared as raw octet strings; the chain wraps around at the
 // end of the zone.
 func CoversHash(ownerHash, nextHash, h []byte) bool {
-	cmp := compareBytes
+	cmp := bytes.Compare
 	switch {
 	case cmp(ownerHash, nextHash) < 0:
 		return cmp(ownerHash, h) < 0 && cmp(h, nextHash) < 0
@@ -91,22 +48,4 @@ func CoversHash(ownerHash, nextHash, h []byte) bool {
 		// Single-record chain covers everything except itself.
 		return cmp(ownerHash, h) != 0
 	}
-}
-
-func compareBytes(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
@@ -63,20 +64,14 @@ func signedData(sig dnswire.RRSIG, rrs []dnswire.RR) []byte {
 
 // wildcardForm returns "*." prepended to the rightmost n labels of name.
 func wildcardForm(name dnswire.Name, n int) dnswire.Name {
-	labels := name.Labels()
-	if n >= len(labels) {
+	count := name.LabelCount()
+	if n >= count {
 		return name
 	}
-	rest := labels[len(labels)-n:]
-	return dnswire.MustName("*." + joinLabels(rest))
-}
-
-func joinLabels(labels []string) string {
-	out := ""
-	for _, l := range labels {
-		out += l + "."
+	for ; count > n; count-- {
+		name = name.Parent()
 	}
-	return out
+	return name.Child("*")
 }
 
 // SignRRset signs an RRset with key, producing an RRSIG record owned by the
@@ -94,7 +89,7 @@ func SignRRset(rrs []dnswire.RR, key *KeyPair, signer dnswire.Name, inception, e
 	// The labels field excludes a leading "*" so wildcard-synthesized
 	// responses verify against the wildcard's signature (RFC 4034 §3.1.3).
 	labelCount := owner.LabelCount()
-	if ls := owner.Labels(); len(ls) > 0 && ls[0] == "*" {
+	if strings.HasPrefix(string(owner), "*.") {
 		labelCount--
 	}
 	sig := dnswire.RRSIG{

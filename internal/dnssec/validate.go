@@ -112,18 +112,6 @@ func (m *VerifyMemo) CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnsw
 	covered := rrs[0].Type()
 	owner := rrs[0].Name
 
-	var relevant []dnswire.RRSIG
-	for _, rr := range sigs {
-		s, ok := rr.Data.(dnswire.RRSIG)
-		if !ok || s.TypeCovered != covered || rr.Name != owner {
-			continue
-		}
-		relevant = append(relevant, s)
-	}
-	if len(relevant) == 0 {
-		return RRsetCheck{Status: SigMissing}
-	}
-
 	// Track the best (highest-priority) failure seen across signatures.
 	// The fallback diagnosis, when no signature references a usable key at
 	// all, is SigNoMatchingKey; any diagnosis derived from a signature whose
@@ -137,7 +125,13 @@ func (m *VerifyMemo) CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnsw
 		}
 	}
 
-	for _, sig := range relevant {
+	covering := false
+	for _, rr := range sigs {
+		sig, ok := rr.Data.(dnswire.RRSIG)
+		if !ok || sig.TypeCovered != covered || rr.Name != owner {
+			continue
+		}
+		covering = true
 		alg := Algorithm(sig.Algorithm)
 		matched := false
 		// Key tags are not unique (RFC 4034 appendix B), so every zone key
@@ -169,6 +163,9 @@ func (m *VerifyMemo) CheckRRset(rrs []dnswire.RR, sigs []dnswire.RR, keys []dnsw
 		if !matched && !haveMatchDiag {
 			worst.Expiration, worst.Inception = sig.Expiration, sig.Inception
 		}
+	}
+	if !covering {
+		return RRsetCheck{Status: SigMissing}
 	}
 	return worst
 }

@@ -54,9 +54,10 @@ func TestUnpackAllocBudget(t *testing.T) {
 	// Unpack necessarily copies names, signatures, and section slices out of
 	// the wire image (the result must not alias the caller's buffer), and
 	// boxes each RDATA value into the RData interface; the budget covers
-	// those copies and nothing more (measured 20 for this 5-RR message).
-	if allocs > 22 {
-		t.Fatalf("Unpack allocates %.1f/op, budget 22", allocs)
+	// those copies and nothing more.
+	t.Logf("Unpack of the 5-RR sample message: %.0f allocs", allocs)
+	if allocs > 19 {
+		t.Fatalf("Unpack allocates %.1f/op, budget 19 (measured 18)", allocs)
 	}
 }
 

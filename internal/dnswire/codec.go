@@ -97,7 +97,11 @@ func (b *builder) name(n Name, allowCompress bool) {
 		return
 	}
 	if strings.IndexByte(s, '\\') >= 0 {
-		b.nameEscaped(s)
+		// The rare names carrying \. or \DDD escapes are emitted without
+		// compression and never recorded as targets: their raw label bytes
+		// could mimic the label structure of a plain name, which would make
+		// raw-buffer suffix matching unsound.
+		b.buf = n.AppendWire(b.buf)
 		return
 	}
 	// Canonical names are lowercase, dot-terminated, escape-free: each label
@@ -119,24 +123,6 @@ func (b *builder) name(n Name, allowCompress bool) {
 		b.uint8(uint8(dot))
 		b.str(s[:dot])
 		s = s[dot+1:]
-	}
-	b.uint8(0)
-}
-
-// nameEscaped handles the rare names carrying \. or \DDD escapes. They are
-// emitted without compression and never recorded as targets: their raw label
-// bytes could mimic the label structure of a plain name, which would make
-// raw-buffer suffix matching unsound.
-func (b *builder) nameEscaped(s string) {
-	labels, err := splitLabels(s)
-	if err != nil {
-		// name() only sees validated Names; a malformed one degrades to root.
-		b.uint8(0)
-		return
-	}
-	for _, l := range labels {
-		b.uint8(uint8(len(l)))
-		b.bytes(l)
 	}
 	b.uint8(0)
 }

@@ -281,22 +281,25 @@ func TestReplyMirrorsEDNS(t *testing.T) {
 }
 
 func TestKeyTagRFC4034Vector(t *testing.T) {
-	// Key tag must be stable for a fixed key; check the algorithm's
-	// accumulate-and-fold behaviour against a manual computation.
-	k := DNSKEY{Flags: 256, Protocol: 3, Algorithm: 5, PublicKey: []byte{1, 2, 3, 4}}
-	b := newBuilder(false, nil)
-	k.encode(b)
-	var ac uint32
-	for i, c := range b.buf {
-		if i&1 == 1 {
-			ac += uint32(c)
-		} else {
-			ac += uint32(c) << 8
+	// KeyTag sums the fields directly; check it against RFC 4034 appendix
+	// B's accumulate-and-fold run over the encoded RDATA, for keys of even
+	// and odd length and one big enough to carry out of 16 bits.
+	for _, pub := range [][]byte{nil, {9}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}, bytes.Repeat([]byte{0xFF}, 259)} {
+		k := DNSKEY{Flags: 257, Protocol: 3, Algorithm: 5, PublicKey: pub}
+		b := newBuilder(false, nil)
+		k.encode(b)
+		var ac uint32
+		for i, c := range b.buf {
+			if i&1 == 1 {
+				ac += uint32(c)
+			} else {
+				ac += uint32(c) << 8
+			}
 		}
-	}
-	ac += ac >> 16 & 0xFFFF
-	if got := k.KeyTag(); got != uint16(ac&0xFFFF) {
-		t.Errorf("KeyTag = %d, want %d", got, uint16(ac&0xFFFF))
+		ac += ac >> 16 & 0xFFFF
+		if got := k.KeyTag(); got != uint16(ac&0xFFFF) {
+			t.Errorf("KeyTag of a %d-octet key = %d, want %d", len(pub), got, uint16(ac&0xFFFF))
+		}
 	}
 }
 

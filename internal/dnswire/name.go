@@ -9,6 +9,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -164,59 +165,78 @@ func (n Name) IsRoot() bool { return n == Root }
 func (n Name) String() string { return string(n) }
 
 // Labels returns the labels of n from leftmost to rightmost, without the
-// terminating root label. The root name has zero labels.
+// terminating root label. The root name has zero labels. It builds a slice;
+// the per-query paths use Parent, TLD, LabelCount, WireLength, Compare and
+// AppendWire, which walk the presentation string instead.
 func (n Name) Labels() []string {
-	if n.IsRoot() || n == "" {
+	s, ok := n.dotted()
+	if !ok {
 		return nil
 	}
-	s := strings.TrimSuffix(string(n), ".")
-	return splitPresentation(s)
+	var out []string
+	for start := 0; ; {
+		end := labelEnd(s, start)
+		out = append(out, s[start:end])
+		if end == len(s) {
+			return out
+		}
+		start = end + 1
+	}
 }
 
-// splitPresentation splits on unescaped dots.
-func splitPresentation(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
+// dotted returns n's labels joined by their separating dots — n without the
+// trailing dot — and false for the root (and the invalid zero Name), which
+// has no labels.
+func (n Name) dotted() (string, bool) {
+	if n.IsRoot() || n == "" {
+		return "", false
+	}
+	return strings.TrimSuffix(string(n), "."), true
+}
+
+// labelEnd returns the index of the unescaped dot that ends the label
+// starting at s[start], or len(s) for the last label of a dotted form.
+func labelEnd(s string, start int) int {
+	for i := start; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
 			i++
 		case '.':
-			out = append(out, s[start:i])
-			start = i + 1
+			return i
 		}
 	}
-	out = append(out, s[start:])
-	return out
+	return len(s)
 }
 
 // LabelCount returns the number of labels in n (0 for the root): what
 // len(n.Labels()) would be, counted without building the slice.
 func (n Name) LabelCount() int {
-	if n.IsRoot() || n == "" {
+	s, ok := n.dotted()
+	if !ok {
 		return 0
 	}
-	s := strings.TrimSuffix(string(n), ".")
 	count := 1
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++
-		case '.':
-			count++
-		}
+	for end := labelEnd(s, 0); end < len(s); end = labelEnd(s, end+1) {
+		count++
 	}
 	return count
 }
 
 // Parent returns the name with the leftmost label removed; the parent of the
-// root is the root.
+// root is the root. The result shares n's bytes.
 func (n Name) Parent() Name {
-	labels := n.Labels()
-	if len(labels) <= 1 {
+	s, ok := n.dotted()
+	if !ok {
 		return Root
 	}
-	return Name(strings.Join(labels[1:], ".") + ".")
+	end := labelEnd(s, 0)
+	if end == len(s) {
+		return Root
+	}
+	if len(s) == len(n) {
+		return Name(s[end+1:] + ".") // n lacked its trailing dot
+	}
+	return n[end+1:]
 }
 
 // Child returns the name formed by prepending label to n. It panics, like
@@ -266,79 +286,96 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 // TLD returns the rightmost label of n ("com" for "a.example.com."); the
 // empty string for the root.
 func (n Name) TLD() string {
-	labels := n.Labels()
-	if len(labels) == 0 {
+	s, ok := n.dotted()
+	if !ok {
 		return ""
 	}
-	return labels[len(labels)-1]
+	_, tld, _ := cutLastLabel(s)
+	return tld
+}
+
+// cutLastLabel splits a dotted form into its rightmost label and the dotted
+// form of the labels before it; more is false when that was the only label.
+func cutLastLabel(s string) (rest, label string, more bool) {
+	start := 0
+	for end := labelEnd(s, 0); end < len(s); end = labelEnd(s, start) {
+		start = end + 1
+	}
+	if start == 0 {
+		return "", s, false
+	}
+	return s[:start-1], s[start:], true
 }
 
 // WireLength returns the encoded length of n in octets without compression.
 func (n Name) WireLength() int {
-	total := 1
-	for _, l := range n.Labels() {
-		total += len(unescapeLabel(l)) + 1
-	}
-	return total
+	var scratch [MaxNameLength]byte
+	return len(n.AppendWire(scratch[:0]))
 }
 
-func unescapeLabel(l string) []byte {
-	var out []byte
+// AppendWire appends n's uncompressed wire form — each label as a length
+// octet and its raw octets, then the zero root label — to dst. Name is
+// already lower case, so this is also the canonical form DNSSEC signs and
+// hashes (RFC 4034 §6.2). It is the one place presentation escapes are undone.
+func (n Name) AppendWire(dst []byte) []byte {
+	s, ok := n.dotted()
+	for start := 0; ok; {
+		end := labelEnd(s, start)
+		at := len(dst)
+		dst = appendLabelOctets(append(dst, 0), s[start:end])
+		dst[at] = byte(len(dst) - at - 1)
+		if end == len(s) {
+			break
+		}
+		start = end + 1
+	}
+	return append(dst, 0)
+}
+
+// appendLabelOctets appends the raw octets of the presentation-form label l,
+// undoing \. and \DDD.
+func appendLabelOctets(dst []byte, l string) []byte {
 	for i := 0; i < len(l); i++ {
 		c := l[i]
 		if c == '\\' && i+1 < len(l) {
 			next := l[i+1]
 			if next >= '0' && next <= '9' && i+3 < len(l) {
-				v := int(next-'0')*100 + int(l[i+2]-'0')*10 + int(l[i+3]-'0')
-				out = append(out, byte(v))
+				c = byte(int(next-'0')*100 + int(l[i+2]-'0')*10 + int(l[i+3]-'0'))
 				i += 3
-				continue
+			} else {
+				c = next
+				i++
 			}
-			out = append(out, next)
-			i++
-			continue
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // Compare orders names in DNSSEC canonical order (RFC 4034 §6.1): by label
 // from the rightmost, each label compared as lower-case octet strings.
 // It returns -1, 0, or +1.
 func (n Name) Compare(m Name) int {
-	a, b := n.Labels(), m.Labels()
-	for i := 1; ; i++ {
-		ai, bi := len(a)-i, len(b)-i
+	a, moreA := n.dotted()
+	b, moreB := m.dotted()
+	var bufA, bufB [MaxLabelLength]byte
+	for {
 		switch {
-		case ai < 0 && bi < 0:
+		case !moreA && !moreB:
 			return 0
-		case ai < 0:
+		case !moreA:
 			return -1
-		case bi < 0:
+		case !moreB:
 			return 1
 		}
-		la, lb := unescapeLabel(a[ai]), unescapeLabel(b[bi])
-		if c := compareOctets(la, lb); c != 0 {
+		var la, lb string
+		a, la, moreA = cutLastLabel(a)
+		b, lb, moreB = cutLastLabel(b)
+		if la == lb {
+			continue
+		}
+		if c := bytes.Compare(appendLabelOctets(bufA[:0], la), appendLabelOctets(bufB[:0], lb)); c != 0 {
 			return c
 		}
 	}
-}
-
-func compareOctets(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }

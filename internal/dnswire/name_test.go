@@ -54,7 +54,7 @@ func TestNameEscapes(t *testing.T) {
 	if len(labels) != 2 {
 		t.Fatalf("got %d labels (%v), want 2", len(labels), labels)
 	}
-	if got := string(unescapeLabel(labels[0])); got != "a.b" {
+	if got := string(appendLabelOctets(nil, labels[0])); got != "a.b" {
 		t.Errorf("first label = %q, want %q", got, "a.b")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -50,9 +50,8 @@ func (r RR) encode(b *builder) {
 // record TTL (signers use the RRSIG original TTL).
 func (r RR) CanonicalWire(ttl uint32) []byte {
 	b := newBuilder(false, nil)
-	rr := r
-	rr.TTL = ttl
-	rr.encode(b)
+	r.TTL = ttl
+	r.encode(b)
 	return b.release()
 }
 
@@ -246,19 +245,18 @@ func (k DNSKEY) IsZoneKey() bool { return k.Flags&DNSKEYFlagZone != 0 }
 // IsSEP reports whether the key is flagged as a secure entry point (KSK).
 func (k DNSKEY) IsSEP() bool { return k.Flags&DNSKEYFlagSEP != 0 }
 
-// KeyTag computes the RFC 4034 Appendix B key tag of the key.
+// KeyTag computes the RFC 4034 Appendix B key tag of the key: the RDATA summed
+// as big-endian 16-bit words, the carry folded in once. The four fixed octets
+// are two whole words, so the public key's octets keep their own parity.
 func (k DNSKEY) KeyTag() uint16 {
-	b := newBuilder(false, nil)
-	k.encode(b)
-	var ac uint32
-	for i, c := range b.buf {
+	ac := uint32(k.Flags) + uint32(k.Protocol)<<8 + uint32(k.Algorithm)
+	for i, c := range k.PublicKey {
 		if i&1 == 1 {
 			ac += uint32(c)
 		} else {
 			ac += uint32(c) << 8
 		}
 	}
-	b.release()
 	ac += ac >> 16 & 0xFFFF
 	return uint16(ac & 0xFFFF)
 }
@@ -302,9 +300,8 @@ func (s RRSIG) String() string {
 // (RFC 4034 §3.1.8.1).
 func (s RRSIG) SignedData() []byte {
 	b := newBuilder(false, nil)
-	c := s
-	c.Signature = nil
-	c.encode(b)
+	s.Signature = nil
+	s.encode(b)
 	return b.release()
 }
 
@@ -411,8 +408,13 @@ func encodeTypeBitmap(b *builder, types []Type) {
 	if len(types) == 0 {
 		return
 	}
-	sorted := append([]Type(nil), types...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// Every bitmap this system builds lists its types in ascending order
+	// already; only one that does not is copied and sorted.
+	sorted := types
+	if !slices.IsSorted(sorted) {
+		sorted = slices.Clone(types)
+		slices.Sort(sorted)
+	}
 	window := -1
 	var bitmap [32]byte
 	maxOctet := 0
@@ -481,8 +483,12 @@ func typeListString(types []Type) string {
 // encoding of NSEC3 owner hashes (RFC 5155 §1.3). Output is lower case, as
 // owner names are canonicalized to lower case.
 func Base32HexNoPad(b []byte) string {
+	return string(AppendBase32Hex(make([]byte, 0, (len(b)*8+4)/5), b))
+}
+
+// AppendBase32Hex appends the Base32HexNoPad encoding of b to dst.
+func AppendBase32Hex(dst, b []byte) []byte {
 	const alphabet = "0123456789abcdefghijklmnopqrstuv"
-	var out strings.Builder
 	var acc uint
 	var bits uint
 	for _, c := range b {
@@ -490,18 +496,21 @@ func Base32HexNoPad(b []byte) string {
 		bits += 8
 		for bits >= 5 {
 			bits -= 5
-			out.WriteByte(alphabet[acc>>bits&0x1F])
+			dst = append(dst, alphabet[acc>>bits&0x1F])
 		}
 	}
 	if bits > 0 {
-		out.WriteByte(alphabet[acc<<(5-bits)&0x1F])
+		dst = append(dst, alphabet[acc<<(5-bits)&0x1F])
 	}
-	return out.String()
+	return dst
 }
 
 // DecodeBase32Hex is the inverse of Base32HexNoPad, accepting either case.
 func DecodeBase32Hex(s string) ([]byte, error) {
 	var out []byte
+	if n := len(s) * 5 / 8; n > 0 {
+		out = make([]byte, 0, n)
+	}
 	var acc, bits uint
 	for i := 0; i < len(s); i++ {
 		c := s[i]

@@ -199,14 +199,20 @@ func TestBrokenTLDsFailEveryQuery(t *testing.T) {
 // carries the same records.
 func TestOptOutChainConcurrentFirstUse(t *testing.T) {
 	w := smallWild(t)
-	var tld *TLD
-	var children []*Domain
+	// The ordinary NSEC3 TLD with the most unsigned children.
+	unsigned := make(map[*TLD][]*Domain)
 	for _, d := range w.Pop.Domains {
-		if d.Keys == nil && !d.TLD.NSECDenial && !d.TLD.special() && (tld == nil || d.TLD == tld) {
-			tld = d.TLD
-			children = append(children, d)
+		if d.Keys == nil && !d.TLD.NSECDenial && !d.TLD.special() {
+			unsigned[d.TLD] = append(unsigned[d.TLD], d)
 		}
 	}
+	var tld *TLD
+	for _, cand := range w.Pop.TLDs {
+		if len(unsigned[cand]) > len(unsigned[tld]) {
+			tld = cand
+		}
+	}
+	children := unsigned[tld]
 	if len(children) < 8 {
 		t.Fatalf("only %d unsigned children under %v", len(children), tld)
 	}

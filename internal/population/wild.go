@@ -435,7 +435,9 @@ func (s *tldServer) attachInsecureProof(resp *dnswire.Message, child dnswire.Nam
 		rec := dnswire.RR{
 			Name: child, Class: dnswire.ClassIN, TTL: 3600,
 			Data: dnswire.NSEC{
-				NextName: child.Child("\000"),
+				// The white lie: the name right after child in canonical
+				// order, spelled in its canonical form directly.
+				NextName: `\000.` + child,
 				Types:    []dnswire.Type{dnswire.TypeNS, dnswire.TypeRRSIG, dnswire.TypeNSEC},
 			},
 		}
@@ -521,12 +523,13 @@ func (s *tldServer) covering(hash []byte) *optOutLink {
 	return s.chain[i-1]
 }
 
-// childOf returns the direct child of tld on the path to name.
+// childOf returns the direct child of tld on the path to name, which lies
+// below tld: name with labels dropped from the left until its parent is tld.
 func childOf(name, tld dnswire.Name) dnswire.Name {
-	labels := name.Labels()
-	tldLabels := tld.LabelCount()
-	childLabel := labels[len(labels)-tldLabels-1]
-	return tld.Child(childLabel)
+	for p := name.Parent(); p != tld && !p.IsRoot(); p = name.Parent() {
+		name = p
+	}
+	return name
 }
 
 // --- provider server: answers for healthy and signed wild domains ---

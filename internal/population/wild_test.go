@@ -248,6 +248,9 @@ func TestChildOf(t *testing.T) {
 		{"d1.com", "d1.com."},
 		{"ns1.d1.com", "d1.com."},
 		{"deep.ns1.d1.com", "d1.com."},
+		{`x\.y.d1.com`, "d1.com."},
+		// Not below com at all: handed back, and no domain is indexed under it.
+		{`x\.com`, `x\.com.`},
 	}
 	for _, c := range cases {
 		if got := childOf(dnswire.MustName(c.in), tld); string(got) != c.want {
@@ -290,6 +293,10 @@ func TestNSECDenialTLDsServeNSECProofs(t *testing.T) {
 			switch rr.Type() {
 			case dnswire.TypeNSEC:
 				nsec++
+				// The white lie spells the canonical successor by hand.
+				if next := rr.Data.(dnswire.NSEC).NextName; rr.Name != d.Name || next != d.Name.Child("\000") {
+					t.Errorf("NSEC %s → %s, want %s → its canonical successor", rr.Name, next, d.Name)
+				}
 			case dnswire.TypeNSEC3:
 				nsec3++
 			}
@@ -301,6 +308,7 @@ func TestNSECDenialTLDsServeNSECProofs(t *testing.T) {
 	if checked == 0 {
 		t.Skip("no healthy domain under an NSEC TLD at this seed")
 	}
+
 }
 
 func TestClassStrings(t *testing.T) {

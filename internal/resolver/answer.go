@@ -153,7 +153,7 @@ func (st *resolution) wildcardCovered(owner dnswire.Name, keys []dnswire.DNSKEY,
 	now := uint32(st.r.Now().Unix())
 	sup := st.r.Profile.Support
 
-	nsec3s, _ := collectNSEC3(authority)
+	nsec3s, _ := collectProofs(authority, dnswire.TypeNSEC3)
 	for _, g := range nsec3s {
 		if len(g.sigs) == 0 {
 			continue
@@ -169,7 +169,8 @@ func (st *resolution) wildcardCovered(owner dnswire.Name, keys []dnswire.DNSKEY,
 			return true
 		}
 	}
-	for _, g := range collectNSEC(authority) {
+	nsecs, _ := collectProofs(authority, dnswire.TypeNSEC)
+	for _, g := range nsecs {
 		if len(g.sigs) == 0 {
 			continue
 		}
@@ -248,8 +249,8 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 	sup := st.r.Profile.Support
 
 	soaSet, soaSigs := splitSection(resp.Authority, zoneName, dnswire.TypeSOA)
-	nsec3s, _ := collectNSEC3(resp.Authority)
-	nsecs := collectNSEC(resp.Authority)
+	nsec3s, _ := collectProofs(resp.Authority, dnswire.TypeNSEC3)
+	nsecs, _ := collectProofs(resp.Authority, dnswire.TypeNSEC)
 
 	if st.cur != nil {
 		st.cur.Eventf("validating denial for %s (nxdomain=%v): %d NSEC3 groups, %d NSEC groups, SOA present=%v",
@@ -323,13 +324,10 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 		}
 	}
 
-	hashOf := func(n dnswire.Name) dnswire.Name {
-		return zoneName.Child(dnswire.Base32HexNoPad(dnssec.NSEC3Hash(n, iter, salt)))
-	}
 	matches := func(n dnswire.Name) bool {
-		want := hashOf(n)
+		h := dnssec.NSEC3Hash(n, iter, salt)
 		for _, g := range nsec3s {
-			if g.set[0].Name == want {
+			if nsec3OwnerIs(g.set[0].Name, zoneName, h) {
 				return true
 			}
 		}
@@ -338,10 +336,8 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 	covers := func(n dnswire.Name) bool {
 		h := dnssec.NSEC3Hash(n, iter, salt)
 		for _, g := range nsec3s {
-			ownerLabels := g.set[0].Name.Labels()
-			ownerHash, err := dnswire.DecodeBase32Hex(ownerLabels[0])
 			rec := g.set[0].Data.(dnswire.NSEC3)
-			if err == nil && dnssec.CoversHash(ownerHash, rec.NextHashed, h) {
+			if owner := nsec3OwnerHash(g.set[0].Name, zoneName); owner != nil && dnssec.CoversHash(owner, rec.NextHashed, h) {
 				return true
 			}
 		}
@@ -387,49 +383,11 @@ func (st *resolution) validateDenial(resp *dnswire.Message, zoneName dnswire.Nam
 	}
 }
 
-// nsecGroup is one NSEC RRset with its signatures.
-type nsecGroup struct {
-	set  []dnswire.RR
-	sigs []dnswire.RR
-}
-
-// collectNSEC groups NSEC records (and their RRSIGs) by owner.
-func collectNSEC(rrs []dnswire.RR) []nsecGroup {
-	byOwner := make(map[dnswire.Name]*nsecGroup)
-	var order []dnswire.Name
-	get := func(n dnswire.Name) *nsecGroup {
-		g, ok := byOwner[n]
-		if !ok {
-			g = &nsecGroup{}
-			byOwner[n] = g
-			order = append(order, n)
-		}
-		return g
-	}
-	for _, rr := range rrs {
-		switch d := rr.Data.(type) {
-		case dnswire.NSEC:
-			get(rr.Name).set = append(get(rr.Name).set, rr)
-		case dnswire.RRSIG:
-			if d.TypeCovered == dnswire.TypeNSEC {
-				get(rr.Name).sigs = append(get(rr.Name).sigs, rr)
-			}
-		}
-	}
-	var out []nsecGroup
-	for _, n := range order {
-		if g := byOwner[n]; len(g.set) > 0 {
-			out = append(out, *g)
-		}
-	}
-	return out
-}
-
 // validateNSECDenial checks a plain NSEC proof: signatures first, then a
 // match (NODATA) or covering span (NXDOMAIN) for qname. Failures map to the
 // same conditions as the NSEC3 cases — the vendor codes in Table 4 do not
 // distinguish the denial flavour.
-func (st *resolution) validateNSECDenial(nsecs []nsecGroup, zoneName dnswire.Name, keys []dnswire.DNSKEY, qname dnswire.Name, nxdomain bool) {
+func (st *resolution) validateNSECDenial(nsecs []proofGroup, zoneName dnswire.Name, keys []dnswire.DNSKEY, qname dnswire.Name, nxdomain bool) {
 	now := uint32(st.r.Now().Unix())
 	sup := st.r.Profile.Support
 	for _, g := range nsecs {

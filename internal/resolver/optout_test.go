@@ -114,6 +114,15 @@ func TestOptOutReferralProof(t *testing.T) {
 	}
 	matching := f.nsec3(dnssec.NSEC3Hash(f.child, 0, nil), hashPlus(dnssec.NSEC3Hash(f.child, 0, nil), 1), 0, 0, nil,
 		dnswire.TypeNS, dnswire.TypeDS)
+	// Matching NSEC3s that deny the DS but under parameters the validator
+	// does not hash with: skipped, not believed.
+	const overCap = dnssec.MaxNSEC3Iterations + 1
+	costly := f.nsec3(dnssec.NSEC3Hash(f.child, overCap, nil), hashPlus(dnssec.NSEC3Hash(f.child, overCap, nil), 1), 0, overCap, nil,
+		dnswire.TypeNS)
+	unknownAlg := f.nsec3(dnssec.NSEC3Hash(f.child, 0, nil), hashPlus(dnssec.NSEC3Hash(f.child, 0, nil), 1), 0, 0, nil, dnswire.TypeNS)
+	alg2 := unknownAlg.Data.(dnswire.NSEC3)
+	alg2.HashAlg = 2
+	unknownAlg.Data = alg2
 	saltedCover := f.cover(optOut, 0, []byte{0xAB}, false)
 	iteratedCover := f.cover(optOut, 3, nil, false)
 	noFlagCover := f.cover(0, 0, nil, false)
@@ -148,6 +157,9 @@ func TestOptOutReferralProof(t *testing.T) {
 		{"cover RRSIG bit-flipped", []dnswire.RR{ce, f.sign(ce), cv, flipSignature(f.sign(cv))},
 			ConditionReferralProofBogus, bogus(dnssec.SigCryptoFailed)},
 		{"RRSIG without its NSEC3", []dnswire.RR{ce, f.sign(ce), f.sign(cv)}, ConditionReferralProofMissing, missing},
+		{"matching NSEC3 over the iteration cap", []dnswire.RR{costly, f.sign(costly)}, ConditionReferralProofMissing, missing},
+		{"matching NSEC3 under an unassigned hash algorithm", []dnswire.RR{unknownAlg, f.sign(unknownAlg)},
+			ConditionReferralProofMissing, missing},
 		{"matching NSEC3 asserts a DS", []dnswire.RR{ce, f.sign(ce), cv, f.sign(cv), matching, f.sign(matching)},
 			ConditionReferralProofBogus, fmt.Sprintf("insecure referral proof for %s asserts a DS exists", f.child)},
 	}

@@ -3,13 +3,13 @@ package resolver
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"strings"
-
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
@@ -171,5 +171,83 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > c.MaxEntries {
 		t.Fatalf("cache grew to %d entries under concurrent churn, cap %d", n, c.MaxEntries)
+	}
+}
+
+// coldResolveWorld builds a small wild population and a resolver whose
+// infrastructure caches are warm for the biggest ordinary TLD of each denial
+// flavour, and returns it with the healthy unsigned children of those TLDs
+// ("nsec3" and "nsec") that no one has asked about yet.
+func coldResolveWorld(t *testing.T) (*Resolver, map[string][]dnswire.Name) {
+	t.Helper()
+	pop := population.Generate(population.Config{TotalDomains: 6060, Seed: 20230515})
+	w, err := population.Materialize(pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(w.Net, w.Roots, w.Anchor, ProfileCloudflare())
+	r.Now = w.Now
+	r.AnswerCacheReadOnly = true
+
+	perTLD := make(map[*population.TLD][]dnswire.Name)
+	for _, d := range pop.Domains {
+		if d.Class == population.ClassHealthy && d.Keys == nil {
+			perTLD[d.TLD] = append(perTLD[d.TLD], d.Name)
+		}
+	}
+	cold := make(map[string][]dnswire.Name)
+	for tld, names := range perTLD {
+		flavour := "nsec3"
+		if tld.NSECDenial {
+			flavour = "nsec"
+		}
+		if len(names) > len(cold[flavour]) {
+			cold[flavour] = names
+		}
+	}
+	ctx := context.Background()
+	for flavour, names := range cold {
+		if len(names) < 150 {
+			t.Fatalf("largest %s TLD has only %d healthy unsigned children", flavour, len(names))
+		}
+		// Warm the TLD's keys, its zone cut and (NSEC3) the memo's view of
+		// the chain links these children share.
+		for _, n := range names[:40] {
+			if res := r.Resolve(ctx, n, dnswire.TypeA); res.Msg.RCode != dnswire.RCodeNoError {
+				t.Fatalf("warm-up %s: rcode %s", n, res.Msg.RCode)
+			}
+		}
+		cold[flavour] = names[40:]
+	}
+	return r, cold
+}
+
+// TestColdResolveAllocBudget gates the scan's miss path exactly: resolving a
+// never-seen unsigned domain under a TLD whose keys and cut are cached — the
+// paper's scan does nothing else 99% of the time — costs a fixed number of
+// allocations, which machine load cannot move. Ceilings are 10% above what
+// the tree measures (EXPERIMENTS E20).
+func TestColdResolveAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate") // the race detector's sync.Pool drops items at random
+	}
+	r, cold := coldResolveWorld(t)
+	ctx := context.Background()
+	// Measured 77 under the NSEC3 TLD and 85 under the NSEC TLD, from 149 and
+	// 147 before PR 20.
+	for flavour, ceiling := range map[string]float64{"nsec3": 85, "nsec": 94} {
+		names := cold[flavour]
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			res := r.Resolve(ctx, names[i], dnswire.TypeA)
+			i++
+			if res.Msg.RCode != dnswire.RCodeNoError || len(res.Msg.Answer) == 0 {
+				t.Fatalf("%s: rcode %s, %d answers", names[i-1], res.Msg.RCode, len(res.Msg.Answer))
+			}
+		})
+		t.Logf("cold resolution under a warmed %s TLD: %.1f allocs", flavour, allocs)
+		if allocs > ceiling {
+			t.Errorf("cold resolution under a warmed %s TLD allocates %.1f/op, ceiling %.0f", flavour, allocs, ceiling)
+		}
 	}
 }

@@ -121,7 +121,8 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 		}
 		return false
 	}
-	for _, g := range collectNSEC(resp.Authority) {
+	nsecs, _ := collectProofs(resp.Authority, dnswire.TypeNSEC)
+	for _, g := range nsecs {
 		if g.set[0].Name != child {
 			continue
 		}
@@ -134,13 +135,16 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 		st.addCond(ConditionInsecure, "")
 		return nil, false
 	}
-	nsec3s, bad := collectNSEC3(resp.Authority)
+	nsec3s, bad := collectProofs(resp.Authority, dnswire.TypeNSEC3)
 	if len(nsec3s) == 0 || bad {
 		return missing()
 	}
+	// Both remaining proofs turn on the child's hash — an NSEC3 that matches
+	// it, or an opt-out span that covers it — so it is computed once.
+	hashed := nsec3Hasher{name: child}
 	for _, grp := range nsec3s {
 		rec := grp.set[0].Data.(dnswire.NSEC3)
-		if grp.set[0].Name != dnssec.NSEC3HashName(child, parent, rec.Iterations, rec.Salt) {
+		if !usableNSEC3(rec) || !nsec3OwnerIs(grp.set[0].Name, parent, hashed.hash(rec)) {
 			continue
 		}
 		if assertsDS(rec.Types) {
@@ -152,7 +156,7 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 		st.addCond(ConditionInsecure, "")
 		return nil, false
 	}
-	encloser, cover, ok := optOutProof(nsec3s, parent, child)
+	encloser, cover, ok := optOutProof(nsec3s, parent, &hashed)
 	if !ok {
 		return missing()
 	}
@@ -168,15 +172,39 @@ func (st *resolution) evaluateDelegation(resp *dnswire.Message, parent dnswire.N
 	return nil, false
 }
 
+// nsec3Hasher hashes one name under the parameters of the NSEC3 records it is
+// checked against, keeping the last result: the records of one proof share
+// their parameters (RFC 5155 §7.1), so the name is hashed once.
+type nsec3Hasher struct {
+	name   dnswire.Name
+	params dnswire.NSEC3 // Iterations and Salt of the hash held
+	held   []byte
+}
+
+// usableNSEC3 reports whether rec's parameters are ones the validator will
+// hash under: SHA-1, and no more iterations than the cap. A record that fails
+// this proves nothing, and is skipped before any hashing is spent on it.
+func usableNSEC3(rec dnswire.NSEC3) bool {
+	return rec.HashAlg == dnssec.NSEC3HashSHA1 && rec.Iterations <= dnssec.MaxNSEC3Iterations
+}
+
+func (h *nsec3Hasher) hash(rec dnswire.NSEC3) []byte {
+	if h.held == nil || rec.Iterations != h.params.Iterations || !bytes.Equal(rec.Salt, h.params.Salt) {
+		h.params, h.held = rec, dnssec.NSEC3Hash(h.name, rec.Iterations, rec.Salt)
+	}
+	return h.held
+}
+
 // optOutProof finds, among a referral's NSEC3 RRsets, the RFC 5155 §8.9
-// proof that child is an unsigned delegation of an opt-out zone: one NSEC3
-// matching the closest encloser of child inside zone, and one with the
-// Opt-Out flag covering the next closer name, both under the same hash
-// parameters. The caller validates the two RRsets' signatures.
-func optOutProof(nsec3s []nsec3Group, zone, child dnswire.Name) (encloser, cover nsec3Group, ok bool) {
+// proof that child — the name hashed holds — is an unsigned delegation of an
+// opt-out zone: one NSEC3 matching the closest encloser of child inside zone,
+// and one with the Opt-Out flag covering the next closer name, both under the
+// same hash parameters. The caller validates the two RRsets' signatures.
+func optOutProof(nsec3s []proofGroup, zone dnswire.Name, hashed *nsec3Hasher) (encloser, cover proofGroup, ok bool) {
+	child := hashed.name
 	for _, ce := range nsec3s {
 		params := ce.set[0].Data.(dnswire.NSEC3)
-		if params.HashAlg != dnssec.NSEC3HashSHA1 || params.Iterations > dnssec.MaxNSEC3Iterations {
+		if !usableNSEC3(params) {
 			continue
 		}
 		// Walk up from the delegation to the apex: the first ancestor this
@@ -184,8 +212,13 @@ func optOutProof(nsec3s []nsec3Group, zone, child dnswire.Name) (encloser, cover
 		// name one label below it is the next closer name.
 		nextCloser := child
 		for n := child.Parent(); ; nextCloser, n = n, n.Parent() {
-			if ce.set[0].Name == dnssec.NSEC3HashName(n, zone, params.Iterations, params.Salt) {
-				h := dnssec.NSEC3Hash(nextCloser, params.Iterations, params.Salt)
+			if nsec3OwnerIs(ce.set[0].Name, zone, dnssec.NSEC3Hash(n, params.Iterations, params.Salt)) {
+				// A delegation directly below its closest encloser — every
+				// TLD's — is its own next closer name.
+				h := hashed.hash(params)
+				if nextCloser != child {
+					h = dnssec.NSEC3Hash(nextCloser, params.Iterations, params.Salt)
+				}
 				for _, c := range nsec3s {
 					rec := c.set[0].Data.(dnswire.NSEC3)
 					if rec.Flags&dnswire.NSEC3FlagOptOut == 0 || rec.HashAlg != params.HashAlg ||
@@ -203,17 +236,34 @@ func optOutProof(nsec3s []nsec3Group, zone, child dnswire.Name) (encloser, cover
 			}
 		}
 	}
-	return nsec3Group{}, nsec3Group{}, false
+	return proofGroup{}, proofGroup{}, false
+}
+
+// nsec3Label returns the label(s) owner carries below zone — for an NSEC3
+// owner name, the one label that spells its hash.
+func nsec3Label(owner, zone dnswire.Name) (string, bool) {
+	below := string(owner)
+	if !zone.IsRoot() {
+		var ok bool
+		if below, ok = strings.CutSuffix(below, string(zone)); !ok {
+			return "", false
+		}
+	}
+	return strings.CutSuffix(below, ".")
+}
+
+// nsec3OwnerIs reports whether owner is the NSEC3 owner name of hash in zone:
+// base32hex(hash) as the one label below the apex.
+func nsec3OwnerIs(owner, zone dnswire.Name, hash []byte) bool {
+	var buf [32]byte // a SHA-1 hash is 32 base32hex digits
+	label, ok := nsec3Label(owner, zone)
+	return ok && label == string(dnswire.AppendBase32Hex(buf[:0], hash))
 }
 
 // nsec3OwnerHash decodes the hash an NSEC3 owner name carries as its single
 // label below zone; nil when owner is not such a name.
 func nsec3OwnerHash(owner, zone dnswire.Name) []byte {
-	suffix := "." + string(zone)
-	if zone.IsRoot() {
-		suffix = "."
-	}
-	label, ok := strings.CutSuffix(string(owner), suffix)
+	label, ok := nsec3Label(owner, zone)
 	if !ok {
 		return nil
 	}
@@ -223,49 +273,51 @@ func nsec3OwnerHash(owner, zone dnswire.Name) []byte {
 	return hash
 }
 
-// nsec3Group is one NSEC3 RRset with its signatures.
-type nsec3Group struct {
-	set  []dnswire.RR
-	sigs []dnswire.RR
+// proofGroup is one NSEC or NSEC3 RRset with its signatures.
+type proofGroup struct {
+	owner dnswire.Name
+	set   []dnswire.RR
+	sigs  []dnswire.RR
 }
 
-// collectNSEC3 groups NSEC3 records (and their RRSIGs) by owner.
-func collectNSEC3(rrs []dnswire.RR) ([]nsec3Group, bool) {
-	byOwner := make(map[dnswire.Name]*nsec3Group)
-	var order []dnswire.Name
-	get := func(n dnswire.Name) *nsec3Group {
-		g, ok := byOwner[n]
-		if !ok {
-			g = &nsec3Group{}
-			byOwner[n] = g
-			order = append(order, n)
-		}
-		return g
-	}
+// collectProofs groups the records of denial type t (NSEC or NSEC3) and the
+// RRSIGs covering them by owner, in order of first appearance. orphan reports
+// an RRSIG whose records are absent; such a group is dropped.
+func collectProofs(rrs []dnswire.RR, t dnswire.Type) (groups []proofGroup, orphan bool) {
 	for _, rr := range rrs {
-		switch d := rr.Data.(type) {
-		case dnswire.NSEC3:
-			g := get(rr.Name)
-			g.set = append(g.set, rr)
-			_ = d
-		case dnswire.RRSIG:
-			if d.TypeCovered == dnswire.TypeNSEC3 {
-				g := get(rr.Name)
-				g.sigs = append(g.sigs, rr)
-			}
-		}
-	}
-	var out []nsec3Group
-	bad := false
-	for _, n := range order {
-		g := byOwner[n]
-		if len(g.set) == 0 {
-			bad = true // RRSIG without its record
+		sig, isSig := rr.Data.(dnswire.RRSIG)
+		if (isSig && sig.TypeCovered != t) || (!isSig && rr.Type() != t) {
 			continue
 		}
-		out = append(out, *g)
+		var g *proofGroup
+		for i := range groups {
+			if groups[i].owner == rr.Name {
+				g = &groups[i]
+				break
+			}
+		}
+		if g == nil {
+			if groups == nil {
+				groups = make([]proofGroup, 0, 3) // the most a denial needs
+			}
+			groups = append(groups, proofGroup{owner: rr.Name})
+			g = &groups[len(groups)-1]
+		}
+		if isSig {
+			g.sigs = append(g.sigs, rr)
+		} else {
+			g.set = append(g.set, rr)
+		}
 	}
-	return out, bad
+	signed := groups[:0]
+	for _, g := range groups {
+		if len(g.set) == 0 {
+			orphan = true
+			continue
+		}
+		signed = append(signed, g)
+	}
+	return signed, orphan
 }
 
 // establishKeys fetches and validates the DNSKEY RRset for zone against its

@@ -123,7 +123,7 @@ func TestCollectNSEC3(t *testing.T) {
 	soaSig := dnswire.RR{Name: dnswire.MustName("example"), Class: dnswire.ClassIN, TTL: 300,
 		Data: dnswire.RRSIG{TypeCovered: dnswire.TypeSOA}}
 
-	groups, bad := collectNSEC3([]dnswire.RR{rec, sig, soaSig})
+	groups, bad := collectProofs([]dnswire.RR{rec, sig, soaSig}, dnswire.TypeNSEC3)
 	if bad || len(groups) != 1 {
 		t.Fatalf("groups=%d bad=%t", len(groups), bad)
 	}
@@ -134,7 +134,7 @@ func TestCollectNSEC3(t *testing.T) {
 	// An NSEC3 RRSIG without its record flags the response.
 	orphan := dnswire.RR{Name: dnswire.MustName("other.example"), Class: dnswire.ClassIN, TTL: 300,
 		Data: dnswire.RRSIG{TypeCovered: dnswire.TypeNSEC3}}
-	_, bad = collectNSEC3([]dnswire.RR{orphan})
+	_, bad = collectProofs([]dnswire.RR{orphan}, dnswire.TypeNSEC3)
 	if !bad {
 		t.Error("orphan NSEC3 RRSIG not flagged")
 	}
