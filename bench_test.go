@@ -494,6 +494,21 @@ func toPoint(r testing.BenchmarkResult) benchPoint {
 	return p
 }
 
+// worldPoint benchmarks one world-building step: time and allocations per
+// call, no resolution rate.
+func worldPoint(build func() error) benchPoint {
+	p := toPoint(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := build(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	p.ResolutionsS = 0
+	return p
+}
+
 // TestWriteBenchScanSnapshot regenerates BENCH_scan.json. It only runs when
 // BENCH_SNAPSHOT=1 is set (it is a measurement, not a correctness check):
 //
@@ -611,6 +626,20 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 			ResolutionsS: float64(n) / elapsed.Seconds(),
 		}
 	}
+
+	// World building (EXPERIMENTS E26): the 101,000-domain population of the
+	// campaign_scan workload, generated, then materialised — keys, TLD servers
+	// and the signed root — on every processor of the box (cpus below).
+	worldCfg := population.Config{TotalDomains: 101000, Seed: 20230515}
+	cur["population.Generate/101000"] = worldPoint(func() error {
+		population.Generate(worldCfg)
+		return nil
+	})
+	worldPop := population.Generate(worldCfg)
+	cur["population.Materialize/101000"] = worldPoint(func() error {
+		_, err := population.Materialize(worldPop)
+		return err
+	})
 
 	// Whole-scan peak heap (scan-attributable growth): the slice path
 	// materializes every Result, the streaming path holds O(workers). Run at

@@ -19,6 +19,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"sort"
+	"strconv"
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -317,7 +318,7 @@ func Generate(cfg Config) *Population {
 	}
 
 	p.buildTLDs(cfg, rng, scale)
-	p.buildDomains(rng)
+	p.buildDomains()
 	p.assignClasses(rng, scale)
 	p.assignBrokenNS(rng)
 	p.assignTranco(rng)
@@ -483,19 +484,54 @@ func spread(tlds []*TLD, total int) {
 	}
 }
 
-// buildDomains materializes the per-TLD domain names.
-func (p *Population) buildDomains(rng *rand.Rand) {
+// buildDomains materializes the per-TLD domain names: domain id (counting
+// from 1 in TLD order) is "d" plus the id zero-padded to six digits, under its
+// TLD. The domains live in one slab behind the []*Domain.
+func (p *Population) buildDomains() {
+	total := 0
+	for _, t := range p.TLDs {
+		total += t.Domains
+	}
+	slab := make([]Domain, total)
+	p.Domains = make([]*Domain, total)
 	id := 0
 	for _, t := range p.TLDs {
 		for i := 0; i < t.Domains; i++ {
+			slab[id] = Domain{Name: t.Name.Child(domainLabel(id + 1)), TLD: t, Class: ClassHealthy, BrokenNS: -1}
+			p.Domains[id] = &slab[id]
 			id++
-			name := dnswire.MustName(fmt.Sprintf("d%06d.%s", id, t.Label))
-			p.Domains = append(p.Domains, &Domain{
-				Name: name, TLD: t, Class: ClassHealthy, BrokenNS: -1,
-			})
 		}
 	}
-	p.Config.TotalDomains = len(p.Domains)
+	p.Config.TotalDomains = total
+}
+
+// domainLabel is the first label of domain id: "d" and id zero-padded to six
+// digits.
+func domainLabel(id int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'd')
+	for pow := 100000; pow > 1 && id < pow; pow /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(id), 10))
+}
+
+// domainID reads back the id domainLabel put in name's first label. It does
+// not check that the id exists or that the rest of the name is its TLD.
+func domainID(name dnswire.Name) (int, bool) {
+	if len(name) < 2 || name[0] != 'd' {
+		return 0, false
+	}
+	id, i := 0, 1
+	for ; i < len(name) && '0' <= name[i] && name[i] <= '9'; i++ {
+		if id = id*10 + int(name[i]-'0'); id > math.MaxInt32 {
+			return 0, false
+		}
+	}
+	if id == 0 || i == len(name) || name[i] != '.' {
+		return 0, false
+	}
+	return id, true
 }
 
 // assignClasses distributes the §4.2 class quotas over eligible domains.
@@ -517,7 +553,7 @@ func (p *Population) assignClasses(rng *rand.Rand, scale float64) {
 	// Eligible pool for the remaining classes: normal, non-clean TLDs.
 	// ccTLD domains are three times as likely to be picked, producing the
 	// Figure 1 contrast between the gTLD and ccTLD curves.
-	var pool []*Domain
+	pool := make([]*Domain, 0, len(p.Domains))
 	for _, d := range p.Domains {
 		if d.Class == ClassHealthy && !d.TLD.Clean && !d.TLD.special() {
 			pool = append(pool, d)
@@ -689,7 +725,8 @@ func zipfPicker(rng *rand.Rand, s float64) func(n int) int {
 // of which ~55% come from NOERROR-with-EDE classes (the paper's 12.2k of
 // 22.1k).
 func (p *Population) assignTranco(rng *rand.Rand) {
-	var healthy, advisory, failing []*Domain
+	healthy := make([]*Domain, 0, len(p.Domains))
+	var advisory, failing []*Domain
 	for _, d := range p.Domains {
 		switch d.Class {
 		case ClassHealthy, ClassHealthySigned:
@@ -709,7 +746,7 @@ func (p *Population) assignTranco(rng *rand.Rand) {
 	advSlots := edeSlots * 55 / 100
 
 	// Choose which ranks hold EDE domains: an even lattice (uniform spread).
-	isEDE := make(map[int]bool, edeSlots)
+	isEDE := make([]bool, p.TrancoSize)
 	if edeSlots > 0 {
 		step := p.TrancoSize / edeSlots
 		for i := 0; i < edeSlots; i++ {

@@ -13,6 +13,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/authserver"
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fanout"
 	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/zone"
@@ -46,7 +47,6 @@ type Wild struct {
 	offset atomic.Int64
 
 	providers []netip.Addr
-	index     map[dnswire.Name]*Domain
 	// staleAddrs holds the dedicated dying endpoint of each ClassStale
 	// domain — 32 of the paper's 303M, so it lives here, not in Domain.
 	staleAddrs map[*Domain]netip.Addr
@@ -76,33 +76,46 @@ func (w *Wild) WarmupDomains() []dnswire.Name {
 	return out
 }
 
-// Lookup returns the domain spec for a name.
+// Lookup returns the domain spec for a name. It needs no index: domain id
+// sits at Pop.Domains[id-1], so the id is read back from the name and the
+// stored name must equal the one asked for.
 func (w *Wild) Lookup(name dnswire.Name) (*Domain, bool) {
-	d, ok := w.index[name]
-	return d, ok
+	if id, ok := domainID(name); ok && id <= len(w.Pop.Domains) {
+		if d := w.Pop.Domains[id-1]; d.Name == name {
+			return d, true
+		}
+	}
+	return nil, false
 }
 
-// Materialize wires the population onto a fresh simulated network.
+// Materialize wires the population onto a fresh simulated network. Every key
+// generation and signature it needs is made up front, on every processor:
+// the signed children's keys, each TLD server's keys and DS, then the root
+// zone's RRSIGs (zone.Sign). Only the algorithm choice runs in domain order.
 func Materialize(pop *Population) (*Wild, error) {
 	w := &Wild{
-		Net:   netsim.New(pop.Config.Seed ^ 0x57494C44), // "WILD"
-		Pop:   pop,
-		index: make(map[dnswire.Name]*Domain, len(pop.Domains)),
-
+		Net:        netsim.New(pop.Config.Seed ^ 0x57494C44), // "WILD"
+		Pop:        pop,
 		staleAddrs: make(map[*Domain]netip.Addr),
 	}
-	// Signing material for signed wild classes.
-	if err := buildChildKeys(pop); err != nil {
-		return nil, err
-	}
-	// The children with a DS are, with the apex, the owners of their TLD's
-	// opt-out NSEC3 chain.
+	// Signing material for signed wild classes. The children with a DS are,
+	// with the apex, the owners of their TLD's opt-out NSEC3 chain.
+	children := childKeySpecs(pop)
 	withDS := make(map[*TLD][]*Domain)
-	for _, d := range pop.Domains {
-		w.index[d.Name] = d
-		if d.Keys != nil {
-			withDS[d.TLD] = append(withDS[d.TLD], d)
+	for _, c := range children {
+		withDS[c.d.TLD] = append(withDS[c.d.TLD], c.d)
+	}
+	tldServers := make([]*tldServer, len(pop.TLDs))
+	err := fanout.Run(len(children)+len(pop.TLDs), func(i int) (err error) {
+		if i < len(children) {
+			return children[i].generate()
 		}
+		t := pop.TLDs[i-len(children)]
+		tldServers[i-len(children)], err = newTLDServer(w, t, withDS[t])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Provider pool for healthy domains.
@@ -114,16 +127,9 @@ func Materialize(pop *Population) (*Wild, error) {
 	rootAddr := netip.AddrFrom4([4]byte{198, 18, 0, 1})
 	root := zone.New(dnswire.Root, 86400)
 	root.AddNS(dnswire.MustName("a.root-servers.net"), rootAddr)
-
-	tldServers := make([]*tldServer, 0, len(pop.TLDs))
-	for _, t := range pop.TLDs {
-		srv, err := newTLDServer(w, t, withDS[t])
-		if err != nil {
-			return nil, err
-		}
-		tldServers = append(tldServers, srv)
-		nsHost := t.Name.Child("ns")
-		root.AddDelegation(t.Name, map[dnswire.Name][]netip.Addr{nsHost: {t.Addr}})
+	for _, srv := range tldServers {
+		t := srv.tld
+		root.AddDelegation(t.Name, map[dnswire.Name][]netip.Addr{t.Name.Child("ns"): {t.Addr}})
 		root.AddDS(t.Name, srv.ds)
 	}
 	if err := root.Sign(zone.SignOptions{
@@ -220,63 +226,77 @@ func (w *Wild) providerFor(d *Domain) netip.Addr {
 	return w.providers[h%len(w.providers)]
 }
 
-// buildChildKeys creates DNSSEC material for every signed wild domain.
-func buildChildKeys(pop *Population) error {
+// childKeySpec is what a signed wild domain's keys must be, decided before
+// any key is drawn.
+type childKeySpec struct {
+	d        *Domain
+	alg      dnssec.Algorithm
+	bits     int
+	digest   dnssec.DigestType
+	window   SigWindow
+	mismatch bool
+}
+
+// childKeySpecs decides the key algorithm, DS digest and signature window of
+// every signed wild domain. It walks the domains in order because the
+// unsupported-algorithm class rotates through its causes by position.
+func childKeySpecs(pop *Population) []childKeySpec {
+	var specs []childKeySpec
 	unsupportedRotation := 0
 	for _, d := range pop.Domains {
-		var alg dnssec.Algorithm
-		var bits int
-		digest := dnssec.DigestSHA256
-		window := WindowValid
-		mismatch := false
-
+		c := childKeySpec{d: d, digest: dnssec.DigestSHA256, window: WindowValid}
 		switch d.Class {
 		case ClassHealthySigned:
-			alg = dnssec.AlgED25519
+			c.alg = dnssec.AlgED25519
 		case ClassSigExpired:
-			alg, window = dnssec.AlgED25519, WindowExpired
+			c.alg, c.window = dnssec.AlgED25519, WindowExpired
 		case ClassSigNotYet:
-			alg, window = dnssec.AlgED25519, WindowFuture
+			c.alg, c.window = dnssec.AlgED25519, WindowFuture
 		case ClassDNSKEYMismatch:
-			alg, mismatch = dnssec.AlgED25519, true
+			c.alg, c.mismatch = dnssec.AlgED25519, true
 		case ClassUnsupportedDigest:
-			alg, digest = dnssec.AlgED25519, dnssec.DigestGOST
+			c.alg, c.digest = dnssec.AlgED25519, dnssec.DigestGOST
 		case ClassUnsupportedAlg:
 			// Rotate through the §4.2 item 7 causes: GOST, Ed448, weak RSA.
 			switch unsupportedRotation % 3 {
 			case 0:
-				alg = dnssec.AlgECCGOST
+				c.alg = dnssec.AlgECCGOST
 			case 1:
-				alg = dnssec.AlgED448
+				c.alg = dnssec.AlgED448
 			default:
-				alg, bits = dnssec.AlgRSASHA256, 512
+				c.alg, c.bits = dnssec.AlgRSASHA256, 512
 			}
 			unsupportedRotation++
 		default:
 			continue
 		}
-
-		ksk, err := dnssec.GenerateKey(alg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, bits)
-		if err != nil {
-			return err
-		}
-		zsk, err := dnssec.GenerateKey(alg, dnswire.DNSKEYFlagZone, bits)
-		if err != nil {
-			return err
-		}
-		dsKey := ksk
-		if mismatch {
-			// The DS points at a retired key that is no longer published.
-			if dsKey, err = dnssec.GenerateKey(alg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, bits); err != nil {
-				return err
-			}
-		}
-		ds, err := dnssec.CreateDS(d.Name, dsKey.DNSKEY(), digest)
-		if err != nil {
-			return err
-		}
-		d.Keys = &ChildKeys{KSK: ksk, ZSK: zsk, DS: ds, DigestType: digest, Window: window}
+		specs = append(specs, c)
 	}
+	return specs
+}
+
+// generate draws the domain's keys and derives the DS its TLD publishes.
+func (c childKeySpec) generate() error {
+	ksk, err := dnssec.GenerateKey(c.alg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, c.bits)
+	if err != nil {
+		return err
+	}
+	zsk, err := dnssec.GenerateKey(c.alg, dnswire.DNSKEYFlagZone, c.bits)
+	if err != nil {
+		return err
+	}
+	dsKey := ksk
+	if c.mismatch {
+		// The DS points at a retired key that is no longer published.
+		if dsKey, err = dnssec.GenerateKey(c.alg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, c.bits); err != nil {
+			return err
+		}
+	}
+	ds, err := dnssec.CreateDS(c.d.Name, dsKey.DNSKEY(), c.digest)
+	if err != nil {
+		return err
+	}
+	c.d.Keys = &ChildKeys{KSK: ksk, ZSK: zsk, DS: ds, DigestType: c.digest, Window: c.window}
 	return nil
 }
 
@@ -288,6 +308,8 @@ type tldServer struct {
 	ksk  *dnssec.KeyPair
 	zsk  *dnssec.KeyPair
 	ds   dnswire.DS
+	// standby is the published-but-unused KSK of a Standby TLD, else nil.
+	standby *dnssec.KeyPair
 
 	dnskeyOnce sync.Once
 	dnskeyResp *dnswire.Message
@@ -316,7 +338,13 @@ func newTLDServer(w *Wild, t *TLD, withDS []*Domain) (*tldServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tldServer{wild: w, tld: t, ksk: ksk, zsk: zsk, ds: ds, withDS: withDS}, nil
+	var standby *dnssec.KeyPair
+	if t.Standby {
+		if standby, err = dnssec.GenerateKey(dnssec.AlgED25519, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, 0); err != nil {
+			return nil, err
+		}
+	}
+	return &tldServer{wild: w, tld: t, ksk: ksk, zsk: zsk, ds: ds, standby: standby, withDS: withDS}, nil
 }
 
 // sign signs one of the zone's RRsets with key over the wild validity window.
@@ -348,7 +376,7 @@ func (s *tldServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 
 	// Child query → referral.
 	child := childOf(question.Name, s.tld.Name)
-	domain, known := s.wild.index[child]
+	domain, known := s.wild.Lookup(child)
 	var glue []netip.Addr
 	if known {
 		glue = s.wild.nsAddrsFor(domain)
@@ -384,14 +412,11 @@ func (s *tldServer) dnskeyAnswer(q *dnswire.Message) *dnswire.Message {
 			{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: s.ksk.DNSKEY()},
 			{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: s.zsk.DNSKEY()},
 		}
-		if s.tld.Standby {
+		if s.standby != nil {
 			// Publish a stand-by KSK with no covering signature (§4.2
 			// item 3): validators chain through the active key, Cloudflare
 			// additionally reports RRSIGs Missing as an advisory.
-			standby, err := dnssec.GenerateKey(dnssec.AlgED25519, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, 0)
-			if err == nil {
-				keys = append(keys, dnswire.RR{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: standby.DNSKEY()})
-			}
+			keys = append(keys, dnswire.RR{Name: s.tld.Name, Class: dnswire.ClassIN, TTL: 3600, Data: s.standby.DNSKEY()})
 		}
 		msg := &dnswire.Message{Response: true, Authoritative: true,
 			Question: []dnswire.Question{{Name: s.tld.Name, Type: dnswire.TypeDNSKEY, Class: dnswire.ClassIN}},
@@ -549,9 +574,9 @@ func (s *providerServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dn
 
 	// Find the owning domain: the question is either the domain apex or a
 	// host under it.
-	domain, ok := s.wild.index[question.Name]
+	domain, ok := s.wild.Lookup(question.Name)
 	if !ok {
-		domain, ok = s.wild.index[question.Name.Parent()]
+		domain, ok = s.wild.Lookup(question.Name.Parent())
 	}
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain

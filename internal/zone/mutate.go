@@ -202,11 +202,9 @@ func (z *Zone) rewriteNSEC3(fn func(i int, e *nsec3Entry, rec *dnswire.NSEC3)) e
 			return err
 		}
 	}
-	sortChain(z.nsec3Chain)
+	sortEntries(z.nsec3Chain)
 	return nil
 }
-
-func sortChain(entries []nsec3Entry) { sortEntries(entries) }
 
 // CorruptNSEC3Sigs corrupts the RRSIGs over every NSEC3 record
 // (bad-nsec3-rrsig).

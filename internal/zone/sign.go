@@ -1,10 +1,13 @@
 package zone
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/fanout"
 )
 
 // SignOptions configures Zone.Sign.
@@ -102,7 +105,8 @@ func (z *Zone) Sign(opts SignOptions) error {
 }
 
 // buildNSEC3Chain hashes every authoritative owner name (plus delegation
-// points) and links the chain (RFC 5155 §7.1).
+// points) and links the chain (RFC 5155 §7.1): one sort by hash, after which
+// each owner's successor is the next position.
 func (z *Zone) buildNSEC3Chain() {
 	// Remove any previous chain.
 	for _, e := range z.nsec3Chain {
@@ -128,66 +132,52 @@ func (z *Zone) buildNSEC3Chain() {
 	}
 
 	iter, salt := z.NSEC3Params.Iterations, z.NSEC3Params.Salt
-	entries := make([]nsec3Entry, 0, len(typesAt))
-	byName := make(map[dnswire.Name][]byte)
+	type link struct {
+		name  dnswire.Name
+		entry nsec3Entry
+	}
+	links := make([]link, 0, len(typesAt))
 	for name := range typesAt {
 		h := dnssec.NSEC3Hash(name, iter, salt)
-		hashedOwner := z.Origin.Child(dnswire.Base32HexNoPad(h))
-		entries = append(entries, nsec3Entry{hash: h, owner: hashedOwner})
-		byName[name] = h
+		links = append(links, link{name, nsec3Entry{hash: h, owner: z.Origin.Child(dnswire.Base32HexNoPad(h))}})
 	}
-	sortEntries(entries)
-	z.nsec3Chain = entries
+	sort.Slice(links, func(i, j int) bool { return bytes.Compare(links[i].entry.hash, links[j].entry.hash) < 0 })
 
 	// Create the NSEC3 records linking the chain.
-	for name, types := range typesAt {
-		h := byName[name]
-		idx := findEntry(entries, h)
-		next := entries[(idx+1)%len(entries)]
-		if z.Authoritative(name) && len(types) > 0 {
+	z.nsec3Chain = make([]nsec3Entry, len(links))
+	for i, l := range links {
+		z.nsec3Chain[i] = l.entry
+		types := typesAt[l.name]
+		if z.Authoritative(l.name) && len(types) > 0 {
 			types = append(types, dnswire.TypeRRSIG)
 		}
 		rec := dnswire.NSEC3{
 			HashAlg:    dnssec.NSEC3HashSHA1,
 			Iterations: iter,
 			Salt:       salt,
-			NextHashed: next.hash,
+			NextHashed: links[(i+1)%len(links)].entry.hash,
 			Types:      dedupTypes(types),
 		}
-		z.SetRRset(entries[idx].owner, dnswire.TypeNSEC3, []dnswire.RR{{
-			Name: entries[idx].owner, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: rec,
+		z.SetRRset(l.entry.owner, dnswire.TypeNSEC3, []dnswire.RR{{
+			Name: l.entry.owner, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: rec,
 		}})
-
 	}
 }
 
+// sortEntries orders a chain by hash; entries with equal hashes keep their
+// order.
 func sortEntries(entries []nsec3Entry) {
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && compare(entries[j].hash, entries[j-1].hash) < 0; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
+	sort.SliceStable(entries, func(i, j int) bool { return bytes.Compare(entries[i].hash, entries[j].hash) < 0 })
 }
 
+// findEntry returns the position of the first entry of a sorted chain whose
+// hash is h, or -1.
 func findEntry(entries []nsec3Entry, h []byte) int {
-	for i, e := range entries {
-		if compare(e.hash, h) == 0 {
-			return i
-		}
+	i := sort.Search(len(entries), func(i int) bool { return bytes.Compare(entries[i].hash, h) >= 0 })
+	if i == len(entries) || !bytes.Equal(entries[i].hash, h) {
+		return -1
 	}
-	return -1
-}
-
-func compare(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
+	return i
 }
 
 func dedupTypes(ts []dnswire.Type) []dnswire.Type {
@@ -203,10 +193,16 @@ func dedupTypes(ts []dnswire.Type) []dnswire.Type {
 }
 
 // resignAll signs every authoritative RRset with the primary ZSK, and the
-// DNSKEY RRset additionally with every KSK.
+// DNSKEY RRset additionally with every KSK. The signatures are independent,
+// so they are made on every processor (the root of a wild population has
+// ~2,950 of them).
 func (z *Zone) resignAll() error {
-	z.sigs = make(map[rrKey][]dnswire.RR)
-	for k, rrs := range z.rrsets {
+	type job struct {
+		k   rrKey
+		key *dnssec.KeyPair
+	}
+	var jobs []job
+	for k := range z.rrsets {
 		cut, below := z.delegationAbove(k.name)
 		if below {
 			// Below or at a cut: only DS and NSEC are authoritative and
@@ -215,17 +211,25 @@ func (z *Zone) resignAll() error {
 				continue
 			}
 		}
-		signers := []*dnssec.KeyPair{z.ZSKs[0]}
 		if k.typ == dnswire.TypeDNSKEY {
-			signers = append([]*dnssec.KeyPair{z.KSKs[0]}, z.ZSKs[0])
+			jobs = append(jobs, job{k, z.KSKs[0]})
 		}
-		for _, key := range signers {
-			sig, err := dnssec.SignRRset(rrs, key, z.Origin, z.Inception, z.Expiration)
-			if err != nil {
-				return fmt.Errorf("zone %s: sign %s/%s: %w", z.Origin, k.name, k.typ, err)
-			}
-			z.sigs[k] = append(z.sigs[k], sig)
+		jobs = append(jobs, job{k, z.ZSKs[0]})
+	}
+	sigs := make([]dnswire.RR, len(jobs))
+	err := fanout.Run(len(jobs), func(i int) (err error) {
+		k := jobs[i].k
+		if sigs[i], err = dnssec.SignRRset(z.rrsets[k], jobs[i].key, z.Origin, z.Inception, z.Expiration); err != nil {
+			return fmt.Errorf("zone %s: sign %s/%s: %w", z.Origin, k.name, k.typ, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	z.sigs = make(map[rrKey][]dnswire.RR, len(jobs))
+	for i, j := range jobs {
+		z.sigs[j.k] = append(z.sigs[j.k], sigs[i])
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package zone
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -450,5 +452,66 @@ func TestNSECChainLinksAllNames(t *testing.T) {
 	}
 	if len(seen) != len(z.nsecChain) {
 		t.Errorf("chain visited %d names, index has %d", len(seen), len(z.nsecChain))
+	}
+}
+
+// TestNSEC3ChainLinksManyOwners signs a zone the size of a small root (2,000
+// owners besides the apex and its nameserver: 1,000 delegations with a DS,
+// 1,000 hosts) and walks its NSEC3 chain: from the lowest hash, NextHashed must
+// climb through every link exactly once and wrap back; every owner must find
+// its own signed record, whose bitmap lists the owner's types.
+func TestNSEC3ChainLinksManyOwners(t *testing.T) {
+	z := New(dnswire.MustName("many.example"), 300)
+	z.AddNS(dnswire.MustName("ns1.many.example"), netip.MustParseAddr("198.18.9.1"))
+	want := map[dnswire.Name][]dnswire.Type{} // owner → the types its bitmap must carry
+	for i := 0; i < 1000; i++ {
+		child := z.Origin.Child(fmt.Sprintf("c%d", i))
+		z.AddDelegation(child, map[dnswire.Name][]netip.Addr{dnswire.MustName("ns.elsewhere.example"): nil})
+		z.AddDS(child, dnswire.DS{KeyTag: uint16(i), Algorithm: 15, DigestType: 2, Digest: []byte{byte(i)}})
+		want[child] = []dnswire.Type{dnswire.TypeNS, dnswire.TypeDS}
+		host := z.Origin.Child(fmt.Sprintf("h%d", i))
+		z.AddAddress(host, netip.MustParseAddr("203.0.113.9"))
+		want[host] = []dnswire.Type{dnswire.TypeA, dnswire.TypeRRSIG}
+	}
+	if err := z.Sign(SignOptions{Algorithm: dnssec.AlgED25519, Inception: inception, Expiration: expiration}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(z.nsec3Chain); got != len(want)+2 {
+		t.Fatalf("chain has %d links, want %d owners + the apex and its nameserver", got, len(want))
+	}
+	start := z.nsec3Chain[0].hash
+	cur, seen := start, 0
+	for {
+		owner := z.Origin.Child(dnswire.Base32HexNoPad(cur))
+		set := z.RRset(owner, dnswire.TypeNSEC3)
+		if len(set) != 1 || len(z.Sigs(owner, dnswire.TypeNSEC3)) != 1 {
+			t.Fatalf("link %d: %d NSEC3 records, %d signatures at %s", seen, len(set), len(z.Sigs(owner, dnswire.TypeNSEC3)), owner)
+		}
+		seen++
+		next := set[0].Data.(dnswire.NSEC3).NextHashed
+		if bytes.Equal(next, start) {
+			break
+		}
+		if bytes.Compare(next, cur) <= 0 || seen > len(z.nsec3Chain) {
+			t.Fatalf("link %d: next hash does not climb", seen)
+		}
+		cur = next
+	}
+	if seen != len(z.nsec3Chain) {
+		t.Errorf("walk visited %d links, chain has %d", seen, len(z.nsec3Chain))
+	}
+	for name, types := range want {
+		set, sigs, ok := z.NSEC3ForName(name)
+		if !ok || len(set) != 1 || len(sigs) != 1 {
+			t.Fatalf("%s: no signed NSEC3 of its own", name)
+		}
+		for _, typ := range types {
+			if got := set[0].Data.(dnswire.NSEC3).Types; !slices.Contains(got, typ) {
+				t.Errorf("%s: bitmap %v lacks %s", name, got, typ)
+			}
+		}
+	}
+	if _, _, ok := z.NSEC3ForName(z.Origin.Child("absent")); ok {
+		t.Error("NSEC3ForName matched a name that owns nothing")
 	}
 }
