@@ -70,10 +70,10 @@ type cacheShard struct {
 	lru   *list.List
 }
 
-// Cache is the sharded serving cache. Unlike the resolver's global-mutex
-// cache (internal/resolver/cache.go), lookups here contend only within one
-// FNV-selected shard, and total size is bounded with per-shard LRU
-// eviction.
+// Cache is the sharded serving cache: lookups contend only within one
+// FNV-selected shard, and total size is bounded with per-shard LRU eviction.
+// The resolver's cache (internal/resolver/cache.go) shards the same way but
+// evicts by probing for expired entries, not by recency.
 type Cache struct {
 	shards   []cacheShard
 	perShard int

@@ -11,12 +11,12 @@
 //	client → frontend (cache, coalescing, stale, backpressure) → resolver → authorities
 //
 // This package provides that layer as a netsim.Handler, so it plugs into
-// both the simulated network and the real-UDP/TCP front ends in
-// internal/authserver. It composes five mechanisms:
+// both the simulated network and the real-socket front door in
+// internal/transport. It composes five mechanisms:
 //
 //   - A sharded message cache (FNV-distributed shards, per-shard lock and
-//     LRU) bounding memory and removing the global-mutex serving bottleneck.
-//     Answers are TTL-decremented on the way out.
+//     LRU) bounding memory, so concurrent clients contend only within one
+//     shard. Answers are TTL-decremented on the way out.
 //   - Singleflight query coalescing: M concurrent clients asking the same
 //     (qname, qtype, DO) trigger one upstream recursion and M answers.
 //   - RFC 8767 serve-stale: when recursion fails (timeout or SERVFAIL), an

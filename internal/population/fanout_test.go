@@ -165,12 +165,12 @@ func checkChildKeys(t *testing.T, pop *population.Population) {
 func checkLookup(t *testing.T, w *population.Wild) {
 	t.Helper()
 	for _, d := range w.Pop.Domains {
-		if got, ok := w.Lookup(d.Name); !ok || got != d {
+		if got, ok := w.Pop.Lookup(d.Name); !ok || got != d {
 			t.Fatalf("Lookup(%s) = %v, %t", d.Name, got, ok)
 		}
 	}
 	for _, name := range []string{"absent.zzz.", "d000001.zzz.", "d0000001.com.", "d999999999.com.", "ns1.d000001.com."} {
-		if d, ok := w.Lookup(dnswire.MustName(name)); ok || d != nil {
+		if d, ok := w.Pop.Lookup(dnswire.MustName(name)); ok || d != nil {
 			t.Errorf("Lookup(%s) = %v, %t", name, d, ok)
 		}
 	}

@@ -272,6 +272,18 @@ func (it *NameIter) Skip(n int) {
 	}
 }
 
+// Lookup returns the domain spec for a name. It needs no index: domain id
+// sits at Domains[id-1], so the id is read back from the name and the stored
+// name must equal the one asked for. It allocates nothing.
+func (p *Population) Lookup(name dnswire.Name) (*Domain, bool) {
+	if id, ok := domainID(name); ok && id <= len(p.Domains) {
+		if d := p.Domains[id-1]; d.Name == name {
+			return d, true
+		}
+	}
+	return nil, false
+}
+
 // Names returns a fresh iterator over the population's domains.
 func (p *Population) Names() *NameIter { return &NameIter{domains: p.Domains} }
 

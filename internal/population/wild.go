@@ -76,18 +76,6 @@ func (w *Wild) WarmupDomains() []dnswire.Name {
 	return out
 }
 
-// Lookup returns the domain spec for a name. It needs no index: domain id
-// sits at Pop.Domains[id-1], so the id is read back from the name and the
-// stored name must equal the one asked for.
-func (w *Wild) Lookup(name dnswire.Name) (*Domain, bool) {
-	if id, ok := domainID(name); ok && id <= len(w.Pop.Domains) {
-		if d := w.Pop.Domains[id-1]; d.Name == name {
-			return d, true
-		}
-	}
-	return nil, false
-}
-
 // Materialize wires the population onto a fresh simulated network. Every key
 // generation and signature it needs is made up front, on every processor:
 // the signed children's keys, each TLD server's keys and DS, then the root
@@ -376,7 +364,7 @@ func (s *tldServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 
 	// Child query → referral.
 	child := childOf(question.Name, s.tld.Name)
-	domain, known := s.wild.Lookup(child)
+	domain, known := s.wild.Pop.Lookup(child)
 	var glue []netip.Addr
 	if known {
 		glue = s.wild.nsAddrsFor(domain)
@@ -574,9 +562,9 @@ func (s *providerServer) HandleDNS(ctx context.Context, q *dnswire.Message) (*dn
 
 	// Find the owning domain: the question is either the domain apex or a
 	// host under it.
-	domain, ok := s.wild.Lookup(question.Name)
+	domain, ok := s.wild.Pop.Lookup(question.Name)
 	if !ok {
-		domain, ok = s.wild.Lookup(question.Name.Parent())
+		domain, ok = s.wild.Pop.Lookup(question.Name.Parent())
 	}
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain

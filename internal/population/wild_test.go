@@ -25,11 +25,11 @@ func TestMaterializeRegistersInfrastructure(t *testing.T) {
 	}
 	// Every domain must be indexed.
 	for _, d := range w.Pop.Domains[:50] {
-		if got, ok := w.Lookup(d.Name); !ok || got != d {
+		if got, ok := w.Pop.Lookup(d.Name); !ok || got != d {
 			t.Fatalf("index missing %s", d.Name)
 		}
 	}
-	if _, ok := w.Lookup(dnswire.MustName("absent.zzz")); ok {
+	if _, ok := w.Pop.Lookup(dnswire.MustName("absent.zzz")); ok {
 		t.Error("index returned a nonexistent domain")
 	}
 }
@@ -50,7 +50,7 @@ func TestWarmupDomainsAreStaleClass(t *testing.T) {
 		t.Fatal("no warmup domains")
 	}
 	for _, name := range warm {
-		d, ok := w.Lookup(name)
+		d, ok := w.Pop.Lookup(name)
 		if !ok || d.Class != ClassStale {
 			t.Errorf("%s: class %v", name, d.Class)
 		}

@@ -58,14 +58,16 @@ const DefaultMaxEntries = 1 << 20
 // insert and needs no auxiliary bookkeeping on the hit path.
 const evictProbes = 8
 
-// perShard is each shard's slice of MaxEntries, for both sharded maps.
-func (c *Cache) perShard() int {
-	n := c.MaxEntries
-	if n <= 0 {
-		n = DefaultMaxEntries
+// maxEntries is MaxEntries, with zero meaning DefaultMaxEntries.
+func (c *Cache) maxEntries() int {
+	if c.MaxEntries <= 0 {
+		return DefaultMaxEntries
 	}
-	return max(n/numShards, 1)
+	return c.MaxEntries
 }
+
+// perShard is each shard's slice of MaxEntries, for both sharded maps.
+func (c *Cache) perShard() int { return max(c.maxEntries()/numShards, 1) }
 
 // evictProbed removes at least one entry from a full shard map, whose lock
 // the caller holds. It probes a handful of entries (map iteration order is
@@ -127,9 +129,10 @@ type Cache struct {
 	StaleWindow time.Duration
 	// ErrorTTL is the negative/error cache lifetime.
 	ErrorTTL time.Duration
-	// MaxEntries caps the total number of cached answers across all shards.
-	// When a shard exceeds its slice of the cap, inserts evict expired (or,
-	// failing that, arbitrary) entries. Zero means DefaultMaxEntries.
+	// MaxEntries caps each of the three maps — answers, zone cuts, zone keys
+	// — at this many entries. When a map (for the sharded two, a shard's
+	// slice of the cap) is full, inserts evict expired entries or, failing
+	// that, the probed entry closest to expiry. Zero means DefaultMaxEntries.
 	MaxEntries int
 }
 
@@ -178,6 +181,49 @@ type delegationShard struct {
 	entries map[dnswire.Name]*cachedCut
 }
 
+// leafState is where a resolution of a unique-name scan (AnswerCacheReadOnly)
+// keeps its own name's infrastructure: the zone cuts at or below the client's
+// qname and the DNSKEY verdicts for those zones. In the shared Cache they
+// would be one cut per scanned domain that no later resolution reads, since
+// no name is asked twice. Only the resolution that learned them reads them —
+// its CNAME chases, and its out-of-bailiwick nameserver sub-resolutions,
+// which work on a copy and hand it back — so it sends exactly the queries a
+// shared entry would have let it send. Cuts above the qname (the TLDs) still
+// go to the Cache.
+//
+// Like the resolution it belongs to, it lives on the stack; the one record a
+// scanned name's cut takes costs the allocation a shared cut would.
+type leafState struct {
+	qname dnswire.Name // empty on a caching resolver: it owns nothing
+	cuts  []zoneEntry[cachedCut]
+	keys  []zoneEntry[*zoneKeys]
+}
+
+// zoneEntry is one leafState record: a value learned for a zone.
+type zoneEntry[V any] struct {
+	zone dnswire.Name
+	v    V
+}
+
+// owns reports whether zone is at or below the client's qname, and so stays
+// on the resolution.
+func (l *leafState) owns(zone dnswire.Name) bool {
+	return l.qname != "" && zone.IsSubdomainOf(l.qname)
+}
+
+// cut returns the deepest fresh cut of the resolution's own that encloses
+// qname, or (root, nil).
+func (l *leafState) cut(qname dnswire.Name, nowNs int64) (dnswire.Name, *cachedCut) {
+	zone, cut := dnswire.Root, (*cachedCut)(nil)
+	for i := range l.cuts {
+		e := &l.cuts[i]
+		if nowNs < e.v.expiresAt && len(e.zone) > len(zone) && qname.IsSubdomainOf(e.zone) {
+			zone, cut = e.zone, &e.v
+		}
+	}
+	return zone, cut
+}
+
 // nameShard hashes a zone name onto a shard index (FNV-1a, same scheme as
 // cacheKey.shard).
 func nameShard(n dnswire.Name) uint64 {
@@ -200,6 +246,51 @@ func NewCache() *Cache {
 		c.delegations[i].entries = make(map[dnswire.Name]*cachedCut)
 	}
 	return c
+}
+
+// closestCut returns the deepest fresh zone cut enclosing qname: the shared
+// Cache's, or one of the resolution's own leaf cuts when that is deeper.
+func (st *resolution) closestCut(qname dnswire.Name, now time.Time) (dnswire.Name, *cachedCut) {
+	zone, cut := st.r.Cache.getDelegation(qname, now)
+	if lz, lc := st.leaf.cut(qname, now.UnixNano()); lc != nil && len(lz) > len(zone) {
+		return lz, lc
+	}
+	return zone, cut
+}
+
+// storeCut files a cut learned from a referral for ttl: on the resolution
+// when the zone is its own leaf, else in the shared Cache.
+func (st *resolution) storeCut(zone dnswire.Name, e cachedCut, now time.Time, ttl time.Duration) {
+	if !st.leaf.owns(zone) {
+		shared := e // only this branch allocates; &e would move e to the heap on every call
+		st.r.Cache.putDelegation(zone, &shared, now, ttl)
+		return
+	}
+	e.expiresAt = now.UnixNano() + int64(ttl)
+	st.leaf.cuts = append(st.leaf.cuts, zoneEntry[cachedCut]{zone, e})
+}
+
+// cachedKeys returns the key establishment known for zone: the resolution's
+// own for a leaf zone, else (or failing that) the shared Cache's.
+func (st *resolution) cachedKeys(zone dnswire.Name, now time.Time) (*zoneKeys, bool) {
+	if st.leaf.owns(zone) {
+		for _, e := range st.leaf.keys {
+			if e.zone == zone && !now.After(e.v.expiresAt) {
+				return e.v, true
+			}
+		}
+	}
+	return st.r.Cache.getKeys(zone, now)
+}
+
+// storeKeys files a key establishment where storeCut would file its zone's
+// cut.
+func (st *resolution) storeKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
+	if st.leaf.owns(zone) {
+		st.leaf.keys = append(st.leaf.keys, zoneEntry[*zoneKeys]{zone, k})
+		return
+	}
+	st.r.Cache.putKeys(zone, k, now)
 }
 
 // getDelegation returns the deepest cached zone cut enclosing qname (which
@@ -310,9 +401,15 @@ func (c *Cache) getKeys(zone dnswire.Name, now time.Time) (*zoneKeys, bool) {
 	return k, true
 }
 
-func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys) {
+// putKeys stores the key establishment for zone, evicting at capacity like
+// the other two maps: a serving resolver validates every signed zone its
+// clients reach, and must not keep all of them forever.
+func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
 	c.keyMu.Lock()
 	defer c.keyMu.Unlock()
+	if _, exists := c.keys[zone]; !exists && len(c.keys) >= c.maxEntries() {
+		evictProbed(c.keys, now.UnixNano(), 0, func(k *zoneKeys) int64 { return k.expiresAt.UnixNano() })
+	}
 	c.keys[zone] = k
 }
 

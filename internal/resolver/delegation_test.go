@@ -84,11 +84,12 @@ func TestDelegationCacheTTLFallsBackToParent(t *testing.T) {
 	// Make any attempt to consult the root fail loudly: the parent-cut start
 	// means the root server is never needed again.
 	w.net.Deregister(netip.MustParseAddr("198.18.10.1"))
-	res := r.Resolve(context.Background(), dnswire.MustName("example.com"), dnswire.TypeA)
+	res := r.Resolve(context.Background(), dnswire.MustName("www.example.com"), dnswire.TypeA)
 	if res.Msg.RCode != dnswire.RCodeNoError || !res.Msg.AuthenticData {
 		t.Fatalf("post-expiry resolve: rcode=%s AD=%t conds=%v", res.Msg.RCode, res.Msg.AuthenticData, res.Conditions)
 	}
-	// The re-walked referral refreshed the example.com cut.
+	// The re-walked referral refreshed the example.com cut (shared: it lies
+	// above the question).
 	if _, cut := r.Cache.getDelegation(dnswire.MustName("example.com"), later); cut == nil {
 		t.Error("example.com cut was not refreshed by the fallback walk")
 	}

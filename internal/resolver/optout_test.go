@@ -87,7 +87,7 @@ func (f *optOutFixture) evaluate(proof ...dnswire.RR) *resolution {
 	r := New(nil, nil, nil, ProfileCloudflare())
 	r.Now = func() time.Time { return time.Unix(int64(f.now), 0) }
 	r.Cache.putKeys(f.zone, &zoneKeys{keys: []dnswire.DNSKEY{f.zsk.DNSKEY()}, secure: true,
-		expiresAt: r.Now().Add(time.Hour)})
+		expiresAt: r.Now().Add(time.Hour)}, r.Now())
 	st := &resolution{r: r, ctx: context.Background()}
 	resp := &dnswire.Message{Response: true, Authority: append([]dnswire.RR{{
 		Name: f.child, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: f.child.Child("ns1")},
@@ -187,7 +187,7 @@ func TestOptOutProofExpiresWhenMemoised(t *testing.T) {
 	clock := int64(f.now)
 	r.Now = func() time.Time { return time.Unix(clock, 0) }
 	r.Cache.putKeys(f.zone, &zoneKeys{keys: []dnswire.DNSKEY{f.zsk.DNSKEY()}, secure: true,
-		expiresAt: time.Unix(clock, 0).Add(time.Hour)})
+		expiresAt: time.Unix(clock, 0).Add(time.Hour)}, time.Unix(clock, 0))
 	resp := &dnswire.Message{Response: true, Authority: proof}
 	run := func() []Condition {
 		st := &resolution{r: r, ctx: context.Background()}

@@ -143,6 +143,28 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestCacheKeysBounded: the zone-key map obeys MaxEntries like the answer and
+// cut maps, so a serving resolver does not keep one entry for every signed
+// zone it has ever validated.
+func TestCacheKeysBounded(t *testing.T) {
+	c := NewCache()
+	c.MaxEntries = 8
+	now := time.Unix(tNow, 0)
+	for i := 0; i < 100; i++ {
+		zone := dnswire.MustName(fmt.Sprintf("zone-%d.example.", i))
+		c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)}, now)
+	}
+	c.keyMu.RLock()
+	n := len(c.keys)
+	c.keyMu.RUnlock()
+	if n > c.MaxEntries {
+		t.Fatalf("100 zones left %d key entries, cap %d", n, c.MaxEntries)
+	}
+	if _, ok := c.getKeys(dnswire.MustName("zone-99.example."), now); !ok {
+		t.Error("the zone stored last was evicted by its own insert")
+	}
+}
+
 // TestCacheConcurrentChurn hammers all shards from many goroutines under a
 // small cap; run with -race this verifies the sharded maps and the key cache
 // RWMutex are sound.
@@ -162,7 +184,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				c.putAnswer(key, &cachedAnswer{}, now, time.Hour)
 				c.getAnswer(key, now)
 				if i%7 == 0 {
-					c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)})
+					c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)}, now)
 				}
 				c.getKeys(zone, now)
 			}

@@ -40,9 +40,14 @@ type Resolver struct {
 	// and never re-queried, so storing their answers would only grow the heap
 	// with the population — while the warmed entries that serve-stale depends
 	// on stay pinned (nothing is inserted, so nothing can evict them). This
-	// is what keeps scan peak heap O(workers) at any population size. On a
-	// fresh resolver it models a zdns-style unique-name scan: the answer
-	// cache stays empty and only the infrastructure caches warm up.
+	// is what keeps scan peak heap O(workers) at any population size. It
+	// also covers the infrastructure below the question: the zone cut at or
+	// under the client's qname and the DNSKEY verdict for that zone stay on
+	// the resolution (its CNAME chases and sub-resolutions still use them)
+	// and never enter Cache, which would otherwise hold one cut per scanned
+	// domain. On a fresh resolver it models a zdns-style unique-name scan:
+	// the answer cache stays empty and only the cuts and keys above the
+	// scanned names — root and TLDs — warm up.
 	AnswerCacheReadOnly bool
 
 	Cache *Cache
@@ -133,6 +138,11 @@ type resolution struct {
 	cancelled bool
 	cd        bool // client set Checking Disabled (RFC 4035 §3.2.2)
 	attempts  int  // upstream attempts spent (counts against RetryBudget)
+	// leaf holds the cuts and keys of the client's own name when the
+	// resolver is AnswerCacheReadOnly. It is a value, so it stays on the
+	// stack with the resolution: a sub-resolution starts from a copy and
+	// hands it back, as it does steps.
+	leaf leafState
 
 	// span is this resolution's root span; cur is the innermost open span —
 	// the attach point addCond reports conditions against. Both are nil when
@@ -190,6 +200,9 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 	// The details map is allocated lazily by addCond: most resolutions —
 	// every healthy domain in a wild scan — never record a detail string.
 	st := &resolution{r: r, ctx: ctx, cd: opts.CheckingDisabled}
+	if r.AnswerCacheReadOnly {
+		st.leaf.qname = qname
+	}
 	now := r.Now()
 	r.ResolutionCount.Add(1)
 
@@ -435,7 +448,7 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 	condBase := len(st.conds)
 	var inherited []condRecord
 	if !r.DisableDelegationCache {
-		if cutZone, cut := r.Cache.getDelegation(qname, r.Now()); cut != nil {
+		if cutZone, cut := st.closestCut(qname, r.Now()); cut != nil {
 			zoneName, servers, dsForZone, chainSecure = cutZone, cut.servers, cut.ds, cut.secure
 			inherited = cut.conds
 			r.stats.delegationHits.Add(1)
@@ -512,7 +525,7 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 					ttl = maxDelegationTTL
 				}
 				if ttl > 0 {
-					r.Cache.putDelegation(child, &cachedCut{
+					st.storeCut(child, cachedCut{
 						servers: next, ds: childDS, secure: childSecure,
 						conds: walkConds(inherited, st.conds[condBase:], st.details),
 					}, r.Now(), ttl)
@@ -848,14 +861,14 @@ func (st *resolution) serversForReferral(resp *dnswire.Message, child dnswire.Na
 		if glued[host] {
 			continue
 		}
-		sub := &resolution{r: st.r, ctx: st.ctx, steps: st.steps}
+		sub := &resolution{r: st.r, ctx: st.ctx, steps: st.steps, leaf: st.leaf}
 		if st.cur != nil {
 			sub.span = st.cur.Childf("sub-resolve %s A (out-of-bailiwick nameserver for %s)", host, child)
 			sub.cur = sub.span
 		}
 		ans, _, _ := sub.resolve(host, dnswire.TypeA, depth+1)
 		sub.span.End()
-		st.steps = sub.steps
+		st.steps, st.leaf = sub.steps, sub.leaf
 		for _, rr := range ans {
 			if a, ok := rr.Data.(dnswire.A); ok {
 				addrs = append(addrs, a.Addr)

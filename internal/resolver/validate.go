@@ -326,7 +326,7 @@ func collectProofs(rrs []dnswire.RR, t dnswire.Type) (groups []proofGroup, orpha
 func (st *resolution) establishKeys(zone dnswire.Name, dsSet []dnswire.DS, servers []netip.Addr) []dnswire.DNSKEY {
 	r := st.r
 	now := r.Now()
-	if cached, ok := r.Cache.getKeys(zone, now); ok {
+	if cached, ok := st.cachedKeys(zone, now); ok {
 		if st.cur != nil {
 			st.cur.Eventf("zone key cache: hit for %s (secure=%v, %d conditions replayed)",
 				zone, cached.secure, len(cached.conditions))
@@ -361,7 +361,7 @@ func (st *resolution) establishKeys(zone dnswire.Name, dsSet []dnswire.DS, serve
 		conditions: conds, detail: detail,
 		expiresAt: now.Add(time.Hour),
 	}
-	r.Cache.putKeys(zone, entry)
+	st.storeKeys(zone, entry, now)
 	for _, c := range conds {
 		st.addCond(c, detail)
 	}

@@ -106,35 +106,29 @@ func (t TLDRatio) Ratio() float64 {
 	return 100 * float64(t.WithEDE) / float64(t.Total)
 }
 
-// TLDAggregate accumulates per-TLD EDE ratios (Figure 1's input) online.
-// The population index is built once at construction, not per call, so a
-// streaming scan pays one map lookup per result.
+// TLDAggregate accumulates per-TLD EDE ratios (Figure 1's input) online. Its
+// state is one row per TLD: a result finds its domain with
+// Population.Lookup, which needs no per-domain index.
 type TLDAggregate struct {
-	index map[dnswire.Name]*population.Domain
-	rows  map[string]*TLDRatio
+	pop  *population.Population
+	rows map[string]*TLDRatio
 }
 
 // NewTLDAggregate builds an empty accumulator over pop's TLD table.
 func NewTLDAggregate(pop *population.Population) *TLDAggregate {
-	t := &TLDAggregate{
-		index: make(map[dnswire.Name]*population.Domain, len(pop.Domains)),
-		rows:  make(map[string]*TLDRatio, len(pop.TLDs)),
-	}
-	for _, d := range pop.Domains {
-		t.index[d.Name] = d
-	}
+	t := &TLDAggregate{pop: pop, rows: make(map[string]*TLDRatio, len(pop.TLDs))}
 	for _, tld := range pop.TLDs {
 		t.rows[tld.Label] = &TLDRatio{TLD: tld.Label, CC: tld.CC}
 	}
 	return t
 }
 
-// Add folds one scan result into its TLD's row.
+// Add folds one scan result into its TLD's row. It allocates nothing.
 func (t *TLDAggregate) Add(r Result) {
-	if r.Skipped {
+	if r.Skipped || t.pop == nil {
 		return
 	}
-	d, ok := t.index[r.Domain]
+	d, ok := t.pop.Lookup(r.Domain)
 	if !ok {
 		return
 	}
@@ -242,26 +236,23 @@ type TrancoStats struct {
 // live state is O(overlap) — the ranks of EDE-triggering ranked domains —
 // which is bounded by the Tranco list size, not the population size.
 type TrancoAggregate struct {
-	index map[dnswire.Name]*population.Domain
+	pop   *population.Population
 	stats TrancoStats
 }
 
 // NewTrancoAggregate builds an empty accumulator over pop's ranking.
 func NewTrancoAggregate(pop *population.Population) *TrancoAggregate {
-	t := &TrancoAggregate{
-		index: make(map[dnswire.Name]*population.Domain, len(pop.Domains)),
-		stats: TrancoStats{ListSize: pop.TrancoSize},
-	}
-	for _, d := range pop.Domains {
-		t.index[d.Name] = d
-	}
-	return t
+	return &TrancoAggregate{pop: pop, stats: TrancoStats{ListSize: pop.TrancoSize}}
 }
 
-// Add folds one scan result into the overlap stats.
+// Add folds one scan result into the overlap stats. It allocates nothing but
+// the growth of the rank list.
 func (t *TrancoAggregate) Add(r Result) {
-	d, ok := t.index[r.Domain]
-	if !ok || d.Rank == 0 || !r.HasEDE() {
+	if t.pop == nil || !r.HasEDE() {
+		return
+	}
+	d, ok := t.pop.Lookup(r.Domain)
+	if !ok || d.Rank == 0 {
 		return
 	}
 	t.stats.Overlap++

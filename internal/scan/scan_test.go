@@ -82,7 +82,7 @@ func TestWildClassesProduceExpectedCodes(t *testing.T) {
 	perClass := make(map[population.Class]map[uint16]int)
 	classTotal := make(map[population.Class]int)
 	for _, r := range results {
-		d, ok := w.Lookup(r.Domain)
+		d, ok := w.Pop.Lookup(r.Domain)
 		if !ok {
 			t.Fatalf("unknown domain %s", r.Domain)
 		}
@@ -118,7 +118,7 @@ func TestWildStaleClass(t *testing.T) {
 	w, results := sharedWildScan(t)
 	staleSeen := 0
 	for _, r := range results {
-		d, _ := w.Lookup(r.Domain)
+		d, _ := w.Pop.Lookup(r.Domain)
 		if d == nil || d.Class != population.ClassStale {
 			continue
 		}
@@ -146,7 +146,7 @@ func TestWildHealthyResolvesCleanly(t *testing.T) {
 	w, results := sharedWildScan(t)
 	checkedSigned := false
 	for _, r := range results {
-		d, _ := w.Lookup(r.Domain)
+		d, _ := w.Pop.Lookup(r.Domain)
 		if d == nil {
 			continue
 		}

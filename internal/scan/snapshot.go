@@ -262,7 +262,7 @@ func (r *snapReader) asInt(v uint64) int {
 
 // DecodeSnapshot parses a canonical snapshot. The
 // returned TLD and Tranco accumulators are merge-only: they carry counters
-// but no population index, so Add is a no-op on them — a resuming campaign
+// but no population, so Add is a no-op on them — a resuming campaign
 // merges the decoded snapshot into fresh accumulators built over its
 // population instead.
 func DecodeSnapshot(b []byte) (*Snapshot, error) {

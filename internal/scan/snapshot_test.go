@@ -22,7 +22,7 @@ func encodeLegacyV1(s *Snapshot) []byte {
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// snapPop builds a small population for aggregate indexes — no network
+// snapPop builds a small population for the aggregates — no network
 // materialization, just the registry.
 func snapPop(t testing.TB) *population.Population {
 	t.Helper()
@@ -136,7 +136,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Re-encoding a decoded snapshot must be a byte-level fixed point: the
 	// canonical form does not depend on whether the accumulators came from
-	// a population index or from the wire.
+	// a population or from the wire.
 	if !bytes.Equal(enc, dec.Encode()) {
 		t.Fatal("encode(decode(x)) != x")
 	}

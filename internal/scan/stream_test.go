@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -204,5 +205,59 @@ func TestAggregateAddAllocGate(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { a.Add(res) })
 	if allocs > 0 {
 		t.Errorf("Aggregate.Add allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestPopulationAggregatesIndexNothing: TLDAggregate and TrancoAggregate find
+// a result's domain with Population.Lookup instead of each building a
+// name→domain map, so Add allocates nothing and building both over 30,300
+// domains costs what it costs over 3,030 — the same 1,475 TLDs, O(TLDs), not
+// O(domains).
+func TestPopulationAggregatesIndexNothing(t *testing.T) {
+	type cost struct{ allocs, bytes uint64 }
+	build := func(n int) cost {
+		pop := population.Generate(population.Config{TotalDomains: n, Seed: 42})
+		results := synthResults(pop)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tld, tranco := NewTLDAggregate(pop), NewTrancoAggregate(pop)
+		for _, r := range results {
+			tld.Add(r)
+			tranco.Add(r)
+		}
+		runtime.ReadMemStats(&after)
+
+		// Every Add that does not grow the rank list: a ranked domain without
+		// an EDE, an unranked one with, a skipped result, an unknown name.
+		var sample []Result
+		for _, ranked := range []bool{true, false} {
+			for _, r := range results {
+				if d, _ := pop.Lookup(r.Domain); (d.Rank != 0) == ranked && r.HasEDE() != ranked {
+					sample = append(sample, r)
+					break
+				}
+			}
+		}
+		sample = append(sample, Result{Domain: results[0].Domain, Skipped: true},
+			Result{Domain: dnswire.MustName("d999999.nowhere"), Codes: []uint16{22}})
+		if len(sample) != 4 {
+			t.Fatalf("%d domains: sample has %d results, want 4", n, len(sample))
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			for _, r := range sample {
+				tld.Add(r)
+				tranco.Add(r)
+			}
+		}); a != 0 {
+			t.Errorf("%d domains: TLDAggregate.Add + TrancoAggregate.Add allocate %.1f times per sample, want 0", n, a)
+		}
+		return cost{after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc}
+	}
+	small, big := build(3030), build(30300)
+	t.Logf("building both aggregates and folding every domain: %d allocs / %d B at 3,030 domains, %d allocs / %d B at 30,300",
+		small.allocs, small.bytes, big.allocs, big.bytes)
+	if big.allocs > small.allocs+8 || big.bytes > small.bytes+small.bytes/4 {
+		t.Errorf("the aggregates' cost grows with the population: %+v at 3,030 domains, %+v at 30,300", small, big)
 	}
 }
