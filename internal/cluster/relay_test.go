@@ -527,7 +527,7 @@ func TestRoutingAllocs(t *testing.T) {
 	dst := make([]byte, 0, 4096)
 
 	local := scanFor("r0")
-	for i := 0; i < 2; i++ { // miss, then the hit that captures the wire image
+	for i := 0; i < 2; i++ { // the miss that captures the wire image, then a hit
 		if _, err := cl.HandleDNS(ctx, dnswire.NewQuery(1, local.Name, dnswire.TypeA)); err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,12 @@ package forwarder
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
@@ -141,4 +144,43 @@ func TestClientReheadCannotCorruptUpstream(t *testing.T) {
 	if up.Answer[0].TTL != 300 {
 		t.Fatalf("client mutation reached the upstream message: TTL = %d", up.Answer[0].TTL)
 	}
+}
+
+// TestStandaloneResolverServesNoStaleError: a resolver serving on its own
+// (New over ResolverUpstream, edeserver -no-frontend) caches a lame domain's
+// SERVFAIL for ErrorTTL and answers repeats from it with EDE 13. Once that
+// entry has expired and the retry fails too, the answer is the retry's own
+// failure, EDE 22 and 23, and not the expired error served as stale (EDE 3):
+// RFC 8767 serves stale data, and a SERVFAIL is not data.
+func TestStandaloneResolverServesNoStaleError(t *testing.T) {
+	w, err := population.Materialize(population.Generate(population.Config{TotalDomains: 3030, Seed: 20230515}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resolver.New(w.Net, w.Roots, w.Anchor, resolver.ProfileCloudflare())
+	r.Now = w.Now
+	f := New(ResolverUpstream{R: r})
+	var name dnswire.Name
+	for _, d := range w.Pop.Domains {
+		if d.Class == population.ClassLameRefused {
+			name = d.Name
+			break
+		}
+	}
+	ask := func(step string, want ...uint16) {
+		t.Helper()
+		resp, err := f.HandleDNS(context.Background(), dnswire.NewQuery(12, name, dnswire.TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := resp.EDECodes()
+		slices.Sort(codes)
+		if resp.RCode != dnswire.RCodeServFail || !slices.Equal(codes, want) {
+			t.Errorf("%s: %s %v; want SERVFAIL %v", step, resp.RCode, codes, want)
+		}
+	}
+	ask("first ask", 22, 23)
+	ask("cached error", 13, 22, 23)
+	w.AdvanceClock(r.Cache.ErrorTTL + time.Second)
+	ask("error entry expired, retry failed", 22, 23)
 }

@@ -177,12 +177,11 @@ func TestFrontedResolverSendsTheSameQueries(t *testing.T) {
 // resolver used to serve. The resolver behind the first still holds no
 // answer and the same zone cuts as the second.
 //
-// Two things the storing stack gets wrong are left out. Its resolver serves
-// its own expired SERVFAIL entry as a stale answer (SERVFAIL with EDE 3), so
-// EDE 3 on its SERVFAILs is not compared. And its frontend stores the
-// resolver's stale reply as fresh, so the stale class, whose authorities are
-// down by the second round, is not asked here: TestStaleIsNotRefilledAsFresh
-// and TestFrontedResolverSendsTheSameQueries cover it.
+// One thing the storing stack gets wrong is left out: its frontend stores
+// the resolver's stale reply as fresh, so the stale class, whose authorities
+// are down by the second round, is not asked here:
+// TestStaleIsNotRefilledAsFresh and TestFrontedResolverSendsTheSameQueries
+// cover it.
 func TestFrontedMixedTrafficCostsWhatStoringDid(t *testing.T) {
 	var domains []*population.Domain
 	pass := func(storing bool) ([]outcome, *resolver.Resolver) {
@@ -220,9 +219,6 @@ func TestFrontedMixedTrafficCostsWhatStoringDid(t *testing.T) {
 		s, f := storing[i], front[i]
 		total[0] += s.queries
 		total[1] += f.queries
-		if s.rcode == dnswire.RCodeServFail {
-			s.codes = slices.DeleteFunc(s.codes, func(c uint16) bool { return c == uint16(ede.CodeStaleAnswer) })
-		}
 		if s.queries != f.queries || s.rcode != f.rcode || !slices.Equal(s.codes, f.codes) || s.answers != f.answers {
 			d := domains[i/perStep%len(domains)]
 			t.Errorf("%s (%s) question %d: %d queries, %s %v, %d answers storing; %d queries, %s %v, %d answers fronted",

@@ -14,9 +14,11 @@ import (
 // things in place — the 2-byte ID, the RD header bit, and each TTL —
 // with no message rebuild and no re-pack.
 //
-// Variants are captured lazily from the slow path: the first fresh hit of
-// each EDNS class packs its (already correct) reply once with TTL-offset
-// recording and publishes it on the entry. Byte identity with the slow
+// Variants are captured lazily from the slow path: the first fresh reply of
+// each EDNS class — the miss that fills the entry, for the class that asked
+// it — is packed once with TTL-offset recording and published on the entry,
+// so the next compatible query is already a wire serve. Stale and
+// error-cache replies are never captured. Byte identity with the slow
 // path is therefore by construction, and the TTL patch reproduces the
 // slow path's decay arithmetic exactly: a stored TTL is
 // max(orig-baseAge, 1), and patching by delta = age-baseAge yields

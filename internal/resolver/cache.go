@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,7 +55,9 @@ const numShards = 64
 // (forwarder.New, edeserver -no-frontend): a scan and a frontend's recursions
 // store no answers. The cut and key maps grow with the zones a serving
 // resolver resolves under, fronted or not; only a scan (AnswerCacheReadOnly)
-// keeps its own names' cuts and keys off them.
+// keeps its own names' cuts and keys off them. A full cut map of unsigned
+// zones behind shared nameserver sets is about 75 MB (72 bytes a cut); one
+// whose every zone has its own nameservers, about 180 MB.
 const DefaultMaxEntries = 1 << 20
 
 // evictProbes is how many entries an over-full shard examines per insert.
@@ -158,33 +161,110 @@ type condRecord struct {
 	detail string
 }
 
-// cachedCut is one delegation (zone cut) learned from a referral: the glue
-// addresses of the child's in-bailiwick nameservers, the validated DS set
-// for the child, whether the chain of trust was intact down to this cut, and
-// the walk conditions accumulated from the root to here.
+// cutBody is what a referral taught about a zone cut: the glue addresses of
+// the child's in-bailiwick nameservers, the walk conditions accumulated from
+// the root to here, whether the chain of trust was intact down to the cut,
+// and the child's validated DS set when it has one. It is immutable once
+// filed, so the Cache gives unsigned cuts that say the same thing one body:
+// the paper's §4.2 finds thousands of zones behind each nameserver set.
 //
 // Only referrals whose every address came from in-bailiwick glue (owner is
 // one of the child's NS hosts and a subdomain of the child zone) are cached:
 // an authority can then only ever poison entries for names it legitimately
 // serves. Bogus delegations abort resolution before the cut is stored, so
 // validation failures are always re-derived live.
+type cutBody struct {
+	servers []netip.Addr
+	conds   []condRecord
+	// ds is nil on an unsigned delegation. A pointer, not a slice, keeps the
+	// body in the 64-byte size class; signed delegations are rare.
+	ds     *[]dnswire.DS
+	secure bool
+}
+
+// dsSet returns the cut's validated DS set, nil on an unsigned delegation.
+func (b *cutBody) dsSet() []dnswire.DS {
+	if b.ds == nil {
+		return nil
+	}
+	return *b.ds
+}
+
+// cachedCut is one delegation (zone cut) in the Cache: its expiry and a
+// pointer to its shared body, stored by value. With the zone name as its key
+// and its share of the map, a cut costs about 72 bytes of live heap, against
+// 196 when each cut was its own object graph (EXPERIMENTS E32).
 type cachedCut struct {
-	servers   []netip.Addr
-	ds        []dnswire.DS
-	conds     []condRecord
 	expiresAt int64 // Unix nanoseconds, as in cachedAnswer
-	secure    bool
+	body      *cutBody
 }
 
 // maxDelegationTTL caps how long a learned cut may be reused, whatever the
 // referral's RR TTLs claim (mirrors real-resolver infrastructure caps).
 const maxDelegationTTL = 24 * time.Hour
 
-// delegationShard is one lock-striped slice of the delegation map.
+// delegationShard is one lock-striped slice of the delegation map, with the
+// table that interns its unsigned cuts' bodies.
 type delegationShard struct {
 	mu      sync.Mutex
-	entries map[dnswire.Name]*cachedCut
+	entries map[dnswire.Name]cachedCut
+	// bodies holds the shard's unsigned cut bodies by the hash of what they
+	// say. It is dropped when it reaches bodyTableLen; cuts keep their bodies.
+	bodies map[uint64]*cutBody
 }
+
+// intern returns the shard's body that says what b says, filing a copy of b
+// as that body when none does. A cut with a DS set gets a body of its own, so
+// one zone's DS set is never served for another. The caller holds s.mu.
+func (s *delegationShard) intern(b cutBody, limit int) *cutBody {
+	if b.ds != nil {
+		own := new(cutBody)
+		*own = b
+		return own
+	}
+	h := b.hash()
+	if have := s.bodies[h]; have != nil && have.says(&b) {
+		return have
+	}
+	if s.bodies == nil || len(s.bodies) >= limit {
+		s.bodies = make(map[uint64]*cutBody)
+	}
+	filed := new(cutBody)
+	*filed = b
+	s.bodies[h] = filed
+	return filed
+}
+
+// hash is FNV-1a over what an unsigned body says: its servers in order, its
+// conditions with their details, and secure.
+func (b *cutBody) hash() uint64 {
+	h := fnv1a.Sum64("")
+	for _, a := range b.servers {
+		ip := a.As16()
+		for _, c := range ip {
+			h = (h ^ uint64(c)) * fnv1a.Prime64
+		}
+		h = (h ^ uint64(a.BitLen())) * fnv1a.Prime64
+	}
+	for _, cr := range b.conds {
+		h = (h ^ uint64(cr.cond)) * fnv1a.Prime64
+		h = (h ^ fnv1a.Sum64(cr.detail)) * fnv1a.Prime64
+	}
+	if b.secure {
+		h = (h ^ 1) * fnv1a.Prime64
+	}
+	return h
+}
+
+// says reports whether two unsigned bodies hold the same content.
+func (b *cutBody) says(o *cutBody) bool {
+	return b.secure == o.secure && slices.Equal(b.servers, o.servers) && slices.Equal(b.conds, o.conds)
+}
+
+// bodyTableLen is how many bodies a shard's intern table holds before it is
+// dropped: 1/128 of the shard's cuts, so a world where no two zones share a
+// nameserver set pays little for a table that saves it nothing.
+func (c *Cache) bodyTableLen() int { return max(c.perShard()/128, 8) }
 
 // leafState is where a resolution of a unique-name scan (AnswerCacheReadOnly)
 // keeps its own name's infrastructure: the zone cuts at or below the client's
@@ -202,8 +282,16 @@ type delegationShard struct {
 // scanned name's cut takes costs the allocation a shared cut would.
 type leafState struct {
 	qname dnswire.Name // empty on a caching resolver: it owns nothing
-	cuts  []zoneEntry[cachedCut]
+	cuts  []zoneEntry[leafCut]
 	keys  []zoneEntry[*zoneKeys]
+}
+
+// leafCut is a cut kept on a resolution: an expiry and a body, as in the
+// Cache, but with the body inline and never interned, since nothing else
+// reads it.
+type leafCut struct {
+	expiresAt int64
+	body      cutBody
 }
 
 // zoneEntry is one leafState record: a value learned for a zone.
@@ -220,12 +308,12 @@ func (l *leafState) owns(zone dnswire.Name) bool {
 
 // cut returns the deepest fresh cut of the resolution's own that encloses
 // qname, or (root, nil).
-func (l *leafState) cut(qname dnswire.Name, nowNs int64) (dnswire.Name, *cachedCut) {
-	zone, cut := dnswire.Root, (*cachedCut)(nil)
+func (l *leafState) cut(qname dnswire.Name, nowNs int64) (dnswire.Name, *cutBody) {
+	zone, cut := dnswire.Root, (*cutBody)(nil)
 	for i := range l.cuts {
 		e := &l.cuts[i]
 		if nowNs < e.v.expiresAt && len(e.zone) > len(zone) && qname.IsSubdomainOf(e.zone) {
-			zone, cut = e.zone, &e.v
+			zone, cut = e.zone, &e.v.body
 		}
 	}
 	return zone, cut
@@ -250,14 +338,15 @@ func NewCache() *Cache {
 		c.shards[i].entries = make(map[cacheKey]*cachedAnswer)
 	}
 	for i := range c.delegations {
-		c.delegations[i].entries = make(map[dnswire.Name]*cachedCut)
+		c.delegations[i].entries = make(map[dnswire.Name]cachedCut)
 	}
 	return c
 }
 
-// closestCut returns the deepest fresh zone cut enclosing qname: the shared
-// Cache's, or one of the resolution's own leaf cuts when that is deeper.
-func (st *resolution) closestCut(qname dnswire.Name, now time.Time) (dnswire.Name, *cachedCut) {
+// closestCut returns the body of the deepest fresh zone cut enclosing qname:
+// the shared Cache's, or one of the resolution's own leaf cuts when that is
+// deeper.
+func (st *resolution) closestCut(qname dnswire.Name, now time.Time) (dnswire.Name, *cutBody) {
 	zone, cut := st.r.Cache.getDelegation(qname, now)
 	if lz, lc := st.leaf.cut(qname, now.UnixNano()); lc != nil && len(lz) > len(zone) {
 		return lz, lc
@@ -265,16 +354,19 @@ func (st *resolution) closestCut(qname dnswire.Name, now time.Time) (dnswire.Nam
 	return zone, cut
 }
 
-// storeCut files a cut learned from a referral for ttl: on the resolution
-// when the zone is its own leaf, else in the shared Cache.
-func (st *resolution) storeCut(zone dnswire.Name, e cachedCut, now time.Time, ttl time.Duration) {
+// storeCut files a cut learned from a referral for ttl, with the child's DS
+// set if it has one: on the resolution when the zone is its own leaf, else in
+// the shared Cache.
+func (st *resolution) storeCut(zone dnswire.Name, b cutBody, ds []dnswire.DS, now time.Time, ttl time.Duration) {
+	if len(ds) > 0 {
+		b.ds = new([]dnswire.DS) // only here: &ds would move ds to the heap on every call
+		*b.ds = ds
+	}
 	if !st.leaf.owns(zone) {
-		shared := e // only this branch allocates; &e would move e to the heap on every call
-		st.r.Cache.putDelegation(zone, &shared, now, ttl)
+		st.r.Cache.putDelegation(zone, b, now, ttl)
 		return
 	}
-	e.expiresAt = now.UnixNano() + int64(ttl)
-	st.leaf.cuts = append(st.leaf.cuts, zoneEntry[cachedCut]{zone, e})
+	st.leaf.cuts = append(st.leaf.cuts, zoneEntry[leafCut]{zone, leafCut{now.UnixNano() + int64(ttl), b}})
 }
 
 // cachedKeys returns the key establishment known for zone: the resolution's
@@ -300,11 +392,11 @@ func (st *resolution) storeKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
 	st.r.Cache.putKeys(zone, k, now)
 }
 
-// getDelegation returns the deepest cached zone cut enclosing qname (which
-// may be qname itself), or (root, nil) when no fresh cut is known. Expired
-// entries are dropped on the way down, so lookup naturally falls back to the
-// parent cut — and ultimately the root — as TTLs run out.
-func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, *cachedCut) {
+// getDelegation returns the body of the deepest cached zone cut enclosing
+// qname (which may be qname itself), or (root, nil) when no fresh cut is
+// known. Expired entries are dropped on the way down, so lookup naturally
+// falls back to the parent cut — and ultimately the root — as TTLs run out.
+func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, *cutBody) {
 	nowNs := now.UnixNano()
 	for n := qname; !n.IsRoot(); n = n.Parent() {
 		s := &c.delegations[nameShard(n)]
@@ -312,7 +404,7 @@ func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, 
 		e, ok := s.entries[n]
 		if ok && nowNs < e.expiresAt {
 			s.mu.Unlock()
-			return n, e
+			return n, e.body
 		}
 		if ok {
 			delete(s.entries, n)
@@ -323,17 +415,18 @@ func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, 
 }
 
 // putDelegation stores a cut learned from a referral for ttl, evicting from
-// the target shard if it is at capacity (a cut is dead the moment it expires).
-func (c *Cache) putDelegation(zone dnswire.Name, e *cachedCut, now time.Time, ttl time.Duration) {
+// the target shard if it is at capacity (a cut is dead the moment it
+// expires). An unsigned cut shares the body of any cut in the shard that says
+// the same thing.
+func (c *Cache) putDelegation(zone dnswire.Name, b cutBody, now time.Time, ttl time.Duration) {
 	nowNs := now.UnixNano()
-	e.expiresAt = nowNs + int64(ttl)
 	s := &c.delegations[nameShard(zone)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.entries[zone]; !exists && len(s.entries) >= c.perShard() {
-		evictProbed(s.entries, nowNs, 0, func(e *cachedCut) int64 { return e.expiresAt })
+		evictProbed(s.entries, nowNs, 0, func(e cachedCut) int64 { return e.expiresAt })
 	}
-	s.entries[zone] = e
+	s.entries[zone] = cachedCut{expiresAt: nowNs + int64(ttl), body: s.intern(b, c.bodyTableLen())}
 }
 
 // DelegationLen reports the number of cached zone cuts (for tests).
@@ -346,6 +439,14 @@ func (c *Cache) DelegationLen() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// KeyLen reports the number of cached zone-key establishments, the third map
+// MaxEntries bounds.
+func (c *Cache) KeyLen() int {
+	c.keyMu.RLock()
+	defer c.keyMu.RUnlock()
+	return len(c.keys)
 }
 
 // getAnswer returns a cached answer. fresh is false when the entry is past
@@ -448,7 +549,8 @@ func (c *Cache) Flush() {
 	for i := range c.delegations {
 		s := &c.delegations[i]
 		s.mu.Lock()
-		s.entries = make(map[dnswire.Name]*cachedCut)
+		s.entries = make(map[dnswire.Name]cachedCut)
+		s.bodies = nil
 		s.mu.Unlock()
 	}
 	c.keyMu.Lock()

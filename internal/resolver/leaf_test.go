@@ -57,10 +57,7 @@ func TestUniqueNameScanKeepsNothingPerName(t *testing.T) {
 		}
 		wg.Wait()
 
-		cuts := r.Cache.DelegationLen()
-		r.Cache.keyMu.RLock()
-		keys := len(r.Cache.keys)
-		r.Cache.keyMu.RUnlock()
+		cuts, keys := r.Cache.DelegationLen(), r.Cache.KeyLen()
 		t.Logf("%d domains under %d TLDs: %d shared cuts, %d zone-key entries, %d answers",
 			len(pop.Domains), len(pop.TLDs), cuts, keys, r.Cache.Len())
 		if cuts != len(pop.TLDs) || keys != len(pop.TLDs)+1 || r.Cache.Len() != 0 {

@@ -64,6 +64,9 @@ func (r *Resolver) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("edelab_resolver_cache_entries",
 		"Live entries per cache layer.",
 		func() float64 { return float64(r.Cache.DelegationLen()) }, telemetry.L("layer", "delegation"))
+	reg.GaugeFunc("edelab_resolver_cache_entries",
+		"Live entries per cache layer.",
+		func() float64 { return float64(r.Cache.KeyLen()) }, telemetry.L("layer", "keys"))
 
 	transportEvent := func(event string, c *atomic.Uint64) {
 		reg.CounterFunc("edelab_resolver_transport_events_total",

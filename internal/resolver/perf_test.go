@@ -154,10 +154,7 @@ func TestCacheKeysBounded(t *testing.T) {
 		zone := dnswire.MustName(fmt.Sprintf("zone-%d.example.", i))
 		c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)}, now)
 	}
-	c.keyMu.RLock()
-	n := len(c.keys)
-	c.keyMu.RUnlock()
-	if n > c.MaxEntries {
+	if n := c.KeyLen(); n > c.MaxEntries {
 		t.Fatalf("100 zones left %d key entries, cap %d", n, c.MaxEntries)
 	}
 	if _, ok := c.getKeys(dnswire.MustName("zone-99.example."), now); !ok {

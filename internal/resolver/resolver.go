@@ -264,9 +264,10 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 	// positive outcome.
 	if class == ClassLame || (class == ClassBogus && !st.cd) {
 		// Serve-stale: a failed resolution can fall back to expired cache
-		// content when the profile supports RFC 8767.
+		// content when the profile supports RFC 8767. That is stale data: an
+		// expired error entry is not, and the live failure stands.
 		if r.Profile.ServeStale {
-			if entry, fresh, ok := r.Cache.getAnswer(key, now); ok && !fresh {
+			if entry, fresh, ok := r.Cache.getAnswer(key, now); ok && !fresh && entry.rcode != dnswire.RCodeServFail {
 				staleCond := ConditionStaleServed
 				if entry.rcode == dnswire.RCodeNXDomain {
 					staleCond = ConditionStaleNXServed
@@ -460,7 +461,7 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 	var inherited []condRecord
 	if !r.DisableDelegationCache {
 		if cutZone, cut := st.closestCut(qname, r.Now()); cut != nil {
-			zoneName, servers, dsForZone, chainSecure = cutZone, cut.servers, cut.ds, cut.secure
+			zoneName, servers, dsForZone, chainSecure = cutZone, cut.servers, cut.dsSet(), cut.secure
 			inherited = cut.conds
 			r.stats.delegationHits.Add(1)
 			if st.cur != nil {
@@ -536,10 +537,10 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 					ttl = maxDelegationTTL
 				}
 				if ttl > 0 {
-					st.storeCut(child, cachedCut{
-						servers: next, ds: childDS, secure: childSecure,
+					st.storeCut(child, cutBody{
+						servers: next, secure: childSecure,
 						conds: walkConds(inherited, st.conds[condBase:], st.details),
-					}, r.Now(), ttl)
+					}, childDS, r.Now(), ttl)
 				}
 			}
 			if st.cur != nil {

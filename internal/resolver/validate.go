@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -18,23 +19,19 @@ import (
 // conditions this resolve invocation recorded (replayed ones included, but
 // possibly deduplicated away when an outer CNAME phase had already recorded
 // them — which is why inherited is carried explicitly). details supplies the
-// EXTRA-TEXT backing for each condition.
+// EXTRA-TEXT backing for each condition. When the walk observed nothing new
+// it returns inherited itself: cut bodies are immutable, so the children of
+// one cut can share its conditions, and then their bodies.
 func walkConds(inherited []condRecord, observed []Condition, details map[Condition]string) []condRecord {
-	if len(inherited) == 0 && len(observed) == 0 {
-		return nil
-	}
-	out := append([]condRecord(nil), inherited...)
+	out := inherited
 	for _, c := range observed {
-		dup := false
-		for _, have := range out {
-			if have.cond == c {
-				dup = true
-				break
-			}
+		if slices.ContainsFunc(out, func(have condRecord) bool { return have.cond == c }) {
+			continue
 		}
-		if !dup {
-			out = append(out, condRecord{cond: c, detail: details[c]})
+		if len(out) == len(inherited) { // the first new one: never append to inherited
+			out = append([]condRecord(nil), inherited...)
 		}
+		out = append(out, condRecord{cond: c, detail: details[c]})
 	}
 	return out
 }

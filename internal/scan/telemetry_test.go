@@ -87,6 +87,12 @@ func TestRegistryUnderScanLoad(t *testing.T) {
 		t.Fatalf("netsim saw %v queries, resolver issued %v", netQ, queries)
 	}
 
+	for layer, want := range map[string]int{"answer": r.Cache.Len(), "delegation": r.Cache.DelegationLen(), "keys": r.Cache.KeyLen()} {
+		if v, ok := reg.Value("edelab_resolver_cache_entries", telemetry.L("layer", layer)); !ok || int(v) != want || want == 0 {
+			t.Errorf("cache_entries{layer=%q} = %v (ok=%v), the cache holds %d", layer, v, ok, want)
+		}
+	}
+
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

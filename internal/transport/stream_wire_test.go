@@ -208,8 +208,8 @@ func TestStreamWireEquivalence(t *testing.T) {
 					q.OPT = nil
 				}
 				query := framed(t, q)
-				// Miss, then the hit that captures the wire image, then a
-				// settled hit: every compared answer is a hit-state one.
+				// The miss that fills the entry and captures the wire image,
+				// then two hits: every compared answer is a hit-state one.
 				for i := 0; i < 3; i++ {
 					exchange(doors[0][0].tcp, query)
 				}
@@ -413,8 +413,8 @@ func TestStreamWireHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exchange() // miss
-	exchange() // the hit that captures the image
+	exchange() // the miss, which captures the image
+	exchange() // a wire serve
 	before := srv.m.wireServes[TransportTCP].Load()
 	allocs := testing.AllocsPerRun(500, exchange)
 	if got := srv.m.wireServes[TransportTCP].Load() - before; got < 500 {
