@@ -1038,14 +1038,18 @@ func TestFrontendWarmSpeedup(t *testing.T) {
 // --- wire fast path (front door serving) ---
 
 // wireBenchSetup builds a warm frontend over the testbed and returns the
-// packed query bytes both cache-hit serve paths start from. The testbed
-// clock is frozen, so the cached entry never ages out mid-measurement.
-func wireBenchSetup(t testing.TB) (*frontend.Frontend, []byte) {
+// packed query bytes both cache-hit serve paths start from: a query for the
+// testbed case label, asked twice — the fill, then the hit that captures a
+// cached failure's image. The testbed clock is frozen, so the cached entry
+// never ages out (nor its EDE 13 countdown ticks) mid-measurement.
+func wireBenchSetup(t testing.TB, label string) (*frontend.Frontend, []byte) {
 	tb, _, _ := fixtures(t)
 	fe := benchFrontend(tb)
-	q := dnswire.NewQuery(1, testbed.ParentZone.Child("valid"), dnswire.TypeA)
-	if _, err := fe.HandleDNS(context.Background(), q); err != nil {
-		t.Fatal(err)
+	q := dnswire.NewQuery(1, testbed.ParentZone.Child(label), dnswire.TypeA)
+	for i := 0; i < 2; i++ {
+		if _, err := fe.HandleDNS(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	raw, err := q.Pack()
 	if err != nil {
@@ -1091,24 +1095,27 @@ func runHitWire(tb testing.TB, fe *frontend.Frontend, raw, buf []byte) {
 
 // BenchmarkFrontendServeWire compares the two cache-hit serve paths the
 // front door chooses between per datagram: the slow path (unpack handled
-// upstream, HandleDNS, pack) and the wire fast path (scan, copy, patch).
+// upstream, HandleDNS, pack) and the wire fast path (scan, copy, patch), for
+// a positive answer and for a cached failure (SERVFAIL + EDE 7 + EDE 13).
 func BenchmarkFrontendServeWire(b *testing.B) {
-	fe, raw := wireBenchSetup(b)
 	buf := make([]byte, 0, 4096)
-	b.Run("slow-path", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runHitSlowPath(b, fe, raw, buf)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
-	})
-	b.Run("wire", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runHitWire(b, fe, raw, buf)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
-	})
+	for _, c := range []struct{ prefix, label string }{{"", "valid"}, {"cachederror-", "rrsig-exp-all"}} {
+		fe, raw := wireBenchSetup(b, c.label)
+		b.Run(c.prefix+"slow-path", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runHitSlowPath(b, fe, raw, buf)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
+		})
+		b.Run(c.prefix+"wire", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runHitWire(b, fe, raw, buf)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "hits/s")
+		})
+	}
 }
 
 // TestFrontdoorWireSpeedupGate is the wire cache's acceptance check (the CI
@@ -1119,7 +1126,7 @@ func BenchmarkFrontendServeWire(b *testing.B) {
 // committed BENCH_frontdoor.json records the same two paths for the
 // trajectory.
 func TestFrontdoorWireSpeedupGate(t *testing.T) {
-	fe, raw := wireBenchSetup(t)
+	fe, raw := wireBenchSetup(t, "valid")
 	buf := make([]byte, 0, 4096)
 
 	slowAllocs := testing.AllocsPerRun(300, func() { runHitSlowPath(t, fe, raw, buf) })
@@ -1176,7 +1183,7 @@ const streamHitWindow = 32
 // streamHitWindow queries for the cached name pipelined on one connection,
 // one Write each, until n are answered.
 func streamHitBench(t testing.TB, disableWire bool) (run func(n int)) {
-	fe, raw := wireBenchSetup(t)
+	fe, raw := wireBenchSetup(t, "valid")
 	srv := transport.NewServer(transport.Config{Handler: fe, DisableWire: disableWire})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1255,7 +1262,7 @@ func TestStreamWireSpeedupGate(t *testing.T) {
 // run(n) keeps streamHitWindow queries for the cached name outstanding on
 // one client socket until n are answered.
 func clusterForwardBench(t testing.TB, disableWire bool) (run func(n int)) {
-	fe, raw := wireBenchSetup(t)
+	fe, raw := wireBenchSetup(t, "valid")
 	ctx, cancel := context.WithCancel(context.Background())
 	var served sync.WaitGroup
 	serve := func(cfg transport.Config) string {
@@ -1370,21 +1377,18 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 	if os.Getenv("BENCH_SNAPSHOT") == "" {
 		t.Skip("set BENCH_SNAPSHOT=1 to (re)generate BENCH_frontdoor.json")
 	}
-	fe, raw := wireBenchSetup(t)
 	buf := make([]byte, 0, 4096)
-
-	slow := toPoint(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runHitSlowPath(b, fe, raw, buf)
-		}
-	}))
-	wire := toPoint(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runHitWire(b, fe, raw, buf)
-		}
-	}))
+	measure := func(fe *frontend.Frontend, raw []byte, run func(testing.TB, *frontend.Frontend, []byte, []byte)) benchPoint {
+		return toPoint(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b, fe, raw, buf)
+			}
+		}))
+	}
+	fe, raw := wireBenchSetup(t, "valid")
+	slow, wire := measure(fe, raw, runHitSlowPath), measure(fe, raw, runHitWire)
+	errFE, errRaw := wireBenchSetup(t, "rrsig-exp-all")
 	scanOnly := toPoint(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -1402,13 +1406,16 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 	}
 
 	snap := benchSnapshot{
-		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); frontdoor.tcp.pipelined is the same hit end to end over loopback TCP, 32 deep (slowpath = DisableWire); cluster.forward is a hit owned by a remote replica, through the router over loopback UDP, 32 outstanding (relay = raw datagrams on the batched peer socket, parsed = DisableWire); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
+		Note: "front-door cache-hit serving trajectory: baseline is the pre-wire-cache slow path (HandleDNS + pack per hit), current is the wire fast path (scan + copy + patch); frontdoor.cachederror is the same pair for a cached failure (SERVFAIL + EDE 7 + EDE 13, rrsig-exp-all); frontdoor.tcp.pipelined is the same hit end to end over loopback TCP, 32 deep (slowpath = DisableWire); cluster.forward is a hit owned by a remote replica, through the router over loopback UDP, 32 outstanding (relay = raw datagrams on the batched peer socket, parsed = DisableWire); regenerate with BENCH_SNAPSHOT=1 go test -run TestWriteBenchFrontdoorSnapshot .",
 		Go:   runtime.Version(),
 		CPUs: runtime.NumCPU(),
 		Current: map[string]benchPoint{
 			"frontdoor.cachehit":          wire,
 			"frontdoor.cachehit.slowpath": slow,
 			"dnswire.ScanQuery":           scanOnly,
+
+			"frontdoor.cachederror":          measure(errFE, errRaw, runHitWire),
+			"frontdoor.cachederror.slowpath": measure(errFE, errRaw, runHitSlowPath),
 
 			"frontdoor.tcp.pipelined":          pipelined(false),
 			"frontdoor.tcp.pipelined.slowpath": pipelined(true),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
@@ -227,6 +228,74 @@ func TestRelayMatchesParsedForward(t *testing.T) {
 	}
 	if got, want := cl.StateSnapshot().Members[0].Routed, uint64(relayed); got <= want {
 		t.Errorf("routed_total{peer} = %d, want relayed (%d) plus parsed forwards", got, want)
+	}
+}
+
+// failingUpstream answers every question SERVFAIL with the diagnosis of an
+// expired signature, so a frontend over it re-serves the failure with EDE 13.
+type failingUpstream struct{}
+
+func (failingUpstream) Exchange(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+	r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
+	r.RCode = dnswire.RCodeServFail
+	r.AddEDE(uint16(ede.CodeSignatureExpired), "RRSIG for "+qname.String()+" A expired")
+	return r, nil
+}
+
+// TestRelayCachedErrorFromWire: a cached SERVFAIL + EDE owned by a remote
+// replica comes back through the relay byte-identical to the all-parsed
+// path (a DisableWire router forwarding to a DisableWire door on the same
+// replica frontend), and the replica's door answers it from its wire cache.
+func TestRelayCachedErrorFromWire(t *testing.T) {
+	clock := newVClock()
+	fe := frontend.New(failingUpstream{}, frontend.Config{Now: clock.Now})
+	wired := startDoor(t, transport.Config{Handler: fe}, false)
+	slow := startDoor(t, transport.Config{Handler: fe, DisableWire: true}, false)
+	router := func(replica string, disableWire bool) door {
+		cl := New(Config{Seed: 1, ForwardTimeout: 3 * time.Second})
+		if err := cl.AddRemote("peer", replica); err != nil {
+			t.Fatalf("AddRemote: %v", err)
+		}
+		return routerDoor(t, cl, disableWire, false)
+	}
+	relay, parsed := router(wired.udp, false), router(slow.udp, true)
+	viaRelay, viaParsed := newUDPClient(t, relay.udp), newUDPClient(t, parsed.udp)
+	wireServes := func() float64 {
+		return wired.metric(t, "edelab_frontdoor_wire_serves_total", telemetry.L("transport", "udp"))
+	}
+
+	id := uint16(0)
+	for _, edns := range []bool{true, false} {
+		q := dnswire.NewQuery(0, dnswire.MustName("fail.example."), dnswire.TypeA)
+		if !edns {
+			q.OPT = nil
+		}
+		pack := func() []byte {
+			id++
+			q.ID = id
+			b, err := q.Pack()
+			if err != nil {
+				t.Fatalf("pack: %v", err)
+			}
+			return b
+		}
+		viaParsed.ask(pack())         // the failure
+		want := viaParsed.ask(pack()) // the first cached-error hit, which captures
+		before := wireServes()
+		for pass := 1; pass <= 2; pass++ {
+			if got := viaRelay.ask(pack()); !bytes.Equal(got, want) {
+				t.Fatalf("edns=%t pass %d: relayed cached error differs from the parsed path\nparsed: %x\nrelay:  %x", edns, pass, want, got)
+			}
+		}
+		if n := wireServes() - before; n != 2 {
+			t.Errorf("edns=%t: the replica's wire serves moved by %v, want 2", edns, n)
+		}
+	}
+	if v := relay.metric(t, "edelab_frontdoor_relayed_total"); v != 4 {
+		t.Errorf("relayed_total = %v, want 4", v)
+	}
+	if v := slow.metric(t, "edelab_frontdoor_wire_serves_total", telemetry.L("transport", "udp")); v != 0 {
+		t.Errorf("DisableWire replica door made %v wire serves", v)
 	}
 }
 

@@ -447,13 +447,9 @@ func (f *Frontend) reply(q *dnswire.Message, k key, sv *served, now time.Time) *
 	case modeCachedError:
 		// The paper's Cloudflare idiom: EXTRA-TEXT is the bare retry
 		// delay in seconds ("114") until the error cache entry expires.
-		retry := int64(e.expiresAt.Sub(now) / time.Second)
-		if retry < 1 {
-			retry = 1
-		}
-		f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatInt(retry, 10))
+		f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatUint(uint64(retryAfter(e, now)), 10))
 	}
-	if sv.mode == modeFresh && !e.isError {
+	if sv.mode == modeFresh || sv.mode == modeCachedError {
 		f.maybeCaptureWire(e, out, now)
 	}
 	return out

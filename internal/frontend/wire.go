@@ -14,15 +14,22 @@ import (
 // things in place — the 2-byte ID, the RD header bit, and each TTL —
 // with no message rebuild and no re-pack.
 //
-// Variants are captured lazily from the slow path: the first fresh reply of
-// each EDNS class — the miss that fills the entry, for the class that asked
-// it — is packed once with TTL-offset recording and published on the entry,
-// so the next compatible query is already a wire serve. Stale and
-// error-cache replies are never captured. Byte identity with the slow
-// path is therefore by construction, and the TTL patch reproduces the
-// slow path's decay arithmetic exactly: a stored TTL is
-// max(orig-baseAge, 1), and patching by delta = age-baseAge yields
-// max(orig-age, 1) in every case.
+// Variants are captured lazily from the slow path: the first fresh or
+// cached-error reply of each EDNS class — for a positive entry the miss that
+// fills it, for an error entry the first EDE 13 hit — is packed once with
+// TTL-offset recording and published on the entry, so the next compatible
+// query is already a wire serve. Stale, overload and first-failure replies
+// are never captured. Byte identity with the slow path is therefore by
+// construction, and the TTL patch reproduces the slow path's decay
+// arithmetic exactly: a stored TTL is max(orig-baseAge, 1), and patching by
+// delta = age-baseAge yields max(orig-age, 1) in every case.
+//
+// An error entry's EDNS image also carries the EDE 13 retry countdown, the
+// one part of it no patch can redo, so it is valid only while retryAfter
+// still reads the second it was captured in: ServeWire declines otherwise,
+// and the slow-path reply to that query recaptures. A cached failure thus
+// costs the slow path once per second per EDNS class, plus whatever queries
+// arrive after a tick before the recapture lands.
 
 // Variant indices: one pre-packed image per EDNS class, because an EDNS
 // client's reply carries an OPT (and any entry EDEs) while a pre-EDNS
@@ -41,6 +48,9 @@ type wireVariant struct {
 	ttlOffs []uint16
 	// baseAge is the entry age, in whole seconds, at capture time.
 	baseAge uint32
+	// retry is the EDE 13 countdown the image carries, 0 when it carries
+	// none (every entry but an error entry's EDNS image).
+	retry uint32
 	// edeCodes are the EDE info-codes the reply carries, re-counted on
 	// every wire hit so emission metrics match the slow path.
 	edeCodes []uint16
@@ -48,9 +58,9 @@ type wireVariant struct {
 
 // ServeWire answers a scanned query from the cached wire image, appending
 // the response to dst. ok=false means no compatible image exists (miss,
-// stale, error-cache entry, not captured yet, or the image exceeds limit)
-// and the caller must fall back to the full path. The fast path performs
-// no allocations beyond what dst's capacity forces.
+// stale, not captured yet, an error image whose countdown has moved on, or
+// the image exceeds limit) and the caller must fall back to the full path.
+// The fast path performs no allocations beyond what dst's capacity forces.
 func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool) {
 	if q.Class != dnswire.ClassIN {
 		return nil, false
@@ -58,7 +68,7 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 	k := key{name: q.Name, qtype: q.Type, do: q.DO, cd: q.CD}
 	now := f.cfg.Now()
 	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
-	if !ok || !fresh || e.isError {
+	if !ok || !fresh {
 		return nil, false
 	}
 	idx := wirePlain
@@ -66,15 +76,18 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 		idx = wireEDNS
 	}
 	v := e.wires[idx].Load()
-	if v == nil || len(v.wire) > limit {
-		// Not captured yet, or the reply would need the truncation ladder:
-		// both are the slow path's job.
+	if v == nil || len(v.wire) > limit || v.retry != 0 && v.retry != retryAfter(e, now) {
+		// Not captured yet, the reply would need the truncation ladder, or
+		// the retry countdown reads another second: all the slow path's job.
 		return nil, false
 	}
 
 	f.metrics.queries.Add(1)
 	f.metrics.hits.Add(1)
 	f.metrics.wireHits.Add(1)
+	if e.isError {
+		f.metrics.cachedErrors.Add(1)
+	}
 	for _, c := range v.edeCodes {
 		f.metrics.countEDE(c)
 	}
@@ -105,29 +118,40 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 }
 
 // maybeCaptureWire publishes out as the entry's pre-packed image for its
-// EDNS class, once. Called from reply() for fresh non-error serves only —
-// stale replies and error-cache replies carry per-hit dynamic content
-// (fixed stale TTLs aside, the EDE 13 retry countdown changes every
-// second) and are never wire-served.
+// EDNS class when there is none yet or the stored one carries another retry
+// countdown. Called from reply() for fresh and cached-error serves only:
+// stale and overload replies carry per-hit content no patch reproduces. Two
+// slow paths racing across a second boundary may store out of order; the
+// last store wins, and ServeWire's countdown check keeps either correct.
 func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Time) {
 	idx := wirePlain
+	var retry uint32
 	if out.OPT != nil {
 		idx = wireEDNS
+		if e.isError {
+			retry = retryAfter(e, now)
+		}
 	}
-	if e.wires[idx].Load() != nil {
+	if v := e.wires[idx].Load(); v != nil && v.retry == retry {
 		return
 	}
 	wire, offs, err := out.AppendPackTTLOffsets(nil, nil)
 	if err != nil {
 		return
 	}
-	v := &wireVariant{wire: wire, ttlOffs: offs, baseAge: entryAge(e, now)}
+	v := &wireVariant{wire: wire, ttlOffs: offs, baseAge: entryAge(e, now), retry: retry}
 	if out.OPT != nil {
 		for _, o := range out.EDEs() {
 			v.edeCodes = append(v.edeCodes, o.InfoCode)
 		}
 	}
 	e.wires[idx].Store(v)
+}
+
+// retryAfter is the EDE 13 countdown an error entry reads at now: the whole
+// seconds until it expires, at least 1 (the Cloudflare idiom's EXTRA-TEXT).
+func retryAfter(e *entry, now time.Time) uint32 {
+	return uint32(max(e.expiresAt.Sub(now)/time.Second, 1))
 }
 
 // entryAge is the whole seconds since the entry was stored, matching the

@@ -3,6 +3,7 @@ package frontend
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -165,8 +166,9 @@ func TestWireHitPatchesIDAndRD(t *testing.T) {
 	}
 }
 
-// TestWireFallsBack enumerates the declines: miss, stale entry, error-cache
-// entry, wrong class, oversized reply, and the uncaptured EDNS class.
+// TestWireFallsBack enumerates the declines: miss, stale entry, an error
+// image whose countdown no longer matches, wrong class, oversized reply, and
+// the uncaptured EDNS class.
 func TestWireFallsBack(t *testing.T) {
 	clock := newClock()
 	up := &stubUpstream{}
@@ -206,47 +208,168 @@ func TestWireFallsBack(t *testing.T) {
 		t.Error("served a stale entry from the wire path (stale serves carry EDE 3)")
 	}
 
-	// Error-cache entries are never wire-served: their EDE 13 retry text
-	// changes every second.
+	// An error image is valid for the second its EDE 13 retry text reads:
+	// once the countdown has moved on, the wire path declines.
 	up.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return nil, context.DeadlineExceeded
 	})
 	f2 := New(up, Config{Now: clock.Now, StaleWindow: -1})
-	if _, err := f2.HandleDNS(context.Background(), wireQueryMsg(1, "err.example.", false, true, true)); err != nil {
-		t.Fatal(err)
+	for id := uint16(1); id <= 2; id++ { // the failure, then the hit that captures
+		if _, err := f2.HandleDNS(context.Background(), wireQueryMsg(id, "err.example.", false, true, true)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := f2.ServeWire(scan(wireQueryMsg(2, "err.example.", false, true, true)), 0xFFFF, nil); ok {
-		t.Error("served an error-cache entry from the wire path")
+	clock.Advance(time.Second)
+	if _, ok := f2.ServeWire(scan(wireQueryMsg(3, "err.example.", false, true, true)), 0xFFFF, nil); ok {
+		t.Error("served an error image whose EDE 13 countdown no longer matches")
+	}
+}
+
+// TestWireCachedErrorMatchesSlowPath pins the error image on a stepped clock
+// against a twin frontend that answers everything through HandleDNS. The
+// first failure captures nothing; the first cached-error hit captures; a
+// wire serve then equals the twin's slow-path answer byte for byte, with the
+// asking client's ID and RD. One second on, an EDNS image declines and the
+// slow path recaptures (a plain one carries no countdown and keeps serving);
+// past ErrorTTL nothing is wire-served. The two frontends' counters and EDE
+// emissions agree but for WireHits.
+func TestWireCachedErrorMatchesSlowPath(t *testing.T) {
+	for _, cl := range []struct {
+		name     string
+		edns, do bool
+	}{
+		{"noedns", false, false},
+		{"edns", true, false},
+		{"edns+do", true, true},
+	} {
+		t.Run(cl.name, func(t *testing.T) {
+			clock := newClock()
+			up := &stubUpstream{}
+			up.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+				return servfail(qname), nil
+			})
+			cfg := Config{Now: clock.Now, ErrorTTL: 5 * time.Second, StaleWindow: -1}
+			f, twin := New(up, cfg), New(up, cfg)
+			q := func(id uint16, rd bool) *dnswire.Message {
+				m := wireQueryMsg(id, "fail.example.", false, cl.edns, cl.do)
+				m.RecursionDesired = rd
+				return m
+			}
+			slow := func(fe *Frontend, m *dnswire.Message) []byte {
+				t.Helper()
+				resp, err := fe.HandleDNS(context.Background(), m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := resp.AppendPack(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			// both puts one client query through the slow path of both
+			// frontends, as a declined wire serve does.
+			var id uint16
+			both := func() {
+				t.Helper()
+				id++
+				slow(f, q(id, true))
+				slow(twin, q(id, true))
+			}
+			raw, _ := q(0x5151, false).Pack()
+			wq, ok := dnswire.ScanQuery(raw)
+			if !ok {
+				t.Fatal("scan rejected")
+			}
+			wire := func(step string, want bool) {
+				t.Helper()
+				got, ok := f.ServeWire(wq, 0xFFFF, nil)
+				if ok != want {
+					t.Fatalf("%s: wire path served=%t, want %t", step, ok, want)
+				}
+				if !ok {
+					return
+				}
+				if want := slow(twin, q(0x5151, false)); !bytes.Equal(got, want) {
+					t.Fatalf("%s: wire serve differs from the slow path\nslow: %x\nwire: %x", step, want, got)
+				}
+			}
+
+			both() // the first failure: no EDE 13, so no image
+			wire("after the first failure", false)
+			both() // the first cached-error hit captures
+			wire("same second", true)
+			wire("same second, again", true)
+			clock.Advance(time.Second)
+			if cl.edns {
+				wire("countdown ticked", false)
+				both() // recaptures
+			}
+			wire("next second", true)
+			clock.Advance(5 * time.Second)
+			wire("past ErrorTTL", false)
+
+			got, want := f.Metrics().Snapshot(), twin.Metrics().Snapshot()
+			if got.WireHits != 3 {
+				t.Errorf("wire hits = %d, want 3", got.WireHits)
+			}
+			got.WireHits = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("counters differ from the slow-path twin's\nwire: %+v\nslow: %+v", got, want)
+			}
+			if cl.edns && want.EDECounts[uint16(ede.CodeCachedError)] == 0 {
+				t.Error("twin emitted no EDE 13: the comparison is vacuous")
+			}
+		})
 	}
 }
 
 // TestWireHitAllocGate is the CI alloc gate: a full fast-path serve —
 // scanning the raw query plus ServeWire into a ready buffer — stays within
-// 2 allocations (the qname cache-key string is the only mandatory one).
+// 2 allocations (the qname cache-key string is the only mandatory one). A
+// wire-served cached error allocates no more than a positive hit: its
+// countdown check is arithmetic, not a formatted EXTRA-TEXT.
 func TestWireHitAllocGate(t *testing.T) {
 	clock := newClock()
 	up := &stubUpstream{}
 	up.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+		if qname == dnswire.MustName("fail.example.") {
+			return servfail(qname), nil
+		}
 		return dnssecAnswer(qname, 300), nil
 	})
 	f := New(up, Config{Now: clock.Now})
-	if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, "www.example.", false, true, true)); err != nil {
-		t.Fatal(err)
+	names := []string{"www.example.", "fail.example."}
+	for _, name := range names {
+		if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, name, false, true, true)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clock.Advance(2 * time.Second) // force the TTL patch loop to run
-	raw, _ := wireQueryMsg(0x7777, "www.example.", false, true, true).Pack()
-	dst := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(500, func() {
-		wq, ok := dnswire.ScanQuery(raw)
-		if !ok {
-			t.Fatal("scan rejected")
+	allocs := make([]float64, len(names))
+	for i, name := range names {
+		// For the failure, the cached-error hit that captures its image at
+		// the current countdown.
+		if _, err := f.HandleDNS(context.Background(), wireQueryMsg(1, name, false, true, true)); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := f.ServeWire(wq, 0xFFFF, dst); !ok {
-			t.Fatal("wire fast path declined")
-		}
-	})
-	if allocs > 2 {
-		t.Errorf("wire hit path allocates %.1f times per op, want <= 2", allocs)
+		raw, _ := wireQueryMsg(0x7777, name, false, true, true).Pack()
+		dst := make([]byte, 0, 4096)
+		allocs[i] = testing.AllocsPerRun(500, func() {
+			wq, ok := dnswire.ScanQuery(raw)
+			if !ok {
+				t.Fatal("scan rejected")
+			}
+			if _, ok := f.ServeWire(wq, 0xFFFF, dst); !ok {
+				t.Fatalf("%s: wire fast path declined", name)
+			}
+		})
+	}
+	if allocs[0] > 2 {
+		t.Errorf("wire hit path allocates %.1f times per op, want <= 2", allocs[0])
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("an error wire hit allocates %.1f times per op, a positive one %.1f", allocs[1], allocs[0])
 	}
 }
 

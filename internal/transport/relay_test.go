@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
 // Answers name their origin: the stub peer answers with relayedAddr, the
@@ -609,6 +611,55 @@ func TestRelayAllocs(t *testing.T) {
 	}
 	if srv.m.relayed.Load() < 500 {
 		t.Fatalf("only %d queries were relayed", srv.m.relayed.Load())
+	}
+}
+
+// TestRelayWireErrorAllocs: relayed to a peer front door that answers from
+// its wire cache, a cached error costs the process no more allocations
+// than a positive hit does.
+func TestRelayWireErrorAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate")
+	}
+	fail := dnswire.MustName("fail.example.")
+	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
+		if qname == fail {
+			return failingUpstream(ctx, qname, qtype)
+		}
+		r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
+		r.Answer = []dnswire.RR{{Name: qname, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}}}
+		return r, nil
+	})
+	now := time.Unix(int64(testbed.Now), 0)
+	peerAddr, peer := startUDP(t, Config{Handler: frontend.New(up, frontend.Config{Now: func() time.Time { return now }})})
+	tok := &stubPeerToken{addr: netip.MustParseAddrPort(peerAddr)}
+	_, addr, _ := startRelayDoor(t, &stubRouter{peer: tok, timeout: 5 * time.Second}, Config{})
+	client := dialUDP(t, addr)
+	client.SetReadDeadline(time.Now().Add(30 * time.Second))
+	buf := make([]byte, 512)
+
+	allocsFor := func(name dnswire.Name) float64 {
+		query := mustPack(t, dnswire.NewQuery(1, name, dnswire.TypeA))
+		roundTrip := func() {
+			if _, err := client.Write(query); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if _, err := client.Read(buf); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+		}
+		roundTrip() // the miss: an answer, or the failure
+		roundTrip() // a wire serve, or the cached-error hit that captures
+		before := peer.m.wireServes[TransportUDP].Load()
+		allocs := testing.AllocsPerRun(500, roundTrip)
+		if got := peer.m.wireServes[TransportUDP].Load() - before; got < 500 {
+			t.Fatalf("%s: only %d of the measured queries were wire serves at the peer", name, got)
+		}
+		return allocs
+	}
+	hit := allocsFor(dnswire.MustName("hit.example."))
+	if errHit := allocsFor(fail); errHit > hit {
+		t.Errorf("a relayed wire-served cached error allocates %.2f times, a positive hit %.2f", errHit, hit)
 	}
 }
 

@@ -206,7 +206,7 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 		case pipe <- struct{}{}:
 		default:
 			s.m.sheds[transport].Inc()
-			c.write(shedReply(q, fmt.Sprintf("server overloaded: %d queries in flight on this connection", cap(pipe))))
+			c.queue(shedReply(q, fmt.Sprintf("server overloaded: %d queries in flight on this connection", cap(pipe))))
 			continue
 		}
 		s.m.pipeline.Observe(float64(len(pipe)))
@@ -314,19 +314,35 @@ func (c *streamConn) flush() {
 }
 
 // write frames and sends one slow-path response with a Write of its own.
-// Stream responses to EDNS queries advertise the configured
-// edns-tcp-keepalive timeout; RFC 7828 §3.4 forbids the option over UDP, and
-// the option rides in OPT so non-EDNS responses cannot carry it.
 func (c *streamConn) write(resp *dnswire.Message) {
+	if wire, ok := c.appendFramed(resp, nil); ok {
+		c.writeLocked(wire)
+	}
+}
+
+// queue frames resp into the output buffer like a wire serve: the reader's
+// own answers (a pipeline shed) leave in its next flush.
+func (c *streamConn) queue(resp *dnswire.Message) {
+	if out, ok := c.appendFramed(resp, c.out); ok {
+		c.out = out
+		c.queued()
+	}
+}
+
+// appendFramed appends resp, framed, to buf. Stream responses to EDNS queries
+// advertise the configured edns-tcp-keepalive timeout; RFC 7828 §3.4 forbids
+// the option over UDP, and the option rides in OPT so non-EDNS responses
+// cannot carry it.
+func (c *streamConn) appendFramed(resp *dnswire.Message, buf []byte) ([]byte, bool) {
 	if c.s.keepalive != 0 && resp.OPT != nil {
 		resp = advertiseKeepalive(resp, c.s.keepalive)
 	}
-	wire, err := resp.AppendStream(nil)
+	wire, err := resp.AppendStream(buf)
 	if err != nil {
 		c.s.m.errors[c.transport].Inc()
-		return
+		return nil, false
 	}
-	c.writeLocked(wire)
+	return wire, true
 }
 
 // writeLocked sends whole frames under the write mutex with a bounded

@@ -389,39 +389,54 @@ func TestStreamDrainFlushes(t *testing.T) {
 
 // TestStreamWireHitAllocs is the stream alloc gate: a wire hit over a live
 // TCP connection — read, scan, serve, frame, write — costs the process at
-// most 2 allocations, so the frame and output buffers are reused.
+// most 2 allocations, so the frame and output buffers are reused. A
+// wire-served cached error costs no more than a positive hit.
 func TestStreamWireHitAllocs(t *testing.T) {
-	up := upstreamFunc(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+	fail := dnswire.MustName("fail.example")
+	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
+		if qname == fail {
+			return failingUpstream(ctx, qname, qtype)
+		}
 		r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
 		r.Answer = []dnswire.RR{{Name: qname, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}}}
 		return r, nil
 	})
-	srv := NewServer(Config{Handler: frontend.New(up, frontend.Config{}), TCPKeepalive: 5 * time.Second})
+	// A frozen clock: a moving one ticks the EDE 13 countdown mid-measurement.
+	now := time.Unix(int64(testbed.Now), 0)
+	fe := frontend.New(up, frontend.Config{Now: func() time.Time { return now }})
+	srv := NewServer(Config{Handler: fe, TCPKeepalive: 5 * time.Second})
 	addr, _, _ := serveOn(t, srv, func(l net.Listener) net.Listener { return l })
 	conn := dialTCP(t, addr)
 
-	query := framed(t, hitQuery(9))
 	resp := make([]byte, 512)
-	exchange := func() {
-		if _, err := conn.Write(query); err != nil {
-			t.Fatal(err)
+	allocsFor := func(q *dnswire.Message) float64 {
+		query := framed(t, q)
+		exchange := func() {
+			if _, err := conn.Write(query); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, resp[:2]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, resp[2:2+binary.BigEndian.Uint16(resp)]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, err := io.ReadFull(conn, resp[:2]); err != nil {
-			t.Fatal(err)
+		exchange() // the miss: an answer, or the failure
+		exchange() // a wire serve, or the cached-error hit that captures
+		before := srv.m.wireServes[TransportTCP].Load()
+		allocs := testing.AllocsPerRun(500, exchange)
+		if got := srv.m.wireServes[TransportTCP].Load() - before; got < 500 {
+			t.Fatalf("%s: only %d of the measured exchanges were wire serves", q.Question[0].Name, got)
 		}
-		if _, err := io.ReadFull(conn, resp[2:2+binary.BigEndian.Uint16(resp)]); err != nil {
-			t.Fatal(err)
-		}
+		return allocs
 	}
-	exchange() // the miss, which captures the image
-	exchange() // a wire serve
-	before := srv.m.wireServes[TransportTCP].Load()
-	allocs := testing.AllocsPerRun(500, exchange)
-	if got := srv.m.wireServes[TransportTCP].Load() - before; got < 500 {
-		t.Fatalf("only %d of the measured exchanges were wire serves", got)
+	hit := allocsFor(hitQuery(9))
+	if hit > 2 {
+		t.Errorf("a stream wire hit allocates %.1f times, want <= 2", hit)
 	}
-	if allocs > 2 {
-		t.Errorf("a stream wire hit allocates %.1f times, want <= 2", allocs)
+	if errHit := allocsFor(dnswire.NewQuery(10, fail, dnswire.TypeA)); errHit > hit {
+		t.Errorf("a stream wire-served cached error allocates %.1f times, a positive hit %.1f", errHit, hit)
 	}
 }
 

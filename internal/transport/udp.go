@@ -208,20 +208,43 @@ func (l *udpListener) serveDatagram(i int) {
 		return
 	}
 	s.m.queries[TransportUDP].Inc()
-	l.enqueue(q, io.addr(i))
+	// Admission comes first: a shed reply leaves in this round's batch, so
+	// past capacity a datagram costs neither a net.Addr nor a syscall.
+	if !l.admit() {
+		if wire, ok := s.packUDP(udpShedReply(q), q, io.respBuf(i)); ok {
+			io.queue(i, wire)
+		}
+		return
+	}
+	l.jobs <- udpJob{q: q, addr: io.addr(i)}
 }
 
 // enqueue admits one parsed query to the worker ring, or sheds it at the
-// admission bound.
+// admission bound with a send of its own: the relay's re-dispatch, which
+// runs off the read loop and has no batch slot to answer in.
 func (l *udpListener) enqueue(q *dnswire.Message, addr net.Addr) {
-	select {
-	case l.sem <- struct{}{}:
-	default:
-		l.s.m.sheds[TransportUDP].Inc()
-		l.s.writeUDP(l.conn, addr, shedReply(q, "server overloaded: UDP inflight limit reached"), q)
+	if !l.admit() {
+		l.s.writeUDP(l.conn, addr, udpShedReply(q), q)
 		return
 	}
 	l.jobs <- udpJob{q: q, addr: addr}
+}
+
+// admit takes a worker-ring slot for one parsed query, or counts a shed at
+// the admission bound.
+func (l *udpListener) admit() bool {
+	select {
+	case l.sem <- struct{}{}:
+		return true
+	default:
+		l.s.m.sheds[TransportUDP].Inc()
+		return false
+	}
+}
+
+// udpShedReply is the answer to a datagram shed at MaxUDPInflight.
+func udpShedReply(q *dnswire.Message) *dnswire.Message {
+	return shedReply(q, "server overloaded: UDP inflight limit reached")
 }
 
 // formerrLen is the size of the message appendFORMERR builds.
@@ -247,17 +270,27 @@ func appendFORMERR(dst, q []byte) []byte {
 func (s *Server) writeUDP(conn net.PacketConn, addr net.Addr, resp, q *dnswire.Message) {
 	bufp := udpBufPool.Get().(*[]byte)
 	defer udpBufPool.Put(bufp)
-	wire, truncated, err := packUDPResponse(resp, clientBufSize(q), (*bufp)[:0])
-	if err != nil {
-		s.m.errors[TransportUDP].Inc()
+	wire, ok := s.packUDP(resp, q, (*bufp)[:0])
+	if !ok {
 		return
-	}
-	if truncated {
-		s.m.truncations.Inc()
 	}
 	if _, err := conn.WriteTo(wire, addr); err != nil {
 		s.m.errors[TransportUDP].Inc()
 	}
+}
+
+// packUDP is packUDPResponse within the limit q advertises, counting a
+// truncation or a failure; ok is false when there is nothing to send.
+func (s *Server) packUDP(resp, q *dnswire.Message, buf []byte) (wire []byte, ok bool) {
+	wire, truncated, err := packUDPResponse(resp, clientBufSize(q), buf)
+	if err != nil {
+		s.m.errors[TransportUDP].Inc()
+		return nil, false
+	}
+	if truncated {
+		s.m.truncations.Inc()
+	}
+	return wire, true
 }
 
 // clientBufSize returns the largest UDP response q permits: 512 bytes

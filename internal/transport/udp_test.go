@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
@@ -194,6 +196,92 @@ func TestUDPInflightShed(t *testing.T) {
 		t.Errorf("shed RCODE = %s, want SERVFAIL", resp.RCode)
 	}
 	assertEDE(t, resp, 23)
+}
+
+// gateWire is a wire cache that holds one name and blocks the read loop on
+// it: ServeWire for gate signals held, waits for release, then answers.
+// Every other name is declined.
+type gateWire struct {
+	gate          dnswire.Name
+	held, release chan struct{}
+}
+
+func (w gateWire) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool) {
+	if q.Name != w.gate {
+		return nil, false
+	}
+	close(w.held)
+	<-w.release
+	return stubWire{}.ServeWire(q, limit, dst)
+}
+
+// TestUDPShedBurst: datagrams past MaxUDPInflight that arrive in one receive
+// round are each answered SERVFAIL + EDE 23, and the sheds counter reads
+// how many there were. The read loop is held on a gate query while the
+// burst queues up behind it, so the burst is one round where the I/O
+// batches.
+func TestUDPShedBurst(t *testing.T) {
+	const n = 8
+	park := make(chan struct{})
+	handler := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		select {
+		case <-park:
+		case <-ctx.Done():
+		}
+		return q.Reply(), nil
+	})
+	defer close(park)
+	wire := gateWire{gate: dnswire.MustName("gate.example."), held: make(chan struct{}), release: make(chan struct{})}
+	reg := telemetry.NewRegistry()
+	addr, srv := startUDP(t, Config{Handler: handler, Wire: wire, MaxUDPInflight: 1, Registry: reg})
+	conn := dialUDP(t, addr)
+	send := func(id uint16, name string) {
+		t.Helper()
+		if _, err := conn.Write(mustPack(t, dnswire.NewQuery(id, dnswire.MustName(name), dnswire.TypeA))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+
+	send(1, "slow.example.") // parks the only slot
+	send(2, "gate.example.")
+	<-wire.held
+	rounds := srv.m.batchRounds.Load()
+	for id := uint16(10); id < 10+n; id++ {
+		send(id, "fast.example.")
+	}
+	time.Sleep(50 * time.Millisecond) // loopback delivery is synchronous; this is margin
+	close(wire.release)
+
+	shed := map[uint16]bool{}
+	for i := 0; i < n+1; i++ {
+		b, ok := readAnswer(t, conn, 5*time.Second)
+		if !ok {
+			t.Fatalf("%d answers of %d came back", i, n+1)
+		}
+		resp, err := dnswire.Unpack(b)
+		if err != nil {
+			t.Fatalf("unpack: %v", err)
+		}
+		if resp.ID == 2 {
+			continue // the gate's own answer
+		}
+		if resp.RCode != dnswire.RCodeServFail {
+			t.Errorf("ID %d: RCODE %s, want SERVFAIL", resp.ID, resp.RCode)
+		}
+		assertEDE(t, resp, uint16(ede.CodeNetworkError))
+		shed[resp.ID] = true
+	}
+	if len(shed) != n {
+		t.Errorf("%d distinct shed answers, want %d", len(shed), n)
+	}
+	if v, _ := reg.Value("edelab_frontdoor_sheds_total", telemetry.L("transport", TransportUDP)); v != n {
+		t.Errorf("sheds_total = %v, want %d", v, n)
+	}
+	if batchedUDP {
+		if got := srv.m.batchRounds.Load() - rounds; got != 1 {
+			t.Errorf("the burst took %d receive rounds after the gate's, want 1", got)
+		}
+	}
 }
 
 // BenchmarkServeUDP measures the full loopback round trip through the

@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"crypto/tls"
+	"crypto/x509"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
@@ -158,6 +162,137 @@ func TestListenUDPReusePort(t *testing.T) {
 		}
 		if len(resp.Answer) != 1 {
 			t.Fatalf("query %d: answers = %d, want 1", i, len(resp.Answer))
+		}
+	}
+}
+
+// failingUpstream answers every question SERVFAIL with the diagnosis a
+// validating resolver attaches to an expired signature, so a frontend over
+// it caches the failure and re-serves it with EDE 13.
+var failingUpstream = upstreamFunc(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+	r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
+	r.RCode = dnswire.RCodeServFail
+	r.AddEDE(uint16(ede.CodeSignatureExpired), "RRSIG for "+qname.String()+" A expired")
+	return r, nil
+})
+
+// TestCachedErrorWireParity: a cached SERVFAIL + EDE is answered from the
+// wire cache over UDP, TCP and DoT, byte-identical to what a DisableWire
+// server over the same frontend answers, and each answer counts as a wire
+// serve. The frozen clock keeps the EDE 13 countdown on one second.
+func TestCachedErrorWireParity(t *testing.T) {
+	now := time.Unix(int64(testbed.Now), 0)
+	fe := frontend.New(failingUpstream, frontend.Config{Now: func() time.Time { return now }})
+
+	cert, err := SelfSignedCert("127.0.0.1")
+	if err != nil {
+		t.Fatalf("generating certificate: %v", err)
+	}
+	pool := x509.NewCertPool()
+	pool.AddCert(cert.Leaf)
+	clientTLS := &tls.Config{RootCAs: pool, ServerName: "127.0.0.1"}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+
+	// door is one server with a client connection on each transport.
+	type door struct {
+		srv   *Server
+		conns map[string]net.Conn
+	}
+	open := func(disableWire bool) door {
+		d := door{srv: NewServer(Config{Handler: fe, DisableWire: disableWire, TCPKeepalive: 7 * time.Second}), conns: map[string]net.Conn{}}
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go d.srv.ServeUDP(ctx, pc)
+		d.conns[TransportUDP] = dialUDP(t, pc.LocalAddr().String())
+		for _, tr := range []string{TransportTCP, TransportDoT} {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			var conn net.Conn
+			if tr == TransportTCP {
+				go d.srv.ServeTCP(ctx, l)
+				conn, err = net.Dial("tcp", l.Addr().String())
+			} else {
+				go d.srv.ServeDoT(ctx, l, &tls.Config{Certificates: []tls.Certificate{cert}})
+				conn, err = tls.Dial("tcp", l.Addr().String(), clientTLS)
+			}
+			if err != nil {
+				t.Fatalf("dial %s: %v", tr, err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			d.conns[tr] = conn
+		}
+		for _, c := range d.conns {
+			c.SetDeadline(time.Now().Add(time.Minute))
+		}
+		return d
+	}
+	exchange := func(conn net.Conn, tr string, q *dnswire.Message) []byte {
+		t.Helper()
+		query := framed(t, q)
+		if tr == TransportUDP {
+			query = query[2:]
+		}
+		if _, err := conn.Write(query); err != nil {
+			t.Fatalf("%s write: %v", tr, err)
+		}
+		if tr == TransportUDP {
+			buf := make([]byte, maxUDPPayload)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatalf("udp read: %v", err)
+			}
+			return buf[:n]
+		}
+		resp, err := readRawFrame(conn)
+		if err != nil {
+			t.Fatalf("%s read: %v", tr, err)
+		}
+		return resp
+	}
+
+	slow, wired := open(true), open(false)
+	for _, edns := range []bool{false, true} {
+		q := dnswire.NewQuery(1, dnswire.MustName("fail.example."), dnswire.TypeA)
+		if !edns {
+			q.OPT = nil
+		}
+		// The failure, then the first cached-error hit, which captures.
+		for i := 0; i < 2; i++ {
+			exchange(slow.conns[TransportUDP], TransportUDP, q)
+		}
+		for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
+			before := wired.srv.m.wireServes[tr].Load()
+			want := exchange(slow.conns[tr], tr, q)
+			got := exchange(wired.conns[tr], tr, q)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s edns=%t: wire-served cached error differs from the parsed path\n slow: %x\n wire: %x", tr, edns, want, got)
+			}
+			if n := wired.srv.m.wireServes[tr].Load() - before; n != 1 {
+				t.Errorf("%s edns=%t: wire serves moved by %d, want 1", tr, edns, n)
+			}
+			if tr != TransportUDP {
+				got = got[2:]
+			}
+			m, err := dnswire.Unpack(got)
+			if err != nil {
+				t.Fatalf("%s: unpacking the answer: %v", tr, err)
+			}
+			if m.RCode != dnswire.RCodeServFail {
+				t.Errorf("%s edns=%t: RCODE %s, want SERVFAIL", tr, edns, m.RCode)
+			}
+			if codes := m.EDECodes(); edns && len(codes) != 2 {
+				t.Errorf("%s: EDEs %v, want the expired signature's and EDE 13", tr, codes)
+			}
+		}
+	}
+	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
+		if n := slow.srv.m.wireServes[tr].Load(); n != 0 {
+			t.Errorf("%s: DisableWire server made %d wire serves", tr, n)
 		}
 	}
 }
