@@ -93,14 +93,13 @@ func main() {
 	maxConns := flag.Int("max-conns", transport.DefaultMaxConns, "per-listener bound on concurrent stream connections before shedding with EDE 23")
 	idleTimeout := flag.Duration("idle-timeout", transport.DefaultIdleTimeout, "stream connection idle timeout")
 	reuseport := flag.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
-	udpWorkers := flag.Int("udp-workers", transport.DefaultUDPWorkers, "goroutines per UDP read loop draining slow-path queries")
 	noWireCache := flag.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
 	tcpKeepalive := flag.Duration("tcp-keepalive", 0, "edns-tcp-keepalive idle timeout advertised on TCP/DoT responses (RFC 7828; 0 = not advertised)")
 	clusterN := flag.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (implies -mode resolver; mounts /api/cluster/ on -admin for -join peers)")
 	joinURL := flag.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
 	replicaID := flag.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
 	advertiseAddr := flag.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
-	hotBroadcast := flag.Int("hot-broadcast", 0, "owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = library default)")
+	hotBroadcast := flag.Int("hot-broadcast", 0, "owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = never broadcast)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "how long a -join replica keeps serving between announcing drain and leaving on SIGTERM")
 	flag.Parse()
 	if *clusterN > 0 || *joinURL != "" {
@@ -181,8 +180,7 @@ func main() {
 			tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr,
 			certFile: *tlsCert, keyFile: *tlsKey,
 			maxConns: *maxConns, idleTimeout: *idleTimeout,
-			udpWorkers: *udpWorkers, disableWire: *noWireCache,
-			tcpKeepalive: *tcpKeepalive,
+			disableWire: *noWireCache, tcpKeepalive: *tcpKeepalive,
 		}
 		fcfg := frontend.Config{
 			Capacity:     *cacheSize,
@@ -266,7 +264,7 @@ func main() {
 		tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr,
 		certFile: *tlsCert, keyFile: *tlsKey,
 		maxConns: *maxConns, idleTimeout: *idleTimeout,
-		udpWorkers: *udpWorkers, tcpKeepalive: *tcpKeepalive,
+		tcpKeepalive: *tcpKeepalive,
 	}); err != nil && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
 		os.Exit(1)
@@ -279,7 +277,6 @@ type frontDoorOpts struct {
 	certFile, keyFile string
 	maxConns          int
 	idleTimeout       time.Duration
-	udpWorkers        int
 	wire              transport.WireServer
 	disableWire       bool
 	tcpKeepalive      time.Duration
@@ -295,7 +292,6 @@ func serveFrontDoor(ctx context.Context, conns []net.PacketConn, front netsim.Ha
 		Handler:      front,
 		MaxConns:     opts.maxConns,
 		IdleTimeout:  opts.idleTimeout,
-		UDPWorkers:   opts.udpWorkers,
 		Wire:         opts.wire,
 		DisableWire:  opts.disableWire,
 		TCPKeepalive: opts.tcpKeepalive,

@@ -56,20 +56,17 @@ const (
 type Config struct {
 	// Seed feeds the ring's vnode placement (deterministic per seed).
 	Seed uint64
-	// Vnodes is the virtual-node count per replica (DefaultVnodes when 0).
-	Vnodes int
 	// Frontend is the serving configuration every local replica's frontend
 	// is built with; it is also the ServingConfig replicated to
-	// secondaries, so the whole cluster answers identically.
+	// secondaries, so the whole cluster answers identically. The bounded-load
+	// cap follows from it: when the owning replica has twice its MaxInflight
+	// routed queries in flight, the router spills the query to the next ring
+	// node.
 	Frontend frontend.Config
 	// HotThreshold is how many router-observed hits a key needs before the
 	// owner's cache entry (pre-packed wire bytes included) is broadcast to
 	// every replica. 0 disables broadcast.
 	HotThreshold int
-	// MaxNodeInflight is the bounded-load cap: when the owning replica has
-	// this many routed queries in flight, the router spills the query to
-	// the next ring node. 0 derives 2x the frontend's MaxInflight.
-	MaxNodeInflight int
 	// ForwardTimeout bounds one UDP forward to a remote replica.
 	ForwardTimeout time.Duration
 	// RemoteFailureLimit is how many consecutive forward failures mark a
@@ -81,16 +78,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
-	if c.MaxNodeInflight <= 0 {
-		mi := c.Frontend.MaxInflight
-		if mi <= 0 {
-			mi = 512
-		}
-		c.MaxNodeInflight = 2 * mi
-	}
+	c.Frontend = c.Frontend.WithDefaults()
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 1500 * time.Millisecond
 	}
@@ -244,7 +232,7 @@ func (c *Cluster) rebuildLocked() {
 		ids[i] = nd.id
 		nodes[i] = nd
 	}
-	c.viewP.Store(&view{ring: buildRing(ids, uint64(c.cfg.Vnodes), c.cfg.Seed), nodes: nodes})
+	c.viewP.Store(&view{ring: buildRing(ids, DefaultVnodes, c.cfg.Seed), nodes: nodes})
 }
 
 func (c *Cluster) findLocked(id string) *node {
@@ -333,10 +321,16 @@ func (c *Cluster) BumpZone(name string) {
 // spills the tail of its walk to the heap.
 const walkBuf = 8
 
+// underCap reports whether nd has fewer routed queries in flight than the
+// bounded-load cap, twice a replica's MaxInflight.
+func (c *Cluster) underCap(nd *node) bool {
+	return nd.inflight.Load() < 2*int64(c.cfg.Frontend.MaxInflight)
+}
+
 // servable reports whether nd takes new queries: in rotation and under the
 // bounded-load cap.
 func (c *Cluster) servable(nd *node) bool {
-	return nd.st() == stateActive && nd.inflight.Load() < int64(c.cfg.MaxNodeInflight)
+	return nd.st() == stateActive && c.underCap(nd)
 }
 
 // candidates walks the ring from h and appends the active nodes to buf in
@@ -400,7 +394,7 @@ func (c *Cluster) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.M
 		// own recursions with EDE 23 if it truly cannot keep up).
 		target = cands[0]
 		for _, nd := range cands {
-			if nd.inflight.Load() < int64(c.cfg.MaxNodeInflight) {
+			if c.underCap(nd) {
 				target = nd
 				break
 			}
@@ -462,7 +456,7 @@ func (c *Cluster) serveOn(ctx context.Context, v *view, nd, owner *node, q *dnsw
 		return nil
 	}
 	if nd == owner && len(q.Question) == 1 {
-		pk := frontend.PeekKey{Name: q.Question[0].Name, Type: q.Question[0].Type, DO: q.DO(), CD: q.CheckingDisabled}
+		pk := frontend.PeekKey{Name: q.Question[0].Name, Type: q.Question[0].Type, CD: q.CheckingDisabled}
 		c.trackHot(v, owner, pk, h)
 	}
 	return resp
@@ -503,7 +497,7 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 		return nil, false
 	}
 	if target == owner {
-		c.trackHot(v, owner, frontend.PeekKey{Name: q.Name, Type: q.Type, DO: q.DO, CD: q.CD}, h)
+		c.trackHot(v, owner, frontend.PeekKey{Name: q.Name, Type: q.Type, CD: q.CD}, h)
 	}
 	return out, true
 }
@@ -520,7 +514,7 @@ func (c *Cluster) RouteWire(q dnswire.WireQuery) (transport.RelayPeer, bool) {
 	}
 	owner, target := c.wireTarget(v, keyHash(q.Name, q.Type, q.CD))
 	if target == nil || target.local != nil ||
-		target.inflight.Load() >= int64(c.cfg.MaxNodeInflight) || !target.Addr().IsValid() {
+		!c.underCap(target) || !target.Addr().IsValid() {
 		return nil, false
 	}
 	if target != owner {
@@ -624,12 +618,13 @@ func (c *Cluster) OwnerID(name dnswire.Name, qtype dnswire.Type, cd bool) string
 	return v.nodes[n].id
 }
 
-// failReply is the router's own failure answer: SERVFAIL with EDE 23
+// failReply is the router's own failure answer: SERVFAIL with RA and EDE 23
 // (network error) when the client can carry it, mirroring the transport
 // shed reply so clients see one idiom for "infrastructure, not data".
 func failReply(q *dnswire.Message, text string) *dnswire.Message {
 	r := q.Reply()
 	r.RCode = dnswire.RCodeServFail
+	r.RecursionAvailable = true
 	if r.OPT != nil {
 		r.AddEDE(uint16(ede.CodeNetworkError), text)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
 // vclock is a shared virtual serving clock over the frozen testbed instant:
@@ -411,5 +413,59 @@ func TestClusterServeWire(t *testing.T) {
 	out[0], out[1] = 0, 0
 	if !bytes.Equal(out, slowWire) {
 		t.Fatalf("wire path differs from slow path\nslow: %x\nwire: %x", slowWire, out)
+	}
+}
+
+// TestFailReplyMatchesTransportShed: the router's own failure answer is the
+// SERVFAIL + EDE 23 idiom a transport shed sends, header flags and RA
+// included.
+func TestFailReplyMatchesTransportShed(t *testing.T) {
+	q := dnswire.NewQuery(9, dnswire.MustName("a.example"), dnswire.TypeA)
+	fail, err := New(Config{}).HandleDNS(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fail.RecursionAvailable || fail.RCode != dnswire.RCodeServFail || len(fail.EDEs()) != 1 || fail.EDEs()[0].InfoCode != uint16(ede.CodeNetworkError) {
+		t.Fatalf("no-replicas reply: RA %t, %s, EDEs %v; want RA, SERVFAIL, EDE 23", fail.RecursionAvailable, fail.RCode, fail.EDECodes())
+	}
+
+	// A transport shed: the one UDP slot is parked on a query that never
+	// returns, so the next is shed.
+	park := make(chan struct{})
+	defer close(park)
+	srv := transport.NewServer(transport.Config{
+		Handler: netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+			select {
+			case <-park:
+			case <-ctx.Done():
+			}
+			return nil, ctx.Err()
+		}),
+		MaxUDPInflight: 1,
+	})
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	go srv.ServeUDP(ctx, conn)
+	addr := conn.LocalAddr().String()
+	parked, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parked.Close()
+	wire, _ := dnswire.NewQuery(8, dnswire.MustName("park.example"), dnswire.TypeA).Pack()
+	parked.Write(wire)
+	time.Sleep(100 * time.Millisecond)
+	shed, err := transport.QueryUDP(ctx, addr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := packZeroID(t, fail), packZeroID(t, shed)
+	if !bytes.Equal(a[2:4], b[2:4]) {
+		t.Fatalf("header flags %x, want the transport shed's %x", a[2:4], b[2:4])
 	}
 }

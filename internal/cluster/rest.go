@@ -68,10 +68,7 @@ type ServingConfig struct {
 	MaxInflight  int           `json:"max_inflight"`
 	QueryTimeout time.Duration `json:"query_timeout_ns"`
 	StaleWindow  time.Duration `json:"stale_window_ns"`
-	StaleTTL     uint32        `json:"stale_ttl"`
 	ErrorTTL     time.Duration `json:"error_ttl_ns"`
-	NegativeTTL  time.Duration `json:"negative_ttl_ns"`
-	MaxTTL       time.Duration `json:"max_ttl_ns"`
 }
 
 // MemberInfo is one member's replicated view.
@@ -111,44 +108,14 @@ type Diff struct {
 }
 
 // ServingConfig derives the replicated config from the cluster's frontend
-// configuration (post-defaults, so secondaries apply concrete values).
+// configuration, which New filled with the frontend's defaults, so
+// secondaries apply the concrete values the primary serves with.
 func (c *Cluster) ServingConfig() ServingConfig {
 	f := c.cfg.Frontend
-	// Mirror frontend.Config.withDefaults so zero local fields replicate as
-	// the concrete values the primary actually serves with.
-	sc := ServingConfig{
+	return ServingConfig{
 		Shards: f.Shards, Capacity: f.Capacity, MaxInflight: f.MaxInflight,
-		QueryTimeout: f.QueryTimeout, StaleWindow: f.StaleWindow, StaleTTL: f.StaleTTL,
-		ErrorTTL: f.ErrorTTL, NegativeTTL: f.NegativeTTL, MaxTTL: f.MaxTTL,
+		QueryTimeout: f.QueryTimeout, StaleWindow: f.StaleWindow, ErrorTTL: f.ErrorTTL,
 	}
-	if sc.Shards <= 0 {
-		sc.Shards = 64
-	}
-	if sc.Capacity <= 0 {
-		sc.Capacity = 1 << 16
-	}
-	if sc.MaxInflight <= 0 {
-		sc.MaxInflight = 512
-	}
-	if sc.QueryTimeout <= 0 {
-		sc.QueryTimeout = 5 * time.Second
-	}
-	if sc.StaleWindow == 0 {
-		sc.StaleWindow = 24 * time.Hour
-	}
-	if sc.StaleTTL == 0 {
-		sc.StaleTTL = 30
-	}
-	if sc.ErrorTTL <= 0 {
-		sc.ErrorTTL = 30 * time.Second
-	}
-	if sc.NegativeTTL <= 0 {
-		sc.NegativeTTL = 60 * time.Second
-	}
-	if sc.MaxTTL <= 0 {
-		sc.MaxTTL = 6 * time.Hour
-	}
-	return sc
 }
 
 // Apply overwrites a frontend config's replicated knobs, so a joining
@@ -159,10 +126,7 @@ func (sc ServingConfig) Apply(f *frontend.Config) {
 	f.MaxInflight = sc.MaxInflight
 	f.QueryTimeout = sc.QueryTimeout
 	f.StaleWindow = sc.StaleWindow
-	f.StaleTTL = sc.StaleTTL
 	f.ErrorTTL = sc.ErrorTTL
-	f.NegativeTTL = sc.NegativeTTL
-	f.MaxTTL = sc.MaxTTL
 }
 
 // StateSnapshot builds the current epoch snapshot.

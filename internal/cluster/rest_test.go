@@ -167,3 +167,18 @@ func TestServingConfigApply(t *testing.T) {
 		t.Fatalf("Apply dropped knobs: %+v", fc)
 	}
 }
+
+// TestServingConfigRoundTrip: a secondary built from the replicated config
+// replicates the same config in turn, so defaults are filled once and a
+// negative stale window (serve nothing stale) does not turn into the
+// default one on the way.
+func TestServingConfigRoundTrip(t *testing.T) {
+	for _, fc := range []frontend.Config{{}, {StaleWindow: -1}, {Capacity: 100, MaxInflight: 16, ErrorTTL: 10 * time.Second}} {
+		sc := New(Config{Frontend: fc}).ServingConfig()
+		var applied frontend.Config
+		sc.Apply(&applied)
+		if again := New(Config{Frontend: applied}).ServingConfig(); again != sc {
+			t.Errorf("%+v replicates as %+v, then as %+v", fc, sc, again)
+		}
+	}
+}

@@ -32,9 +32,8 @@ func mix64(h uint64) uint64 {
 }
 
 // keyHash places a question on the ring: FNV-1a over the qname bytes, the
-// qtype, and the CD bit — the same tuple (minus DO) the frontend cache key
-// shards on, so both DO variants of a question land on the same owner and
-// each cache line lives once cluster-wide.
+// qtype, and the CD bit — the frontend's cache key (frontend.PeekKey), so
+// each cache entry has one owner and lives once cluster-wide.
 func keyHash(name dnswire.Name, qtype dnswire.Type, cd bool) uint64 {
 	h := (fnv1a.Sum64(name) ^ uint64(qtype)) * fnv1a.Prime64
 	if cd {
@@ -76,9 +75,6 @@ type ring struct {
 // the member list in stable order; node indices in the result refer into
 // it. Deterministic for a given (ids, vnodes, seed).
 func buildRing(ids []string, vnodes, seed uint64) *ring {
-	if vnodes == 0 {
-		vnodes = DefaultVnodes
-	}
 	r := &ring{points: make([]ringPoint, 0, int(vnodes)*len(ids)), nodes: len(ids)}
 	for n, id := range ids {
 		for v := 0; v < int(vnodes); v++ {

@@ -10,14 +10,14 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
-// key addresses one cached message: the question tuple plus the DO bit,
-// since a DNSSEC-requesting client receives a different message (RRSIGs,
-// AD) than a plain one, and the CD bit, since a checking-disabled client
-// receives answers a validating client must never be served.
+// key addresses one cached message: the question tuple plus the CD bit,
+// since a checking-disabled client receives answers a validating client
+// must never be served. The DO bit is not part of it: the recursion behind
+// an entry validates whatever the client asked, and reply renders the one
+// message per client (RRSIGs and AD only for DO=1).
 type key struct {
 	name  dnswire.Name
 	qtype dnswire.Type
-	do    bool
 	cd    bool
 }
 
@@ -25,20 +25,10 @@ type key struct {
 // (n must be a power of two).
 func (k key) shard(n int) int {
 	h := (fnv1a.Sum64(k.name) ^ uint64(k.qtype)) * fnv1a.Prime64
-	if k.do {
-		h = (h ^ 0xff) * fnv1a.Prime64
-	}
 	if k.cd {
 		h = (h ^ 0xcd) * fnv1a.Prime64
 	}
 	return int(h & uint64(n-1))
-}
-
-// otherDO is k for a client with the opposite DO bit: the same question and
-// the same cached message, rendered differently by reply.
-func (k key) otherDO() key {
-	k.do = !k.do
-	return k
 }
 
 // entry is one cached serving outcome. Entries are immutable once stored:
@@ -57,10 +47,10 @@ type entry struct {
 	expiresAt time.Time
 
 	// wires holds the pre-packed response images for the wire fast path,
-	// one per EDNS class (wirePlain / wireEDNS), captured lazily from the
-	// first slow-path reply of each class. nil until captured; immutable
-	// once published. See wire.go.
-	wires [2]atomic.Pointer[wireVariant]
+	// one per client class (wireIndex), captured lazily from the first
+	// slow-path reply of each class. nil until captured; immutable once
+	// published. See wire.go.
+	wires [3]atomic.Pointer[wireVariant]
 }
 
 // lruItem is what the per-shard LRU list holds.

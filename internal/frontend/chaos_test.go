@@ -128,8 +128,8 @@ func TestChaosServeStaleWhenBackendFlaps(t *testing.T) {
 	}
 	hasEDE(t, resp, ede.CodeStaleAnswer)
 	for _, rr := range resp.Answer {
-		if rr.TTL != w.fe.cfg.StaleTTL {
-			t.Fatalf("stale answer TTL = %d, want the fixed stale TTL %d", rr.TTL, w.fe.cfg.StaleTTL)
+		if rr.TTL != staleTTL {
+			t.Fatalf("stale answer TTL = %d, want the fixed stale TTL %d", rr.TTL, staleTTL)
 		}
 	}
 	if w.fe.Metrics().Snapshot().StaleServes == 0 {

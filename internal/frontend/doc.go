@@ -16,9 +16,11 @@
 //
 //   - A sharded message cache (FNV-distributed shards, per-shard lock and
 //     LRU) bounding memory, so concurrent clients contend only within one
-//     shard. Answers are TTL-decremented on the way out.
+//     shard. One entry per question (qname, qtype, CD), rendered per client:
+//     TTL-decremented, with RRSIGs and AD only for DO=1 clients.
 //   - Singleflight query coalescing: M concurrent clients asking the same
-//     (qname, qtype, DO) trigger one upstream recursion and M answers.
+//     (qname, qtype, CD), whatever their DO bits, trigger one upstream
+//     recursion and M answers.
 //   - RFC 8767 serve-stale: when recursion fails (timeout or SERVFAIL), an
 //     expired entry within the stale window is served with EDE 3 (Stale
 //     Answer) or EDE 19 (Stale NXDOMAIN Answer).

@@ -16,7 +16,7 @@ import (
 )
 
 // Config tunes the frontend. The zero value gets production-ish defaults
-// from New.
+// from New (WithDefaults).
 type Config struct {
 	// Shards is the cache shard count (rounded up to a power of two, but
 	// never above Capacity).
@@ -31,19 +31,12 @@ type Config struct {
 	// QueryTimeout is the per-query upstream deadline.
 	QueryTimeout time.Duration
 	// StaleWindow is how long past expiry an entry may be served stale
-	// (RFC 8767 §5 suggests 1–3 days).
+	// (RFC 8767 §5 suggests 1–3 days); a negative window serves nothing
+	// stale.
 	StaleWindow time.Duration
-	// StaleTTL is the TTL stamped on stale answers (RFC 8767 §5.2
-	// recommends 30 seconds).
-	StaleTTL uint32
 	// ErrorTTL is the error-cache lifetime (RFC 2308 §7 caps it at 5
 	// minutes); it is also the retry delay surfaced in EDE 13 EXTRA-TEXT.
 	ErrorTTL time.Duration
-	// NegativeTTL is the RFC 2308 negative-cache lifetime used when the
-	// authority section carries no SOA to derive one from.
-	NegativeTTL time.Duration
-	// MaxTTL caps how long any positive answer is cached.
-	MaxTTL time.Duration
 	// Now is the serving clock (injectable for deterministic tests).
 	Now func() time.Time
 	// Peek, when set, is the cross-replica cache hook (cluster serving): the
@@ -54,8 +47,22 @@ type Config struct {
 	Peek func(k PeekKey, staleOK bool) (*SharedEntry, bool)
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
+// Fixed serving lifetimes.
+const (
+	// staleTTL is the TTL stamped on stale answers (RFC 8767 §5.2
+	// recommends 30 seconds).
+	staleTTL = 30
+	// negativeTTL is the RFC 2308 negative-cache lifetime used when the
+	// authority section carries no SOA to derive one from.
+	negativeTTL = 60 * time.Second
+	// maxTTL caps how long any answer is cached.
+	maxTTL = 6 * time.Hour
+)
+
+// WithDefaults fills unset fields with the values New serves with. It is
+// idempotent, so a filled config (the one a cluster replicates) fills to
+// itself.
+func (c Config) WithDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 64
 	}
@@ -68,22 +75,11 @@ func (c Config) withDefaults() Config {
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 5 * time.Second
 	}
-	if c.StaleWindow < 0 {
-		c.StaleWindow = 0
-	} else if c.StaleWindow == 0 {
+	if c.StaleWindow == 0 {
 		c.StaleWindow = 24 * time.Hour
-	}
-	if c.StaleTTL == 0 {
-		c.StaleTTL = 30
 	}
 	if c.ErrorTTL <= 0 {
 		c.ErrorTTL = 30 * time.Second
-	}
-	if c.NegativeTTL <= 0 {
-		c.NegativeTTL = 60 * time.Second
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 6 * time.Hour
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -131,7 +127,7 @@ type Frontend struct {
 
 // New builds a frontend over up.
 func New(up forwarder.Upstream, cfg Config) *Frontend {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	f := &Frontend{
 		upstream: up,
 		cfg:      cfg,
@@ -145,7 +141,8 @@ func New(up forwarder.Upstream, cfg Config) *Frontend {
 // Metrics returns the live counter registry.
 func (f *Frontend) Metrics() *Metrics { return &f.metrics }
 
-// CacheLen reports the number of cached entries.
+// CacheLen reports the number of cached entries: one per question (name,
+// type, CD), whatever DO bits its clients sent.
 func (f *Frontend) CacheLen() int { return f.cache.Len() }
 
 // FlushCache clears the cache (for tests and operator tooling).
@@ -170,7 +167,7 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 		return r, nil
 	}
 
-	k := key{name: q.Question[0].Name, qtype: q.Question[0].Type, do: q.DO(), cd: q.CheckingDisabled}
+	k := key{name: q.Question[0].Name, qtype: q.Question[0].Type, cd: q.CheckingDisabled}
 	now := f.cfg.Now()
 	sp := telemetry.SpanFrom(ctx)
 
@@ -181,16 +178,17 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 			if sp != nil {
 				sp.Eventf("frontend cache: fresh error-cache hit for %s %s (rcode %s)", k.name, k.qtype, e.rcode)
 			}
-			return f.reply(q, k, &served{mode: modeCachedError, e: e}, now), nil
+			return f.reply(q, &served{mode: modeCachedError, e: e}, now), nil
 		}
 		if sp != nil {
 			sp.Eventf("frontend cache: fresh hit for %s %s (stored %s ago)", k.name, k.qtype, now.Sub(e.storedAt).Round(time.Second))
 		}
-		return f.reply(q, k, &served{mode: modeFresh, e: e}, now), nil
+		return f.reply(q, &served{mode: modeFresh, e: e}, now), nil
 	}
 
 	// Miss (or stale entry needing a refresh attempt): coalesce so M
-	// concurrent clients asking the same question cost one recursion.
+	// concurrent clients asking the same question, whatever their DO bits,
+	// cost one recursion.
 	sv, shared := f.flights.do(k, func() *served { return f.fetch(ctx, k) })
 	if shared {
 		f.metrics.coalesced.Add(1)
@@ -215,16 +213,13 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 			sp.Eventf("frontend: serving cached error for %s %s", k.name, k.qtype)
 		}
 	}
-	return f.reply(q, k, sv, now), nil
+	return f.reply(q, sv, now), nil
 }
 
 // fetch is the flight leader's path: run one bounded upstream recursion and
 // fold the outcome into the cache, degrading to stale or error-cache data
 // on failure.
 func (f *Frontend) fetch(ctx context.Context, k key) *served {
-	if sv := f.sibling(k); sv != nil {
-		return sv
-	}
 	// Cross-replica peek: before paying for a recursion (or an overload
 	// shed), ask the cluster whether the owning replica already has a fresh
 	// answer for this question.
@@ -288,41 +283,17 @@ func (f *Frontend) fetch(ctx context.Context, k key) *served {
 	return sv
 }
 
-// sibling serves k from a fresh entry cached for the same question under the
-// other DO bit. Both clients get the same message — reply strips RRSIGs and
-// AD for a plain one — so the copy differs only in having no pre-packed wire
-// images yet. The resolver behind a frontend keys answers without DO but
-// stores none, so without this a DO=0 client after a DO=1 one would cost a
-// recursion.
-func (f *Frontend) sibling(k key) *served {
-	e, fresh, ok := f.cache.get(k.otherDO(), f.cfg.Now(), f.cfg.StaleWindow)
-	if !ok || !fresh {
+// staleFor returns a stale serving outcome for k when its expired non-error
+// entry is still inside the stale window.
+func (f *Frontend) staleFor(k key, now time.Time) *served {
+	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	if !ok || fresh || e.isError {
 		return nil
 	}
-	c := &entry{answer: e.answer, authority: e.authority, rcode: e.rcode, secure: e.secure,
-		edes: e.edes, isError: e.isError, storedAt: e.storedAt, expiresAt: e.expiresAt}
-	f.cache.put(k, c)
-	if c.isError {
-		return &served{mode: modeCachedError, e: c}
+	if e.rcode == dnswire.RCodeNXDomain {
+		return &served{mode: modeStaleNX, e: e}
 	}
-	return &served{mode: modeFresh, e: c}
-}
-
-// staleFor returns a stale serving outcome for k when an expired non-error
-// entry, for k or for the same question under the other DO bit, is still
-// inside the stale window.
-func (f *Frontend) staleFor(k key, now time.Time) *served {
-	for _, k := range [2]key{k, k.otherDO()} {
-		e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
-		if !ok || fresh || e.isError {
-			continue
-		}
-		if e.rcode == dnswire.RCodeNXDomain {
-			return &served{mode: modeStaleNX, e: e}
-		}
-		return &served{mode: modeStale, e: e}
-	}
-	return nil
+	return &served{mode: modeStale, e: e}
 }
 
 // store fills the cache from a successful upstream response and returns the
@@ -337,46 +308,35 @@ func (f *Frontend) store(k key, resp *dnswire.Message, now time.Time) *entry {
 		edes:      append([]dnswire.EDEOption(nil), resp.EDEs()...),
 		storedAt:  now,
 	}
-	e.expiresAt = now.Add(f.ttlFor(e))
+	e.expiresAt = now.Add(ttlFor(e))
 	f.cache.put(k, e)
 	return e
 }
 
 // ttlFor derives the cache lifetime: minimum answer TTL for positive
 // responses, RFC 2308 SOA-minimum for negative ones.
-func (f *Frontend) ttlFor(e *entry) time.Duration {
+func ttlFor(e *entry) time.Duration {
 	if len(e.answer) > 0 {
 		ttl := e.answer[0].TTL
 		for _, rr := range e.answer[1:] {
-			if rr.TTL < ttl {
-				ttl = rr.TTL
-			}
+			ttl = min(ttl, rr.TTL)
 		}
-		d := time.Duration(ttl) * time.Second
-		if d < time.Second {
-			d = time.Second
-		}
-		if d > f.cfg.MaxTTL {
-			d = f.cfg.MaxTTL
-		}
-		return d
+		return lifetime(ttl)
 	}
 	// Negative response (NXDOMAIN or NODATA): TTL is min(SOA TTL, SOA
-	// MINIMUM) per RFC 2308 §3/§5, capped by MaxTTL; without an SOA the
-	// configured default applies.
+	// MINIMUM) per RFC 2308 §3/§5; without an SOA negativeTTL applies.
 	for _, rr := range e.authority {
 		if soa, ok := rr.Data.(dnswire.SOA); ok {
-			d := time.Duration(min(rr.TTL, soa.Minimum)) * time.Second
-			if d < time.Second {
-				d = time.Second
-			}
-			if d > f.cfg.MaxTTL {
-				d = f.cfg.MaxTTL
-			}
-			return d
+			return lifetime(min(rr.TTL, soa.Minimum))
 		}
 	}
-	return f.cfg.NegativeTTL
+	return negativeTTL
+}
+
+// lifetime is a record TTL as a cache lifetime: at least a second, at most
+// maxTTL.
+func lifetime(ttl uint32) time.Duration {
+	return min(max(time.Duration(ttl)*time.Second, time.Second), maxTTL)
 }
 
 // storeError fills the error cache so repeated failures are answered
@@ -411,24 +371,25 @@ func (f *Frontend) storeError(k key, resp *dnswire.Message, err error, hitDeadli
 
 // reply builds this client's response from a serving outcome: fresh copies
 // of the RR slices (TTL-adjusted), EDEs re-emitted plus the mode's own code,
-// and EDNS only when the client used EDNS.
-func (f *Frontend) reply(q *dnswire.Message, k key, sv *served, now time.Time) *dnswire.Message {
+// EDNS only when the client used EDNS, and RRSIGs and AD only when it set DO.
+func (f *Frontend) reply(q *dnswire.Message, sv *served, now time.Time) *dnswire.Message {
 	out := q.Reply()
 	out.RecursionAvailable = true
 	e := sv.e
 	out.RCode = e.rcode
+	do := q.DO()
 
 	switch sv.mode {
 	case modeFresh:
 		age := uint32(now.Sub(e.storedAt) / time.Second)
-		out.Answer = adjustTTL(e.answer, age, 0, k.do)
-		out.Authority = adjustTTL(e.authority, age, 0, k.do)
-		out.AuthenticData = e.secure && k.do
+		out.Answer = adjustTTL(e.answer, age, 0, do)
+		out.Authority = adjustTTL(e.authority, age, 0, do)
+		out.AuthenticData = e.secure && do
 	case modeStale, modeStaleNX:
 		// RFC 8767 §5.2: stale data goes out with a short fixed TTL so
 		// downstream caches do not hold it long.
-		out.Answer = adjustTTL(e.answer, 0, f.cfg.StaleTTL, k.do)
-		out.Authority = adjustTTL(e.authority, 0, f.cfg.StaleTTL, k.do)
+		out.Answer = adjustTTL(e.answer, 0, staleTTL, do)
+		out.Authority = adjustTTL(e.authority, 0, staleTTL, do)
 	}
 
 	for _, o := range e.edes {

@@ -306,7 +306,7 @@ func TestStaleAnswerUsesStaleTTL(t *testing.T) {
 	up.set(func(_ context.Context, q dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return positive(q, 60), nil
 	})
-	f := New(up, Config{Now: clock.Now, StaleTTL: 30})
+	f := New(up, Config{Now: clock.Now})
 	if _, err := f.HandleDNS(context.Background(), query("a.example.")); err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,21 @@ import (
 )
 
 // PeekKey is the exported cache address used by cross-replica peeking: the
-// same tuple the internal key carries (question + DO + CD), visible to the
-// cluster router without exposing cache internals.
+// same tuple the internal key carries (question + CD), visible to the
+// cluster router without exposing cache internals. It is also the tuple the
+// router places on its ring.
 type PeekKey struct {
 	Name dnswire.Name
 	Type dnswire.Type
-	DO   bool
 	CD   bool
 }
 
 func (pk PeekKey) internal() key {
-	return key{name: pk.Name, qtype: pk.Type, do: pk.DO, cd: pk.CD}
+	return key{name: pk.Name, qtype: pk.Type, cd: pk.CD}
+}
+
+func (k key) peekKey() PeekKey {
+	return PeekKey{Name: k.name, Type: k.qtype, CD: k.cd}
 }
 
 // SharedEntry is an opaque handle to one immutable cache entry plus its key.
@@ -33,7 +37,7 @@ type SharedEntry struct {
 
 // Key returns the cache address the entry is stored under.
 func (se *SharedEntry) Key() PeekKey {
-	return PeekKey{Name: se.k.name, Type: se.k.qtype, DO: se.k.do, CD: se.k.cd}
+	return se.k.peekKey()
 }
 
 // IsError reports whether this is an error-cache entry (the EDE 13 source).
@@ -79,7 +83,7 @@ func (f *Frontend) Absorb(se *SharedEntry) {
 // flight leader on a non-owner replica rides the owner's cache instead of
 // starting a second recursion.
 func (f *Frontend) peekFresh(k key) *served {
-	se, ok := f.cfg.Peek(PeekKey{Name: k.name, Type: k.qtype, DO: k.do, CD: k.cd}, false)
+	se, ok := f.cfg.Peek(k.peekKey(), false)
 	if !ok || se == nil {
 		return nil
 	}
@@ -94,7 +98,7 @@ func (f *Frontend) peekFresh(k key) *served {
 // recursion, the cross-replica arm of RFC 8767 rescue. A peer entry that
 // turned fresh in the meantime (the owner just refilled it) is served fresh.
 func (f *Frontend) peekStale(k key, now time.Time) *served {
-	se, ok := f.cfg.Peek(PeekKey{Name: k.name, Type: k.qtype, DO: k.do, CD: k.cd}, true)
+	se, ok := f.cfg.Peek(k.peekKey(), true)
 	if !ok || se == nil {
 		return nil
 	}

@@ -144,7 +144,7 @@ func TestAbsorbKeepsWireImages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pk := PeekKey{Name: dnswire.MustName("hot.example."), Type: dnswire.TypeA, DO: true, CD: false}
+	pk := PeekKey{Name: dnswire.MustName("hot.example."), Type: dnswire.TypeA, CD: false}
 	se, ok := a.PeekShared(pk, false)
 	if !ok {
 		t.Fatal("owner peek missed")

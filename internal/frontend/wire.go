@@ -9,17 +9,17 @@ import (
 
 // Wire fast path: cache entries carry pre-packed response bytes plus a
 // table of TTL byte-offsets, so a compatible query (same question tuple,
-// CD bit, DO bit, and EDNS class as an earlier client) is answered by
-// copying the cached wire into the caller's buffer and patching three
-// things in place — the 2-byte ID, the RD header bit, and each TTL —
-// with no message rebuild and no re-pack.
+// CD bit, and client class — wireIndex — as an earlier client) is answered
+// by copying the cached wire into the caller's buffer and patching three
+// things in place — the 2-byte ID, the RD header bit, and each TTL — with
+// no message rebuild and no re-pack.
 //
 // Variants are captured lazily from the slow path: the first fresh or
-// cached-error reply of each EDNS class — for a positive entry the miss that
-// fills it, for an error entry the first EDE 13 hit — is packed once with
-// TTL-offset recording and published on the entry, so the next compatible
-// query is already a wire serve. Stale, overload and first-failure replies
-// are never captured. Byte identity with the slow path is therefore by
+// cached-error reply of each client class — for a positive entry the miss
+// that fills it or the class's first hit, for an error entry the first
+// EDE 13 hit — is packed once with TTL-offset recording and published on
+// the entry, so the next compatible query is already a wire serve. Stale,
+// overload and first-failure replies are never captured. Byte identity with the slow path is therefore by
 // construction, and the TTL patch reproduces the slow path's decay
 // arithmetic exactly: a stored TTL is max(orig-baseAge, 1), and patching by
 // delta = age-baseAge yields max(orig-age, 1) in every case.
@@ -28,16 +28,23 @@ import (
 // one part of it no patch can redo, so it is valid only while retryAfter
 // still reads the second it was captured in: ServeWire declines otherwise,
 // and the slow-path reply to that query recaptures. A cached failure thus
-// costs the slow path once per second per EDNS class, plus whatever queries
-// arrive after a tick before the recapture lands.
+// costs the slow path once per second per EDNS client class, plus whatever
+// queries arrive after a tick before the recapture lands.
 
-// Variant indices: one pre-packed image per EDNS class, because an EDNS
-// client's reply carries an OPT (and any entry EDEs) while a pre-EDNS
-// client's must not.
-const (
-	wirePlain = 0
-	wireEDNS  = 1
-)
+// wireIndex picks an entry's pre-packed image for a client: one for a
+// pre-EDNS client, whose reply must carry no OPT, and one per DO bit for an
+// EDNS client, since the OPT echoes DO and only a DO=1 reply carries RRSIGs
+// and AD.
+func wireIndex(edns, do bool) int {
+	switch {
+	case !edns:
+		return 0
+	case !do:
+		return 1
+	default:
+		return 2
+	}
+}
 
 // wireVariant is one immutable pre-packed response image.
 type wireVariant struct {
@@ -65,17 +72,13 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 	if q.Class != dnswire.ClassIN {
 		return nil, false
 	}
-	k := key{name: q.Name, qtype: q.Type, do: q.DO, cd: q.CD}
+	k := key{name: q.Name, qtype: q.Type, cd: q.CD}
 	now := f.cfg.Now()
 	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
 	if !ok || !fresh {
 		return nil, false
 	}
-	idx := wirePlain
-	if q.HasEDNS {
-		idx = wireEDNS
-	}
-	v := e.wires[idx].Load()
+	v := e.wires[wireIndex(q.HasEDNS, q.DO)].Load()
 	if v == nil || len(v.wire) > limit || v.retry != 0 && v.retry != retryAfter(e, now) {
 		// Not captured yet, the reply would need the truncation ladder, or
 		// the retry countdown reads another second: all the slow path's job.
@@ -118,19 +121,16 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 }
 
 // maybeCaptureWire publishes out as the entry's pre-packed image for its
-// EDNS class when there is none yet or the stored one carries another retry
+// client class when there is none yet or the stored one carries another retry
 // countdown. Called from reply() for fresh and cached-error serves only:
 // stale and overload replies carry per-hit content no patch reproduces. Two
 // slow paths racing across a second boundary may store out of order; the
 // last store wins, and ServeWire's countdown check keeps either correct.
 func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Time) {
-	idx := wirePlain
+	idx := wireIndex(out.OPT != nil, out.DO())
 	var retry uint32
-	if out.OPT != nil {
-		idx = wireEDNS
-		if e.isError {
-			retry = retryAfter(e, now)
-		}
+	if out.OPT != nil && e.isError {
+		retry = retryAfter(e, now)
 	}
 	if v := e.wires[idx].Load(); v != nil && v.retry == retry {
 		return

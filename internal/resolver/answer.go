@@ -11,7 +11,6 @@ import (
 // handleAuthoritative validates a final (non-referral) response from the
 // zone's authoritative servers and produces the client-visible outcome.
 func (st *resolution) handleAuthoritative(resp *dnswire.Message, srv netip.Addr, zoneName dnswire.Name, dsForZone []dnswire.DS, chainSecure bool, qname dnswire.Name, qtype dnswire.Type, cnameDepth int) ([]dnswire.RR, dnswire.RCode, bool) {
-	r := st.r
 	signed := chainSecure && len(dsForZone) > 0
 
 	var keys []dnswire.DNSKEY
@@ -30,7 +29,7 @@ func (st *resolution) handleAuthoritative(resp *dnswire.Message, srv netip.Addr,
 
 	// CNAME chase: if the answer aliases qname, restart at the target.
 	if target, ok := cnameTarget(resp, qname, qtype); ok {
-		if cnameDepth >= r.MaxCNAME {
+		if cnameDepth >= maxCNAME {
 			st.addCond(ConditionIterationLimit, "iteration limit exceeded")
 			return nil, dnswire.RCodeServFail, false
 		}

@@ -13,6 +13,15 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
+// Resolution bounds.
+const (
+	// maxSteps bounds referral chasing per resolution; exceeding it is the
+	// "iteration limit exceeded" condition (§4.2 item 14).
+	maxSteps = 24
+	// maxCNAME bounds CNAME chain length.
+	maxCNAME = 8
+)
+
 // Resolver is a validating iterative resolver with EDE reporting.
 type Resolver struct {
 	Net     *netsim.Network
@@ -22,11 +31,6 @@ type Resolver struct {
 	TrustAnchor []dnswire.DS
 	// Now is the validation clock (injectable for deterministic tests).
 	Now func() time.Time
-	// MaxSteps bounds referral chasing per resolution; exceeding it is the
-	// "iteration limit exceeded" condition (§4.2 item 14).
-	MaxSteps int
-	// MaxCNAME bounds CNAME chain length.
-	MaxCNAME int
 	// Transport tunes upstream timeouts, retry budget, backoff, and pacing.
 	// Nil or zero-valued reproduces the historical single-shot behaviour.
 	Transport *TransportConfig
@@ -80,8 +84,6 @@ func New(net *netsim.Network, roots []netip.Addr, anchor []dnswire.DS, profile *
 		Profile:     profile,
 		TrustAnchor: anchor,
 		Now:         time.Now,
-		MaxSteps:    24,
-		MaxCNAME:    8,
 		Cache:       NewCache(),
 	}
 }
@@ -499,7 +501,7 @@ func (st *resolution) resolve(qname dnswire.Name, qtype dnswire.Type, cnameDepth
 			st.cur = zoneSpan
 		}
 		st.steps++
-		if st.steps > r.MaxSteps {
+		if st.steps > maxSteps {
 			st.addCond(ConditionIterationLimit, "iteration limit exceeded")
 			return nil, dnswire.RCodeServFail, false
 		}
@@ -866,7 +868,7 @@ func (st *resolution) serversForReferral(resp *dnswire.Message, child dnswire.Na
 	// Out-of-bailiwick nameservers: resolve their addresses with a bounded
 	// sub-resolution that shares the step budget. Never cacheable: the
 	// addresses were not attested by the delegating parent.
-	if depth >= st.r.MaxCNAME {
+	if depth >= maxCNAME {
 		return nil, false, 0
 	}
 	for _, host := range hosts {

@@ -173,7 +173,6 @@ func (l *lab) frontendConfig() frontend.Config {
 		MaxInflight:  fs.MaxInflight,
 		QueryTimeout: fs.QueryTimeout,
 		StaleWindow:  fs.StaleWindow,
-		StaleTTL:     uint32(fs.StaleTTL),
 		ErrorTTL:     fs.ErrorTTL,
 		Now:          l.now,
 	}

@@ -206,7 +206,6 @@ func parseTopLine(sc *Scenario, ln int, key, val string) error {
 		return parseKVSpec(ln, "frontend", val, map[string]func(string) error{
 			"max-inflight":  intField(&sc.Frontend.MaxInflight),
 			"stale-window":  durField(&sc.Frontend.StaleWindow),
-			"stale-ttl":     intField(&sc.Frontend.StaleTTL),
 			"error-ttl":     durField(&sc.Frontend.ErrorTTL),
 			"query-timeout": durField(&sc.Frontend.QueryTimeout),
 		})

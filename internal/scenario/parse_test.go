@@ -44,7 +44,7 @@ func TestParseFull(t *testing.T) {
 		"cases: valid, unsigned",
 		"systems: cloudflare, bind",
 		"transport: timeout=250ms retries=2 budget=10 backoff=5ms",
-		"frontend: max-inflight=4 stale-window=600s stale-ttl=30 error-ttl=5s query-timeout=1s",
+		"frontend: max-inflight=4 stale-window=600s error-ttl=5s query-timeout=1s",
 		"governor: max=16 min=2 high=0.2 low=0.05 step=4 observe-every=25",
 		"population: total=300 start=10 end=40",
 		"verdict: tolerance=1 flaky-retries=2",

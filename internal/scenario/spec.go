@@ -215,11 +215,10 @@ func (t TransportSpec) String() string {
 }
 
 // FrontendSpec tunes the frontend driver ("max-inflight=4 stale-window=1h
-// stale-ttl=30 error-ttl=30s query-timeout=2s").
+// error-ttl=30s query-timeout=2s").
 type FrontendSpec struct {
 	MaxInflight  int
 	StaleWindow  time.Duration
-	StaleTTL     int
 	ErrorTTL     time.Duration
 	QueryTimeout time.Duration
 }
@@ -236,9 +235,6 @@ func (f FrontendSpec) String() string {
 	if f.StaleWindow > 0 {
 		parts = append(parts, "stale-window="+f.StaleWindow.String())
 	}
-	if f.StaleTTL > 0 {
-		parts = append(parts, "stale-ttl="+strconv.Itoa(f.StaleTTL))
-	}
 	if f.ErrorTTL > 0 {
 		parts = append(parts, "error-ttl="+f.ErrorTTL.String())
 	}
@@ -251,7 +247,7 @@ func (f FrontendSpec) String() string {
 // ClusterSpec tunes the cluster driver ("replicas=3 hot=2"): how many
 // frontend replicas sit behind the consistent-hash router, and the
 // owner-hit threshold past which an entry's wire image is broadcast to
-// every replica (0 keeps the library default).
+// every replica (0 never broadcasts).
 type ClusterSpec struct {
 	Replicas int
 	Hot      int

@@ -28,9 +28,9 @@ const DoHPath = "/dns-query"
 const dohMaxBodySize = maxUDPPayload
 
 // dohReadHeaderTimeout bounds the wait for request headers on a new
-// connection. This is deliberately its own knob rather than borrowing
-// WriteTimeout: slow-header clients are an accept-path concern and must
-// be cut off even when a deployment relaxes response-write deadlines.
+// connection. This is deliberately its own constant rather than
+// DefaultWriteTimeout: slow-header clients are an accept-path concern, not a
+// response-write one.
 const dohReadHeaderTimeout = 5 * time.Second
 
 // ServeDoH serves RFC 8484 DNS-over-HTTPS on l until ctx is cancelled.

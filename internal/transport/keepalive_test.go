@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,5 +103,53 @@ func TestTCPKeepaliveNeverOnUDP(t *testing.T) {
 	}
 	if _, ok := respKeepalive(resp); ok {
 		t.Error("edns-tcp-keepalive leaked onto a UDP response")
+	}
+}
+
+// TestKeepaliveFrameBound: the slow path appends the keepalive option to the
+// packed response, so a response that fits the 64 KiB frame only without
+// the option's 6 bytes is an error, counted like any other, while one that
+// fits with it goes out whole. The bytes are those of packing a response
+// whose OPT already carries the option.
+func TestKeepaliveFrameBound(t *testing.T) {
+	srv := NewServer(Config{Handler: echoHandler(nil), TCPKeepalive: 2 * time.Second})
+	c := &streamConn{s: srv, transport: TransportTCP}
+	q := dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)
+	// sized returns a reply whose packed message is n bytes long.
+	sized := func(n int) *dnswire.Message {
+		r := q.Reply()
+		r.AddEDE(3, "")
+		base, err := r.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = q.Reply()
+		r.AddEDE(3, strings.Repeat("x", n-len(base)))
+		return r
+	}
+
+	fits := sized(0xFFFF - keepaliveOptLen)
+	got, ok := c.appendFramed(fits, nil)
+	if !ok || len(got) != 2+0xFFFF {
+		t.Fatalf("a response that fits the frame with the option: %d bytes framed, ok %t; want %d", len(got), ok, 2+0xFFFF)
+	}
+	withOpt := *fits
+	opt := *fits.OPT
+	opt.Options = append(opt.Options[:len(opt.Options):len(opt.Options)], dnswire.TCPKeepaliveOption{HasTimeout: true, Timeout: 20})
+	withOpt.OPT = &opt
+	want, err := withOpt.AppendStream(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("framed %d bytes differ from packing the option in (%d bytes)", len(got), len(want))
+	}
+
+	errs := srv.m.errors[TransportTCP].Load()
+	if _, ok := c.appendFramed(sized(0xFFFF-keepaliveOptLen+1), []byte{1, 2}); ok {
+		t.Fatal("a response the option pushes past the frame bound was framed")
+	}
+	if got := srv.m.errors[TransportTCP].Load() - errs; got != 1 {
+		t.Fatalf("errors counted = %d, want 1", got)
 	}
 }

@@ -107,7 +107,7 @@ func (s *Server) serveStreamListener(ctx context.Context, l net.Listener, transp
 // and close.
 func (s *Server) shedConn(conn net.Conn, transport string) {
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetDeadline(time.Now().Add(DefaultWriteTimeout))
 	q, err := dnswire.ReadStream(conn)
 	if err != nil {
 		return
@@ -330,14 +330,22 @@ func (c *streamConn) queue(resp *dnswire.Message) {
 }
 
 // appendFramed appends resp, framed, to buf. Stream responses to EDNS queries
-// advertise the configured edns-tcp-keepalive timeout; RFC 7828 §3.4 forbids
-// the option over UDP, and the option rides in OPT so non-EDNS responses
-// cannot carry it.
+// advertise the configured edns-tcp-keepalive timeout, appended to the packed
+// bytes as on the wire path; RFC 7828 §3.4 forbids the option over UDP, and
+// the option rides in OPT so non-EDNS responses cannot carry it. A response
+// the option would push past the 64 KiB frame is an error, like one that
+// does not fit without it.
 func (c *streamConn) appendFramed(resp *dnswire.Message, buf []byte) ([]byte, bool) {
-	if c.s.keepalive != 0 && resp.OPT != nil {
-		resp = advertiseKeepalive(resp, c.s.keepalive)
-	}
+	start := len(buf)
 	wire, err := resp.AppendStream(buf)
+	if err == nil && c.s.keepalive != 0 && resp.OPT != nil {
+		wire = appendKeepalive(wire, start+2, c.s.keepalive)
+		if n := len(wire) - start - 2; n <= 0xFFFF {
+			binary.BigEndian.PutUint16(wire[start:], uint16(n))
+		} else {
+			err = dnswire.ErrStreamFrameTooLarge
+		}
+	}
 	if err != nil {
 		c.s.m.errors[c.transport].Inc()
 		return nil, false
@@ -351,7 +359,7 @@ func (c *streamConn) appendFramed(resp *dnswire.Message, buf []byte) ([]byte, bo
 func (c *streamConn) writeLocked(frames []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	c.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	if _, err := c.conn.Write(frames); err != nil {
 		c.s.m.errors[c.transport].Inc()
 		c.conn.Close()
@@ -368,22 +376,11 @@ func keepaliveUnits(d time.Duration) uint16 {
 	return uint16(min(max(d/(100*time.Millisecond), 1), 0xFFFF))
 }
 
-// advertiseKeepalive returns a copy of resp whose OPT carries an
-// edns-tcp-keepalive TIMEOUT of units (RFC 7828 §3.3.2), leaving the
-// original untouched — resp's OPT may be shared with a cache entry.
-func advertiseKeepalive(resp *dnswire.Message, units uint16) *dnswire.Message {
-	out := *resp
-	opt := *resp.OPT
-	opt.Options = append(opt.Options[:len(opt.Options):len(opt.Options)],
-		dnswire.TCPKeepaliveOption{HasTimeout: true, Timeout: units})
-	out.OPT = &opt
-	return &out
-}
-
-// appendKeepalive is advertiseKeepalive on packed bytes: buf[start:] is a
-// message whose last RR is its OPT (the canonical pack puts it there), and
-// the option goes behind the OPT's last option with RDLENGTH raised to
-// match. A message that does not end in an OPT is returned unchanged.
+// appendKeepalive adds an edns-tcp-keepalive TIMEOUT of units (RFC 7828
+// §3.3.2) to packed bytes: buf[start:] is a message whose last RR is its OPT
+// (the canonical pack puts it there), and the option goes behind the OPT's
+// last option with RDLENGTH raised to match. A message that does not end in
+// an OPT is returned unchanged.
 func appendKeepalive(buf []byte, start int, units uint16) []byte {
 	at, ok := dnswire.TrailingOPT(buf[start:])
 	if !ok {

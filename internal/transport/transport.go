@@ -24,10 +24,17 @@ const (
 	DefaultMaxConns       = 1024
 	DefaultMaxPipeline    = 64
 	DefaultMaxUDPInflight = 512
-	DefaultUDPWorkers     = 8
 	DefaultIdleTimeout    = 30 * time.Second
-	DefaultWriteTimeout   = 5 * time.Second
 )
+
+// DefaultWriteTimeout bounds each response write, and a StreamClient
+// exchange whose context has no deadline.
+const DefaultWriteTimeout = 5 * time.Second
+
+// udpWorkers sizes the fixed goroutine pool each UDP read loop feeds its
+// slow-path queries to (wire fast-path hits are answered inline by the read
+// loop).
+const udpWorkers = 8
 
 // WireServer is the optional serving fast path: a handler that can answer
 // a scanned query straight from pre-packed response bytes, appended to dst
@@ -91,10 +98,6 @@ type Config struct {
 	// excess datagrams are answered SERVFAIL + EDE 23.
 	MaxUDPInflight int
 
-	// UDPWorkers sizes the fixed goroutine pool draining slow-path UDP
-	// queries (wire fast-path hits are answered inline by the read loop).
-	UDPWorkers int
-
 	// Wire, when set, answers compatible queries from pre-packed response
 	// bytes before Handler is consulted. When nil, NewServer uses Handler
 	// itself if it implements WireServer; DisableWire forces every query
@@ -110,9 +113,6 @@ type Config struct {
 	// IdleTimeout closes a stream connection with no complete query for
 	// this long, and is the HTTP server's idle timeout for DoH.
 	IdleTimeout time.Duration
-
-	// WriteTimeout bounds each response write.
-	WriteTimeout time.Duration
 
 	// Registry receives the per-transport metrics; nil disables exposition
 	// (counters still work against a private registry).
@@ -144,14 +144,8 @@ func NewServer(cfg Config) *Server {
 	if cfg.MaxUDPInflight <= 0 {
 		cfg.MaxUDPInflight = DefaultMaxUDPInflight
 	}
-	if cfg.UDPWorkers <= 0 {
-		cfg.UDPWorkers = DefaultUDPWorkers
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	wire := cfg.Wire
 	if wire == nil {

@@ -103,7 +103,7 @@ type udpListener struct {
 // connection fails. Compatible queries are answered inline from the wire
 // fast path (pre-packed cache bytes, batched sends) or, when a WireRouter
 // names a remote owner, relayed to it as raw datagrams (relay.go);
-// everything else is parsed and fed to a fixed pool of UDPWorkers
+// everything else is parsed and fed to a fixed pool of udpWorkers
 // goroutines through a ring bounded by MaxUDPInflight — excess queries are
 // shed with SERVFAIL + EDE 23. Responses never exceed the client's
 // advertised EDNS buffer size: an oversized answer is sent with TC=1 and an
@@ -127,7 +127,7 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 		jobs: make(chan udpJob, s.cfg.MaxUDPInflight),
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.UDPWorkers; w++ {
+	for w := 0; w < udpWorkers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
