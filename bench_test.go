@@ -33,7 +33,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
-	"github.com/extended-dns-errors/edelab/internal/errreport"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/population"
@@ -1458,23 +1457,6 @@ func BenchmarkForwarderOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.HandleDNS(context.Background(), q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkErrorReportRoundTrip measures one RFC 9567 report: QNAME
-// encoding, the TXT exchange, and the agent's bookkeeping.
-func BenchmarkErrorReportRoundTrip(b *testing.B) {
-	_, w, _ := fixtures(b)
-	agent := errreport.NewAgent(dnswire.MustName("agent.monitoring.example"))
-	addr := netip.MustParseAddr("198.18.60.1")
-	w.Net.Register(addr, agent)
-	rep := &errreport.Reporter{Net: w.Net, Agent: agent.Domain, AgentAddr: addr}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rep.ReportFailure(context.Background(),
-			dnswire.MustName("broken.example.com"), dnswire.TypeA, 22); err != nil {
 			b.Fatal(err)
 		}
 	}

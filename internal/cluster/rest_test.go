@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 )
 
@@ -28,7 +27,7 @@ func restCluster(t *testing.T) *Cluster {
 			}
 		},
 	})
-	if _, err := cl.AddLocal("r0", forwarder.ResolverUpstream{}); err != nil {
+	if _, err := cl.AddLocal("r0", failingUpstream{}); err != nil {
 		t.Fatalf("AddLocal: %v", err)
 	}
 	return cl

@@ -18,9 +18,6 @@ const (
 	// of 100 milliseconds; clients send it empty to signal support.
 	OptionCodeTCPKeepalive OptionCode = 11
 	OptionCodeEDE          OptionCode = 15
-	// OptionCodeReportChannel advertises a DNS Error Reporting agent
-	// domain (RFC 9567, the draft cited by the paper's §2).
-	OptionCodeReportChannel OptionCode = 18
 )
 
 func (c OptionCode) String() string {
@@ -33,8 +30,6 @@ func (c OptionCode) String() string {
 		return "TCP-KEEPALIVE"
 	case OptionCodeEDE:
 		return "EDE"
-	case OptionCodeReportChannel:
-		return "REPORT-CHANNEL"
 	}
 	return fmt.Sprintf("OPT%d", uint16(c))
 }
@@ -67,22 +62,6 @@ func (e EDEOption) String() string {
 		return fmt.Sprintf("EDE %d", e.InfoCode)
 	}
 	return fmt.Sprintf("EDE %d: %q", e.InfoCode, e.ExtraText)
-}
-
-// ReportChannelOption carries the error-reporting agent domain an
-// authoritative server advertises (RFC 9567 §6.1). The agent domain is
-// encoded in uncompressed wire format.
-type ReportChannelOption struct {
-	AgentDomain Name
-}
-
-// Code implements Option.
-func (ReportChannelOption) Code() OptionCode { return OptionCodeReportChannel }
-
-func (o ReportChannelOption) encodeOption(b *builder) { b.name(o.AgentDomain, false) }
-
-func (o ReportChannelOption) String() string {
-	return fmt.Sprintf("REPORT-CHANNEL %s", o.AgentDomain)
 }
 
 // TCPKeepaliveOption is edns-tcp-keepalive (RFC 7828 §3.1). In queries the
@@ -212,12 +191,6 @@ func decodeOptions(p *parser, end int) ([]Option, error) {
 			return nil, err
 		}
 		switch OptionCode(code) {
-		case OptionCodeReportChannel:
-			name, _, err := decodeNameAt(data, 0)
-			if err != nil {
-				return nil, fmt.Errorf("dnswire: bad REPORT-CHANNEL option: %w", err)
-			}
-			opts = append(opts, ReportChannelOption{AgentDomain: name})
 		case OptionCodeTCPKeepalive:
 			switch len(data) {
 			case 0:

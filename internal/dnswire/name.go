@@ -26,14 +26,13 @@ const (
 
 // Errors returned by name parsing and packing.
 var (
-	ErrNameTooLong     = errors.New("dnswire: domain name exceeds 255 octets")
-	ErrLabelTooLong    = errors.New("dnswire: label exceeds 63 octets")
-	ErrEmptyLabel      = errors.New("dnswire: empty label inside name")
-	ErrBadEscape       = errors.New("dnswire: bad escape sequence in name")
-	ErrBadPointer      = errors.New("dnswire: bad compression pointer")
-	ErrPointerLoop     = errors.New("dnswire: compression pointer loop")
-	ErrTruncatedName   = errors.New("dnswire: truncated domain name")
-	ErrTrailingGarbage = errors.New("dnswire: trailing bytes after message")
+	ErrNameTooLong   = errors.New("dnswire: domain name exceeds 255 octets")
+	ErrLabelTooLong  = errors.New("dnswire: label exceeds 63 octets")
+	ErrEmptyLabel    = errors.New("dnswire: empty label inside name")
+	ErrBadEscape     = errors.New("dnswire: bad escape sequence in name")
+	ErrBadPointer    = errors.New("dnswire: bad compression pointer")
+	ErrPointerLoop   = errors.New("dnswire: compression pointer loop")
+	ErrTruncatedName = errors.New("dnswire: truncated domain name")
 )
 
 // A Name is a fully-qualified domain name in presentation form, always with a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -174,5 +175,28 @@ func TestTCPKeepaliveOptionBadLength(t *testing.T) {
 	}
 	if _, err := Unpack(wire); err == nil {
 		t.Fatalf("Unpack accepted 1-octet TCP-KEEPALIVE option")
+	}
+}
+
+// TestUnmodelledOptionDecodesRaw: an option this package does not model —
+// REPORT-CHANNEL (18, RFC 9567) among them — comes back as its raw bytes
+// whatever they hold, as RFC 6891 §6.1.2 asks of an unknown option.
+func TestUnmodelledOptionDecodesRaw(t *testing.T) {
+	want := RawOption{OptCode: 18, Data: []byte{0xff}} // not a valid domain name
+	m := &Message{
+		ID:       7,
+		Question: []Question{{Name: "example.com.", Type: TypeA, Class: ClassIN}},
+		OPT:      &OPT{UDPSize: 1232, Options: []Option{want}},
+	}
+	wire, err := m.Pack()
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	got, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	if len(got.OPT.Options) != 1 || !reflect.DeepEqual(got.OPT.Options[0], want) {
+		t.Errorf("options = %#v, want [%#v]", got.OPT.Options, want)
 	}
 }

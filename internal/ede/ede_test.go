@@ -10,9 +10,8 @@ import (
 
 // TestRegistryTable1 checks the registry against the paper's Table 1.
 func TestRegistryTable1(t *testing.T) {
-	all := All()
-	if len(all) != 30 {
-		t.Fatalf("registry has %d codes, want 30 (Table 1)", len(all))
+	if len(registry) != 30 {
+		t.Fatalf("registry has %d codes, want 30 (Table 1)", len(registry))
 	}
 	wantNames := map[Code]string{
 		0:  "Other",
@@ -184,33 +183,6 @@ func TestDiagnosePrioritizesSpecificCodes(t *testing.T) {
 	d := diag(dnswire.RCodeServFail, 9, 22, 23)
 	if d.Party != "domain owner" {
 		t.Errorf("party = %q, want domain owner (%s)", d.Party, d.RootCause)
-	}
-}
-
-func TestExtractNameserver(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"192.0.2.53:53 rcode=REFUSED for a.com A", "192.0.2.53:53"},
-		{"no address here", ""},
-		{"", ""},
-	}
-	for _, c := range cases {
-		if got := ExtractNameserver(c.in); got != c.want {
-			t.Errorf("ExtractNameserver(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestSummaryAndSortedCounts(t *testing.T) {
-	diags := []Diagnosis{
-		{RootCause: "a"}, {RootCause: "a"}, {RootCause: "b"},
-	}
-	sum := Summary(diags)
-	if sum["a"] != 2 || sum["b"] != 1 {
-		t.Errorf("summary = %v", sum)
-	}
-	rows := SortedCounts(sum)
-	if len(rows) != 2 || !strings.Contains(rows[0], "a") {
-		t.Errorf("rows = %v", rows)
 	}
 }
 

@@ -113,17 +113,6 @@ func Lookup(code Code) (Info, bool) {
 	return info, ok
 }
 
-// All returns the 30 registered codes in numeric order (Table 1).
-func All() []Info {
-	out := make([]Info, 0, len(registry))
-	for c := Code(0); c <= CodeSynthesized; c++ {
-		if info, ok := registry[c]; ok {
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
 // Name returns the registered name, or "Unassigned-N" for unknown codes.
 func (c Code) Name() string {
 	if info, ok := registry[c]; ok {

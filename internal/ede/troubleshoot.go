@@ -2,8 +2,6 @@ package ede
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
@@ -189,53 +187,4 @@ func diagnoseCodes(codes Set) Diagnosis {
 			RootCause:   "unclassified extended error",
 			Remediation: "inspect the EXTRA-TEXT fields for operator-specific detail"}
 	}
-}
-
-// ExtractNameserver parses the nameserver address Cloudflare-style
-// EXTRA-TEXT embeds in Network Error reports ("1.2.3.4:53 rcode=REFUSED for
-// a.com A"), returning the empty string when absent. The wild-scan analysis
-// uses this to count broken nameservers (§4.2 item 2).
-func ExtractNameserver(extraText string) string {
-	fields := strings.Fields(extraText)
-	if len(fields) == 0 {
-		return ""
-	}
-	host := fields[0]
-	if i := strings.LastIndex(host, ":"); i > 0 {
-		return host
-	}
-	return ""
-}
-
-// Summary aggregates diagnoses by root cause for reporting.
-func Summary(diags []Diagnosis) map[string]int {
-	out := make(map[string]int)
-	for _, d := range diags {
-		out[d.RootCause]++
-	}
-	return out
-}
-
-// SortedCounts renders a count map in descending order, for stable report
-// output.
-func SortedCounts(m map[string]int) []string {
-	type kv struct {
-		k string
-		v int
-	}
-	rows := make([]kv, 0, len(m))
-	for k, v := range m {
-		rows = append(rows, kv{k, v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].v != rows[j].v {
-			return rows[i].v > rows[j].v
-		}
-		return rows[i].k < rows[j].k
-	})
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprintf("%7d  %s", r.v, r.k)
-	}
-	return out
 }

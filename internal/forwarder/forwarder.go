@@ -48,8 +48,20 @@ type OptionsUpstream interface {
 	ExchangeWithOptions(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, opts Options) (*dnswire.Message, error)
 }
 
+// ProfiledUpstream is an Upstream that names the vendor profile answering
+// behind it. A cache in front of it serves stale data and marks cached errors
+// only where that profile does, so that it answers as the resolver would
+// alone; a cache in front of any other Upstream does both.
+type ProfiledUpstream interface {
+	Upstream
+	Profile() *resolver.Profile
+}
+
 // ResolverUpstream adapts a resolver.Resolver to Upstream.
 type ResolverUpstream struct{ R *resolver.Resolver }
+
+// Profile implements ProfiledUpstream.
+func (u ResolverUpstream) Profile() *resolver.Profile { return u.R.Profile }
 
 // Exchange implements Upstream.
 func (u ResolverUpstream) Exchange(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {

@@ -2,7 +2,9 @@ package frontend
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,15 +20,19 @@ import (
 )
 
 // chaosWorld is a signed root→com→example.com environment with a real
-// resolver upstream, for frontend tests under injected faults.
+// resolver upstream, for frontend tests under injected faults. The resolver
+// and the frontend read one clock.
 type chaosWorld struct {
 	net *netsim.Network
 	res *resolver.Resolver
 	fe  *Frontend
 	clk *fakeClock
+
+	roots  []netip.Addr
+	anchor []dnswire.DS
 }
 
-func buildChaosWorld(t *testing.T, cfg Config) *chaosWorld {
+func buildChaosWorld(t *testing.T, prof *resolver.Profile, cfg Config) *chaosWorld {
 	t.Helper()
 	const (
 		inception  = 1700000000
@@ -83,13 +89,19 @@ func buildChaosWorld(t *testing.T, cfg Config) *chaosWorld {
 	w.net.Register(comAddr, authserver.New(com))
 	w.net.Register(exAddr, authserver.New(ex))
 
-	w.res = resolver.New(w.net, []netip.Addr{rootAddr}, anchor, resolver.ProfileCloudflare())
-	w.res.Now = func() time.Time { return time.Unix(now, 0) }
-
-	w.clk = newClock()
+	w.roots, w.anchor = []netip.Addr{rootAddr}, anchor
+	w.clk = &fakeClock{t: time.Unix(now, 0)}
+	w.res = w.newResolver(prof)
 	cfg.Now = w.clk.Now
 	w.fe = New(forwarder.ResolverUpstream{R: w.res}, cfg)
 	return w
+}
+
+// newResolver is a resolver of the world on the world's clock.
+func (w *chaosWorld) newResolver(prof *resolver.Profile) *resolver.Resolver {
+	r := resolver.New(w.net, w.roots, w.anchor, prof)
+	r.Now = w.clk.Now
+	return r
 }
 
 // TestChaosServeStaleWhenBackendFlaps drives the satellite requirement:
@@ -97,7 +109,7 @@ func buildChaosWorld(t *testing.T, cfg Config) *chaosWorld {
 // its expired cache entry and mark it with EDE 3 (Stale Answer); when the
 // backend flaps back up, fresh resolution resumes with no stale marker.
 func TestChaosServeStaleWhenBackendFlaps(t *testing.T) {
-	w := buildChaosWorld(t, Config{StaleWindow: 24 * time.Hour, QueryTimeout: time.Second})
+	w := buildChaosWorld(t, resolver.ProfileCloudflare(), Config{StaleWindow: 24 * time.Hour, QueryTimeout: time.Second})
 	ctx := context.Background()
 
 	// Backend up: prime the cache.
@@ -153,12 +165,64 @@ func TestChaosServeStaleWhenBackendFlaps(t *testing.T) {
 	}
 }
 
+// TestChaosStaleIsTheProfilesCall: a frontend answers as the resolver behind
+// it would answer alone. For every profile, a frontend over a resolver and a
+// standalone resolver (forwarder.New, what edeserver -no-frontend serves)
+// give the same RCODE, EDE set and answer count while a cached name expires,
+// its authorities go down and come back. Only BIND and Cloudflare serve
+// stale, and only Cloudflare marks a cached error with EDE 13.
+func TestChaosStaleIsTheProfilesCall(t *testing.T) {
+	steps := []struct {
+		name    string
+		advance time.Duration
+		down    bool
+	}{
+		{"prime", 0, false},
+		{"expired", 10 * time.Minute, false},
+		{"expired, authorities down", 10 * time.Minute, true},
+		{"still down", 0, true},
+		{"back up inside the error TTL", 0, false},
+		{"back up", time.Minute, false},
+	}
+	outcome := func(m *dnswire.Message) string {
+		codes := m.EDECodes()
+		slices.Sort(codes)
+		return fmt.Sprintf("%s, %d answers, EDE %v", m.RCode, len(m.Answer), codes)
+	}
+	ctx := context.Background()
+	for _, prof := range resolver.AllProfiles() {
+		t.Run(prof.Name, func(t *testing.T) {
+			w := buildChaosWorld(t, prof, Config{QueryTimeout: time.Second})
+			alone := forwarder.New(forwarder.ResolverUpstream{R: w.newResolver(prof)})
+			for _, s := range steps {
+				w.clk.Advance(s.advance)
+				if s.down {
+					w.net.SetFaults(netsim.NewFaultPlan(1, netsim.FaultProfile{Loss: 1}))
+				} else {
+					w.net.SetFaults(nil)
+				}
+				fronted, err := w.fe.HandleDNS(ctx, query("www.example.com"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct, err := alone.HandleDNS(ctx, query("www.example.com"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := outcome(fronted), outcome(direct); got != want {
+					t.Errorf("%s: the frontend answers %s; the resolver alone %s", s.name, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosCoalescedQueriesShareRetriedResult: N concurrent clients asking
 // the same question through a lossy network must cost one upstream recursion
 // (the flight leader's, which retries through the loss) and all observe that
 // same result.
 func TestChaosCoalescedQueriesShareRetriedResult(t *testing.T) {
-	w := buildChaosWorld(t, Config{QueryTimeout: 2 * time.Second})
+	w := buildChaosWorld(t, resolver.ProfileCloudflare(), Config{QueryTimeout: 2 * time.Second})
 	w.net.SetFaults(netsim.NewFaultPlan(7, netsim.FaultProfile{Loss: 0.3}))
 	w.res.Transport = &resolver.TransportConfig{
 		Retries: 8,

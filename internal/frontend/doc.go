@@ -23,11 +23,13 @@
 //     recursion and M answers.
 //   - RFC 8767 serve-stale: when recursion fails (timeout or SERVFAIL), an
 //     expired entry within the stale window is served with EDE 3 (Stale
-//     Answer) or EDE 19 (Stale NXDOMAIN Answer).
+//     Answer) or EDE 19 (Stale NXDOMAIN Answer) — unless the resolver's
+//     profile does not serve stale (forwarder.ProfiledUpstream).
 //   - RFC 2308 negative caching plus an error cache: repeated failures are
 //     answered from cache with EDE 13 (Cached Error) carrying the
 //     Cloudflare-style retry-delay EXTRA-TEXT the paper observed (a bare
-//     seconds count such as "114").
+//     seconds count such as "114"), where the resolver's profile marks
+//     cached errors.
 //   - Overload protection: a bounded in-flight semaphore and a per-query
 //     deadline. Excess load degrades to SERVFAIL + EDE 23 (Network Error)
 //     with EXTRA-TEXT saying why, never an unbounded goroutine pile.

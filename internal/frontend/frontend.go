@@ -12,6 +12,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
@@ -32,7 +33,8 @@ type Config struct {
 	QueryTimeout time.Duration
 	// StaleWindow is how long past expiry an entry may be served stale
 	// (RFC 8767 §5 suggests 1–3 days); a negative window serves nothing
-	// stale.
+	// stale, and so does any window in front of a resolver whose profile
+	// does not serve stale (forwarder.ProfiledUpstream).
 	StaleWindow time.Duration
 	// ErrorTTL is the error-cache lifetime (RFC 2308 §7 caps it at 5
 	// minutes); it is also the retry delay surfaced in EDE 13 EXTRA-TEXT.
@@ -123,16 +125,29 @@ type Frontend struct {
 	flights  flightGroup
 	sem      chan struct{}
 	metrics  Metrics
+	// retryEDE says an error-cache hit carries EDE 13 with its retry
+	// countdown, as it does unless the upstream's profile maps no code to
+	// resolver.ConditionCachedError.
+	retryEDE bool
 }
 
 // New builds a frontend over up.
 func New(up forwarder.Upstream, cfg Config) *Frontend {
 	cfg = cfg.WithDefaults()
+	retryEDE := true
+	if pu, ok := up.(forwarder.ProfiledUpstream); ok {
+		p := pu.Profile()
+		if !p.ServeStale {
+			cfg.StaleWindow = -1
+		}
+		retryEDE = len(p.Map[resolver.ConditionCachedError]) > 0
+	}
 	f := &Frontend{
 		upstream: up,
 		cfg:      cfg,
 		cache:    NewCache(cfg.Shards, cfg.Capacity),
 		sem:      make(chan struct{}, cfg.MaxInflight),
+		retryEDE: retryEDE,
 	}
 	f.cache.onEvict = func() { f.metrics.evictions.Add(1) }
 	return f
@@ -406,9 +421,11 @@ func (f *Frontend) reply(q *dnswire.Message, sv *served, now time.Time) *dnswire
 	case modeStaleNX:
 		f.addEDE(out, uint16(ede.CodeStaleNXDOMAINAnswer), "")
 	case modeCachedError:
-		// The paper's Cloudflare idiom: EXTRA-TEXT is the bare retry
-		// delay in seconds ("114") until the error cache entry expires.
-		f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatUint(uint64(retryAfter(e, now)), 10))
+		if f.retryEDE {
+			// The paper's Cloudflare idiom: EXTRA-TEXT is the bare retry
+			// delay in seconds ("114") until the error cache entry expires.
+			f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatUint(uint64(retryAfter(e, now)), 10))
+		}
 	}
 	if sv.mode == modeFresh || sv.mode == modeCachedError {
 		f.maybeCaptureWire(e, out, now)

@@ -56,7 +56,8 @@ type wireVariant struct {
 	// baseAge is the entry age, in whole seconds, at capture time.
 	baseAge uint32
 	// retry is the EDE 13 countdown the image carries, 0 when it carries
-	// none (every entry but an error entry's EDNS image).
+	// none (every entry but an error entry's EDNS image, and that one too
+	// under a profile that does not mark cached errors).
 	retry uint32
 	// edeCodes are the EDE info-codes the reply carries, re-counted on
 	// every wire hit so emission metrics match the slow path.
@@ -129,7 +130,7 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Time) {
 	idx := wireIndex(out.OPT != nil, out.DO())
 	var retry uint32
-	if out.OPT != nil && e.isError {
+	if out.OPT != nil && e.isError && f.retryEDE {
 		retry = retryAfter(e, now)
 	}
 	if v := e.wires[idx].Load(); v != nil && v.retry == retry {

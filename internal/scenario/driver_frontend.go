@@ -11,6 +11,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
+	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -31,7 +32,7 @@ const (
 // observe the shed path); failing makes every refresh attempt fail instantly
 // (to walk the serve-stale → SERVFAIL → cached-error ladder).
 type gate struct {
-	inner forwarder.OptionsUpstream
+	inner forwarder.ResolverUpstream
 
 	mu     sync.Mutex
 	mode   gateMode
@@ -57,6 +58,10 @@ func (g *gate) set(mode gateMode) {
 		g.ch = make(chan struct{})
 	}
 }
+
+// Profile passes the resolver's profile through, so the frontend serves
+// stale data and marks cached errors as the scenario's profile does.
+func (g *gate) Profile() *resolver.Profile { return g.inner.Profile() }
 
 func (g *gate) Exchange(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	return g.ExchangeWithOptions(ctx, qname, qtype, forwarder.Options{})

@@ -203,15 +203,6 @@ func (t *Trace) Render() string {
 	return sb.String()
 }
 
-// RenderSnapshot draws an already-captured snapshot (the /api/trace path).
-func RenderSnapshot(snap TraceSnapshot) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace %s — %d spans, %d events, %s\n",
-		snap.Name, snap.Spans, snap.Events, fmtDur(snap.Root.Duration))
-	renderSpan(&sb, &snap.Root, "")
-	return sb.String()
-}
-
 // renderItem interleaves a span's events and children chronologically.
 type renderItem struct {
 	at    time.Duration

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,14 +17,13 @@ import (
 // serves and queries DNS on real sockets for everyone else; the three files
 // open sockets that are not a DNS door (the cluster's forward hop, the HTTP
 // admin plane, the listeners a chaos scenario points transport.StreamClient
-// at); commands and examples bind the addresses their flags name.
+// at); commands bind the addresses their flags name.
 var socketOwners = []string{
 	"internal/transport/",
 	"internal/cluster/remote.go",
 	"internal/telemetry/admin.go",
 	"internal/scenario/driver_stream.go",
 	"cmd/",
-	"examples/",
 }
 
 // eachSourceFile parses every non-test Go file of this module (nested
@@ -245,6 +245,111 @@ func TestWallClockAllowList(t *testing.T) {
 	for key := range wallClockAllowed {
 		if !seen[key] {
 			t.Errorf("wallClockAllowed entry %q matches nothing; delete it", key)
+		}
+	}
+}
+
+// detachedAllowed is every exported top-level function of this module that
+// no non-test file references, each with why it stays.
+var detachedAllowed = map[string]string{
+	"netsim.NoEDNS":      "a test helper in a product file: an authority that predates EDNS",
+	"netsim.Flaky":       "a test helper in a product file: an authority that fails every n-th query",
+	"cluster.FetchDiff":  "a test helper in a product file: reads a peer's replication diff over the admin plane",
+	"dnssec.VerifyRRSIG": "the memo-free reference verifier the memoised path is tested against",
+	"dnssec.CheckRRset":  "the memo-free RRset check, read by the nested bench/ module, which this walk skips",
+	"telemetry.WithSpan": "the only way for tests outside telemetry to build the disabled-tracing context",
+	"zone.ParseMaster":   "the oracle that round-trips zone.Master until a committed master-file golden replaces it",
+	"scan.SliceSource":   "read by the nested bench/ module, which this walk skips",
+}
+
+// TestNoDetachedExports fails when an exported top-level function of this
+// module has no reference in a non-test file, its own package included, and
+// is not in detachedAllowed; and when an allow-list entry is referenced after
+// all or names nothing. A function only tests call is a test helper or dead
+// code: move it into a test file or delete it.
+func TestNoDetachedExports(t *testing.T) {
+	const module = "github.com/extended-dns-errors/edelab/"
+	decls := map[string]token.Position{} // "pkg.Func" → its declaration
+	refs := map[string]bool{}            // "pkg.Name" referenced from non-test code
+	eachSourceFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		pkg := filepath.Base(filepath.Dir(path))
+		imports := map[string]string{} // local name → package directory base
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if !strings.HasPrefix(p, module) {
+				continue
+			}
+			name := filepath.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = filepath.Base(p)
+		}
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				decls[pkg+"."+fn.Name.Name] = fset.Position(fn.Pos())
+			}
+		}
+		// Record every identifier in an expression position: a selector on
+		// an import of this module names that package's function, a bare
+		// identifier names one of its own package. Declared names, field
+		// names and struct-literal keys name no function.
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil {
+					ast.Inspect(n.Recv, visit)
+				}
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if p, ok := imports[x.Name]; ok {
+						refs[p+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				ast.Inspect(n.X, visit)
+				return false
+			case *ast.Field:
+				ast.Inspect(n.Type, visit)
+				return false
+			case *ast.KeyValueExpr:
+				if _, ok := n.Key.(*ast.Ident); !ok {
+					ast.Inspect(n.Key, visit)
+				}
+				ast.Inspect(n.Value, visit)
+				return false
+			case *ast.Ident:
+				refs[pkg+"."+n.Name] = true
+			}
+			return true
+		}
+		for _, d := range file.Decls {
+			ast.Inspect(d, visit)
+		}
+	})
+	names := make([]string, 0, len(decls))
+	for name := range decls {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch reason := detachedAllowed[name]; {
+		case !refs[name] && reason == "":
+			t.Errorf("%s: exported function %s has no non-test caller; delete it, move it into a test file, or add it to detachedAllowed with the reason",
+				decls[name], name)
+		case refs[name] && reason != "":
+			t.Errorf("detachedAllowed entry %q is referenced from non-test code; delete the entry", name)
+		}
+	}
+	for name := range detachedAllowed {
+		if _, ok := decls[name]; !ok {
+			t.Errorf("detachedAllowed entry %q names no exported function; delete it", name)
 		}
 	}
 }
