@@ -29,19 +29,22 @@ const sockaddrBuf = syscall.SizeofSockaddrAny
 // construction: the kernel scatters one datagram per slot, responses are
 // built in the paired response slots, and one sendmmsg flushes the lot,
 // reusing the received sockaddrs verbatim — the fast path materializes no
-// net.Addr at all. The receive half (recv, in, addr, saveAddr) and the send
-// half (queue, queueTo, flush) share nothing but the RawConn, so a relay
-// peer socket's halves are driven by two goroutines: its reader and the
-// listener's read loop.
+// net.Addr at all. A datagram longer than its slot is cut to it and flagged
+// MSG_TRUNC; a response longer than its slot is sent from wherever it grew.
+// The receive half (recv, in, addr, saveAddr) and the send half (queue,
+// queueTo, flush) share nothing but the RawConn, so a relay peer socket's
+// halves are driven by two goroutines: its reader and the listener's read
+// loop.
 type mmsgIO struct {
 	rc    syscall.RawConn
 	batch int
+	slot  int // bytes per receive slot
 
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
 	rnames []byte // batch × sockaddrBuf raw sender sockaddrs
-	rbufs  []byte // batch × maxUDPPayload receive slots
-	resps  []byte // batch × maxUDPPayload response slots
+	rbufs  []byte // batch × slot receive slots
+	resps  []byte // batch × udpReplySlot response slots
 
 	shdrs []mmsghdr
 	siovs []syscall.Iovec
@@ -92,18 +95,20 @@ func newMmsgSender(conn *net.UDPConn, batch int) (*mmsgIO, error) {
 	return m, nil
 }
 
-// newMmsgReceiver adds the receive half: everything but the response slots.
-func newMmsgReceiver(conn *net.UDPConn, batch int) (*mmsgIO, error) {
+// newMmsgReceiver adds the receive half, slots of slot bytes: everything
+// but the response slots.
+func newMmsgReceiver(conn *net.UDPConn, batch, slot int) (*mmsgIO, error) {
 	m, err := newMmsgSender(conn, batch)
 	if err != nil {
 		return nil, err
 	}
+	m.slot = slot
 	m.rhdrs = make([]mmsghdr, batch)
 	m.riovs = make([]syscall.Iovec, batch)
 	m.rnames = make([]byte, batch*sockaddrBuf)
-	m.rbufs = make([]byte, batch*maxUDPPayload)
+	m.rbufs = make([]byte, batch*slot)
 	for i := 0; i < batch; i++ {
-		m.riovs[i].Base = &m.rbufs[i*maxUDPPayload]
+		m.riovs[i].Base = &m.rbufs[i*slot]
 		m.rhdrs[i].hdr.Iov = &m.riovs[i]
 		m.rhdrs[i].hdr.Iovlen = 1
 		m.rhdrs[i].hdr.Name = &m.rnames[i*sockaddrBuf]
@@ -112,17 +117,17 @@ func newMmsgReceiver(conn *net.UDPConn, batch int) (*mmsgIO, error) {
 }
 
 func newMmsgIO(conn *net.UDPConn, batch int) (*mmsgIO, error) {
-	m, err := newMmsgReceiver(conn, batch)
+	m, err := newMmsgReceiver(conn, batch, udpQuerySlot)
 	if err != nil {
 		return nil, err
 	}
-	m.resps = make([]byte, batch*maxUDPPayload)
+	m.resps = make([]byte, batch*udpReplySlot)
 	return m, nil
 }
 
 func (m *mmsgIO) recv() (int, error) {
 	for i := 0; i < m.batch; i++ {
-		m.riovs[i].Len = maxUDPPayload
+		m.riovs[i].Len = uint64(m.slot)
 		m.rhdrs[i].hdr.Namelen = sockaddrBuf
 		m.rhdrs[i].n = 0
 	}
@@ -136,13 +141,15 @@ func (m *mmsgIO) recv() (int, error) {
 }
 
 func (m *mmsgIO) in(i int) []byte {
-	off := i * maxUDPPayload
+	off := i * m.slot
 	return m.rbufs[off : off+int(m.rhdrs[i].n)]
 }
 
+func (m *mmsgIO) oversized(i int) bool { return m.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0 }
+
 func (m *mmsgIO) respBuf(i int) []byte {
-	off := i * maxUDPPayload
-	return m.resps[off : off : off+maxUDPPayload]
+	off := i * udpReplySlot
+	return m.resps[off : off : off+udpReplySlot]
 }
 
 // addr decodes slot i's raw sockaddr. Slow path only: the fast path sends
@@ -203,28 +210,25 @@ func (m *mmsgIO) queueRaw(name *byte, namelen uint32, wire []byte) {
 }
 
 func (m *mmsgIO) flush() error {
-	m.sent = 0
-	for m.sent < m.nq {
-		err := m.rc.Write(m.sendmmsg)
-		if err != nil || m.serrno != 0 {
-			m.nq = 0
-			if err != nil {
-				return err
-			}
-			return m.serrno
+	var err error
+	for m.sent = 0; m.sent < m.nq; m.sent += m.sn {
+		if err = m.rc.Write(m.sendmmsg); err == nil && m.serrno != 0 {
+			err = m.serrno
 		}
-		if m.sn <= 0 {
+		if err != nil || m.sn <= 0 {
 			break
 		}
-		m.sent += m.sn
 	}
+	// A response that outgrew its slot is not kept past its send.
+	clear(m.siovs[:m.nq])
 	m.nq = 0
-	return nil
+	return err
 }
 
-// newPeerIO is the I/O of a relay's connected peer socket.
+// newPeerIO is the I/O of a relay's connected peer socket. Its slots hold
+// the longest answer, which it relays unparsed.
 func newPeerIO(conn *net.UDPConn, batch int) (udpReceiver, udpSender, error) {
-	m, err := newMmsgReceiver(conn, batch)
+	m, err := newMmsgReceiver(conn, batch, maxUDPPayload)
 	return m, m, err
 }
 
@@ -241,5 +245,5 @@ func newUDPIO(conn net.PacketConn, batch int) udpIO {
 			return m
 		}
 	}
-	return newOneIO(conn)
+	return newOneIO(conn, udpQuerySlot)
 }

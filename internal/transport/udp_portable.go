@@ -6,11 +6,12 @@ import "net"
 
 // newUDPIO on platforms without batched-syscall support: one datagram per
 // round, same semantics.
-func newUDPIO(conn net.PacketConn, _ int) udpIO { return newOneIO(conn) }
+func newUDPIO(conn net.PacketConn, _ int) udpIO { return newOneIO(conn, udpQuerySlot) }
 
-// newPeerIO is the I/O of a relay's connected peer socket.
+// newPeerIO is the I/O of a relay's connected peer socket. Its slot holds
+// the longest answer, which it relays unparsed.
 func newPeerIO(conn *net.UDPConn, _ int) (udpReceiver, udpSender, error) {
-	return newOneIO(conn), &oneSender{conn: conn}, nil
+	return newOneIO(conn, maxUDPPayload), &oneSender{conn: conn}, nil
 }
 
 // newUDPSender is a sender on conn beside whatever else drives it.

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +283,216 @@ func TestUDPShedBurst(t *testing.T) {
 		if got := srv.m.batchRounds.Load() - rounds; got != 1 {
 			t.Errorf("the burst took %d receive rounds after the gate's, want 1", got)
 		}
+	}
+}
+
+// portableConn hides a *net.UDPConn behind the PacketConn interface, so
+// ServeUDP reads it through oneIO, the path of every platform without
+// batched I/O.
+type portableConn struct{ net.PacketConn }
+
+// bigReplies answers a query for name with records[name] A records (one
+// for any other name), from HandleDNS and from ServeWire alike; ServeWire
+// declines the names in slow.
+type bigReplies struct {
+	records map[dnswire.Name]int
+	slow    map[dnswire.Name]bool
+}
+
+func (b bigReplies) reply(q *dnswire.Message) *dnswire.Message {
+	r := q.Reply()
+	r.RecursionAvailable = true
+	for i := 0; i < max(b.records[q.Question[0].Name], 1); i++ {
+		r.Answer = append(r.Answer, dnswire.RR{
+			Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(i)})},
+		})
+	}
+	return r
+}
+
+func (b bigReplies) HandleDNS(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	return b.reply(q), nil
+}
+
+func (b bigReplies) ServeWire(q dnswire.WireQuery, _ int, dst []byte) ([]byte, bool) {
+	if b.slow[q.Name] {
+		return nil, false
+	}
+	m := dnswire.NewQuery(q.ID, q.Name, q.Type)
+	out, err := b.reply(m).AppendPack(dst)
+	return out, err == nil
+}
+
+// paddedQuery is a query exactly n bytes long: an EDNS padding option
+// (RFC 7830) fills what the question leaves.
+func paddedQuery(t *testing.T, id uint16, n int) []byte {
+	t.Helper()
+	const padding = 12
+	q := dnswire.NewQuery(id, dnswire.MustName("pad.example."), dnswire.TypeA)
+	q.OPT.Options = []dnswire.Option{dnswire.RawOption{OptCode: padding}}
+	fill := n - len(mustPack(t, q))
+	q.OPT.Options = []dnswire.Option{dnswire.RawOption{OptCode: padding, Data: make([]byte, fill)}}
+	wire := mustPack(t, q)
+	if len(wire) != n {
+		t.Fatalf("padded query is %d bytes, want %d", len(wire), n)
+	}
+	return wire
+}
+
+// TestUDPOversizedDatagram: on the batched path and on oneIO alike, a
+// datagram one byte longer than a receive slot is answered FORMERR with its
+// ID echoed, one exactly a slot long is served, and an answer longer than a
+// reply slot leaves whole — the bytes the handler or the wire cache built —
+// from the wire path and the slow path, at client limits of 4,096 and
+// 65,535.
+func TestUDPOversizedDatagram(t *testing.T) {
+	// Each answer outgrows udpReplySlot and fits its client's limit.
+	bigs := []struct {
+		name    string
+		limit   uint16
+		records int
+		slow    bool
+	}{
+		{"wire-4096.example.", 4096, 200, false},
+		{"slow-4096.example.", 4096, 200, true},
+		{"wire-65535.example.", 0xFFFF, 2000, false},
+		{"slow-65535.example.", 0xFFFF, 2000, true},
+	}
+	h := bigReplies{records: map[dnswire.Name]int{}, slow: map[dnswire.Name]bool{}}
+	for _, b := range bigs {
+		n := dnswire.MustName(b.name)
+		h.records[n], h.slow[n] = b.records, b.slow
+	}
+
+	for _, path := range []struct {
+		name string
+		wrap func(*net.UDPConn) net.PacketConn
+	}{
+		{"batched", func(c *net.UDPConn) net.PacketConn { return c }},
+		{"portable", func(c *net.UDPConn) net.PacketConn { return portableConn{c} }},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			srv := NewServer(Config{Handler: h, Wire: h})
+			pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { srv.ServeUDP(ctx, path.wrap(pc)); close(done) }()
+			t.Cleanup(func() { cancel(); <-done })
+			conn := dialUDP(t, pc.LocalAddr().String())
+			ask := func(q []byte) []byte {
+				t.Helper()
+				if _, err := conn.Write(q); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				b, ok := readAnswer(t, conn, 5*time.Second)
+				if !ok {
+					t.Fatalf("no answer to the %d-byte query", len(q))
+				}
+				return b
+			}
+
+			errs := srv.m.errors[TransportUDP].Load()
+			resp, err := dnswire.Unpack(ask(paddedQuery(t, 0xBEEF, udpQuerySlot+1)))
+			if err != nil {
+				t.Fatalf("unpacking the answer to an oversized datagram: %v", err)
+			}
+			if resp.ID != 0xBEEF || !resp.Response || resp.RCode != dnswire.RCodeFormErr || resp.OPT != nil {
+				t.Errorf("oversized datagram: id=%#x qr=%t rcode=%s opt=%t, want id=0xbeef qr=true rcode=FORMERR and no OPT",
+					resp.ID, resp.Response, resp.RCode, resp.OPT != nil)
+			}
+			if got := srv.m.errors[TransportUDP].Load() - errs; got != 1 {
+				t.Errorf("oversized datagram counted %d times under the errors metric, want 1", got)
+			}
+
+			resp, err = dnswire.Unpack(ask(paddedQuery(t, 0xCAFE, udpQuerySlot)))
+			if err != nil {
+				t.Fatalf("unpacking the answer to a slot-long datagram: %v", err)
+			}
+			if resp.ID != 0xCAFE || resp.RCode != dnswire.RCodeNoError || len(resp.Answer) != 1 {
+				t.Errorf("slot-long datagram: id=%#x rcode=%s with %d answers, want id=0xcafe NOERROR with 1",
+					resp.ID, resp.RCode, len(resp.Answer))
+			}
+
+			for i, b := range bigs {
+				q := dnswire.NewQuery(uint16(i+1), dnswire.MustName(b.name), dnswire.TypeA)
+				q.OPT.UDPSize = b.limit
+				want := mustPack(t, h.reply(q))
+				if len(want) <= udpReplySlot || len(want) > int(b.limit) {
+					t.Fatalf("the answer for %s is %d bytes; the test needs it above the %d-byte reply slot and within the %d limit",
+						b.name, len(want), udpReplySlot, b.limit)
+				}
+				wireServes := srv.m.wireServes[TransportUDP].Load()
+				if got := ask(mustPack(t, q)); !bytes.Equal(got, want) {
+					t.Errorf("%s: a %d-byte answer came back as %d bytes, not the ones built", b.name, len(want), len(got))
+				}
+				if wired := srv.m.wireServes[TransportUDP].Load() > wireServes; wired == b.slow {
+					t.Errorf("%s: wire serve %t, want %t", b.name, wired, !b.slow)
+				}
+			}
+		})
+	}
+}
+
+// TestUDPListenerFootprint: a serving UDP listener's buffers are sized to
+// DNS messages, not to the 64 KiB datagram ceiling. After a few hundred
+// wire hits and slow-path answers, with the listener still up, the heap
+// holds at most 256 KiB more than before it started — its receive and
+// reply slots and the pooled slow-path buffers included.
+func TestUDPListenerFootprint(t *testing.T) {
+	const budget = 256 << 10
+	h := stubWire{decline: map[dnswire.Name]bool{dnswire.MustName("miss.example."): true}}
+	srv := NewServer(Config{Handler: echoHandler(nil), Wire: h})
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	conn := dialUDP(t, pc.LocalAddr().String())
+	queries := [][]byte{
+		mustPack(t, dnswire.NewQuery(1, dnswire.MustName("hit.example."), dnswire.TypeA)),
+		mustPack(t, dnswire.NewQuery(2, dnswire.MustName("miss.example."), dnswire.TypeA)),
+	}
+	buf := make([]byte, minUDPPayload)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	// Listeners that earlier tests cancelled may still be winding down:
+	// the baseline is taken once the heap stops shrinking.
+	idle := heap()
+	for i := 0; i < 20; i++ {
+		time.Sleep(10 * time.Millisecond)
+		now := heap()
+		if now > idle-64<<10 {
+			break
+		}
+		idle = now
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { srv.ServeUDP(ctx, pc); close(done) }()
+	defer func() { cancel(); <-done }()
+	const n = 400
+	for i := 0; i < n; i++ {
+		if _, err := conn.Write(queries[i%2]); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(buf); err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+	}
+	if got := srv.m.wireServes[TransportUDP].Load(); got != n/2 {
+		t.Fatalf("%d wire serves, want %d", got, n/2)
+	}
+	if grew := heap() - idle; grew > budget {
+		t.Errorf("a serving UDP listener holds %d KiB of heap, over the %d KiB budget", grew>>10, budget>>10)
 	}
 }
 
