@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"strings"
@@ -38,7 +39,8 @@ func (d door) metric(t *testing.T, name string, labels ...telemetry.Label) float
 }
 
 // startDoor serves cfg.Handler until the test ends, and fails the test if
-// the listeners do not drain.
+// the listeners do not drain. With TCP, both listen on one address, as a
+// DNS server does (edeserver -addr and -tcp given the same address).
 func startDoor(t *testing.T, cfg transport.Config, withTCP bool) door {
 	t.Helper()
 	d := door{reg: telemetry.NewRegistry()}
@@ -47,17 +49,28 @@ func startDoor(t *testing.T, cfg transport.Config, withTCP bool) door {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{}, 2)
 	n := 1
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatalf("listen: %v", err)
+	var conn *net.UDPConn
+	var l net.Listener
+	for try := 0; ; try++ {
+		var err error
+		conn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		if !withTCP {
+			break
+		}
+		if l, err = net.Listen("tcp", conn.LocalAddr().String()); err == nil {
+			break
+		}
+		conn.Close()
+		if try == 10 {
+			t.Fatalf("listen: %v", err)
+		}
 	}
 	d.udp = conn.LocalAddr().String()
 	go func() { srv.ServeUDP(ctx, conn); done <- struct{}{} }()
 	if withTCP {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
 		d.tcp = l.Addr().String()
 		n++
 		go func() { srv.ServeTCP(ctx, l); done <- struct{}{} }()
@@ -74,6 +87,34 @@ func startDoor(t *testing.T, cfg transport.Config, withTCP bool) door {
 		}
 	})
 	return d
+}
+
+// tcpAsk sends q over a new TCP connection to addr and returns the answer's
+// bytes.
+func tcpAsk(t *testing.T, addr string, q *dnswire.Message) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	frame, err := q.AppendStream(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	var n [2]byte
+	if _, err := io.ReadFull(conn, n[:]); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	resp := make([]byte, binary.BigEndian.Uint16(n[:]))
+	if _, err := io.ReadFull(conn, resp); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return resp
 }
 
 // routerDoor puts cl behind a front door, with the wire paths (and so the
@@ -501,9 +542,13 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 		return r, nil
 	})
 	cl := New(Config{Seed: 1, ForwardTimeout: 2 * time.Second, RemoteFailureLimit: 3})
-	if err := cl.AddRemote("peer", startDoor(t, transport.Config{Handler: big}, false).udp); err != nil {
+	if err := cl.AddRemote("peer", startDoor(t, transport.Config{Handler: big}, true).udp); err != nil {
 		t.Fatalf("AddRemote: %v", err)
 	}
+	// What the handler gives a TCP client that sends no OPT, served locally.
+	plain := dnswire.NewQuery(11, "big.example.", dnswire.TypeA)
+	plain.OPT = nil
+	local := tcpAsk(t, startDoor(t, transport.Config{Handler: big}, true).tcp, plain)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	query := func(id uint16, size uint16) []byte {
@@ -546,6 +591,12 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 			}
 			if cl.m.forwardFails.Load() != 0 {
 				t.Errorf("forward failures = %d, want 0", cl.m.forwardFails.Load())
+			}
+
+			// No OPT to raise: over UDP the peer must cut this answer at
+			// 512 bytes, yet the router's TCP client gets it whole.
+			if got := tcpAsk(t, router.tcp, plain); !bytes.Equal(got, local) {
+				t.Errorf("TCP without OPT: the router answers\n%x\nthe handler locally\n%x", got, local)
 			}
 
 			cut[i] = client.ask(query(10, 512))

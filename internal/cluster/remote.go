@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
 // remoteBackend forwards queries to a peer replica's front door over UDP:
@@ -20,9 +21,11 @@ import (
 // query re-packed with a fresh ID (so concurrent forwards on pooled sockets
 // cannot collide) and, when it carries an OPT, the largest UDP size there
 // is: the peer never truncates, and the router's own transport decides
-// once, against the client's real limit. The peer's answer comes back with
-// the client's ID restored. One forward, one timeout — ring-level retry and
-// down-marking live in the router.
+// once, against the client's real limit. A query with no OPT has no size to
+// raise; when the peer truncates its answer, the forward asks again over
+// TCP. The peer's answer comes back with the client's ID restored. One
+// forward, one timeout — ring-level retry and down-marking live in the
+// router.
 type remoteBackend struct {
 	addr    string
 	peer    netip.AddrPort // addr resolved once, for the relay; zero when it does not resolve
@@ -110,6 +113,17 @@ func (r *remoteBackend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dns
 		}
 		r.conns.Put(conn)
 		resp.ID = q.ID
+		if resp.Truncated && q.OPT == nil {
+			// No OPT to raise, so the peer cut the answer at 512 bytes. Ask
+			// again over TCP, which a DNS server serves on its UDP address;
+			// without an answer there, the truncated one stands.
+			tctx, cancel := context.WithDeadline(ctx, deadline)
+			whole, err := transport.QueryTCP(tctx, r.addr, q)
+			cancel()
+			if err == nil {
+				return whole, nil
+			}
+		}
 		return resp, nil
 	}
 }

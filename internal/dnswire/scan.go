@@ -128,6 +128,47 @@ func TrailingOPT(msg []byte) (off int, ok bool) {
 	return off, true
 }
 
+// AnswerTTL returns the smallest TTL in the answer section of a packed
+// response whose RCODE, extended bits included, is NOERROR. ok=false means
+// another RCODE, an empty answer section, or a malformed message. It lets
+// DoH derive an answer's HTTP freshness (RFC 8484 §5.1) from the bytes it
+// sends.
+func AnswerTTL(msg []byte) (ttl uint32, ok bool) {
+	if len(msg) < 12 || msg[3]&0x0F != 0 {
+		return 0, false
+	}
+	qd := int(binary.BigEndian.Uint16(msg[4:]))
+	an := int(binary.BigEndian.Uint16(msg[6:]))
+	rrs := an + int(binary.BigEndian.Uint16(msg[8:])) + int(binary.BigEndian.Uint16(msg[10:]))
+	answers, end := 0, 12
+	for i := 0; i < qd+rrs; i++ {
+		if end, ok = skipName(msg, end); !ok {
+			return 0, false
+		}
+		if i < qd {
+			end += 4 // type, class
+			continue
+		}
+		if end+10 > len(msg) {
+			return 0, false
+		}
+		t := binary.BigEndian.Uint32(msg[end+4:])
+		switch {
+		case Type(binary.BigEndian.Uint16(msg[end:])) == TypeOPT:
+			if t>>24 != 0 { // extended RCODE bits
+				return 0, false
+			}
+		case i < qd+an:
+			if answers == 0 || t < ttl {
+				ttl = t
+			}
+			answers++
+		}
+		end += 10 + int(binary.BigEndian.Uint16(msg[end+8:]))
+	}
+	return ttl, answers > 0 && end == len(msg)
+}
+
 // skipName returns the offset just past the possibly compressed name at
 // off, without following pointers.
 func skipName(msg []byte, off int) (int, bool) {

@@ -128,6 +128,11 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 // slow paths racing across a second boundary may store out of order; the
 // last store wins, and ServeWire's countdown check keeps either correct.
 func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Time) {
+	// The image echoes the capturing query's question, and ServeWire serves
+	// only class IN: a reply to another class must not become the image.
+	if len(out.Question) != 1 || out.Question[0].Class != dnswire.ClassIN {
+		return
+	}
 	idx := wireIndex(out.OPT != nil, out.DO())
 	var retry uint32
 	if out.OPT != nil && e.isError && f.retryEDE {

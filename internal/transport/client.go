@@ -72,17 +72,10 @@ func QueryDoT(ctx context.Context, addr string, tlsConf *tls.Config, q *dnswire.
 	return streamExchange(ctx, conn, q)
 }
 
-// streamExchange performs one framed request/response on conn and closes
-// it, honouring ctx via connection deadlines.
+// streamExchange is exchangeKeep on a connection it then closes.
 func streamExchange(ctx context.Context, conn net.Conn, q *dnswire.Message) (*dnswire.Message, error) {
 	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	if err := q.WriteStream(conn); err != nil {
-		return nil, err
-	}
-	return dnswire.ReadStream(conn)
+	return exchangeKeep(ctx, conn, q)
 }
 
 // QueryDoH sends q to a DoH endpoint URL (e.g. https://host/dns-query).

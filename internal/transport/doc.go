@@ -1,6 +1,6 @@
 // Package transport is the client-facing multi-protocol front door: it owns
 // every listener a real resolver deployment exposes and funnels all of them
-// into one transport-agnostic serving core.
+// into one serve core (Server.serveQuery: scan, wire cache, parse).
 //
 // The paper's premise is that Extended DNS Errors reach real clients — and
 // real clients at millions-of-users scale arrive over RFC 7858 DoT and
@@ -22,8 +22,8 @@
 //     completes.
 //   - DoT (RFC 7858): exactly the TCP stream core under crypto/tls.
 //   - DoH (RFC 8484): GET with the base64url ?dns= form and POST with
-//     application/dns-message on net/http, with Cache-Control: max-age
-//     derived from the answer TTL.
+//     application/dns-message on net/http; hits leave as wire-cache bytes,
+//     with Cache-Control: max-age read from the answer's TTLs.
 //
 // The headline invariant, enforced by the conformance suite: for every
 // testbed case the wire-visible RCODE, EDE codes, and EXTRA-TEXT are

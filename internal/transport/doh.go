@@ -87,8 +87,12 @@ func (s *Server) DoHHandler() http.Handler {
 	return mux
 }
 
+// serveDoHQuery is the DoH door: it decodes a GET or POST into query bytes
+// for the serve core and sends the answer with its HTTP headers. Unreadable
+// bytes are a 400, never a DNS FORMERR.
 func (s *Server) serveDoHQuery(w http.ResponseWriter, r *http.Request) {
 	var raw []byte
+	var err error
 	switch r.Method {
 	case http.MethodGet:
 		b64 := r.URL.Query().Get("dns")
@@ -98,54 +102,48 @@ func (s *Server) serveDoHQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// RFC 8484 §6 mandates unpadded base64url; tolerate padding from
 		// sloppy clients by stripping it first.
-		decoded, err := base64.RawURLEncoding.DecodeString(strings.TrimRight(b64, "="))
-		if err != nil {
+		if raw, err = base64.RawURLEncoding.DecodeString(strings.TrimRight(b64, "=")); err != nil {
 			s.dohError(w, http.StatusBadRequest, "dns parameter is not valid base64url")
 			return
 		}
-		raw = decoded
 	case http.MethodPost:
 		if mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type")); err != nil || mt != dohContentType {
 			s.dohError(w, http.StatusUnsupportedMediaType, "Content-Type must be "+dohContentType)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, dohMaxBodySize+1))
-		if err != nil {
+		if raw, err = io.ReadAll(io.LimitReader(r.Body, dohMaxBodySize+1)); err != nil {
 			s.dohError(w, http.StatusBadRequest, "reading request body failed")
 			return
 		}
-		if len(body) > dohMaxBodySize {
-			s.dohError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("DNS message exceeds %d bytes", dohMaxBodySize))
+		if len(raw) > dohMaxBodySize {
+			s.dohError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("DNS message exceeds %d bytes", dohMaxBodySize))
 			return
 		}
-		raw = body
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		s.dohError(w, http.StatusMethodNotAllowed, "use GET with ?dns= or POST "+dohContentType)
 		return
 	}
 
-	q, err := dnswire.Unpack(raw)
+	wire, q, err := s.serveQuery(TransportDoH, raw, dohMaxBodySize, nil, nil)
 	if err != nil {
-		s.dohError(w, http.StatusBadRequest, "malformed DNS message")
+		http.Error(w, "malformed DNS message", http.StatusBadRequest)
 		return
 	}
 	s.m.queries[TransportDoH].Inc()
-
-	resp := s.respond(r.Context(), TransportDoH, q)
-	if resp == nil {
-		s.dohError(w, http.StatusInternalServerError, "query handling failed")
-		return
-	}
-	wire, err := resp.Pack()
-	if err != nil {
-		s.m.errors[TransportDoH].Inc()
-		s.dohError(w, http.StatusInternalServerError, "response encoding failed")
-		return
+	if q != nil {
+		resp := s.respond(r.Context(), TransportDoH, q) // counts its failure
+		if resp == nil {
+			http.Error(w, "query handling failed", http.StatusInternalServerError)
+			return
+		}
+		if wire, err = resp.Pack(); err != nil {
+			s.dohError(w, http.StatusInternalServerError, "response encoding failed")
+			return
+		}
 	}
 	w.Header().Set("Content-Type", dohContentType)
-	w.Header().Set("Cache-Control", cacheControl(resp))
+	w.Header().Set("Cache-Control", cacheControl(wire))
 	w.Header().Set("Content-Length", strconv.Itoa(len(wire)))
 	w.Write(wire)
 }
@@ -159,19 +157,14 @@ func (s *Server) dohError(w http.ResponseWriter, status int, msg string) {
 	http.Error(w, msg, status)
 }
 
-// cacheControl derives the response's HTTP freshness from its DNS TTLs
+// cacheControl derives a packed answer's HTTP freshness from its DNS TTLs
 // (RFC 8484 §5.1): cacheable for at most the smallest TTL in the answer
 // section. Errors and empty answers are marked uncacheable so HTTP caches
 // never pin a failure — negative caching stays the DNS layer's job.
-func cacheControl(m *dnswire.Message) string {
-	if m.RCode != dnswire.RCodeNoError || len(m.Answer) == 0 {
+func cacheControl(wire []byte) string {
+	ttl, ok := dnswire.AnswerTTL(wire)
+	if !ok {
 		return "max-age=0"
 	}
-	min := m.Answer[0].TTL
-	for _, rr := range m.Answer[1:] {
-		if rr.TTL < min {
-			min = rr.TTL
-		}
-	}
-	return "max-age=" + strconv.FormatUint(uint64(min), 10)
+	return "max-age=" + strconv.FormatUint(uint64(ttl), 10)
 }

@@ -180,6 +180,7 @@ func TestDoHCacheControlErrors(t *testing.T) {
 	}
 }
 
+// TestCacheControlMinTTL: the freshness comes from the answer bytes as sent.
 func TestCacheControlMinTTL(t *testing.T) {
 	q := dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)
 	m := q.Reply()
@@ -187,11 +188,19 @@ func TestCacheControlMinTTL(t *testing.T) {
 		{Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}},
 		{Name: q.Question[0].Name, Class: dnswire.ClassIN, TTL: 60, Data: dnswire.A{Addr: mustAddr("192.0.2.2")}},
 	}
-	if got := cacheControl(m); got != "max-age=60" {
+	if got := cacheControl(mustPack(t, m)); got != "max-age=60" {
 		t.Errorf("cacheControl = %q, want max-age=60 (minimum TTL wins)", got)
 	}
+	m.RCode = dnswire.RCode(16) // BADVERS: NOERROR in the header, not in the OPT
+	if got := cacheControl(mustPack(t, m)); got != "max-age=0" {
+		t.Errorf("cacheControl with an extended RCODE = %q, want max-age=0", got)
+	}
+	m.RCode = dnswire.RCodeNoError
 	m.Answer = nil
-	if got := cacheControl(m); got != "max-age=0" {
+	if got := cacheControl(mustPack(t, m)); got != "max-age=0" {
 		t.Errorf("cacheControl with no answers = %q, want max-age=0", got)
+	}
+	if got := cacheControl([]byte{0, 1, 0x80}); got != "max-age=0" {
+		t.Errorf("cacheControl of a short message = %q, want max-age=0", got)
 	}
 }

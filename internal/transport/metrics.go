@@ -18,8 +18,7 @@ type metrics struct {
 	// buffer size (TC=1 sent instead of an oversized datagram).
 	truncations *telemetry.Counter
 	// wireServes counts responses answered by the wire fast path
-	// (pre-packed cache bytes patched in place, never touching Handler),
-	// on the transports that have one.
+	// (pre-packed cache bytes patched in place, never touching Handler).
 	wireServes map[string]*telemetry.Counter
 	// batchRounds / batchDatagrams measure UDP read batching: datagrams
 	// per round is their ratio (1.0 means no batching benefit).
@@ -56,7 +55,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		sheds:   make(map[string]*telemetry.Counter, len(transports)),
 		open:    make(map[string]*telemetry.Gauge, len(transports)),
 
-		wireServes: make(map[string]*telemetry.Counter),
+		wireServes: make(map[string]*telemetry.Counter, len(transports)),
 	}
 	for _, tr := range transports {
 		l := telemetry.L("transport", tr)
@@ -68,6 +67,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Queries shed with SERVFAIL + EDE 23 at a connection or pipeline bound, by transport.", l)
 		m.open[tr] = reg.Gauge("edelab_frontdoor_open_connections",
 			"Currently open client connections, by transport.", l)
+		m.wireServes[tr] = reg.Counter("edelab_frontdoor_wire_serves_total",
+			"Responses served from pre-packed wire-cache bytes, by transport.", l)
 	}
 	m.pipeline = reg.Histogram("edelab_frontdoor_pipeline_depth",
 		"In-flight pipelined queries on a stream connection when a new query is admitted.",
@@ -75,11 +76,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.truncations = reg.Counter("edelab_frontdoor_truncations_total",
 		"UDP responses truncated to the client's advertised EDNS buffer size.",
 		telemetry.L("transport", TransportUDP))
-	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
-		m.wireServes[tr] = reg.Counter("edelab_frontdoor_wire_serves_total",
-			"Responses served from pre-packed wire-cache bytes, by transport.",
-			telemetry.L("transport", tr))
-	}
 	m.batchRounds = reg.Counter("edelab_frontdoor_udp_batch_rounds_total",
 		"UDP receive rounds (one recvmmsg or ReadFrom call each).")
 	m.batchDatagrams = reg.Counter("edelab_frontdoor_udp_batch_datagrams_total",

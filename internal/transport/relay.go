@@ -227,7 +227,6 @@ func (r *udpRelay) forward(i int, wq dnswire.WireQuery) bool {
 		r.dirty = append(r.dirty, p)
 	}
 	p.used = tick
-	r.l.s.m.queries[TransportUDP].Inc()
 	r.l.s.m.relayed.Inc()
 	return true
 }
@@ -367,8 +366,8 @@ func (r *udpRelay) sweep(interval time.Duration) {
 
 // fail reports the taken queries to the router as failed forwards — all of
 // them first, so a peer at its failure limit is out of rotation before the
-// first retry looks for an owner — and hands each to the worker ring, where
-// Handler retries it like a query the relay never saw.
+// first retry looks for an owner — and hands each back to the listener,
+// which serves it like a query the relay never saw.
 func (r *udpRelay) fail(failed []relaySlot, reason string) {
 	m := r.l.s.m
 	for i := range failed {
@@ -376,13 +375,7 @@ func (r *udpRelay) fail(failed []relaySlot, reason string) {
 		m.relayFailures[reason].Inc()
 	}
 	for i := range failed {
-		e := &failed[i]
-		q, err := dnswire.Unpack(e.query[:e.n])
-		if err != nil {
-			m.errors[TransportUDP].Inc() // ScanQuery took it, so Unpack does
-			continue
-		}
-		r.l.enqueue(q, e.from.netAddr())
+		r.l.redispatch(failed[i].query[:failed[i].n], failed[i].from.netAddr())
 	}
 }
 

@@ -622,16 +622,8 @@ func TestRelayWireErrorAllocs(t *testing.T) {
 		t.Skip("allocation gate")
 	}
 	fail := dnswire.MustName("fail.example.")
-	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-		if qname == fail {
-			return failingUpstream(ctx, qname, qtype)
-		}
-		r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
-		r.Answer = []dnswire.RR{{Name: qname, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}}}
-		return r, nil
-	})
 	now := time.Unix(int64(testbed.Now), 0)
-	peerAddr, peer := startUDP(t, Config{Handler: frontend.New(up, frontend.Config{Now: func() time.Time { return now }})})
+	peerAddr, peer := startUDP(t, Config{Handler: frontend.New(mixedUpstream, frontend.Config{Now: func() time.Time { return now }})})
 	tok := &stubPeerToken{addr: netip.MustParseAddrPort(peerAddr)}
 	_, addr, _ := startRelayDoor(t, &stubRouter{peer: tok, timeout: 5 * time.Second}, Config{})
 	client := dialUDP(t, addr)

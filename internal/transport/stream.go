@@ -103,17 +103,20 @@ func (s *Server) serveStreamListener(ctx context.Context, l net.Listener, transp
 }
 
 // shedConn handles a connection rejected at the MaxConns bound: read one
-// query (briefly), answer it SERVFAIL + EDE 23 so the client learns why,
-// and close.
+// query (briefly), answer it from the wire cache or else SERVFAIL + EDE 23
+// so the client learns why, and close.
 func (s *Server) shedConn(conn net.Conn, transport string) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(DefaultWriteTimeout))
-	q, err := dnswire.ReadStream(conn)
+	c := &streamConn{s: s, conn: conn, transport: transport, br: bufio.NewReaderSize(conn, streamReadBuf)}
+	frame, err := c.readFrame()
 	if err != nil {
 		return
 	}
-	s.m.queries[transport].Inc()
-	shedReply(q, "server overloaded: connection limit reached").WriteStream(conn)
+	if q := c.serveFrame(frame); q != nil {
+		c.queue(shedReply(q, "server overloaded: connection limit reached"))
+	}
+	c.flush()
 }
 
 // Stream core sizes. A connection owns one read buffer and one output
@@ -143,11 +146,11 @@ type streamConn struct {
 	frames int    // how many answers out holds
 }
 
-// serveStream is the transport-agnostic core, shaped like the UDP loop: the
-// reader goroutine takes frames out of a buffered reader and answers what
-// it can inline — wire-cache hits and FORMERRs — into the connection's
-// output buffer, which goes out in one Write when the next read would block
-// or the buffer passes streamFlushAt. Everything the wire cache declines is
+// serveStream is the stream door, shaped like the UDP loop: the reader
+// goroutine takes frames out of a buffered reader and answers what it can
+// inline — wire-cache hits and FORMERRs — into the connection's output
+// buffer, which goes out in one Write when the next read would block or the
+// buffer passes streamFlushAt. Everything the wire cache declines is
 // admitted into a bounded per-connection pipeline and answered from its own
 // goroutine with its own Write, so a slow resolution never holds back the
 // answers behind it (RFC 7766 §6.2.1.1). The idle deadline is armed only
@@ -185,22 +188,10 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 			}
 			return
 		}
-
-		if s.wire != nil {
-			if wq, ok := dnswire.ScanQuery(frame); ok && c.serveWire(wq) {
-				continue
-			}
-		}
-		q, err := dnswire.Unpack(frame)
-		if err != nil {
-			// The length prefix was honoured, so the stream is still in
-			// step: answer FORMERR as on UDP and keep serving.
-			s.m.errors[transport].Inc()
-			c.out = appendFORMERR(append(c.out, 0, formerrLen), frame)
-			c.queued()
+		q := c.serveFrame(frame)
+		if q == nil {
 			continue
 		}
-		s.m.queries[transport].Inc()
 
 		select {
 		case pipe <- struct{}{}:
@@ -265,31 +256,34 @@ func (c *streamConn) readFrame() ([]byte, error) {
 	return c.frame[:n], nil
 }
 
-// serveWire answers a scanned query from the wire cache into the output
-// buffer: the image is appended behind a two-byte gap that then takes its
-// length. It reports false, leaving the buffer as it was, when the cache
-// declines and the query must take the full path.
-func (c *streamConn) serveWire(wq dnswire.WireQuery) bool {
+// serveFrame runs one frame through the serve core and returns the parsed
+// query for the slow path, or nil when it answered into the output buffer:
+// a wire-cache answer behind a two-byte gap that then takes its length, the
+// keepalive option patched in, or a FORMERR for unreadable bytes.
+func (c *streamConn) serveFrame(frame []byte) *dnswire.Message {
 	s := c.s
 	base := len(c.out)
 	limit := 0xFFFF
-	keepalive := s.keepalive != 0 && wq.HasEDNS
-	if keepalive {
+	if s.keepalive != 0 {
 		limit -= keepaliveOptLen
 	}
-	out, ok := s.wire.ServeWire(wq, limit, append(c.out, 0, 0))
-	if !ok {
-		return false
+	wire, q, err := s.serveQuery(c.transport, frame, limit, append(c.out, 0, 0), nil)
+	if err != nil {
+		c.out = appendFORMERR(append(c.out, 0, formerrLen), frame)
+		c.queued()
+		return nil
 	}
-	if keepalive {
-		out = appendKeepalive(out, base+2, s.keepalive)
-	}
-	binary.BigEndian.PutUint16(out[base:], uint16(len(out)-base-2))
-	c.out = out
 	s.m.queries[c.transport].Inc()
-	s.m.wireServes[c.transport].Inc()
+	if wire == nil {
+		return q
+	}
+	if s.keepalive != 0 {
+		wire = appendKeepalive(wire, base+2, s.keepalive)
+	}
+	binary.BigEndian.PutUint16(wire[base:], uint16(len(wire)-base-2))
+	c.out = wire
 	c.queued()
-	return true
+	return nil
 }
 
 // queued counts one more frame in the output buffer and writes the buffer

@@ -392,18 +392,10 @@ func TestStreamDrainFlushes(t *testing.T) {
 // most 2 allocations, so the frame and output buffers are reused. A
 // wire-served cached error costs no more than a positive hit.
 func TestStreamWireHitAllocs(t *testing.T) {
-	fail := dnswire.MustName("fail.example")
-	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-		if qname == fail {
-			return failingUpstream(ctx, qname, qtype)
-		}
-		r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
-		r.Answer = []dnswire.RR{{Name: qname, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}}}
-		return r, nil
-	})
+	fail := dnswire.MustName("fail.example.")
 	// A frozen clock: a moving one ticks the EDE 13 countdown mid-measurement.
 	now := time.Unix(int64(testbed.Now), 0)
-	fe := frontend.New(up, frontend.Config{Now: func() time.Time { return now }})
+	fe := frontend.New(mixedUpstream, frontend.Config{Now: func() time.Time { return now }})
 	srv := NewServer(Config{Handler: fe, TCPKeepalive: 5 * time.Second})
 	addr, _, _ := serveOn(t, srv, func(l net.Listener) net.Listener { return l })
 	conn := dialTCP(t, addr)

@@ -27,8 +27,8 @@ const (
 	DefaultIdleTimeout    = 30 * time.Second
 )
 
-// DefaultWriteTimeout bounds each response write, and a StreamClient
-// exchange whose context has no deadline.
+// DefaultWriteTimeout bounds each response write, and a client stream
+// exchange (StreamClient, QueryTCP, QueryDoT) whose context has no deadline.
 const DefaultWriteTimeout = 5 * time.Second
 
 // udpWorkers sizes the fixed goroutine pool each UDP read loop feeds its
@@ -86,8 +86,8 @@ type Config struct {
 	Handler netsim.Handler
 
 	// MaxConns bounds concurrently served stream connections per listener.
-	// A connection accepted past the bound has its first query answered
-	// SERVFAIL + EDE 23 and is closed.
+	// A connection accepted past the bound has its first query answered,
+	// from the wire cache or else SERVFAIL + EDE 23, and is closed.
 	MaxConns int
 
 	// MaxPipeline bounds in-flight pipelined queries per stream connection.
@@ -158,6 +158,37 @@ func NewServer(cfg Config) *Server {
 	}
 	router, _ := wire.(WireRouter)
 	return &Server{cfg: cfg, wire: wire, router: router, keepalive: keepaliveUnits(cfg.TCPKeepalive), m: newMetrics(cfg.Registry)}
+}
+
+// serveQuery is the serve core every door runs a client's query bytes
+// through, so one question gets one answer at every door. It answers a
+// scanned query from the wire cache within limit (0: the size the query's
+// OPT advertises, a datagram door's), appending to dst; offers one the
+// cache declines to hop, when the door has one; and parses the rest. It
+// returns the wire answer, or the parsed query for the door's slow path, or
+// the parse error of unreadable bytes; all nil means hop took the query.
+// It counts wire serves and unreadable queries; the door counts queries.
+func (s *Server) serveQuery(transport string, data []byte, limit int, dst []byte, hop func(dnswire.WireQuery) bool) ([]byte, *dnswire.Message, error) {
+	if s.wire != nil {
+		if wq, ok := dnswire.ScanQuery(data); ok {
+			if limit == 0 {
+				limit = udpLimit(wq.UDPSize)
+			}
+			if out, ok := s.wire.ServeWire(wq, limit, dst); ok {
+				s.m.wireServes[transport].Inc()
+				return out, nil, nil
+			}
+			if hop != nil && hop(wq) {
+				return nil, nil, nil
+			}
+		}
+	}
+	q, err := dnswire.Unpack(data)
+	if err != nil {
+		s.m.errors[transport].Inc()
+		return nil, nil, err
+	}
+	return nil, q, nil
 }
 
 // respond runs one query through the handler. A handler error or nil

@@ -192,51 +192,41 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 	}
 }
 
-// serveDatagram routes one received datagram: wire fast path, relay to a
-// remote owner, FORMERR for garbage, or the worker ring.
+// serveDatagram answers one datagram through the serve core, in this
+// round's batch where it can. The UDP door's own: a datagram longer than a
+// slot is FORMERR, a declined query may hop to its remote owner (relay.go),
+// a parsed one is shed in the batch or goes to the worker ring.
 func (l *udpListener) serveDatagram(i int) {
 	s, io := l.s, l.io
 	data := io.in(i)
 	if io.oversized(i) {
+		s.m.errors[TransportUDP].Inc()
 		l.formerr(i, data)
 		return
 	}
-
-	// Wire fast path: a scannable query answered straight from pre-packed
-	// cache bytes, sent in the same batch, zero message building.
-	if s.wire != nil {
-		if wq, ok := dnswire.ScanQuery(data); ok {
-			limit := minUDPPayload
-			if wq.HasEDNS && int(wq.UDPSize) > minUDPPayload {
-				limit = int(wq.UDPSize)
-			}
-			if out, served := s.wire.ServeWire(wq, limit, io.respBuf(i)); served {
-				s.m.queries[TransportUDP].Inc()
-				s.m.wireServes[TransportUDP].Inc()
-				io.queue(i, out)
-				return
-			}
-			if l.relay != nil && l.relay.forward(i, wq) {
-				return
-			}
-		}
+	var hop func(dnswire.WireQuery) bool
+	if l.relay != nil {
+		hop = func(wq dnswire.WireQuery) bool { return l.relay.forward(i, wq) }
 	}
-
-	q, err := dnswire.Unpack(data)
+	wire, q, err := s.serveQuery(TransportUDP, data, 0, io.respBuf(i), hop)
 	if err != nil {
 		l.formerr(i, data)
 		return
 	}
 	s.m.queries[TransportUDP].Inc()
-	// Admission comes first: a shed reply leaves in this round's batch, so
-	// past capacity a datagram costs neither a net.Addr nor a syscall.
-	if !l.admit() {
+	switch {
+	case wire != nil:
+		io.queue(i, wire)
+	case q == nil: // relayed
+	case !l.admit():
+		// A shed reply leaves in this round's batch, so past capacity a
+		// datagram costs neither a net.Addr nor a syscall.
 		if wire, ok := s.packUDP(udpShedReply(q), q, io.respBuf(i)); ok {
 			io.queue(i, wire)
 		}
-		return
+	default:
+		l.jobs <- udpJob{q: q, addr: io.addr(i)}
 	}
-	l.jobs <- udpJob{q: q, addr: io.addr(i)}
 }
 
 // formerr answers datagram i, which does not parse or is longer than any
@@ -244,21 +234,28 @@ func (l *udpListener) serveDatagram(i int) {
 // answer when its ID is readable, FORMERR with the ID echoed and no OPT
 // (RFC 1035), so a broken client fails fast instead of timing out.
 func (l *udpListener) formerr(i int, data []byte) {
-	l.s.m.errors[TransportUDP].Inc()
 	if len(data) >= 2 {
 		l.io.queue(i, appendFORMERR(l.io.respBuf(i), data))
 	}
 }
 
-// enqueue admits one parsed query to the worker ring, or sheds it at the
-// admission bound with a send of its own: the relay's re-dispatch, which
-// runs off the read loop and has no batch slot to answer in.
-func (l *udpListener) enqueue(q *dnswire.Message, addr net.Addr) {
-	if !l.admit() {
+// redispatch serves a query the relay gave back through the serve core, off
+// the read loop, with a send of its own. It was counted when it arrived.
+func (l *udpListener) redispatch(data []byte, addr net.Addr) {
+	bufp := udpReplyPool.Get().(*[]byte)
+	defer udpReplyPool.Put(bufp)
+	wire, q, err := l.s.serveQuery(TransportUDP, data, 0, (*bufp)[:0], nil)
+	switch {
+	case err != nil: // ScanQuery took it, so Unpack does
+	case wire != nil:
+		if _, err := l.conn.WriteTo(wire, addr); err != nil {
+			l.s.m.errors[TransportUDP].Inc()
+		}
+	case !l.admit():
 		l.s.writeUDP(l.conn, addr, udpShedReply(q), q)
-		return
+	default:
+		l.jobs <- udpJob{q: q, addr: addr}
 	}
-	l.jobs <- udpJob{q: q, addr: addr}
 }
 
 // admit takes a worker-ring slot for one parsed query, or counts a shed at
@@ -313,7 +310,11 @@ func (s *Server) writeUDP(conn net.PacketConn, addr net.Addr, resp, q *dnswire.M
 // packUDP is packUDPResponse within the limit q advertises, counting a
 // truncation or a failure; ok is false when there is nothing to send.
 func (s *Server) packUDP(resp, q *dnswire.Message, buf []byte) (wire []byte, ok bool) {
-	wire, truncated, err := packUDPResponse(resp, clientBufSize(q), buf)
+	var size uint16
+	if q.OPT != nil {
+		size = q.OPT.UDPSize
+	}
+	wire, truncated, err := packUDPResponse(resp, udpLimit(size), buf)
 	if err != nil {
 		s.m.errors[TransportUDP].Inc()
 		return nil, false
@@ -324,15 +325,11 @@ func (s *Server) packUDP(resp, q *dnswire.Message, buf []byte) (wire []byte, ok 
 	return wire, true
 }
 
-// clientBufSize returns the largest UDP response q permits: 512 bytes
-// without EDNS (RFC 1035 §2.3.4), otherwise the OPT's buffer size with the
-// same 512-byte floor (RFC 6891 §6.2.3 treats smaller values as 512).
-func clientBufSize(q *dnswire.Message) int {
-	if q.OPT != nil && int(q.OPT.UDPSize) > minUDPPayload {
-		return int(q.OPT.UDPSize)
-	}
-	return minUDPPayload
-}
+// udpLimit is the largest UDP response a client permits whose OPT
+// advertises size (0 without one): 512 bytes without EDNS (RFC 1035
+// §2.3.4), otherwise the advertised size with the same 512-byte floor
+// (RFC 6891 §6.2.3 treats smaller values as 512).
+func udpLimit(size uint16) int { return max(int(size), minUDPPayload) }
 
 // packUDPResponse encodes resp into at most limit bytes, appending to buf.
 // When the full message does not fit it is truncated per RFC 2181 §9:

@@ -5,7 +5,10 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/base64"
+	"io"
 	"net"
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -176,13 +179,25 @@ var failingUpstream = upstreamFunc(func(_ context.Context, qname dnswire.Name, _
 	return r, nil
 })
 
-// TestCachedErrorWireParity: a cached SERVFAIL + EDE is answered from the
-// wire cache over UDP, TCP and DoT, byte-identical to what a DisableWire
-// server over the same frontend answers, and each answer counts as a wire
-// serve. The frozen clock keeps the EDE 13 countdown on one second.
+// mixedUpstream fails fail.example. as failingUpstream does and answers
+// every other name with one A record, TTL 300.
+var mixedUpstream = upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
+	if qname == dnswire.MustName("fail.example.") {
+		return failingUpstream(ctx, qname, qtype)
+	}
+	r := dnswire.NewQuery(0, qname, dnswire.TypeA).Reply()
+	r.Answer = []dnswire.RR{{Name: qname, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: mustAddr("192.0.2.1")}}}
+	return r, nil
+})
+
+// TestCachedErrorWireParity: a cached SERVFAIL + EDE and a positive answer
+// are answered from the wire cache over UDP, TCP, DoT, DoH GET and DoH POST,
+// byte-identical to what a DisableWire server over the same frontend
+// answers (on DoH, with the same Cache-Control), and each answer counts as
+// a wire serve. The frozen clock keeps the EDE 13 countdown on one second.
 func TestCachedErrorWireParity(t *testing.T) {
 	now := time.Unix(int64(testbed.Now), 0)
-	fe := frontend.New(failingUpstream, frontend.Config{Now: func() time.Time { return now }})
+	fe := frontend.New(mixedUpstream, frontend.Config{Now: func() time.Time { return now }})
 
 	cert, err := SelfSignedCert("127.0.0.1")
 	if err != nil {
@@ -194,10 +209,13 @@ func TestCachedErrorWireParity(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 
+	const dohGet, dohPost = "doh-get", "doh-post"
+	doors := []string{TransportUDP, TransportTCP, TransportDoT, dohGet, dohPost}
 	// door is one server with a client connection on each transport.
 	type door struct {
 		srv   *Server
 		conns map[string]net.Conn
+		doh   string // the DoH endpoint, plain HTTP
 	}
 	open := func(disableWire bool) door {
 		d := door{srv: NewServer(Config{Handler: fe, DisableWire: disableWire, TCPKeepalive: 7 * time.Second}), conns: map[string]net.Conn{}}
@@ -207,18 +225,23 @@ func TestCachedErrorWireParity(t *testing.T) {
 		}
 		go d.srv.ServeUDP(ctx, pc)
 		d.conns[TransportUDP] = dialUDP(t, pc.LocalAddr().String())
-		for _, tr := range []string{TransportTCP, TransportDoT} {
+		for _, tr := range []string{TransportTCP, TransportDoT, TransportDoH} {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatalf("listen: %v", err)
 			}
 			var conn net.Conn
-			if tr == TransportTCP {
+			switch tr {
+			case TransportTCP:
 				go d.srv.ServeTCP(ctx, l)
 				conn, err = net.Dial("tcp", l.Addr().String())
-			} else {
+			case TransportDoT:
 				go d.srv.ServeDoT(ctx, l, &tls.Config{Certificates: []tls.Certificate{cert}})
 				conn, err = tls.Dial("tcp", l.Addr().String(), clientTLS)
+			case TransportDoH:
+				go d.srv.ServeDoH(ctx, l, nil)
+				d.doh = "http://" + l.Addr().String() + DoHPath
+				continue
 			}
 			if err != nil {
 				t.Fatalf("dial %s: %v", tr, err)
@@ -231,66 +254,108 @@ func TestCachedErrorWireParity(t *testing.T) {
 		}
 		return d
 	}
-	exchange := func(conn net.Conn, tr string, q *dnswire.Message) []byte {
+	// exchange asks q at one door and returns the DNS message it got back,
+	// and on DoH the Cache-Control header.
+	exchange := func(d door, tr string, q *dnswire.Message) ([]byte, string) {
 		t.Helper()
 		query := framed(t, q)
-		if tr == TransportUDP {
-			query = query[2:]
-		}
-		if _, err := conn.Write(query); err != nil {
-			t.Fatalf("%s write: %v", tr, err)
-		}
-		if tr == TransportUDP {
+		switch tr {
+		case dohGet, dohPost:
+			var resp *http.Response
+			var err error
+			if tr == dohGet {
+				resp, err = http.Get(d.doh + "?dns=" + base64.RawURLEncoding.EncodeToString(query[2:]))
+			} else {
+				resp, err = http.Post(d.doh, dohContentType, bytes.NewReader(query[2:]))
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tr, err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %s, %v", tr, resp.Status, err)
+			}
+			return body, resp.Header.Get("Cache-Control")
+		case TransportUDP:
+			conn := d.conns[tr]
+			if _, err := conn.Write(query[2:]); err != nil {
+				t.Fatalf("udp write: %v", err)
+			}
 			buf := make([]byte, maxUDPPayload)
 			n, err := conn.Read(buf)
 			if err != nil {
 				t.Fatalf("udp read: %v", err)
 			}
-			return buf[:n]
+			return buf[:n], ""
+		}
+		conn := d.conns[tr]
+		if _, err := conn.Write(query); err != nil {
+			t.Fatalf("%s write: %v", tr, err)
 		}
 		resp, err := readRawFrame(conn)
 		if err != nil {
 			t.Fatalf("%s read: %v", tr, err)
 		}
-		return resp
+		return resp[2:], ""
+	}
+	serves := func(d door, tr string) uint64 {
+		if tr == dohGet || tr == dohPost {
+			tr = TransportDoH
+		}
+		return d.srv.m.wireServes[tr].Load()
 	}
 
 	slow, wired := open(true), open(false)
-	for _, edns := range []bool{false, true} {
-		q := dnswire.NewQuery(1, dnswire.MustName("fail.example."), dnswire.TypeA)
-		if !edns {
-			q.OPT = nil
-		}
-		// The failure, then the first cached-error hit, which captures.
-		for i := 0; i < 2; i++ {
-			exchange(slow.conns[TransportUDP], TransportUDP, q)
-		}
-		for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
-			before := wired.srv.m.wireServes[tr].Load()
-			want := exchange(slow.conns[tr], tr, q)
-			got := exchange(wired.conns[tr], tr, q)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s edns=%t: wire-served cached error differs from the parsed path\n slow: %x\n wire: %x", tr, edns, want, got)
+	for _, name := range []string{"fail.example.", "ok.example."} {
+		for _, edns := range []bool{false, true} {
+			q := dnswire.NewQuery(1, dnswire.MustName(name), dnswire.TypeA)
+			if !edns {
+				q.OPT = nil
 			}
-			if n := wired.srv.m.wireServes[tr].Load() - before; n != 1 {
-				t.Errorf("%s edns=%t: wire serves moved by %d, want 1", tr, edns, n)
+			// The miss, then the first hit, which captures a cached error.
+			for i := 0; i < 2; i++ {
+				exchange(slow, TransportUDP, q)
 			}
-			if tr != TransportUDP {
-				got = got[2:]
-			}
-			m, err := dnswire.Unpack(got)
-			if err != nil {
-				t.Fatalf("%s: unpacking the answer: %v", tr, err)
-			}
-			if m.RCode != dnswire.RCodeServFail {
-				t.Errorf("%s edns=%t: RCODE %s, want SERVFAIL", tr, edns, m.RCode)
-			}
-			if codes := m.EDECodes(); edns && len(codes) != 2 {
-				t.Errorf("%s: EDEs %v, want the expired signature's and EDE 13", tr, codes)
+			for _, tr := range doors {
+				before := serves(wired, tr)
+				want, wantCC := exchange(slow, tr, q)
+				got, gotCC := exchange(wired, tr, q)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s %s edns=%t: wire-served answer differs from the parsed path\n slow: %x\n wire: %x", tr, name, edns, want, got)
+				}
+				if gotCC != wantCC {
+					t.Errorf("%s %s edns=%t: Cache-Control %q, the parsed path's %q", tr, name, edns, gotCC, wantCC)
+				}
+				if n := serves(wired, tr) - before; n != 1 {
+					t.Errorf("%s %s edns=%t: wire serves moved by %d, want 1", tr, name, edns, n)
+				}
+				m, err := dnswire.Unpack(got)
+				if err != nil {
+					t.Fatalf("%s: unpacking the answer: %v", tr, err)
+				}
+				if name == "ok.example." {
+					if m.RCode != dnswire.RCodeNoError || len(m.Answer) != 1 {
+						t.Errorf("%s edns=%t: %s with %d answers, want NOERROR with 1", tr, edns, m.RCode, len(m.Answer))
+					}
+					if tr == dohGet && gotCC != "max-age=300" {
+						t.Errorf("doh edns=%t: Cache-Control %q, want max-age=300", edns, gotCC)
+					}
+					continue
+				}
+				if m.RCode != dnswire.RCodeServFail {
+					t.Errorf("%s edns=%t: RCODE %s, want SERVFAIL", tr, edns, m.RCode)
+				}
+				if codes := m.EDECodes(); edns && len(codes) != 2 {
+					t.Errorf("%s: EDEs %v, want the expired signature's and EDE 13", tr, codes)
+				}
+				if tr == dohGet && gotCC != "max-age=0" {
+					t.Errorf("doh edns=%t: Cache-Control %q on a cached error, want max-age=0", edns, gotCC)
+				}
 			}
 		}
 	}
-	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT} {
+	for _, tr := range []string{TransportUDP, TransportTCP, TransportDoT, TransportDoH} {
 		if n := slow.srv.m.wireServes[tr].Load(); n != 0 {
 			t.Errorf("%s: DisableWire server made %d wire serves", tr, n)
 		}

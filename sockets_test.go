@@ -105,6 +105,38 @@ func TestOneSocketStack(t *testing.T) {
 	})
 }
 
+// TestOneServeCore fails when a front door reads a client's query bytes
+// itself. UDP, TCP/DoT, DoH and the relay's re-dispatch each once carried
+// their own scan → wire cache → parse → FORMERR ladder, and DoH had none, so
+// an answer being the same at every door was something tests observed. Now
+// serveQuery is the only non-test function in internal/transport that calls
+// dnswire.ScanQuery, Unpack or ReadStream; the client side (client.go,
+// streamclient.go) calls them too, on answers.
+func TestOneServeCore(t *testing.T) {
+	readers := map[string]bool{"ScanQuery": true, "Unpack": true, "ReadStream": true}
+	clients := map[string]bool{"internal/transport/client.go": true, "internal/transport/streamclient.go": true}
+	eachSourceFile(t, func(path string, fset *token.FileSet, file *ast.File) {
+		if !strings.HasPrefix(path, "internal/transport/") || clients[path] {
+			return
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Name.Name == "serveQuery" {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && readers[sel.Sel.Name] {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "dnswire" {
+						t.Errorf("%s: %s calls dnswire.%s on query bytes outside the serve core; run them through Server.serveQuery",
+							fset.Position(sel.Pos()), fn.Name.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+}
+
 // TestOneScanProtocol fails when a second non-test function outside
 // internal/population asks the wild network for its WarmupDomains: the §4
 // protocol (warm up, advance the clock two hours, pin the answer cache
