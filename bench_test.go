@@ -870,8 +870,9 @@ func BenchmarkAblationCache(b *testing.B) {
 }
 
 // BenchmarkAblationProfileIndirection measures the condition→EDE mapping
-// layer in isolation: the cost of the vendor-profile indirection that lets
-// one engine reproduce seven systems.
+// layer in isolation: the cost of the vendor-profile indirection
+// (resolver.Profile.Report, EXTRA-TEXT included) that lets one engine
+// reproduce seven systems.
 func BenchmarkAblationProfileIndirection(b *testing.B) {
 	p := resolver.ProfileCloudflare()
 	conds := []resolver.Condition{
@@ -879,8 +880,13 @@ func BenchmarkAblationProfileIndirection(b *testing.B) {
 		resolver.ConditionUnreachableRefused,
 		resolver.ConditionStandbyKSKUnsigned,
 	}
+	details := map[resolver.Condition]string{
+		resolver.ConditionDNSKEYUnobtainable: "no DNSKEY RRset at example.com.",
+		resolver.ConditionStandbyKSKUnsigned: "DNSKEY 4711 at example.com. has no covering RRSIG",
+	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if set := p.Codes(conds); len(set) == 0 {
+		if edes := p.Report(conds, details); len(edes) == 0 {
 			b.Fatal("empty mapping")
 		}
 	}

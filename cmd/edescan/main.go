@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -113,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *resume && *checkpointDir == "":
 		return exit(2, "-resume needs the -checkpoint-dir the interrupted run wrote to")
 	case compare && *checkpointDir != "":
-		return exit(2, "-profile compare runs seven scans; they cannot share the one checkpoint in -checkpoint-dir")
+		return exit(2, "-profile compare reports each scan as several profiles; the one checkpoint in -checkpoint-dir holds one profile's snapshot")
 	}
 
 	if *cpuprofile != "" {
@@ -183,16 +184,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if compare {
-		// The multi-vendor extension: the same population scanned under every
-		// profile (the paper scanned Cloudflare only).
+		// The multi-vendor extension: the same population reported by every
+		// profile (the paper scanned Cloudflare only), scanned once per
+		// behaviour class.
 		byProfile := make(map[string]*scan.Aggregate)
-		for _, p := range resolver.AllProfiles() {
-			cfg.Profile = p
-			snap, _, err := scanShard(wild, cfg, *progress, stderr)
+		for _, class := range resolver.ByBehaviour(resolver.AllProfiles()) {
+			cfg.Profile = class[0]
+			snaps, _, err := scanShard(wild, cfg, class, *progress, stderr)
 			if err != nil {
 				return exit(1, "%v", err)
 			}
-			byProfile[p.Name] = snap.Agg
+			for i, p := range class {
+				byProfile[p.Name] = snaps[i].Agg
+			}
 		}
 		fmt.Fprintf(stdout, "%-18s %14s %14s %12s\n", "profile", "EDE domains", "distinct codes", "SERVFAILs")
 		for _, r := range scan.CompareProfiles(byProfile) {
@@ -204,11 +208,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	snap, runner, err := scanShard(wild, cfg, *progress, stderr)
+	snaps, runner, err := scanShard(wild, cfg, nil, *progress, stderr)
 	elapsed := time.Since(start)
 	if err != nil {
 		return exit(1, "%v", err)
 	}
+	snap := snaps[0]
 
 	switch {
 	case *figure == 1:
@@ -277,11 +282,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// A fresh pass over the repaired network; it must not overwrite the
 		// measured scan's checkpoint.
 		cfg.CheckpointPath, cfg.Resume = "", false
-		after, _, err := scanShard(wild, cfg, *progress, stderr)
+		after, _, err := scanShard(wild, cfg, nil, *progress, stderr)
 		if err != nil {
 			return exit(1, "%v", err)
 		}
-		before, now := snap.Agg.CodeCounts[22], after.Agg.CodeCounts[22]
+		before, now := snap.Agg.CodeCounts[22], after[0].Agg.CodeCounts[22]
 		fmt.Fprintf(stdout, "repaired %d nameservers: EDE-22 domains %d -> %d (%.1f%% of stranded domains recovered)\n",
 			repaired, before, now, 100*float64(before-now)/float64(before))
 	}
@@ -290,19 +295,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // scanShard is every scan edescan makes — the measured one, each -profile
 // compare pass, the -whatif-fix re-scan: one campaign shard over wild under
-// cfg, with a progress line on stderr every progress interval. The runner is
-// returned for its post-run counters.
-func scanShard(wild *population.Wild, cfg campaign.Config, progress time.Duration, stderr io.Writer) (*scan.Snapshot, *campaign.Runner, error) {
+// cfg, with a progress line on stderr every progress interval, reported as
+// each profile in views (campaign.Runner.RunViews; nil is cfg.Profile alone).
+// The runner is returned for its post-run counters.
+func scanShard(wild *population.Wild, cfg campaign.Config, views []*resolver.Profile, progress time.Duration, stderr io.Writer) ([]*scan.Snapshot, *campaign.Runner, error) {
 	runner, err := campaign.New(cfg, wild)
 	if err != nil {
 		return nil, nil, err
+	}
+	if views == nil {
+		views = []*resolver.Profile{cfg.Profile}
 	}
 	// What this pass adds to the network's query count, over the domains it
 	// scans itself (not the resumed prefix), is the live amplification figure.
 	queries0, resumed := wild.Net.Stats().Queries, uint64(0)
 	lo, hi := campaign.ShardRange(len(wild.Pop.Domains), cfg.Shard, cfg.Shards)
-	fmt.Fprintf(stderr, "scanning domains [%d,%d) (shard %d/%d) with %d workers (%s profile) ...\n",
-		lo, hi, cfg.Shard, cfg.Shards, cfg.Workers, cfg.Profile.Name)
+	names := make([]string, len(views))
+	for i, p := range views {
+		names[i] = p.Name
+	}
+	label := strings.Join(names, ", ") + " profile"
+	if len(views) > 1 {
+		label += "s"
+	}
+	fmt.Fprintf(stderr, "scanning domains [%d,%d) (shard %d/%d) with %d workers (%s) ...\n",
+		lo, hi, cfg.Shard, cfg.Shards, cfg.Workers, label)
 	if cfg.Resume {
 		// Peek at the checkpoint header for the operator's benefit; Run
 		// re-reads and fully validates it (and reports a missing or
@@ -347,8 +364,8 @@ func scanShard(wild *population.Wild, cfg campaign.Config, progress time.Duratio
 			}
 		}()
 	}
-	snap, err := runner.Run(context.Background())
+	snaps, err := runner.RunViews(context.Background(), views)
 	close(stop)
 	wg.Wait()
-	return snap, runner, err
+	return snaps, runner, err
 }

@@ -109,6 +109,16 @@ func TestReports(t *testing.T) {
 		if strings.Contains(stdout, "triggered EDE codes") != tc.table {
 			t.Errorf("%v: §4.2 table printed = %t, want %t:\n%s", tc.args, !tc.table, tc.table, stdout)
 		}
+		if tc.args[0] == "-profile" && tc.args[1] == "compare" {
+			// Seven profiles reported from three behaviour classes' scans.
+			table, _, _ := strings.Cut(stdout, "\n\n")
+			if n := len(strings.Split(table, "\n")) - 1; n != 7 {
+				t.Errorf("compare printed %d profile rows, want 7:\n%s", n, stdout)
+			}
+			if n := strings.Count(stderr, "scanning domains"); n != 3 {
+				t.Errorf("compare ran %d scans, want 3 (one per behaviour class):\n%s", n, stderr)
+			}
+		}
 	}
 }
 
@@ -154,7 +164,7 @@ func TestUnhonourableCommandLines(t *testing.T) {
 		{[]string{"-figure", "1", "-fixcurve"}, "pick one"},
 		{[]string{"-figure", "3"}, "figures 1 and 2"},
 		{[]string{"-csv"}, "-csv needs -figure"},
-		{[]string{"-profile", "compare", "-checkpoint-dir", t.TempDir()}, "cannot share the one checkpoint"},
+		{[]string{"-profile", "compare", "-checkpoint-dir", t.TempDir()}, "holds one profile's snapshot"},
 		{[]string{"-chaos", "nonsense=1"}, "-chaos:"},
 	} {
 		code, stdout, stderr := edescan(t, tc.args...)

@@ -263,8 +263,34 @@ func (r *Runner) writeCheckpoint(snap *scan.Snapshot) error {
 // (also persisted when checkpointing is enabled) is the exact prefix a
 // resumed run continues from.
 func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
+	snaps, err := r.RunViews(ctx, []*resolver.Profile{r.cfg.Profile})
+	if snaps == nil {
+		return nil, err
+	}
+	return snaps[0], err
+}
+
+// RunViews is Run for every profile in views at the cost of one: the shard
+// is resolved once, under cfg.Profile, and each result is folded into one
+// snapshot per view as that profile reports it (scan.Result.ReportedBy).
+// Every view must share cfg.Profile's behaviour class
+// (resolver.Profile.SameBehaviour), which makes each snapshot the one a Run
+// under that profile produces. A checkpoint holds one snapshot, so more than
+// one view cannot checkpoint.
+func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*scan.Snapshot, error) {
 	cfg := r.cfg
 	w := r.wild
+	if len(views) == 0 {
+		return nil, errors.New("campaign: no profile to report the scan as")
+	}
+	for _, v := range views {
+		if !v.SameBehaviour(cfg.Profile) {
+			return nil, fmt.Errorf("campaign: %s resolves differently from %s; it needs its own scan", v.Name, cfg.Profile.Name)
+		}
+	}
+	if len(views) > 1 && cfg.CheckpointPath != "" {
+		return nil, fmt.Errorf("campaign: a checkpoint holds one snapshot, not the %d of a multi-profile run", len(views))
+	}
 
 	var resumeFrom *scan.Snapshot
 	if cfg.Resume && cfg.CheckpointPath != "" {
@@ -314,15 +340,20 @@ func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 		}()
 	}
 
-	agg := scan.NewAggregate()
-	tld := scan.NewTLDAggregate(w.Pop)
-	tranco := scan.NewTrancoAggregate(w.Pop)
+	snaps := make([]*scan.Snapshot, len(views))
+	for i := range snaps {
+		snaps[i] = &scan.Snapshot{
+			Shard: cfg.Shard, Shards: cfg.Shards,
+			Agg: scan.NewAggregate(), TLD: scan.NewTLDAggregate(w.Pop), Tranco: scan.NewTrancoAggregate(w.Pop),
+		}
+	}
+	snap := snaps[0]
 	var baseQueries, baseResolutions uint64
 	var startPos uint64
 	if resumeFrom != nil {
-		agg.Merge(resumeFrom.Agg)
-		tld.Merge(resumeFrom.TLD)
-		tranco.Merge(resumeFrom.Tranco)
+		snap.Agg.Merge(resumeFrom.Agg)
+		snap.TLD.Merge(resumeFrom.TLD)
+		snap.Tranco.Merge(resumeFrom.Tranco)
 		baseQueries = resumeFrom.Queries
 		baseResolutions = resumeFrom.Resolutions
 		startPos = resumeFrom.Position
@@ -331,17 +362,14 @@ func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 	r.position.Store(startPos)
 	r.measureStart.Store(time.Now().UnixNano())
 
-	snap := &scan.Snapshot{
-		Shard: cfg.Shard, Shards: cfg.Shards,
-		Position: startPos,
-		Agg:      agg, TLD: tld, Tranco: tranco,
-	}
 	queriesAt := res.QueryCount.Load()
 	resolutionsAt := res.ResolutionCount.Load()
 	stamp := func() {
-		snap.Position = r.position.Load()
-		snap.Queries = baseQueries + res.QueryCount.Load() - queriesAt
-		snap.Resolutions = baseResolutions + res.ResolutionCount.Load() - resolutionsAt
+		for _, s := range snaps {
+			s.Position = r.position.Load()
+			s.Queries = baseQueries + res.QueryCount.Load() - queriesAt
+			s.Resolutions = baseResolutions + res.ResolutionCount.Load() - resolutionsAt
+		}
 	}
 
 	src := w.Pop.NamesRange(r.lo, r.hi)
@@ -364,9 +392,15 @@ func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 			frozen = true
 			return
 		}
-		agg.Add(sr)
-		tld.Add(sr)
-		tranco.Add(sr)
+		for i, s := range snaps {
+			vr := sr
+			if views[i] != cfg.Profile {
+				vr = sr.ReportedBy(views[i])
+			}
+			s.Agg.Add(vr)
+			s.TLD.Add(vr)
+			s.Tranco.Add(vr)
+		}
 		pos := r.position.Add(1)
 		if cfg.testOnResult != nil {
 			cfg.testOnResult(pos)
@@ -394,14 +428,14 @@ func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 	}
 	r.Scanner = scanner
 	if ckptErr != nil {
-		return snap, fmt.Errorf("campaign: checkpoint: %w", ckptErr)
+		return snaps, fmt.Errorf("campaign: checkpoint: %w", ckptErr)
 	}
 	if snap.Position < uint64(r.hi-r.lo) {
 		err := ctx.Err()
 		if err == nil {
 			err = errors.New("scan ended early")
 		}
-		return snap, fmt.Errorf("%w at position %d/%d: %w", ErrInterrupted, snap.Position, r.hi-r.lo, err)
+		return snaps, fmt.Errorf("%w at position %d/%d: %w", ErrInterrupted, snap.Position, r.hi-r.lo, err)
 	}
-	return snap, nil
+	return snaps, nil
 }

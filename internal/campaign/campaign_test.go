@@ -6,9 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/extended-dns-errors/edelab/internal/population"
+	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/scan"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
@@ -304,5 +306,75 @@ func TestCampaignTelemetry(t *testing.T) {
 	}
 	if _, ok := reg.Value("edelab_campaign_domains_per_second", telemetry.L("shard", "0")); !ok {
 		t.Fatal("domains_per_second not registered")
+	}
+}
+
+// TestRunViewsIsRunPerProfile: the multi-vendor comparison resolves the shard
+// once per behaviour class and reports every profile of the class from that
+// one pass. Each profile's snapshot must be byte-identical to a Run under
+// that profile alone. Every pass gets its own wild from the one seed, as a
+// separate process would: the stale class's endpoints answer once, so on a
+// shared wild only the first pass's warm-up would find them alive.
+func TestRunViewsIsRunPerProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten populations to sign; the full run covers them")
+	}
+	const domains = 3030
+	ctx := context.Background()
+	viewed := make(map[string][]byte)
+	for _, class := range resolver.ByBehaviour(resolver.AllProfiles()) {
+		r, err := New(Config{Workers: 8, Profile: class[0]}, buildWild(t, domains))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := r.RunViews(ctx, class)
+		if err != nil {
+			t.Fatalf("%s's class: %v", class[0].Name, err)
+		}
+		for i, p := range class {
+			viewed[p.Name] = snaps[i].AggregateBytes()
+		}
+	}
+	if len(viewed) != 7 {
+		t.Fatalf("compare reported %d profiles, want 7", len(viewed))
+	}
+	for _, p := range resolver.AllProfiles() {
+		r, err := New(Config{Workers: 8, Profile: p}, buildWild(t, domains))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !bytes.Equal(snap.AggregateBytes(), viewed[p.Name]) {
+			t.Errorf("%s: the aggregates its class's pass reports differ from its own run's", p.Name)
+		}
+	}
+}
+
+// TestRunViewsRefuses: a profile of another behaviour class resolves
+// differently, so it cannot be reported from this pass; and a checkpoint
+// holds one snapshot.
+func TestRunViewsRefuses(t *testing.T) {
+	w := buildWild(t, 1515)
+	cf, unbound := resolver.ProfileCloudflare(), resolver.ProfileUnbound()
+	for _, tc := range []struct {
+		cfg   Config
+		views []*resolver.Profile
+		why   string
+	}{
+		{Config{Profile: unbound}, nil, "no profile"},
+		{Config{Profile: unbound}, []*resolver.Profile{unbound, cf}, "resolves differently"},
+		{Config{Profile: unbound, CheckpointPath: filepath.Join(t.TempDir(), "c.snap")},
+			[]*resolver.Profile{unbound, resolver.ProfileKnot()}, "holds one snapshot"},
+	} {
+		r, err := New(tc.cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunViews(context.Background(), tc.views); err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%d views: err = %v, want one mentioning %q", len(tc.views), err, tc.why)
+		}
 	}
 }

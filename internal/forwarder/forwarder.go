@@ -49,9 +49,10 @@ type OptionsUpstream interface {
 }
 
 // ProfiledUpstream is an Upstream that names the vendor profile answering
-// behind it. A cache in front of it serves stale data and marks cached errors
-// only where that profile does, so that it answers as the resolver would
-// alone; a cache in front of any other Upstream does both.
+// behind it. A cache in front of it serves stale data and marks stale answers
+// and cached errors as that profile reports them, so that it answers as the
+// resolver would alone; a cache in front of any other Upstream answers as
+// Cloudflare's profile.
 type ProfiledUpstream interface {
 	Upstream
 	Profile() *resolver.Profile

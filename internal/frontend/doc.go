@@ -22,14 +22,14 @@
 //     (qname, qtype, CD), whatever their DO bits, trigger one upstream
 //     recursion and M answers.
 //   - RFC 8767 serve-stale: when recursion fails (timeout or SERVFAIL), an
-//     expired entry within the stale window is served with EDE 3 (Stale
-//     Answer) or EDE 19 (Stale NXDOMAIN Answer) — unless the resolver's
-//     profile does not serve stale (forwarder.ProfiledUpstream).
+//     expired entry within the stale window is served with the codes the
+//     resolver's profile reports for it (EDE 3 or 19) — unless the profile
+//     does not serve stale (forwarder.ProfiledUpstream; no profile reads
+//     as Cloudflare's).
 //   - RFC 2308 negative caching plus an error cache: repeated failures are
-//     answered from cache with EDE 13 (Cached Error) carrying the
-//     Cloudflare-style retry-delay EXTRA-TEXT the paper observed (a bare
-//     seconds count such as "114"), where the resolver's profile marks
-//     cached errors.
+//     answered from cache with the profile's cached-error codes (EDE 13
+//     under Cloudflare's) and the retry-delay EXTRA-TEXT the paper observed
+//     (a bare seconds count such as "114").
 //   - Overload protection: a bounded in-flight semaphore and a per-query
 //     deadline. Excess load degrades to SERVFAIL + EDE 23 (Network Error)
 //     with EXTRA-TEXT saying why, never an unbounded goroutine pile.

@@ -125,30 +125,35 @@ type Frontend struct {
 	flights  flightGroup
 	sem      chan struct{}
 	metrics  Metrics
-	// retryEDE says an error-cache hit carries EDE 13 with its retry
-	// countdown, as it does unless the upstream's profile maps no code to
-	// resolver.ConditionCachedError.
-	retryEDE bool
+	// report holds what the upstream's profile attaches (Profile.Report) to
+	// a stale answer, a stale NXDOMAIN and an error-cache hit, by mode.
+	// countdown says a cached error's options carry the retry delay as
+	// EXTRA-TEXT, as under a profile with ExtraText.
+	report    [modeOverload + 1][]dnswire.EDEOption
+	countdown bool
 }
 
-// New builds a frontend over up.
+// New builds a frontend over up. It answers as up's profile would
+// (forwarder.ProfiledUpstream), Cloudflare's when up names none.
 func New(up forwarder.Upstream, cfg Config) *Frontend {
 	cfg = cfg.WithDefaults()
-	retryEDE := true
+	p := resolver.ProfileCloudflare()
 	if pu, ok := up.(forwarder.ProfiledUpstream); ok {
-		p := pu.Profile()
-		if !p.ServeStale {
-			cfg.StaleWindow = -1
-		}
-		retryEDE = len(p.Map[resolver.ConditionCachedError]) > 0
+		p = pu.Profile()
+	}
+	if !p.ServeStale {
+		cfg.StaleWindow = -1
 	}
 	f := &Frontend{
 		upstream: up,
 		cfg:      cfg,
 		cache:    NewCache(cfg.Shards, cfg.Capacity),
 		sem:      make(chan struct{}, cfg.MaxInflight),
-		retryEDE: retryEDE,
 	}
+	f.report[modeStale] = p.Report([]resolver.Condition{resolver.ConditionStaleServed}, nil)
+	f.report[modeStaleNX] = p.Report([]resolver.Condition{resolver.ConditionStaleNXServed}, nil)
+	f.report[modeCachedError] = p.Report([]resolver.Condition{resolver.ConditionCachedError}, nil)
+	f.countdown = p.ExtraText && len(f.report[modeCachedError]) > 0
 	f.cache.onEvict = func() { f.metrics.evictions.Add(1) }
 	return f
 }
@@ -355,7 +360,7 @@ func lifetime(ttl uint32) time.Duration {
 }
 
 // storeError fills the error cache so repeated failures are answered
-// locally with EDE 13 until ErrorTTL passes.
+// locally, as a cached error, until ErrorTTL passes.
 func (f *Frontend) storeError(k key, resp *dnswire.Message, err error, hitDeadline bool, now time.Time) *entry {
 	e := &entry{
 		rcode:    dnswire.RCodeServFail,
@@ -385,7 +390,7 @@ func (f *Frontend) storeError(k key, resp *dnswire.Message, err error, hitDeadli
 }
 
 // reply builds this client's response from a serving outcome: fresh copies
-// of the RR slices (TTL-adjusted), EDEs re-emitted plus the mode's own code,
+// of the RR slices (TTL-adjusted), EDEs re-emitted plus the mode's own ones,
 // EDNS only when the client used EDNS, and RRSIGs and AD only when it set DO.
 func (f *Frontend) reply(q *dnswire.Message, sv *served, now time.Time) *dnswire.Message {
 	out := q.Reply()
@@ -415,17 +420,13 @@ func (f *Frontend) reply(q *dnswire.Message, sv *served, now time.Time) *dnswire
 			f.addEDE(out, o.InfoCode, o.ExtraText)
 		}
 	}
-	switch sv.mode {
-	case modeStale:
-		f.addEDE(out, uint16(ede.CodeStaleAnswer), "")
-	case modeStaleNX:
-		f.addEDE(out, uint16(ede.CodeStaleNXDOMAINAnswer), "")
-	case modeCachedError:
-		if f.retryEDE {
+	for _, o := range f.report[sv.mode] {
+		if sv.mode == modeCachedError && f.countdown {
 			// The paper's Cloudflare idiom: EXTRA-TEXT is the bare retry
 			// delay in seconds ("114") until the error cache entry expires.
-			f.addEDE(out, uint16(ede.CodeCachedError), strconv.FormatUint(uint64(retryAfter(e, now)), 10))
+			o.ExtraText = strconv.FormatUint(uint64(retryAfter(e, now)), 10)
 		}
+		f.addEDE(out, o.InfoCode, o.ExtraText)
 	}
 	if sv.mode == modeFresh || sv.mode == modeCachedError {
 		f.maybeCaptureWire(e, out, now)

@@ -135,7 +135,7 @@ func (f *Frontend) maybeCaptureWire(e *entry, out *dnswire.Message, now time.Tim
 	}
 	idx := wireIndex(out.OPT != nil, out.DO())
 	var retry uint32
-	if out.OPT != nil && e.isError && f.retryEDE {
+	if out.OPT != nil && e.isError && f.countdown {
 		retry = retryAfter(e, now)
 	}
 	if v := e.wires[idx].Load(); v != nil && v.retry == retry {

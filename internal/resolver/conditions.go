@@ -280,22 +280,23 @@ func (c Condition) String() string {
 // Class buckets conditions by how they affect the final response.
 type Class int
 
-// Condition classes.
+// Condition classes, in rising severity: the worst class among a
+// resolution's conditions decides its response (worstClass).
 const (
 	// ClassOK: answer served, validated where applicable.
 	ClassOK Class = iota
+	// ClassAdvisory: resolution succeeded; the condition is informational.
+	ClassAdvisory
 	// ClassInsecure: answer served without validation (NOERROR, no AD);
 	// an EDE may still accompany it (unsupported algorithms).
 	ClassInsecure
+	// ClassDegraded: an answer was served from degraded state (stale).
+	ClassDegraded
 	// ClassBogus: DNSSEC validation failure; fail-closed resolvers answer
 	// SERVFAIL.
 	ClassBogus
 	// ClassLame: no usable authoritative answer; SERVFAIL.
 	ClassLame
-	// ClassDegraded: an answer was served from degraded state (stale).
-	ClassDegraded
-	// ClassAdvisory: resolution succeeded; the condition is informational.
-	ClassAdvisory
 )
 
 // ClassOf buckets a condition.

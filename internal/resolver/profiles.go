@@ -1,9 +1,12 @@
 package resolver
 
 import (
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
+	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 )
 
@@ -13,7 +16,9 @@ import (
 // detection machinery is shared (this package), only the reporting policy
 // differs, which is exactly the paper's conclusion ("the differences come
 // from response specificity and the support of specific EDE codes rather
-// than correctness", §1).
+// than correctness", §1). A profile is a behaviour class (Support and
+// ServeStale, the two fields a resolution reads; SameBehaviour) plus a
+// reporting table (Map and ExtraText, read only by Report).
 type Profile struct {
 	Name    string
 	Support dnssec.SupportSet
@@ -24,9 +29,6 @@ type Profile struct {
 	ExtraText bool
 	// ServeStale enables RFC 8767 stale answers when authorities fail.
 	ServeStale bool
-	// AdvisoryStandbyKSK reports ConditionStandbyKSKUnsigned on otherwise
-	// successful responses (the Cloudflare behaviour behind §4.2 item 3).
-	AdvisoryStandbyKSK bool
 }
 
 // ProfileBIND9 models BIND 9.19.9: full validation, but at that release the
@@ -228,9 +230,8 @@ func ProfileCloudflare() *Profile {
 			ConditionReferralProofBogus:    {ede.CodeDNSSECBogus},
 			ConditionStandbyKSKUnsigned:    {ede.CodeRRSIGsMissing},
 		},
-		ExtraText:          true,
-		ServeStale:         true,
-		AdvisoryStandbyKSK: true,
+		ExtraText:  true,
+		ServeStale: true,
 	}
 }
 
@@ -341,32 +342,62 @@ func ProfileByName(name string) (*Profile, bool) {
 	return nil, false
 }
 
-// Codes maps a list of conditions to the profile's deduplicated EDE codes,
-// sorted numerically (matching how the paper reports multi-code responses,
-// e.g. Cloudflare's "9,22,23").
-func (p *Profile) Codes(conds []Condition) ede.Set {
-	if len(conds) == 0 {
-		return nil
+// SameBehaviour reports whether p and q resolve every question alike: the
+// same algorithm support and serve-stale policy, the only fields a resolution
+// reads. Such profiles differ only in what Report makes of a resolution.
+func (p *Profile) SameBehaviour(q *Profile) bool {
+	return p.ServeStale == q.ServeStale && p.Support.MinRSABits == q.Support.MinRSABits &&
+		maps.Equal(p.Support.Algorithms, q.Support.Algorithms) && maps.Equal(p.Support.Digests, q.Support.Digests)
+}
+
+// ByBehaviour groups profiles into behaviour classes (SameBehaviour), in
+// order of first appearance and each in input order. One resolver built with
+// a class's first profile serves every profile in it through Report; the
+// seven of AllProfiles fall into three classes.
+func ByBehaviour(profiles []*Profile) [][]*Profile {
+	var classes [][]*Profile
+	for _, p := range profiles {
+		i := slices.IndexFunc(classes, func(class []*Profile) bool { return class[0].SameBehaviour(p) })
+		if i < 0 {
+			classes, i = append(classes, nil), len(classes)
+		}
+		classes[i] = append(classes[i], p)
 	}
-	var out ede.Set
+	return classes
+}
+
+// Report is the profile's reporting policy as a pure function: the EDE
+// options a response attaches for a resolution that recorded conds, with
+// details holding some conditions' diagnostic text. Codes are deduplicated
+// and sorted numerically (matching how the paper reports multi-code
+// responses, e.g. Cloudflare's "9,22,23"). Under ExtraText each option
+// carries the detail of the first condition in conds that maps to its code
+// and has one.
+func (p *Profile) Report(conds []Condition, details map[Condition]string) []dnswire.EDEOption {
+	var out []dnswire.EDEOption
 	for _, c := range conds {
+		text := ""
+		if p.ExtraText {
+			text = details[c]
+		}
 	next:
 		for _, code := range p.Map[c] {
 			// Sets are tiny (rarely more than three codes), so a linear
 			// dedup beats allocating a seen-map on every resolution.
-			for _, have := range out {
-				if have == code {
+			for i := range out {
+				if out[i].InfoCode == uint16(code) {
+					if out[i].ExtraText == "" {
+						out[i].ExtraText = text
+					}
 					continue next
 				}
 			}
-			out = append(out, code)
+			if out == nil {
+				out = make([]dnswire.EDEOption, 0, 4) // one allocation for any set Table 4 holds
+			}
+			out = append(out, dnswire.EDEOption{InfoCode: uint16(code), ExtraText: text})
 		}
 	}
-	// insertion sort; sets are tiny
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b dnswire.EDEOption) int { return int(a.InfoCode) - int(b.InfoCode) })
 	return out
 }

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
@@ -326,7 +328,8 @@ type response struct {
 	result   Result
 }
 
-// finish builds the client response, applying the profile's EDE mapping.
+// finish builds the client response with the EDE options the profile
+// reports for the resolution's conditions (Profile.Report).
 func (r *Resolver) finish(st *resolution, qname dnswire.Name, qtype dnswire.Type, answer []dnswire.RR, rcode dnswire.RCode, secure bool) *Result {
 	out := &response{}
 	out.question[0] = dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassIN}
@@ -352,13 +355,9 @@ func (r *Resolver) finish(st *resolution, qname dnswire.Name, qtype dnswire.Type
 		msg.AuthenticData = secure && class == ClassOK || class == ClassAdvisory && secure
 	}
 
-	codes := r.Profile.Codes(st.conds)
-	for _, code := range codes {
-		text := ""
-		if r.Profile.ExtraText {
-			text = r.extraTextFor(st, code)
-		}
-		msg.AddEDE(uint16(code), text)
+	edes := r.Profile.Report(st.conds, st.details)
+	for _, o := range edes {
+		msg.AddEDE(o.InfoCode, o.ExtraText)
 	}
 	if msg.RCode == dnswire.RCodeServFail {
 		r.stats.servfails.Add(1)
@@ -367,66 +366,31 @@ func (r *Resolver) finish(st *resolution, qname dnswire.Name, qtype dnswire.Type
 		// Close the loop for the trace reader: name the condition (and the
 		// span it was recorded under, earlier in the tree) that produced
 		// each emitted EDE option.
-		for _, code := range codes {
+		for _, o := range edes {
+			code := ede.Code(o.InfoCode)
 			for _, c := range st.conds {
-				for _, mapped := range r.Profile.Map[c] {
-					if mapped == code {
-						st.span.Eventf("EDE %d (%s) attached ← condition %s", uint16(code), code.Name(), c)
-					}
+				if slices.Contains(r.Profile.Map[c], code) {
+					st.span.Eventf("EDE %d (%s) attached ← condition %s", o.InfoCode, code.Name(), c)
 				}
 			}
 		}
 		st.span.Eventf("response: rcode %s, %d answers, AD=%v, %d EDE options",
-			msg.RCode, len(msg.Answer), msg.AuthenticData, len(codes))
+			msg.RCode, len(msg.Answer), msg.AuthenticData, len(edes))
 	}
 	out.result = Result{Msg: msg, Conditions: st.conds, Secure: secure, Details: st.details, Cancelled: st.cancelled}
 	return &out.result
 }
 
-// extraTextFor finds the detail string backing an emitted code.
-func (r *Resolver) extraTextFor(st *resolution, code interface{ String() string }) string {
-	for _, c := range st.conds {
-		for _, mapped := range r.Profile.Map[c] {
-			if mapped.String() == code.String() {
-				if d, ok := st.details[c]; ok {
-					return d
-				}
-			}
-		}
-	}
-	return ""
-}
-
-// worstClass picks the response-determining class across conditions.
+// worstClass picks the response-determining class across conditions: the
+// most severe one, except that stale data rescues a lame resolution (if stale
+// was served, the degraded class wins).
 func worstClass(conds []Condition) Class {
-	rank := func(c Class) int {
-		switch c {
-		case ClassLame:
-			return 5
-		case ClassBogus:
-			return 4
-		case ClassDegraded:
-			return 3
-		case ClassInsecure:
-			return 2
-		case ClassAdvisory:
-			return 1
-		default:
-			return 0
-		}
-	}
 	worst := ClassOK
-	for _, c := range conds {
-		if rank(ClassOf(c)) > rank(worst) {
-			worst = ClassOf(c)
-		}
-	}
-	// Stale data rescues lame resolutions: if stale was served, the
-	// degraded class wins over lame.
 	for _, c := range conds {
 		if c == ConditionStaleServed || c == ConditionStaleNXServed {
 			return ClassDegraded
 		}
+		worst = max(worst, ClassOf(c))
 	}
 	return worst
 }

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -262,10 +263,13 @@ func TestUnreachableSignedZoneAddsDNSKEYUnobtainable(t *testing.T) {
 
 func TestProfileCodesDedupAndSort(t *testing.T) {
 	p := ProfileCloudflare()
-	set := p.Codes([]Condition{
+	var set ede.Set
+	for _, o := range p.Report([]Condition{
 		ConditionUnreachableRefused, ConditionDNSKEYUnobtainable,
 		ConditionUnreachableRefused, // duplicate
-	})
+	}, nil) {
+		set = append(set, ede.Code(o.InfoCode))
+	}
 	if !set.Equal(ede.Set{9, 22, 23}) {
 		t.Errorf("codes = %v", set)
 	}
@@ -273,6 +277,25 @@ func TestProfileCodesDedupAndSort(t *testing.T) {
 		if set[i] < set[i-1] {
 			t.Errorf("codes not sorted: %v", set)
 		}
+	}
+}
+
+// TestProfileReportExtraText: under ExtraText an option's EXTRA-TEXT is the
+// detail of the first condition that maps to its code and has one; a profile
+// without ExtraText attaches none.
+func TestProfileReportExtraText(t *testing.T) {
+	conds := []Condition{ConditionUnreachableRefused, ConditionUpstreamError, ConditionNetworkError, ConditionDNSKEYUnobtainable}
+	details := map[Condition]string{
+		ConditionUpstreamError:      "first detail behind 23",
+		ConditionNetworkError:       "second detail behind 23",
+		ConditionDNSKEYUnobtainable: "no DNSKEY",
+	}
+	got := fmt.Sprint(ProfileCloudflare().Report(conds, details))
+	if want := `[EDE 9: "no DNSKEY" EDE 22 EDE 23: "first detail behind 23"]`; got != want {
+		t.Errorf("Cloudflare reports %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(ProfileUnbound().Report([]Condition{ConditionDSNoMatchingKey}, map[Condition]string{ConditionDSNoMatchingKey: "x"})); got != "[EDE 9]" {
+		t.Errorf("Unbound reports %s, want [EDE 9] without EXTRA-TEXT", got)
 	}
 }
 

@@ -428,14 +428,13 @@ func (st *resolution) fetchAndCheckKeys(zone dnswire.Name, dsSet []dnswire.DS, s
 	chk := st.r.Cache.verified.CheckRRset(keyRRs, keySigs, []dnswire.DNSKEY{*m.MatchedKey}, now, sup)
 	switch chk.Status {
 	case dnssec.SigOK:
-		conds = nil
-		if r.Profile.AdvisoryStandbyKSK {
-			if tag, found := standbyKSKWithoutSig(published, keySigs); found {
-				conds = append(conds, ConditionStandbyKSKUnsigned)
-				detail = fmt.Sprintf("DNSKEY %d at %s has no covering RRSIG (key rollover in-progress, stand-by key, or attacker stripping signatures)", tag, zone)
-			}
+		// An advisory fact, recorded whatever the profile: only a profile
+		// whose Map lists it (Cloudflare's, §4.2 item 3) reports it.
+		if tag, found := standbyKSKWithoutSig(published, keySigs); found {
+			return published, []Condition{ConditionStandbyKSKUnsigned},
+				fmt.Sprintf("DNSKEY %d at %s has no covering RRSIG (key rollover in-progress, stand-by key, or attacker stripping signatures)", tag, zone)
 		}
-		return published, conds, detail
+		return published, nil, ""
 	case dnssec.SigMissing:
 		return nil, []Condition{ConditionNoRRSIGDNSKEY},
 			fmt.Sprintf("DNSKEY RRset at %s is unsigned", zone)

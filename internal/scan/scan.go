@@ -29,10 +29,37 @@ type Result struct {
 	// Skipped marks a domain the scan never resolved because the context
 	// was cancelled first; its other fields are zero.
 	Skipped bool
+	// Conditions and Details are the resolution's own
+	// (resolver.Result.Conditions and Details), shared, not copied: what
+	// ReportedBy turns into another profile's EDE options.
+	Conditions []resolver.Condition
+	Details    map[resolver.Condition]string
 }
 
 // HasEDE reports whether the domain triggered at least one EDE.
 func (r Result) HasEDE() bool { return len(r.Codes) > 0 }
+
+// ReportedBy returns r as profile p reports it: the same RCODE and AD bit,
+// with the EDE options p attaches for r's conditions (resolver.Profile.Report).
+// It is the result p's own resolver would have produced when p shares the
+// scanning resolver's behaviour class (resolver.Profile.SameBehaviour).
+func (r Result) ReportedBy(p *resolver.Profile) Result {
+	r.setEDEs(p.Report(r.Conditions, r.Details))
+	return r
+}
+
+// setEDEs fills Codes and ExtraTexts from a response's EDE options.
+func (r *Result) setEDEs(edes []dnswire.EDEOption) {
+	r.Codes, r.ExtraTexts = nil, nil
+	if len(edes) > 0 {
+		r.Codes = make([]uint16, len(edes))
+		r.ExtraTexts = make([]string, len(edes))
+		for i, e := range edes {
+			r.Codes[i] = e.InfoCode
+			r.ExtraTexts[i] = e.ExtraText
+		}
+	}
+}
 
 // Gate bounds how many resolutions may run at once, independently of the
 // worker count: a campaign governor shrinks the effective concurrency under
@@ -137,18 +164,13 @@ func (s *Scanner) run(ctx context.Context, next func() (dnswire.Name, int, bool)
 					continue
 				}
 				out := Result{
-					Domain: name,
-					RCode:  res.Msg.RCode,
-					Secure: res.Msg.AuthenticData,
+					Domain:     name,
+					RCode:      res.Msg.RCode,
+					Secure:     res.Msg.AuthenticData,
+					Conditions: res.Conditions,
+					Details:    res.Details,
 				}
-				if edes := res.Msg.EDEs(); len(edes) > 0 {
-					out.Codes = make([]uint16, len(edes))
-					out.ExtraTexts = make([]string, len(edes))
-					for i, e := range edes {
-						out.Codes[i] = e.InfoCode
-						out.ExtraTexts[i] = e.ExtraText
-					}
-				}
+				out.setEDEs(res.Msg.EDEs())
 				emit(seq, out)
 			}
 		}()

@@ -12,7 +12,9 @@ import (
 )
 
 // optionLists pins every settable field of the serving tier's option
-// structs (for the resolver, the exported fields that are not counters).
+// structs (for the resolver, the exported fields that are not counters) and
+// of a vendor profile: a behaviour class (Support, ServeStale) plus a
+// reporting table (Map, ExtraText).
 // The rule for adding one: a new option needs two non-test callers that want
 // different values. A value every caller leaves at its default, or that only
 // a flag with the same default sets, is a constant.
@@ -25,6 +27,7 @@ var optionLists = []struct {
 	{cluster.Config{}, []string{"Seed", "Frontend", "HotThreshold", "ForwardTimeout", "RemoteFailureLimit", "Manifest"}},
 	{cluster.ServingConfig{}, []string{"Shards", "Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL"}},
 	{resolver.Resolver{}, []string{"Net", "Roots", "Profile", "TrustAnchor", "Now", "Transport", "DisableDelegationCache", "AnswerCacheReadOnly", "Cache"}},
+	{resolver.Profile{}, []string{"Name", "Support", "Map", "ExtraText", "ServeStale"}},
 }
 
 // TestOptionListsClosed fails when one of the option structs gains or loses

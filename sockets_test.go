@@ -218,17 +218,17 @@ func TestOneScenarioLab(t *testing.T) {
 // runs on virtual time: injected latency is charged against the attempt
 // budget, validation and serving time come from an injected Now.
 var wallClockAllowed = map[string]string{
-	"internal/resolver/resolver.go: New: time.Now":           "the default validation clock; every deterministic caller injects Now",
-	"internal/resolver/transport.go: sleep: time.NewTimer":   "the real backoff sleep; scenarios and scans inject Sleep",
-	"internal/scan/scan.go: run: time.Now":                   "Stats.Elapsed, reported and never folded into an aggregate",
-	"internal/scan/scan.go: run: time.Since":                 "Stats.Elapsed, reported and never folded into an aggregate",
-	"internal/campaign/limiter.go: NewLimiter: time.Now":     "the default token-bucket clock; tests inject Now",
-	"internal/campaign/limiter.go: realSleep: time.NewTimer": "the real limiter wait; tests inject Sleep",
-	"internal/campaign/campaign.go: Progress: time.Since":    "the progress line's domains/s rate, display only",
-	"internal/campaign/campaign.go: Run: time.Now":           "measurement start and checkpoint cadence; neither reaches the snapshot's canonical payload",
-	"internal/campaign/campaign.go: Run: time.Since":         "checkpoint cadence",
-	"internal/campaign/campaign.go: Run: time.NewTicker":     "the governor's observation interval",
-	"internal/scenario/driver_frontend.go: fill: time.After": "the fill-settle poll: waits for goroutines to park, decides nothing",
+	"internal/resolver/resolver.go: New: time.Now":            "the default validation clock; every deterministic caller injects Now",
+	"internal/resolver/transport.go: sleep: time.NewTimer":    "the real backoff sleep; scenarios and scans inject Sleep",
+	"internal/scan/scan.go: run: time.Now":                    "Stats.Elapsed, reported and never folded into an aggregate",
+	"internal/scan/scan.go: run: time.Since":                  "Stats.Elapsed, reported and never folded into an aggregate",
+	"internal/campaign/limiter.go: NewLimiter: time.Now":      "the default token-bucket clock; tests inject Now",
+	"internal/campaign/limiter.go: realSleep: time.NewTimer":  "the real limiter wait; tests inject Sleep",
+	"internal/campaign/campaign.go: Progress: time.Since":     "the progress line's domains/s rate, display only",
+	"internal/campaign/campaign.go: RunViews: time.Now":       "measurement start and checkpoint cadence; neither reaches the snapshot's canonical payload",
+	"internal/campaign/campaign.go: RunViews: time.Since":     "checkpoint cadence",
+	"internal/campaign/campaign.go: RunViews: time.NewTicker": "the governor's observation interval",
+	"internal/scenario/driver_frontend.go: fill: time.After":  "the fill-settle poll: waits for goroutines to park, decides nothing",
 }
 
 // TestWallClockAllowList fails when a non-test file of the packages that
