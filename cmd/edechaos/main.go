@@ -3,9 +3,9 @@
 // hypothesis of expected RCODE/EDE cells plus telemetry probes.
 //
 //	edechaos run scenarios/frontend-shed-under-load.scn
-//	edechaos run scenario.scn -seed 7
+//	edechaos run -seed 7 scenario.scn
 //	edechaos suite scenarios/
-//	edechaos suite scenarios/ -seed 3 -v
+//	edechaos suite -seed 3 -v scenarios/
 //
 // Every run prints its effective seed (and embeds it in the verdict report):
 // a failing scenario is reproducible from its output alone. The suite
@@ -15,8 +15,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,71 +30,86 @@ import (
 // the tier-1 library test replay.
 const defaultSeed = 20230515
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	switch os.Args[1] {
-	case "run":
-		os.Exit(runCmd(os.Args[2:]))
-	case "suite":
-		os.Exit(suiteCmd(os.Args[2:]))
-	default:
-		fmt.Fprintf(os.Stderr, "edechaos: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  edechaos run <scenario-file> [-seed N]
-  edechaos suite <dir> [-seed N] [-v]`)
-}
-
-func runCmd(args []string) int {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	seed := fs.Uint64("seed", defaultSeed, "deterministic seed; the run is a pure function of (scenario, seed)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+// run is main with its inputs and outputs as parameters; the return value is
+// the exit status: 1 when a scenario FAILs, 2 for a command line or spec
+// that cannot be run.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
 		return 2
+	}
+	switch args[0] {
+	case "run":
+		return runCmd(args[1:], stdout, stderr)
+	case "suite":
+		return suiteCmd(args[1:], stdout, stderr)
+	default:
+		fmt.Fprintf(stderr, "edechaos: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return 2
+	}
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
+  edechaos run [-seed N] <scenario-file>
+  edechaos suite [-seed N] [-v] <dir>`)
+}
+
+// parseFlags parses a subcommand's flags, which must leave exactly one
+// argument; when ok is false the command exits with code.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) (code int, ok bool) {
+	fs.SetOutput(stderr)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	case err != nil || fs.NArg() != 1:
+		usage(stderr)
+		return 2, false
+	}
+	return 0, true
+}
+
+func runCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	seed := fs.Uint64("seed", defaultSeed, "deterministic seed; the run is a pure function of (scenario, seed)")
+	if code, ok := parseFlags(fs, args, stderr); !ok {
+		return code
 	}
 	sc, err := scenario.ParseFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edechaos: %v\n", err)
+		fmt.Fprintf(stderr, "edechaos: %v\n", err)
 		return 2
 	}
-	fmt.Printf("effective seed: %d\n", *seed)
+	fmt.Fprintf(stdout, "effective seed: %d\n", *seed)
 	res, err := scenario.Run(context.Background(), sc, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edechaos: %v\n", err)
+		fmt.Fprintf(stderr, "edechaos: %v\n", err)
 		return 2
 	}
-	fmt.Print(res.Report())
+	fmt.Fprint(stdout, res.Report())
 	if res.Verdict == scenario.VerdictFail {
 		return 1
 	}
 	return 0
 }
 
-func suiteCmd(args []string) int {
-	fs := flag.NewFlagSet("suite", flag.ExitOnError)
+func suiteCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("suite", flag.ContinueOnError)
 	seed := fs.Uint64("seed", defaultSeed, "deterministic seed applied to every scenario")
 	verbose := fs.Bool("v", false, "print each scenario's full verdict report")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
-		return 2
+	if code, ok := parseFlags(fs, args, stderr); !ok {
+		return code
 	}
 	files, err := filepath.Glob(filepath.Join(fs.Arg(0), "*.scn"))
 	if err != nil || len(files) == 0 {
-		fmt.Fprintf(os.Stderr, "edechaos: no *.scn files in %s\n", fs.Arg(0))
+		fmt.Fprintf(stderr, "edechaos: no *.scn files in %s\n", fs.Arg(0))
 		return 2
 	}
 	sort.Strings(files)
-	fmt.Printf("effective seed: %d\n\n", *seed)
+	fmt.Fprintf(stdout, "effective seed: %d\n\n", *seed)
 
 	type row struct {
 		name, driver string
@@ -105,17 +122,17 @@ func suiteCmd(args []string) int {
 	for _, f := range files {
 		sc, err := scenario.ParseFile(f)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edechaos: %v\n", err)
+			fmt.Fprintf(stderr, "edechaos: %v\n", err)
 			return 2
 		}
 		res, err := scenario.Run(context.Background(), sc, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "edechaos: %s: %v\n", sc.Name, err)
+			fmt.Fprintf(stderr, "edechaos: %s: %v\n", sc.Name, err)
 			return 2
 		}
 		if *verbose {
-			fmt.Print(res.Report())
-			fmt.Println()
+			fmt.Fprint(stdout, res.Report())
+			fmt.Fprintln(stdout)
 		}
 		r := row{
 			name: sc.Name, driver: sc.Driver, verdict: res.Verdict,
@@ -128,11 +145,11 @@ func suiteCmd(args []string) int {
 		rows = append(rows, r)
 	}
 
-	fmt.Printf("%-36s %-12s %-7s %s\n", "SCENARIO", "DRIVER", "VERDICT", "CHECKS")
+	fmt.Fprintf(stdout, "%-36s %-12s %-7s %s\n", "SCENARIO", "DRIVER", "VERDICT", "CHECKS")
 	for _, r := range rows {
-		fmt.Printf("%-36s %-12s %-7s %d/%d\n", r.name, r.driver, r.verdict, r.passed, r.tot)
+		fmt.Fprintf(stdout, "%-36s %-12s %-7s %d/%d\n", r.name, r.driver, r.verdict, r.passed, r.tot)
 		for _, fc := range r.failed {
-			fmt.Printf("    violated: %s\n", fc)
+			fmt.Fprintf(stdout, "    violated: %s\n", fc)
 		}
 	}
 	return exit

@@ -30,8 +30,10 @@ package main
 import (
 	"context"
 	"crypto/tls"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -46,51 +48,73 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
-func main() {
-	server := flag.String("server", "127.0.0.1:5353", "DNS server address")
-	qtypeName := flag.String("type", "A", "query type (A, AAAA, NS, SOA, TXT, DS, DNSKEY, NSEC3PARAM)")
-	timeout := flag.Duration("timeout", 3*time.Second, "query timeout")
-	noDO := flag.Bool("cd-only", false, "clear the DO bit")
-	cd := flag.Bool("cd", false, "set the CD (checking disabled) bit: receive bogus data with its EDE diagnostics instead of SERVFAIL")
-	useTCP := flag.Bool("tcp", false, "query over TCP (RFC 7766 two-byte framing)")
-	useTLS := flag.Bool("tls", false, "query over DoT (RFC 7858); -server is host:port of the TLS listener")
-	dohURL := flag.String("doh", "", "query over DoH (RFC 8484): endpoint URL like https://127.0.0.1:8443/dns-query (overrides -server)")
-	dohPost := flag.Bool("doh-post", false, "with -doh, use the POST application/dns-message form instead of GET ?dns=")
-	insecure := flag.Bool("insecure", false, "skip TLS certificate verification for -tls/-doh (edeserver's default cert is self-signed)")
-	traceMode := flag.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (ignores -server)")
-	profileName := flag.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
-	chaosSpec := flag.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
-	chaosSeed := flag.Uint64("chaos-seed", 20230515, "with -chaos, seed for the deterministic fault streams")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ededig [flags] <name>")
-		flag.Usage()
-		os.Exit(2)
+// run is main with its inputs and outputs as parameters; the return value is
+// the exit status: 1 when the query fails, 2 for a command line that cannot
+// be honoured as written.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ededig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	server := fs.String("server", "127.0.0.1:5353", "DNS server address")
+	qtypeName := fs.String("type", "A", "query type (A, AAAA, NS, SOA, TXT, DS, DNSKEY, NSEC3PARAM)")
+	timeout := fs.Duration("timeout", 3*time.Second, "query timeout")
+	noDO := fs.Bool("cd-only", false, "clear the DO bit")
+	cd := fs.Bool("cd", false, "set the CD (checking disabled) bit: receive bogus data with its EDE diagnostics instead of SERVFAIL")
+	useTCP := fs.Bool("tcp", false, "query over TCP (RFC 7766 two-byte framing)")
+	useTLS := fs.Bool("tls", false, "query over DoT (RFC 7858); -server is host:port of the TLS listener")
+	dohURL := fs.String("doh", "", "query over DoH (RFC 8484): endpoint URL like https://127.0.0.1:8443/dns-query (overrides -server)")
+	dohPost := fs.Bool("doh-post", false, "with -doh, use the POST application/dns-message form instead of GET ?dns=")
+	insecure := fs.Bool("insecure", false, "skip TLS certificate verification for -tls/-doh (edeserver's default cert is self-signed)")
+	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (ignores -server)")
+	profileName := fs.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
+	chaosSpec := fs.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
+	chaosSeed := fs.Uint64("chaos-seed", 20230515, "with -chaos, seed for the deterministic fault streams")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	name, err := dnswire.NewName(flag.Arg(0))
+	exit := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "ededig: "+format+"\n", a...)
+		return code
+	}
+
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ededig [flags] <name>")
+		fs.PrintDefaults()
+		return 2
+	}
+	name, err := dnswire.NewName(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ededig: bad name: %v\n", err)
-		os.Exit(2)
+		return exit(2, "bad name: %v", err)
 	}
 	qtype, ok := parseType(*qtypeName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "ededig: unknown type %q\n", *qtypeName)
-		os.Exit(2)
+		return exit(2, "unknown type %q", *qtypeName)
 	}
 
 	if *traceMode {
 		prof, ok := resolver.ProfileByName(*profileName)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ededig: unknown profile %q\n", *profileName)
-			os.Exit(2)
+			return exit(2, "unknown profile %q", *profileName)
 		}
-		runTrace(name, qtype, prof, *chaosSpec, *chaosSeed)
-		return
+		var fp *netsim.FaultProfile
+		if *chaosSpec != "" {
+			p, err := netsim.ParseFaultProfile(*chaosSpec)
+			if err != nil {
+				return exit(2, "bad -chaos spec: %v", err)
+			}
+			fp = &p
+		}
+		if err := runTrace(stdout, name, qtype, prof, fp, *chaosSeed); err != nil {
+			return exit(1, "%v", err)
+		}
+		return 0
 	}
 	if *chaosSpec != "" {
-		fmt.Fprintln(os.Stderr, "ededig: -chaos requires -trace (faults are injected into the in-process testbed)")
-		os.Exit(2)
+		return exit(2, "-chaos requires -trace (faults are injected into the in-process testbed)")
 	}
 
 	q := dnswire.NewQuery(uint16(time.Now().UnixNano()), name, qtype)
@@ -127,15 +151,15 @@ func main() {
 	}
 	rtt := time.Since(start)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ededig: query failed: %v\n", err)
-		os.Exit(1)
+		return exit(1, "query failed: %v", err)
 	}
 
-	fmt.Print(resp.String())
-	fmt.Printf(";; Query time: %d msec\n", rtt.Milliseconds())
-	fmt.Printf(";; SERVER: %s (%s)\n", via, transportName(*dohURL != "", *useTLS, *useTCP))
-	printEDEs(resp)
-	printDiagnosis(resp)
+	fmt.Fprint(stdout, resp.String())
+	fmt.Fprintf(stdout, ";; Query time: %d msec\n", rtt.Milliseconds())
+	fmt.Fprintf(stdout, ";; SERVER: %s (%s)\n", via, transportName(*dohURL != "", *useTLS, *useTCP))
+	printEDEs(stdout, resp)
+	printDiagnosis(stdout, resp)
+	return 0
 }
 
 // transportName labels the probe for the SERVER line.
@@ -154,23 +178,17 @@ func transportName(doh, dot, tcp bool) string {
 
 // runTrace resolves the name against the in-process testbed with a live
 // trace in the context, then renders the span tree the resolver built.
-// A non-empty chaos spec installs a deterministic fault plan on every
-// testbed path, seeded so the same invocation replays the same failures.
-func runTrace(name dnswire.Name, qtype dnswire.Type, prof *resolver.Profile, chaosSpec string, chaosSeed uint64) {
+// A fault profile installs a deterministic fault plan on every testbed
+// path, seeded so the same invocation replays the same failures.
+func runTrace(w io.Writer, name dnswire.Name, qtype dnswire.Type, prof *resolver.Profile, fp *netsim.FaultProfile, chaosSeed uint64) error {
 	tb, err := testbed.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ededig: building testbed: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("building testbed: %w", err)
 	}
-	if chaosSpec != "" {
-		fp, err := netsim.ParseFaultProfile(chaosSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ededig: bad -chaos spec: %v\n", err)
-			os.Exit(2)
-		}
-		tb.Net.SetFaults(netsim.NewFaultPlan(chaosSeed, fp))
-		fmt.Printf(";; chaos: %s\n", fp.String())
-		fmt.Printf(";; effective seed: %d\n", chaosSeed)
+	if fp != nil {
+		tb.Net.SetFaults(netsim.NewFaultPlan(chaosSeed, *fp))
+		fmt.Fprintf(w, ";; chaos: %s\n", fp.String())
+		fmt.Fprintf(w, ";; effective seed: %d\n", chaosSeed)
 	}
 	res := tb.NewResolver(prof)
 	ctx, tr := telemetry.StartTrace(context.Background(), fmt.Sprintf("%s %s", name, qtype))
@@ -179,41 +197,42 @@ func runTrace(name dnswire.Name, qtype dnswire.Type, prof *resolver.Profile, cha
 	rtt := time.Since(start)
 	tr.Root().End()
 
-	fmt.Print(result.Msg.String())
-	fmt.Printf(";; Query time: %d msec (in-process resolution, %s profile)\n",
+	fmt.Fprint(w, result.Msg.String())
+	fmt.Fprintf(w, ";; Query time: %d msec (in-process resolution, %s profile)\n",
 		rtt.Milliseconds(), res.Profile.Name)
-	printEDEs(result.Msg)
-	printDiagnosis(result.Msg)
-	fmt.Println(";; RESOLUTION TRACE:")
-	fmt.Print(tr.Render())
+	printEDEs(w, result.Msg)
+	printDiagnosis(w, result.Msg)
+	fmt.Fprintln(w, ";; RESOLUTION TRACE:")
+	fmt.Fprint(w, tr.Render())
+	return nil
 }
 
 // printEDEs decodes every EDE option in resp against the IANA registry.
-func printEDEs(resp *dnswire.Message) {
+func printEDEs(w io.Writer, resp *dnswire.Message) {
 	edes := resp.EDEs()
 	if len(edes) == 0 {
-		fmt.Println(";; no Extended DNS Errors")
+		fmt.Fprintln(w, ";; no Extended DNS Errors")
 		return
 	}
-	fmt.Println(";; EXTENDED DNS ERRORS:")
+	fmt.Fprintln(w, ";; EXTENDED DNS ERRORS:")
 	for _, e := range edes {
 		info, _ := ede.Lookup(ede.Code(e.InfoCode))
 		line := fmt.Sprintf(";;   %d (%s) [%s]", e.InfoCode, ede.Code(e.InfoCode).Name(), info.Category)
 		if e.ExtraText != "" {
 			line += fmt.Sprintf(": %q", e.ExtraText)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
 // printDiagnosis runs the troubleshooting engine over the response.
-func printDiagnosis(resp *dnswire.Message) {
+func printDiagnosis(w io.Writer, resp *dnswire.Message) {
 	d := ede.Diagnose(ede.Observe(resp))
-	fmt.Println(";; DIAGNOSIS:")
-	fmt.Printf(";;   severity:    %s\n", d.Severity)
-	fmt.Printf(";;   root cause:  %s\n", d.RootCause)
-	fmt.Printf(";;   party:       %s\n", d.Party)
-	fmt.Printf(";;   remediation: %s\n", d.Remediation)
+	fmt.Fprintln(w, ";; DIAGNOSIS:")
+	fmt.Fprintf(w, ";;   severity:    %s\n", d.Severity)
+	fmt.Fprintf(w, ";;   root cause:  %s\n", d.RootCause)
+	fmt.Fprintf(w, ";;   party:       %s\n", d.Party)
+	fmt.Fprintf(w, ";;   remediation: %s\n", d.Remediation)
 }
 
 func parseType(s string) (dnswire.Type, bool) {

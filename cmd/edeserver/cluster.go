@@ -1,9 +1,10 @@
 // Cluster serving mode: -cluster N runs this process as the primary — N
 // frontend replicas behind the consistent-hash router, with the control
 // plane mounted on -admin — while -join URL runs it as a secondary that
-// replicates the primary's serving config, verifies the zone manifest,
-// serves its own front door, and announces itself so the primary routes
-// its ring range here over UDP.
+// verifies the zone manifest and the vendor profile, serves its own front
+// door, and announces itself so the primary routes its ring range here over
+// UDP. Every replica builds its frontend from its own -cache-size and the
+// frontend defaults, so nothing else has to be replicated.
 //
 //	edeserver -cluster 1 -addr 127.0.0.1:5300 -admin 127.0.0.1:9970 &
 //	edeserver -join http://127.0.0.1:9970 -replica-id r1 -addr 127.0.0.1:5301 &
@@ -11,63 +12,42 @@
 //
 // SIGTERM on a secondary runs the rolling-restart protocol: announce
 // drain (the primary stops routing new queries here), keep serving for
-// -drain-grace so forwarded in-flight queries finish, announce leave,
-// then tear the listeners down. Restarting with the same -replica-id
-// rejoins and takes the ring range back.
+// drainGrace so forwarded in-flight queries finish, announce leave, then
+// tear the listeners down. Restarting with the same -replica-id rejoins and
+// takes the ring range back.
 package main
 
 import (
 	"context"
 	"fmt"
-	"net"
-	"os"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/cluster"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
-// clusterMode bundles what the -cluster / -join runners need from main.
-type clusterMode struct {
-	tb         *testbed.Testbed
-	conns      []net.PacketConn
-	prof       *resolver.Profile
-	tcfg       *resolver.TransportConfig
-	fcfg       frontend.Config
-	reg        *telemetry.Registry
-	sampler    *telemetry.Sampler
-	tlog       *telemetry.TraceLog
-	startAdmin func(mounts ...telemetry.Mount)
-	opts       frontDoorOpts
+// drainGrace is how long a draining secondary keeps serving between
+// announcing drain and leaving.
+const drainGrace = 500 * time.Millisecond
 
-	replicas     int           // -cluster
-	join         string        // -join
-	id           string        // -replica-id
-	advertise    string        // -advertise
-	hotThreshold int           // -hot-broadcast
-	drainGrace   time.Duration // -drain-grace
-}
+// profileEntry names the manifest line that carries the vendor profile. The
+// profile decides which EDEs an answer carries, so replicas must agree on it
+// as they agree on the zones; it travels in clear so a refusal can name both.
+const profileEntry = "profile"
 
-func runClusterMode(ctx context.Context, cm clusterMode) {
-	if cm.join != "" {
-		runClusterSecondary(ctx, cm)
-		return
-	}
-	runClusterPrimary(ctx, cm)
-}
-
-// clusterManifest derives the replication-plane zone manifest from the
-// testbed's logical layout. Hashing signed zone bytes would never match
-// across processes — every Build() generates fresh signing keys — so the
-// manifest pins what actually must agree for routing to be transparent:
-// the case labels, groups, query names, and Table 4 ground truth.
-func clusterManifest(tb *testbed.Testbed) []cluster.ZoneInfo {
-	zs := make([]cluster.ZoneInfo, 0, len(tb.Cases)+1)
+// clusterManifest derives the replication-plane manifest from the testbed's
+// logical layout and the vendor profile. Hashing signed zone bytes would
+// never match across processes — every Build() generates fresh signing keys
+// — so the manifest pins what actually must agree for routing to be
+// transparent: the case labels, groups, query names, Table 4 ground truth,
+// and the profile that turns a resolution into EDEs.
+func clusterManifest(tb *testbed.Testbed, prof *resolver.Profile) []cluster.ZoneInfo {
+	zs := make([]cluster.ZoneInfo, 0, len(tb.Cases)+2)
+	zs = append(zs, cluster.ZoneInfo{Name: profileEntry, Hash: prof.Name})
 	zs = append(zs, cluster.ZoneInfo{
 		Name: testbed.ParentZone.String(),
 		Hash: cluster.HashZoneText(fmt.Sprintf("parent|%d cases", len(tb.Cases))),
@@ -81,115 +61,98 @@ func clusterManifest(tb *testbed.Testbed) []cluster.ZoneInfo {
 	return zs
 }
 
-// runClusterPrimary serves the front door through an N-replica cluster and
-// mounts its REST control plane on the admin listener so -join secondaries
-// can replicate state and take ring ranges.
-func runClusterPrimary(ctx context.Context, cm clusterMode) {
+// servePrimary serves the front door through a cluster of n local replicas
+// and mounts its REST control plane on the admin listener so -join
+// secondaries can verify the manifest and take ring ranges.
+func (s *edeserver) servePrimary(ctx context.Context, n, hotThreshold int) error {
 	cl := cluster.New(cluster.Config{
 		Seed:         20230515,
-		Frontend:     cm.fcfg,
-		HotThreshold: cm.hotThreshold,
-		Manifest:     func() []cluster.ZoneInfo { return clusterManifest(cm.tb) },
+		Frontend:     s.fcfg,
+		HotThreshold: hotThreshold,
+		Manifest:     func() []cluster.ZoneInfo { return clusterManifest(s.tb, s.prof) },
 	})
-	for i := 0; i < cm.replicas; i++ {
-		res := cm.tb.NewResolver(cm.prof)
-		if cm.tcfg != nil {
-			res.Transport = cm.tcfg
-		}
+	for i := 0; i < n; i++ {
+		res := s.newResolver()
 		// The shared registry keeps one resolver's counters (registration
 		// is idempotent per name); per-replica serving metrics live at
 		// /api/cluster/metrics?replica=<id>.
 		if i == 0 {
-			res.RegisterMetrics(cm.reg)
+			res.RegisterMetrics(s.reg)
 		}
 		if _, err := cl.AddLocal(fmt.Sprintf("r%d", i), forwarder.ResolverUpstream{R: res}); err != nil {
-			fmt.Fprintf(os.Stderr, "edeserver: -cluster: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("-cluster: %w", err)
 		}
 	}
-	cl.RegisterMetrics(cm.reg)
-	cm.startAdmin(telemetry.Mount{Pattern: "/api/cluster/", Handler: cl.RESTHandler()})
-	fmt.Printf("cluster primary: %d local replica(s) behind the consistent-hash router; control plane at /api/cluster/\n", cm.replicas)
-
-	if !cm.opts.disableWire {
-		cm.opts.wire = cl
+	cl.RegisterMetrics(s.reg)
+	if err := s.startAdmin(ctx, telemetry.Mount{Pattern: "/api/cluster/", Handler: cl.RESTHandler()}); err != nil {
+		return err
 	}
-	front := tracedHandler(cl, cm.sampler, cm.tlog)
-	if err := serveFrontDoor(ctx, cm.conns, front, cm.reg, cm.opts); err != nil && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(s.stdout, "cluster primary: %d local replica(s) behind the consistent-hash router; control plane at /api/cluster/\n", n)
+	return s.serve(ctx, cl, cl)
 }
 
-// runClusterSecondary replicates the primary's serving config, refuses to
-// join across a zone-manifest mismatch, serves its own front door, and
-// runs the drain → leave protocol on SIGTERM.
-func runClusterSecondary(ctx context.Context, cm clusterMode) {
-	st, err := cluster.FetchState(ctx, cm.join)
+// serveSecondary refuses to join across a profile or zone-manifest
+// mismatch, serves its own front door, and runs the drain → leave protocol
+// when ctx ends (SIGTERM).
+func (s *edeserver) serveSecondary(ctx context.Context, join, id, adv string) error {
+	st, err := cluster.FetchState(ctx, join)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edeserver: -join %s: %v\n", cm.join, err)
-		os.Exit(1)
+		return fmt.Errorf("-join %s: %w", join, err)
 	}
-	if err := cluster.VerifyManifest(clusterManifest(cm.tb), st.Zones); err != nil {
-		fmt.Fprintf(os.Stderr, "edeserver: refusing to join %s: %v\n", cm.join, err)
-		os.Exit(1)
+	for _, z := range st.Zones {
+		if z.Name == profileEntry && z.Hash != s.prof.Name {
+			return fmt.Errorf("refusing to join %s: the primary answers as %s, this replica as %s (-profile)", join, z.Hash, s.prof.Name)
+		}
 	}
-	// The primary's epoch snapshot wins over local flags: every replica
-	// must serve with identical cache/stale/error behaviour or routing
-	// stops being transparent.
-	st.Config.Apply(&cm.fcfg)
+	if err := cluster.VerifyManifest(clusterManifest(s.tb, s.prof), st.Zones); err != nil {
+		return fmt.Errorf("refusing to join %s: %w", join, err)
+	}
 
-	res := cm.tb.NewResolver(cm.prof)
-	if cm.tcfg != nil {
-		res.Transport = cm.tcfg
+	res := s.newResolver()
+	res.RegisterMetrics(s.reg)
+	fe := frontend.New(forwarder.ResolverUpstream{R: res}, s.fcfg)
+	fe.RegisterMetrics(s.reg)
+	if err := s.startAdmin(ctx); err != nil {
+		return err
 	}
-	res.RegisterMetrics(cm.reg)
-	fe := frontend.New(forwarder.ResolverUpstream{R: res}, cm.fcfg)
-	fe.RegisterMetrics(cm.reg)
-	cm.startAdmin()
 
-	dnsAddr := cm.conns[0].LocalAddr().String()
-	id := cm.id
+	dnsAddr := s.conns[0].LocalAddr().String()
 	if id == "" {
 		id = "replica-" + dnsAddr
 	}
-	adv := cm.advertise
 	if adv == "" {
 		adv = dnsAddr
 	}
-
 	// The UDP socket is already bound, so the primary may route here the
 	// moment the join lands; queued packets drain when serving starts.
-	if _, err := cluster.Join(ctx, cm.join, id, adv); err != nil {
-		fmt.Fprintf(os.Stderr, "edeserver: -join %s: %v\n", cm.join, err)
-		os.Exit(1)
+	if _, err := cluster.Join(ctx, join, id, adv); err != nil {
+		return fmt.Errorf("-join %s: %w", join, err)
 	}
-	fmt.Printf("joined cluster at %s as %q (advertising %s, primary epoch %d)\n", cm.join, id, adv, st.Epoch)
+	fmt.Fprintf(s.stdout, "joined cluster at %s as %q (advertising %s, primary epoch %d)\n", join, id, adv, st.Epoch)
 
 	serveCtx, cancelServe := context.WithCancel(context.Background())
 	defer cancelServe()
 	go func() {
-		<-ctx.Done()
+		select {
+		case <-ctx.Done():
+		case <-serveCtx.Done():
+			return // serving failed: there is nothing to drain
+		}
 		dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := cluster.AnnounceDrain(dctx, cm.join, id); err != nil {
-			fmt.Fprintf(os.Stderr, "edeserver: drain announce: %v\n", err)
+		if err := cluster.AnnounceDrain(dctx, join, id); err != nil {
+			fmt.Fprintf(s.stderr, "edeserver: drain announce: %v\n", err)
 		}
 		// Keep serving while the primary's in-flight forwards finish.
-		time.Sleep(cm.drainGrace)
-		if err := cluster.AnnounceLeave(dctx, cm.join, id); err != nil {
-			fmt.Fprintf(os.Stderr, "edeserver: leave announce: %v\n", err)
+		time.Sleep(drainGrace)
+		if err := cluster.AnnounceLeave(dctx, join, id); err != nil {
+			fmt.Fprintf(s.stderr, "edeserver: leave announce: %v\n", err)
 		}
 		cancelServe()
 	}()
-
-	if !cm.opts.disableWire {
-		cm.opts.wire = fe
+	if err := s.serve(serveCtx, fe, fe); err != nil {
+		return err
 	}
-	var front netsim.Handler = tracedHandler(fe, cm.sampler, cm.tlog)
-	if err := serveFrontDoor(serveCtx, cm.conns, front, cm.reg, cm.opts); err != nil && serveCtx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("replica %q drained and left the cluster\n", id)
+	fmt.Fprintf(s.stdout, "replica %q drained and left the cluster\n", id)
+	return nil
 }

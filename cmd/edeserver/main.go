@@ -20,10 +20,11 @@
 // server fleet, useful for wire-level inspection.
 //
 // With -mode resolver the socket instead fronts a validating recursive
-// resolver (Cloudflare profile) over the same testbed through the caching
-// serving layer (internal/frontend): sharded message cache, query
-// coalescing, RFC 8767 serve-stale (EDE 3/19), an error cache (EDE 13), and
-// overload shedding. Clients receive the Extended DNS Errors themselves:
+// resolver (-profile; Cloudflare by default) over the same testbed through
+// the caching serving layer (internal/frontend): sharded message cache,
+// query coalescing, RFC 8767 serve-stale (EDE 3/19), an error cache (EDE
+// 13), and overload shedding. Clients receive the Extended DNS Errors
+// themselves:
 //
 //	edeserver -addr 127.0.0.1:5353 -mode resolver &
 //	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
@@ -42,16 +43,18 @@
 // /api/trace. /debug/pprof/* is also served.
 //
 // The serving counters (hits, misses, stale serves, coalesced waits, per-EDE
-// emissions, ...) are on the admin plane's /metrics. -no-frontend bypasses
-// the serving layer and runs one full recursion per packet, the pre-frontend
-// behaviour, for comparison.
+// emissions, ...) are on the admin plane's /metrics. A flag that cannot take
+// effect as written (-trace-sample without -admin, -tls-cert without a TLS
+// listener, ...) exits 2 before anything is built.
 package main
 
 import (
 	"context"
 	"crypto/tls"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"os"
@@ -70,174 +73,216 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:5353", "UDP listen address")
-	mode := flag.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
-	profileName := flag.String("profile", "cloudflare", "vendor profile for -mode resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
-	noFrontend := flag.Bool("no-frontend", false, "bypass the caching frontend in -mode resolver (one recursion per packet)")
-	admin := flag.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
-	traceSample := flag.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin to read back)")
-	traceRing := flag.Int("trace-ring", 256, "capacity of the sampled-trace ring buffer")
-	cacheSize := flag.Int("cache-size", 1<<16, "frontend cache capacity in entries: the bound on every client answer the server holds (the resolver behind the frontend stores none; with -no-frontend the resolver's own cache applies)")
-	maxInflight := flag.Int("max-inflight", 512, "bound on concurrent upstream recursions before load shedding")
-	queryTimeout := flag.Duration("query-timeout", 5*time.Second, "per-query upstream recursion deadline")
-	staleWindow := flag.Duration("stale-window", 24*time.Hour, "RFC 8767 window past expiry in which stale answers may be served")
-	chaos := flag.String("chaos", "", "inject faults into the simulated testbed network, e.g. 'loss=0.2,lat=100ms' (see internal/netsim.ParseFaultProfile)")
-	chaosSeed := flag.Uint64("chaos-seed", 20230515, "seed for the fault plan; replays deterministically")
-	retries := flag.Int("retries", 0, "resolver attempts per authoritative server in -mode resolver (0 = single-shot)")
-	retryBudget := flag.Int("retry-budget", 0, "total upstream queries per resolution step in -mode resolver (0 = unlimited)")
-	tcpAddr := flag.String("tcp", "", "TCP listen address (RFC 7766 framing with pipelining; empty = disabled)")
-	tlsAddr := flag.String("tls", "", "DoT listen address (RFC 7858; empty = disabled)")
-	dohAddr := flag.String("doh", "", "DoH listen address serving HTTPS /dns-query (RFC 8484; empty = disabled)")
-	tlsCert := flag.String("tls-cert", "", "PEM certificate chain for -tls/-doh (requires -tls-key; omitted = ephemeral self-signed)")
-	tlsKey := flag.String("tls-key", "", "PEM private key for -tls/-doh")
-	maxConns := flag.Int("max-conns", transport.DefaultMaxConns, "per-listener bound on concurrent stream connections before shedding with EDE 23")
-	idleTimeout := flag.Duration("idle-timeout", transport.DefaultIdleTimeout, "stream connection idle timeout")
-	reuseport := flag.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
-	noWireCache := flag.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
-	tcpKeepalive := flag.Duration("tcp-keepalive", 0, "edns-tcp-keepalive idle timeout advertised on TCP/DoT responses (RFC 7828; 0 = not advertised)")
-	clusterN := flag.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (implies -mode resolver; mounts /api/cluster/ on -admin for -join peers)")
-	joinURL := flag.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
-	replicaID := flag.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
-	advertiseAddr := flag.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
-	hotBroadcast := flag.Int("hot-broadcast", 0, "owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = never broadcast)")
-	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "how long a -join replica keeps serving between announcing drain and leaving on SIGTERM")
-	flag.Parse()
-	if *clusterN > 0 || *joinURL != "" {
-		*mode = "resolver"
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// traceRing is the capacity of the sampled-trace ring /api/trace reads.
+const traceRing = 256
+
+// run is main with its inputs and outputs as parameters: it serves until ctx
+// is cancelled (SIGINT/SIGTERM in main) and returns the exit status, 2 for a
+// command line that cannot be honoured as written.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("edeserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:5353", "UDP listen address")
+	mode := fs.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
+	profileName := fs.String("profile", "cloudflare", "vendor profile for -mode resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
+	admin := fs.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
+	traceSample := fs.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin)")
+	cacheSize := fs.Int("cache-size", 1<<16, "frontend cache capacity in entries: the bound on every client answer the server holds (the resolver behind the frontend stores none)")
+	chaos := fs.String("chaos", "", "inject faults into the simulated testbed network, e.g. 'loss=0.2,lat=100ms' (see internal/netsim.ParseFaultProfile)")
+	chaosSeed := fs.Uint64("chaos-seed", 20230515, "seed for the fault plan; replays deterministically")
+	retries := fs.Int("retries", 0, "resolver attempts per authoritative server in -mode resolver (0 = single-shot)")
+	retryBudget := fs.Int("retry-budget", 0, "total upstream queries per resolution step in -mode resolver (0 = unlimited)")
+	tcpAddr := fs.String("tcp", "", "TCP listen address (RFC 7766 framing with pipelining; empty = disabled)")
+	tlsAddr := fs.String("tls", "", "DoT listen address (RFC 7858; empty = disabled)")
+	dohAddr := fs.String("doh", "", "DoH listen address serving HTTPS /dns-query (RFC 8484; empty = disabled)")
+	tlsCert := fs.String("tls-cert", "", "PEM certificate chain for -tls/-doh (requires -tls-key; omitted = ephemeral self-signed)")
+	tlsKey := fs.String("tls-key", "", "PEM private key for -tls/-doh")
+	reuseport := fs.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
+	noWireCache := fs.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
+	tcpKeepalive := fs.Duration("tcp-keepalive", 0, "edns-tcp-keepalive idle timeout advertised on TCP/DoT responses (RFC 7828; 0 = not advertised)")
+	clusterN := fs.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (implies -mode resolver; mounts /api/cluster/ on -admin for -join peers)")
+	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL; implies -mode resolver)")
+	replicaID := fs.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
+	advertiseAddr := fs.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
+	hotBroadcast := fs.Int("hot-broadcast", 0, "with -cluster, owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = never broadcast)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *clusterN > 0 && *joinURL != "" {
-		fmt.Fprintln(os.Stderr, "edeserver: -cluster (primary) and -join (secondary) are mutually exclusive")
-		os.Exit(2)
+	exit := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "edeserver: "+format+"\n", a...)
+		return code
 	}
+
+	modeSet := false
+	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
+	clustered := *clusterN > 0 || *joinURL != ""
 	prof, ok := resolver.ProfileByName(*profileName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "edeserver: unknown profile %q\n", *profileName)
-		os.Exit(2)
+	var fp netsim.FaultProfile
+	var err error
+	if *chaos != "" {
+		fp, err = netsim.ParseFaultProfile(*chaos)
+	}
+	switch {
+	case fs.NArg() > 0:
+		return exit(2, "unexpected argument %q", fs.Arg(0))
+	case !ok:
+		return exit(2, "unknown profile %q", *profileName)
+	case err != nil:
+		return exit(2, "-chaos: %v", err)
+	case *mode != "auth" && *mode != "resolver":
+		return exit(2, "unknown -mode %q (auth or resolver)", *mode)
+	case *clusterN > 0 && *joinURL != "":
+		return exit(2, "-cluster (primary) and -join (secondary) are mutually exclusive")
+	case modeSet && *mode == "auth" && clustered:
+		return exit(2, "-cluster and -join serve a resolver; -mode auth cannot be honoured with them")
+	case (*tlsCert != "" || *tlsKey != "") && *tlsAddr == "" && *dohAddr == "":
+		return exit(2, "-tls-cert/-tls-key need a -tls or -doh listener to serve them")
+	case (*tlsCert == "") != (*tlsKey == ""):
+		return exit(2, "-tls-cert and -tls-key must be given together")
+	case *traceSample > 0 && *admin == "":
+		return exit(2, "-trace-sample needs -admin: sampled traces are read back at /api/trace")
+	case (*replicaID != "" || *advertiseAddr != "") && *joinURL == "":
+		return exit(2, "-replica-id and -advertise describe a -join secondary")
+	case *hotBroadcast > 0 && *clusterN == 0:
+		return exit(2, "-hot-broadcast tunes the -cluster primary's router")
+	}
+	if clustered {
+		*mode = "resolver"
 	}
 
 	tb, err := testbed.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
 	if *chaos != "" {
-		fp, err := netsim.ParseFaultProfile(*chaos)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edeserver: -chaos: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("injecting faults: %s (seed %d)\n", fp, *chaosSeed)
+		fmt.Fprintf(stdout, "injecting faults: %s (seed %d)\n", fp, *chaosSeed)
 		tb.Net.SetFaults(netsim.NewFaultPlan(*chaosSeed, fp))
 	}
 
-	conns, err := transport.ListenUDPReusePort(context.Background(), *addr, *reuseport)
+	conns, err := transport.ListenUDPReusePort(ctx, *addr, *reuseport)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-		os.Exit(1)
+		return exit(1, "%v", err)
 	}
-	conn := conns[0]
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
 	if len(conns) > 1 {
-		fmt.Printf("SO_REUSEPORT: %d UDP sockets on %s\n", len(conns), conn.LocalAddr())
+		fmt.Fprintf(stdout, "SO_REUSEPORT: %d UDP sockets on %s\n", len(conns), conns[0].LocalAddr())
 	}
-	fmt.Printf("serving the extended-dns-errors.com testbed on %s (mode %s)\n", conn.LocalAddr(), *mode)
-	fmt.Printf("zones: root, com, %s and %d test subdomains\n", testbed.ParentZone, len(tb.Cases))
+	fmt.Fprintf(stdout, "serving the extended-dns-errors.com testbed on %s (mode %s)\n", conns[0].LocalAddr(), *mode)
+	fmt.Fprintf(stdout, "zones: root, com, %s and %d test subdomains\n", testbed.ParentZone, len(tb.Cases))
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	reg := telemetry.NewRegistry()
-	tb.Net.RegisterMetrics(reg)
-	var tlog *telemetry.TraceLog
+	s := &edeserver{
+		tb: tb, conns: conns, prof: prof,
+		fcfg: frontend.Config{Capacity: *cacheSize},
+		reg:  telemetry.NewRegistry(), sampler: telemetry.NewSampler(*traceSample),
+		admin: *admin, mode: *mode,
+		tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr, certFile: *tlsCert, keyFile: *tlsKey,
+		disableWire: *noWireCache, tcpKeepalive: *tcpKeepalive,
+		stdout: stdout, stderr: stderr,
+	}
+	tb.Net.RegisterMetrics(s.reg)
 	if *traceSample > 0 {
-		tlog = telemetry.NewTraceLog(*traceRing)
+		s.tlog = telemetry.NewTraceLog(traceRing)
 	}
-	sampler := telemetry.NewSampler(*traceSample)
-	startAdmin := func(mounts ...telemetry.Mount) {
-		if *admin == "" {
-			return
-		}
-		h := telemetry.AdminHandler(reg, tlog, func() map[string]any {
-			return map[string]any{"mode": *mode, "dns_addr": conn.LocalAddr().String()}
-		}, mounts...)
-		adminAddr, err := telemetry.ServeAdmin(ctx, *admin, h)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "edeserver: -admin: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("admin plane on http://%s (/metrics /metrics.json /healthz /api/trace /debug/pprof)\n", adminAddr)
+	if *retries > 0 || *retryBudget > 0 {
+		s.tcfg = &resolver.TransportConfig{Retries: *retries, RetryBudget: *retryBudget, Backoff: 50 * time.Millisecond}
 	}
-
-	if *mode == "resolver" {
-		var tcfg *resolver.TransportConfig
-		if *retries > 0 || *retryBudget > 0 {
-			tcfg = &resolver.TransportConfig{
-				Retries:     *retries,
-				RetryBudget: *retryBudget,
-				Backoff:     50 * time.Millisecond,
-			}
-		}
-		fdOpts := frontDoorOpts{
-			tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr,
-			certFile: *tlsCert, keyFile: *tlsKey,
-			maxConns: *maxConns, idleTimeout: *idleTimeout,
-			disableWire: *noWireCache, tcpKeepalive: *tcpKeepalive,
-		}
-		fcfg := frontend.Config{
-			Capacity:     *cacheSize,
-			MaxInflight:  *maxInflight,
-			QueryTimeout: *queryTimeout,
-			StaleWindow:  *staleWindow,
-		}
-		if *clusterN > 0 || *joinURL != "" {
-			runClusterMode(ctx, clusterMode{
-				tb: tb, conns: conns, prof: prof, tcfg: tcfg,
-				fcfg: fcfg, reg: reg, sampler: sampler, tlog: tlog,
-				startAdmin: startAdmin, opts: fdOpts,
-				replicas: *clusterN, join: *joinURL,
-				id: *replicaID, advertise: *advertiseAddr,
-				hotThreshold: *hotBroadcast, drainGrace: *drainGrace,
-			})
-			return
-		}
-		startAdmin()
-		res := tb.NewResolver(prof)
-		if tcfg != nil {
-			res.Transport = tcfg
-		}
-		res.RegisterMetrics(reg)
-		var front netsim.Handler
-		var fe *frontend.Frontend
-		if *noFrontend {
-			front = forwarder.New(forwarder.ResolverUpstream{R: res})
-		} else {
-			fe = frontend.New(forwarder.ResolverUpstream{R: res}, fcfg)
-			fe.RegisterMetrics(reg)
-			front = fe
-		}
-		front = tracedHandler(front, sampler, tlog)
-		// The wire fast path is handed over explicitly: tracedHandler may
-		// wrap the frontend in a plain HandlerFunc (hiding its WireServer
-		// implementation from NewServer's auto-detect), and without tracing
-		// it returns the frontend bare (which auto-detect would find even
-		// under -no-wire-cache) — so both wire and disableWire are always
-		// set here. Wire hits bypass tracing: they never start a
-		// resolution, so there is no trace.
-		var wire transport.WireServer
-		if fe != nil && !*noWireCache {
-			wire = fe
-		}
-		fdOpts.wire = wire
-		if err := serveFrontDoor(ctx, conns, front, reg, fdOpts); err != nil && ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	switch {
+	case *clusterN > 0:
+		err = s.servePrimary(ctx, *clusterN, *hotBroadcast)
+	case *joinURL != "":
+		err = s.serveSecondary(ctx, *joinURL, *replicaID, *advertiseAddr)
+	case *mode == "resolver":
+		err = s.serveResolver(ctx)
+	default:
+		err = s.serveAuth(ctx)
 	}
+	if err != nil {
+		return exit(1, "%v", err)
+	}
+	return 0
+}
 
-	startAdmin()
+// edeserver is what every serving mode shares once the command line is
+// parsed: the testbed and its sockets, the resolver and frontend settings,
+// the admin plane, and the front door's listener flags.
+type edeserver struct {
+	tb      *testbed.Testbed
+	conns   []net.PacketConn
+	prof    *resolver.Profile
+	tcfg    *resolver.TransportConfig // nil: single-shot
+	fcfg    frontend.Config
+	reg     *telemetry.Registry
+	sampler *telemetry.Sampler
+	tlog    *telemetry.TraceLog // nil: tracing off
+	admin   string
+	mode    string
 
-	// Front the whole simulated network through one socket: route each
-	// query to the simulated endpoint that would be authoritative for it.
+	tcp, dot, doh     string
+	certFile, keyFile string
+	disableWire       bool
+	tcpKeepalive      time.Duration
+
+	stdout, stderr io.Writer
+}
+
+// newResolver builds a resolver over the testbed with the -profile and the
+// -retries/-retry-budget transport policy.
+func (s *edeserver) newResolver() *resolver.Resolver {
+	res := s.tb.NewResolver(s.prof)
+	if s.tcfg != nil {
+		res.Transport = s.tcfg
+	}
+	return res
+}
+
+// startAdmin brings the -admin HTTP plane up, with mounts beside the
+// standard endpoints; without -admin it does nothing.
+func (s *edeserver) startAdmin(ctx context.Context, mounts ...telemetry.Mount) error {
+	if s.admin == "" {
+		return nil
+	}
+	h := telemetry.AdminHandler(s.reg, s.tlog, func() map[string]any {
+		return map[string]any{"mode": s.mode, "dns_addr": s.conns[0].LocalAddr().String()}
+	}, mounts...)
+	adminAddr, err := telemetry.ServeAdmin(ctx, s.admin, h)
+	if err != nil {
+		return fmt.Errorf("-admin: %w", err)
+	}
+	fmt.Fprintf(s.stdout, "admin plane on http://%s (/metrics /metrics.json /healthz /api/trace /debug/pprof)\n", adminAddr)
+	return nil
+}
+
+// serveResolver serves one resolver through the caching frontend.
+func (s *edeserver) serveResolver(ctx context.Context) error {
+	if err := s.startAdmin(ctx); err != nil {
+		return err
+	}
+	res := s.newResolver()
+	res.RegisterMetrics(s.reg)
+	fe := frontend.New(forwarder.ResolverUpstream{R: res}, s.fcfg)
+	fe.RegisterMetrics(s.reg)
+	return s.serve(ctx, fe, fe)
+}
+
+// serveAuth fronts the whole simulated network through one socket: each
+// query goes to the simulated endpoint that would be authoritative for it.
+func (s *edeserver) serveAuth(ctx context.Context) error {
+	if err := s.startAdmin(ctx); err != nil {
+		return err
+	}
 	front := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		if len(q.Question) == 0 {
 			r := q.Reply()
@@ -247,9 +292,9 @@ func main() {
 		// Walk the simulated resolution from the root to find the deepest
 		// server that answers authoritatively (or with a referral we can
 		// follow).
-		servers := tb.Roots
+		servers := s.tb.Roots
 		for depth := 0; depth < 10; depth++ {
-			resp, next, done := step(ctx, tb, servers, q)
+			resp, next, done := step(ctx, s.tb, servers, q)
 			if done {
 				return resp, nil
 			}
@@ -259,48 +304,29 @@ func main() {
 		r.RCode = dnswire.RCodeServFail
 		return r, nil
 	})
-
-	if err := serveFrontDoor(ctx, conns, tracedHandler(front, sampler, tlog), reg, frontDoorOpts{
-		tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr,
-		certFile: *tlsCert, keyFile: *tlsKey,
-		maxConns: *maxConns, idleTimeout: *idleTimeout,
-		tcpKeepalive: *tcpKeepalive,
-	}); err != nil && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "edeserver: %v\n", err)
-		os.Exit(1)
-	}
+	return s.serve(ctx, front, nil)
 }
 
-// frontDoorOpts carries the listener flags into serveFrontDoor.
-type frontDoorOpts struct {
-	tcp, dot, doh     string
-	certFile, keyFile string
-	maxConns          int
-	idleTimeout       time.Duration
-	wire              transport.WireServer
-	disableWire       bool
-	tcpKeepalive      time.Duration
-}
-
-// serveFrontDoor runs the transport front door: one ServeUDP read loop per
-// UDP socket (several under -reuseport), plus whichever stream/HTTP
-// listeners the flags enabled, all funnelled into front. It blocks until
-// ctx is cancelled (SIGINT/SIGTERM) — at which point every listener drains
-// its in-flight queries — or a listener fails.
-func serveFrontDoor(ctx context.Context, conns []net.PacketConn, front netsim.Handler, reg *telemetry.Registry, opts frontDoorOpts) error {
+// serve runs the transport front door until ctx is cancelled (SIGINT/SIGTERM)
+// — at which point every listener drains its in-flight queries — or a
+// listener fails: one ServeUDP read loop per UDP socket (several under
+// -reuseport), plus whichever stream/HTTP listeners the flags enabled, all
+// funnelled into front. The wire fast path is handed over explicitly:
+// tracing may wrap front in a plain HandlerFunc, hiding its WireServer from
+// NewServer's auto-detect. Wire hits bypass tracing: they never start a
+// resolution, so there is no trace.
+func (s *edeserver) serve(ctx context.Context, front netsim.Handler, wire transport.WireServer) error {
 	srv := transport.NewServer(transport.Config{
-		Handler:      front,
-		MaxConns:     opts.maxConns,
-		IdleTimeout:  opts.idleTimeout,
-		Wire:         opts.wire,
-		DisableWire:  opts.disableWire,
-		TCPKeepalive: opts.tcpKeepalive,
-		Registry:     reg,
+		Handler:      tracedHandler(front, s.sampler, s.tlog),
+		Wire:         wire,
+		DisableWire:  s.disableWire,
+		TCPKeepalive: s.tcpKeepalive,
+		Registry:     s.reg,
 	})
 
 	var tlsConf *tls.Config
-	if opts.dot != "" || opts.doh != "" {
-		cert, err := frontDoorCert(opts)
+	if s.dot != "" || s.doh != "" {
+		cert, err := s.cert()
 		if err != nil {
 			return err
 		}
@@ -309,38 +335,37 @@ func serveFrontDoor(ctx context.Context, conns []net.PacketConn, front netsim.Ha
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errc := make(chan error, len(conns)+3)
+	errc := make(chan error, len(s.conns)+3)
 	n := 0
-	for _, conn := range conns {
-		conn := conn
+	for _, conn := range s.conns {
 		n++
 		go func() { errc <- srv.ServeUDP(ctx, conn) }()
 	}
 
-	if opts.tcp != "" {
-		l, err := net.Listen("tcp", opts.tcp)
+	if s.tcp != "" {
+		l, err := net.Listen("tcp", s.tcp)
 		if err != nil {
 			return fmt.Errorf("-tcp: %w", err)
 		}
-		fmt.Printf("TCP listener on %s\n", l.Addr())
+		fmt.Fprintf(s.stdout, "TCP listener on %s\n", l.Addr())
 		n++
 		go func() { errc <- srv.ServeTCP(ctx, l) }()
 	}
-	if opts.dot != "" {
-		l, err := net.Listen("tcp", opts.dot)
+	if s.dot != "" {
+		l, err := net.Listen("tcp", s.dot)
 		if err != nil {
 			return fmt.Errorf("-tls: %w", err)
 		}
-		fmt.Printf("DoT listener on %s\n", l.Addr())
+		fmt.Fprintf(s.stdout, "DoT listener on %s\n", l.Addr())
 		n++
 		go func() { errc <- srv.ServeDoT(ctx, l, tlsConf.Clone()) }()
 	}
-	if opts.doh != "" {
-		l, err := net.Listen("tcp", opts.doh)
+	if s.doh != "" {
+		l, err := net.Listen("tcp", s.doh)
 		if err != nil {
 			return fmt.Errorf("-doh: %w", err)
 		}
-		fmt.Printf("DoH endpoint on https://%s%s\n", l.Addr(), transport.DoHPath)
+		fmt.Fprintf(s.stdout, "DoH endpoint on https://%s%s\n", l.Addr(), transport.DoHPath)
 		n++
 		go func() { errc <- srv.ServeDoH(ctx, l, tlsConf.Clone()) }()
 	}
@@ -357,20 +382,17 @@ func serveFrontDoor(ctx context.Context, conns []net.PacketConn, front netsim.Ha
 	return firstErr
 }
 
-// frontDoorCert loads the -tls-cert/-tls-key pair, or mints an ephemeral
-// self-signed certificate for loopback lab use when none was given.
-func frontDoorCert(opts frontDoorOpts) (tls.Certificate, error) {
-	if opts.certFile != "" || opts.keyFile != "" {
-		if opts.certFile == "" || opts.keyFile == "" {
-			return tls.Certificate{}, fmt.Errorf("-tls-cert and -tls-key must be given together")
-		}
-		cert, err := tls.LoadX509KeyPair(opts.certFile, opts.keyFile)
+// cert loads the -tls-cert/-tls-key pair, or mints an ephemeral self-signed
+// certificate for loopback lab use when none was given.
+func (s *edeserver) cert() (tls.Certificate, error) {
+	if s.certFile != "" {
+		cert, err := tls.LoadX509KeyPair(s.certFile, s.keyFile)
 		if err != nil {
 			return tls.Certificate{}, fmt.Errorf("loading TLS key pair: %w", err)
 		}
 		return cert, nil
 	}
-	fmt.Println("no -tls-cert/-tls-key given: using an ephemeral self-signed certificate (clients need -insecure / kdig +tls-no-check)")
+	fmt.Fprintln(s.stdout, "no -tls-cert/-tls-key given: using an ephemeral self-signed certificate (clients need -insecure / kdig +tls-no-check)")
 	return transport.SelfSignedCert("localhost", "127.0.0.1", "::1")
 }
 

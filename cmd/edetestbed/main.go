@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/extended-dns-errors/edelab/internal/ede"
@@ -25,71 +27,92 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
-func main() {
-	table := flag.Int("table", 4, "which paper table to print (2, 3, or 4)")
-	expected := flag.Bool("expected", false, "print the paper's Table 4 instead of measuring")
-	diff := flag.Bool("diff", false, "compare the measured matrix against the paper cell by cell")
-	zones := flag.String("zones", "", "dump the master file of one test zone (a Table 2 label, or 'all')")
-	trace := flag.String("trace", "", "trace the resolution of one test case (a Table 2 label) under the Cloudflare profile")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; the return value is
+// the exit status (2 for a command line that cannot be honoured as written).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("edetestbed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 4, "which paper table to print (2, 3, or 4)")
+	expected := fs.Bool("expected", false, "print the paper's Table 4 instead of measuring")
+	diff := fs.Bool("diff", false, "compare the measured matrix against the paper cell by cell")
+	zones := fs.String("zones", "", "dump the master file of one test zone (a Table 2 label, or 'all')")
+	trace := fs.String("trace", "", "trace the resolution of one test case (a Table 2 label) under the Cloudflare profile")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *table < 2 || *table > 4 {
+		fmt.Fprintf(stderr, "edetestbed: -table %d: the paper's tables here are 2, 3 and 4\n", *table)
+		return 2
+	}
 
 	tb, err := testbed.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edetestbed: build: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "edetestbed: build: %v\n", err)
+		return 1
 	}
-
-	if *zones != "" {
-		dumpZones(tb, *zones)
-		return
-	}
-	if *trace != "" {
-		traceCase(tb, *trace)
-		return
+	unknown := func(label string) int {
+		fmt.Fprintf(stderr, "edetestbed: unknown case %q\n", label)
+		return 2
 	}
 
 	switch {
+	case *zones != "":
+		if !dumpZones(stdout, tb, *zones) {
+			return unknown(*zones)
+		}
+		return 0
+	case *trace != "":
+		if !traceCase(stdout, tb, *trace) {
+			return unknown(*trace)
+		}
+		return 0
 	case *table == 2:
-		printTable2(tb)
-		return
+		printTable2(stdout, tb)
+		return 0
 	case *table == 3:
-		printTable3(tb)
-		return
+		printTable3(stdout, tb)
+		return 0
 	case *expected:
-		fmt.Print(tb.ExpectedMatrix().Render())
-		return
+		fmt.Fprint(stdout, tb.ExpectedMatrix().Render())
+		return 0
 	}
 
-	fmt.Fprintln(os.Stderr, "resolving 63 cases × 7 vendor profiles ...")
+	fmt.Fprintln(stderr, "resolving 63 cases × 7 vendor profiles ...")
 	got := tb.RunAll(context.Background(), resolver.AllProfiles())
 
 	if *diff {
-		printDiff(tb, got)
-		return
+		printDiff(stdout, tb, got)
+		return 0
 	}
-	fmt.Print(got.Render())
-	fmt.Println()
-	fmt.Print(report.AgreementSummary(got.Agreement()))
-	fmt.Println()
-	fmt.Println("Specificity (cases with at least one EDE, per system):")
+	fmt.Fprint(stdout, got.Render())
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, report.AgreementSummary(got.Agreement()))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "Specificity (cases with at least one EDE, per system):")
 	for _, s := range got.Specificity() {
-		fmt.Printf("  %-18s %2d cases, %2d codes total\n", s.System, s.CasesWithEDE, s.TotalCodes)
+		fmt.Fprintf(stdout, "  %-18s %2d cases, %2d codes total\n", s.System, s.CasesWithEDE, s.TotalCodes)
 	}
-	fmt.Println()
-	fmt.Println("Pairwise agreement (extension; top and bottom 3 pairs):")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "Pairwise agreement (extension; top and bottom 3 pairs):")
 	pairs := got.Pairwise()
 	show := pairs
 	if len(pairs) > 6 {
 		show = append(append([]ede.PairAgreement(nil), pairs[:3]...), pairs[len(pairs)-3:]...)
 	}
 	for _, p := range show {
-		fmt.Printf("  %-18s ~ %-18s %2d/%2d (%.0f%%)\n", p.A, p.B, p.Agree, p.Total, 100*p.Ratio())
+		fmt.Fprintf(stdout, "  %-18s ~ %-18s %2d/%2d (%.0f%%)\n", p.A, p.B, p.Agree, p.Total, 100*p.Ratio())
 	}
+	return 0
 }
 
 // traceCase renders the span tree of one case's resolution, as ededig
-// -trace does.
-func traceCase(tb *testbed.Testbed, label string) {
+// -trace does; false means no case has that label.
+func traceCase(w io.Writer, tb *testbed.Testbed, label string) bool {
 	for _, c := range tb.Cases {
 		if c.Label != label {
 			continue
@@ -98,33 +121,36 @@ func traceCase(tb *testbed.Testbed, label string) {
 		ctx, tr := telemetry.StartTrace(context.Background(), c.Query.String()+" A")
 		res := tb.RunCase(ctx, r, c)
 		tr.Root().End()
-		fmt.Printf("; %s — %s\n", c.Label, c.Description)
-		fmt.Print(tr.Render())
-		fmt.Printf("=> rcode=%s ad=%t conditions=%v codes=%v\n",
+		fmt.Fprintf(w, "; %s — %s\n", c.Label, c.Description)
+		fmt.Fprint(w, tr.Render())
+		fmt.Fprintf(w, "=> rcode=%s ad=%t conditions=%v codes=%v\n",
 			res.Msg.RCode, res.Msg.AuthenticData, res.Conditions, res.Codes())
-		return
+		return true
 	}
-	fmt.Fprintf(os.Stderr, "edetestbed: unknown case %q\n", label)
-	os.Exit(2)
+	return false
 }
 
 // dumpZones prints the master-file form of the requested misconfigured
-// zone(s) — the artifact the paper's companion site distributes per case.
-func dumpZones(tb *testbed.Testbed, which string) {
+// zone(s) — the artifact the paper's companion site distributes per case;
+// false means no case has that label.
+func dumpZones(w io.Writer, tb *testbed.Testbed, which string) bool {
+	found := false
 	for _, c := range tb.Cases {
 		if which != "all" && c.Label != which {
 			continue
 		}
+		found = true
 		z, ok := tb.ZoneFor(c.Label)
 		if !ok {
-			fmt.Printf("; %s: no zone (invalid-glue case, configured at the parent)\n\n", c.Label)
+			fmt.Fprintf(w, "; %s: no zone (invalid-glue case, configured at the parent)\n\n", c.Label)
 			continue
 		}
-		fmt.Printf("; case %s — %s\n%s\n", c.Label, c.Description, z.Master())
+		fmt.Fprintf(w, "; case %s — %s\n%s\n", c.Label, c.Description, z.Master())
 	}
+	return found
 }
 
-func printTable2(tb *testbed.Testbed) {
+func printTable2(w io.Writer, tb *testbed.Testbed) {
 	groups := map[int]string{
 		1: "Control subdomain", 2: "DS misconfigurations",
 		3: "RRSIG misconfigurations", 4: "NSEC3 misconfigurations",
@@ -132,22 +158,22 @@ func printTable2(tb *testbed.Testbed) {
 		7: "Invalid A glue records", 8: "Other",
 	}
 	for g := 1; g <= 8; g++ {
-		fmt.Printf("%d. %s\n", g, groups[g])
+		fmt.Fprintf(w, "%d. %s\n", g, groups[g])
 		for _, c := range tb.Cases {
 			if c.Group == g {
-				fmt.Printf("    %s\n", c.Label)
+				fmt.Fprintf(w, "    %s\n", c.Label)
 			}
 		}
 	}
 }
 
-func printTable3(tb *testbed.Testbed) {
+func printTable3(w io.Writer, tb *testbed.Testbed) {
 	for _, c := range tb.Cases {
-		fmt.Printf("%-26s %s\n", c.Label, c.Description)
+		fmt.Fprintf(w, "%-26s %s\n", c.Label, c.Description)
 	}
 }
 
-func printDiff(tb *testbed.Testbed, got *ede.Matrix) {
+func printDiff(w io.Writer, tb *testbed.Testbed, got *ede.Matrix) {
 	mismatch := 0
 	for _, c := range tb.Cases {
 		for _, sys := range testbed.Systems {
@@ -158,10 +184,10 @@ func printDiff(tb *testbed.Testbed, got *ede.Matrix) {
 			g := got.Results[c.Label][sys]
 			if !g.Equal(want) {
 				mismatch++
-				fmt.Printf("MISMATCH %-26s %-16s got %-10s want %s\n", c.Label, sys, g, want)
+				fmt.Fprintf(w, "MISMATCH %-26s %-16s got %-10s want %s\n", c.Label, sys, g, want)
 			}
 		}
 	}
 	total := len(tb.Cases) * len(testbed.Systems)
-	fmt.Printf("%d/%d cells match the paper's Table 4\n", total-mismatch, total)
+	fmt.Fprintf(w, "%d/%d cells match the paper's Table 4\n", total-mismatch, total)
 }

@@ -47,14 +47,6 @@ func New(zones ...*zone.Zone) *Server {
 	return s
 }
 
-// AddZone registers another zone.
-func (s *Server) AddZone(z *zone.Zone) {
-	s.zones = append(s.zones, z)
-	sort.Slice(s.zones, func(i, j int) bool {
-		return s.zones[i].Origin.LabelCount() > s.zones[j].Origin.LabelCount()
-	})
-}
-
 // zoneFor returns the most specific zone containing name.
 func (s *Server) zoneFor(name dnswire.Name) *zone.Zone {
 	for _, z := range s.zones {

@@ -211,21 +211,3 @@ func (l *Limiter) Denied() uint64 { return l.denied.Load() }
 
 // Admitted returns how many attempts were admitted in total.
 func (l *Limiter) Admitted() uint64 { return l.admitted.Load() }
-
-// AdmittedTo returns how many attempts were admitted against one authority —
-// the per-endpoint count the qps-cap proof asserts on.
-func (l *Limiter) AdmittedTo(addr netip.Addr) uint64 {
-	if l.cfg.AuthorityQPS <= 0 {
-		return 0
-	}
-	sh := &l.shards[shardIndex(addr)]
-	sh.mu.Lock()
-	b, ok := sh.m[addr]
-	sh.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.admitted
-}

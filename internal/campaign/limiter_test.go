@@ -151,3 +151,21 @@ func TestLimiterInvariantUnderConcurrency(t *testing.T) {
 		t.Fatalf("Admitted = %d, want 400", l.Admitted())
 	}
 }
+
+// AdmittedTo returns how many attempts were admitted against one authority —
+// the per-endpoint count the qps-cap proof asserts on.
+func (l *Limiter) AdmittedTo(addr netip.Addr) uint64 {
+	if l.cfg.AuthorityQPS <= 0 {
+		return 0
+	}
+	sh := &l.shards[shardIndex(addr)]
+	sh.mu.Lock()
+	b, ok := sh.m[addr]
+	sh.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.admitted
+}

@@ -57,11 +57,9 @@ type Config struct {
 	// Seed feeds the ring's vnode placement (deterministic per seed).
 	Seed uint64
 	// Frontend is the serving configuration every local replica's frontend
-	// is built with; it is also the ServingConfig replicated to
-	// secondaries, so the whole cluster answers identically. The bounded-load
-	// cap follows from it: when the owning replica has twice its MaxInflight
-	// routed queries in flight, the router spills the query to the next ring
-	// node.
+	// is built with. The bounded-load cap follows from it: when the owning
+	// replica has twice its MaxInflight routed queries in flight, the router
+	// spills the query to the next ring node.
 	Frontend frontend.Config
 	// HotThreshold is how many router-observed hits a key needs before the
 	// owner's cache entry (pre-packed wire bytes included) is broadcast to
@@ -309,14 +307,6 @@ func (c *Cluster) Rejoin(id string) error {
 // Epoch returns the current replication epoch.
 func (c *Cluster) Epoch() uint64 { return c.epochA.Load() }
 
-// BumpZone records a zone-content change, advancing the epoch so
-// secondaries detect it via /diff and re-verify the manifest.
-func (c *Cluster) BumpZone(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bumpLocked("zone", name)
-}
-
 // walkBuf sizes the caller-owned array a ring walk fills; a larger cluster
 // spills the tail of its walk to the heap.
 const walkBuf = 8
@@ -480,7 +470,8 @@ func (c *Cluster) noteResult(nd *node, ok bool) {
 }
 
 // ServeWire implements transport.WireServer: a wire-cache hit on the
-// owning (or takeover) replica is served without parsing. A miss falls
+// owning (or takeover) replica is served without parsing, and a takeover
+// hit counts as a takeover as it does on the parsed path. A miss falls
 // back to the full HandleDNS path, which peeks before recursing.
 func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte, bool) {
 	v := c.viewP.Load()
@@ -498,6 +489,8 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 	}
 	if target == owner {
 		c.trackHot(v, owner, frontend.PeekKey{Name: q.Name, Type: q.Type, CD: q.CD}, h)
+	} else {
+		c.m.takeovers.Add(1) // the owner is out of rotation (wireTarget)
 	}
 	return out, true
 }

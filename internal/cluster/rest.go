@@ -10,9 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"time"
-
-	"github.com/extended-dns-errors/edelab/internal/frontend"
 )
 
 // REST replication plane: the primary exposes /api/cluster/* on its admin
@@ -59,18 +56,6 @@ func VerifyManifest(local, remote []ZoneInfo) error {
 	return nil
 }
 
-// ServingConfig is the replicated serving configuration: the frontend
-// knobs every replica must share so the cluster answers identically.
-// Durations travel as nanoseconds.
-type ServingConfig struct {
-	Shards       int           `json:"shards"`
-	Capacity     int           `json:"capacity"`
-	MaxInflight  int           `json:"max_inflight"`
-	QueryTimeout time.Duration `json:"query_timeout_ns"`
-	StaleWindow  time.Duration `json:"stale_window_ns"`
-	ErrorTTL     time.Duration `json:"error_ttl_ns"`
-}
-
 // MemberInfo is one member's replicated view.
 type MemberInfo struct {
 	ID           string `json:"id"`
@@ -84,16 +69,15 @@ type MemberInfo struct {
 // State is the epoch-numbered snapshot a joining or rejoining replica
 // replays before taking traffic.
 type State struct {
-	Epoch   uint64        `json:"epoch"`
-	Config  ServingConfig `json:"config"`
-	Zones   []ZoneInfo    `json:"zones"`
-	Members []MemberInfo  `json:"members"`
+	Epoch   uint64       `json:"epoch"`
+	Zones   []ZoneInfo   `json:"zones"`
+	Members []MemberInfo `json:"members"`
 }
 
 // Change is one entry in the incremental replication log.
 type Change struct {
 	Epoch uint64 `json:"epoch"`
-	Kind  string `json:"kind"` // join|rejoin|leave|drain|down|zone|config
+	Kind  string `json:"kind"` // join|rejoin|leave|drain|down|zone
 	Name  string `json:"name"`
 }
 
@@ -107,33 +91,11 @@ type Diff struct {
 	Changes []Change `json:"changes,omitempty"`
 }
 
-// ServingConfig derives the replicated config from the cluster's frontend
-// configuration, which New filled with the frontend's defaults, so
-// secondaries apply the concrete values the primary serves with.
-func (c *Cluster) ServingConfig() ServingConfig {
-	f := c.cfg.Frontend
-	return ServingConfig{
-		Shards: f.Shards, Capacity: f.Capacity, MaxInflight: f.MaxInflight,
-		QueryTimeout: f.QueryTimeout, StaleWindow: f.StaleWindow, ErrorTTL: f.ErrorTTL,
-	}
-}
-
-// Apply overwrites a frontend config's replicated knobs, so a joining
-// secondary serves with exactly the primary's serving parameters.
-func (sc ServingConfig) Apply(f *frontend.Config) {
-	f.Shards = sc.Shards
-	f.Capacity = sc.Capacity
-	f.MaxInflight = sc.MaxInflight
-	f.QueryTimeout = sc.QueryTimeout
-	f.StaleWindow = sc.StaleWindow
-	f.ErrorTTL = sc.ErrorTTL
-}
-
 // StateSnapshot builds the current epoch snapshot.
 func (c *Cluster) StateSnapshot() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := State{Epoch: c.epoch, Config: c.ServingConfig()}
+	st := State{Epoch: c.epoch}
 	if c.cfg.Manifest != nil {
 		st.Zones = append(st.Zones, c.cfg.Manifest()...)
 		sort.Slice(st.Zones, func(i, j int) bool { return st.Zones[i].Name < st.Zones[j].Name })

@@ -6,20 +6,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/extended-dns-errors/edelab/internal/frontend"
 )
 
 func restCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cl := New(Config{
 		Seed: 1,
-		Frontend: frontend.Config{
-			Capacity:    1024,
-			MaxInflight: 16,
-			ErrorTTL:    10 * time.Second,
-		},
 		Manifest: func() []ZoneInfo {
 			return []ZoneInfo{
 				{Name: "com.", Hash: HashZoneText("com-zone")},
@@ -48,12 +40,6 @@ func TestClusterRESTJoinStateDiff(t *testing.T) {
 	}
 	if len(st.Zones) != 2 || st.Zones[0].Name != "com." {
 		t.Fatalf("unexpected zones: %+v", st.Zones)
-	}
-	if st.Config.MaxInflight != 16 || st.Config.ErrorTTL != 10*time.Second {
-		t.Fatalf("replicated config lost knobs: %+v", st.Config)
-	}
-	if st.Config.QueryTimeout != 5*time.Second {
-		t.Fatalf("replicated config missing defaults: %+v", st.Config)
 	}
 	base := st.Epoch
 
@@ -157,27 +143,10 @@ func TestVerifyManifest(t *testing.T) {
 	}
 }
 
-func TestServingConfigApply(t *testing.T) {
-	cl := restCluster(t)
-	sc := cl.ServingConfig()
-	var fc frontend.Config
-	sc.Apply(&fc)
-	if fc.MaxInflight != 16 || fc.ErrorTTL != 10*time.Second || fc.QueryTimeout != 5*time.Second {
-		t.Fatalf("Apply dropped knobs: %+v", fc)
-	}
-}
-
-// TestServingConfigRoundTrip: a secondary built from the replicated config
-// replicates the same config in turn, so defaults are filled once and a
-// negative stale window (serve nothing stale) does not turn into the
-// default one on the way.
-func TestServingConfigRoundTrip(t *testing.T) {
-	for _, fc := range []frontend.Config{{}, {StaleWindow: -1}, {Capacity: 100, MaxInflight: 16, ErrorTTL: 10 * time.Second}} {
-		sc := New(Config{Frontend: fc}).ServingConfig()
-		var applied frontend.Config
-		sc.Apply(&applied)
-		if again := New(Config{Frontend: applied}).ServingConfig(); again != sc {
-			t.Errorf("%+v replicates as %+v, then as %+v", fc, sc, again)
-		}
-	}
+// BumpZone records a zone-content change, advancing the epoch so
+// secondaries detect it via /diff and re-verify the manifest.
+func (c *Cluster) BumpZone(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bumpLocked("zone", name)
 }

@@ -299,3 +299,6 @@ func TestPairwiseAgreement(t *testing.T) {
 		t.Errorf("ratio = %f", pairs[0].Ratio())
 	}
 }
+
+// IsDNSSEC reports whether c concerns DNSSEC validation.
+func (c Code) IsDNSSEC() bool { return c.Category() == CategoryDNSSEC }

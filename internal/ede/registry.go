@@ -129,9 +129,6 @@ func (c Code) Category() Category {
 	return CategoryOther
 }
 
-// IsDNSSEC reports whether c concerns DNSSEC validation.
-func (c Code) IsDNSSEC() bool { return c.Category() == CategoryDNSSEC }
-
 func (c Code) String() string {
 	return fmt.Sprintf("%s (%d)", c.Name(), uint16(c))
 }

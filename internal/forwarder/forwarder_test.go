@@ -147,7 +147,7 @@ func TestClientReheadCannotCorruptUpstream(t *testing.T) {
 }
 
 // TestStandaloneResolverServesNoStaleError: a resolver serving on its own
-// (New over ResolverUpstream, edeserver -no-frontend) caches a lame domain's
+// (New over ResolverUpstream) caches a lame domain's
 // SERVFAIL for ErrorTTL and answers repeats from it with EDE 13. Once that
 // entry has expired and the retry fails too, the answer is the retry's own
 // failure, EDE 22 and 23, and not the expired error served as stale (EDE 3):

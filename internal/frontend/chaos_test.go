@@ -167,10 +167,10 @@ func TestChaosServeStaleWhenBackendFlaps(t *testing.T) {
 
 // TestChaosStaleIsTheProfilesCall: a frontend answers as the resolver behind
 // it would answer alone. For every profile, a frontend over a resolver and a
-// standalone resolver (forwarder.New, what edeserver -no-frontend serves)
-// give the same RCODE, EDE set and answer count while a cached name expires,
-// its authorities go down and come back. Only BIND and Cloudflare serve
-// stale, and only Cloudflare marks a cached error with EDE 13.
+// standalone resolver (forwarder.New) give the same RCODE, EDE set and
+// answer count while a cached name expires, its authorities go down and come
+// back. Only BIND and Cloudflare serve stale, and only Cloudflare marks a
+// cached error with EDE 13.
 func TestChaosStaleIsTheProfilesCall(t *testing.T) {
 	steps := []struct {
 		name    string

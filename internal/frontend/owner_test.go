@@ -96,7 +96,7 @@ func domainNames(pop *population.Population) []dnswire.Name {
 // no answer — the same at 3,030 domains as at 30,300. Zone cuts are shared
 // infrastructure, kept as before: the resolver holds as many as a standalone
 // twin does. The same names through forwarder.New (a resolver serving on its
-// own, edeserver -no-frontend) leave one answer per name in that resolver.
+// own) leave one answer per name in that resolver.
 func TestFrontedResolverStoresNoAnswers(t *testing.T) {
 	sizes := []int{3030, 30300}
 	if testing.Short() {

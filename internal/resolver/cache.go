@@ -52,7 +52,7 @@ const numShards = 64
 // cuts, zone keys. It is deliberately generous — far above anything the
 // testbed or wild-scan populations produce — so default-configured runs never
 // evict. The answer map can approach it only on a standalone resolver
-// (forwarder.New, edeserver -no-frontend): a scan and a frontend's recursions
+// (forwarder.New, the testbed): a scan and a frontend's recursions
 // store no answers. The cut and key maps grow with the zones a serving
 // resolver resolves under, fronted or not; only a scan (AnswerCacheReadOnly)
 // keeps its own names' cuts and keys off them. A full cut map of unsigned

@@ -45,24 +45,6 @@ func (l *TraceLog) Total() uint64 {
 	return l.total
 }
 
-// Recent returns up to n traces, newest first.
-func (l *TraceLog) Recent(n int) []*Trace {
-	if l == nil || n <= 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*Trace, 0, n)
-	for i := 1; i <= len(l.buf) && len(out) < n; i++ {
-		t := l.buf[(l.next-i+len(l.buf))%len(l.buf)]
-		if t == nil {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // Find returns the newest trace whose name contains q (case-insensitive),
 // or nil. An empty q matches the newest trace.
 func (l *TraceLog) Find(q string) *Trace {

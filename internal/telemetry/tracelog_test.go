@@ -81,3 +81,21 @@ func TestSampler(t *testing.T) {
 		t.Fatal("nil sampler must never sample")
 	}
 }
+
+// Recent returns up to n traces, newest first.
+func (l *TraceLog) Recent(n int) []*Trace {
+	if l == nil || n <= 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]*Trace, 0, n)
+	for i := 1; i <= len(l.buf) && len(out) < n; i++ {
+		t := l.buf[(l.next-i+len(l.buf))%len(l.buf)]
+		if t == nil {
+			break
+		}
+		out = append(out, t)
+	}
+	return out
+}

@@ -153,3 +153,14 @@ func TestKeepaliveFrameBound(t *testing.T) {
 		t.Fatalf("errors counted = %d, want 1", got)
 	}
 }
+
+// ServerIdleTimeout reports the idle timeout the server advertised via
+// edns-tcp-keepalive on this connection, if any.
+func (c *StreamClient) ServerIdleTimeout() (time.Duration, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.keepalive <= 0 {
+		return 0, false
+	}
+	return c.keepalive, true
+}

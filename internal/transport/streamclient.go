@@ -140,17 +140,6 @@ func (c *StreamClient) noteKeepaliveLocked(resp *dnswire.Message) {
 	}
 }
 
-// ServerIdleTimeout reports the idle timeout the server advertised via
-// edns-tcp-keepalive on this connection, if any.
-func (c *StreamClient) ServerIdleTimeout() (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.keepalive <= 0 {
-		return 0, false
-	}
-	return c.keepalive, true
-}
-
 // Dials reports how many connections the client has opened — the number a
 // reuse test asserts against.
 func (c *StreamClient) Dials() uint64 { return c.dials.Load() }

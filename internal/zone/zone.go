@@ -223,9 +223,6 @@ func (z *Zone) addGlue(host dnswire.Name, addrs []netip.Addr) {
 	}
 }
 
-// IsDelegation reports whether name is a delegation point in this zone.
-func (z *Zone) IsDelegation(name dnswire.Name) bool { return z.delegations[name] }
-
 // delegationAbove returns the closest delegation point at or above name
 // (strictly below the origin), if any.
 func (z *Zone) delegationAbove(name dnswire.Name) (dnswire.Name, bool) {
@@ -247,9 +244,6 @@ func (z *Zone) Authoritative(name dnswire.Name) bool {
 	_, below := z.delegationAbove(name)
 	return !below
 }
-
-// Signed reports whether Sign has run.
-func (z *Zone) Signed() bool { return z.signed }
 
 func (z *Zone) String() string {
 	return fmt.Sprintf("zone %s (%d rrsets, signed=%t)", z.Origin, len(z.rrsets), z.signed)

@@ -25,14 +25,13 @@ var optionLists = []struct {
 	{frontend.Config{}, []string{"Shards", "Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL", "Now", "Peek"}},
 	{transport.Config{}, []string{"Handler", "MaxConns", "MaxPipeline", "MaxUDPInflight", "Wire", "DisableWire", "TCPKeepalive", "IdleTimeout", "Registry"}},
 	{cluster.Config{}, []string{"Seed", "Frontend", "HotThreshold", "ForwardTimeout", "RemoteFailureLimit", "Manifest"}},
-	{cluster.ServingConfig{}, []string{"Shards", "Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL"}},
 	{resolver.Resolver{}, []string{"Net", "Roots", "Profile", "TrustAnchor", "Now", "Transport", "DisableDelegationCache", "AnswerCacheReadOnly", "Cache"}},
 	{resolver.Profile{}, []string{"Name", "Support", "Map", "ExtraText", "ServeStale"}},
 }
 
 // TestOptionListsClosed fails when one of the option structs gains or loses
-// a settable field. A knob no caller sets still has to be read, documented
-// and replicated. Each one listed is set by some caller; transport
+// a settable field. A knob no caller sets still has to be read and
+// documented. Each one listed is set by some caller; transport
 // MaxPipeline and MaxUDPInflight, cluster ForwardTimeout and
 // RemoteFailureLimit, and frontend Shards only by tests that shrink them to
 // reach a shed, timeout or eviction path.

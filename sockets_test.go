@@ -290,19 +290,36 @@ var detachedAllowed = map[string]string{
 	"dnssec.VerifyRRSIG": "the memo-free reference verifier the memoised path is tested against",
 	"dnssec.CheckRRset":  "the memo-free RRset check, read by the nested bench/ module, which this walk skips",
 	"telemetry.WithSpan": "the only way for tests outside telemetry to build the disabled-tracing context",
-	"zone.ParseMaster":   "the oracle that round-trips zone.Master until a committed master-file golden replaces it",
 	"scan.SliceSource":   "read by the nested bench/ module, which this walk skips",
+}
+
+// detachedMethodsAllowed is every exported method of this module whose name
+// no non-test selector uses, each with why it stays.
+var detachedMethodsAllowed = map[string]string{
+	"cluster.(*Cluster).OwnerID":                 "read by the nested bench/ module, which this walk skips",
+	"frontend.(*Frontend).Metrics":               "read by the nested bench/ module, which this walk skips",
+	"scan.(*Scanner).ScanStream":                 "read by the nested bench/ module, which this walk skips",
+	"scenario.(*ParseError).Unwrap":              "errors.Is and errors.As call it through the unwrap interface",
+	"dnswire.(*Message).PackNoCompress":          "the uncompressed encoding dnswire's fuzzers check Pack against and the root name-compression ablation measures",
+	"frontend.(*Frontend).FlushCache":            "the cluster tests empty a replica's cache to prove a broadcast refills it",
+	"netsim.(*Network).Deregister":               "the resolver tests take an authority off the network mid-resolution",
+	"netsim.(*Network).SetLossRate":              "the resolver tests drop a share of every path's queries",
+	"resolver.(*Resolver).VerifiesPerResolution": "the population tests pin opt-out proofs' verification cost",
 }
 
 // TestNoDetachedExports fails when an exported top-level function of this
 // module has no reference in a non-test file, its own package included, and
-// is not in detachedAllowed; and when an allow-list entry is referenced after
-// all or names nothing. A function only tests call is a test helper or dead
-// code: move it into a test file or delete it.
+// is not in detachedAllowed; when an exported method's name appears in no
+// non-test selector (x.Name) and the method is not in detachedMethodsAllowed;
+// and when an allow-list entry is referenced after all or names nothing. A
+// function or method only tests call is a test helper or dead code: move it
+// into a test file or delete it.
 func TestNoDetachedExports(t *testing.T) {
 	const module = "github.com/extended-dns-errors/edelab/"
-	decls := map[string]token.Position{} // "pkg.Func" → its declaration
-	refs := map[string]bool{}            // "pkg.Name" referenced from non-test code
+	decls := map[string]token.Position{}   // "pkg.Func" → its declaration
+	refs := map[string]bool{}              // "pkg.Name" referenced from non-test code
+	methods := map[string]token.Position{} // "pkg.(*T).Method" → its declaration
+	selected := map[string]bool{}          // every name a non-test selector picks
 	eachSourceFile(t, func(path string, fset *token.FileSet, file *ast.File) {
 		pkg := filepath.Base(filepath.Dir(path))
 		imports := map[string]string{} // local name → package directory base
@@ -318,10 +335,21 @@ func TestNoDetachedExports(t *testing.T) {
 			imports[name] = filepath.Base(p)
 		}
 		for _, d := range file.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+			fn, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok || !fn.Name.IsExported():
+			case fn.Recv == nil:
 				decls[pkg+"."+fn.Name.Name] = fset.Position(fn.Pos())
+			default:
+				methods[pkg+"."+receiver(fn.Recv.List[0].Type)+"."+fn.Name.Name] = fset.Position(fn.Pos())
 			}
 		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel.Name] = true
+			}
+			return true
+		})
 		// Record every identifier in an expression position: a selector on
 		// an import of this module names that package's function, a bare
 		// identifier names one of its own package. Declared names, field
@@ -384,4 +412,41 @@ func TestNoDetachedExports(t *testing.T) {
 			t.Errorf("detachedAllowed entry %q names no exported function; delete it", name)
 		}
 	}
+
+	names = names[:0]
+	for name := range methods {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		method := name[strings.LastIndex(name, ".")+1:]
+		switch reason := detachedMethodsAllowed[name]; {
+		case !selected[method] && reason == "":
+			t.Errorf("%s: exported method %s is selected by no non-test code; delete it, move it into a test file, or add it to detachedMethodsAllowed with the reason",
+				methods[name], name)
+		case selected[method] && reason != "":
+			t.Errorf("detachedMethodsAllowed entry %q is selected by non-test code; delete the entry", name)
+		}
+	}
+	for name := range detachedMethodsAllowed {
+		if _, ok := methods[name]; !ok {
+			t.Errorf("detachedMethodsAllowed entry %q names no exported method; delete it", name)
+		}
+	}
+}
+
+// receiver renders a method's receiver type as T or (*T), type parameters
+// dropped.
+func receiver(expr ast.Expr) string {
+	switch e := expr.(type) {
+	case *ast.StarExpr:
+		return "(*" + receiver(e.X) + ")"
+	case *ast.IndexExpr:
+		return receiver(e.X)
+	case *ast.IndexListExpr:
+		return receiver(e.X)
+	case *ast.Ident:
+		return e.Name
+	}
+	return "?"
 }
