@@ -251,7 +251,7 @@ func runMerge(stdout, stderr io.Writer, files []string, writeSnap, aggBytes stri
 			return fmt.Errorf("%s: %w", f, err)
 		}
 		fmt.Fprintf(stderr, "merge: %s: shard %d/%d, %d domains, %d queries\n",
-			f, snap.Shard, snap.Shards, snap.Position, snap.Queries)
+			f, snap.Shard, snap.Shards, snap.FoldedCount(), snap.Queries)
 		if merged == nil {
 			merged = snap
 		} else {
@@ -261,7 +261,7 @@ func runMerge(stdout, stderr io.Writer, files []string, writeSnap, aggBytes stri
 
 	fmt.Fprintf(stdout, "# Campaign merge — %d snapshot(s)\n\n", len(files))
 	fmt.Fprintf(stdout, "Domains scanned: %d, upstream queries: %d, resolutions: %d\n\n",
-		merged.Position, merged.Queries, merged.Resolutions)
+		merged.FoldedCount(), merged.Queries, merged.Resolutions)
 	fmt.Fprint(stdout, report.Section42Table(merged.Agg))
 
 	if writeSnap != "" {

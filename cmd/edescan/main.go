@@ -307,7 +307,8 @@ func scanShard(wild *population.Wild, cfg campaign.Config, views []*resolver.Pro
 		views = []*resolver.Profile{cfg.Profile}
 	}
 	// What this pass adds to the network's query count, over the domains it
-	// scans itself (not the resumed prefix), is the live amplification figure.
+	// scans itself (not those its checkpoint folded), is the live
+	// amplification figure.
 	queries0, resumed := wild.Net.Stats().Queries, uint64(0)
 	lo, hi := campaign.ShardRange(len(wild.Pop.Domains), cfg.Shard, cfg.Shards)
 	names := make([]string, len(views))
@@ -326,9 +327,9 @@ func scanShard(wild *population.Wild, cfg campaign.Config, views []*resolver.Pro
 		// mismatched file properly), so decode errors are not fatal here.
 		if raw, err := os.ReadFile(cfg.CheckpointPath); err == nil {
 			if prev, err := scan.DecodeSnapshot(raw); err == nil {
-				fmt.Fprintf(stderr, "resuming from checkpoint at position %d/%d (%d queries persisted)\n",
-					prev.Position, hi-lo, prev.Queries)
-				resumed = prev.Position
+				resumed = prev.FoldedCount()
+				fmt.Fprintf(stderr, "resuming from checkpoint at position %d/%d, %d domains done past it (%d queries persisted)\n",
+					prev.Position, hi-lo, resumed-prev.Position, prev.Queries)
 			}
 		}
 	}

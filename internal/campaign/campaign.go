@@ -8,8 +8,9 @@
 // generated population: shard i of N scans domains [len·i/N, len·(i+1)/N).
 // An interrupted shard resumes from its last checkpoint and converges to the
 // byte-identical canonical snapshot an uninterrupted run produces (the
-// per-domain outcomes are pure functions of the seeded population, and
-// checkpoints describe exact prefixes of the shard's name order).
+// per-domain outcomes are pure functions of the seeded population, and a
+// checkpoint names exactly the names it folded: a frontier plus the names
+// done past it).
 package campaign
 
 import (
@@ -22,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/scan"
@@ -29,12 +31,12 @@ import (
 )
 
 // ErrCheckpointMismatch reports a resume attempt against a checkpoint that
-// was written by a different campaign shape (shard index, shard count, or a
-// position beyond this shard's range).
+// was written by a different campaign shape (shard index, shard count, or
+// shard size).
 var ErrCheckpointMismatch = errors.New("campaign: checkpoint does not match this shard")
 
 // ErrInterrupted reports a run that stopped before finishing its shard; the
-// returned snapshot is the consistent prefix state a resume continues from.
+// returned snapshot is the consistent state a resume continues from.
 var ErrInterrupted = errors.New("campaign: run interrupted")
 
 // Config shapes one shard runner.
@@ -63,8 +65,8 @@ type Config struct {
 	// since the last write; 0 disables the time trigger. A final checkpoint
 	// is always written when the run ends (complete or interrupted).
 	CheckpointInterval time.Duration
-	// Resume loads CheckpointPath (when it exists) and continues from its
-	// position instead of starting the shard over.
+	// Resume loads CheckpointPath (when it exists) and resolves only the
+	// names it has not folded instead of starting the shard over.
 	Resume bool
 
 	// AuthorityQPS/AuthorityBurst cap the sustained query rate per
@@ -88,8 +90,8 @@ type Config struct {
 	// now and sleep inject the limiter clock for deterministic tests.
 	now   func() time.Time
 	sleep func(context.Context, time.Duration) error
-	// testOnResult, when set, observes every folded position — tests use it
-	// to cancel the run at an exact, reproducible point.
+	// testOnResult, when set, observes every position the frontier passes —
+	// tests use it to cancel the run at an exact, reproducible point.
 	testOnResult func(pos uint64)
 }
 
@@ -115,13 +117,13 @@ type Runner struct {
 	governor *Governor
 
 	lo, hi int
-	// position is the shard-local folded-prefix length, pre-loaded with the
-	// checkpoint position on resume so progress reads monotonically.
-	position    atomic.Uint64
+	// folded counts the shard's names in the aggregates, pre-loaded with the
+	// checkpoint's count on resume so progress reads monotonically.
+	folded      atomic.Uint64
 	checkpoints atomic.Uint64
 	// rate bookkeeping for the domains/sec gauge.
 	measureStart atomic.Int64 // unix nanos; 0 until the measurement pass starts
-	startPos     uint64
+	startFolded  uint64
 
 	// Scanner is the measurement scanner, populated by Run for callers that
 	// want its throughput counters.
@@ -176,7 +178,7 @@ func (r *Runner) register() {
 	shard := telemetry.L("shard", strconv.Itoa(r.cfg.Shard))
 	reg.GaugeFunc("edelab_campaign_shard_domains_done",
 		"Domains folded into this shard's aggregates (monotonic across resumes).",
-		func() float64 { return float64(r.position.Load()) }, shard)
+		func() float64 { return float64(r.folded.Load()) }, shard)
 	reg.GaugeFunc("edelab_campaign_shard_domains_total",
 		"Domains in this shard's population range.",
 		func() float64 { return float64(r.hi - r.lo) }, shard)
@@ -201,12 +203,12 @@ func (r *Runner) register() {
 // Progress reports the shard's folded-domain count, range size, and the
 // measurement pass's current domains/sec.
 func (r *Runner) Progress() (done, total uint64, rate float64) {
-	done = r.position.Load()
+	done = r.folded.Load()
 	total = uint64(r.hi - r.lo)
 	if start := r.measureStart.Load(); start != 0 {
 		el := time.Since(time.Unix(0, start)).Seconds()
 		if el > 0 {
-			rate = float64(done-r.startPos) / el
+			rate = float64(done-r.startFolded) / el
 		}
 	}
 	return done, total, rate
@@ -236,9 +238,9 @@ func (r *Runner) loadCheckpoint() (*scan.Snapshot, error) {
 		return nil, fmt.Errorf("%w: snapshot is shard %d/%d, runner is %d/%d",
 			ErrCheckpointMismatch, snap.Shard, snap.Shards, r.cfg.Shard, r.cfg.Shards)
 	}
-	if snap.Position > uint64(r.hi-r.lo) {
-		return nil, fmt.Errorf("%w: position %d beyond shard size %d",
-			ErrCheckpointMismatch, snap.Position, r.hi-r.lo)
+	if snap.Size != uint64(r.hi-r.lo) {
+		return nil, fmt.Errorf("%w: snapshot covers %d names, shard has %d",
+			ErrCheckpointMismatch, snap.Size, r.hi-r.lo)
 	}
 	return snap, nil
 }
@@ -260,8 +262,8 @@ func (r *Runner) writeCheckpoint(snap *scan.Snapshot) error {
 // rate-governed measurement pass with periodic checkpoints, and a final
 // checkpoint. The returned snapshot is the shard's state at exit; if ctx
 // ended before the shard finished, err wraps ErrInterrupted and the snapshot
-// (also persisted when checkpointing is enabled) is the exact prefix a
-// resumed run continues from.
+// (also persisted when checkpointing is enabled) names exactly the names a
+// resumed run need not resolve again.
 func (r *Runner) Run(ctx context.Context) (*scan.Snapshot, error) {
 	snaps, err := r.RunViews(ctx, []*resolver.Profile{r.cfg.Profile})
 	if snaps == nil {
@@ -343,53 +345,46 @@ func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*sc
 	snaps := make([]*scan.Snapshot, len(views))
 	for i := range snaps {
 		snaps[i] = &scan.Snapshot{
-			Shard: cfg.Shard, Shards: cfg.Shards,
+			Shard: cfg.Shard, Shards: cfg.Shards, Size: uint64(r.hi - r.lo),
 			Agg: scan.NewAggregate(), TLD: scan.NewTLDAggregate(w.Pop), Tranco: scan.NewTrancoAggregate(w.Pop),
 		}
 	}
 	snap := snaps[0]
-	var baseQueries, baseResolutions uint64
-	var startPos uint64
+	var baseQueries, baseResolutions, startFolded uint64
+	var done frontier
+	var src scan.NameSource = w.Pop.NamesRange(r.lo, r.hi)
 	if resumeFrom != nil {
 		snap.Agg.Merge(resumeFrom.Agg)
 		snap.TLD.Merge(resumeFrom.TLD)
 		snap.Tranco.Merge(resumeFrom.Tranco)
 		baseQueries = resumeFrom.Queries
 		baseResolutions = resumeFrom.Resolutions
-		startPos = resumeFrom.Position
+		startFolded = resumeFrom.FoldedCount()
+		done.load(resumeFrom)
+		src = unfolded(w.Pop.NamesRange(r.lo, r.hi), resumeFrom)
 	}
-	r.startPos = startPos
-	r.position.Store(startPos)
+	r.startFolded = startFolded
+	r.folded.Store(startFolded)
 	r.measureStart.Store(time.Now().UnixNano())
 
 	queriesAt := res.QueryCount.Load()
 	resolutionsAt := res.ResolutionCount.Load()
 	stamp := func() {
+		done.stamp(snap)
 		for _, s := range snaps {
-			s.Position = r.position.Load()
+			s.Position, s.Done = snap.Position, snap.Done
 			s.Queries = baseQueries + res.QueryCount.Load() - queriesAt
 			s.Resolutions = baseResolutions + res.ResolutionCount.Load() - resolutionsAt
 		}
 	}
 
-	src := w.Pop.NamesRange(r.lo, r.hi)
-	src.Skip(int(startPos))
-
 	var ckptErr error
 	lastCkpt := time.Now()
-	frozen := false
-	// The ordered stream guarantees sink calls arrive in source order, so
-	// after the Nth call the aggregates describe exactly names lo..lo+N of
-	// the shard — which is what makes Position meaningful. The first
-	// Skipped result marks the cancellation frontier: everything after it
-	// was either skipped or completed out of order past a gap, and folding
-	// it would double-count once the resumed run re-scans the gap.
-	scanner.ScanStreamOrdered(ctx, src, func(sr scan.Result) {
-		if frozen {
-			return
-		}
+	// Every result is folded as it completes, in whatever order the workers
+	// finish; the frontier records which names that covers. A Skipped result
+	// (the run was cancelled first) is not folded, so a resume resolves it.
+	scanner.ScanStream(ctx, src, func(sr scan.Result) {
 		if sr.Skipped {
-			frozen = true
 			return
 		}
 		for i, s := range snaps {
@@ -401,14 +396,22 @@ func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*sc
 			s.TLD.Add(vr)
 			s.Tranco.Add(vr)
 		}
-		pos := r.position.Add(1)
-		if cfg.testOnResult != nil {
-			cfg.testOnResult(pos)
+		i, ok := w.Pop.Index(sr.Domain)
+		if !ok {
+			panic("campaign: scanned " + sr.Domain.String() + ", which the population does not hold")
 		}
+		before := done.pos
+		done.mark(uint64(i - r.lo))
+		if cfg.testOnResult != nil {
+			for pos := before + 1; pos <= done.pos; pos++ {
+				cfg.testOnResult(pos)
+			}
+		}
+		folded := r.folded.Add(1)
 		if cfg.CheckpointPath == "" || ckptErr != nil {
 			return
 		}
-		due := cfg.CheckpointEvery > 0 && (pos-startPos)%uint64(cfg.CheckpointEvery) == 0
+		due := cfg.CheckpointEvery > 0 && (folded-startFolded)%uint64(cfg.CheckpointEvery) == 0
 		if !due && cfg.CheckpointInterval > 0 && time.Since(lastCkpt) >= cfg.CheckpointInterval {
 			due = true
 		}
@@ -430,12 +433,93 @@ func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*sc
 	if ckptErr != nil {
 		return snaps, fmt.Errorf("campaign: checkpoint: %w", ckptErr)
 	}
-	if snap.Position < uint64(r.hi-r.lo) {
+	if snap.Position < snap.Size {
 		err := ctx.Err()
 		if err == nil {
 			err = errors.New("scan ended early")
 		}
-		return snaps, fmt.Errorf("%w at position %d/%d: %w", ErrInterrupted, snap.Position, r.hi-r.lo, err)
+		return snaps, fmt.Errorf("%w at position %d/%d: %w", ErrInterrupted, snap.Position, snap.Size, err)
 	}
 	return snaps, nil
+}
+
+// frontier is the set of a shard's names that are folded: every name below
+// pos, and those past it whose bit is set in ahead. Bit j of ahead stands
+// for name base+j, where base is pos rounded down to a multiple of 64, so
+// the set costs one bit per name between the frontier and the furthest name
+// done past it.
+type frontier struct {
+	pos, base uint64
+	ahead     []uint64
+}
+
+// mark adds name i, which must not be in the set yet, and advances the
+// frontier over every name now contiguous with it.
+func (f *frontier) mark(i uint64) {
+	w := (i - f.base) / 64
+	for uint64(len(f.ahead)) <= w {
+		f.ahead = append(f.ahead, 0)
+	}
+	f.ahead[w] |= 1 << ((i - f.base) % 64)
+	for f.has(f.pos) {
+		f.pos++
+	}
+	if k := (f.pos - f.base) / 64; k > 0 {
+		f.ahead = f.ahead[k:]
+		f.base += 64 * k
+	}
+}
+
+// has reports whether name i, at or past the frontier, is in the set.
+func (f *frontier) has(i uint64) bool {
+	w := (i - f.base) / 64
+	return w < uint64(len(f.ahead)) && f.ahead[w]&(1<<((i-f.base)%64)) != 0
+}
+
+// load starts the set from a checkpoint's.
+func (f *frontier) load(s *scan.Snapshot) {
+	*f = frontier{pos: s.Position, base: s.Position &^ 63}
+	for b := range uint64(8 * len(s.Done)) {
+		if i := s.Position + 1 + b; s.Folded(i) {
+			f.mark(i)
+		}
+	}
+}
+
+// stamp writes the set into s as its Position and Done.
+func (f *frontier) stamp(s *scan.Snapshot) {
+	s.Position, s.Done = f.pos, s.Done[:0]
+	for i := f.pos + 1; i < f.base+64*uint64(len(f.ahead)); i++ {
+		if f.has(i) {
+			b := i - f.pos - 1
+			for uint64(len(s.Done)) <= b/8 {
+				s.Done = append(s.Done, 0)
+			}
+			s.Done[b/8] |= 1 << (b % 8)
+		}
+	}
+}
+
+// unfoldedNames yields the names of a shard that a checkpoint has not folded.
+type unfoldedNames struct {
+	names *population.NameIter
+	i     uint64 // shard index of the next name in names
+	snap  *scan.Snapshot
+}
+
+// unfolded skips names past everything snap folded: the prefix below its
+// frontier at once, the done set past it name by name.
+func unfolded(names *population.NameIter, snap *scan.Snapshot) *unfoldedNames {
+	names.Skip(int(snap.Position))
+	return &unfoldedNames{names: names, i: snap.Position, snap: snap}
+}
+
+func (u *unfoldedNames) Next() (dnswire.Name, bool) {
+	for {
+		name, ok := u.names.Next()
+		u.i++
+		if !ok || !u.snap.Folded(u.i-1) {
+			return name, ok
+		}
+	}
 }

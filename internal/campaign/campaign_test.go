@@ -7,8 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/scan"
@@ -376,5 +380,141 @@ func TestRunViewsRefuses(t *testing.T) {
 		if _, err := r.RunViews(context.Background(), tc.views); err == nil || !strings.Contains(err.Error(), tc.why) {
 			t.Errorf("%d views: err = %v, want one mentioning %q", len(tc.views), err, tc.why)
 		}
+	}
+}
+
+// holdHandler is a TLD server that holds the first query for one name until
+// release is closed, and answers everything else at once.
+type holdHandler struct {
+	next    netsim.Handler
+	name    dnswire.Name
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *holdHandler) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	if len(q.Question) == 1 && q.Question[0].Name == h.name {
+		first := false
+		h.once.Do(func() { first = true })
+		if first {
+			<-h.release
+		}
+	}
+	return h.next.HandleDNS(ctx, q)
+}
+
+// TestHeldLaggardIsNamedNotBuffered: one early name's resolution is held
+// while the rest of the shard completes. The checkpoint taken meanwhile puts
+// the frontier at that name and every later name in the done set; a resume
+// from it after a kill resolves that one name alone and reaches the
+// aggregates of an uninterrupted run.
+func TestHeldLaggardIsNamedNotBuffered(t *testing.T) {
+	// Shard 0 of 8 of a 2,118-domain population: 264 names, each fold
+	// checkpointed.
+	const domains, shards = 303, 8
+	ref, err := New(Config{Workers: 4, Shards: shards}, buildWild(t, domains))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSnap, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	w := buildWild(t, domains)
+	_, total := ShardRange(len(w.Pop.Domains), 0, shards)
+	held := 5
+	for w.Pop.Domains[held].Class == population.ClassStale { // the warm-up asks those
+		held++
+	}
+	d := w.Pop.Domains[held]
+	tld, ok := w.Net.HandlerAt(d.TLD.Addr)
+	if !ok {
+		t.Fatalf("no server at %s's TLD address", d.Name)
+	}
+	hold := &holdHandler{next: tld, name: d.Name, release: make(chan struct{})}
+	w.Net.Register(d.TLD.Addr, hold)
+
+	ckpt := CheckpointFile(t.TempDir(), 0, shards)
+	reg := telemetry.NewRegistry()
+	r, err := New(Config{Workers: 4, Shards: shards, CheckpointPath: ckpt, CheckpointEvery: 1, Registry: reg}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heldSnap *scan.Snapshot
+	errc := make(chan error, 1)
+	go func() {
+		var err error
+		heldSnap, err = r.Run(context.Background())
+		errc <- err
+	}()
+	released := false
+	defer func() {
+		if !released {
+			close(hold.release)
+		}
+	}()
+
+	// Every name but the held one folds, and each fold checkpoints.
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(5 * time.Millisecond) {
+		if n, _ := reg.Value("edelab_campaign_checkpoints_total", telemetry.L("shard", "0")); n == float64(total-1) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the shard's other %d names never all folded", total-1)
+		}
+	}
+	if done, _, _ := r.Progress(); done != uint64(total-1) {
+		t.Fatalf("progress reads %d done, want the %d folded", done, total-1)
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := scan.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Position != uint64(held) {
+		t.Fatalf("checkpoint frontier %d, want the held name's %d", snap.Position, held)
+	}
+	for i := held + 1; i < total; i++ {
+		if !snap.Folded(uint64(i)) {
+			t.Fatalf("name %d finished but is not in the checkpoint's done set", i)
+		}
+	}
+
+	// The kill: what survives is the checkpoint on disk. (The held run goes
+	// on in the background until the end of the test.)
+	survived := CheckpointFile(t.TempDir(), 0, shards)
+	if err := os.WriteFile(survived, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := New(Config{Workers: 4, Shards: shards, CheckpointPath: survived, Resume: true}, buildWild(t, domains))
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if n := resumed.Scanner.Resolutions; n != 1 {
+		t.Fatalf("resume resolved %d names, want only the held one", n)
+	}
+	if final.Position != uint64(total) || len(final.Done) != 0 {
+		t.Fatalf("resumed run ends at %d/%d with done set % x", final.Position, total, final.Done)
+	}
+	if !bytes.Equal(refSnap.AggregateBytes(), final.AggregateBytes()) {
+		t.Fatal("resumed aggregate differs from the uninterrupted run's")
+	}
+
+	// Released, the laggard folds last and the held run finishes whole.
+	released = true
+	close(hold.release)
+	if err := <-errc; err != nil {
+		t.Fatalf("held run, released: %v", err)
+	}
+	if !bytes.Equal(refSnap.AggregateBytes(), heldSnap.AggregateBytes()) {
+		t.Fatal("the held run's aggregate differs from the uninterrupted run's")
 	}
 }

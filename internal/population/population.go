@@ -272,16 +272,22 @@ func (it *NameIter) Skip(n int) {
 	}
 }
 
-// Lookup returns the domain spec for a name. It needs no index: domain id
-// sits at Domains[id-1], so the id is read back from the name and the stored
-// name must equal the one asked for. It allocates nothing.
+// Lookup returns the domain spec for a name. It allocates nothing.
 func (p *Population) Lookup(name dnswire.Name) (*Domain, bool) {
-	if id, ok := domainID(name); ok && id <= len(p.Domains) {
-		if d := p.Domains[id-1]; d.Name == name {
-			return d, true
-		}
+	if i, ok := p.Index(name); ok {
+		return p.Domains[i], true
 	}
 	return nil, false
+}
+
+// Index returns the position of name's domain in Domains. It needs no map:
+// domain id sits at Domains[id-1], so the id is read back from the name and
+// the stored name must equal the one asked for. It allocates nothing.
+func (p *Population) Index(name dnswire.Name) (int, bool) {
+	if id, ok := domainID(name); ok && id <= len(p.Domains) && p.Domains[id-1].Name == name {
+		return id - 1, true
+	}
+	return -1, false
 }
 
 // Names returns a fresh iterator over the population's domains.

@@ -76,9 +76,6 @@ const (
 	// future. (rrsig-not-yet-all, rrsig-not-yet-a)
 	ConditionSigNotYetAll
 	ConditionSigNotYetAnswer
-	// ConditionRRSIGMissingAll: zone-wide RRSIG removal observed at the key
-	// establishment stage. (rrsig-no-all)
-	ConditionRRSIGMissingAll
 	// ConditionRRSIGMissingAnswer: the answer RRset has no covering RRSIG.
 	// (rrsig-no-a)
 	ConditionRRSIGMissingAnswer
@@ -230,7 +227,6 @@ var conditionNames = map[Condition]string{
 	ConditionSigExpiredAnswer:      "signature-expired-answer",
 	ConditionSigNotYetAll:          "signatures-not-yet-valid-zone",
 	ConditionSigNotYetAnswer:       "signature-not-yet-valid-answer",
-	ConditionRRSIGMissingAll:       "rrsigs-missing-zone",
 	ConditionRRSIGMissingAnswer:    "rrsig-missing-answer",
 	ConditionSigExpBeforeAll:       "signatures-expired-before-valid-zone",
 	ConditionSigExpBeforeAnswer:    "signature-expired-before-valid-answer",

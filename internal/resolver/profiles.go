@@ -65,7 +65,6 @@ func ProfileUnbound() *Profile {
 			ConditionSigExpiredAnswer:   {ede.CodeDNSSECBogus},
 			ConditionSigNotYetAll:       {ede.CodeDNSKEYMissing},
 			ConditionSigNotYetAnswer:    {ede.CodeDNSSECBogus},
-			ConditionRRSIGMissingAll:    {ede.CodeRRSIGsMissing},
 			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAll:    {ede.CodeDNSKEYMissing},
 			ConditionSigExpBeforeAnswer: {ede.CodeDNSSECBogus},
@@ -106,7 +105,6 @@ func ProfilePowerDNS() *Profile {
 			ConditionSigExpiredAnswer:   {ede.CodeSignatureExpired},
 			ConditionSigNotYetAll:       {ede.CodeSignatureNotYetValid},
 			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAll:    {ede.CodeRRSIGsMissing},
 			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAll:    {ede.CodeSignatureExpired},
 			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
@@ -145,7 +143,6 @@ func ProfileKnot() *Profile {
 			ConditionBadRRSIGDNSKEY:      {ede.CodeDNSSECBogus},
 			ConditionSigExpiredAll:       {ede.CodeSignatureExpired},
 			ConditionSigNotYetAll:        {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAll:     {ede.CodeRRSIGsMissing},
 			ConditionRRSIGMissingAnswer:  {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAll:     {ede.CodeSignatureExpired},
 			ConditionNoZSK:               {ede.CodeDNSSECBogus},
@@ -193,7 +190,6 @@ func ProfileCloudflare() *Profile {
 			ConditionSigExpiredAnswer:      {ede.CodeSignatureExpired},
 			ConditionSigNotYetAll:          {ede.CodeSignatureNotYetValid},
 			ConditionSigNotYetAnswer:       {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAll:       {ede.CodeRRSIGsMissing},
 			ConditionRRSIGMissingAnswer:    {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAll:       {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAnswer:    {ede.CodeSignatureExpired},
@@ -252,7 +248,6 @@ func ProfileQuad9() *Profile {
 			ConditionSigExpiredAnswer:   {ede.CodeDNSSECBogus},
 			ConditionSigNotYetAll:       {ede.CodeDNSKEYMissing},
 			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAll:    {ede.CodeDNSKEYMissing},
 			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
 			ConditionSigExpBeforeAll:    {ede.CodeDNSKEYMissing},
 			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
@@ -296,7 +291,6 @@ func ProfileOpenDNS() *Profile {
 			ConditionSigExpiredAnswer:   {ede.CodeSignatureExpired},
 			ConditionSigNotYetAll:       {ede.CodeDNSSECBogus},
 			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAll:    {ede.CodeDNSSECBogus},
 			ConditionSigExpBeforeAll:    {ede.CodeDNSSECBogus},
 			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
 			ConditionNoZSK:              {ede.CodeDNSSECBogus},

@@ -33,12 +33,14 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		Tranco: &TrancoAggregate{},
 	}).Encode()
 	legacy := encodeLegacyV1(valid)
+	withDone := partial(pop, synthResults(pop), 40, 41, 1000).Encode()
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	// enc[:len/2] cuts mid-gzip-stream: the compressed+truncated case.
-	for i, seed := range [][]byte{enc, enc[:len(enc)/2], []byte("EDES"), flipped, empty, legacy, legacy[:len(legacy)/2]} {
+	for i, seed := range [][]byte{enc, enc[:len(enc)/2], []byte("EDES"), flipped, empty, legacy, legacy[:len(legacy)/2],
+		withDone, encodeLegacyV2(valid)} {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed%d", i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -48,8 +50,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 // FuzzDecodeSnapshot hammers the checkpoint decoder with arbitrary bytes:
 // it must never panic or over-allocate, anything it accepts must carry the
-// one version it reads — the retired v1 seeds below and in the committed
-// corpus are must-reject inputs — and must be a canonical fixed point
+// one version it reads — the retired v1 and v2 seeds below and in the
+// committed corpus are must-reject inputs — and must be a canonical fixed point
 // (decode → encode → decode reproduces itself).
 func FuzzDecodeSnapshot(f *testing.F) {
 	pop := population.Generate(population.Config{TotalDomains: 3030, Seed: 42})
@@ -72,6 +74,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	legacy := encodeLegacyV1(valid)
 	f.Add(legacy)
 	f.Add(legacy[:len(legacy)/2])
+	f.Add(partial(pop, synthResults(pop), 40, 41, 1000).Encode()) // a done set past the frontier
+	f.Add(encodeLegacyV2(valid))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSnapshot(b)

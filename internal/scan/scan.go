@@ -209,68 +209,28 @@ func (s *Scanner) Scan(ctx context.Context, names []dnswire.Name) []Result {
 	return results
 }
 
-// sequenced adapts a NameSource, which is read serially, to the concurrent
-// next that run expects, numbering the names in source order. ScanStream and
-// ScanStreamOrdered share it; they differ only in what their emit does with
-// the number.
-func sequenced(src NameSource) func() (dnswire.Name, int, bool) {
-	var mu sync.Mutex
-	seq := 0
-	return func() (dnswire.Name, int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		name, ok := src.Next()
-		if !ok {
-			return "", 0, false
-		}
-		seq++
-		return name, seq - 1, true
-	}
-}
-
 // ScanStream resolves every name src yields and hands each finished Result
 // to sink, never holding more than O(workers) results live: the scan's
 // memory footprint is independent of the population size. sink is called
 // serially (no locking needed inside) in completion order, which is not the
-// source order. It returns the number of results emitted.
+// source order; a caller that must know which names a sink call accounts
+// for reads it off Result.Domain. It returns the number of results emitted.
 func (s *Scanner) ScanStream(ctx context.Context, src NameSource, sink func(Result)) int {
-	var mu sync.Mutex
+	var srcMu, sinkMu sync.Mutex
 	n := 0
-	s.run(ctx, sequenced(src), func(_ int, r Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		n++
-		sink(r)
-	})
-	return n
-}
-
-// ScanStreamOrdered is ScanStream with the sink called in source order
-// instead of completion order: a reorder buffer holds results that finish
-// ahead of an earlier name still in flight. Every worker holds at most one
-// name, so the buffer stays small unless one resolution outlasts many
-// others. A campaign checkpoints through this path: after the Nth sink call
-// the aggregates describe exactly the first N names of the source, so
-// "resume at position N" is well defined even though workers complete out of
-// order.
-func (s *Scanner) ScanStreamOrdered(ctx context.Context, src NameSource, sink func(Result)) int {
-	var mu sync.Mutex
-	pending := make(map[int]Result, 64)
-	n := 0
-	s.run(ctx, sequenced(src), func(i int, r Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		pending[i] = r
-		for {
-			next, ok := pending[n]
-			if !ok {
-				return
-			}
-			delete(pending, n)
+	s.run(ctx,
+		func() (dnswire.Name, int, bool) {
+			srcMu.Lock()
+			defer srcMu.Unlock()
+			name, ok := src.Next()
+			return name, 0, ok
+		},
+		func(_ int, r Result) {
+			sinkMu.Lock()
+			defer sinkMu.Unlock()
 			n++
-			sink(next)
-		}
-	})
+			sink(r)
+		})
 	return n
 }
 

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -23,19 +24,29 @@ import (
 // ranks sorted ascending, so two snapshots describing the same observations
 // encode to identical bytes regardless of worker count or completion order.
 // That is what lets CI assert an interrupted-then-resumed shard is
-// byte-identical to an uninterrupted run. Position, Queries, and Resolutions
-// are volatile bookkeeping — a resumed run legitimately re-issues queries for
-// results that were in flight at the kill — so they live in the header, not
-// in the aggregate payload that AggregateBytes compares.
+// byte-identical to an uninterrupted run. Which names are folded (Position
+// and Done), Queries, and Resolutions are bookkeeping — a resumed run
+// legitimately re-issues queries for results that were in flight at the
+// kill — so they live in the header, not in the aggregate payload that
+// AggregateBytes compares.
 type Snapshot struct {
 	// Shard and Shards identify the population range this snapshot covers
-	// (shard Shard of Shards total).
+	// (shard Shard of Shards total); Size is the number of names in it.
 	Shard  int
 	Shards int
-	// Position is the length of the shard's fully folded prefix: the first
-	// Position names of the shard range are accounted for in the aggregates
-	// and a resumed run continues at exactly Position.
+	Size   uint64
+	// Position is the shard's frontier: its first Position names are all
+	// folded into the aggregates, and name Position is not (or does not
+	// exist: Position == Size once the shard is finished).
 	Position uint64
+	// Done holds the names past the frontier that are folded too — a scan
+	// folds each result as it completes, so a slow name leaves later ones
+	// done ahead of it. It is a bitmap: bit i (byte i/8, least significant
+	// bit first) stands for name Position+1+i. Its last byte is never zero,
+	// so one set has one encoding, and it is empty when the frontier is all
+	// that is folded. A resumed run resolves the names that are neither
+	// below Position nor in Done (Folded).
+	Done []byte
 	// Queries and Resolutions count the resolver work behind this snapshot
 	// (for rate bookkeeping; excluded from the canonical aggregate payload).
 	Queries     uint64
@@ -46,22 +57,24 @@ type Snapshot struct {
 	Tranco *TrancoAggregate
 }
 
-// Wire format v2 (all integers big-endian):
+// Wire format v3 (all integers big-endian):
 //
 //	magic "EDES" | version u16 | gzip(body) | crc32-IEEE u32 over everything preceding it
 //
 // where body is:
 //
-//	shard u32 | shards u32 | position u64 | queries u64 | resolutions u64
+//	shard u32 | shards u32 | size u64 | position u64 | queries u64 | resolutions u64
+//	done length u32 | done bitmap
 //	aggregate payload (see appendAggregates)
 //
 // The outer CRC covers the compressed bytes, so corruption is rejected
-// without paying for decompression first. v1 framed the same body
-// uncompressed; DecodeSnapshot refuses it like any other unknown version.
+// without paying for decompression first. v1 framed a body without size and
+// done set uncompressed, v2 compressed it; DecodeSnapshot refuses both like
+// any other unknown version.
 const (
 	snapshotMagic   = "EDES"
-	snapshotVersion = 2
-	// maxSnapshotBody caps the decompressed v2 body: a hostile checkpoint
+	snapshotVersion = 3
+	// maxSnapshotBody caps the decompressed v3 body: a hostile checkpoint
 	// must not be able to balloon a few KiB of gzip into unbounded memory.
 	maxSnapshotBody = 64 << 20
 )
@@ -75,7 +88,7 @@ var (
 	ErrSnapshotVersion = errors.New("scan: unsupported snapshot version")
 )
 
-// Encode serializes the snapshot into the canonical v2 wire format. The
+// Encode serializes the snapshot into the canonical v3 wire format. The
 // gzip layer uses a fixed compression level and the stock zero header, so
 // equal bodies still encode to identical bytes.
 func (s *Snapshot) Encode() []byte {
@@ -101,10 +114,35 @@ func (s *Snapshot) Encode() []byte {
 func (s *Snapshot) appendBody(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Shard))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Shards))
+	buf = binary.BigEndian.AppendUint64(buf, s.Size)
 	buf = binary.BigEndian.AppendUint64(buf, s.Position)
 	buf = binary.BigEndian.AppendUint64(buf, s.Queries)
 	buf = binary.BigEndian.AppendUint64(buf, s.Resolutions)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Done)))
+	buf = append(buf, s.Done...)
 	return s.appendAggregates(buf)
+}
+
+// Folded reports whether the shard's name i is in the aggregates: below the
+// frontier, or in the done set past it.
+func (s *Snapshot) Folded(i uint64) bool {
+	if i < s.Position {
+		return true
+	}
+	if i == s.Position {
+		return false
+	}
+	b := i - s.Position - 1
+	return b/8 < uint64(len(s.Done)) && s.Done[b/8]&(1<<(b%8)) != 0
+}
+
+// FoldedCount is the number of the shard's names in the aggregates.
+func (s *Snapshot) FoldedCount() uint64 {
+	n := s.Position
+	for _, b := range s.Done {
+		n += uint64(bits.OnesCount8(b))
+	}
+	return n
 }
 
 // AggregateBytes returns only the canonical aggregate payload — the portion
@@ -116,9 +154,14 @@ func (s *Snapshot) AggregateBytes() []byte {
 }
 
 // Merge folds another snapshot (typically a different shard of the same
-// campaign) into s, summing both the aggregates and the meta counters.
+// campaign) into s, summing both the aggregates and the meta counters. The
+// result has no frontier of its own: its Position is the number of names
+// the two fold between them, its done set is empty, and its Size is the
+// two sizes' sum.
 func (s *Snapshot) Merge(o *Snapshot) {
-	s.Position += o.Position
+	s.Size += o.Size
+	s.Position = s.FoldedCount() + o.FoldedCount()
+	s.Done = nil
 	s.Queries += o.Queries
 	s.Resolutions += o.Resolutions
 	s.Agg.Merge(o.Agg)
@@ -305,9 +348,28 @@ func decodeSnapshotBody(body []byte) (*Snapshot, error) {
 		TLD:    &TLDAggregate{rows: make(map[string]*TLDRatio)},
 		Tranco: &TrancoAggregate{},
 	}
+	s.Size = r.u64()
 	s.Position = r.u64()
 	s.Queries = r.u64()
 	s.Resolutions = r.u64()
+	if r.err == nil && s.Position > s.Size {
+		return nil, fmt.Errorf("%w: position %d past the shard's %d names", ErrSnapshotCorrupt, s.Position, s.Size)
+	}
+	if n := r.count(1); n > 0 && r.err == nil {
+		// Bits stand for names Position+1 .. Size-1, so the set needs at
+		// most that many bits.
+		if past := s.Size - s.Position; past <= 1 || uint64(n) > (past-1+7)/8 {
+			return nil, fmt.Errorf("%w: done set of %d bytes is longer than the shard", ErrSnapshotCorrupt, n)
+		}
+		s.Done = append([]byte(nil), r.take(n)...)
+		last := s.Done[n-1]
+		if last == 0 {
+			return nil, fmt.Errorf("%w: done set ends in a zero byte", ErrSnapshotCorrupt)
+		}
+		if top := s.Position + 1 + uint64(8*(n-1)+bits.Len8(last)-1); top >= s.Size {
+			return nil, fmt.Errorf("%w: done set marks name %d of a %d-name shard", ErrSnapshotCorrupt, top, s.Size)
+		}
+	}
 
 	s.Agg.Total = r.asInt(r.u64())
 	s.Agg.WithEDE = r.asInt(r.u64())

@@ -12,13 +12,33 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/population"
 )
 
+// legacyBody is the v1 and v2 body: v3's without the size and the done set.
+func legacyBody(s *Snapshot) []byte {
+	buf := binary.BigEndian.AppendUint32(nil, uint32(s.Shard))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Shards))
+	buf = binary.BigEndian.AppendUint64(buf, s.Position)
+	buf = binary.BigEndian.AppendUint64(buf, s.Queries)
+	buf = binary.BigEndian.AppendUint64(buf, s.Resolutions)
+	return s.appendAggregates(buf)
+}
+
 // encodeLegacyV1 frames a snapshot in the retired uncompressed v1 format,
 // which DecodeSnapshot no longer reads.
 func encodeLegacyV1(s *Snapshot) []byte {
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, snapshotMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, 1)
-	buf = s.appendBody(buf)
+	buf := append([]byte(snapshotMagic), 0, 1)
+	buf = append(buf, legacyBody(s)...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// encodeLegacyV2 frames a snapshot in the retired v2 format, v1 gzipped,
+// which DecodeSnapshot no longer reads either.
+func encodeLegacyV2(s *Snapshot) []byte {
+	var zb bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&zb, gzip.BestCompression)
+	zw.Write(legacyBody(s))
+	zw.Close()
+	buf := append([]byte(snapshotMagic), 0, 2)
+	buf = append(buf, zb.Bytes()...)
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -68,7 +88,8 @@ func snapOver(pop *population.Population, results []Result) *Snapshot {
 		s.TLD.Add(r)
 		s.Tranco.Add(r)
 	}
-	s.Position = uint64(len(results))
+	s.Size = uint64(len(results))
+	s.Position = s.Size
 	return s
 }
 
@@ -162,7 +183,8 @@ func TestSnapshotCanonicalUnderInsertionOrder(t *testing.T) {
 		rev.TLD.Add(results[i])
 		rev.Tranco.Add(results[i])
 	}
-	rev.Position = uint64(len(results))
+	rev.Size = uint64(len(results))
+	rev.Position = rev.Size
 	if !bytes.Equal(fwd.AggregateBytes(), rev.AggregateBytes()) {
 		t.Fatal("canonical encoding depends on fold order")
 	}
@@ -196,41 +218,156 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestSnapshotV2IsCompressed(t *testing.T) {
+func TestSnapshotV3IsCompressed(t *testing.T) {
 	pop := snapPop(t)
 	snap := snapOver(pop, synthResults(pop))
 	enc := snap.Encode()
-	if v := binary.BigEndian.Uint16(enc[4:6]); v != 2 {
-		t.Fatalf("version = %d, want 2", v)
+	if v := binary.BigEndian.Uint16(enc[4:6]); v != 3 {
+		t.Fatalf("version = %d, want 3", v)
 	}
 	if enc[6] != 0x1f || enc[7] != 0x8b {
 		t.Fatalf("body does not start with the gzip magic: % x", enc[6:8])
 	}
 	if v1 := encodeLegacyV1(snap); len(enc) >= len(v1) {
-		t.Fatalf("v2 (%d bytes) is not smaller than v1 (%d bytes)", len(enc), len(v1))
+		t.Fatalf("v3 (%d bytes) is not smaller than v1 (%d bytes)", len(enc), len(v1))
 	}
 }
 
-// TestSnapshotLegacyV1Rejected: the decoder accepts exactly one version. An
-// uncompressed v1 checkpoint — whole, truncated or bit-flipped — is refused,
-// and a whole one is refused by name rather than misread as a corrupt v2.
-func TestSnapshotLegacyV1Rejected(t *testing.T) {
+// TestSnapshotLegacyVersionsRejected: the decoder accepts exactly one
+// version. A v1 (uncompressed) or v2 (no size, no done set) checkpoint —
+// whole, truncated or bit-flipped — is refused, and a whole one is refused
+// by name rather than misread as a corrupt v3.
+func TestSnapshotLegacyVersionsRejected(t *testing.T) {
 	pop := snapPop(t)
 	orig := snapOver(pop, synthResults(pop)[:2222])
 	orig.Shard, orig.Shards = 3, 8
 	orig.Queries, orig.Resolutions = 123456, 2222
 
-	v1 := encodeLegacyV1(orig)
-	if _, err := DecodeSnapshot(v1); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("legacy v1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	for v, old := range map[int][]byte{1: encodeLegacyV1(orig), 2: encodeLegacyV2(orig)} {
+		if _, err := DecodeSnapshot(old); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("legacy v%d snapshot: err = %v, want ErrSnapshotVersion", v, err)
+		}
+		if _, err := DecodeSnapshot(old[:len(old)/2]); err == nil {
+			t.Fatalf("truncated legacy v%d snapshot decoded successfully", v)
+		}
+		flip := append([]byte(nil), old...)
+		flip[len(flip)/2] ^= 0x40
+		if _, err := DecodeSnapshot(flip); err == nil {
+			t.Fatalf("corrupted legacy v%d snapshot decoded successfully", v)
+		}
 	}
-	if _, err := DecodeSnapshot(v1[:len(v1)/2]); err == nil {
-		t.Fatal("truncated legacy snapshot decoded successfully")
+}
+
+// partial is snapOver's snapshot of a shard whose first names are folded
+// except the ones in missing, as a campaign folding in completion order
+// leaves it: the frontier at the first missing name, the rest of the folded
+// names in the done set.
+func partial(pop *population.Population, results []Result, missing ...int) *Snapshot {
+	skip := make(map[int]bool)
+	for _, i := range missing {
+		skip[i] = true
 	}
-	flip := append([]byte(nil), v1...)
-	flip[len(flip)/2] ^= 0x40
-	if _, err := DecodeSnapshot(flip); err == nil {
-		t.Fatal("corrupted legacy snapshot decoded successfully")
+	var folded []Result
+	for i, r := range results {
+		if !skip[i] {
+			folded = append(folded, r)
+		}
+	}
+	s := snapOver(pop, folded)
+	s.Size = uint64(len(pop.Domains))
+	for s.Position = 0; !skip[int(s.Position)]; s.Position++ {
+	}
+	s.Done = nil
+	for i := range results {
+		if b := i - int(s.Position) - 1; b >= 0 && !skip[i] {
+			for len(s.Done) <= b/8 {
+				s.Done = append(s.Done, 0)
+			}
+			s.Done[b/8] |= 1 << (b % 8)
+		}
+	}
+	return s
+}
+
+// TestSnapshotDoneSetRoundTrip: a checkpoint taken while an early name is
+// still resolving names its frontier, every name folded past it, and no
+// other, and it survives the wire.
+func TestSnapshotDoneSetRoundTrip(t *testing.T) {
+	pop := snapPop(t)
+	results := synthResults(pop)[:1500]
+	orig := partial(pop, results, 17, 30, 31, 700)
+	orig.Shard, orig.Shards = 1, 2
+	if orig.Position != 17 || orig.FoldedCount() != 1496 {
+		t.Fatalf("frontier %d with %d folded, want 17 with 1496", orig.Position, orig.FoldedCount())
+	}
+	enc := orig.Encode()
+	dec, err := DecodeSnapshot(enc)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if dec.Size != orig.Size || dec.Position != 17 || !bytes.Equal(dec.Done, orig.Done) {
+		t.Fatalf("header mismatch: size %d position %d done % x", dec.Size, dec.Position, dec.Done)
+	}
+	for i := uint64(0); i < dec.Size; i++ {
+		want := i < 1500 && i != 17 && i != 30 && i != 31 && i != 700
+		if dec.Folded(i) != want {
+			t.Fatalf("Folded(%d) = %v, want %v", i, dec.Folded(i), want)
+		}
+	}
+	if !bytes.Equal(enc, dec.Encode()) {
+		t.Fatal("encode(decode(x)) != x")
+	}
+	// The done set is bookkeeping: the aggregates are those of the same
+	// names folded in any order.
+	if !bytes.Equal(dec.AggregateBytes(), orig.AggregateBytes()) {
+		t.Fatal("aggregate payload changed on the wire")
+	}
+}
+
+// TestSnapshotRejectsHostileDoneSets: a done set that marks a name past the
+// shard's end, is longer than the shard, ends in a zero byte, or sits
+// behind a frontier past the shard's end is corrupt.
+func TestSnapshotRejectsHostileDoneSets(t *testing.T) {
+	pop := snapPop(t)
+	base := partial(pop, synthResults(pop), 5)
+	n := base.Size
+	for _, tc := range []struct {
+		why      string
+		position uint64
+		done     []byte
+	}{
+		{"bit past the shard's end", n - 8, []byte{0x80}},
+		{"bit past the shard's end in a longer set", n - 20, []byte{1, 0, 0x10}},
+		{"set longer than the shard", n - 2, []byte{1, 1}},
+		{"set at a finished frontier", n, []byte{1}},
+		{"set far longer than the shard", 0, bytes.Repeat([]byte{0xff}, int(n/8)+2)},
+		{"trailing zero byte", 5, []byte{1, 0}},
+		{"frontier past the shard's end", n + 1, nil},
+	} {
+		s := *base
+		s.Position, s.Done = tc.position, tc.done
+		if _, err := DecodeSnapshot(s.Encode()); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", tc.why, err)
+		}
+	}
+	// The last name of the shard is a legal member.
+	s := *base
+	s.Position, s.Done = n-9, []byte{0x80}
+	if _, err := DecodeSnapshot(s.Encode()); err != nil {
+		t.Fatalf("done set ending at the shard's last name: %v", err)
+	}
+}
+
+// TestSnapshotMergeFoldsDoneSets: merged shards have no frontier of their
+// own; the merge counts every name its parts folded.
+func TestSnapshotMergeFoldsDoneSets(t *testing.T) {
+	pop := snapPop(t)
+	a := partial(pop, synthResults(pop), 3, 9)
+	b := snapOver(pop, synthResults(pop)[:100])
+	want := a.FoldedCount() + b.FoldedCount()
+	a.Merge(b)
+	if a.Position != want || len(a.Done) != 0 || a.Size != uint64(len(pop.Domains))+100 {
+		t.Fatalf("merged position %d done % x size %d, want %d, none, %d", a.Position, a.Done, a.Size, want, len(pop.Domains)+100)
 	}
 }
 

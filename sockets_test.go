@@ -298,7 +298,6 @@ var detachedAllowed = map[string]string{
 var detachedMethodsAllowed = map[string]string{
 	"cluster.(*Cluster).OwnerID":                 "read by the nested bench/ module, which this walk skips",
 	"frontend.(*Frontend).Metrics":               "read by the nested bench/ module, which this walk skips",
-	"scan.(*Scanner).ScanStream":                 "read by the nested bench/ module, which this walk skips",
 	"scenario.(*ParseError).Unwrap":              "errors.Is and errors.As call it through the unwrap interface",
 	"dnswire.(*Message).PackNoCompress":          "the uncompressed encoding dnswire's fuzzers check Pack against and the root name-compression ablation measures",
 	"frontend.(*Frontend).FlushCache":            "the cluster tests empty a replica's cache to prove a broadcast refills it",
