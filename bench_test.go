@@ -664,8 +664,8 @@ func TestWriteBenchScanSnapshot(t *testing.T) {
 	// Whole-scan peak heap (scan-attributable growth): the slice path
 	// materializes every Result, the streaming path holds O(workers). Run at
 	// 10x the bench population so the result storage is visible over scan
-	// working memory. Fresh wilds for each pass (scanning mutates die-after
-	// endpoint state).
+	// working memory. Each pass scans a wild of its own, so the two
+	// measurements are set up alike.
 	for _, stream := range []bool{false, true} {
 		name := "scan.WarmScanner/slice/peak-heap"
 		if stream {

@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := fs.Bool("resume", false, "continue from the shard's checkpoint in -checkpoint-dir instead of starting over")
 	maxQPS := fs.Float64("max-qps", 0, "global upstream queries/sec cap for this shard (0 = unlimited); a capped scan also runs the concurrency governor")
 	authorityQPS := fs.Float64("authority-qps", 0, "upstream queries/sec cap per authoritative address (0 = unlimited)")
-	scale := fs.Float64("scale", 0, "population as a multiple of the 1:1 reference scale (303,000 domains); overrides -domains when > 0")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -143,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *scale > 0 {
-		*domains = int(*scale * float64(population.PaperTotal/1000))
-	}
 	fmt.Fprintf(stderr, "generating population: %d domains across 1,475 TLDs (seed %d) ...\n", *domains, *seed)
 	pop := population.Generate(population.Config{TotalDomains: *domains, Seed: *seed})
 	wild, err := population.Materialize(pop)
@@ -184,22 +180,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if compare {
-		// The multi-vendor extension: the same population reported by every
-		// profile (the paper scanned Cloudflare only), scanned once per
-		// behaviour class.
-		byProfile := make(map[string]*scan.Aggregate)
-		for _, class := range resolver.ByBehaviour(resolver.AllProfiles()) {
-			cfg.Profile = class[0]
-			snaps, _, err := scanShard(wild, cfg, class, *progress, stderr)
-			if err != nil {
-				return exit(1, "%v", err)
-			}
-			for i, p := range class {
-				byProfile[p.Name] = snaps[i].Agg
-			}
+		rows, err := compareRows(wild, cfg, *progress, stderr)
+		if err != nil {
+			return exit(1, "%v", err)
 		}
 		fmt.Fprintf(stdout, "%-18s %14s %14s %12s\n", "profile", "EDE domains", "distinct codes", "SERVFAILs")
-		for _, r := range scan.CompareProfiles(byProfile) {
+		for _, r := range rows {
 			fmt.Fprintf(stdout, "%-18s %14d %14d %12d\n", r.Profile, r.DomainsWithEDE, r.DistinctCodes, r.Servfails)
 		}
 		fmt.Fprintln(stdout, "\ndetection is shared (similar SERVFAIL counts); EDE visibility is not —")
@@ -291,6 +277,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			repaired, before, now, 100*float64(before-now)/float64(before))
 	}
 	return 0
+}
+
+// compareRows is -profile compare: wild reported by every profile (the paper
+// scanned Cloudflare only), scanned once per behaviour class.
+func compareRows(wild *population.Wild, cfg campaign.Config, progress time.Duration, stderr io.Writer) ([]scan.ProfileComparison, error) {
+	byProfile := make(map[string]*scan.Aggregate)
+	for _, class := range resolver.ByBehaviour(resolver.AllProfiles()) {
+		cfg.Profile = class[0]
+		snaps, _, err := scanShard(wild, cfg, class, progress, stderr)
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range class {
+			byProfile[p.Name] = snaps[i].Agg
+		}
+	}
+	return scan.CompareProfiles(byProfile), nil
 }
 
 // scanShard is every scan edescan makes — the measured one, each -profile

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -316,34 +317,48 @@ func TestCampaignTelemetry(t *testing.T) {
 // TestRunViewsIsRunPerProfile: the multi-vendor comparison resolves the shard
 // once per behaviour class and reports every profile of the class from that
 // one pass. Each profile's snapshot must be byte-identical to a Run under
-// that profile alone. Every pass gets its own wild from the one seed, as a
-// separate process would: the stale class's endpoints answer once, so on a
-// shared wild only the first pass's warm-up would find them alive.
+// that profile alone. Every pass runs on one wild: a pass sets the wild
+// clock, and the stale class's authorities go dark by that clock, so no
+// pass sees what an earlier one left. The classes' passes run forward and
+// then reversed, and each profile's aggregates must not depend on the
+// order. SERVFAIL counts follow Profile.ServeStale: BIND and Cloudflare
+// answer the stale class with its expired records, the other five SERVFAIL,
+// so those two are where an order dependence would show.
 func TestRunViewsIsRunPerProfile(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ten populations to sign; the full run covers them")
+		t.Skip("thirteen passes over 3,030 domains; the full run covers them")
 	}
-	const domains = 3030
 	ctx := context.Background()
-	viewed := make(map[string][]byte)
-	for _, class := range resolver.ByBehaviour(resolver.AllProfiles()) {
-		r, err := New(Config{Workers: 8, Profile: class[0]}, buildWild(t, domains))
-		if err != nil {
-			t.Fatal(err)
+	w := buildWild(t, 3030)
+	classes := resolver.ByBehaviour(resolver.AllProfiles())
+	views := func(classes [][]*resolver.Profile) map[string][]byte {
+		viewed := make(map[string][]byte)
+		for _, class := range classes {
+			r, err := New(Config{Workers: 8, Profile: class[0]}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := r.RunViews(ctx, class)
+			if err != nil {
+				t.Fatalf("%s's class: %v", class[0].Name, err)
+			}
+			for i, p := range class {
+				viewed[p.Name] = snaps[i].AggregateBytes()
+			}
 		}
-		snaps, err := r.RunViews(ctx, class)
-		if err != nil {
-			t.Fatalf("%s's class: %v", class[0].Name, err)
-		}
-		for i, p := range class {
-			viewed[p.Name] = snaps[i].AggregateBytes()
-		}
+		return viewed
 	}
+	viewed := views(classes)
 	if len(viewed) != 7 {
 		t.Fatalf("compare reported %d profiles, want 7", len(viewed))
 	}
+	slices.Reverse(classes)
+	reversed := views(classes)
 	for _, p := range resolver.AllProfiles() {
-		r, err := New(Config{Workers: 8, Profile: p}, buildWild(t, domains))
+		if !bytes.Equal(reversed[p.Name], viewed[p.Name]) {
+			t.Errorf("%s: its aggregates depend on the order the classes scan in", p.Name)
+		}
+		r, err := New(Config{Workers: 8, Profile: p}, w)
 		if err != nil {
 			t.Fatal(err)
 		}

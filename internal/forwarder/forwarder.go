@@ -1,14 +1,14 @@
-// Package forwarder implements a DNS forwarder that proxies client queries
-// to an upstream recursive resolver and passes Extended DNS Errors through.
+// Package forwarder is the frontend's upstream contract: Upstream is what
+// frontend.New takes, OptionsUpstream also honours the CD bit and
+// CallerCaches, ProfiledUpstream names the profile whose serve-stale policy
+// and EDE report the frontend follows, and ResolverUpstream adapts a
+// resolver.Resolver to all three.
 //
-// RFC 8914 §2 notes that any DNS system — "a recursive resolver, a
-// forwarder, or an authoritative nameserver" — can generate, forward, and
-// parse EDE codes, and §3 warns intermediaries to forward them unchanged
-// rather than strip or reinterpret them. This package demonstrates the
-// forwarding role: the home-router/enterprise hop between stub clients and
-// the public resolvers the paper measures. It can also annotate upstream
-// failures with its own codes (Network Error when the upstream is down),
-// exactly as the RFC permits multiple EDE options in one response.
+// New serves an Upstream with no cache in front of it — over
+// ResolverUpstream, a resolver on its own: the reference the tests hold the
+// frontend to, and the stream chaos scenarios' handler. It forwards EDE
+// options verbatim (RFC 8914 §3) and adds Network Error (EDE 23) when the
+// upstream exchange fails.
 package forwarder
 
 import (

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
@@ -15,17 +14,21 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 )
 
-// wildWorld materializes a fresh world over n requested domains and returns
-// it with a fresh resolver on the world's clock.
-func wildWorld(t *testing.T, n int) (*population.Wild, *resolver.Resolver) {
+// wildWorld materializes a fresh world over n requested domains.
+func wildWorld(t *testing.T, n int) *population.Wild {
 	t.Helper()
 	w, err := population.Materialize(population.Generate(population.Config{TotalDomains: n, Seed: 20230515}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// resolverOn returns a fresh resolver over w, on w's clock.
+func resolverOn(w *population.Wild) *resolver.Resolver {
 	r := resolver.New(w.Net, w.Roots, w.Anchor, resolver.ProfileCloudflare())
 	r.Now = w.Now
-	return w, r
+	return r
 }
 
 // fronted puts a frontend on the world's clock in front of r.
@@ -95,21 +98,20 @@ func domainNames(pop *population.Population) []dnswire.Name {
 // afterwards the frontend holds one entry per name while the resolver holds
 // no answer — the same at 3,030 domains as at 30,300. Zone cuts are shared
 // infrastructure, kept as before: the resolver holds as many as a standalone
-// twin does. The same names through forwarder.New (a resolver serving on its
-// own) leave one answer per name in that resolver.
+// twin over the same world does. The same names through forwarder.New (a
+// resolver serving on its own) leave one answer per name in that resolver.
 func TestFrontedResolverStoresNoAnswers(t *testing.T) {
 	sizes := []int{3030, 30300}
 	if testing.Short() {
 		sizes = sizes[:1] // the race detector makes the large pass slow
 	}
 	for _, n := range sizes {
-		w, r := wildWorld(t, n)
+		w := wildWorld(t, n)
+		r, r2 := resolverOn(w), resolverOn(w)
 		names := domainNames(w.Pop)
 		fe := fronted(w, r)
 		ask(t, fe, r, apexA(names))
-
-		w2, r2 := wildWorld(t, n)
-		ask(t, forwarder.New(forwarder.ResolverUpstream{R: r2}), r2, apexA(domainNames(w2.Pop)))
+		ask(t, forwarder.New(forwarder.ResolverUpstream{R: r2}), r2, apexA(names))
 
 		t.Logf("%d domains: fronted, frontend %d entries, resolver %d answers and %d cuts; standalone, resolver %d answers and %d cuts",
 			len(names), fe.CacheLen(), r.Cache.Len(), r.Cache.DelegationLen(), r2.Cache.Len(), r2.Cache.DelegationLen())
@@ -128,29 +130,31 @@ func TestFrontedResolverStoresNoAnswers(t *testing.T) {
 }
 
 // TestFrontedResolverSendsTheSameQueries: who keeps the answer changes
-// nothing a client or an authority sees. Twin fresh worlds run the scan
-// protocol — warm the stale class, move the clock two hours, ask every
-// domain once — one through a frontend and one through forwarder.New, and
-// every name must get the same RCODE and EDE set for the same upstream
-// queries. The stale class is the frontend serving stale where the
-// standalone resolver does it itself; both must say why the live attempt
-// failed.
+// nothing a client or an authority sees. Two fresh resolvers over one world
+// run the scan protocol — warm the stale class at ScanTime, set the clock to
+// MeasureTime, ask every domain once — one through a frontend and one
+// through forwarder.New, and every name must get the same RCODE and EDE set
+// for the same upstream queries. The stale class is the frontend serving
+// stale where the standalone resolver does it itself; both must say why the
+// live attempt failed.
 func TestFrontedResolverSendsTheSameQueries(t *testing.T) {
-	pass := func(front bool) (*population.Population, []outcome) {
-		w, r := wildWorld(t, 3030)
+	w := wildWorld(t, 3030)
+	pass := func(front bool) []outcome {
+		r := resolverOn(w)
 		var h netsim.Handler = forwarder.New(forwarder.ResolverUpstream{R: r})
 		if front {
 			h = fronted(w, r)
 		}
+		w.SetClock(population.ScanTime)
 		ask(t, h, r, apexA(w.WarmupDomains()))
-		w.AdvanceClock(2 * time.Hour)
-		return w.Pop, ask(t, h, r, apexA(domainNames(w.Pop)))
+		w.SetClock(population.MeasureTime)
+		return ask(t, h, r, apexA(domainNames(w.Pop)))
 	}
-	pop, standalone := pass(false)
-	_, front := pass(true)
+	standalone := pass(false)
+	front := pass(true)
 
 	perClass := make(map[population.Class]uint64)
-	for i, d := range pop.Domains {
+	for i, d := range w.Pop.Domains {
 		s, f := standalone[i], front[i]
 		if s.queries != f.queries || s.rcode != f.rcode || !slices.Equal(s.codes, f.codes) {
 			t.Errorf("%s (%s): %d queries, %s %v standalone; %d queries, %s %v fronted",
@@ -169,23 +173,24 @@ func TestFrontedResolverSendsTheSameQueries(t *testing.T) {
 // TestFrontedMixedTrafficCostsWhatStoringDid is the traffic a browser sends,
 // not one type-A question per apex: for every domain, A, AAAA, A again from
 // a DO=0 client, then the www name from both kinds of client, and the whole
-// round again once the 300 s answers have expired. Twin fresh worlds serve
-// it through a frontend whose resolver stores no answers and through one
-// whose resolver stores them all (storingUpstream), and every question must
+// round again once the 300 s answers have expired. One world serves it
+// through a frontend whose resolver stores no answers and through one whose
+// resolver stores them all (storingUpstream), and every question must
 // get the same RCODE, EDE set and answer count for the same upstream
 // queries: the frontend's cache stands in for every answer-cache hit the
 // resolver used to serve. The resolver behind the first still holds no
 // answer and the same zone cuts as the second.
 //
 // One thing the storing stack gets wrong is left out: its frontend stores
-// the resolver's stale reply as fresh, so the stale class, whose authorities
-// are down by the second round, is not asked here:
+// the resolver's stale reply as fresh. So the stale class, the one whose
+// authorities go dark (at population.MeasureTime), is not asked here:
 // TestStaleIsNotRefilledAsFresh and TestFrontedResolverSendsTheSameQueries
 // cover it.
 func TestFrontedMixedTrafficCostsWhatStoringDid(t *testing.T) {
+	w := wildWorld(t, 3030)
 	var domains []*population.Domain
 	pass := func(storing bool) ([]outcome, *resolver.Resolver) {
-		w, r := wildWorld(t, 3030)
+		r := resolverOn(w)
 		var up forwarder.Upstream = forwarder.ResolverUpstream{R: r}
 		if storing {
 			up = storingUpstream{up}
@@ -206,8 +211,9 @@ func TestFrontedMixedTrafficCostsWhatStoringDid(t *testing.T) {
 				question{www, dnswire.TypeA, true},
 				question{www, dnswire.TypeA, false})
 		}
+		w.SetClock(population.ScanTime)
 		out := ask(t, fe, r, qs)
-		w.AdvanceClock(10 * time.Minute)
+		w.SetClock(population.ScanTime + 10*60)
 		return append(out, ask(t, fe, r, qs)...), r
 	}
 	storing, rs := pass(true)
@@ -240,7 +246,8 @@ func TestFrontedMixedTrafficCostsWhatStoringDid(t *testing.T) {
 // reply must not be served for a full TTL as if it were an answer. Both the
 // frontend's and the resolver's clocks advance.
 func TestStaleIsNotRefilledAsFresh(t *testing.T) {
-	w, r := wildWorld(t, 3030)
+	w := wildWorld(t, 3030)
+	r := resolverOn(w)
 	var name dnswire.Name
 	for _, d := range w.Pop.Domains {
 		if d.Class == population.ClassHealthy {
@@ -264,7 +271,7 @@ func TestStaleIsNotRefilledAsFresh(t *testing.T) {
 	}
 
 	// The 300 s answer expires everywhere; the authorities go silent.
-	w.AdvanceClock(10 * time.Minute)
+	w.SetClock(population.ScanTime + 10*60)
 	w.Net.SetFaults(netsim.NewFaultPlan(1, netsim.FaultProfile{Loss: 1}))
 	resp := query()
 	if resp.RCode != dnswire.RCodeNoError || !stale(resp) ||
@@ -279,7 +286,7 @@ func TestStaleIsNotRefilledAsFresh(t *testing.T) {
 
 	// The authorities recover a minute later, well inside the record's TTL.
 	w.Net.SetFaults(nil)
-	w.AdvanceClock(time.Minute)
+	w.SetClock(population.ScanTime + 11*60)
 	if resp := query(); resp.RCode != dnswire.RCodeNoError || stale(resp) {
 		t.Errorf("recovered: %s, EDEs %v; want a fresh NOERROR without EDE 3", resp.RCode, resp.EDECodes())
 	}

@@ -20,7 +20,7 @@ import (
 //
 // Datagram-only faults (Truncate, Garble, Duplicate, Reorder) model UDP
 // pathologies and are skipped on stream (TCP-fallback) exchanges; the
-// path-level faults (loss, bursts, latency, flapping, DieAfter) apply to
+// path-level faults (loss, bursts, latency, flapping, DropAfter) apply to
 // both transports, as a dead or congested path drops everything.
 type FaultProfile struct {
 	// Loss is the steady-state probability in [0,1] that a query is

@@ -63,7 +63,7 @@ type Stats struct {
 	Queries     uint64 // queries attempted
 	Unroutable  uint64 // destinations in special-purpose ranges
 	Unreachable uint64 // routable but no endpoint registered
-	Lost        uint64 // dropped (loss, bursts, flaps, die-after, latency past deadline)
+	Lost        uint64 // dropped (loss, bursts, flaps, drop-after, latency past deadline)
 	Answered    uint64 // handler produced a response
 	Errors      uint64 // handler returned an error (silent server)
 	Truncated   uint64 // datagram responses truncated by fault injection
@@ -352,19 +352,5 @@ func Flaky(h, broken Handler) Handler {
 			return broken.HandleDNS(ctx, q)
 		}
 		return h.HandleDNS(ctx, q)
-	})
-}
-
-// DieAfter answers the first n queries with h and every later query with
-// then. It models the dying nameservers behind the paper's stale-answer
-// domains (§4.2 item 11): healthy when background traffic warmed resolver
-// caches, broken by the time of the scan.
-func DieAfter(n int, h, then Handler) Handler {
-	var served atomic.Int64
-	return HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		if served.Add(1) <= int64(n) {
-			return h.HandleDNS(ctx, q)
-		}
-		return then.HandleDNS(ctx, q)
 	})
 }

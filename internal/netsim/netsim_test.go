@@ -105,22 +105,6 @@ func TestMismatchedQuestionRewrites(t *testing.T) {
 	}
 }
 
-func TestDieAfterSwitchesBehaviour(t *testing.T) {
-	h := DieAfter(2, echoHandler(), StaticRCode(dnswire.RCodeRefused))
-	ctx := context.Background()
-	q := dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)
-	for i := 0; i < 2; i++ {
-		resp, err := h.HandleDNS(ctx, q)
-		if err != nil || resp.RCode != dnswire.RCodeNoError {
-			t.Fatalf("query %d: %v %v", i, resp, err)
-		}
-	}
-	resp, err := h.HandleDNS(ctx, q)
-	if err != nil || resp.RCode != dnswire.RCodeRefused {
-		t.Errorf("after death: %v %v", resp, err)
-	}
-}
-
 func TestHandlerErrorCountsAsError(t *testing.T) {
 	n := New(3)
 	addr := netip.MustParseAddr("198.18.9.9")
@@ -181,17 +165,17 @@ func TestNoEDNSDoesNotMutateHandlerResponse(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesRaceClean drives Flaky and DieAfter endpoints (and the
-// network counters, loss process, and wire-buffer pool under them) from many
-// goroutines at once. Run under -race in CI, this is the regression test for
+// TestConcurrentQueriesRaceClean drives a Flaky and a static endpoint (and
+// the network counters, loss process, and wire-buffer pool under them) from
+// many goroutines at once. Run under -race in CI, this is the regression test for
 // the lock-free query path.
 func TestConcurrentQueriesRaceClean(t *testing.T) {
 	n := New(42)
 	n.SetLossRate(0.05)
 	flakyAddr := netip.MustParseAddr("198.18.9.8")
-	dyingAddr := netip.MustParseAddr("198.18.9.9")
+	refusedAddr := netip.MustParseAddr("198.18.9.9")
 	n.Register(flakyAddr, Flaky(echoHandler(), StaticRCode(dnswire.RCodeServFail)))
-	n.Register(dyingAddr, DieAfter(100, echoHandler(), StaticRCode(dnswire.RCodeRefused)))
+	n.Register(refusedAddr, StaticRCode(dnswire.RCodeRefused))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -202,7 +186,7 @@ func TestConcurrentQueriesRaceClean(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				addr := flakyAddr
 				if i%2 == 0 {
-					addr = dyingAddr
+					addr = refusedAddr
 				}
 				n.Query(context.Background(), addr, q)
 			}

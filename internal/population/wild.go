@@ -20,9 +20,11 @@ import (
 )
 
 // Timing constants shared by the wild infrastructure (same epoch as the
-// testbed: valid signatures straddle ScanTime).
+// testbed: valid signatures straddle ScanTime). A scan warms up at ScanTime
+// and measures at MeasureTime (scan.WarmScanner).
 const (
 	ScanTime       uint32 = 1750000000
+	MeasureTime    uint32 = ScanTime + 2*60*60
 	wildInception  uint32 = 1700000000
 	wildExpiration uint32 = 1800000000
 	pastInception  uint32 = 1600000000
@@ -40,27 +42,26 @@ type Wild struct {
 	Anchor []dnswire.DS
 	Pop    *Population
 
-	// offset shifts the scan instant; the scan harness advances it between
-	// the cache-warmup pass and the measurement pass. It is an atomic
-	// nanosecond count because every resolution reads the clock — a mutex
-	// here was a global serialization point for the whole worker pool.
-	offset atomic.Int64
+	// now is the wild clock in Unix seconds; a scan pass sets it (SetClock).
+	// It is atomic because every resolution reads the clock — a mutex here
+	// was a global serialization point for the whole worker pool.
+	now atomic.Int64
 
 	providers []netip.Addr
-	// staleAddrs holds the dedicated dying endpoint of each ClassStale
-	// domain — 32 of the paper's 303M, so it lives here, not in Domain.
+	// staleAddrs holds the dedicated endpoint of each ClassStale domain —
+	// 32 of the paper's 303M, so it lives here, not in Domain.
 	staleAddrs map[*Domain]netip.Addr
 }
 
-// Now is the wild clock (ScanTime plus any offset set by AdvanceClock).
+// Now is the wild clock: ScanTime until SetClock moves it.
 func (w *Wild) Now() time.Time {
-	return time.Unix(int64(ScanTime), 0).Add(time.Duration(w.offset.Load()))
+	return time.Unix(w.now.Load(), 0)
 }
 
-// AdvanceClock moves the wild clock forward (used between the warmup and
-// measurement passes so warmed cache entries expire into stale range).
-func (w *Wild) AdvanceClock(d time.Duration) {
-	w.offset.Add(int64(d))
+// SetClock sets the wild clock to the Unix second unix: the only state of the
+// wild (bar an injected fault plan's draws) that a scan pass changes.
+func (w *Wild) SetClock(unix uint32) {
+	w.now.Store(int64(unix))
 }
 
 // WarmupDomains lists the domains whose resolutions must be primed before
@@ -86,6 +87,7 @@ func Materialize(pop *Population) (*Wild, error) {
 		Pop:        pop,
 		staleAddrs: make(map[*Domain]netip.Addr),
 	}
+	w.SetClock(ScanTime)
 	// Signing material for signed wild classes. The children with a DS are,
 	// with the apex, the owners of their TLD's opt-out NSEC3 chain.
 	children := childKeySpecs(pop)
@@ -158,8 +160,8 @@ func Materialize(pop *Population) (*Wild, error) {
 		}
 	}
 
-	// Dying endpoints for the stale class: answer once (the warmup), then
-	// go dark.
+	// Endpoints for the stale class (§4.2 item 11): healthy while background
+	// traffic warms caches, dark from MeasureTime on.
 	staleIdx := 0
 	for _, d := range pop.Domains {
 		if d.Class != ClassStale {
@@ -173,7 +175,12 @@ func Materialize(pop *Population) (*Wild, error) {
 		} else {
 			broken = netsim.Unresponsive() // → EDE 3,22
 		}
-		w.Net.Register(addr, netsim.DieAfter(1, provider, broken))
+		w.Net.Register(addr, netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+			if w.now.Load() < int64(MeasureTime) {
+				return provider.HandleDNS(ctx, q)
+			}
+			return broken.HandleDNS(ctx, q)
+		}))
 		w.staleAddrs[d] = addr
 	}
 	return w, nil

@@ -3,7 +3,6 @@ package population
 import (
 	"context"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
@@ -34,12 +33,43 @@ func TestMaterializeRegistersInfrastructure(t *testing.T) {
 	}
 }
 
+// TestWildClock: the clock starts at ScanTime and SetClock sets it. A
+// stale-class domain's authority answers every query before MeasureTime and
+// none from it on, however often it was asked before, and comes back when
+// the clock is set back: what a pass sees depends on the instants it sets,
+// not on the passes that ran before it.
 func TestWildClock(t *testing.T) {
 	w := smallWild(t)
-	t0 := w.Now()
-	w.AdvanceClock(2 * time.Hour)
-	if got := w.Now().Sub(t0); got != 2*time.Hour {
-		t.Errorf("clock advanced %v", got)
+	if got := w.Now().Unix(); got != int64(ScanTime) {
+		t.Fatalf("a new wild's clock reads %d, want ScanTime %d", got, ScanTime)
+	}
+	var stale *Domain
+	for _, d := range w.Pop.Domains {
+		if d.Class == ClassStale {
+			stale = d
+			break
+		}
+	}
+	if stale == nil {
+		t.Fatal("no stale-class domain")
+	}
+	q := dnswire.NewQuery(1, stale.Name, dnswire.TypeA)
+	for i, step := range []struct {
+		at     uint32
+		answer bool
+	}{
+		{ScanTime, true}, {ScanTime, true}, {MeasureTime - 1, true},
+		{MeasureTime, false}, {MeasureTime, false}, {ScanTime, true},
+	} {
+		w.SetClock(step.at)
+		if got := w.Now().Unix(); got != int64(step.at) {
+			t.Fatalf("step %d: SetClock(%d), clock reads %d", i, step.at, got)
+		}
+		resp, err := w.Net.Query(context.Background(), w.nsAddrsFor(stale)[0], q)
+		answered := err == nil && resp.RCode == dnswire.RCodeNoError && len(resp.Answer) > 0
+		if answered != step.answer {
+			t.Errorf("step %d at %+ds: answered %t (%v), want %t", i, int64(step.at)-int64(ScanTime), answered, err, step.answer)
+		}
 	}
 }
 

@@ -54,7 +54,8 @@ func (c *Cache) bodyCount() int {
 // the unsigned cuts are many and their bodies few. (Every TLD cut carries a
 // DS set, and so a body of its own.)
 func TestUnsignedCutsShareOneBody(t *testing.T) {
-	pop, r := wildResolver(t, 3030, false)
+	w, r := wildResolver(t, 3030, false)
+	pop := w.Pop
 	for _, d := range pop.Domains {
 		r.ResolveWithOptions(context.Background(), d.Name, dnswire.TypeA, QueryOptions{CallerCaches: true})
 	}
@@ -165,7 +166,8 @@ func TestFrontedResolverCutsCostLittle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 101,000-domain world") // and the race detector's heap is not the product's
 	}
-	pop, r := wildResolver(t, 101000, false)
+	w, r := wildResolver(t, 101000, false)
+	pop := w.Pop
 	ask := func(names []dnswire.Name) {
 		for _, n := range names {
 			r.ResolveWithOptions(context.Background(), n, dnswire.TypeA, QueryOptions{CallerCaches: true})

@@ -18,17 +18,21 @@ import (
 
 // wildResolver materializes a fresh world over n requested domains and
 // returns it with a resolver over it.
-func wildResolver(t *testing.T, n int, readOnly bool) (*population.Population, *Resolver) {
+func wildResolver(t *testing.T, n int, readOnly bool) (*population.Wild, *Resolver) {
 	t.Helper()
-	pop := population.Generate(population.Config{TotalDomains: n, Seed: 20230515})
-	w, err := population.Materialize(pop)
+	w, err := population.Materialize(population.Generate(population.Config{TotalDomains: n, Seed: 20230515}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w, resolverOn(w, readOnly)
+}
+
+// resolverOn returns a fresh resolver over w, on w's clock.
+func resolverOn(w *population.Wild, readOnly bool) *Resolver {
 	r := New(w.Net, w.Roots, w.Anchor, ProfileCloudflare())
 	r.Now = w.Now
 	r.AnswerCacheReadOnly = readOnly
-	return pop, r
+	return r
 }
 
 // TestUniqueNameScanKeepsNothingPerName is the unique-name scan's memory
@@ -42,7 +46,8 @@ func TestUniqueNameScanKeepsNothingPerName(t *testing.T) {
 		sizes = sizes[:1] // the race detector makes the large scan slow
 	}
 	for _, n := range sizes {
-		pop, r := wildResolver(t, n, true)
+		w, r := wildResolver(t, n, true)
+		pop := w.Pop
 		const workers = 4
 		var next atomic.Int64
 		var wg sync.WaitGroup
@@ -123,10 +128,10 @@ func TestLeafCutsReachSubResolutions(t *testing.T) {
 }
 
 // TestLeafStateSendsTheSameQueries: keeping a name's own cut and keys on its
-// resolution changes nothing on the wire. Twin fresh worlds get one
-// sequential pass each, AnswerCacheReadOnly off on one and on on the other,
-// and every domain must cost the same upstream queries and get the same RCODE
-// and EDE set. The iteration-loop class chases CNAMEs below its own cut, which
+// resolution changes nothing on the wire. Two fresh resolvers over one world
+// make one sequential pass each, AnswerCacheReadOnly off on one and on on the
+// other, and every domain must cost the same upstream queries and get the
+// same RCODE and EDE set. The iteration-loop class chases CNAMEs below its own cut, which
 // the chase must find on the resolution or pay the TLD again.
 func TestLeafStateSendsTheSameQueries(t *testing.T) {
 	type outcome struct {
@@ -134,22 +139,22 @@ func TestLeafStateSendsTheSameQueries(t *testing.T) {
 		rcode   dnswire.RCode
 		codes   []uint16
 	}
-	pass := func(readOnly bool) (*population.Population, []outcome) {
-		pop, r := wildResolver(t, 3030, readOnly)
+	w, caching := wildResolver(t, 3030, false)
+	pop := w.Pop
+	pass := func(r *Resolver) []outcome {
 		out := make([]outcome, len(pop.Domains))
 		for i, d := range pop.Domains {
 			before := r.QueryCount.Load()
 			res := r.Resolve(context.Background(), d.Name, dnswire.TypeA)
 			out[i] = outcome{r.QueryCount.Load() - before, res.Msg.RCode, res.Codes()}
 		}
-		return pop, out
+		return out
 	}
-	pop, caching := pass(false)
-	_, leaf := pass(true)
+	cached, leaf := pass(caching), pass(resolverOn(w, true))
 
 	perClass := make(map[population.Class]uint64)
 	for i, d := range pop.Domains {
-		c, l := caching[i], leaf[i]
+		c, l := cached[i], leaf[i]
 		if c.queries != l.queries || c.rcode != l.rcode || !slices.Equal(c.codes, l.codes) {
 			t.Errorf("%s (%s): %d queries, %s %v caching; %d queries, %s %v read-only",
 				d.Name, d.Class, c.queries, c.rcode, c.codes, l.queries, l.rcode, l.codes)

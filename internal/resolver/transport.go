@@ -35,12 +35,10 @@ type TransportConfig struct {
 	// scan. Zero means unbounded.
 	RetryBudget int
 	// Backoff is the base delay before the second attempt to a server; it
-	// doubles each further attempt, capped at BackoffMax, with ±50%
+	// doubles each further attempt, up to backoffCap×Backoff, with ±50%
 	// deterministic jitter derived from the server address and attempt
 	// number (replayable, no shared RNG). Zero disables backoff entirely.
 	Backoff time.Duration
-	// BackoffMax caps the exponential growth. Zero means 8×Backoff.
-	BackoffMax time.Duration
 	// Sleep is the backoff clock, injectable so chaos tests run at full
 	// speed. Nil means a real context-aware sleep.
 	Sleep func(context.Context, time.Duration)
@@ -74,6 +72,8 @@ func (tc *TransportConfig) budget() int {
 	return 0
 }
 
+const backoffCap = 8 // a server's backoff stops doubling at backoffCap × Backoff
+
 // backoffFor computes the pre-attempt delay: exponential in the attempt
 // number with deterministic hash jitter. attempt 0 (the first try) never
 // waits.
@@ -81,14 +81,7 @@ func (tc *TransportConfig) backoffFor(addr netip.Addr, attempt int) time.Duratio
 	if tc == nil || tc.Backoff <= 0 || attempt == 0 {
 		return 0
 	}
-	d := tc.Backoff << (attempt - 1)
-	max := tc.BackoffMax
-	if max <= 0 {
-		max = 8 * tc.Backoff
-	}
-	if d > max {
-		d = max
-	}
+	d := min(tc.Backoff<<(attempt-1), backoffCap*tc.Backoff)
 	// Half the delay is fixed, half is jitter drawn from a hash of the
 	// (address, attempt) pair — decorrelated across servers yet a pure
 	// function of the inputs, so replays are exact.

@@ -138,7 +138,7 @@ func TestTransportRetryBudgetBounds(t *testing.T) {
 }
 
 func TestTransportBackoffDeterministic(t *testing.T) {
-	tc := &TransportConfig{Backoff: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
+	tc := &TransportConfig{Backoff: 10 * time.Millisecond}
 	addr := netip.MustParseAddr("198.18.10.3")
 
 	if d := tc.backoffFor(addr, 0); d != 0 {
@@ -149,10 +149,7 @@ func TestTransportBackoffDeterministic(t *testing.T) {
 		var seq []time.Duration
 		for attempt := 1; attempt <= 6; attempt++ {
 			d := tc.backoffFor(addr, attempt)
-			base := tc.Backoff << (attempt - 1)
-			if base > tc.BackoffMax {
-				base = tc.BackoffMax
-			}
+			base := min(tc.Backoff<<(attempt-1), 80*time.Millisecond)
 			if d < base/2 || d > base {
 				t.Fatalf("attempt %d backoff %v outside [%v, %v]", attempt, d, base/2, base)
 			}

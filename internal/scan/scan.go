@@ -236,9 +236,11 @@ func (s *Scanner) ScanStream(ctx context.Context, src NameSource, sink func(Resu
 
 // WarmScanner is the paper's §4 scan protocol up to the measurement pass, and
 // the only place it is written down: build the resolver, resolve
-// population.Wild.WarmupDomains (standing in for the client traffic that had
-// filled the production resolver's cache), advance the wild clock two hours
-// so those entries expire into stale range, and pin the answer cache
+// population.Wild.WarmupDomains at population.ScanTime (standing in for the
+// client traffic that had filled the production resolver's cache), set the
+// wild clock to population.MeasureTime, when those entries have expired into
+// stale range and the stale class's authorities have gone dark (so passes
+// over one wild do not depend on each other), and pin the answer cache
 // read-only. Read-only is part of the protocol for every caller: scan names
 // are unique, so storing their answers buys no hit and grows the heap with
 // the population, while the warmed entries serve-stale needs can no longer
@@ -255,10 +257,9 @@ func WarmScanner(ctx context.Context, w *population.Wild, profile *resolver.Prof
 	if workers > 0 {
 		s.Workers = workers
 	}
-	if warm := w.WarmupDomains(); len(warm) > 0 {
-		s.Scan(ctx, warm)
-		w.AdvanceClock(2 * time.Hour)
-	}
+	w.SetClock(population.ScanTime)
+	s.Scan(ctx, w.WarmupDomains())
+	w.SetClock(population.MeasureTime)
 	r.AnswerCacheReadOnly = true
 	return s
 }

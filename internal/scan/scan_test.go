@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -139,6 +140,25 @@ func TestWildStaleClass(t *testing.T) {
 	}
 	if staleSeen == 0 {
 		t.Error("no stale-class domains in population")
+	}
+}
+
+// TestScanPassIsAFunctionOfWildAndProfile: a second §4 pass over the shared
+// wild, run after whatever the other tests scanned on it, folds to the same
+// aggregates as the first. WarmScanner sets the wild clock instead of
+// advancing it, and the stale class's authorities go dark by that clock, so
+// the second warm-up still finds them answering and the stale domains still
+// surface EDE 3.
+func TestScanPassIsAFunctionOfWildAndProfile(t *testing.T) {
+	w, first := sharedWildScan(t)
+	second, _ := wildScan(w, resolver.ProfileCloudflare(), 16)
+	if now := w.Now().Unix(); now != int64(population.MeasureTime) {
+		t.Errorf("after a pass the wild clock reads %d, want MeasureTime %d", now, population.MeasureTime)
+	}
+	want, got := snapOver(w.Pop, first), snapOver(w.Pop, second)
+	if !bytes.Equal(got.AggregateBytes(), want.AggregateBytes()) {
+		t.Errorf("the second pass over one wild differs from the first: codes %v, want %v",
+			got.Agg.CodesByCount(), want.Agg.CodesByCount())
 	}
 }
 
@@ -293,8 +313,7 @@ func TestCompareProfilesExtension(t *testing.T) {
 	}
 	byProfile := make(map[string]*Aggregate)
 	for _, p := range resolver.AllProfiles() {
-		// Fresh wild clock offset accumulates across profiles; that only
-		// moves further past expiry, which is harmless.
+		// One wild serves every profile: each pass sets the wild clock.
 		results, _ := wildScan(w, p, 8)
 		byProfile[p.Name], _, _ = fold(results, w.Pop)
 	}

@@ -27,9 +27,7 @@ func (c *countingSource) Next() (dnswire.Name, bool) {
 	return n, ok
 }
 
-// build10x materializes a fresh copy of the 10x scan-test population
-// (30,300 domains). Each pass gets its own copy because scanning mutates
-// network state (die-after endpoints, SRTT history).
+// build10x materializes the 10x scan-test population (30,300 domains).
 func build10x(t *testing.T) *population.Wild {
 	t.Helper()
 	w, err := population.Materialize(population.Generate(population.Config{TotalDomains: 30300, Seed: 42}))
@@ -41,33 +39,32 @@ func build10x(t *testing.T) *population.Wild {
 
 // TestScanStreamMatchesSlicePath: ScanStream over a 10x population must
 // produce Summarize/PerTLD/Figure 1–2 aggregates identical to the
-// slice-based Scan path. Both passes run single-worker: the wild network is
-// stateful (die-after endpoints, SRTT learning on shared broken
-// nameservers), so results are only well-defined for a fixed query order —
+// slice-based Scan path. Both passes run over one wild, each with a resolver
+// of its own, and single-worker: a resolver learns SRTTs on shared broken
+// nameservers, so results are only well-defined for a fixed query order —
 // two concurrent scans differ from *each other* regardless of path. The
 // concurrent O(workers) memory bound is TestScanStreamBoundsLiveResults.
 func TestScanStreamMatchesSlicePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10x-population streaming scan skipped in -short mode")
 	}
+	w := build10x(t)
 	// Slice path.
-	sliceWild := build10x(t)
-	results, _ := wildScan(sliceWild, resolver.ProfileCloudflare(), 1)
-	wantAgg, wantRows, wantStats := fold(results, sliceWild.Pop)
+	results, _ := wildScan(w, resolver.ProfileCloudflare(), 1)
+	wantAgg, wantRows, wantStats := fold(results, w.Pop)
 
 	// Streaming path.
-	streamWild := build10x(t)
 	agg := NewAggregate()
-	tldAgg := NewTLDAggregate(streamWild.Pop)
-	trancoAgg := NewTrancoAggregate(streamWild.Pop)
-	s := WarmScanner(context.Background(), streamWild, resolver.ProfileCloudflare(), 1, nil)
-	n := s.ScanStream(context.Background(), streamWild.Pop.Names(), func(res Result) {
+	tldAgg := NewTLDAggregate(w.Pop)
+	trancoAgg := NewTrancoAggregate(w.Pop)
+	s := WarmScanner(context.Background(), w, resolver.ProfileCloudflare(), 1, nil)
+	n := s.ScanStream(context.Background(), w.Pop.Names(), func(res Result) {
 		agg.Add(res)
 		tldAgg.Add(res)
 		trancoAgg.Add(res)
 	})
 
-	if want := len(streamWild.Pop.Domains); n != want {
+	if want := len(w.Pop.Domains); n != want {
 		t.Fatalf("streamed %d results, want %d", n, want)
 	}
 	if s.QueriesPerResolution <= 0 {

@@ -11,10 +11,9 @@ import (
 )
 
 // TestKillAndResumeCommands is the campaign's headline identity against the
-// real commands, in the CI campaign job's sequence: a 2-shard scan of 3,030
-// domains whose shard 0 is SIGKILLed after its first checkpoint and then
-// resumed must merge to the bytes of one uninterrupted single-shard scan
-// (edereport -merge -aggbytes).
+// real commands: a 2-shard scan of 3,030 domains whose shard 0 is SIGKILLed
+// after its first checkpoint and then resumed must merge to the bytes of one
+// uninterrupted single-shard scan (edereport -merge -aggbytes).
 func TestKillAndResumeCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds edescan and edereport and scans 3,030 domains three times")

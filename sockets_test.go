@@ -139,8 +139,8 @@ func TestOneServeCore(t *testing.T) {
 
 // TestOneScanProtocol fails when a second non-test function outside
 // internal/population asks the wild network for its WarmupDomains: the §4
-// protocol (warm up, advance the clock two hours, pin the answer cache
-// read-only, measure) is scan.WarmScanner and nothing else. It was once
+// protocol (warm up at population.ScanTime, set the clock to
+// population.MeasureTime, pin the answer cache read-only, measure) is scan.WarmScanner and nothing else. It was once
 // written out five times, and only one copy pinned the cache.
 func TestOneScanProtocol(t *testing.T) {
 	var callers []string
