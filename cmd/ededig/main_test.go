@@ -66,6 +66,9 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-server", server, name}, 0, `;;   7 (Signature Expired) [dnssec-validation]: "signature expired"`, ""},
 		{[]string{"-trace", "-chaos", "loss=0.4", "-chaos-seed", "7", "valid.extended-dns-errors.com"}, 0, ";; effective seed: 7", ""},
 		{[]string{"-trace", "-profile", "quad9", name}, 0, ";; RESOLUTION TRACE:", ""},
+		// The trace names the conditions behind each code it attaches.
+		{[]string{"-trace", "allow-query-none.extended-dns-errors.com"}, 0, "    · EDE 9 (DNSKEY Missing) attached ← condition dnskey-unobtainable", ""},
+		{[]string{"-trace", "allow-query-none.extended-dns-errors.com"}, 0, "    · EDE 22 (No Reachable Authority) attached ← condition authorities-refused", ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)

@@ -262,7 +262,7 @@ func worker(cfg runConfig, w int, c *counters, h *hist, stop *atomic.Bool, measu
 func dialWorker(cfg runConfig) (func(*dnswire.Message) (*dnswire.Message, error), func(), error) {
 	switch cfg.transport {
 	case "tcp":
-		sc := &transport.StreamClient{Addr: cfg.server, RequestKeepalive: cfg.keepalive, IdleTimeout: -1}
+		sc := &transport.StreamClient{Addr: cfg.server, RequestKeepalive: cfg.keepalive}
 		exchange := func(q *dnswire.Message) (*dnswire.Message, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 			defer cancel()

@@ -35,8 +35,8 @@ func table(t *testing.T, stdout string) string {
 }
 
 // TestDefaultRunIsShardZeroOfOne: there is one pipeline, so naming the
-// default shard geometry changes nothing, and -max-qps and -checkpoint-dir
-// work without -shards (they were silently ignored).
+// default shard geometry changes nothing, and -max-qps, -authority-qps and
+// -checkpoint-dir work without -shards (they were silently ignored).
 func TestDefaultRunIsShardZeroOfOne(t *testing.T) {
 	code, plain, stderr := edescan(t)
 	if code != 0 {
@@ -61,6 +61,16 @@ func TestDefaultRunIsShardZeroOfOne(t *testing.T) {
 		if !strings.Contains(capped, want) {
 			t.Errorf("summary lacks %q:\n%s", want, capped)
 		}
+	}
+	code, polite, stderr := edescan(t, "-authority-qps", "1e6")
+	if code != 0 {
+		t.Fatalf("-authority-qps run exited %d: %s", code, stderr)
+	}
+	if table(t, plain) != table(t, polite) {
+		t.Errorf("default run and per-authority-capped run print different tables:\n%s\n---\n%s", plain, polite)
+	}
+	if !strings.Contains(polite, "\nlimiter: admitted ") {
+		t.Errorf("summary lacks the limiter line:\n%s", polite)
 	}
 	if strings.Contains(plain, "limiter:") || strings.Contains(plain, "snapshot written") {
 		t.Errorf("a run without -max-qps or -checkpoint-dir reports a limiter or snapshot:\n%s", plain)

@@ -23,7 +23,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/report"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
-	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -38,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	expected := fs.Bool("expected", false, "print the paper's Table 4 instead of measuring")
 	diff := fs.Bool("diff", false, "compare the measured matrix against the paper cell by cell")
 	zones := fs.String("zones", "", "dump the master file of one test zone (a Table 2 label, or 'all')")
-	trace := fs.String("trace", "", "trace the resolution of one test case (a Table 2 label) under the Cloudflare profile")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -55,20 +53,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "edetestbed: build: %v\n", err)
 		return 1
 	}
-	unknown := func(label string) int {
-		fmt.Fprintf(stderr, "edetestbed: unknown case %q\n", label)
-		return 2
-	}
-
 	switch {
 	case *zones != "":
 		if !dumpZones(stdout, tb, *zones) {
-			return unknown(*zones)
-		}
-		return 0
-	case *trace != "":
-		if !traceCase(stdout, tb, *trace) {
-			return unknown(*trace)
+			fmt.Fprintf(stderr, "edetestbed: unknown case %q\n", *zones)
+			return 2
 		}
 		return 0
 	case *table == 2:
@@ -108,26 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-18s ~ %-18s %2d/%2d (%.0f%%)\n", p.A, p.B, p.Agree, p.Total, 100*p.Ratio())
 	}
 	return 0
-}
-
-// traceCase renders the span tree of one case's resolution, as ededig
-// -trace does; false means no case has that label.
-func traceCase(w io.Writer, tb *testbed.Testbed, label string) bool {
-	for _, c := range tb.Cases {
-		if c.Label != label {
-			continue
-		}
-		r := tb.NewResolver(resolver.ProfileCloudflare())
-		ctx, tr := telemetry.StartTrace(context.Background(), c.Query.String()+" A")
-		res := tb.RunCase(ctx, r, c)
-		tr.Root().End()
-		fmt.Fprintf(w, "; %s — %s\n", c.Label, c.Description)
-		fmt.Fprint(w, tr.Render())
-		fmt.Fprintf(w, "=> rcode=%s ad=%t conditions=%v codes=%v\n",
-			res.Msg.RCode, res.Msg.AuthenticData, res.Conditions, res.Codes())
-		return true
-	}
-	return false
 }
 
 // dumpZones prints the master-file form of the requested misconfigured

@@ -18,13 +18,11 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{[]string{"-table", "5"}, 2, "", "-table 5: the paper's tables here are 2, 3 and 4"},
 		{[]string{"-zones", "no-such-case"}, 2, "", `unknown case "no-such-case"`},
-		{[]string{"-trace", "no-such-case"}, 2, "", `unknown case "no-such-case"`},
 		{[]string{"-verbose"}, 2, "", "flag provided but not defined"},
 		{[]string{"-table", "2"}, 0, "1. Control subdomain", ""},
 		{[]string{"-table", "3"}, 0, "valid                      The correctly configured control domain", ""},
 		{[]string{"-zones", "valid"}, 0, "$TTL 300", ""},
 		{[]string{"-zones", "v4-private-10"}, 0, "; v4-private-10: no zone (invalid-glue case, configured at the parent)", ""},
-		{[]string{"-trace", "allow-query-none"}, 0, "=> rcode=SERVFAIL ad=false conditions=[authorities-refused dnskey-unobtainable] codes=[9 22 23]", ""},
 		{[]string{"-diff"}, 0, "441/441 cells match the paper's Table 4", "resolving 63 cases"},
 		{nil, 0, "Specificity (cases with at least one EDE, per system):", "resolving 63 cases"},
 	} {

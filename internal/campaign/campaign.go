@@ -39,6 +39,10 @@ var ErrCheckpointMismatch = errors.New("campaign: checkpoint does not match this
 // returned snapshot is the consistent state a resume continues from.
 var ErrInterrupted = errors.New("campaign: run interrupted")
 
+// governorInterval is how often the governor's feedback loop samples the
+// resolver's transport counters.
+const governorInterval = 250 * time.Millisecond
+
 // Config shapes one shard runner.
 type Config struct {
 	// Shards is the campaign's total shard count (default 1); Shard is this
@@ -58,9 +62,6 @@ type Config struct {
 	// checkpointing entirely). Writes are atomic (tmp + rename), so a kill
 	// mid-write leaves the previous checkpoint intact.
 	CheckpointPath string
-	// CheckpointEvery checkpoints after every n folded results; 0 disables
-	// the count trigger.
-	CheckpointEvery int
 	// CheckpointInterval checkpoints when this much wall time has passed
 	// since the last write; 0 disables the time trigger. A final checkpoint
 	// is always written when the run ends (complete or interrupted).
@@ -69,19 +70,15 @@ type Config struct {
 	// names it has not folded instead of starting the shard over.
 	Resume bool
 
-	// AuthorityQPS/AuthorityBurst cap the sustained query rate per
-	// authoritative address; MaxQPS/MaxBurst cap the shard's global rate.
-	// Zero disables the respective bucket.
-	AuthorityQPS   float64
-	AuthorityBurst float64
-	MaxQPS         float64
-	MaxBurst       float64
+	// AuthorityQPS caps the sustained query rate per authoritative address;
+	// MaxQPS caps the shard's global rate. Zero disables the respective
+	// bucket.
+	AuthorityQPS float64
+	MaxQPS       float64
 
 	// Governor enables the adaptive concurrency governor (nil leaves the
-	// scan at full worker concurrency). GovernorInterval is how often the
-	// feedback loop samples transport stats (default 250ms).
-	Governor         *GovernorConfig
-	GovernorInterval time.Duration
+	// scan at full worker concurrency).
+	Governor *GovernorConfig
 
 	// Registry, when set, receives the campaign gauges (per-shard progress,
 	// domains/sec, tokens denied, governor concurrency, checkpoints).
@@ -90,6 +87,9 @@ type Config struct {
 	// now and sleep inject the limiter clock for deterministic tests.
 	now   func() time.Time
 	sleep func(context.Context, time.Duration) error
+	// checkpointEvery, when set, also checkpoints after every n folded
+	// results — tests use it to have a checkpoint at an exact count.
+	checkpointEvery int
 	// testOnResult, when set, observes every position the frontier passes —
 	// tests use it to cancel the run at an exact, reproducible point.
 	testOnResult func(pos uint64)
@@ -145,18 +145,13 @@ func New(cfg Config, w *population.Wild) (*Runner, error) {
 	if cfg.Profile == nil {
 		cfg.Profile = resolver.ProfileCloudflare()
 	}
-	if cfg.GovernorInterval <= 0 {
-		cfg.GovernorInterval = 250 * time.Millisecond
-	}
 	r := &Runner{cfg: cfg, wild: w}
 	r.lo, r.hi = ShardRange(len(w.Pop.Domains), cfg.Shard, cfg.Shards)
 	r.limiter = NewLimiter(LimiterConfig{
-		AuthorityQPS:   cfg.AuthorityQPS,
-		AuthorityBurst: cfg.AuthorityBurst,
-		GlobalQPS:      cfg.MaxQPS,
-		GlobalBurst:    cfg.MaxBurst,
-		Now:            cfg.now,
-		Sleep:          cfg.sleep,
+		AuthorityQPS: cfg.AuthorityQPS,
+		GlobalQPS:    cfg.MaxQPS,
+		Now:          cfg.now,
+		Sleep:        cfg.sleep,
 	})
 	if cfg.Governor != nil {
 		gc := *cfg.Governor
@@ -324,7 +319,7 @@ func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*sc
 		govDone := make(chan struct{})
 		defer close(govDone)
 		go func() {
-			tick := time.NewTicker(cfg.GovernorInterval)
+			tick := time.NewTicker(governorInterval)
 			defer tick.Stop()
 			for {
 				select {
@@ -411,7 +406,7 @@ func (r *Runner) RunViews(ctx context.Context, views []*resolver.Profile) ([]*sc
 		if cfg.CheckpointPath == "" || ckptErr != nil {
 			return
 		}
-		due := cfg.CheckpointEvery > 0 && (folded-startFolded)%uint64(cfg.CheckpointEvery) == 0
+		due := cfg.checkpointEvery > 0 && (folded-startFolded)%uint64(cfg.checkpointEvery) == 0
 		if !due && cfg.CheckpointInterval > 0 && time.Since(lastCkpt) >= cfg.CheckpointInterval {
 			due = true
 		}

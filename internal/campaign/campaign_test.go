@@ -84,7 +84,7 @@ func TestCampaignKillResumeByteIdentity(t *testing.T) {
 	intr, err := New(Config{
 		Workers:         8,
 		CheckpointPath:  ckpt,
-		CheckpointEvery: 256,
+		checkpointEvery: 256,
 		testOnResult: func(pos uint64) {
 			if pos == 1200 {
 				cancel()
@@ -226,14 +226,14 @@ func TestCampaignResumeRejectsMismatchedShape(t *testing.T) {
 // bucket law held for every authoritative address the scan touched.
 func TestCampaignRateLimitedScan(t *testing.T) {
 	clk := newVClock()
-	const rate, burst = 50.0, 10.0
+	const rate = 50.0
+	const burst = rate // a bucket holds one second of tokens
 	w := buildWild(t, 303)
 	r, err := New(Config{
-		Workers:        8,
-		AuthorityQPS:   rate,
-		AuthorityBurst: burst,
-		now:            clk.now,
-		sleep:          clk.sleep,
+		Workers:      8,
+		AuthorityQPS: rate,
+		now:          clk.now,
+		sleep:        clk.sleep,
 	}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -278,9 +278,9 @@ func TestCampaignTelemetry(t *testing.T) {
 	w := buildWild(t, 303)
 	r, err := New(Config{
 		Workers:      8,
-		AuthorityQPS: 1000, AuthorityBurst: 1000,
-		Governor: &GovernorConfig{Min: 2},
-		Registry: reg,
+		AuthorityQPS: 1000,
+		Governor:     &GovernorConfig{Min: 2},
+		Registry:     reg,
 	}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestHeldLaggardIsNamedNotBuffered(t *testing.T) {
 
 	ckpt := CheckpointFile(t.TempDir(), 0, shards)
 	reg := telemetry.NewRegistry()
-	r, err := New(Config{Workers: 4, Shards: shards, CheckpointPath: ckpt, CheckpointEvery: 1, Registry: reg}, w)
+	r, err := New(Config{Workers: 4, Shards: shards, CheckpointPath: ckpt, checkpointEvery: 1, Registry: reg}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 // health, ZDNS-style: a resizable semaphore sits between the scanner's
 // workers and the resolver (scan.Scanner.Gate), and an AIMD control loop
 // moves its capacity. When the timeout+SERVFAIL rate over an observation
-// window crosses HighWater the capacity halves (multiplicative decrease);
-// while it stays under LowWater the capacity creeps back up by Step
+// window crosses highWater the capacity halves (multiplicative decrease);
+// while it stays under lowWater the capacity creeps back up by Step
 // (additive increase). Workers themselves are never torn down — excess ones
 // just block in Acquire, so recovery is instant when capacity returns.
 type Governor struct {
@@ -22,7 +22,6 @@ type Governor struct {
 
 	min, max int
 	step     int
-	hi, lo   float64
 
 	// lastAttempts/lastFailures remember the previous Observe sample so each
 	// call works on the delta — the rate over the window, not the lifetime.
@@ -30,14 +29,18 @@ type Governor struct {
 	lastFailures uint64
 }
 
+// The failure rates past which the governor halves its capacity, and under
+// which it grows it back.
+const (
+	highWater = 0.20
+	lowWater  = 0.05
+)
+
 // GovernorConfig bounds the governor. Min and Max bracket the concurrency
-// (Max is typically the worker count); the zero thresholds default to
-// HighWater 0.20 and LowWater 0.05, Step to max(1, Max/16).
+// (Max is typically the worker count); Step defaults to max(1, Max/16).
 type GovernorConfig struct {
-	Min, Max  int
-	HighWater float64
-	LowWater  float64
-	Step      int
+	Min, Max int
+	Step     int
 }
 
 // NewGovernor builds a governor starting at full capacity.
@@ -51,12 +54,6 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 	if cfg.Min > cfg.Max {
 		cfg.Min = cfg.Max
 	}
-	if cfg.HighWater <= 0 {
-		cfg.HighWater = 0.20
-	}
-	if cfg.LowWater <= 0 {
-		cfg.LowWater = 0.05
-	}
 	if cfg.Step <= 0 {
 		cfg.Step = max(1, cfg.Max/16)
 	}
@@ -65,8 +62,6 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 		min:      cfg.Min,
 		max:      cfg.Max,
 		step:     cfg.Step,
-		hi:       cfg.HighWater,
-		lo:       cfg.LowWater,
 	}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -118,12 +113,12 @@ func (g *Governor) Observe(attempts, failures uint64) (rate float64, capacity in
 	}
 	rate = float64(dF) / float64(dA)
 	switch {
-	case rate > g.hi:
+	case rate > highWater:
 		g.capacity /= 2
 		if g.capacity < g.min {
 			g.capacity = g.min
 		}
-	case rate < g.lo:
+	case rate < lowWater:
 		g.capacity += g.step
 		if g.capacity > g.max {
 			g.capacity = g.max

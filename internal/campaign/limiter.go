@@ -16,14 +16,11 @@ import (
 // resolver treats as "no admission gate".
 type LimiterConfig struct {
 	// AuthorityQPS caps the sustained query rate against any single
-	// authoritative address; AuthorityBurst is the bucket depth (default:
-	// max(1, AuthorityQPS)).
-	AuthorityQPS   float64
-	AuthorityBurst float64
+	// authoritative address.
+	AuthorityQPS float64
 	// GlobalQPS caps the shard's total outgoing query rate — the ZDNS-style
-	// campaign-wide governor knob; GlobalBurst defaults like AuthorityBurst.
-	GlobalQPS   float64
-	GlobalBurst float64
+	// campaign-wide governor knob.
+	GlobalQPS float64
 	// Now and Sleep inject the clock so netsim tests prove the cap
 	// deterministically on virtual time. Nil means the real clock and a
 	// context-aware real sleep.
@@ -33,9 +30,10 @@ type LimiterConfig struct {
 
 // Limiter enforces per-authority and global token buckets at the resolver's
 // admission point (resolver.TransportConfig.Admit). Each bucket refills
-// continuously at its rate up to its burst; an attempt needs one token from
-// the authority's bucket AND one from the global bucket, taken atomically so
-// a denied attempt never leaks a token from the other bucket.
+// continuously at its rate up to its burst, max(1, rate); an attempt needs
+// one token from the authority's bucket AND one from the global bucket,
+// taken atomically so a denied attempt never leaks a token from the other
+// bucket.
 type Limiter struct {
 	cfg    LimiterConfig
 	global *bucket
@@ -61,6 +59,10 @@ type bucket struct {
 	last     time.Time
 	admitted uint64
 }
+
+// newBucket is a bucket refilling at rate tokens per second, one second of
+// tokens deep (at least one).
+func newBucket(rate float64) *bucket { return &bucket{rate: rate, burst: max(1, rate)} }
 
 // refill credits tokens for the time elapsed since the last refill. A fresh
 // bucket starts full.
@@ -92,12 +94,6 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	if cfg.AuthorityQPS <= 0 && cfg.GlobalQPS <= 0 {
 		return nil
 	}
-	if cfg.AuthorityBurst <= 0 {
-		cfg.AuthorityBurst = max(1, cfg.AuthorityQPS)
-	}
-	if cfg.GlobalBurst <= 0 {
-		cfg.GlobalBurst = max(1, cfg.GlobalQPS)
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -106,7 +102,7 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	}
 	l := &Limiter{cfg: cfg}
 	if cfg.GlobalQPS > 0 {
-		l.global = &bucket{rate: cfg.GlobalQPS, burst: cfg.GlobalBurst}
+		l.global = newBucket(cfg.GlobalQPS)
 	}
 	for i := range l.shards {
 		l.shards[i].m = make(map[netip.Addr]*bucket)
@@ -136,7 +132,7 @@ func (l *Limiter) bucketFor(addr netip.Addr) *bucket {
 	defer sh.mu.Unlock()
 	b, ok := sh.m[addr]
 	if !ok {
-		b = &bucket{rate: l.cfg.AuthorityQPS, burst: l.cfg.AuthorityBurst}
+		b = newBucket(l.cfg.AuthorityQPS)
 		sh.m[addr] = b
 	}
 	return b

@@ -34,15 +34,12 @@ func (c *vclock) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // TestLimiterCapsPerAuthorityQPS is the deterministic qps-cap proof: with
-// rate R and burst B, admitting N attempts must consume exactly
+// rate R (and so burst B = R), admitting N attempts must consume exactly
 // (N-B)/R seconds of (virtual) time — no schedule can exceed B + R·elapsed
 // admissions.
 func TestLimiterCapsPerAuthorityQPS(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{
-		AuthorityQPS: 2, AuthorityBurst: 2,
-		Now: clk.now, Sleep: clk.sleep,
-	})
+	l := NewLimiter(LimiterConfig{AuthorityQPS: 2, Now: clk.now, Sleep: clk.sleep})
 	addr := netip.MustParseAddr("198.19.0.1")
 	ctx := context.Background()
 	start := clk.now()
@@ -75,11 +72,7 @@ func TestLimiterCapsPerAuthorityQPS(t *testing.T) {
 
 func TestLimiterGlobalCapDominates(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{
-		AuthorityQPS: 100, AuthorityBurst: 100,
-		GlobalQPS: 1, GlobalBurst: 1,
-		Now: clk.now, Sleep: clk.sleep,
-	})
+	l := NewLimiter(LimiterConfig{AuthorityQPS: 100, GlobalQPS: 1, Now: clk.now, Sleep: clk.sleep})
 	ctx := context.Background()
 	addrs := []netip.Addr{
 		netip.MustParseAddr("198.19.0.1"),
@@ -101,7 +94,7 @@ func TestLimiterGlobalCapDominates(t *testing.T) {
 
 func TestLimiterAdmitHonorsContext(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{AuthorityQPS: 0.001, AuthorityBurst: 1, Now: clk.now, Sleep: clk.sleep})
+	l := NewLimiter(LimiterConfig{AuthorityQPS: 0.001, Now: clk.now, Sleep: clk.sleep})
 	addr := netip.MustParseAddr("198.19.0.9")
 	if err := l.Admit(context.Background(), addr); err != nil {
 		t.Fatal(err)
@@ -118,8 +111,9 @@ func TestLimiterAdmitHonorsContext(t *testing.T) {
 // authority: admitted ≤ burst + rate × elapsed.
 func TestLimiterInvariantUnderConcurrency(t *testing.T) {
 	clk := newVClock()
-	const rate, burst = 5.0, 3.0
-	l := NewLimiter(LimiterConfig{AuthorityQPS: rate, AuthorityBurst: burst, Now: clk.now, Sleep: clk.sleep})
+	const rate = 5.0
+	const burst = rate // a bucket holds one second of tokens
+	l := NewLimiter(LimiterConfig{AuthorityQPS: rate, Now: clk.now, Sleep: clk.sleep})
 	addrs := []netip.Addr{
 		netip.MustParseAddr("198.19.1.1"),
 		netip.MustParseAddr("198.19.1.2"),

@@ -260,25 +260,6 @@ func (c *Cluster) setState(id string, st nodeState, kind string) error {
 // drain, finishes what it has, then leaves).
 func (c *Cluster) MarkDraining(id string) error { return c.setState(id, stateDraining, "drain") }
 
-// Drain marks id draining and waits until its routed inflight count hits
-// zero (in-process rolling restart). The cache stays peekable.
-func (c *Cluster) Drain(ctx context.Context, id string) error {
-	if err := c.MarkDraining(id); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	nd := c.findLocked(id)
-	c.mu.Unlock()
-	for nd.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return nil
-}
-
 // Kill marks id down immediately — the chaos path: no drain, cache not
 // even peekable, peers absorb its ring range on the next query.
 func (c *Cluster) Kill(id string) error { return c.setState(id, stateDown, "down") }

@@ -469,3 +469,24 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 		t.Fatalf("header flags %x, want the transport shed's %x", a[2:4], b[2:4])
 	}
 }
+
+// Drain marks id draining and waits until its routed inflight count hits
+// zero: an in-process rolling restart, which the takeover tests drive. A
+// serving replica drains over the remote protocol (MarkDraining, then
+// Leave). The cache stays peekable.
+func (c *Cluster) Drain(ctx context.Context, id string) error {
+	if err := c.MarkDraining(id); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	nd := c.findLocked(id)
+	c.mu.Unlock()
+	for nd.inflight.Load() > 0 {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return nil
+}

@@ -55,9 +55,6 @@ func TestChaosForwarderPassesEDEThroughLoss(t *testing.T) {
 	if len(codes) != 1 || codes[0] != uint16(ede.CodeDNSKEYMissing) {
 		t.Fatalf("ds-bad-tag: EDEs = %v, want exactly [9] — loss must not alter the diagnosis", codes)
 	}
-	if st := f.Stats(); st.EDEForwarded == 0 {
-		t.Fatal("EDEForwarded = 0, diagnosis was not forwarded")
-	}
 }
 
 // TestChaosForwarderBlackoutDegradesDocumented: when every authority goes

@@ -13,7 +13,6 @@ package forwarder
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -90,45 +89,13 @@ func Exchange(ctx context.Context, up Upstream, qname dnswire.Name, qtype dnswir
 }
 
 // Forwarder is a netsim.Handler proxying to an upstream.
-type Forwarder struct {
-	Upstream Upstream
-	// StripEDE models a broken intermediary that drops the options —
-	// useful as the negative control in tests (the behaviour RFC 8914
-	// advises against).
-	StripEDE bool
-	// Annotate adds the forwarder's own EDE when the upstream exchange
-	// itself fails (Network Error, per §2's multi-hop story).
-	Annotate bool
-
-	mu    sync.Mutex
-	stats Stats
-}
-
-// Stats counts forwarded traffic.
-type Stats struct {
-	Queries      uint64
-	UpstreamErrs uint64
-	EDEForwarded uint64
-}
+type Forwarder struct{ upstream Upstream }
 
 // New creates a forwarder over up.
-func New(up Upstream) *Forwarder {
-	return &Forwarder{Upstream: up, Annotate: true}
-}
-
-// Stats returns a snapshot.
-func (f *Forwarder) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
+func New(up Upstream) *Forwarder { return &Forwarder{upstream: up} }
 
 // HandleDNS implements netsim.Handler.
 func (f *Forwarder) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-	f.mu.Lock()
-	f.stats.Queries++
-	f.mu.Unlock()
-
 	if len(q.Question) != 1 {
 		r := q.Reply()
 		r.RCode = dnswire.RCodeFormErr
@@ -138,26 +105,21 @@ func (f *Forwarder) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 
 	upctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	resp, err := Exchange(upctx, f.Upstream, question.Name, question.Type,
+	resp, err := Exchange(upctx, f.upstream, question.Name, question.Type,
 		Options{CheckingDisabled: q.CheckingDisabled})
 	if err != nil || resp == nil {
 		r := q.Reply()
 		r.RCode = dnswire.RCodeServFail
-		if f.Annotate {
-			r.AddEDE(uint16(ede.CodeNetworkError), "upstream resolver unreachable")
-		}
-		f.mu.Lock()
-		f.stats.UpstreamErrs++
-		f.mu.Unlock()
+		r.AddEDE(uint16(ede.CodeNetworkError), "upstream resolver unreachable")
 		return r, nil
 	}
 
 	// Re-head the upstream answer for this client: same ID/question, the
-	// upstream's RCODE, answer, and — unless configured to misbehave — its
-	// EDE options, forwarded verbatim. The RR slices are copied, not
-	// aliased: the upstream may share them with its own cache (a frontend
-	// cache sits behind exactly this hop), and a client-side re-head must
-	// not be able to corrupt cached messages.
+	// upstream's RCODE, answer, and its EDE options, forwarded verbatim.
+	// The RR slices are copied, not aliased: the upstream may share them
+	// with its own cache (a frontend cache sits behind exactly this hop),
+	// and a client-side re-head must not be able to corrupt cached
+	// messages.
 	out := q.Reply()
 	out.RCode = resp.RCode
 	out.RecursionAvailable = true
@@ -165,14 +127,9 @@ func (f *Forwarder) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire
 	out.Answer = append([]dnswire.RR(nil), resp.Answer...)
 	out.Authority = append([]dnswire.RR(nil), resp.Authority...)
 
-	if !f.StripEDE && q.OPT != nil {
+	if q.OPT != nil {
 		for _, e := range resp.EDEs() {
 			out.AddEDE(e.InfoCode, e.ExtraText)
-		}
-		if n := len(resp.EDEs()); n > 0 {
-			f.mu.Lock()
-			f.stats.EDEForwarded += uint64(n)
-			f.mu.Unlock()
 		}
 	}
 	return out, nil

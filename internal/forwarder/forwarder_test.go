@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/population"
@@ -47,25 +46,6 @@ func TestForwardsEDEVerbatim(t *testing.T) {
 	if edes[0].ExtraText == "" {
 		t.Error("EXTRA-TEXT stripped in forwarding")
 	}
-	if st := f.Stats(); st.EDEForwarded != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestStripEDENegativeControl(t *testing.T) {
-	f := New(upstreamWithEDE())
-	f.StripEDE = true
-	q := dnswire.NewQuery(8, dnswire.MustName("x.example"), dnswire.TypeA)
-	resp, err := f.HandleDNS(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.EDEs()) != 0 {
-		t.Errorf("EDEs = %v, want none from a stripping intermediary", resp.EDEs())
-	}
-	if resp.RCode != dnswire.RCodeServFail {
-		t.Errorf("rcode = %s (the classic opaque failure)", resp.RCode)
-	}
 }
 
 func TestNoEDNSClientGetsNoOptions(t *testing.T) {
@@ -94,9 +74,6 @@ func TestAnnotatesUpstreamFailure(t *testing.T) {
 	codes := resp.EDECodes()
 	if len(codes) != 1 || codes[0] != 23 {
 		t.Errorf("codes = %v, want the forwarder's own Network Error", codes)
-	}
-	if st := f.Stats(); st.UpstreamErrs != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -181,6 +158,6 @@ func TestStandaloneResolverServesNoStaleError(t *testing.T) {
 	}
 	ask("first ask", 22, 23)
 	ask("cached error", 13, 22, 23)
-	w.SetClock(population.ScanTime + uint32((r.Cache.ErrorTTL+time.Second)/time.Second))
+	w.SetClock(population.ScanTime + 31) // past the resolver's 30 s error cache
 	ask("error entry expired, retry failed", 22, 23)
 }

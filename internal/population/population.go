@@ -132,12 +132,18 @@ type Config struct {
 	TotalDomains int
 	// Seed drives all pseudo-random choices; same seed, same population.
 	Seed uint64
-	// GTLDs / CCTLDs are the TLD counts (defaults 1,160 + 315 = 1,475).
-	GTLDs, CCTLDs int
-	// HealthySignedFraction of healthy domains get a validated DNSSEC
-	// chain (exercises validation throughout the scan).
-	HealthySignedFraction float64
+	// GTLDs is the generic TLD count (default 1,160; with the ccTLDs,
+	// 1,475 TLDs).
+	GTLDs int
 }
+
+const (
+	// ccTLDs is the country-code TLD count.
+	ccTLDs = 315
+	// healthySignedFraction of healthy domains get a validated DNSSEC chain
+	// (exercises validation throughout the scan).
+	healthySignedFraction = 0.002
+)
 
 func (c *Config) setDefaults() {
 	if c.TotalDomains == 0 {
@@ -145,12 +151,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.GTLDs == 0 {
 		c.GTLDs = 1160
-	}
-	if c.CCTLDs == 0 {
-		c.CCTLDs = 315
-	}
-	if c.HealthySignedFraction == 0 {
-		c.HealthySignedFraction = 0.002
 	}
 }
 
@@ -345,7 +345,7 @@ func Generate(cfg Config) *Population {
 
 // buildTLDs creates the TLD list: sizes, special sets, addresses.
 func (p *Population) buildTLDs(cfg Config, rng *rand.Rand, scale float64) {
-	total := cfg.GTLDs + cfg.CCTLDs
+	total := cfg.GTLDs + ccTLDs
 	p.TLDs = make([]*TLD, 0, total)
 	addrIdx := 0
 	nextAddr := func() netip.Addr {
@@ -361,7 +361,7 @@ func (p *Population) buildTLDs(cfg Config, rng *rand.Rand, scale float64) {
 			NSECDenial: i%3 == 0,
 		})
 	}
-	for i := 0; i < cfg.CCTLDs; i++ {
+	for i := 0; i < ccTLDs; i++ {
 		label := ccTLDLabel(i)
 		p.TLDs = append(p.TLDs, &TLD{
 			Name: dnswire.MustName(label), Label: label, CC: true, Addr: nextAddr(),
@@ -653,7 +653,7 @@ func (p *Population) assignClasses(rng *rand.Rand, scale float64) {
 
 	// Signed healthy fraction.
 	for _, d := range p.Domains {
-		if d.Class == ClassHealthy && rng.Float64() < p.Config.HealthySignedFraction {
+		if d.Class == ClassHealthy && rng.Float64() < healthySignedFraction {
 			d.Class = ClassHealthySigned
 		}
 	}

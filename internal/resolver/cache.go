@@ -66,6 +66,14 @@ const DefaultMaxEntries = 1 << 20
 // insert and needs no auxiliary bookkeeping on the hit path.
 const evictProbes = 8
 
+// staleWindow is how long past expiry an answer may still be served as stale
+// data (RFC 8767 suggests 1–3 days).
+const staleWindow = 24 * time.Hour
+
+// errorTTL is how long a SERVFAIL outcome is cached (and answered with
+// EDE 13 on a hit).
+const errorTTL = 30 * time.Second
+
 // maxEntries is MaxEntries, with zero meaning DefaultMaxEntries.
 func (c *Cache) maxEntries() int {
 	if c.MaxEntries <= 0 {
@@ -132,11 +140,6 @@ type Cache struct {
 	// verified; every validation goes through it.
 	verified *dnssec.VerifyMemo
 
-	// StaleWindow is how long past expiry an entry may still be served as
-	// stale data (RFC 8767 suggests 1–3 days).
-	StaleWindow time.Duration
-	// ErrorTTL is the negative/error cache lifetime.
-	ErrorTTL time.Duration
 	// MaxEntries caps each of the three maps — answers, zone cuts, zone keys
 	// — at this many entries. When a map (for the sharded two, a shard's
 	// slice of the cap) is full, inserts evict expired entries or, failing
@@ -325,14 +328,12 @@ func nameShard(n dnswire.Name) uint64 {
 	return fnv1a.Sum64(n) & (numShards - 1)
 }
 
-// NewCache creates an empty cache with RFC 8767-ish defaults.
+// NewCache creates an empty cache holding up to DefaultMaxEntries per map.
 func NewCache() *Cache {
 	c := &Cache{
-		keys:        make(map[dnswire.Name]*zoneKeys),
-		verified:    new(dnssec.VerifyMemo),
-		StaleWindow: 24 * time.Hour,
-		ErrorTTL:    30 * time.Second,
-		MaxEntries:  DefaultMaxEntries,
+		keys:       make(map[dnswire.Name]*zoneKeys),
+		verified:   new(dnssec.VerifyMemo),
+		MaxEntries: DefaultMaxEntries,
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*cachedAnswer)
@@ -463,7 +464,7 @@ func (c *Cache) getAnswer(key cacheKey, now time.Time) (entry *cachedAnswer, fre
 	if nowNs < e.expiresAt {
 		return e, true, true
 	}
-	if nowNs < e.expiresAt+int64(c.StaleWindow) {
+	if nowNs < e.expiresAt+int64(staleWindow) {
 		return e, false, true
 	}
 	delete(s.entries, key)
@@ -480,7 +481,7 @@ func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, now time.Time, ttl time
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.entries[key]; !exists && len(s.entries) >= c.perShard() {
-		evictProbed(s.entries, nowNs, int64(c.StaleWindow), func(e *cachedAnswer) int64 { return e.expiresAt })
+		evictProbed(s.entries, nowNs, int64(staleWindow), func(e *cachedAnswer) int64 { return e.expiresAt })
 	}
 	s.entries[key] = e
 }

@@ -287,7 +287,7 @@ func (r *Resolver) ResolveWithOptions(ctx context.Context, qname dnswire.Name, q
 		if !readOnly {
 			r.Cache.putAnswer(key, &cachedAnswer{
 				rcode: dnswire.RCodeServFail, conditions: append([]Condition(nil), st.conds...),
-			}, now, r.Cache.ErrorTTL)
+			}, now, errorTTL)
 		}
 	} else if !readOnly && (len(answer) > 0 || rcode == dnswire.RCodeNXDomain) {
 		ttl := answerTTL(answer)

@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/extended-dns-errors/edelab/internal/campaign"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
@@ -25,13 +23,6 @@ type campaignDriver struct {
 	observeEvery int
 	sinceObserve int
 
-	// cumA/cumF are the monotone cumulative feed the governor observes;
-	// lastQueries/lastFails checkpoint the resolver counters so scan-driven
-	// and pressure-driven observations can interleave without the cumulative
-	// series ever going backwards.
-	cumA, cumF          uint64
-	lastQueries         uint64
-	lastFails           uint64
 	scanned, scanFailed uint64
 }
 
@@ -59,21 +50,13 @@ func (d *campaignDriver) setup(l *lab) error {
 	d.res.Transport = l.transport()
 
 	g := sc.Governor
-	d.gov = campaign.NewGovernor(campaign.GovernorConfig{
-		Min: g.Min, Max: g.Max,
-		HighWater: g.High, LowWater: g.Low,
-		Step: g.Step,
-	})
+	d.gov = campaign.NewGovernor(campaign.GovernorConfig{Min: g.Min, Max: g.Max, Step: g.Step})
 	d.observeEvery = g.ObserveEvery
 	if d.observeEvery <= 0 {
 		d.observeEvery = 25
 	}
 
-	lo, hi := sc.Population.Start, sc.Population.End
-	if hi <= 0 {
-		hi = len(pop.Domains)
-	}
-	d.iter = pop.NamesRange(lo, hi)
+	d.iter = pop.Names()
 
 	d.res.RegisterMetrics(reg)
 	reg.GaugeFunc("edelab_campaign_governor_concurrency",
@@ -92,8 +75,6 @@ func (d *campaignDriver) act(ctx context.Context, a Action, obs *observations) e
 	switch a.Verb {
 	case "scan":
 		return d.scan(ctx, a.Args, obs)
-	case "pressure":
-		return d.pressure(a.Args)
 	case "flush":
 		d.res.Cache.Flush()
 		return nil
@@ -101,16 +82,11 @@ func (d *campaignDriver) act(ctx context.Context, a Action, obs *observations) e
 	return ErrUnknownAction
 }
 
-// observe advances the cumulative feed from the resolver's counters and
-// lets the governor adjust capacity.
+// observe feeds the governor the resolver's cumulative counters and lets it
+// adjust capacity.
 func (d *campaignDriver) observe() {
-	q := d.res.QueryCount.Load()
 	st := d.res.TransportStats()
-	fails := st.Timeouts + st.UpstreamServfails
-	d.cumA += q - d.lastQueries
-	d.cumF += fails - d.lastFails
-	d.lastQueries, d.lastFails = q, fails
-	d.gov.Observe(d.cumA, d.cumF)
+	d.gov.Observe(d.res.QueryCount.Load(), st.Timeouts+st.UpstreamServfails)
 }
 
 // scan resolves the next n population names sequentially, feeding the
@@ -140,50 +116,6 @@ func (d *campaignDriver) scan(ctx context.Context, args []string, obs *observati
 			d.sinceObserve = 0
 			d.observe()
 		}
-	}
-	return nil
-}
-
-// pressure feeds the governor synthetic observations — rounds batches of
-// attempts with failures failures each — without touching the network, for
-// pinpoint collapse/recovery staging.
-func (d *campaignDriver) pressure(args []string) error {
-	var attempts, failures uint64
-	rounds := 1
-	var haveA, haveF bool
-	for _, arg := range args {
-		k, v, ok := strings.Cut(arg, "=")
-		if !ok {
-			return fmt.Errorf("expected key=value, got %q", arg)
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad %s count %q", k, v)
-		}
-		switch k {
-		case "attempts":
-			attempts, haveA = n, true
-		case "failures":
-			failures, haveF = n, true
-		case "rounds":
-			if n < 1 {
-				return fmt.Errorf("rounds must be positive")
-			}
-			rounds = int(n)
-		default:
-			return fmt.Errorf("unknown pressure key %q", k)
-		}
-	}
-	if !haveA || !haveF {
-		return fmt.Errorf("pressure needs attempts= and failures=")
-	}
-	if failures > attempts {
-		return fmt.Errorf("failures %d exceed attempts %d", failures, attempts)
-	}
-	for i := 0; i < rounds; i++ {
-		d.cumA += attempts
-		d.cumF += failures
-		d.gov.Observe(d.cumA, d.cumF)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // clusterDriver runs scenarios against the clustered serving tier: N
 // frontend replicas (each with its own vendor-profile resolver over the
 // shared testbed) behind the consistent-hash query router. Lifecycle verbs
-// (kill, drain, rejoin) exercise takeover and ring-range absorption; the
+// (kill, rejoin) exercise takeover and ring-range absorption; the
 // sweep verb walks the selected Table 4 cases through the router so a
 // table4 expect proves cell invariance across replica churn.
 type clusterDriver struct {
@@ -72,19 +72,14 @@ func (d *clusterDriver) act(ctx context.Context, a Action, obs *observations) er
 		}
 		obs.cells = cells
 		return nil
-	case "kill", "drain", "rejoin":
+	case "kill", "rejoin":
 		if len(a.Args) != 1 {
 			return fmt.Errorf("%s needs a replica ID", a.Verb)
 		}
-		id := a.Args[0]
-		switch a.Verb {
-		case "kill":
-			return d.cl.Kill(id)
-		case "drain":
-			return d.cl.Drain(ctx, id)
-		case "rejoin":
-			return d.cl.Rejoin(id)
+		if a.Verb == "kill" {
+			return d.cl.Kill(a.Args[0])
 		}
+		return d.cl.Rejoin(a.Args[0])
 	case "query":
 		return d.query(ctx, a.Args, obs)
 	}

@@ -108,13 +108,12 @@ func (d *streamDriver) setup(l *lab) error {
 		srv.ServeDoT(serveCtx, d.dotLn, &tls.Config{Certificates: []tls.Certificate{cert}})
 	}()
 
-	// Idle timers off: the scenario script, not wall time, decides when
-	// connections die.
-	d.tcpClient = &transport.StreamClient{Addr: tcpRaw.Addr().String(), IdleTimeout: -1}
+	// A client holds its connection until the server drops it: the
+	// scenario script, not wall time, decides when connections die.
+	d.tcpClient = &transport.StreamClient{Addr: tcpRaw.Addr().String()}
 	d.dotClient = &transport.StreamClient{
-		Addr:        dotRaw.Addr().String(),
-		TLSConfig:   &tls.Config{InsecureSkipVerify: true},
-		IdleTimeout: -1,
+		Addr:      dotRaw.Addr().String(),
+		TLSConfig: &tls.Config{InsecureSkipVerify: true},
 	}
 
 	reg.CounterFunc("edelab_scenario_stream_dials_total",

@@ -72,9 +72,8 @@ func newDriver(name string) (driver, error) {
 type Verdict string
 
 const (
-	VerdictPass  Verdict = "PASS"
-	VerdictFail  Verdict = "FAIL"
-	VerdictFlaky Verdict = "FLAKY"
+	VerdictPass Verdict = "PASS"
+	VerdictFail Verdict = "FAIL"
 )
 
 // check is one evaluated expect or probe.
@@ -99,44 +98,18 @@ type RunResult struct {
 	Verdict Verdict
 
 	phases []phaseResult
-	// retries records the flaky-rerun outcomes ("seed N: PASS") in order.
-	retries []string
 
 	failed, total int
 }
 
-// Failed and Total report the check tally of the primary run.
+// Failed and Total report the check tally of the run.
 func (r *RunResult) Failed() int { return r.failed }
 func (r *RunResult) Total() int  { return r.total }
 
-// Run executes the scenario deterministically from seed: the primary run,
-// plus — when the primary fails and the verdict rule grants flaky retries —
-// reruns from derived seeds (seed+1, seed+2, ...). Any passing rerun turns
-// FAIL into FLAKY. The whole result, report included, is a pure function of
-// (scenario, seed).
+// Run executes every phase of the scenario once, deterministically from
+// seed: the result, report included, is a pure function of (scenario, seed).
+// The verdict is PASS when every check passes and FAIL otherwise.
 func Run(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error) {
-	res, err := runOnce(ctx, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	if res.Verdict == VerdictFail && sc.Verdict.FlakyRetries > 0 {
-		for i := 1; i <= sc.Verdict.FlakyRetries; i++ {
-			retry, err := runOnce(ctx, sc, seed+uint64(i))
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: flaky retry %d: %w", sc.Name, i, err)
-			}
-			res.retries = append(res.retries,
-				fmt.Sprintf("retry seed %d: %s", seed+uint64(i), retry.Verdict))
-			if retry.Verdict == VerdictPass {
-				res.Verdict = VerdictFlaky
-			}
-		}
-	}
-	return res, nil
-}
-
-// runOnce executes one full pass of every phase.
-func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error) {
 	drv, err := newDriver(sc.Driver)
 	if err != nil {
 		return nil, err
@@ -172,9 +145,8 @@ func runOnce(ctx context.Context, sc *Scenario, seed uint64) (*RunResult, error)
 		}
 		res.phases = append(res.phases, pr)
 	}
-	if res.failed <= sc.Verdict.Tolerance {
-		res.Verdict = VerdictPass
-	} else {
+	res.Verdict = VerdictPass
+	if res.failed > 0 {
 		res.Verdict = VerdictFail
 	}
 	return res, nil
@@ -392,17 +364,13 @@ func (r *RunResult) Report() string {
 			fmt.Fprintf(&b, "  %s %s [%s]\n", status, c.spec, c.detail)
 		}
 	}
-	b.WriteString("\n")
-	for _, line := range r.retries {
-		fmt.Fprintf(&b, "%s\n", line)
-	}
-	fmt.Fprintf(&b, "verdict: %s (%d/%d checks passed, tolerance %d)\n",
-		r.Verdict, r.total-r.failed, r.total, r.Scenario.Verdict.Tolerance)
+	fmt.Fprintf(&b, "\nverdict: %s (%d/%d checks passed)\n",
+		r.Verdict, r.total-r.failed, r.total)
 	return b.String()
 }
 
-// FailedChecks lists the specs of every failed check of the primary run —
-// the violated probes a FAIL verdict names.
+// FailedChecks lists the specs of every failed check — the violated probes
+// a FAIL verdict names.
 func (r *RunResult) FailedChecks() []string {
 	var out []string
 	for _, ph := range r.phases {

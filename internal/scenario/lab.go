@@ -148,11 +148,10 @@ func (l *lab) transport() *resolver.TransportConfig {
 		return nil
 	}
 	return &resolver.TransportConfig{
-		Timeout:     ts.Timeout,
-		Retries:     ts.Retries,
-		RetryBudget: ts.Budget,
-		Backoff:     ts.Backoff,
-		Sleep:       noSleep,
+		Timeout: ts.Timeout,
+		Retries: ts.Retries,
+		Backoff: ts.Backoff,
+		Sleep:   noSleep,
 	}
 }
 

@@ -71,13 +71,11 @@ var actionVerbs = map[string]bool{
 	"fill":            true, // fill n=K — park K recursions against the gate
 	"kill-conns":      true, // close every live server-side stream conn
 	// campaign driver
-	"scan":     true, // scan n=K — resolve the next K population names
-	"pressure": true, // pressure attempts=A failures=F rounds=R — synthetic feed
+	"scan": true, // scan n=K — resolve the next K population names
 	// cluster driver (replica lifecycle + Table 4 sweeps through the router)
 	"sweep":  true, // sweep — walk the selected cases through the router
-	"kill":   true, // kill ID — hard-fail a replica (no drain)
-	"drain":  true, // drain ID — stop routing to a replica, wait for inflight
-	"rejoin": true, // rejoin ID — bring a drained/killed replica back
+	"kill":   true, // kill ID — hard-fail a replica
+	"rejoin": true, // rejoin ID — bring a killed replica back
 }
 
 // ParseFile reads and parses one scenario spec file.
@@ -195,49 +193,45 @@ func parseTopLine(sc *Scenario, ln int, key, val string) error {
 		if len(sc.Systems) == 0 {
 			return perr(ln, ErrBadValue, "systems: needs at least one name")
 		}
-	case "transport":
-		return parseKVSpec(ln, "transport", val, map[string]func(string) error{
+	default:
+		fields, ok := kvSpecs(sc)[key]
+		if !ok {
+			return perr(ln, ErrUnknownKey, "top-level key %q", key)
+		}
+		return parseKVSpec(ln, key, val, fields)
+	}
+	return nil
+}
+
+// kvSpecs is every "key: k=v k=v" top-level line and the clauses it takes,
+// each clause bound to the field of sc it sets.
+func kvSpecs(sc *Scenario) map[string]map[string]func(string) error {
+	return map[string]map[string]func(string) error{
+		"transport": {
 			"timeout": durField(&sc.Transport.Timeout),
 			"retries": intField(&sc.Transport.Retries),
-			"budget":  intField(&sc.Transport.Budget),
 			"backoff": durField(&sc.Transport.Backoff),
-		})
-	case "frontend":
-		return parseKVSpec(ln, "frontend", val, map[string]func(string) error{
+		},
+		"frontend": {
 			"max-inflight":  intField(&sc.Frontend.MaxInflight),
 			"stale-window":  durField(&sc.Frontend.StaleWindow),
 			"error-ttl":     durField(&sc.Frontend.ErrorTTL),
 			"query-timeout": durField(&sc.Frontend.QueryTimeout),
-		})
-	case "cluster":
-		return parseKVSpec(ln, "cluster", val, map[string]func(string) error{
+		},
+		"cluster": {
 			"replicas": intField(&sc.Cluster.Replicas),
 			"hot":      intField(&sc.Cluster.Hot),
-		})
-	case "governor":
-		return parseKVSpec(ln, "governor", val, map[string]func(string) error{
+		},
+		"governor": {
 			"max":           intField(&sc.Governor.Max),
 			"min":           intField(&sc.Governor.Min),
-			"high":          floatField(&sc.Governor.High),
-			"low":           floatField(&sc.Governor.Low),
 			"step":          intField(&sc.Governor.Step),
 			"observe-every": intField(&sc.Governor.ObserveEvery),
-		})
-	case "population":
-		return parseKVSpec(ln, "population", val, map[string]func(string) error{
+		},
+		"population": {
 			"total": intField(&sc.Population.Total),
-			"start": intField(&sc.Population.Start),
-			"end":   intField(&sc.Population.End),
-		})
-	case "verdict":
-		return parseKVSpec(ln, "verdict", val, map[string]func(string) error{
-			"tolerance":     intField(&sc.Verdict.Tolerance),
-			"flaky-retries": intField(&sc.Verdict.FlakyRetries),
-		})
-	default:
-		return perr(ln, ErrUnknownKey, "top-level key %q", key)
+		},
 	}
-	return nil
 }
 
 func parsePhaseLine(ph *Phase, ln int, key, val string) error {
@@ -450,17 +444,6 @@ func durField(dst *time.Duration) func(string) error {
 			return fmt.Errorf("not a non-negative duration")
 		}
 		*dst = d
-		return nil
-	}
-}
-
-func floatField(dst *float64) func(string) error {
-	return func(v string) error {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
-			return fmt.Errorf("not a non-negative number")
-		}
-		*dst = f
 		return nil
 	}
 }

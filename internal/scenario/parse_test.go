@@ -43,11 +43,10 @@ func TestParseFull(t *testing.T) {
 		"driver: frontend",
 		"cases: valid, unsigned",
 		"systems: cloudflare, bind",
-		"transport: timeout=250ms retries=2 budget=10 backoff=5ms",
+		"transport: timeout=250ms retries=2 backoff=5ms",
 		"frontend: max-inflight=4 stale-window=600s error-ttl=5s query-timeout=1s",
-		"governor: max=16 min=2 high=0.2 low=0.05 step=4 observe-every=25",
-		"population: total=300 start=10 end=40",
-		"verdict: tolerance=1 flaky-retries=2",
+		"governor: max=16 min=2 step=4 observe-every=25",
+		"population: total=300",
 		"",
 		"phase: load",
 		"  fault: all loss=0.5",
@@ -65,14 +64,11 @@ func TestParseFull(t *testing.T) {
 	if sc.Frontend.MaxInflight != 4 || sc.Frontend.StaleWindow != 600*time.Second {
 		t.Errorf("frontend = %+v", sc.Frontend)
 	}
-	if sc.Governor.High != 0.2 || sc.Governor.ObserveEvery != 25 {
+	if sc.Governor.Step != 4 || sc.Governor.ObserveEvery != 25 {
 		t.Errorf("governor = %+v", sc.Governor)
 	}
-	if sc.Population.Total != 300 || sc.Population.End != 40 {
+	if sc.Population.Total != 300 {
 		t.Errorf("population = %+v", sc.Population)
-	}
-	if sc.Verdict.Tolerance != 1 || sc.Verdict.FlakyRetries != 2 {
-		t.Errorf("verdict = %+v", sc.Verdict)
 	}
 	ph := sc.Phases[0]
 	if len(ph.Faults) != 1 || ph.Faults[0].Endpoint != "all" {
@@ -115,6 +111,13 @@ func TestParseErrors(t *testing.T) {
 		{"unknown probe kind", strings.Replace(minimal(), "expect: table4", "probe: oracle edelab_x min=1", 1), ErrUnknownProbe, 5},
 		{"unknown driver", "scenario: demo\ndriver: quantum\n", ErrUnknownDriver, 2},
 		{"unknown action", strings.Replace(minimal(), "expect: table4", "action: explode\n  expect: table4", 1), ErrUnknownAction, 5},
+		// A run passes only when every check does: there is no verdict rule.
+		{"verdict rule", "scenario: demo\nverdict: flaky-retries=2\n", ErrUnknownKey, 2},
+		{"transport budget", "scenario: demo\ntransport: budget=24\n", ErrUnknownKey, 2},
+		{"governor water mark", "scenario: demo\ngovernor: high=0.2\n", ErrUnknownKey, 2},
+		{"population slice", "scenario: demo\npopulation: total=300 start=10\n", ErrUnknownKey, 2},
+		{"pressure verb", strings.Replace(minimal(), "expect: table4", "action: pressure attempts=10 failures=5\n  expect: table4", 1), ErrUnknownAction, 5},
+		{"drain verb", strings.Replace(minimal(), "expect: table4", "action: drain r0\n  expect: table4", 1), ErrUnknownAction, 5},
 		{"missing name", "driver: matrix\nphase: a\n  expect: table4\n", ErrIncomplete, 0},
 		{"missing driver", "scenario: demo\nphase: a\n  expect: table4\n", ErrIncomplete, 0},
 		{"no phases", "scenario: demo\ndriver: matrix\n", ErrIncomplete, 0},

@@ -4,9 +4,10 @@
 // listener, or a population-slice campaign), a fault schedule of
 // netsim.ParseFaultProfile spec strings per endpoint and phase, a
 // steady-state hypothesis (expected RCODE/EDE cells plus probes against the
-// telemetry registry), and a verdict rule. The engine executes phases in
-// order, evaluates every probe, and renders a canonical byte-stable verdict
-// report — two runs from the same seed must produce identical bytes.
+// telemetry registry). The engine executes phases in order, evaluates every
+// probe, and renders a canonical byte-stable verdict report — two runs from
+// the same seed must produce identical bytes. A run passes only when every
+// check does.
 //
 // The spec format is a small hand-rolled line format (no external
 // dependencies): "key: value" lines at the top level, "phase: name" blocks
@@ -50,10 +51,8 @@ type Scenario struct {
 	Cluster ClusterSpec
 	// Governor tunes the campaign driver's AIMD governor.
 	Governor GovernorSpec
-	// Population sizes the campaign driver's population slice.
+	// Population sizes the campaign driver's population.
 	Population PopulationSpec
-	// Verdict is the pass/fail/flaky rule.
-	Verdict VerdictRule
 	// Phases execute in order.
 	Phases []Phase
 }
@@ -184,12 +183,11 @@ func (p Probe) String() string {
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // TransportSpec is the resolver transport policy in spec form
-// ("timeout=2s retries=6 budget=24 backoff=10ms"). The zero value keeps the
+// ("timeout=2s retries=6 backoff=10ms"). The zero value keeps the
 // resolver's legacy single-shot behaviour.
 type TransportSpec struct {
 	Timeout time.Duration
 	Retries int
-	Budget  int
 	Backoff time.Duration
 }
 
@@ -204,9 +202,6 @@ func (t TransportSpec) String() string {
 	}
 	if t.Retries > 0 {
 		parts = append(parts, "retries="+strconv.Itoa(t.Retries))
-	}
-	if t.Budget > 0 {
-		parts = append(parts, "budget="+strconv.Itoa(t.Budget))
 	}
 	if t.Backoff > 0 {
 		parts = append(parts, "backoff="+t.Backoff.String())
@@ -269,10 +264,9 @@ func (c ClusterSpec) String() string {
 }
 
 // GovernorSpec tunes the campaign driver's AIMD governor
-// ("max=32 min=1 high=0.2 low=0.05 step=2 observe-every=50").
+// ("max=32 min=1 step=2 observe-every=50").
 type GovernorSpec struct {
 	Max, Min     int
-	High, Low    float64
 	Step         int
 	ObserveEvery int
 }
@@ -289,12 +283,6 @@ func (g GovernorSpec) String() string {
 	if g.Min > 0 {
 		parts = append(parts, "min="+strconv.Itoa(g.Min))
 	}
-	if g.High > 0 {
-		parts = append(parts, "high="+formatFloat(g.High))
-	}
-	if g.Low > 0 {
-		parts = append(parts, "low="+formatFloat(g.Low))
-	}
 	if g.Step > 0 {
 		parts = append(parts, "step="+strconv.Itoa(g.Step))
 	}
@@ -304,54 +292,9 @@ func (g GovernorSpec) String() string {
 	return strings.Join(parts, " ")
 }
 
-// PopulationSpec sizes the campaign driver's slice ("total=400 start=0
-// end=200"). End 0 means "through the last domain".
+// PopulationSpec sizes the campaign driver's population ("total=400").
 type PopulationSpec struct {
 	Total int
-	Start int
-	End   int
-}
-
-// IsZero reports whether no population was requested.
-func (p PopulationSpec) IsZero() bool { return p == PopulationSpec{} }
-
-// String renders the spec canonically, omitting zero fields.
-func (p PopulationSpec) String() string {
-	var parts []string
-	if p.Total > 0 {
-		parts = append(parts, "total="+strconv.Itoa(p.Total))
-	}
-	if p.Start > 0 {
-		parts = append(parts, "start="+strconv.Itoa(p.Start))
-	}
-	if p.End > 0 {
-		parts = append(parts, "end="+strconv.Itoa(p.End))
-	}
-	return strings.Join(parts, " ")
-}
-
-// VerdictRule tunes the verdict engine. Tolerance is how many failing probes
-// still count as a pass; FlakyRetries is how many derived-seed reruns a
-// failing scenario gets before FAIL becomes final (any passing rerun yields
-// FLAKY instead).
-type VerdictRule struct {
-	Tolerance    int
-	FlakyRetries int
-}
-
-// IsZero reports the strict default rule.
-func (v VerdictRule) IsZero() bool { return v == VerdictRule{} }
-
-// String renders the rule canonically, omitting zero fields.
-func (v VerdictRule) String() string {
-	var parts []string
-	if v.Tolerance > 0 {
-		parts = append(parts, "tolerance="+strconv.Itoa(v.Tolerance))
-	}
-	if v.FlakyRetries > 0 {
-		parts = append(parts, "flaky-retries="+strconv.Itoa(v.FlakyRetries))
-	}
-	return strings.Join(parts, " ")
 }
 
 // String renders the scenario in canonical spec form. The output re-parses
@@ -381,11 +324,8 @@ func (s *Scenario) String() string {
 	if !s.Governor.IsZero() {
 		fmt.Fprintf(&b, "governor: %s\n", s.Governor)
 	}
-	if !s.Population.IsZero() {
-		fmt.Fprintf(&b, "population: %s\n", s.Population)
-	}
-	if !s.Verdict.IsZero() {
-		fmt.Fprintf(&b, "verdict: %s\n", s.Verdict)
+	if s.Population.Total > 0 {
+		fmt.Fprintf(&b, "population: total=%d\n", s.Population.Total)
 	}
 	for i := range s.Phases {
 		ph := &s.Phases[i]

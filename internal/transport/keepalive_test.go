@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/netsim"
 )
 
 // respKeepalive extracts the edns-tcp-keepalive TIMEOUT from a response.
@@ -24,14 +25,14 @@ func respKeepalive(m *dnswire.Message) (uint16, bool) {
 }
 
 // TestTCPKeepalive: the server advertises its configured idle timeout on
-// stream responses, and a RequestKeepalive client stretches its own idle
-// timer to match — the connection outlives the client-side default.
+// stream responses to a RequestKeepalive client, which keeps using the one
+// connection.
 func TestTCPKeepalive(t *testing.T) {
 	addr, _, _, _ := startTCP(t, Config{
 		Handler:      echoHandler(nil),
 		TCPKeepalive: 2 * time.Second,
 	})
-	c := &StreamClient{Addr: addr, IdleTimeout: 50 * time.Millisecond, RequestKeepalive: true}
+	c := &StreamClient{Addr: addr, RequestKeepalive: true}
 	defer c.Close()
 
 	ctx := context.Background()
@@ -46,26 +47,19 @@ func TestTCPKeepalive(t *testing.T) {
 	if units, ok := respKeepalive(resp); !ok || units != 20 {
 		t.Fatalf("response keepalive = %d/%t, want TIMEOUT 20 (2s in 100ms units)", units, ok)
 	}
-	if d, ok := c.ServerIdleTimeout(); !ok || d != 2*time.Second {
-		t.Fatalf("ServerIdleTimeout = %v/%t, want 2s", d, ok)
-	}
-
-	// Well past the 50ms configured idle: the advertised 2s keeps the
-	// connection cached, so the second query must not redial.
-	time.Sleep(200 * time.Millisecond)
 	if _, err := c.Query(ctx, dnswire.NewQuery(2, dnswire.MustName("b.example"), dnswire.TypeA)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Dials(); got != 1 {
-		t.Errorf("dials = %d, want 1 (keepalive must stretch the idle timer)", got)
+		t.Errorf("dials = %d, want 1 (a TIMEOUT above 0 keeps the connection)", got)
 	}
 }
 
 // TestTCPKeepaliveNotAdvertised: without TCPKeepalive configured the server
-// stays silent, and the client falls back to its own idle policy.
+// stays silent, and the client keeps its connection all the same.
 func TestTCPKeepaliveNotAdvertised(t *testing.T) {
 	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil)})
-	c := &StreamClient{Addr: addr, IdleTimeout: 50 * time.Millisecond, RequestKeepalive: true}
+	c := &StreamClient{Addr: addr, RequestKeepalive: true}
 	defer c.Close()
 
 	ctx := context.Background()
@@ -76,15 +70,44 @@ func TestTCPKeepaliveNotAdvertised(t *testing.T) {
 	if _, ok := respKeepalive(resp); ok {
 		t.Error("server advertised keepalive without TCPKeepalive configured")
 	}
-	if _, ok := c.ServerIdleTimeout(); ok {
-		t.Error("client recorded a keepalive nobody advertised")
-	}
-	time.Sleep(200 * time.Millisecond)
 	if _, err := c.Query(ctx, dnswire.NewQuery(2, dnswire.MustName("b.example"), dnswire.TypeA)); err != nil {
 		t.Fatal(err)
 	}
+	if got := c.Dials(); got != 1 {
+		t.Errorf("dials = %d, want 1", got)
+	}
+}
+
+// TestTCPKeepaliveTimeoutZero: a server answering with TIMEOUT 0 wants the
+// connection back (RFC 7828 §3.2.2), so the client closes it after the
+// answer and the next query dials again.
+func TestTCPKeepaliveTimeoutZero(t *testing.T) {
+	addr, _, _, _ := startTCP(t, Config{Handler: netsim.HandlerFunc(func(_ context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		r := q.Reply()
+		r.OPT.Options = append(r.OPT.Options, dnswire.TCPKeepaliveOption{HasTimeout: true})
+		return r, nil
+	})})
+	c := &StreamClient{Addr: addr, RequestKeepalive: true}
+	defer c.Close()
+
+	ctx := context.Background()
+	for i := range 2 {
+		resp, err := c.Query(ctx, dnswire.NewQuery(uint16(i+1), dnswire.MustName("a.example"), dnswire.TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if units, ok := respKeepalive(resp); !ok || units != 0 {
+			t.Fatalf("response keepalive = %d/%t, want TIMEOUT 0", units, ok)
+		}
+		c.mu.Lock()
+		open := c.conn != nil
+		c.mu.Unlock()
+		if open {
+			t.Fatalf("query %d: the connection stayed cached after TIMEOUT 0", i+1)
+		}
+	}
 	if got := c.Dials(); got != 2 {
-		t.Errorf("dials = %d, want 2 (no advertisement, client idle policy rules)", got)
+		t.Errorf("dials = %d, want 2 (one per query)", got)
 	}
 }
 
@@ -152,15 +175,4 @@ func TestKeepaliveFrameBound(t *testing.T) {
 	if got := srv.m.errors[TransportTCP].Load() - errs; got != 1 {
 		t.Fatalf("errors counted = %d, want 1", got)
 	}
-}
-
-// ServerIdleTimeout reports the idle timeout the server advertised via
-// edns-tcp-keepalive on this connection, if any.
-func (c *StreamClient) ServerIdleTimeout() (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.keepalive <= 0 {
-		return 0, false
-	}
-	return c.keepalive, true
 }

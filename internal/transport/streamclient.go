@@ -12,12 +12,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
 
-// DefaultClientIdleTimeout closes a StreamClient's cached connection after
-// this much time without a query. It is deliberately shorter than the
-// server-side DefaultIdleTimeout so the client usually closes first and a
-// stale-connection redial stays the exception, not the rule.
-const DefaultClientIdleTimeout = 10 * time.Second
-
 // ErrClientClosed is returned by StreamClient.Query after Close.
 var ErrClientClosed = errors.New("transport: stream client closed")
 
@@ -28,9 +22,8 @@ var ErrClientClosed = errors.New("transport: stream client closed")
 // per query, which is the RFC 7766 §6.2.1 connection-reuse guidance.
 //
 // Queries are serialized on the single connection — the client is safe for
-// concurrent use, but calls take turns. An idle timer closes the cached
-// connection after IdleTimeout so a long-lived client does not pin sockets
-// to authorities it has moved past; the next Query transparently redials.
+// concurrent use, but calls take turns. The connection lives until Close, an
+// error, or a server that asks for it back (edns-tcp-keepalive TIMEOUT 0).
 // If the server closed the connection first (its own idle timeout, a
 // restart), the exchange fails on a reused connection and Query redials
 // once before reporting an error.
@@ -39,22 +32,15 @@ type StreamClient struct {
 	Addr string
 	// TLSConfig non-nil selects DoT; nil selects plain TCP.
 	TLSConfig *tls.Config
-	// IdleTimeout closes the cached connection after this much time
-	// without a query. Zero means DefaultClientIdleTimeout; negative
-	// disables the timer (the connection lives until Close or error).
-	IdleTimeout time.Duration
 	// RequestKeepalive adds an empty edns-tcp-keepalive option (RFC 7828
-	// §3.2.1) to EDNS queries. When the server answers with a TIMEOUT, the
-	// client stretches its idle timer up to the advertised value, so the
-	// connection stays cached as long as the server promises to hold it.
+	// §3.2.1) to EDNS queries, asking the server to advertise how long it
+	// holds an idle connection.
 	RequestKeepalive bool
 
-	mu        sync.Mutex
-	conn      net.Conn
-	timer     *time.Timer
-	closed    bool
-	keepalive time.Duration // server-advertised idle timeout; -1 = close now
-	dials     atomic.Uint64
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool
+	dials  atomic.Uint64
 }
 
 // Query sends q over the cached connection — dialing if there is none —
@@ -65,9 +51,6 @@ func (c *StreamClient) Query(ctx context.Context, q *dnswire.Message) (*dnswire.
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClientClosed
-	}
-	if c.timer != nil {
-		c.timer.Stop()
 	}
 
 	if c.RequestKeepalive && q.OPT != nil {
@@ -93,14 +76,11 @@ func (c *StreamClient) Query(ctx context.Context, q *dnswire.Message) (*dnswire.
 		c.dropLocked()
 		return nil, err
 	}
-	c.noteKeepaliveLocked(resp)
-	if c.keepalive < 0 {
+	if closeNow(resp) {
 		// TIMEOUT 0: the server wants the connection back immediately
 		// (RFC 7828 §3.2.2); honour it instead of idling.
 		c.dropLocked()
-		return resp, nil
 	}
-	c.armIdleLocked()
 	return resp, nil
 }
 
@@ -120,24 +100,17 @@ func requestKeepalive(q *dnswire.Message) *dnswire.Message {
 	return &out
 }
 
-// noteKeepaliveLocked records the server's advertised edns-tcp-keepalive
-// TIMEOUT, if the response carries one.
-func (c *StreamClient) noteKeepaliveLocked(resp *dnswire.Message) {
+// closeNow reports whether resp carries an edns-tcp-keepalive TIMEOUT of 0.
+func closeNow(resp *dnswire.Message) bool {
 	if resp.OPT == nil {
-		return
+		return false
 	}
 	for _, o := range resp.OPT.Options {
-		ka, ok := o.(dnswire.TCPKeepaliveOption)
-		if !ok || !ka.HasTimeout {
-			continue
+		if ka, ok := o.(dnswire.TCPKeepaliveOption); ok && ka.HasTimeout {
+			return ka.Timeout == 0
 		}
-		if ka.Timeout == 0 {
-			c.keepalive = -1
-			return
-		}
-		c.keepalive = time.Duration(ka.Timeout) * 100 * time.Millisecond
-		return
 	}
+	return false
 }
 
 // Dials reports how many connections the client has opened — the number a
@@ -177,45 +150,12 @@ func (c *StreamClient) connLocked(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// dropLocked closes and forgets the cached connection and its idle timer.
+// dropLocked closes and forgets the cached connection.
 func (c *StreamClient) dropLocked() {
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
 	}
-	c.keepalive = 0 // the advertisement was scoped to that connection
-}
-
-// armIdleLocked (re)starts the idle-close timer after a completed exchange.
-// A server keepalive advertisement stretches the timer: the whole point of
-// RFC 7828 is that the client no longer has to guess the server's idle
-// policy, so the configured client-side guess only acts as a floor.
-func (c *StreamClient) armIdleLocked() {
-	if c.IdleTimeout < 0 {
-		return
-	}
-	d := c.IdleTimeout
-	if d == 0 {
-		d = DefaultClientIdleTimeout
-	}
-	if c.keepalive > d {
-		d = c.keepalive
-	}
-	if c.timer != nil {
-		c.timer.Reset(d)
-		return
-	}
-	c.timer = time.AfterFunc(d, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		// Query stops the timer under the lock before using the
-		// connection, so reaching here means the client is truly idle.
-		c.dropLocked()
-	})
 }
 
 // exchangeKeep performs one framed request/response without closing conn,

@@ -35,38 +35,6 @@ func TestStreamClientReusesConnection(t *testing.T) {
 	}
 }
 
-// TestStreamClientIdleClose: the client-side idle timer closes the cached
-// connection, and the next query transparently redials.
-func TestStreamClientIdleClose(t *testing.T) {
-	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil)})
-	c := &StreamClient{Addr: addr, IdleTimeout: 50 * time.Millisecond}
-	defer c.Close()
-
-	ctx := context.Background()
-	if _, err := c.Query(ctx, dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		open := c.conn != nil
-		c.mu.Unlock()
-		if !open {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle timer never closed the cached connection")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if _, err := c.Query(ctx, dnswire.NewQuery(2, dnswire.MustName("b.example"), dnswire.TypeA)); err != nil {
-		t.Fatalf("query after idle close: %v", err)
-	}
-	if got := c.Dials(); got != 2 {
-		t.Fatalf("dials = %d, want 2 (one per idle period)", got)
-	}
-}
-
 // TestStreamClientRedialsStaleConnection: when the server closes the idle
 // connection first, the next query on the reused socket fails and the
 // client must redial once and succeed.
@@ -75,7 +43,7 @@ func TestStreamClientRedialsStaleConnection(t *testing.T) {
 		Handler:     echoHandler(nil),
 		IdleTimeout: 80 * time.Millisecond, // server-side
 	})
-	c := &StreamClient{Addr: addr, IdleTimeout: -1} // client never closes
+	c := &StreamClient{Addr: addr}
 	defer c.Close()
 
 	ctx := context.Background()

@@ -12,22 +12,17 @@ import (
 
 // SignOptions configures Zone.Sign.
 type SignOptions struct {
-	// Algorithm used for both KSK and ZSK unless overridden.
+	// Algorithm used for both KSK and ZSK.
 	Algorithm dnssec.Algorithm
-	// KSKAlgorithm/ZSKAlgorithm override Algorithm when non-zero.
-	KSKAlgorithm, ZSKAlgorithm dnssec.Algorithm
 	// RSABits selects the RSA modulus size (default 1024).
 	RSABits int
 	// Validity window (epoch seconds).
 	Inception, Expiration uint32
-	// NSEC3 parameters.
+	// NSEC3Iterations is the NSEC3 hash iteration count of the (unsalted)
+	// NSEC3 chain.
 	NSEC3Iterations uint16
-	NSEC3Salt       []byte
 	// DenialNSEC selects plain NSEC (RFC 4034) denial instead of NSEC3.
 	DenialNSEC bool
-	// StandbyKSKs adds extra published-but-unused KSKs, modelling the
-	// stand-by keys behind §4.2 item 3 (RRSIGs Missing on two ccTLDs).
-	StandbyKSKs int
 	// Keys may be pre-generated (reused across zones for speed); when nil
 	// they are generated.
 	KSK, ZSK *dnssec.KeyPair
@@ -41,23 +36,16 @@ func (z *Zone) Sign(opts SignOptions) error {
 	if opts.Algorithm == 0 {
 		opts.Algorithm = dnssec.AlgECDSAP256SHA256
 	}
-	kskAlg, zskAlg := opts.KSKAlgorithm, opts.ZSKAlgorithm
-	if kskAlg == 0 {
-		kskAlg = opts.Algorithm
-	}
-	if zskAlg == 0 {
-		zskAlg = opts.Algorithm
-	}
 
 	ksk, zsk := opts.KSK, opts.ZSK
 	var err error
 	if ksk == nil {
-		if ksk, err = dnssec.GenerateKey(kskAlg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, opts.RSABits); err != nil {
+		if ksk, err = dnssec.GenerateKey(opts.Algorithm, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, opts.RSABits); err != nil {
 			return fmt.Errorf("zone %s: KSK: %w", z.Origin, err)
 		}
 	}
 	if zsk == nil {
-		if zsk, err = dnssec.GenerateKey(zskAlg, dnswire.DNSKEYFlagZone, opts.RSABits); err != nil {
+		if zsk, err = dnssec.GenerateKey(opts.Algorithm, dnswire.DNSKEYFlagZone, opts.RSABits); err != nil {
 			return fmt.Errorf("zone %s: ZSK: %w", z.Origin, err)
 		}
 	}
@@ -66,19 +54,10 @@ func (z *Zone) Sign(opts SignOptions) error {
 	z.Inception, z.Expiration = opts.Inception, opts.Expiration
 
 	// Publish DNSKEYs.
-	keyRRs := []dnswire.RR{
+	z.SetRRset(z.Origin, dnswire.TypeDNSKEY, []dnswire.RR{
 		{Name: z.Origin, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: ksk.DNSKEY()},
 		{Name: z.Origin, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: zsk.DNSKEY()},
-	}
-	for i := 0; i < opts.StandbyKSKs; i++ {
-		standby, err := dnssec.GenerateKey(kskAlg, dnswire.DNSKEYFlagZone|dnswire.DNSKEYFlagSEP, opts.RSABits)
-		if err != nil {
-			return err
-		}
-		z.KSKs = append(z.KSKs, standby)
-		keyRRs = append(keyRRs, dnswire.RR{Name: z.Origin, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: standby.DNSKEY()})
-	}
-	z.SetRRset(z.Origin, dnswire.TypeDNSKEY, keyRRs)
+	})
 
 	// Denial chain: NSEC3 (with NSEC3PARAM at the apex) or plain NSEC.
 	z.nsecMode = opts.DenialNSEC
@@ -88,7 +67,6 @@ func (z *Zone) Sign(opts SignOptions) error {
 		z.NSEC3Params = dnswire.NSEC3PARAM{
 			HashAlg:    dnssec.NSEC3HashSHA1,
 			Iterations: opts.NSEC3Iterations,
-			Salt:       opts.NSEC3Salt,
 		}
 		z.SetRRset(z.Origin, dnswire.TypeNSEC3PARAM, []dnswire.RR{{
 			Name: z.Origin, Class: dnswire.ClassIN, TTL: z.DefaultTTL, Data: z.NSEC3Params,

@@ -27,7 +27,7 @@ func signedZone(t *testing.T) *Zone {
 	z.AddDelegation(dnswire.MustName("child.example.com"), map[dnswire.Name][]netip.Addr{
 		dnswire.MustName("ns1.child.example.com"): {netip.MustParseAddr("198.18.0.20")},
 	})
-	if err := z.Sign(SignOptions{Inception: inception, Expiration: expiration, NSEC3Salt: []byte{0xCA, 0xFE}}); err != nil {
+	if err := z.Sign(SignOptions{Inception: inception, Expiration: expiration}); err != nil {
 		t.Fatal(err)
 	}
 	return z
@@ -350,27 +350,6 @@ func TestMutatorSaltMismatch(t *testing.T) {
 	}
 	if len(salts) < 2 {
 		t.Errorf("expected mixed salts across chain, got %d distinct", len(salts))
-	}
-}
-
-func TestStandbyKSKPublished(t *testing.T) {
-	z := New(dnswire.MustName("se."), 300)
-	z.AddNS(dnswire.MustName("ns1.se"), netip.MustParseAddr("198.18.1.1"))
-	if err := z.Sign(SignOptions{Inception: inception, Expiration: expiration, StandbyKSKs: 1}); err != nil {
-		t.Fatal(err)
-	}
-	inv := dnssec.Inventory(zoneKeys(z), dnssec.StandardSupport())
-	if inv.SEPKeys != 2 {
-		t.Fatalf("SEP keys = %d, want 2 (active + standby)", inv.SEPKeys)
-	}
-	// Only the active KSK signs the DNSKEY RRset.
-	sigs := z.Sigs(z.Origin, dnswire.TypeDNSKEY)
-	tags := make(map[uint16]bool)
-	for _, rr := range sigs {
-		tags[rr.Data.(dnswire.RRSIG).KeyTag] = true
-	}
-	if tags[z.KSKs[1].KeyTag()] {
-		t.Error("standby KSK signed the DNSKEY RRset")
 	}
 }
 
