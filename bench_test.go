@@ -86,11 +86,11 @@ func wildScan(w *population.Wild, workers int) []scan.Result {
 // BenchmarkTable1RegistryLookup measures EDE registry lookups (Table 1).
 func BenchmarkTable1RegistryLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		code := ede.Code(i % 30)
-		if _, ok := ede.Lookup(code); !ok {
+		info, ok := ede.Lookup(ede.Code(i % 30))
+		if !ok {
 			b.Fatal("unregistered code")
 		}
-		_ = code.Category()
+		_ = info.Category
 	}
 }
 

@@ -125,10 +125,11 @@ func (s *edeserver) serveSecondary(ctx context.Context, join, id, adv string) er
 	}
 	// The UDP socket is already bound, so the primary may route here the
 	// moment the join lands; queued packets drain when serving starts.
-	if _, err := cluster.Join(ctx, join, id, adv); err != nil {
+	joined, err := cluster.Join(ctx, join, id, adv)
+	if err != nil {
 		return fmt.Errorf("-join %s: %w", join, err)
 	}
-	fmt.Fprintf(s.stdout, "joined cluster at %s as %q (advertising %s, primary epoch %d)\n", join, id, adv, st.Epoch)
+	fmt.Fprintf(s.stdout, "joined cluster at %s as %q (advertising %s, primary epoch %d)\n", join, id, adv, joined.Epoch)
 
 	serveCtx, cancelServe := context.WithCancel(context.Background())
 	defer cancelServe()

@@ -32,8 +32,7 @@
 // With -admin an HTTP admin plane comes up alongside the DNS socket:
 //
 //	edeserver -addr 127.0.0.1:5353 -mode resolver -admin 127.0.0.1:9970 -trace-sample 1 &
-//	curl -s 127.0.0.1:9970/metrics      # Prometheus text exposition
-//	curl -s 127.0.0.1:9970/metrics.json # same registry as JSON
+//	curl -s 127.0.0.1:9970/metrics # Prometheus text exposition
 //	curl -s 127.0.0.1:9970/healthz
 //	curl -s '127.0.0.1:9970/api/trace?name=rrsig-exp-all'
 //
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:5353", "UDP listen address")
 	mode := fs.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
 	profileName := fs.String("profile", "cloudflare", "vendor profile for -mode resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
-	admin := fs.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)")
+	admin := fs.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /healthz, /api/trace, /debug/pprof)")
 	traceSample := fs.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin)")
 	cacheSize := fs.Int("cache-size", 1<<16, "frontend cache capacity in entries: the bound on every client answer the server holds (the resolver behind the frontend stores none)")
 	chaos := fs.String("chaos", "", "inject faults into the simulated testbed network, e.g. 'loss=0.2,lat=100ms' (see internal/netsim.ParseFaultProfile)")
@@ -261,7 +260,7 @@ func (s *edeserver) startAdmin(ctx context.Context, mounts ...telemetry.Mount) e
 	if err != nil {
 		return fmt.Errorf("-admin: %w", err)
 	}
-	fmt.Fprintf(s.stdout, "admin plane on http://%s (/metrics /metrics.json /healthz /api/trace /debug/pprof)\n", adminAddr)
+	fmt.Fprintf(s.stdout, "admin plane on http://%s (/metrics /healthz /api/trace /debug/pprof)\n", adminAddr)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"regexp"
 	"slices"
 	"strings"
@@ -148,11 +150,33 @@ func TestUnhonourableCommandLines(t *testing.T) {
 }
 
 // TestServesUntilCancelled: a resolver on an ephemeral port answers a real
-// datagram with the profile's EDE, and a cancelled context (SIGINT) drains
-// it to exit 0.
+// datagram with the profile's EDE; its admin plane, every query traced,
+// answers /healthz, exposes the frontend, resolver and netsim families on
+// /metrics and keeps that query's trace, EDE and all, at /api/trace; and a
+// cancelled context (SIGINT) drains it to exit 0.
 func TestServesUntilCancelled(t *testing.T) {
-	s := start(t, "-mode", "resolver", "-addr", "127.0.0.1:0")
+	s := start(t, "-mode", "resolver", "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-sample", "1")
 	addr := s.await(t, `serving the extended-dns-errors.com testbed on (\S+) \(mode resolver\)`)
+	admin := "http://" + s.await(t, `admin plane on http://(\S+) `)
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(admin + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %s: %s", path, resp.Status, body)
+		}
+		return string(body)
+	}
+	if body := get("/healthz"); !strings.Contains(body, `"status": "ok"`) {
+		t.Errorf("/healthz: %s", body)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -164,6 +188,16 @@ func TestServesUntilCancelled(t *testing.T) {
 	if codes := resp.EDECodes(); resp.RCode != dnswire.RCodeServFail || !slices.Contains(codes, 7) {
 		t.Errorf("expired signatures answered %s with EDEs %v, want SERVFAIL with EDE 7 (Signature Expired)", resp.RCode, codes)
 	}
+	metrics := get("/metrics")
+	for _, fam := range []string{"edelab_frontend_queries_total", "edelab_resolver_resolutions_total", "edelab_netsim_queries_total"} {
+		if !strings.Contains(metrics, "\n"+fam) {
+			t.Errorf("/metrics lacks %s", fam)
+		}
+	}
+	if trace := get("/api/trace?name=rrsig-exp-all"); !strings.Contains(trace, "EDE 7") {
+		t.Errorf("/api/trace?name=rrsig-exp-all lacks EDE 7:\n%s", trace)
+	}
+
 	if code := s.stop(t); code != 0 {
 		t.Errorf("exit %d after cancel: %s", code, s.stderr.String())
 	}

@@ -41,16 +41,10 @@ func (s nodeState) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-const (
-	// hotSlots sizes the approximate per-key hit counters driving hot-entry
-	// broadcast (power of two; collisions only cause a harmless early
-	// broadcast of a colder key).
-	hotSlots = 8192
-
-	// diffLogCap bounds the incremental change log; peers further behind
-	// than this get Full=true and must refetch the whole state.
-	diffLogCap = 512
-)
+// hotSlots sizes the approximate per-key hit counters driving hot-entry
+// broadcast (power of two; collisions only cause a harmless early broadcast
+// of a colder key).
+const hotSlots = 8192
 
 // Config tunes the cluster. The zero value gets defaults from New.
 type Config struct {
@@ -97,11 +91,10 @@ type node struct {
 	// rejoins (possibly at another address) while queries are in flight.
 	remote atomic.Pointer[remoteBackend]
 
-	state        atomic.Int32
-	inflight     atomic.Int64
-	routed       atomic.Uint64
-	failures     atomic.Int32 // consecutive remote forward failures
-	appliedEpoch atomic.Uint64
+	state    atomic.Int32
+	inflight atomic.Int64
+	routed   atomic.Uint64
+	failures atomic.Int32 // consecutive remote forward failures
 }
 
 func (n *node) st() nodeState { return nodeState(n.state.Load()) }
@@ -122,17 +115,15 @@ type view struct {
 type Cluster struct {
 	cfg Config
 
-	mu      sync.Mutex // guards members/epoch/changes/regs
+	mu      sync.Mutex // guards members/epoch/regs
 	members []*node
-	epoch   uint64
-	changes []Change
+	epoch   uint64 // the membership version: one step per change
 	regs    map[string]*telemetry.Registry
 	metReg  *telemetry.Registry // where per-replica counters register late
 
-	viewP  atomic.Pointer[view]
-	epochA atomic.Uint64
-	hot    [hotSlots]atomic.Uint32
-	m      metrics
+	viewP atomic.Pointer[view]
+	hot   [hotSlots]atomic.Uint32
+	m     metrics
 }
 
 // New builds an empty cluster; add replicas with AddLocal/AddRemote.
@@ -142,24 +133,16 @@ func New(cfg Config) *Cluster {
 
 // Replica is the handle AddLocal returns for one in-process member.
 type Replica struct {
-	n   *node
-	fe  *frontend.Frontend
-	reg *telemetry.Registry
+	n  *node
+	fe *frontend.Frontend
 }
-
-// ID returns the replica id.
-func (r *Replica) ID() string { return r.n.id }
 
 // Frontend returns the replica's serving frontend.
 func (r *Replica) Frontend() *frontend.Frontend { return r.fe }
 
-// Registry returns the replica's private telemetry registry (frontend
-// counters; callers register their resolver's metrics here too).
-func (r *Replica) Registry() *telemetry.Registry { return r.reg }
-
 // AddLocal builds one in-process replica: a frontend over up with the
 // cluster's serving config and the cross-replica peek hook installed, plus
-// a per-replica telemetry registry.
+// a per-replica telemetry registry (/api/cluster/metrics?replica=).
 func (c *Cluster) AddLocal(id string, up forwarder.Upstream) (*Replica, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,14 +157,20 @@ func (c *Cluster) AddLocal(id string, up forwarder.Upstream) (*Replica, error) {
 	reg := telemetry.NewRegistry()
 	fe.RegisterMetrics(reg)
 	c.regs[id] = reg
-	c.admitLocked(nd, "join")
-	return &Replica{n: nd, fe: fe, reg: reg}, nil
+	c.admitLocked(nd)
+	return &Replica{n: nd, fe: fe}, nil
 }
 
 // AddRemote admits (or, for a known id, reactivates) a remote replica
 // whose front door listens on addr; the router reaches it by forwarding
-// the query datagram over UDP.
+// the query datagram over UDP. An addr that does not resolve is refused
+// and admits nothing. The lookup runs before the cluster lock is taken, so
+// a hostname join never holds up StateSnapshot or a concurrent join.
 func (c *Cluster) AddRemote(id, addr string) error {
+	rb, err := newRemoteBackend(addr, c.cfg.ForwardTimeout)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if nd := c.findLocked(id); nd != nil {
@@ -189,37 +178,31 @@ func (c *Cluster) AddRemote(id, addr string) error {
 			return fmt.Errorf("cluster: replica %q is local, cannot re-join as remote", id)
 		}
 		nd.addr = addr
-		nd.remote.Store(newRemoteBackend(addr, c.cfg.ForwardTimeout))
-		nd.failures.Store(0)
-		nd.state.Store(int32(stateActive))
-		c.bumpLocked("rejoin", id)
-		nd.appliedEpoch.Store(c.epoch)
+		nd.remote.Store(rb)
+		c.reactivateLocked(nd)
 		return nil
 	}
 	nd := &node{c: c, id: id, addr: addr}
-	nd.remote.Store(newRemoteBackend(addr, c.cfg.ForwardTimeout))
-	c.admitLocked(nd, "join")
+	nd.remote.Store(rb)
+	c.admitLocked(nd)
 	return nil
 }
 
 // admitLocked appends a new member, bumps the epoch, and rebuilds the ring.
-func (c *Cluster) admitLocked(nd *node, kind string) {
+func (c *Cluster) admitLocked(nd *node) {
 	nd.state.Store(int32(stateActive))
 	c.members = append(c.members, nd)
-	c.bumpLocked(kind, nd.id)
-	nd.appliedEpoch.Store(c.epoch)
+	c.epoch++
 	c.rebuildLocked()
 	c.registerNodeLocked(nd)
 }
 
-// bumpLocked advances the epoch and appends to the bounded change log.
-func (c *Cluster) bumpLocked(kind, name string) {
+// reactivateLocked returns a known member to active rotation with a clean
+// failure count.
+func (c *Cluster) reactivateLocked(nd *node) {
+	nd.failures.Store(0)
+	nd.state.Store(int32(stateActive))
 	c.epoch++
-	c.epochA.Store(c.epoch)
-	c.changes = append(c.changes, Change{Epoch: c.epoch, Kind: kind, Name: name})
-	if len(c.changes) > diffLogCap {
-		c.changes = c.changes[len(c.changes)-diffLogCap:]
-	}
 }
 
 // rebuildLocked recomputes the immutable routing view from the member list.
@@ -242,8 +225,8 @@ func (c *Cluster) findLocked(id string) *node {
 	return nil
 }
 
-// setState transitions one member and records the change.
-func (c *Cluster) setState(id string, st nodeState, kind string) error {
+// setState transitions one member and advances the epoch.
+func (c *Cluster) setState(id string, st nodeState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nd := c.findLocked(id)
@@ -251,26 +234,24 @@ func (c *Cluster) setState(id string, st nodeState, kind string) error {
 		return fmt.Errorf("cluster: unknown replica %q", id)
 	}
 	nd.state.Store(int32(st))
-	c.bumpLocked(kind, id)
+	c.epoch++
 	return nil
 }
 
 // MarkDraining stops routing new queries to id without waiting for its
 // inflight queries (the remote drain protocol: the replica announces the
 // drain, finishes what it has, then leaves).
-func (c *Cluster) MarkDraining(id string) error { return c.setState(id, stateDraining, "drain") }
+func (c *Cluster) MarkDraining(id string) error { return c.setState(id, stateDraining) }
 
-// Kill marks id down immediately — the chaos path: no drain, cache not
-// even peekable, peers absorb its ring range on the next query.
-func (c *Cluster) Kill(id string) error { return c.setState(id, stateDown, "down") }
+// Kill marks id down immediately: no drain, cache not even peekable, peers
+// absorb its ring range on the next query. It is both the chaos path and
+// the last step of a graceful leave; the member stays in the list, so a
+// later join with the same id reactivates it.
+func (c *Cluster) Kill(id string) error { return c.setState(id, stateDown) }
 
-// Leave marks id down gracefully (it stays in the member list so a later
-// join with the same id is a rejoin and the diff log tells the story).
-func (c *Cluster) Leave(id string) error { return c.setState(id, stateDown, "leave") }
-
-// Rejoin returns a drained/down replica to active rotation after it has
-// replayed the current epoch state (for local replicas the zone data is
-// shared in-process, so replay reduces to acknowledging the epoch).
+// Rejoin returns a drained or down replica to active rotation. A local
+// replica shares the zone data in-process, so there is nothing to catch up
+// on; a remote one rejoins through /join instead, with its address.
 func (c *Cluster) Rejoin(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -278,15 +259,9 @@ func (c *Cluster) Rejoin(id string) error {
 	if nd == nil {
 		return fmt.Errorf("cluster: unknown replica %q", id)
 	}
-	nd.failures.Store(0)
-	nd.state.Store(int32(stateActive))
-	c.bumpLocked("rejoin", id)
-	nd.appliedEpoch.Store(c.epoch)
+	c.reactivateLocked(nd)
 	return nil
 }
-
-// Epoch returns the current replication epoch.
-func (c *Cluster) Epoch() uint64 { return c.epochA.Load() }
 
 // walkBuf sizes the caller-owned array a ring walk fills; a larger cluster
 // spills the tail of its walk to the heap.
@@ -446,7 +421,7 @@ func (c *Cluster) noteResult(nd *node, ok bool) {
 	}
 	c.m.forwardFails.Add(1)
 	if nd.local == nil && int(nd.failures.Add(1)) >= c.cfg.RemoteFailureLimit && nd.st() == stateActive {
-		_ = c.setState(nd.id, stateDown, "down")
+		_ = c.setState(nd.id, stateDown)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
@@ -148,22 +149,21 @@ func TestClusterTransparency(t *testing.T) {
 			})
 		}
 	}
-	if hits, _ := clValue(cl, "peekHits"); hits == 0 {
+	if clMetric(t, cl, "edelab_cluster_peek_total", telemetry.L("result", "hit")) == 0 {
 		t.Error("expected cross-replica peek hits during drain passes")
 	}
 }
 
-// clValue reads an internal counter by name (test helper).
-func clValue(c *Cluster, name string) (uint64, bool) {
-	switch name {
-	case "peekHits":
-		return c.m.peekHits.Load(), true
-	case "takeovers":
-		return c.m.takeovers.Load(), true
-	case "broadcasts":
-		return c.m.broadcasts.Load(), true
+// clMetric reads one of the router's metric families as a scrape does.
+func clMetric(t *testing.T, cl *Cluster, name string, labels ...telemetry.Label) float64 {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	cl.RegisterMetrics(reg)
+	v, ok := reg.Value(name, labels...)
+	if !ok {
+		t.Fatalf("metric %s%v not registered", name, labels)
 	}
-	return 0, false
+	return v
 }
 
 func caseByLabel(t *testing.T, tb *testbed.Testbed, label string) testbed.Case {
@@ -199,7 +199,7 @@ func TestClusterKillTakeoverServeStale(t *testing.T) {
 			t.Fatalf("warm query %d: err=%v rcode=%v", i, err, resp.RCode)
 		}
 	}
-	if b, _ := clValue(cl, "broadcasts"); b == 0 {
+	if clMetric(t, cl, "edelab_cluster_broadcasts_total") == 0 {
 		t.Fatal("hot entry was not broadcast")
 	}
 
@@ -230,7 +230,7 @@ func TestClusterKillTakeoverServeStale(t *testing.T) {
 	if !found {
 		t.Fatalf("takeover answer EDEs %v, want %d (Stale Answer)", codes, ede.CodeStaleAnswer)
 	}
-	if tk, _ := clValue(cl, "takeovers"); tk == 0 {
+	if clMetric(t, cl, "edelab_cluster_takeovers_total") == 0 {
 		t.Fatal("takeover counter did not move")
 	}
 }
@@ -277,7 +277,7 @@ func TestClusterSingleflightGlobal(t *testing.T) {
 	// absorbed entry, not recurse.
 	var ownerRep *Replica
 	for _, rep := range reps {
-		if rep.ID() == owner {
+		if rep.n.id == owner {
 			ownerRep = rep
 		}
 	}
@@ -372,7 +372,7 @@ func TestClusterDrainRejoinUnderLoad(t *testing.T) {
 	}
 	for i, rep := range reps {
 		if rep.n.routed.Load() == before[i] {
-			t.Errorf("replica %s took no traffic after rejoin", rep.ID())
+			t.Errorf("replica %s took no traffic after rejoin", rep.n.id)
 		}
 	}
 }
@@ -472,8 +472,8 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 
 // Drain marks id draining and waits until its routed inflight count hits
 // zero: an in-process rolling restart, which the takeover tests drive. A
-// serving replica drains over the remote protocol (MarkDraining, then
-// Leave). The cache stays peekable.
+// serving replica drains over the remote protocol (/drain, then /leave).
+// The cache stays peekable.
 func (c *Cluster) Drain(ctx context.Context, id string) error {
 	if err := c.MarkDraining(id); err != nil {
 		return err

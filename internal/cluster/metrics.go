@@ -7,7 +7,7 @@ import (
 )
 
 // metrics are the router-level counters; per-replica serving counters live
-// in each replica's own registry (Replica.Registry).
+// in each replica's own registry (/api/cluster/metrics?replica=).
 type metrics struct {
 	takeovers    atomic.Uint64
 	spills       atomic.Uint64
@@ -58,18 +58,6 @@ func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("edelab_cluster_members",
-		"Replicas known to the cluster in any state.",
-		func() float64 {
-			v := c.viewP.Load()
-			if v == nil {
-				return 0
-			}
-			return float64(len(v.nodes))
-		})
-	reg.GaugeFunc("edelab_cluster_epoch",
-		"Current replication epoch.",
-		func() float64 { return float64(c.epochA.Load()) })
 
 	c.mu.Lock()
 	c.metReg = reg

@@ -455,11 +455,11 @@ func TestRelayPeerKilledTakeover(t *testing.T) {
 		}
 		answered[m.ID] = true
 	}
-	if cl.m.forwardFails.Load() == 0 {
+	if clMetric(t, cl, "edelab_cluster_forward_failures_total") == 0 {
 		t.Error("forward_failures_total did not move")
 	}
-	if cl.m.takeovers.Load() < n {
-		t.Errorf("takeovers = %d, want at least the %d re-dispatched queries", cl.m.takeovers.Load(), n)
+	if got := clMetric(t, cl, "edelab_cluster_takeovers_total"); got < n {
+		t.Errorf("takeovers_total = %v, want at least the %d re-dispatched queries", got, n)
 	}
 	if st := cl.StateSnapshot().Members[1]; st.ID != "peer" || st.State != "down" {
 		t.Fatalf("member %s is %s, want peer down", st.ID, st.State)
@@ -589,8 +589,8 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 			if st := cl.StateSnapshot().Members[0]; st.State != "active" {
 				t.Fatalf("replica is %s after large answers, want active", st.State)
 			}
-			if cl.m.forwardFails.Load() != 0 {
-				t.Errorf("forward failures = %d, want 0", cl.m.forwardFails.Load())
+			if got := clMetric(t, cl, "edelab_cluster_forward_failures_total"); got != 0 {
+				t.Errorf("forward_failures_total = %v, want 0", got)
 			}
 
 			// No OPT to raise: over UDP the peer must cut this answer at

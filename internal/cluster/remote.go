@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -28,18 +29,22 @@ import (
 // router.
 type remoteBackend struct {
 	addr    string
-	peer    netip.AddrPort // addr resolved once, for the relay; zero when it does not resolve
+	peer    netip.AddrPort // addr resolved once, at admission
 	timeout time.Duration
 	nextID  atomic.Uint32
 	conns   sync.Pool // *net.UDPConn, connected to addr
 }
 
-func newRemoteBackend(addr string, timeout time.Duration) *remoteBackend {
-	r := &remoteBackend{addr: addr, timeout: timeout}
-	if ua, err := net.ResolveUDPAddr("udp", addr); err == nil {
-		r.peer = ua.AddrPort()
+// errUnresolvable marks a join whose address does not resolve: such a
+// member could only fail every forward, so it is not admitted.
+var errUnresolvable = errors.New("cluster: replica address does not resolve")
+
+func newRemoteBackend(addr string, timeout time.Duration) (*remoteBackend, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errUnresolvable, err)
 	}
-	return r
+	return &remoteBackend{addr: addr, peer: ua.AddrPort(), timeout: timeout}, nil
 }
 
 // maxDatagram is the largest UDP payload the 16-bit EDNS size can ask for.
@@ -71,11 +76,7 @@ func (r *remoteBackend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dns
 
 	conn, _ := r.conns.Get().(*net.UDPConn)
 	if conn == nil {
-		raddr, err := net.ResolveUDPAddr("udp", r.addr)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: resolve %s: %w", r.addr, err)
-		}
-		conn, err = net.DialUDP("udp", nil, raddr)
+		conn, err = net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(r.peer))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: dial %s: %w", r.addr, err)
 		}

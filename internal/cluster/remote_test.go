@@ -83,7 +83,12 @@ func TestClusterRemoteForward(t *testing.T) {
 	if st.Members[0].State != "down" {
 		t.Fatalf("peer state %q after repeated failures, want down", st.Members[0].State)
 	}
-	if cl.m.forwardFails.Load() == 0 {
-		t.Fatal("forward failures not counted")
+	// Two forwards failed (the second marked the peer down), and none of
+	// the three queries found a replica to answer it.
+	if got := clMetric(t, cl, "edelab_cluster_forward_failures_total"); got != 2 {
+		t.Errorf("forward_failures_total = %v, want 2", got)
+	}
+	if got := clMetric(t, cl, "edelab_cluster_unrouted_total"); got != 3 {
+		t.Errorf("unrouted_total = %v, want 3", got)
 	}
 }

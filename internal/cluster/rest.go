@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 )
 
-// REST replication plane: the primary exposes /api/cluster/* on its admin
-// HTTP listener (telemetry.ServeAdmin); secondaries fetch the
-// epoch-numbered state snapshot, verify the zone manifest, join, and later
-// announce drain/leave. Incremental catch-up goes through /diff; peers
-// older than the bounded change log get Full=true and refetch.
+// REST control plane: the primary exposes /api/cluster/* on its admin HTTP
+// listener (telemetry.AdminHandler); a secondary fetches the epoch-numbered
+// state snapshot, verifies the zone manifest, joins, and later announces
+// drain and leave. A restarted secondary joins again under the same id.
 
 // ZoneInfo names one replicated zone by content hash: zones are built
 // deterministically on every replica, so replication is verification, not
@@ -56,39 +55,21 @@ func VerifyManifest(local, remote []ZoneInfo) error {
 	return nil
 }
 
-// MemberInfo is one member's replicated view.
+// MemberInfo is one member as the primary sees it.
 type MemberInfo struct {
-	ID           string `json:"id"`
-	Addr         string `json:"addr,omitempty"`
-	State        string `json:"state"`
-	Local        bool   `json:"local"`
-	Routed       uint64 `json:"routed"`
-	AppliedEpoch uint64 `json:"applied_epoch"`
+	ID     string `json:"id"`
+	Addr   string `json:"addr,omitempty"`
+	State  string `json:"state"`
+	Local  bool   `json:"local"`
+	Routed uint64 `json:"routed"`
 }
 
-// State is the epoch-numbered snapshot a joining or rejoining replica
-// replays before taking traffic.
+// State is the cluster's membership snapshot. Epoch is its version: every
+// join, drain, leave, kill and rejoin advances it by one.
 type State struct {
 	Epoch   uint64       `json:"epoch"`
 	Zones   []ZoneInfo   `json:"zones"`
 	Members []MemberInfo `json:"members"`
-}
-
-// Change is one entry in the incremental replication log.
-type Change struct {
-	Epoch uint64 `json:"epoch"`
-	Kind  string `json:"kind"` // join|rejoin|leave|drain|down|zone
-	Name  string `json:"name"`
-}
-
-// Diff is the incremental catch-up from a peer's epoch to the current one.
-// Full means the change log no longer reaches back that far and the peer
-// must refetch /state.
-type Diff struct {
-	From    uint64   `json:"from"`
-	To      uint64   `json:"to"`
-	Full    bool     `json:"full"`
-	Changes []Change `json:"changes,omitempty"`
 }
 
 // StateSnapshot builds the current epoch snapshot.
@@ -103,34 +84,15 @@ func (c *Cluster) StateSnapshot() State {
 	for _, nd := range c.members {
 		st.Members = append(st.Members, MemberInfo{
 			ID: nd.id, Addr: nd.addr, State: nd.st().String(), Local: nd.local != nil,
-			Routed: nd.routed.Load(), AppliedEpoch: nd.appliedEpoch.Load(),
+			Routed: nd.routed.Load(),
 		})
 	}
 	return st
 }
 
-// DiffSince builds the incremental catch-up from epoch since.
-func (c *Cluster) DiffSince(since uint64) Diff {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := Diff{From: since, To: c.epoch}
-	if since >= c.epoch {
-		return d
-	}
-	if len(c.changes) == 0 || c.changes[0].Epoch > since+1 {
-		d.Full = true
-		return d
-	}
-	for _, ch := range c.changes {
-		if ch.Epoch > since {
-			d.Changes = append(d.Changes, ch)
-		}
-	}
-	return d
-}
-
-// RESTHandler returns the /api/cluster/* replication plane, mounted on the
-// admin HTTP listener.
+// RESTHandler returns the /api/cluster/* control plane, mounted on the admin
+// HTTP listener: state, join, drain, leave, and one local replica's
+// metrics.
 func (c *Cluster) RESTHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/cluster/state", func(w http.ResponseWriter, r *http.Request) {
@@ -139,18 +101,6 @@ func (c *Cluster) RESTHandler() http.Handler {
 			return
 		}
 		writeJSON(w, c.StateSnapshot())
-	})
-	mux.HandleFunc("/api/cluster/diff", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		since, err := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad since parameter", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, c.DiffSince(since))
 	})
 	mux.HandleFunc("/api/cluster/join", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
@@ -165,7 +115,11 @@ func (c *Cluster) RESTHandler() http.Handler {
 			return
 		}
 		if err := c.AddRemote(req.ID, req.Addr); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
+			code := http.StatusConflict
+			if errors.Is(err, errUnresolvable) {
+				code = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		writeJSON(w, c.StateSnapshot())
@@ -186,8 +140,7 @@ func (c *Cluster) RESTHandler() http.Handler {
 		}
 	}
 	mux.HandleFunc("/api/cluster/drain", member(c.MarkDraining))
-	mux.HandleFunc("/api/cluster/leave", member(c.Leave))
-	mux.HandleFunc("/api/cluster/rejoin", member(c.Rejoin))
+	mux.HandleFunc("/api/cluster/leave", member(c.Kill))
 	mux.HandleFunc("/api/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("replica")
 		c.mu.Lock()
@@ -238,19 +191,8 @@ func FetchState(ctx context.Context, baseURL string) (*State, error) {
 	return &st, nil
 }
 
-// FetchDiff GETs the incremental catch-up since epoch.
-func FetchDiff(ctx context.Context, baseURL string, since uint64) (*Diff, error) {
-	var d Diff
-	url := fmt.Sprintf("%s/api/cluster/diff?since=%d", baseURL, since)
-	if err := doJSON(ctx, http.MethodGet, url, nil, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
 // Join announces this replica to the primary and returns the state the
-// primary replied with (epoch check: a secondary that fetched state at
-// epoch E and sees a different epoch here re-verifies before serving).
+// primary replied with, this replica now among its members.
 func Join(ctx context.Context, baseURL, id, addr string) (*State, error) {
 	var st State
 	req := map[string]string{"id": id, "addr": addr}

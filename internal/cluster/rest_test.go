@@ -2,7 +2,8 @@ package cluster
 
 import (
 	"context"
-	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func restCluster(t *testing.T) *Cluster {
 	return cl
 }
 
-func TestClusterRESTJoinStateDiff(t *testing.T) {
+func TestClusterRESTJoinState(t *testing.T) {
 	cl := restCluster(t)
 	srv := httptest.NewServer(cl.RESTHandler())
 	defer srv.Close()
@@ -51,23 +52,28 @@ func TestClusterRESTJoinStateDiff(t *testing.T) {
 	if st2.Epoch != base+1 || len(st2.Members) != 2 {
 		t.Fatalf("join did not advance state: %+v", st2)
 	}
-	var r9 MemberInfo
-	for _, m := range st2.Members {
-		if m.ID == "r9" {
-			r9 = m
-		}
-	}
-	if r9.Addr != "127.0.0.1:5399" || r9.State != "active" || r9.Local {
+	if r9 := member(st2, "r9"); r9.Addr != "127.0.0.1:5399" || r9.State != "active" || r9.Local {
 		t.Fatalf("unexpected joined member: %+v", r9)
 	}
 
-	// Incremental catch-up from the pre-join epoch names the join.
-	d, err := FetchDiff(ctx, srv.URL, base)
-	if err != nil {
-		t.Fatalf("FetchDiff: %v", err)
-	}
-	if d.Full || len(d.Changes) != 1 || d.Changes[0].Kind != "join" || d.Changes[0].Name != "r9" {
-		t.Fatalf("unexpected diff: %+v", d)
+	// The primary's one per-replica view serves a local replica's own
+	// registry; a remote member keeps its counters in its own process.
+	for _, tc := range []struct {
+		replica string
+		code    int
+	}{{"r0", http.StatusOK}, {"r9", http.StatusNotFound}, {"nope", http.StatusNotFound}} {
+		resp, err := http.Get(srv.URL + "/api/cluster/metrics?replica=" + tc.replica)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("metrics for %s: %s, want %d", tc.replica, resp.Status, tc.code)
+		}
+		if tc.code == http.StatusOK && !strings.Contains(string(body), "\nedelab_frontend_queries_total 0\n") {
+			t.Fatalf("metrics for %s lack its frontend counters:\n%s", tc.replica, body)
+		}
 	}
 
 	// Drain then leave: the rolling-restart announcement sequence.
@@ -81,26 +87,21 @@ func TestClusterRESTJoinStateDiff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchState: %v", err)
 	}
-	for _, m := range st3.Members {
-		if m.ID == "r9" && m.State != "down" {
-			t.Fatalf("r9 state %q after leave, want down", m.State)
-		}
+	if r9 := member(st3, "r9"); r9.State != "down" || st3.Epoch != st2.Epoch+2 {
+		t.Fatalf("r9 %s at epoch %d after drain and leave, want down at %d", r9.State, st3.Epoch, st2.Epoch+2)
 	}
 
-	// Rejoining with the same id reactivates rather than duplicating.
+	// Rejoining with the same id reactivates rather than duplicating, at
+	// the address the restarted replica gives.
 	st4, err := Join(ctx, srv.URL, "r9", "127.0.0.1:5400")
 	if err != nil {
 		t.Fatalf("re-Join: %v", err)
 	}
-	if len(st4.Members) != 2 {
-		t.Fatalf("rejoin duplicated the member: %+v", st4.Members)
+	if len(st4.Members) != 2 || st4.Epoch != st3.Epoch+1 {
+		t.Fatalf("rejoin: %d members at epoch %d, want 2 at %d", len(st4.Members), st4.Epoch, st3.Epoch+1)
 	}
-	d2, err := FetchDiff(ctx, srv.URL, st3.Epoch)
-	if err != nil {
-		t.Fatalf("FetchDiff: %v", err)
-	}
-	if len(d2.Changes) != 1 || d2.Changes[0].Kind != "rejoin" {
-		t.Fatalf("rejoin not in diff: %+v", d2)
+	if r9 := member(st4, "r9"); r9.Addr != "127.0.0.1:5400" || r9.State != "active" {
+		t.Fatalf("rejoined member: %+v", r9)
 	}
 
 	// An unknown replica 404s.
@@ -109,23 +110,38 @@ func TestClusterRESTJoinStateDiff(t *testing.T) {
 	}
 }
 
-func TestClusterDiffTruncatesToFull(t *testing.T) {
+// member picks id out of a state snapshot.
+func member(st *State, id string) MemberInfo {
+	for _, m := range st.Members {
+		if m.ID == id {
+			return m
+		}
+	}
+	return MemberInfo{}
+}
+
+// TestClusterRESTJoinRefusesUnresolvable: a join whose address does not
+// resolve is refused with 400 and admits nothing. Admitted, it would own a
+// share of the ring that every forward fails on until the failure limit
+// marks it down.
+func TestClusterRESTJoinRefusesUnresolvable(t *testing.T) {
 	cl := restCluster(t)
-	start := cl.Epoch()
-	for i := 0; i < diffLogCap+8; i++ {
-		cl.BumpZone(fmt.Sprintf("z%d.", i))
+	srv := httptest.NewServer(cl.RESTHandler())
+	defer srv.Close()
+	ctx := context.Background()
+	before := cl.StateSnapshot()
+
+	for _, addr := range []string{"127.0.0.1", "127.0.0.1:99999"} {
+		_, err := Join(ctx, srv.URL, "r9", addr)
+		if err == nil || !strings.Contains(err.Error(), "400 Bad Request") {
+			t.Errorf("join at %q: %v, want 400 Bad Request", addr, err)
+		}
 	}
-	d := cl.DiffSince(start)
-	if !d.Full {
-		t.Fatalf("diff across a trimmed log must be Full: %+v", Diff{From: d.From, To: d.To, Full: d.Full})
+	if after := cl.StateSnapshot(); after.Epoch != before.Epoch || len(after.Members) != 1 {
+		t.Fatalf("refused joins changed the cluster: %d members at epoch %d, want 1 at %d", len(after.Members), after.Epoch, before.Epoch)
 	}
-	d = cl.DiffSince(cl.Epoch() - 3)
-	if d.Full || len(d.Changes) != 3 {
-		t.Fatalf("recent diff should be incremental, got full=%v n=%d", d.Full, len(d.Changes))
-	}
-	d = cl.DiffSince(cl.Epoch())
-	if d.Full || len(d.Changes) != 0 {
-		t.Fatalf("up-to-date diff should be empty, got %+v", d)
+	if err := cl.AddRemote("r9", "127.0.0.1"); err == nil {
+		t.Fatal("AddRemote admitted an address without a port")
 	}
 }
 
@@ -141,12 +157,4 @@ func TestVerifyManifest(t *testing.T) {
 	if err := VerifyManifest(local, local[:1]); err == nil {
 		t.Fatal("zone-count mismatch undetected")
 	}
-}
-
-// BumpZone records a zone-content change, advancing the epoch so
-// secondaries detect it via /diff and re-verify the manifest.
-func (c *Cluster) BumpZone(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bumpLocked("zone", name)
 }

@@ -99,11 +99,6 @@ func (d DigestType) String() string {
 	return fmt.Sprintf("DIGEST%d", uint8(d))
 }
 
-// IsAssigned reports whether d is an assigned DS digest type.
-func (d DigestType) IsAssigned() bool {
-	return d == DigestSHA1 || d == DigestSHA256 || d == DigestGOST || d == DigestSHA384
-}
-
 // SupportSet describes which algorithms and digests a validator implements.
 // Real resolvers differ here: e.g. Cloudflare (May 2023) did not support
 // Ed448 or GOST, while the open-source engines validate Ed448 (§3.3).

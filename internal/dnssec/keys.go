@@ -29,7 +29,6 @@ type KeyPair struct {
 
 	pubWire []byte
 	priv    privateKey
-	bits    int // RSA modulus size; 0 otherwise
 }
 
 type privateKey interface {
@@ -52,7 +51,6 @@ func GenerateKey(alg Algorithm, flags uint16, bits int) (*KeyPair, error) {
 		}
 		kp.priv = &rsaKey{priv: priv, hash: rsaHash(alg)}
 		kp.pubWire = encodeRSAPublic(&priv.PublicKey)
-		kp.bits = bits
 	case AlgECDSAP256SHA256:
 		priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 		if err != nil {
@@ -102,10 +100,6 @@ func (k *KeyPair) KeyTag() uint16 { return k.DNSKEY().KeyTag() }
 
 // Sign signs data with the private key.
 func (k *KeyPair) Sign(data []byte) ([]byte, error) { return k.priv.sign(data) }
-
-// RSABits returns the RSA modulus size, or 0 for non-RSA keys. Validators
-// with a key-size floor use this via the DNSKEY wire length instead.
-func (k *KeyPair) RSABits() int { return k.bits }
 
 // --- RSA (RFC 3110, RFC 5702) ---
 

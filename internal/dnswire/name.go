@@ -282,17 +282,6 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 	return strings.HasSuffix(string(n), "."+string(parent))
 }
 
-// TLD returns the rightmost label of n ("com" for "a.example.com."); the
-// empty string for the root.
-func (n Name) TLD() string {
-	s, ok := n.dotted()
-	if !ok {
-		return ""
-	}
-	_, tld, _ := cutLastLabel(s)
-	return tld
-}
-
 // cutLastLabel splits a dotted form into its rightmost label and the dotted
 // form of the labels before it; more is false when that was the only label.
 func cutLastLabel(s string) (rest, label string, more bool) {

@@ -290,3 +290,14 @@ func TestChildPlainLabelAllocs(t *testing.T) {
 		t.Errorf("Child = %q", sink)
 	}
 }
+
+// TLD returns the rightmost label of n ("com" for "a.example.com."); the
+// empty string for the root.
+func (n Name) TLD() string {
+	s, ok := n.dotted()
+	if !ok {
+		return ""
+	}
+	_, tld, _ := cutLastLabel(s)
+	return tld
+}

@@ -300,5 +300,13 @@ func TestPairwiseAgreement(t *testing.T) {
 	}
 }
 
+// Category returns the §2 category for c (CategoryOther for unknown codes).
+func (c Code) Category() Category {
+	if info, ok := registry[c]; ok {
+		return info.Category
+	}
+	return CategoryOther
+}
+
 // IsDNSSEC reports whether c concerns DNSSEC validation.
 func (c Code) IsDNSSEC() bool { return c.Category() == CategoryDNSSEC }

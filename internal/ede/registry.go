@@ -121,14 +121,6 @@ func (c Code) Name() string {
 	return fmt.Sprintf("Unassigned-%d", uint16(c))
 }
 
-// Category returns the §2 category for c (CategoryOther for unknown codes).
-func (c Code) Category() Category {
-	if info, ok := registry[c]; ok {
-		return info.Category
-	}
-	return CategoryOther
-}
-
 func (c Code) String() string {
 	return fmt.Sprintf("%s (%d)", c.Name(), uint16(c))
 }

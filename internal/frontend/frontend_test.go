@@ -13,6 +13,7 @@ import (
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // fakeClock is a settable serving clock.
@@ -385,8 +386,13 @@ func TestOverloadShedsWithEDE23(t *testing.T) {
 	}
 	close(release)
 	<-done
-	if snap := f.Metrics().Snapshot(); snap.Overloads != 1 || snap.InflightHighWater != 1 {
-		t.Fatalf("metrics = %+v, want 1 overload and high-water 1", snap)
+	if snap := f.Metrics().Snapshot(); snap.Overloads != 1 {
+		t.Fatalf("metrics = %+v, want 1 overload", snap)
+	}
+	reg := telemetry.NewRegistry()
+	f.RegisterMetrics(reg)
+	if v, _ := reg.Value("edelab_frontend_inflight_high_water"); v != 1 {
+		t.Fatalf("edelab_frontend_inflight_high_water = %v, want 1", v)
 	}
 }
 

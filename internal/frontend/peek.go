@@ -35,11 +35,6 @@ type SharedEntry struct {
 	e *entry
 }
 
-// Key returns the cache address the entry is stored under.
-func (se *SharedEntry) Key() PeekKey {
-	return se.k.peekKey()
-}
-
 // IsError reports whether this is an error-cache entry (the EDE 13 source).
 func (se *SharedEntry) IsError() bool { return se.e.isError }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // Register publishes the frontend counters as views on reg. The atomics and
-// the Snapshot API are untouched — the registry reads the same fields
-// Snapshot does, at scrape time — so existing Snapshot-based tests and the
-// SIGINT stderr dump keep working unchanged.
+// the Snapshot API are untouched: the registry reads the same fields
+// Snapshot does, at scrape time.
 func (m *Metrics) Register(reg *telemetry.Registry) {
 	reg.CounterFunc("edelab_frontend_queries_total",
 		"Client queries handled, whatever the outcome.", m.queries.Load)

@@ -106,9 +106,6 @@ func (n *Network) SetFaults(p *FaultPlan) {
 	n.fault.Store(p)
 }
 
-// Faults returns the installed plan, or nil.
-func (n *Network) Faults() *FaultPlan { return n.fault.Load() }
-
 // SetLossRate configures the probability in [0,1) that any query is dropped.
 // It is a convenience wrapper over SetFaults: the loss sequence each endpoint
 // sees comes from that endpoint's own stream seeded by the network seed, so

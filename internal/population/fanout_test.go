@@ -145,8 +145,9 @@ func checkChildKeys(t *testing.T, pop *population.Population) {
 		}
 		for _, k := range []*dnssec.KeyPair{d.Keys.KSK, d.Keys.ZSK} {
 			pub := string(k.DNSKEY().PublicKey)
-			if k.Alg != want || published[pub] || (want == dnssec.AlgRSASHA256 && k.RSABits() != 512) {
-				t.Errorf("%s (%s): key alg %s, %d bits, shared %t; want its own %s key", d.Name, d.Class, k.Alg, k.RSABits(), published[pub], want)
+			bits := dnssec.RSAKeyBits(k.DNSKEY().PublicKey)
+			if k.Alg != want || published[pub] || (want == dnssec.AlgRSASHA256 && bits != 512) {
+				t.Errorf("%s (%s): key alg %s, %d bits, shared %t; want its own %s key", d.Name, d.Class, k.Alg, bits, published[pub], want)
 			}
 			published[pub] = true
 		}

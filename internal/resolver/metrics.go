@@ -26,19 +26,16 @@ type resolverStats struct {
 }
 
 // RegisterMetrics publishes the resolver's counters — including the
-// pre-existing QueryCount/ResolutionCount atomics and the
-// QueriesPerResolution amplification metric — as views on reg. The hot path
-// is untouched: the registry reads the atomics at scrape time. The RTT
-// histogram is the one metric with a write-side hook; it stays nil (and
-// therefore free) until a registry asks for it.
+// pre-existing QueryCount/ResolutionCount atomics, whose ratio is the query
+// amplification — as views on reg. The hot path is untouched: the registry
+// reads the atomics at scrape time. The RTT histogram is the one metric with
+// a write-side hook; it stays nil (and therefore free) until a registry asks
+// for it.
 func (r *Resolver) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("edelab_resolver_resolutions_total",
 		"Client Resolve calls.", r.ResolutionCount.Load)
 	reg.CounterFunc("edelab_resolver_queries_total",
 		"Outgoing queries to authoritative servers.", r.QueryCount.Load)
-	reg.GaugeFunc("edelab_resolver_queries_per_resolution",
-		"Average upstream queries per client resolution (query amplification).",
-		r.QueriesPerResolution)
 	reg.CounterFunc("edelab_dnssec_verifies_total",
 		"Cryptographic signature verifications performed by the validator.",
 		func() uint64 { return r.Cache.VerifyStats().Verifies })

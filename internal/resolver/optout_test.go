@@ -9,6 +9,7 @@ import (
 
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // optOutFixture is an opt-out parent zone seen from the validator's side:
@@ -199,8 +200,12 @@ func TestOptOutProofExpiresWhenMemoised(t *testing.T) {
 			t.Fatalf("pass %d: %v", i, conds)
 		}
 	}
-	if s := r.Cache.VerifyStats(); s.Verifies != 2 || s.MemoHits != 2 {
-		t.Fatalf("stats after two passes = %+v, want 2 verifies and 2 memo hits", s)
+	reg := telemetry.NewRegistry()
+	r.RegisterMetrics(reg)
+	verifies, _ := reg.Value("edelab_dnssec_verifies_total")
+	hits, _ := reg.Value("edelab_dnssec_verify_memo_hits_total")
+	if verifies != 2 || hits != 2 {
+		t.Fatalf("after two passes: %v verifies and %v memo hits, want 2 and 2", verifies, hits)
 	}
 	clock += 200 // the fixtures' signatures run to now+100
 	if conds := run(); len(conds) != 1 || conds[0] != ConditionReferralProofBogus {

@@ -63,8 +63,8 @@ type Resolver struct {
 	idCounter atomic.Uint32
 	// QueryCount counts outgoing queries (for the §5 throughput analysis).
 	QueryCount atomic.Uint64
-	// ResolutionCount counts client Resolve calls; together with QueryCount
-	// it yields the query-amplification metric QueriesPerResolution.
+	// ResolutionCount counts client Resolve calls; QueryCount over it is the
+	// query amplification.
 	ResolutionCount atomic.Uint64
 
 	// srtt tracks per-server smoothed RTT for fastest-first selection. It
@@ -110,17 +110,6 @@ type Result struct {
 
 // Codes returns the EDE codes attached to the response.
 func (r *Result) Codes() []uint16 { return r.Msg.EDECodes() }
-
-// QueriesPerResolution returns the average number of upstream queries per
-// client resolution since the resolver was created — the query-amplification
-// metric the delegation cache exists to drive toward 1.
-func (r *Resolver) QueriesPerResolution() float64 {
-	res := r.ResolutionCount.Load()
-	if res == 0 {
-		return 0
-	}
-	return float64(r.QueryCount.Load()) / float64(res)
-}
 
 // VerifiesPerResolution returns the average number of cryptographic
 // signature verifications per client resolution since the resolver was

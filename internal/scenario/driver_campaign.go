@@ -23,7 +23,7 @@ type campaignDriver struct {
 	observeEvery int
 	sinceObserve int
 
-	scanned, scanFailed uint64
+	scanned uint64
 }
 
 func (d *campaignDriver) setup(l *lab) error {
@@ -65,9 +65,6 @@ func (d *campaignDriver) setup(l *lab) error {
 	reg.CounterFunc("edelab_scenario_scan_names_total",
 		"Population names the scenario has scanned.",
 		func() uint64 { return d.scanned })
-	reg.CounterFunc("edelab_scenario_scan_failures_total",
-		"Scanned names that resolved to SERVFAIL.",
-		func() uint64 { return d.scanFailed })
 	return nil
 }
 
@@ -107,9 +104,6 @@ func (d *campaignDriver) scan(ctx context.Context, args []string, obs *observati
 		name, _ := d.iter.Next()
 		res := d.res.Resolve(ctx, name, dnswire.TypeA)
 		d.scanned++
-		if res.Msg.RCode == dnswire.RCodeServFail {
-			d.scanFailed++
-		}
 		obs.record(name.String(), res.Msg)
 		d.sinceObserve++
 		if d.sinceObserve >= d.observeEvery {

@@ -21,7 +21,6 @@ type Mount struct {
 // AdminHandler builds the admin HTTP plane:
 //
 //	/metrics       Prometheus text exposition
-//	/metrics.json  the same registry as JSON
 //	/healthz       liveness + process stats (+ caller extras)
 //	/api/trace     sampled query-log traces (?name= substring, ?format=json)
 //	/debug/pprof/  the standard Go profiler endpoints
@@ -40,15 +39,6 @@ func AdminHandler(reg *Registry, tlog *TraceLog, extra func() map[string]any, mo
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
-	})
-
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		if reg == nil {
-			http.Error(w, "no registry", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -42,14 +42,8 @@ func TestAdminMetricsEndpoints(t *testing.T) {
 		t.Fatalf("content-type = %q", hdr.Get("Content-Type"))
 	}
 	parseExposition(t, body)
-
-	code, body, _ = get(t, h, "/metrics.json")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics.json = %d", code)
-	}
-	var fams []FamilySnapshot
-	if err := json.Unmarshal([]byte(body), &fams); err != nil {
-		t.Fatalf("/metrics.json does not parse: %v", err)
+	if code, _, _ = get(t, h, "/metrics.json"); code != http.StatusNotFound {
+		t.Fatalf("/metrics.json = %d, want 404: /metrics is the one exposition", code)
 	}
 
 	code, body, _ = get(t, h, "/healthz")

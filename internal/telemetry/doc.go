@@ -12,10 +12,11 @@
 // paths and Snapshot-based tests are untouched; the registry only reads them
 // at scrape time.
 //
-// The registry is exposed two ways: Prometheus text exposition format
-// (WritePrometheus) and JSON (WriteJSON), both served by the admin HTTP plane
-// (AdminHandler: /metrics, /metrics.json, /healthz, /api/trace, /debug/pprof)
-// that cmd/edeserver mounts behind -admin.
+// The registry has one exposition, the Prometheus text format
+// (WritePrometheus), served at /metrics by the admin HTTP plane (AdminHandler:
+// /metrics, /healthz, /api/trace, /debug/pprof) that cmd/edeserver mounts
+// behind -admin. In-process readers (edescan -progress, the benchmarks, the
+// tests) read one series at a time with Value.
 //
 // # Tracing
 //

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -102,71 +101,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// BucketSnapshot is one cumulative histogram bucket in a snapshot.
-type BucketSnapshot struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"` // cumulative, Prometheus-style
-}
-
-// SeriesSnapshot is one labelled series in a snapshot.
-type SeriesSnapshot struct {
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   float64           `json:"value"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
-}
-
-// FamilySnapshot is one metric family in a snapshot.
-type FamilySnapshot struct {
-	Name   string           `json:"name"`
-	Help   string           `json:"help"`
-	Type   string           `json:"type"`
-	Series []SeriesSnapshot `json:"series"`
-}
-
-// Snapshot captures every family and series at one instant. Counter and
-// gauge series report Value; histogram series report the observation count in
-// Value, the running sum in Sum, and cumulative buckets.
-func (r *Registry) Snapshot() []FamilySnapshot {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]FamilySnapshot, 0, len(r.order))
-	for _, fam := range r.order {
-		fs := FamilySnapshot{Name: fam.name, Help: fam.help, Type: fam.kind.String()}
-		for _, s := range fam.series {
-			ss := SeriesSnapshot{}
-			if len(s.labels) > 0 {
-				ss.Labels = make(map[string]string, len(s.labels))
-				for _, l := range s.labels {
-					ss.Labels[l.Key] = l.Value
-				}
-			}
-			if s.hist != nil {
-				h := s.hist
-				ss.Value = float64(h.Count())
-				ss.Sum = h.Sum()
-				// The +Inf bucket is implicit in JSON (encoding/json cannot
-				// represent Inf): Value carries the total count.
-				var cum uint64
-				for i, b := range h.bounds {
-					cum += h.counts[i].Load()
-					ss.Buckets = append(ss.Buckets, BucketSnapshot{LE: b, Count: cum})
-				}
-			} else {
-				ss.Value = s.value()
-			}
-			fs.Series = append(fs.Series, ss)
-		}
-		out = append(out, fs)
-	}
-	return out
-}
-
-// WriteJSON renders the snapshot as indented JSON (the /metrics.json body).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -48,8 +48,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 // Gauge is a value that can go up and down, stored as float64 bits.
 type Gauge struct{ bits atomic.Uint64 }
 
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 func (g *Gauge) Add(delta float64) {
 	for {
 		old := g.bits.Load()

@@ -1,14 +1,16 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// Set stores v: a test fixture's way to give a gauge a value, where the
+// serving code moves its gauges with Add or reads them through GaugeFunc.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	reg := NewRegistry()
@@ -128,8 +130,8 @@ var promSampleRe = regexp.MustCompile(
 
 // parseExposition validates Prometheus text format strictly enough to catch
 // real mistakes (samples without TYPE, bad label syntax, non-cumulative
-// buckets) and returns the samples. Shared with the CI admin-endpoint check
-// via TestPrometheusExpositionParses's METRICS_FILE mode.
+// buckets) and returns the samples. export_test.go shares it with the
+// external tests that parse a live registry.
 func parseExposition(t *testing.T, text string) map[string]float64 {
 	t.Helper()
 	samples := make(map[string]float64)
@@ -200,46 +202,16 @@ func stripLE(labels string) string {
 	return "{" + strings.Join(kept, ",") + "}"
 }
 
-// TestPrometheusExpositionParses validates the registry's text output. When
-// METRICS_FILE is set (the CI telemetry job curls the live edeserver admin
-// endpoint into a file), it validates that instead — the same strict parse
-// gates the real server's scrape output.
+// TestPrometheusExpositionParses validates the registry's text output on a
+// fixture with every metric kind and the escaping edge cases;
+// TestLiveRegistryExpositionParses runs the same parse over what the serving
+// subsystems register.
 func TestPrometheusExpositionParses(t *testing.T) {
-	var text string
-	if path := os.Getenv("METRICS_FILE"); path != "" {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read METRICS_FILE: %v", err)
-		}
-		text = string(b)
-	} else {
-		var sb strings.Builder
-		if err := populatedRegistry().WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		text = sb.String()
+	var sb strings.Builder
+	if err := populatedRegistry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	samples := parseExposition(t, text)
-	if os.Getenv("METRICS_FILE") != "" {
-		// The live server must expose the cross-subsystem families.
-		for _, want := range []string{
-			"edelab_frontend_queries_total",
-			"edelab_resolver_resolutions_total",
-			"edelab_netsim_queries_total",
-		} {
-			found := false
-			for k := range samples {
-				if strings.HasPrefix(k, want) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("live /metrics missing family %s", want)
-			}
-		}
-		return
-	}
+	samples := parseExposition(t, sb.String())
 	if samples[`edelab_queries_total{proto="udp"}`] != 12 {
 		t.Errorf("udp sample = %v, want 12", samples[`edelab_queries_total{proto="udp"}`])
 	}
@@ -254,30 +226,6 @@ func TestPrometheusExpositionParses(t *testing.T) {
 	}
 	if _, ok := samples[`edelab_weird_total{q="a\"b\\c"}`]; !ok {
 		t.Errorf("escaped label sample missing; have %v", samples)
-	}
-}
-
-func TestJSONSnapshotRoundTrips(t *testing.T) {
-	reg := populatedRegistry()
-	var sb strings.Builder
-	if err := reg.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var fams []FamilySnapshot
-	if err := json.Unmarshal([]byte(sb.String()), &fams); err != nil {
-		t.Fatalf("WriteJSON output does not parse: %v", err)
-	}
-	byName := make(map[string]FamilySnapshot)
-	for _, f := range fams {
-		byName[f.Name] = f
-	}
-	if f := byName["edelab_rtt_seconds"]; f.Type != "histogram" || len(f.Series) != 1 {
-		t.Fatalf("histogram family mangled: %+v", f)
-	} else if f.Series[0].Value != 3 || len(f.Series[0].Buckets) != 3 {
-		t.Fatalf("histogram series mangled: %+v", f.Series[0])
-	}
-	if f := byName["edelab_queries_total"]; len(f.Series) != 2 {
-		t.Fatalf("labelled counter family mangled: %+v", f)
 	}
 }
 

@@ -69,10 +69,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			if err := reg.WritePrometheus(io.Discard); err != nil {
 				t.Fatal(err)
 			}
-			if err := reg.WriteJSON(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			_ = reg.Snapshot()
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -231,7 +232,8 @@ func withoutID(b []byte) []byte { return b[2:] }
 func TestRelayRoundTrip(t *testing.T) {
 	peer := startStubPeer(t)
 	tok := &stubPeerToken{addr: peer.addr()}
-	srv, addr, _ := startRelayDoor(t, &stubRouter{peer: tok, timeout: 2 * time.Second}, Config{})
+	reg := telemetry.NewRegistry()
+	srv, addr, _ := startRelayDoor(t, &stubRouter{peer: tok, timeout: 2 * time.Second}, Config{Registry: reg})
 	client := dialUDP(t, addr)
 
 	plain := dnswire.NewQuery(0xBEEF, dnswire.MustName("plain.example."), dnswire.TypeAAAA)
@@ -272,8 +274,10 @@ func TestRelayRoundTrip(t *testing.T) {
 		t.Errorf("relayed=%d queries=%d wire_serves=%d, want 2, 2, 0",
 			m.relayed.Load(), m.queries[TransportUDP].Load(), m.wireServes[TransportUDP].Load())
 	}
-	if m.relayDatagrams.Load() != 2 || m.relayRounds.Load() == 0 {
-		t.Errorf("relay rounds=%d datagrams=%d, want >0 and 2", m.relayRounds.Load(), m.relayDatagrams.Load())
+	rounds, _ := reg.Value("edelab_frontdoor_relay_rounds_total")
+	datagrams, _ := reg.Value("edelab_frontdoor_relay_datagrams_total")
+	if datagrams != 2 || rounds == 0 {
+		t.Errorf("relay rounds=%v datagrams=%v, want >0 and 2", rounds, datagrams)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/ede"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 )
 
 // echoHandler answers every query NOERROR with a fixed A record, after an
@@ -53,9 +54,10 @@ func startTCP(t *testing.T, cfg Config) (addr string, srv *Server, cancel contex
 // connection and requires the fast answer first: RFC 7766 §6.2.1.1
 // out-of-order processing, the point of the per-query goroutines.
 func TestPipelinedOutOfOrder(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(map[string]time.Duration{
 		"slow.example.": 500 * time.Millisecond,
-	})})
+	}), Registry: reg})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -82,6 +84,14 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	}
 	if first.ID != 2 || second.ID != 1 {
 		t.Errorf("response order = %d, %d; want fast (2) before slow (1)", first.ID, second.ID)
+	}
+	// Both queries were admitted into the pipeline, on the one connection
+	// still open.
+	if v, _ := reg.Value("edelab_frontdoor_pipeline_depth"); v != 2 {
+		t.Errorf("pipeline_depth observations = %v, want 2", v)
+	}
+	if v, _ := reg.Value("edelab_frontdoor_open_connections", telemetry.L("transport", TransportTCP)); v != 1 {
+		t.Errorf("open_connections{transport=tcp} = %v, want 1", v)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 )
 
@@ -303,7 +304,8 @@ func TestStreamFlushBeforeBlock(t *testing.T) {
 func TestStreamCoalescedWrites(t *testing.T) {
 	const n, maxWrites = 1000, 125
 	var writes atomic.Int64
-	srv := NewServer(Config{Handler: echoHandler(nil), Wire: stubWire{}})
+	reg := telemetry.NewRegistry()
+	srv := NewServer(Config{Handler: echoHandler(nil), Wire: stubWire{}, Registry: reg})
 	addr, _, _ := serveOn(t, srv, func(l net.Listener) net.Listener {
 		return countingListener{Listener: l, writes: &writes}
 	})
@@ -327,13 +329,14 @@ func TestStreamCoalescedWrites(t *testing.T) {
 	if err := <-sent; err != nil {
 		t.Fatalf("client write: %v", err)
 	}
-	flushes, frames := srv.m.streamFlushes.Load(), srv.m.streamFlushFrames.Load()
+	flushes, _ := reg.Value("edelab_frontdoor_stream_flushes_total")
+	frames, _ := reg.Value("edelab_frontdoor_stream_flush_frames_total")
 	t.Logf("%d answers in %d server writes (%.1f per write)", n, writes.Load(), float64(n)/float64(writes.Load()))
 	if w := writes.Load(); w > maxWrites {
 		t.Errorf("server made %d Write calls for %d answers, want <= %d", w, n, maxWrites)
 	}
-	if frames != n || flushes != uint64(writes.Load()) {
-		t.Errorf("flush metrics = %d frames in %d flushes, want %d frames in %d (the counted writes)", frames, flushes, n, writes.Load())
+	if frames != n || flushes != float64(writes.Load()) {
+		t.Errorf("flush metrics = %v frames in %v flushes, want %d frames in %d (the counted writes)", frames, flushes, n, writes.Load())
 	}
 }
 

@@ -57,15 +57,3 @@ func (z *Zone) typesAt(name dnswire.Name) []dnswire.Type {
 func writeRR(b *strings.Builder, rr dnswire.RR) {
 	fmt.Fprintf(b, "%-40s %6d %s %-10s %s\n", rr.Name, rr.TTL, rr.Class, rr.Type(), rr.Data)
 }
-
-// Stats summarizes a zone for reports: record counts by type.
-func (z *Zone) Stats() map[dnswire.Type]int {
-	out := make(map[dnswire.Type]int)
-	for k, rrs := range z.rrsets {
-		out[k.typ] += len(rrs)
-	}
-	for _, sigs := range z.sigs {
-		out[dnswire.TypeRRSIG] += len(sigs)
-	}
-	return out
-}

@@ -155,3 +155,15 @@ func TestZoneStats(t *testing.T) {
 		t.Error("no NSEC3 chain counted")
 	}
 }
+
+// Stats counts a zone's records by type.
+func (z *Zone) Stats() map[dnswire.Type]int {
+	out := make(map[dnswire.Type]int)
+	for k, rrs := range z.rrsets {
+		out[k.typ] += len(rrs)
+	}
+	for _, sigs := range z.sigs {
+		out[dnswire.TypeRRSIG] += len(sigs)
+	}
+	return out
+}

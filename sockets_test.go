@@ -286,7 +286,6 @@ func TestWallClockAllowList(t *testing.T) {
 var detachedAllowed = map[string]string{
 	"netsim.NoEDNS":      "a test helper in a product file: an authority that predates EDNS",
 	"netsim.Flaky":       "a test helper in a product file: an authority that fails every n-th query",
-	"cluster.FetchDiff":  "a test helper in a product file: reads a peer's replication diff over the admin plane",
 	"dnssec.VerifyRRSIG": "the memo-free reference verifier the memoised path is tested against",
 	"dnssec.CheckRRset":  "the memo-free RRset check, read by the nested bench/ module, which this walk skips",
 	"telemetry.WithSpan": "the only way for tests outside telemetry to build the disabled-tracing context",
