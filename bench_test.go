@@ -1450,6 +1450,31 @@ func TestWriteBenchFrontdoorSnapshot(t *testing.T) {
 		base.NsPerOp, base.AllocsPerOp, cur.NsPerOp, cur.AllocsPerOp)
 }
 
+// TestBenchFrontdoorTrajectory: the committed BENCH_frontdoor.json itself
+// records the wire path's gain on a cache hit over the slow-path baseline,
+// at least 3× the throughput and at least 5× fewer allocations.
+func TestBenchFrontdoorTrajectory(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_frontdoor.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap benchSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	base, okBase := snap.Baseline["frontdoor.cachehit"]
+	cur, okCur := snap.Current["frontdoor.cachehit"]
+	if !okBase || !okCur || cur.NsPerOp <= 0 {
+		t.Fatalf("BENCH_frontdoor.json lacks frontdoor.cachehit (baseline %v, current %v)", okBase, okCur)
+	}
+	if speedup := base.NsPerOp / cur.NsPerOp; speedup < 3 {
+		t.Errorf("cache hit %.0f ns baseline, %.0f ns current: %.2f×, want ≥ 3×", base.NsPerOp, cur.NsPerOp, speedup)
+	}
+	if base.AllocsPerOp < 5*cur.AllocsPerOp {
+		t.Errorf("cache hit %d allocs baseline, %d current: want ≥ 5× fewer", base.AllocsPerOp, cur.AllocsPerOp)
+	}
+}
+
 // BenchmarkForwarderOverhead measures the EDE-forwarding hop in isolation.
 func BenchmarkForwarderOverhead(b *testing.B) {
 	tb, _, _ := fixtures(b)

@@ -2,9 +2,21 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestMain runs the test binary as edechaos itself when it is started with
+// an edechaos command line (go test starts it with -test.* flags only), so a
+// test can run the command in a child process.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "suite" {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
 
 // TestExitCodes: a passing scenario exits 0, a violated hypothesis 1, and a
 // command line or spec that cannot be run 2; each prints its own first line.
@@ -45,11 +57,13 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestSuiteTable: the library passes, one verdict row per scenario under
-// the table header.
+// TestSuiteTable: the library passes at a second seed, -seed 7 (the default
+// seed's run is TestSuiteIdenticalAcrossProcesses), one verdict row per
+// scenario under the table header.
 func TestSuiteTable(t *testing.T) {
+	t.Parallel()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"suite", "../../scenarios"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"suite", "-seed", "7", "../../scenarios"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("suite exited %d:\n%s%s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
@@ -58,6 +72,41 @@ func TestSuiteTable(t *testing.T) {
 	}
 	if !strings.Contains(out, "\ntable4-fault-free ") || strings.Contains(out, " FAIL ") {
 		t.Errorf("suite table lacks table4-fault-free or has a FAIL:\n%s", out)
+	}
+}
+
+// TestSuiteIdenticalAcrossProcesses: `edechaos suite -v` passes and prints
+// the same report, every expect and probe line included, from two
+// processes, one limited to one core and one given four
+// (TestLibraryDeterministic compares two runs inside one process).
+func TestSuiteIdenticalAcrossProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the scenario library twice, in two child processes")
+	}
+	t.Parallel()
+	var reports [2]bytes.Buffer
+	var cmds [2]*exec.Cmd
+	for i, procs := range []string{"1", "4"} {
+		cmds[i] = exec.Command(os.Args[0], "suite", "-v", "../../scenarios")
+		cmds[i].Env = append(os.Environ(), "GOMAXPROCS="+procs)
+		cmds[i].Stdout, cmds[i].Stderr = &reports[i], &reports[i]
+		if err := cmds[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("edechaos suite -v (child %d): %v\n%s", i, err, reports[i].String())
+		}
+	}
+	if a, b := reports[0].String(), reports[1].String(); a != b {
+		al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+		for i := 0; i < min(len(al), len(bl)); i++ {
+			if al[i] != bl[i] {
+				t.Fatalf("suite -v reports differ at line %d:\nGOMAXPROCS=1: %s\nGOMAXPROCS=4: %s", i+1, al[i], bl[i])
+			}
+		}
+		t.Fatalf("suite -v reports differ in length: %d and %d lines", len(al), len(bl))
 	}
 }
 

@@ -1,57 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"time"
 
+	"github.com/extended-dns-errors/edelab/cmd/internal/loadgen"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
-
-// TestHistQuantiles: a known distribution comes back with bounded relative
-// error — the log-linear layout guarantees ~3% per bucket.
-func TestHistQuantiles(t *testing.T) {
-	h := newHist()
-	// 1..1000µs uniform, in nanoseconds.
-	for i := int64(1); i <= 1000; i++ {
-		h.record(i * 1000)
-	}
-	checks := []struct {
-		q    float64
-		want int64 // ns
-	}{
-		{0.50, 500_000},
-		{0.90, 900_000},
-		{0.99, 990_000},
-	}
-	for _, c := range checks {
-		got := h.quantile(c.q)
-		lo, hi := c.want*95/100, c.want*105/100
-		if got < lo || got > hi {
-			t.Errorf("quantile(%.2f) = %d ns, want within 5%% of %d", c.q, got, c.want)
-		}
-	}
-	if h.maxNS.Load() != 1_000_000 {
-		t.Errorf("max = %d, want 1000000", h.maxNS.Load())
-	}
-	if empty := newHist(); empty.quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
-	}
-}
-
-func TestHistBucketRoundTrip(t *testing.T) {
-	for _, v := range []int64{0, 1, 31, 32, 33, 1000, 12345, 1 << 20, 1 << 40} {
-		idx := bucketIndex(v)
-		rep := bucketValue(idx)
-		lo, hi := v-v/16-1, v+v/16+1
-		if rep < lo || rep > hi {
-			t.Errorf("value %d → bucket %d → representative %d (outside ±1/16)", v, idx, rep)
-		}
-	}
-}
 
 func TestParseQnames(t *testing.T) {
 	mix, err := parseQnames("a.example, b.example.")
@@ -63,32 +26,50 @@ func TestParseQnames(t *testing.T) {
 	}
 }
 
-// TestRunAgainstLiveServer drives the whole closed loop against a real UDP
-// front door for a fraction of a second and checks the summary is sane.
-func TestRunAgainstLiveServer(t *testing.T) {
-	handler := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		r := q.Reply()
-		r.RecursionAvailable = true
-		r.AddEDE(3, "load test")
-		return r, nil
-	})
-	srv := transport.NewServer(transport.Config{Handler: handler})
+// serveLoopback answers every query on a loopback UDP socket with h until
+// the test ends, and returns the socket's address.
+func serveLoopback(t *testing.T, h netsim.HandlerFunc) string {
+	t.Helper()
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.ServeUDP(ctx, conn)
+	t.Cleanup(cancel)
+	go transport.NewServer(transport.Config{Handler: h}).ServeUDP(ctx, conn)
+	return conn.LocalAddr().String()
+}
 
-	mix, _ := parseQnames("a.example,b.example")
-	r := run(runConfig{
-		server: conn.LocalAddr().String(), transport: "udp",
-		concurrency: 2, duration: 300 * time.Millisecond, warmup: 50 * time.Millisecond,
-		mix: mix, qtype: dnswire.TypeA, timeout: 2 * time.Second,
+// load runs edeload with args and -json into a temporary file, and returns
+// its exit status and the summary it wrote.
+func load(t *testing.T, args ...string) (int, loadgen.Result) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "load.json")
+	var stdout, stderr bytes.Buffer
+	code := run(append(args, "-json", out), &stdout, &stderr)
+	var r loadgen.Result
+	if b, err := os.ReadFile(out); err != nil || json.Unmarshal(b, &r) != nil {
+		t.Fatalf("edeload %v exited %d and wrote no summary: %v\n%s", args, code, err, stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "edeload: "+r.Server+" via "+r.Transport) {
+		t.Errorf("edeload %v printed no text summary:\n%s", args, stdout.String())
+	}
+	return code, r
+}
+
+// TestRunAgainstLiveServer drives the whole closed loop against a real UDP
+// front door for a fraction of a second and checks the summary is sane.
+func TestRunAgainstLiveServer(t *testing.T) {
+	addr := serveLoopback(t, func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		r := q.Reply()
+		r.RecursionAvailable = true
+		r.AddEDE(3, "load test")
+		return r, nil
 	})
-	if r.Responses == 0 || r.AchievedQPS <= 0 {
-		t.Fatalf("no throughput measured: %+v", r)
+	code, r := load(t, "-server", addr, "-qnames", "a.example,b.example",
+		"-concurrency", "2", "-duration", "300ms", "-warmup", "50ms")
+	if code != 0 || r.Responses == 0 || r.AchievedQPS <= 0 {
+		t.Fatalf("exit %d, no throughput measured: %+v", code, r)
 	}
 	if r.Timeouts != 0 || r.Errors != 0 {
 		t.Errorf("timeouts=%d errors=%d against a loopback echo server", r.Timeouts, r.Errors)
@@ -104,28 +85,51 @@ func TestRunAgainstLiveServer(t *testing.T) {
 // TestRunPaced: with a 200 qps target the achieved rate must land well
 // under the unpaced loopback rate — pacing actually throttles.
 func TestRunPaced(t *testing.T) {
-	handler := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+	addr := serveLoopback(t, func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 		return q.Reply(), nil
 	})
-	srv := transport.NewServer(transport.Config{Handler: handler})
-	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go srv.ServeUDP(ctx, conn)
-
-	mix, _ := parseQnames("a.example")
-	r := run(runConfig{
-		server: conn.LocalAddr().String(), transport: "udp", qps: 200,
-		concurrency: 2, duration: 500 * time.Millisecond, warmup: 0,
-		mix: mix, qtype: dnswire.TypeA, timeout: 2 * time.Second,
-	})
+	code, r := load(t, "-server", addr, "-qnames", "a.example", "-qps", "200",
+		"-concurrency", "2", "-duration", "500ms", "-warmup", "0s")
 	if r.AchievedQPS > 400 {
 		t.Errorf("achieved %.0f qps with a 200 qps target; pacing is not throttling", r.AchievedQPS)
 	}
-	if r.Responses == 0 {
-		t.Fatal("paced run produced no responses")
+	if code != 0 || r.Responses == 0 {
+		t.Fatalf("paced run exited %d with %d responses", code, r.Responses)
+	}
+}
+
+// TestExitCodes: a command line edeload cannot honour exits 2 before any
+// load, a run that got no response exits 1, and -h exits 0.
+func TestExitCodes(t *testing.T) {
+	// A bound socket nobody reads: every query times out.
+	silent, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	for _, tc := range []struct {
+		args []string
+		code int
+		err  string // part of stderr
+	}{
+		{[]string{"-h"}, 0, "-qnames"},
+		{[]string{"-workers", "8"}, 2, "flag provided but not defined"},
+		{[]string{"-duration", "soon"}, 2, "invalid value"},
+		{[]string{"-qnames", " , "}, 2, "-qnames: empty mix"},
+		{[]string{"-qnames", "a..example"}, 2, `-qnames "a..example"`},
+		{[]string{"-qtype", "MX"}, 2, `unknown -qtype "MX"`},
+		{[]string{"-transport", "doh"}, 2, "-transport must be udp or tcp"},
+		{[]string{"stray"}, 2, `unexpected argument "stray"`},
+		{[]string{"-server", silent.LocalAddr().String(), "-concurrency", "1", "-duration", "100ms",
+			"-warmup", "0s", "-timeout", "50ms"}, 1, "no responses from " + silent.LocalAddr().String()},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.args, &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stderr.String(), tc.err) {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d mentioning %q", tc.args, code, stderr.String(), tc.code, tc.err)
+		}
+		if code == 2 && stdout.Len() != 0 {
+			t.Errorf("%v: ran before refusing: %q", tc.args, stdout.String())
+		}
 	}
 }

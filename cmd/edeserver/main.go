@@ -1,10 +1,12 @@
-// Command edeserver serves the paper's testbed zones over a real
-// multi-transport front door — UDP always, plus TCP (-tcp), DoT (-tls),
-// and DoH (-doh). Point any EDE-aware client (cmd/ededig, dig +ednsopt,
-// kdig +tls, curl --doh-url) at it to see the misconfigured zones on the
-// wire:
+// Command edeserver serves a validating recursive resolver (-profile;
+// Cloudflare by default) over the paper's testbed zones through a real
+// multi-transport front door — UDP always, plus TCP (-tcp), DoT (-tls), and
+// DoH (-doh). Point any EDE-aware client (cmd/ededig, dig +ednsopt, kdig
+// +tls, curl --doh-url) at it to see the misconfigured zones' Extended DNS
+// Errors on the wire:
 //
-//	edeserver -mode resolver -tcp 127.0.0.1:5353 -tls 127.0.0.1:8853 -doh 127.0.0.1:8443 &
+//	edeserver -tcp 127.0.0.1:5353 -tls 127.0.0.1:8853 -doh 127.0.0.1:8443 &
+//	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
 //	ededig -tcp -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
 //	ededig -tls -insecure -server 127.0.0.1:8853 rrsig-exp-all.extended-dns-errors.com
 //	ededig -doh https://127.0.0.1:8443/dns-query -insecure valid.extended-dns-errors.com
@@ -14,24 +16,15 @@
 // equivalent). Every transport funnels into the same handler: the EDE
 // codes and EXTRA-TEXT a client sees are identical over all of them.
 //
-// It serves the root, com, extended-dns-errors.com, and all 63 subdomain
-// zones from a single socket, answering authoritatively for whichever zone
-// matches the query — a consolidated stand-in for the testbed's simulated
-// server fleet, useful for wire-level inspection.
-//
-// With -mode resolver the socket instead fronts a validating recursive
-// resolver (-profile; Cloudflare by default) over the same testbed through
-// the caching serving layer (internal/frontend): sharded message cache,
-// query coalescing, RFC 8767 serve-stale (EDE 3/19), an error cache (EDE
-// 13), and overload shedding. Clients receive the Extended DNS Errors
-// themselves:
-//
-//	edeserver -addr 127.0.0.1:5353 -mode resolver &
-//	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
+// The resolver sits behind the caching serving layer (internal/frontend):
+// sharded message cache, query coalescing, RFC 8767 serve-stale (EDE 3/19),
+// an error cache (EDE 13), and overload shedding. The zones themselves, as
+// each authority serves them, are what edetestbed -zones prints and
+// ededig -trace walks.
 //
 // With -admin an HTTP admin plane comes up alongside the DNS socket:
 //
-//	edeserver -addr 127.0.0.1:5353 -mode resolver -admin 127.0.0.1:9970 -trace-sample 1 &
+//	edeserver -addr 127.0.0.1:5353 -admin 127.0.0.1:9970 -trace-sample 1 &
 //	curl -s 127.0.0.1:9970/metrics # Prometheus text exposition
 //	curl -s 127.0.0.1:9970/healthz
 //	curl -s '127.0.0.1:9970/api/trace?name=rrsig-exp-all'
@@ -55,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/netip"
 	"os"
 	"os/signal"
 	"syscall"
@@ -88,15 +80,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("edeserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:5353", "UDP listen address")
-	mode := fs.String("mode", "auth", "auth: serve the zones authoritatively; resolver: front a validating recursive resolver with EDE")
-	profileName := fs.String("profile", "cloudflare", "vendor profile for -mode resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
+	profileName := fs.String("profile", "cloudflare", "vendor profile of the resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	admin := fs.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /healthz, /api/trace, /debug/pprof)")
 	traceSample := fs.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin)")
 	cacheSize := fs.Int("cache-size", 1<<16, "frontend cache capacity in entries: the bound on every client answer the server holds (the resolver behind the frontend stores none)")
 	chaos := fs.String("chaos", "", "inject faults into the simulated testbed network, e.g. 'loss=0.2,lat=100ms' (see internal/netsim.ParseFaultProfile)")
 	chaosSeed := fs.Uint64("chaos-seed", 20230515, "seed for the fault plan; replays deterministically")
-	retries := fs.Int("retries", 0, "resolver attempts per authoritative server in -mode resolver (0 = single-shot)")
-	retryBudget := fs.Int("retry-budget", 0, "total upstream queries per resolution step in -mode resolver (0 = unlimited)")
+	retries := fs.Int("retries", 0, "resolver attempts per authoritative server (0 = single-shot)")
+	retryBudget := fs.Int("retry-budget", 0, "total upstream queries per resolution step (0 = unlimited)")
 	tcpAddr := fs.String("tcp", "", "TCP listen address (RFC 7766 framing with pipelining; empty = disabled)")
 	tlsAddr := fs.String("tls", "", "DoT listen address (RFC 7858; empty = disabled)")
 	dohAddr := fs.String("doh", "", "DoH listen address serving HTTPS /dns-query (RFC 8484; empty = disabled)")
@@ -105,8 +96,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reuseport := fs.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
 	noWireCache := fs.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
 	tcpKeepalive := fs.Duration("tcp-keepalive", 0, "edns-tcp-keepalive idle timeout advertised on TCP/DoT responses (RFC 7828; 0 = not advertised)")
-	clusterN := fs.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (implies -mode resolver; mounts /api/cluster/ on -admin for -join peers)")
-	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL; implies -mode resolver)")
+	clusterN := fs.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (mounts /api/cluster/ on -admin for -join peers)")
+	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
 	replicaID := fs.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
 	advertiseAddr := fs.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
 	hotBroadcast := fs.Int("hot-broadcast", 0, "with -cluster, owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = never broadcast)")
@@ -121,9 +112,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	modeSet := false
-	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
-	clustered := *clusterN > 0 || *joinURL != ""
 	prof, ok := resolver.ProfileByName(*profileName)
 	var fp netsim.FaultProfile
 	var err error
@@ -137,12 +125,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit(2, "unknown profile %q", *profileName)
 	case err != nil:
 		return exit(2, "-chaos: %v", err)
-	case *mode != "auth" && *mode != "resolver":
-		return exit(2, "unknown -mode %q (auth or resolver)", *mode)
 	case *clusterN > 0 && *joinURL != "":
 		return exit(2, "-cluster (primary) and -join (secondary) are mutually exclusive")
-	case modeSet && *mode == "auth" && clustered:
-		return exit(2, "-cluster and -join serve a resolver; -mode auth cannot be honoured with them")
 	case (*tlsCert != "" || *tlsKey != "") && *tlsAddr == "" && *dohAddr == "":
 		return exit(2, "-tls-cert/-tls-key need a -tls or -doh listener to serve them")
 	case (*tlsCert == "") != (*tlsKey == ""):
@@ -153,9 +137,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit(2, "-replica-id and -advertise describe a -join secondary")
 	case *hotBroadcast > 0 && *clusterN == 0:
 		return exit(2, "-hot-broadcast tunes the -cluster primary's router")
-	}
-	if clustered {
-		*mode = "resolver"
 	}
 
 	tb, err := testbed.Build()
@@ -179,15 +160,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if len(conns) > 1 {
 		fmt.Fprintf(stdout, "SO_REUSEPORT: %d UDP sockets on %s\n", len(conns), conns[0].LocalAddr())
 	}
-	fmt.Fprintf(stdout, "serving the extended-dns-errors.com testbed on %s (mode %s)\n", conns[0].LocalAddr(), *mode)
+	fmt.Fprintf(stdout, "serving the extended-dns-errors.com testbed on %s\n", conns[0].LocalAddr())
 	fmt.Fprintf(stdout, "zones: root, com, %s and %d test subdomains\n", testbed.ParentZone, len(tb.Cases))
 
 	s := &edeserver{
 		tb: tb, conns: conns, prof: prof,
 		fcfg: frontend.Config{Capacity: *cacheSize},
 		reg:  telemetry.NewRegistry(), sampler: telemetry.NewSampler(*traceSample),
-		admin: *admin, mode: *mode,
-		tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr, certFile: *tlsCert, keyFile: *tlsKey,
+		admin: *admin, tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr, certFile: *tlsCert, keyFile: *tlsKey,
 		disableWire: *noWireCache, tcpKeepalive: *tcpKeepalive,
 		stdout: stdout, stderr: stderr,
 	}
@@ -203,10 +183,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		err = s.servePrimary(ctx, *clusterN, *hotBroadcast)
 	case *joinURL != "":
 		err = s.serveSecondary(ctx, *joinURL, *replicaID, *advertiseAddr)
-	case *mode == "resolver":
-		err = s.serveResolver(ctx)
 	default:
-		err = s.serveAuth(ctx)
+		err = s.serveResolver(ctx)
 	}
 	if err != nil {
 		return exit(1, "%v", err)
@@ -227,7 +205,6 @@ type edeserver struct {
 	sampler *telemetry.Sampler
 	tlog    *telemetry.TraceLog // nil: tracing off
 	admin   string
-	mode    string
 
 	tcp, dot, doh     string
 	certFile, keyFile string
@@ -254,7 +231,7 @@ func (s *edeserver) startAdmin(ctx context.Context, mounts ...telemetry.Mount) e
 		return nil
 	}
 	h := telemetry.AdminHandler(s.reg, s.tlog, func() map[string]any {
-		return map[string]any{"mode": s.mode, "dns_addr": s.conns[0].LocalAddr().String()}
+		return map[string]any{"dns_addr": s.conns[0].LocalAddr().String()}
 	}, mounts...)
 	adminAddr, err := telemetry.ServeAdmin(ctx, s.admin, h)
 	if err != nil {
@@ -274,36 +251,6 @@ func (s *edeserver) serveResolver(ctx context.Context) error {
 	fe := frontend.New(forwarder.ResolverUpstream{R: res}, s.fcfg)
 	fe.RegisterMetrics(s.reg)
 	return s.serve(ctx, fe, fe)
-}
-
-// serveAuth fronts the whole simulated network through one socket: each
-// query goes to the simulated endpoint that would be authoritative for it.
-func (s *edeserver) serveAuth(ctx context.Context) error {
-	if err := s.startAdmin(ctx); err != nil {
-		return err
-	}
-	front := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
-		if len(q.Question) == 0 {
-			r := q.Reply()
-			r.RCode = dnswire.RCodeFormErr
-			return r, nil
-		}
-		// Walk the simulated resolution from the root to find the deepest
-		// server that answers authoritatively (or with a referral we can
-		// follow).
-		servers := s.tb.Roots
-		for depth := 0; depth < 10; depth++ {
-			resp, next, done := step(ctx, s.tb, servers, q)
-			if done {
-				return resp, nil
-			}
-			servers = next
-		}
-		r := q.Reply()
-		r.RCode = dnswire.RCodeServFail
-		return r, nil
-	})
-	return s.serve(ctx, front, nil)
 }
 
 // serve runs the transport front door until ctx is cancelled (SIGINT/SIGTERM)
@@ -414,39 +361,4 @@ func tracedHandler(h netsim.Handler, sampler *telemetry.Sampler, tlog *telemetry
 		tlog.Add(tr)
 		return resp, err
 	})
-}
-
-// step queries the candidate servers; a referral yields the next server
-// set, anything else is final.
-func step(ctx context.Context, tb *testbed.Testbed, servers []netip.Addr, q *dnswire.Message) (*dnswire.Message, []netip.Addr, bool) {
-	for _, srv := range servers {
-		resp, err := tb.Net.Query(ctx, srv, q)
-		if err != nil {
-			continue
-		}
-		if len(resp.Answer) == 0 && resp.RCode == dnswire.RCodeNoError {
-			var next []netip.Addr
-			for _, rr := range resp.Additional {
-				switch d := rr.Data.(type) {
-				case dnswire.A:
-					next = append(next, d.Addr)
-				case dnswire.AAAA:
-					next = append(next, d.Addr)
-				}
-			}
-			hasNS := false
-			for _, rr := range resp.Authority {
-				if rr.Type() == dnswire.TypeNS {
-					hasNS = true
-				}
-			}
-			if hasNS && len(next) > 0 {
-				return nil, next, false
-			}
-		}
-		return resp, nil, true
-	}
-	r := q.Reply()
-	r.RCode = dnswire.RCodeServFail
-	return r, nil, true
 }

@@ -89,6 +89,24 @@ func (s *server) stop(t *testing.T) int {
 	}
 }
 
+// get returns the body of a GET of url, failing the test on anything but 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %s: %s", url, resp.Status, body)
+	}
+	return string(body)
+}
+
 // TestFlags pins the command line: each flag is a deployment setting or a
 // behaviour someone selects. A tuning value every caller leaves at its
 // default is a constant beside its one use.
@@ -105,7 +123,7 @@ func TestFlags(t *testing.T) {
 	}
 	want := []string{
 		"addr", "admin", "advertise", "cache-size", "chaos", "chaos-seed", "cluster", "doh",
-		"hot-broadcast", "join", "mode", "no-wire-cache", "profile", "replica-id", "retries",
+		"hot-broadcast", "join", "no-wire-cache", "profile", "replica-id", "retries",
 		"retry-budget", "reuseport", "tcp", "tcp-keepalive", "tls", "tls-cert", "tls-key", "trace-sample",
 	}
 	if !slices.Equal(got, want) {
@@ -123,7 +141,7 @@ func TestUnhonourableCommandLines(t *testing.T) {
 		{[]string{"-no-frontend"}, "flag provided but not defined"},
 		{[]string{"-drain-grace", "1s"}, "flag provided but not defined"},
 		{[]string{"-profile", "google"}, `unknown profile "google"`},
-		{[]string{"-mode", "resolvr"}, `unknown -mode "resolvr"`},
+		{[]string{"-mode", "resolver"}, "flag provided but not defined"},
 		{[]string{"-chaos", "nonsense=1"}, "-chaos:"},
 		{[]string{"stray"}, `unexpected argument "stray"`},
 		{[]string{"-cluster", "1", "-join", "http://127.0.0.1:9"}, "mutually exclusive"},
@@ -135,8 +153,6 @@ func TestUnhonourableCommandLines(t *testing.T) {
 		{[]string{"-cluster", "1", "-advertise", "127.0.0.1:5301"}, "describe a -join secondary"},
 		{[]string{"-hot-broadcast", "4"}, "-hot-broadcast tunes the -cluster primary"},
 		{[]string{"-join", "http://127.0.0.1:9", "-hot-broadcast", "4"}, "-hot-broadcast tunes the -cluster primary"},
-		{[]string{"-mode", "auth", "-cluster", "1"}, "-mode auth cannot be honoured"},
-		{[]string{"-mode", "auth", "-join", "http://127.0.0.1:9"}, "-mode auth cannot be honoured"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)
@@ -155,26 +171,9 @@ func TestUnhonourableCommandLines(t *testing.T) {
 // /metrics and keeps that query's trace, EDE and all, at /api/trace; and a
 // cancelled context (SIGINT) drains it to exit 0.
 func TestServesUntilCancelled(t *testing.T) {
-	s := start(t, "-mode", "resolver", "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-sample", "1")
-	addr := s.await(t, `serving the extended-dns-errors.com testbed on (\S+) \(mode resolver\)`)
-	admin := "http://" + s.await(t, `admin plane on http://(\S+) `)
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(admin + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %s: %s", path, resp.Status, body)
-		}
-		return string(body)
-	}
-	if body := get("/healthz"); !strings.Contains(body, `"status": "ok"`) {
+	s := start(t, "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-sample", "1")
+	addr, admin := s.addrs(t)
+	if body := get(t, admin+"/healthz"); !strings.Contains(body, `"status": "ok"`) {
 		t.Errorf("/healthz: %s", body)
 	}
 
@@ -188,13 +187,13 @@ func TestServesUntilCancelled(t *testing.T) {
 	if codes := resp.EDECodes(); resp.RCode != dnswire.RCodeServFail || !slices.Contains(codes, 7) {
 		t.Errorf("expired signatures answered %s with EDEs %v, want SERVFAIL with EDE 7 (Signature Expired)", resp.RCode, codes)
 	}
-	metrics := get("/metrics")
+	metrics := get(t, admin+"/metrics")
 	for _, fam := range []string{"edelab_frontend_queries_total", "edelab_resolver_resolutions_total", "edelab_netsim_queries_total"} {
 		if !strings.Contains(metrics, "\n"+fam) {
 			t.Errorf("/metrics lacks %s", fam)
 		}
 	}
-	if trace := get("/api/trace?name=rrsig-exp-all"); !strings.Contains(trace, "EDE 7") {
+	if trace := get(t, admin+"/api/trace?name=rrsig-exp-all"); !strings.Contains(trace, "EDE 7") {
 		t.Errorf("/api/trace?name=rrsig-exp-all lacks EDE 7:\n%s", trace)
 	}
 

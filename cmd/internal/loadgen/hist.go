@@ -1,4 +1,4 @@
-package main
+package loadgen
 
 import (
 	"math/bits"

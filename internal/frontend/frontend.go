@@ -240,6 +240,16 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 // fold the outcome into the cache, degrading to stale or error-cache data
 // on failure.
 func (f *Frontend) fetch(ctx context.Context, k key) *served {
+	// A client whose cache check missed just before the previous leader
+	// stored the answer and closed its flight leads a new flight: the answer
+	// is there now, so it is a hit, not a second recursion.
+	if e, fresh, ok := f.cache.get(k, f.cfg.Now(), f.cfg.StaleWindow); ok && fresh {
+		f.metrics.hits.Add(1)
+		if e.isError {
+			return &served{mode: modeCachedError, e: e}
+		}
+		return &served{mode: modeFresh, e: e}
+	}
 	// Cross-replica peek: before paying for a recursion (or an overload
 	// shed), ask the cluster whether the owning replica already has a fresh
 	// answer for this question.

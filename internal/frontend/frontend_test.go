@@ -189,6 +189,34 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestLeaderRechecksTheCache: a client whose cache check missed just before
+// the flight leader stored the answer and closed its flight leads the next
+// flight; it finds the stored answer, a hit, instead of recursing again.
+// The test takes that interleaving step by step: the first client's whole
+// miss, then the second client's flight.
+func TestLeaderRechecksTheCache(t *testing.T) {
+	up := &stubUpstream{}
+	up.set(func(_ context.Context, qname dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+		return positive(qname, 300), nil
+	})
+	f := New(up, Config{})
+	q := query("raced.example.")
+	if _, err := f.HandleDNS(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	k := key{name: q.Question[0].Name, qtype: q.Question[0].Type}
+	sv, shared := f.flights.do(k, func() *served { return f.fetch(context.Background(), k) })
+	if shared || sv.mode != modeFresh || len(sv.e.answer) != 1 {
+		t.Fatalf("second flight: shared %v, mode %d, %d answers; want its own flight serving the stored answer", shared, sv.mode, len(sv.e.answer))
+	}
+	if got := up.calls.Load(); got != 1 {
+		t.Errorf("upstream recursions = %d, want 1: the second leader recursed for an answer already cached", got)
+	}
+	if snap := f.Metrics().Snapshot(); snap.Misses != 1 || snap.Hits != 1 {
+		t.Errorf("misses = %d, hits = %d; want 1 and 1", snap.Misses, snap.Hits)
+	}
+}
+
 // TestServeStaleEDESemantics is the satellite table test: EDE 3 on stale
 // positive answers, EDE 19 on stale NXDOMAIN, EDE 13 + retry-delay
 // EXTRA-TEXT on error-cache hits — with the code points cross-checked

@@ -14,7 +14,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
-// TestLiveRegistryExpositionParses: the registry edeserver -mode resolver
+// TestLiveRegistryExpositionParses: the registry edeserver
 // scrapes — netsim, resolver, frontend and front door all registered into
 // one, after one query — passes the strict exposition parse and carries
 // each subsystem's families.
