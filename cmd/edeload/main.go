@@ -1,7 +1,7 @@
 // Command edeload is a closed-loop DNS load generator for the edeserver
 // front door: N workers issue queries over UDP or TCP, optionally paced to
 // a target QPS, and report achieved throughput plus an HDR-style latency
-// distribution (p50/p90/p99/p999/max). The loop itself is cmd/internal/loadgen.
+// distribution (p50/p90/p99/p999/max). The loop itself is internal/loadgen.
 //
 // Closed loop means a worker never has more than one query outstanding:
 // the offered load adapts to the server instead of queueing unboundedly,
@@ -14,7 +14,8 @@
 //
 // The qname mix cycles per worker, so a 4-name mix under -concurrency 8
 // keeps every name warm in the server's cache. -json writes the summary as
-// JSON to a file ("-" for stdout) for scripted consumption.
+// JSON to a file for scripted consumption; with "-json -" stdout carries the
+// JSON alone and the text summary goes to stderr.
 package main
 
 import (
@@ -27,8 +28,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/extended-dns-errors/edelab/cmd/internal/loadgen"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/loadgen"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -49,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	qtypeFlag := fs.String("qtype", "A", "query type for every qname")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-query timeout")
 	keepalive := fs.Bool("keepalive", false, "request edns-tcp-keepalive on TCP (RFC 7828)")
-	jsonOut := fs.String("json", "", "write the JSON summary to this file ('-' = stdout; empty = text only)")
+	jsonOut := fs.String("json", "", "write the JSON summary to this file ('-' = stdout, the text summary then on stderr; empty = text only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -81,7 +82,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Mix: mix, QType: qtype, Timeout: *timeout, Keepalive: *keepalive,
 	})
 
-	fmt.Fprint(stdout, r)
+	text := stdout
+	if *jsonOut == "-" {
+		text = stderr
+	}
+	fmt.Fprint(text, r)
 	if *jsonOut != "" {
 		enc, err := json.MarshalIndent(r, "", "  ")
 		if err != nil {

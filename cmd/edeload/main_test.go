@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/extended-dns-errors/edelab/cmd/internal/loadgen"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/loadgen"
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
@@ -79,6 +79,26 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	}
 	if r.LatencyUS.P50 <= 0 || r.LatencyUS.Max < r.LatencyUS.P50 {
 		t.Errorf("implausible latency summary: %+v", r.LatencyUS)
+	}
+}
+
+// TestJSONToStdout: with -json - stdout is the JSON summary alone, so a
+// script can parse it; the text summary goes to stderr.
+func TestJSONToStdout(t *testing.T) {
+	addr := serveLoopback(t, func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
+		return q.Reply(), nil
+	})
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-server", addr, "-concurrency", "1", "-duration", "50ms", "-warmup", "0s", "-json", "-"}, &stdout, &stderr)
+	var r loadgen.Result
+	if err := json.Unmarshal(stdout.Bytes(), &r); err != nil {
+		t.Fatalf("stdout of -json - does not parse: %v\n%s", err, stdout.String())
+	}
+	if code != 0 || r.Responses == 0 || r.Server != addr {
+		t.Errorf("exit %d, summary %+v; want 0 and responses from %s", code, r, addr)
+	}
+	if !strings.HasPrefix(stderr.String(), "edeload: "+addr+" via udp") {
+		t.Errorf("stderr lacks the text summary: %q", stderr.String())
 	}
 }
 

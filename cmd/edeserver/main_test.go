@@ -89,6 +89,17 @@ func (s *server) stop(t *testing.T) int {
 	}
 }
 
+// exited reports whether the run has returned.
+func (s *server) exited() bool {
+	select {
+	case code := <-s.exit:
+		s.exit <- code
+		return true
+	default:
+		return false
+	}
+}
+
 // get returns the body of a GET of url, failing the test on anything but 200.
 func get(t *testing.T, url string) string {
 	t.Helper()

@@ -191,19 +191,11 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 	now := f.cfg.Now()
 	sp := telemetry.SpanFrom(ctx)
 
-	if e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow); ok && fresh {
-		f.metrics.hits.Add(1)
-		if e.isError {
+	if sv, ok := f.freshHit(sp, k, now); ok {
+		if sv.mode == modeCachedError {
 			f.metrics.cachedErrors.Add(1)
-			if sp != nil {
-				sp.Eventf("frontend cache: fresh error-cache hit for %s %s (rcode %s)", k.name, k.qtype, e.rcode)
-			}
-			return f.reply(q, &served{mode: modeCachedError, e: e}, now), nil
 		}
-		if sp != nil {
-			sp.Eventf("frontend cache: fresh hit for %s %s (stored %s ago)", k.name, k.qtype, now.Sub(e.storedAt).Round(time.Second))
-		}
-		return f.reply(q, &served{mode: modeFresh, e: e}, now), nil
+		return f.reply(q, &sv, now), nil
 	}
 
 	// Miss (or stale entry needing a refresh attempt): coalesce so M
@@ -236,6 +228,27 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 	return f.reply(q, sv, now), nil
 }
 
+// freshHit serves k from a fresh cache entry, counting the hit, and
+// reports whether the cache had one. It returns by value so a hit served on
+// the spot allocates nothing.
+func (f *Frontend) freshHit(sp *telemetry.Span, k key, now time.Time) (served, bool) {
+	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	if !ok || !fresh {
+		return served{}, false
+	}
+	f.metrics.hits.Add(1)
+	if e.isError {
+		if sp != nil {
+			sp.Eventf("frontend cache: fresh error-cache hit for %s %s (rcode %s)", k.name, k.qtype, e.rcode)
+		}
+		return served{mode: modeCachedError, e: e}, true
+	}
+	if sp != nil {
+		sp.Eventf("frontend cache: fresh hit for %s %s (stored %s ago)", k.name, k.qtype, now.Sub(e.storedAt).Round(time.Second))
+	}
+	return served{mode: modeFresh, e: e}, true
+}
+
 // fetch is the flight leader's path: run one bounded upstream recursion and
 // fold the outcome into the cache, degrading to stale or error-cache data
 // on failure.
@@ -243,12 +256,8 @@ func (f *Frontend) fetch(ctx context.Context, k key) *served {
 	// A client whose cache check missed just before the previous leader
 	// stored the answer and closed its flight leads a new flight: the answer
 	// is there now, so it is a hit, not a second recursion.
-	if e, fresh, ok := f.cache.get(k, f.cfg.Now(), f.cfg.StaleWindow); ok && fresh {
-		f.metrics.hits.Add(1)
-		if e.isError {
-			return &served{mode: modeCachedError, e: e}
-		}
-		return &served{mode: modeFresh, e: e}
+	if sv, ok := f.freshHit(telemetry.SpanFrom(ctx), k, f.cfg.Now()); ok {
+		return &sv
 	}
 	// Cross-replica peek: before paying for a recursion (or an overload
 	// shed), ask the cluster whether the owning replica already has a fresh

@@ -17,9 +17,11 @@ import (
 // serves and queries DNS on real sockets for everyone else; the three files
 // open sockets that are not a DNS door (the cluster's forward hop, the HTTP
 // admin plane, the listeners a chaos scenario points transport.StreamClient
-// at); commands bind the addresses their flags name.
+// at); internal/loadgen is the closed-loop client edeload and the live
+// edeserver tests drive; commands bind the addresses their flags name.
 var socketOwners = []string{
 	"internal/transport/",
+	"internal/loadgen/",
 	"internal/cluster/remote.go",
 	"internal/telemetry/admin.go",
 	"internal/scenario/driver_stream.go",
