@@ -95,7 +95,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	tlsKey := fs.String("tls-key", "", "PEM private key for -tls/-doh")
 	reuseport := fs.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
 	noWireCache := fs.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
-	tcpKeepalive := fs.Duration("tcp-keepalive", 0, "edns-tcp-keepalive idle timeout advertised on TCP/DoT responses (RFC 7828; 0 = not advertised)")
+	tcpKeepalive := fs.Duration("tcp-keepalive", 0, "idle timeout, advertised and enforced: the RFC 7828 edns-tcp-keepalive TIMEOUT on TCP/DoT responses, and when an idle TCP, DoT or DoH connection closes (0 = not advertised; idle connections close after 30s)")
 	clusterN := fs.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (mounts /api/cluster/ on -admin for -join peers)")
 	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
 	replicaID := fs.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")

@@ -147,12 +147,7 @@ func New(cfg Config, w *population.Wild) (*Runner, error) {
 	}
 	r := &Runner{cfg: cfg, wild: w}
 	r.lo, r.hi = ShardRange(len(w.Pop.Domains), cfg.Shard, cfg.Shards)
-	r.limiter = NewLimiter(LimiterConfig{
-		AuthorityQPS: cfg.AuthorityQPS,
-		GlobalQPS:    cfg.MaxQPS,
-		Now:          cfg.now,
-		Sleep:        cfg.sleep,
-	})
+	r.limiter = newLimiter(cfg)
 	if cfg.Governor != nil {
 		gc := *cfg.Governor
 		if gc.Max <= 0 {

@@ -10,24 +10,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/fnv1a"
 )
 
-// LimiterConfig tunes the campaign's admission policy. A zero field disables
-// that layer: AuthorityQPS 0 means no per-authority politeness, GlobalQPS 0
-// means no global cap. With both zero NewLimiter returns nil, which the
-// resolver treats as "no admission gate".
-type LimiterConfig struct {
-	// AuthorityQPS caps the sustained query rate against any single
-	// authoritative address.
-	AuthorityQPS float64
-	// GlobalQPS caps the shard's total outgoing query rate — the ZDNS-style
-	// campaign-wide governor knob.
-	GlobalQPS float64
-	// Now and Sleep inject the clock so netsim tests prove the cap
-	// deterministically on virtual time. Nil means the real clock and a
-	// context-aware real sleep.
-	Now   func() time.Time
-	Sleep func(context.Context, time.Duration) error
-}
-
 // Limiter enforces per-authority and global token buckets at the resolver's
 // admission point (resolver.TransportConfig.Admit). Each bucket refills
 // continuously at its rate up to its burst, max(1, rate); an attempt needs
@@ -35,9 +17,13 @@ type LimiterConfig struct {
 // taken atomically so a denied attempt never leaks a token from the other
 // bucket.
 type Limiter struct {
-	cfg    LimiterConfig
-	global *bucket
-	shards [16]limiterShard
+	// authorityQPS is Config.AuthorityQPS; now and sleep are the clock,
+	// Config's test clock or the real one.
+	authorityQPS float64
+	now          func() time.Time
+	sleep        func(context.Context, time.Duration) error
+	global       *bucket
+	shards       [16]limiterShard
 	// denied counts admission attempts that found an empty bucket and had
 	// to sleep (the campaign's edelab_campaign_tokens_denied_total gauge);
 	// admitted counts successful admissions.
@@ -89,20 +75,23 @@ func (b *bucket) deficit() time.Duration {
 	return time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
 }
 
-// NewLimiter builds a limiter, or returns nil when cfg enables nothing.
-func NewLimiter(cfg LimiterConfig) *Limiter {
-	if cfg.AuthorityQPS <= 0 && cfg.GlobalQPS <= 0 {
+// newLimiter builds the admission gate of a campaign configured with cfg:
+// per-authority buckets at AuthorityQPS and a global one at MaxQPS, a zero
+// rate disabling its layer. With both zero it returns nil, which the
+// resolver treats as "no admission gate".
+func newLimiter(cfg Config) *Limiter {
+	if cfg.AuthorityQPS <= 0 && cfg.MaxQPS <= 0 {
 		return nil
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	l := &Limiter{authorityQPS: cfg.AuthorityQPS, now: cfg.now, sleep: cfg.sleep}
+	if l.now == nil {
+		l.now = time.Now
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = realSleep
+	if l.sleep == nil {
+		l.sleep = realSleep
 	}
-	l := &Limiter{cfg: cfg}
-	if cfg.GlobalQPS > 0 {
-		l.global = newBucket(cfg.GlobalQPS)
+	if cfg.MaxQPS > 0 {
+		l.global = newBucket(cfg.MaxQPS)
 	}
 	for i := range l.shards {
 		l.shards[i].m = make(map[netip.Addr]*bucket)
@@ -124,7 +113,7 @@ func realSleep(ctx context.Context, d time.Duration) error {
 // bucketFor returns (creating on first use) the authority's bucket, or nil
 // when per-authority limiting is disabled.
 func (l *Limiter) bucketFor(addr netip.Addr) *bucket {
-	if l.cfg.AuthorityQPS <= 0 {
+	if l.authorityQPS <= 0 {
 		return nil
 	}
 	sh := &l.shards[shardIndex(addr)]
@@ -132,7 +121,7 @@ func (l *Limiter) bucketFor(addr netip.Addr) *bucket {
 	defer sh.mu.Unlock()
 	b, ok := sh.m[addr]
 	if !ok {
-		b = newBucket(l.cfg.AuthorityQPS)
+		b = newBucket(l.authorityQPS)
 		sh.m[addr] = b
 	}
 	return b
@@ -157,7 +146,7 @@ func (l *Limiter) Admit(ctx context.Context, addr netip.Addr) error {
 			return nil
 		}
 		l.denied.Add(1)
-		if err := l.cfg.Sleep(ctx, wait); err != nil {
+		if err := l.sleep(ctx, wait); err != nil {
 			return err
 		}
 	}
@@ -169,7 +158,7 @@ func (l *Limiter) Admit(ctx context.Context, addr netip.Addr) error {
 // first, then global — a fixed order, so no deadlock) to keep the
 // take-from-both atomic.
 func (l *Limiter) reserve(ab *bucket) time.Duration {
-	now := l.cfg.Now()
+	now := l.now()
 	if ab != nil {
 		ab.mu.Lock()
 		defer ab.mu.Unlock()

@@ -39,7 +39,7 @@ func (c *vclock) sleep(ctx context.Context, d time.Duration) error {
 // admissions.
 func TestLimiterCapsPerAuthorityQPS(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{AuthorityQPS: 2, Now: clk.now, Sleep: clk.sleep})
+	l := newLimiter(Config{AuthorityQPS: 2, now: clk.now, sleep: clk.sleep})
 	addr := netip.MustParseAddr("198.19.0.1")
 	ctx := context.Background()
 	start := clk.now()
@@ -72,7 +72,7 @@ func TestLimiterCapsPerAuthorityQPS(t *testing.T) {
 
 func TestLimiterGlobalCapDominates(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{AuthorityQPS: 100, GlobalQPS: 1, Now: clk.now, Sleep: clk.sleep})
+	l := newLimiter(Config{AuthorityQPS: 100, MaxQPS: 1, now: clk.now, sleep: clk.sleep})
 	ctx := context.Background()
 	addrs := []netip.Addr{
 		netip.MustParseAddr("198.19.0.1"),
@@ -94,7 +94,7 @@ func TestLimiterGlobalCapDominates(t *testing.T) {
 
 func TestLimiterAdmitHonorsContext(t *testing.T) {
 	clk := newVClock()
-	l := NewLimiter(LimiterConfig{AuthorityQPS: 0.001, Now: clk.now, Sleep: clk.sleep})
+	l := newLimiter(Config{AuthorityQPS: 0.001, now: clk.now, sleep: clk.sleep})
 	addr := netip.MustParseAddr("198.19.0.9")
 	if err := l.Admit(context.Background(), addr); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestLimiterInvariantUnderConcurrency(t *testing.T) {
 	clk := newVClock()
 	const rate = 5.0
 	const burst = rate // a bucket holds one second of tokens
-	l := NewLimiter(LimiterConfig{AuthorityQPS: rate, Now: clk.now, Sleep: clk.sleep})
+	l := newLimiter(Config{AuthorityQPS: rate, now: clk.now, sleep: clk.sleep})
 	addrs := []netip.Addr{
 		netip.MustParseAddr("198.19.1.1"),
 		netip.MustParseAddr("198.19.1.2"),
@@ -149,7 +149,7 @@ func TestLimiterInvariantUnderConcurrency(t *testing.T) {
 // AdmittedTo returns how many attempts were admitted against one authority —
 // the per-endpoint count the qps-cap proof asserts on.
 func (l *Limiter) AdmittedTo(addr netip.Addr) uint64 {
-	if l.cfg.AuthorityQPS <= 0 {
+	if l.authorityQPS <= 0 {
 		return 0
 	}
 	sh := &l.shards[shardIndex(addr)]

@@ -46,6 +46,10 @@ func (s nodeState) String() string {
 // of a colder key).
 const hotSlots = 8192
 
+// remoteFailureLimit is how many consecutive forward failures mark a remote
+// replica down.
+const remoteFailureLimit = 3
+
 // Config tunes the cluster. The zero value gets defaults from New.
 type Config struct {
 	// Seed feeds the ring's vnode placement (deterministic per seed).
@@ -61,9 +65,6 @@ type Config struct {
 	HotThreshold int
 	// ForwardTimeout bounds one UDP forward to a remote replica.
 	ForwardTimeout time.Duration
-	// RemoteFailureLimit is how many consecutive forward failures mark a
-	// remote replica down.
-	RemoteFailureLimit int
 	// Manifest, when set, names the zone set (name + content hash) that
 	// joining secondaries must verify before taking traffic.
 	Manifest func() []ZoneInfo
@@ -73,9 +74,6 @@ func (c Config) withDefaults() Config {
 	c.Frontend = c.Frontend.WithDefaults()
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 1500 * time.Millisecond
-	}
-	if c.RemoteFailureLimit <= 0 {
-		c.RemoteFailureLimit = 3
 	}
 	return c
 }
@@ -410,7 +408,7 @@ func (c *Cluster) serveOn(ctx context.Context, v *view, nd, owner *node, q *dnsw
 
 // noteResult keeps the failure books for one query served on nd, parsed or
 // relayed: an answer clears a remote member's consecutive-failure count, a
-// failure is counted and, at the configured limit, marks the member down so
+// failure is counted and, at remoteFailureLimit, marks the member down so
 // the ring stops offering it.
 func (c *Cluster) noteResult(nd *node, ok bool) {
 	if ok {
@@ -420,7 +418,7 @@ func (c *Cluster) noteResult(nd *node, ok bool) {
 		return
 	}
 	c.m.forwardFails.Add(1)
-	if nd.local == nil && int(nd.failures.Add(1)) >= c.cfg.RemoteFailureLimit && nd.st() == stateActive {
+	if nd.local == nil && nd.failures.Add(1) >= remoteFailureLimit && nd.st() == stateActive {
 		_ = c.setState(nd.id, stateDown)
 	}
 }

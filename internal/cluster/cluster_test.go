@@ -429,10 +429,11 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 		t.Fatalf("no-replicas reply: RA %t, %s, EDEs %v; want RA, SERVFAIL, EDE 23", fail.RecursionAvailable, fail.RCode, fail.EDECodes())
 	}
 
-	// A transport shed: the one UDP slot is parked on a query that never
-	// returns, so the next is shed.
+	// A transport shed: the door's 512 UDP slots are parked on queries that
+	// never return, so the 513th is shed.
 	park := make(chan struct{})
 	defer close(park)
+	reg := telemetry.NewRegistry()
 	srv := transport.NewServer(transport.Config{
 		Handler: netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
 			select {
@@ -441,13 +442,13 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 			}
 			return nil, ctx.Err()
 		}),
-		MaxUDPInflight: 1,
+		Registry: reg,
 	})
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	go srv.ServeUDP(ctx, conn)
 	addr := conn.LocalAddr().String()
@@ -456,9 +457,10 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer parked.Close()
-	wire, _ := dnswire.NewQuery(8, dnswire.MustName("park.example"), dnswire.TypeA).Pack()
-	parked.Write(wire)
-	time.Sleep(100 * time.Millisecond)
+	parkQueries(t, parked, 512, func() int {
+		v, _ := reg.Value("edelab_frontdoor_queries_total", telemetry.L("transport", transport.TransportUDP))
+		return int(v)
+	})
 	shed, err := transport.QueryUDP(ctx, addr, q)
 	if err != nil {
 		t.Fatal(err)
@@ -467,6 +469,40 @@ func TestFailReplyMatchesTransportShed(t *testing.T) {
 	a, b := packZeroID(t, fail), packZeroID(t, shed)
 	if !bytes.Equal(a[2:4], b[2:4]) {
 		t.Fatalf("header flags %x, want the transport shed's %x", a[2:4], b[2:4])
+	}
+}
+
+// parkQueries sends queries from conn until counted, the door's query
+// count, reads n: in rounds of at most 64 datagrams, each waited for, so the
+// door's socket buffer does not overflow; a datagram the kernel drops anyway
+// is sent again once the count has stood still for 100 ms.
+func parkQueries(t *testing.T, conn net.Conn, n int, counted func() int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	id := uint16(0)
+	for got := counted(); got < n; {
+		want := min(got+64, n)
+		for ; got < want; got++ {
+			id++
+			wire, err := dnswire.NewQuery(id, "park.example.", dnswire.TypeA).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last, moved := counted(), time.Now()
+		for last < want && time.Since(moved) < 100*time.Millisecond {
+			if time.Now().After(deadline) {
+				t.Fatalf("the door counted %d of %d queries", last, n)
+			}
+			time.Sleep(time.Millisecond)
+			if c := counted(); c != last {
+				last, moved = c, time.Now()
+			}
+		}
+		got = last
 	}
 }
 

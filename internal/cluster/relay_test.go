@@ -421,7 +421,7 @@ func TestRelayPeerKilledTakeover(t *testing.T) {
 		t.Fatalf("build testbed: %v", err)
 	}
 	cl, _, _ := buildCluster(t, tb, newVClock(), 1, Config{
-		Seed: 1, ForwardTimeout: 200 * time.Millisecond, RemoteFailureLimit: 3,
+		Seed: 1, ForwardTimeout: 200 * time.Millisecond,
 	})
 	hole := startBlackHole(t)
 	if err := cl.AddRemote("peer", hole.conn.LocalAddr().String()); err != nil {
@@ -541,7 +541,7 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 		r.AddEDE(3, strings.Repeat("stale ", 100))
 		return r, nil
 	})
-	cl := New(Config{Seed: 1, ForwardTimeout: 2 * time.Second, RemoteFailureLimit: 3})
+	cl := New(Config{Seed: 1, ForwardTimeout: 2 * time.Second})
 	if err := cl.AddRemote("peer", startDoor(t, transport.Config{Handler: big}, true).udp); err != nil {
 		t.Fatalf("AddRemote: %v", err)
 	}
@@ -569,7 +569,7 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			router := routerDoor(t, cl, tc.disableWire, true)
 			client := newUDPClient(t, router.udp)
-			for id := uint16(1); id <= 4; id++ { // one more than RemoteFailureLimit
+			for id := uint16(1); id <= remoteFailureLimit+1; id++ { // enough failures to mark the peer down
 				whole[i] = client.ask(query(id, 8192))
 				resp, err := dnswire.Unpack(whole[i])
 				if err != nil {

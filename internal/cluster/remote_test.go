@@ -44,9 +44,8 @@ func TestClusterRemoteForward(t *testing.T) {
 	peerAddr, stopPeer := startPeer(t, netip.MustParseAddr("192.0.2.99"))
 
 	cl := New(Config{
-		Seed:               1,
-		ForwardTimeout:     250 * time.Millisecond,
-		RemoteFailureLimit: 2,
+		Seed:           1,
+		ForwardTimeout: 250 * time.Millisecond,
 	})
 	if err := cl.AddRemote("peer", peerAddr); err != nil {
 		t.Fatalf("AddRemote: %v", err)
@@ -65,11 +64,11 @@ func TestClusterRemoteForward(t *testing.T) {
 		t.Fatalf("unexpected forwarded answer: %+v", resp.Answer)
 	}
 
-	// Kill the peer: forwards fail, and after RemoteFailureLimit the
+	// Kill the peer: forwards fail, and after remoteFailureLimit the
 	// member is marked down. With no other replica the router answers
 	// SERVFAIL + EDE 23 itself.
 	stopPeer()
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= remoteFailureLimit; i++ {
 		q := dnswire.NewQuery(uint16(i), "remote.example.", dnswire.TypeA)
 		resp, err := cl.HandleDNS(ctx, q)
 		if err != nil || resp == nil {
@@ -83,12 +82,12 @@ func TestClusterRemoteForward(t *testing.T) {
 	if st.Members[0].State != "down" {
 		t.Fatalf("peer state %q after repeated failures, want down", st.Members[0].State)
 	}
-	// Two forwards failed (the second marked the peer down), and none of
-	// the three queries found a replica to answer it.
-	if got := clMetric(t, cl, "edelab_cluster_forward_failures_total"); got != 2 {
-		t.Errorf("forward_failures_total = %v, want 2", got)
+	// remoteFailureLimit forwards failed (the last marked the peer down),
+	// and none of the queries found a replica to answer it.
+	if got := clMetric(t, cl, "edelab_cluster_forward_failures_total"); got != remoteFailureLimit {
+		t.Errorf("forward_failures_total = %v, want %d", got, remoteFailureLimit)
 	}
-	if got := clMetric(t, cl, "edelab_cluster_unrouted_total"); got != 3 {
-		t.Errorf("unrouted_total = %v, want 3", got)
+	if got := clMetric(t, cl, "edelab_cluster_unrouted_total"); got != remoteFailureLimit+1 {
+		t.Errorf("unrouted_total = %v, want %d", got, remoteFailureLimit+1)
 	}
 }

@@ -78,14 +78,21 @@ type Cache struct {
 	onEvict func()
 }
 
+// Shard sizing: a cache spreads over up to maxShards shards, and a shard
+// gets at least minShardEntries entries, so a small cache is one LRU.
+const (
+	maxShards       = 64
+	minShardEntries = 64
+)
+
 // NewCache builds a cache holding at most capacity entries (minimum 1) over
-// the given shard count, rounded up to a power of two but never above
-// capacity, so every shard has room for one entry and the slices sum to
-// capacity exactly.
-func NewCache(shards, capacity int) *Cache {
+// the largest power-of-two shard count, at most maxShards, that gives every
+// shard minShardEntries entries, or one shard when none does. The shards'
+// slices sum to capacity exactly.
+func NewCache(capacity int) *Cache {
 	capacity = max(capacity, 1)
 	n := 1
-	for n < shards && n<<1 <= capacity {
+	for n < maxShards && n<<1 <= capacity/minShardEntries {
 		n <<= 1
 	}
 	c := &Cache{shards: make([]cacheShard, n)}

@@ -19,12 +19,10 @@ import (
 // Config tunes the frontend. The zero value gets production-ish defaults
 // from New (WithDefaults).
 type Config struct {
-	// Shards is the cache shard count (rounded up to a power of two, but
-	// never above Capacity).
-	Shards int
 	// Capacity bounds the total number of cached entries. Behind a
 	// frontend the resolver stores no client answer, so this is the serving
-	// stack's one bound on them.
+	// stack's one bound on them. It also sets the cache's shard count
+	// (NewCache): 64 from 4,096 entries up.
 	Capacity int
 	// MaxInflight bounds concurrent upstream recursions; excess queries are
 	// shed with SERVFAIL + EDE 23 rather than piling up goroutines.
@@ -65,9 +63,6 @@ const (
 // idempotent, so a filled config (the one a cluster replicates) fills to
 // itself.
 func (c Config) WithDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 64
-	}
 	if c.Capacity <= 0 {
 		c.Capacity = 1 << 16
 	}
@@ -147,7 +142,7 @@ func New(up forwarder.Upstream, cfg Config) *Frontend {
 	f := &Frontend{
 		upstream: up,
 		cfg:      cfg,
-		cache:    NewCache(cfg.Shards, cfg.Capacity),
+		cache:    NewCache(cfg.Capacity),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 	}
 	f.report[modeStale] = p.Report([]resolver.Condition{resolver.ConditionStaleServed}, nil)

@@ -481,7 +481,7 @@ func TestEvictionBound(t *testing.T) {
 	up.set(func(_ context.Context, q dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return positive(q, 300), nil
 	})
-	f := New(up, Config{Shards: 1, Capacity: 4})
+	f := New(up, Config{Capacity: 4})
 	for i := 0; i < 20; i++ {
 		if _, err := f.HandleDNS(context.Background(), query(fmt.Sprintf("h%d.example.", i))); err != nil {
 			t.Fatal(err)
@@ -496,12 +496,12 @@ func TestEvictionBound(t *testing.T) {
 }
 
 // TestCapacityBoundsTheTotal: Capacity is the cache's bound whatever the
-// shard count, including below it (edeserver -cache-size 10 over the default
-// 64 shards), and a full cache holds exactly Capacity entries.
+// shard count, including one the shard count does not divide (5,000 over
+// 64), and a full cache holds exactly Capacity entries.
 func TestCapacityBoundsTheTotal(t *testing.T) {
 	e := &entry{rcode: dnswire.RCodeNoError}
-	for _, capacity := range []int{1, 10, 100, 16384} {
-		c := NewCache(64, capacity)
+	for _, capacity := range []int{1, 10, 100, 5000, 16384} {
+		c := NewCache(capacity)
 		for round := 0; round < 10; round++ {
 			for i := 0; i < capacity; i++ {
 				c.put(key{name: dnswire.MustName(fmt.Sprintf("d%d-%d.example.", round, i)), qtype: dnswire.TypeA}, e)
@@ -516,12 +516,28 @@ func TestCapacityBoundsTheTotal(t *testing.T) {
 	}
 }
 
+// TestShardCount: the shard count follows Capacity, so edeserver's and the
+// benchmark's capacities (16,384 and the default 65,536) keep 64 shards and
+// a test-sized cache is one LRU.
+func TestShardCount(t *testing.T) {
+	for _, c := range []struct{ capacity, shards int }{
+		{8, 1}, {127, 1}, {128, 2}, {1000, 8}, {4096, 64}, {16384, 64}, {65536, 64},
+	} {
+		if got := len(NewCache(c.capacity).shards); got != c.shards {
+			t.Errorf("capacity %d: %d shards, want %d", c.capacity, got, c.shards)
+		}
+	}
+	if got := len(New(&stubUpstream{}, Config{}).cache.shards); got != 64 {
+		t.Errorf("default capacity: %d shards, want 64", got)
+	}
+}
+
 func TestLRUKeepsHotEntries(t *testing.T) {
 	up := &stubUpstream{}
 	up.set(func(_ context.Context, q dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return positive(q, 300), nil
 	})
-	f := New(up, Config{Shards: 1, Capacity: 2})
+	f := New(up, Config{Capacity: 2})
 	hot := query("hot.example.")
 	f.HandleDNS(context.Background(), hot)
 	f.HandleDNS(context.Background(), query("b.example."))
@@ -597,7 +613,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		}
 		return positive(q, 60), nil
 	})
-	f := New(up, Config{Shards: 4, Capacity: 8, MaxInflight: 8, Now: clock.Now})
+	f := New(up, Config{Capacity: 8, MaxInflight: 8, Now: clock.Now})
 
 	names := make([]string, 12)
 	for i := range names {

@@ -146,7 +146,7 @@ func TestOptOutChainIsWellFormed(t *testing.T) {
 func TestBrokenTLDsFailEveryQuery(t *testing.T) {
 	// 1,158 gTLDs put one plain-NSEC and one NSEC3 TLD in the bogus-denial
 	// set (NSEC is every third gTLD by index; the set sits 30 from the end).
-	w, err := Materialize(Generate(Config{TotalDomains: 1515, Seed: 77, GTLDs: 1158}))
+	w, err := Materialize(Generate(Config{TotalDomains: 1515, Seed: 77, gTLDs: 1158}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,9 +132,9 @@ type Config struct {
 	TotalDomains int
 	// Seed drives all pseudo-random choices; same seed, same population.
 	Seed uint64
-	// GTLDs is the generic TLD count (default 1,160; with the ccTLDs,
-	// 1,475 TLDs).
-	GTLDs int
+	// gTLDs is the generic TLD count: 1,160 (with the ccTLDs, 1,475 TLDs),
+	// which only this package's tests change.
+	gTLDs int
 }
 
 const (
@@ -149,8 +149,8 @@ func (c *Config) setDefaults() {
 	if c.TotalDomains == 0 {
 		c.TotalDomains = PaperTotal / 1000
 	}
-	if c.GTLDs == 0 {
-		c.GTLDs = 1160
+	if c.gTLDs == 0 {
+		c.gTLDs = 1160
 	}
 }
 
@@ -345,14 +345,14 @@ func Generate(cfg Config) *Population {
 
 // buildTLDs creates the TLD list: sizes, special sets, addresses.
 func (p *Population) buildTLDs(cfg Config, rng *rand.Rand, scale float64) {
-	total := cfg.GTLDs + ccTLDs
+	total := cfg.gTLDs + ccTLDs
 	p.TLDs = make([]*TLD, 0, total)
 	addrIdx := 0
 	nextAddr := func() netip.Addr {
 		addrIdx++
 		return netip.AddrFrom4([4]byte{198, 19, byte(addrIdx / 250), byte(addrIdx%250 + 1)})
 	}
-	for i := 0; i < cfg.GTLDs; i++ {
+	for i := 0; i < cfg.gTLDs; i++ {
 		label := gTLDLabel(i)
 		p.TLDs = append(p.TLDs, &TLD{
 			Name: dnswire.MustName(label), Label: label, Addr: nextAddr(),
@@ -370,8 +370,8 @@ func (p *Population) buildTLDs(cfg Config, rng *rand.Rand, scale float64) {
 
 	// Special TLD sets (all small-index TLDs are the big generic ones; the
 	// special sets come from the tail so com/net/org stay ordinary).
-	gs := p.TLDs[:cfg.GTLDs]
-	ccs := p.TLDs[cfg.GTLDs:]
+	gs := p.TLDs[:cfg.gTLDs]
+	ccs := p.TLDs[cfg.gTLDs:]
 
 	// Stand-by KSK: 2 large ccTLDs plus 22 small gTLD suffixes (§4.2 item 3).
 	ccs[0].Standby = true
@@ -382,12 +382,12 @@ func (p *Population) buildTLDs(cfg Config, rng *rand.Rand, scale float64) {
 	// Bogus-denial TLDs (§4.2 item 5: 124 TLDs, scaled).
 	// Infrastructure counts shrink with the square root of the domain scale
 	// so that broken TLDs still host several domains each at small scales.
-	nBogus := maxInt(2, int(math.Round(124*math.Sqrt(scale))))
+	nBogus := max(2, int(math.Round(124*math.Sqrt(scale))))
 	for i := 0; i < nBogus && 30+i < len(gs); i++ {
 		gs[len(gs)-30-i].BogusDenial = true
 	}
 	// No-proof TLDs (§4.2 item 9).
-	nNoProof := maxInt(2, nBogus/3)
+	nNoProof := max(2, nBogus/3)
 	for i := 0; i < nNoProof && 70+i < len(ccs); i++ {
 		ccs[len(ccs)-1-i].NoProof = true
 	}
@@ -426,7 +426,7 @@ func (p *Population) sizeTLDs(rng *rand.Rand, scale float64) {
 	standbyQuota := ClassQuota(ClassStandby, scale)
 	bogusQuota := ClassQuota(ClassBogusTLD, scale)
 	noProofQuota := ClassQuota(ClassNSECMissingTLD, scale)
-	allBrokenQuota := maxInt(13, int(math.Round(108_000*scale)))
+	allBrokenQuota := max(13, int(math.Round(108_000*scale)))
 
 	var standbyCC, standbyG, bogus, noProof, allBroken []*TLD
 	var normal []*TLD
@@ -666,7 +666,7 @@ func healthyClass(c Class) bool { return c == ClassHealthy || c == ClassHealthyS
 // maps every lame domain to one, with the top-heavy weighting that makes
 // "fixing the top ~7% of nameservers repair >80% of domains".
 func (p *Population) assignBrokenNS(rng *rand.Rand) {
-	scaleNS := func(n int) int { return maxInt(3, int(math.Round(float64(n)*p.Scale))) }
+	scaleNS := func(n int) int { return max(3, int(math.Round(float64(n)*p.Scale))) }
 	nRefused := scaleNS(267_000)
 	nServfail := scaleNS(21_000)
 	nTimeout := scaleNS(15_000)
@@ -791,13 +791,6 @@ func (p *Population) assignTranco(rng *rand.Rand) {
 			d.Rank = int32(rank)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // gTLDLabel produces generic TLD labels; the first few mirror the real

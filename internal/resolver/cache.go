@@ -34,7 +34,7 @@ func (k cacheKey) shard() uint64 {
 // cachedAnswer is a completed resolution stored for reuse, including failed
 // ones (the error cache behind EDE 13). Only a resolver answering clients on
 // its own stores them — a read-only scan and a resolver behind a frontend do
-// not — and it keeps one per distinct question until MaxEntries, so the entry
+// not — and it keeps one per distinct question until maxEntries, so the entry
 // is kept to 64 bytes: the expiry is Unix nanoseconds rather than a time.Time.
 type cachedAnswer struct {
 	answer     []dnswire.RR
@@ -74,16 +74,8 @@ const staleWindow = 24 * time.Hour
 // EDE 13 on a hit).
 const errorTTL = 30 * time.Second
 
-// maxEntries is MaxEntries, with zero meaning DefaultMaxEntries.
-func (c *Cache) maxEntries() int {
-	if c.MaxEntries <= 0 {
-		return DefaultMaxEntries
-	}
-	return c.MaxEntries
-}
-
-// perShard is each shard's slice of MaxEntries, for both sharded maps.
-func (c *Cache) perShard() int { return max(c.maxEntries()/numShards, 1) }
+// perShard is each shard's slice of maxEntries, for both sharded maps.
+func (c *Cache) perShard() int { return max(c.maxEntries/numShards, 1) }
 
 // evictProbed removes at least one entry from a full shard map, whose lock
 // the caller holds. It probes a handful of entries (map iteration order is
@@ -140,11 +132,12 @@ type Cache struct {
 	// verified; every validation goes through it.
 	verified *dnssec.VerifyMemo
 
-	// MaxEntries caps each of the three maps — answers, zone cuts, zone keys
-	// — at this many entries. When a map (for the sharded two, a shard's
-	// slice of the cap) is full, inserts evict expired entries or, failing
-	// that, the probed entry closest to expiry. Zero means DefaultMaxEntries.
-	MaxEntries int
+	// maxEntries caps each of the three maps — answers, zone cuts, zone keys
+	// — at this many entries: DefaultMaxEntries, which only this package's
+	// tests lower. When a map (for the sharded two, a shard's slice of the
+	// cap) is full, inserts evict expired entries or, failing that, the
+	// probed entry closest to expiry.
+	maxEntries int
 }
 
 // zoneKeys is a validated key-establishment outcome for one zone.
@@ -333,7 +326,7 @@ func NewCache() *Cache {
 	c := &Cache{
 		keys:       make(map[dnswire.Name]*zoneKeys),
 		verified:   new(dnssec.VerifyMemo),
-		MaxEntries: DefaultMaxEntries,
+		maxEntries: DefaultMaxEntries,
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*cachedAnswer)
@@ -443,7 +436,7 @@ func (c *Cache) DelegationLen() int {
 }
 
 // KeyLen reports the number of cached zone-key establishments, the third map
-// MaxEntries bounds.
+// maxEntries bounds.
 func (c *Cache) KeyLen() int {
 	c.keyMu.RLock()
 	defer c.keyMu.RUnlock()
@@ -516,7 +509,7 @@ func (c *Cache) getKeys(zone dnswire.Name, now time.Time) (*zoneKeys, bool) {
 func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
 	c.keyMu.Lock()
 	defer c.keyMu.Unlock()
-	if _, exists := c.keys[zone]; !exists && len(c.keys) >= c.maxEntries() {
+	if _, exists := c.keys[zone]; !exists && len(c.keys) >= c.maxEntries {
 		evictProbed(c.keys, now.UnixNano(), 0, func(k *zoneKeys) int64 { return k.expiresAt.UnixNano() })
 	}
 	c.keys[zone] = k

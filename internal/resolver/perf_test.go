@@ -98,12 +98,12 @@ func TestTraceEnabledRecordsResolution(t *testing.T) {
 }
 
 // TestCacheMaxEntriesHoldsUnderChurn drives far more distinct questions
-// through the cache than MaxEntries allows and checks the bound holds, that
+// through the cache than maxEntries allows and checks the bound holds, that
 // eviction prefers entries already past the stale window, and that the cache
 // still answers.
 func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 	c := NewCache()
-	c.MaxEntries = 256 // 4 entries per shard
+	c.maxEntries = 256 // 4 entries per shard
 	now := time.Unix(tNow, 0)
 
 	for i := 0; i < 10000; i++ {
@@ -111,9 +111,9 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 		c.putAnswer(key, &cachedAnswer{rcode: dnswire.RCodeNoError}, now, time.Hour)
 	}
 	// Each shard may briefly sit at its per-shard cap; the total must never
-	// exceed MaxEntries.
-	if n := c.Len(); n > c.MaxEntries {
-		t.Fatalf("cache grew to %d entries, cap %d", n, c.MaxEntries)
+	// exceed maxEntries.
+	if n := c.Len(); n > c.maxEntries {
+		t.Fatalf("cache grew to %d entries, cap %d", n, c.maxEntries)
 	}
 	if n := c.Len(); n == 0 {
 		t.Fatal("eviction emptied the cache entirely")
@@ -138,24 +138,24 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 			live++
 		}
 	}
-	if live < c.MaxEntries/2 {
-		t.Errorf("only %d of the fresh entries survived churn against expired ones (cap %d)", live, c.MaxEntries)
+	if live < c.maxEntries/2 {
+		t.Errorf("only %d of the fresh entries survived churn against expired ones (cap %d)", live, c.maxEntries)
 	}
 }
 
-// TestCacheKeysBounded: the zone-key map obeys MaxEntries like the answer and
+// TestCacheKeysBounded: the zone-key map obeys maxEntries like the answer and
 // cut maps, so a serving resolver does not keep one entry for every signed
 // zone it has ever validated.
 func TestCacheKeysBounded(t *testing.T) {
 	c := NewCache()
-	c.MaxEntries = 8
+	c.maxEntries = 8
 	now := time.Unix(tNow, 0)
 	for i := 0; i < 100; i++ {
 		zone := dnswire.MustName(fmt.Sprintf("zone-%d.example.", i))
 		c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)}, now)
 	}
-	if n := c.KeyLen(); n > c.MaxEntries {
-		t.Fatalf("100 zones left %d key entries, cap %d", n, c.MaxEntries)
+	if n := c.KeyLen(); n > c.maxEntries {
+		t.Fatalf("100 zones left %d key entries, cap %d", n, c.maxEntries)
 	}
 	if _, ok := c.getKeys(dnswire.MustName("zone-99.example."), now); !ok {
 		t.Error("the zone stored last was evicted by its own insert")
@@ -167,7 +167,7 @@ func TestCacheKeysBounded(t *testing.T) {
 // RWMutex are sound.
 func TestCacheConcurrentChurn(t *testing.T) {
 	c := NewCache()
-	c.MaxEntries = 128
+	c.maxEntries = 128
 	now := time.Unix(tNow, 0)
 	zone := dnswire.MustName("example.com.")
 
@@ -188,8 +188,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > c.MaxEntries {
-		t.Fatalf("cache grew to %d entries under concurrent churn, cap %d", n, c.MaxEntries)
+	if n := c.Len(); n > c.maxEntries {
+		t.Fatalf("cache grew to %d entries under concurrent churn, cap %d", n, c.maxEntries)
 	}
 }
 

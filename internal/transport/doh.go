@@ -33,6 +33,10 @@ const dohMaxBodySize = maxUDPPayload
 // response-write one.
 const dohReadHeaderTimeout = 5 * time.Second
 
+// dohShutdownGrace bounds how long a cancelled ServeDoH waits for in-flight
+// requests to finish.
+const dohShutdownGrace = 30 * time.Second
+
 // ServeDoH serves RFC 8484 DNS-over-HTTPS on l until ctx is cancelled.
 // With a nil tlsConf it speaks plain HTTP — useful behind a TLS-terminating
 // proxy and for tests — otherwise HTTPS. Cancellation uses net/http's
@@ -41,7 +45,7 @@ func (s *Server) ServeDoH(ctx context.Context, l net.Listener, tlsConf *tls.Conf
 	srv := &http.Server{
 		Handler:           s.DoHHandler(),
 		ReadHeaderTimeout: dohReadHeaderTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
+		IdleTimeout:       s.idle,
 		// Requests outlive ctx cancellation until Shutdown's grace period
 		// expires: drain means answering what is in flight, not aborting it.
 		BaseContext: func(net.Listener) context.Context { return context.WithoutCancel(ctx) },
@@ -59,7 +63,7 @@ func (s *Server) ServeDoH(ctx context.Context, l net.Listener, tlsConf *tls.Conf
 	go func() {
 		select {
 		case <-ctx.Done():
-			sctx, cancel := context.WithTimeout(context.Background(), s.cfg.IdleTimeout)
+			sctx, cancel := context.WithTimeout(context.Background(), dohShutdownGrace)
 			srv.Shutdown(sctx)
 			cancel()
 		case <-done:

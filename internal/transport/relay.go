@@ -168,7 +168,6 @@ type udpRelay struct {
 	l      *udpListener
 	lconn  *net.UDPConn
 	router WireRouter
-	slots  int // pending-table size per peer
 
 	// peers is replaced, never mutated, and only by the read loop; the
 	// sweeper reads it.
@@ -181,11 +180,7 @@ type udpRelay struct {
 }
 
 func newUDPRelay(l *udpListener, lconn *net.UDPConn, router WireRouter) *udpRelay {
-	slots := 1
-	for slots < l.s.cfg.MaxUDPInflight {
-		slots <<= 1
-	}
-	r := &udpRelay{l: l, lconn: lconn, router: router, slots: slots, stop: make(chan struct{})}
+	r := &udpRelay{l: l, lconn: lconn, router: router, stop: make(chan struct{})}
 	r.peers.Store(new([]*relayPeer))
 	interval := router.RelayTimeout() / relayTicks
 	if interval < time.Millisecond {
@@ -293,7 +288,9 @@ func (r *udpRelay) dial(addr netip.AddrPort, tick uint32) *relayPeer {
 	_ = conn.SetReadBuffer(relaySockBuf)
 	_ = conn.SetWriteBuffer(relaySockBuf)
 	p := &relayPeer{addr: addr, conn: conn, recv: recv, send: send, out: out, used: tick}
-	p.table.slots = make([]relaySlot, r.slots)
+	// One slot per query the listener admits (a power of two, as the
+	// table's forward-ID masking needs).
+	p.table.slots = make([]relaySlot, maxUDPInflight)
 	r.wg.Add(1)
 	go r.readPeer(p)
 	return p

@@ -263,6 +263,11 @@ func TestRelayRoundTrip(t *testing.T) {
 			t.Fatalf("query %d: client got %x, want the peer's answer %x but for the ID", i, got, wire)
 		}
 	}
+	// The peer's reader calls Done only after its flush has sent the answer
+	// on, so the client can hold the second answer before the second Done.
+	for deadline := time.Now().Add(5 * time.Second); tok.answered.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := tok.answered.Load(); got != 2 {
 		t.Errorf("Done(RelayAnswered) %d times, want 2", got)
 	}
@@ -405,22 +410,21 @@ func TestRelayDeclines(t *testing.T) {
 	})
 
 	t.Run("slot still pending", func(t *testing.T) {
-		// A 4-slot table and a silent peer: the fifth forward lands on the
-		// slot of the first.
-		srv, addr, _ := startRelayDoor(t, router, Config{MaxUDPInflight: 4})
+		// A full table and a silent peer: the forward after maxUDPInflight
+		// lands on the slot of the first.
+		srv, addr, _ := startRelayDoor(t, router, Config{})
 		client := dialUDP(t, addr)
 		before := tok.abandoned.Load()
-		for i := 1; i <= 5; i++ {
-			if _, err := client.Write(mustPack(t, dnswire.NewQuery(uint16(i), dnswire.MustName("full.example."), dnswire.TypeA))); err != nil {
-				t.Fatalf("write: %v", err)
-			}
+		fill(t, client, "full.example.", maxUDPInflight, srv.m.relayed.Load)
+		if _, err := client.Write(mustPack(t, dnswire.NewQuery(1000, dnswire.MustName("full.example."), dnswire.TypeA))); err != nil {
+			t.Fatalf("write: %v", err)
 		}
 		got, ok := readAnswer(t, client, 3*time.Second)
-		if !ok || answeredBy(t, got) != parsedAddr || binary.BigEndian.Uint16(got) != 5 {
+		if !ok || answeredBy(t, got) != parsedAddr || binary.BigEndian.Uint16(got) != 1000 {
 			t.Fatal("the query that found its slot pending was not answered by the Handler")
 		}
-		if srv.m.relayed.Load() != 4 || tok.abandoned.Load() != before+1 {
-			t.Errorf("relayed=%d abandoned=+%d, want 4 and +1", srv.m.relayed.Load(), tok.abandoned.Load()-before)
+		if srv.m.relayed.Load() != maxUDPInflight || tok.abandoned.Load() != before+1 {
+			t.Errorf("relayed=%d abandoned=+%d, want %d and +1", srv.m.relayed.Load(), tok.abandoned.Load()-before, maxUDPInflight)
 		}
 	})
 

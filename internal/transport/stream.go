@@ -30,7 +30,7 @@ func (s *Server) ServeDoT(ctx context.Context, l net.Listener, tlsConf *tls.Conf
 }
 
 // serveStreamListener accepts connections and serves each with the shared
-// stream core. Per-listener concurrency is bounded by MaxConns: a
+// stream core. Per-listener concurrency is bounded by maxConns: a
 // connection past the bound gets its first query answered with the shed
 // reply, then is closed. On ctx cancellation the listener closes, every
 // open connection's read deadline is expired to wake its reader, in-flight
@@ -59,7 +59,7 @@ func (s *Server) serveStreamListener(ctx context.Context, l net.Listener, transp
 		}
 	}()
 
-	connSem := make(chan struct{}, s.cfg.MaxConns)
+	connSem := make(chan struct{}, maxConns)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
@@ -102,7 +102,7 @@ func (s *Server) serveStreamListener(ctx context.Context, l net.Listener, transp
 	}
 }
 
-// shedConn handles a connection rejected at the MaxConns bound: read one
+// shedConn handles a connection rejected at the maxConns bound: read one
 // query (briefly), answer it from the wire cache or else SERVFAIL + EDE 23
 // so the client learns why, and close.
 func (s *Server) shedConn(conn net.Conn, transport string) {
@@ -162,7 +162,7 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 	defer s.m.open[transport].Add(-1)
 
 	c := &streamConn{s: s, conn: conn, transport: transport, br: bufio.NewReaderSize(conn, streamReadBuf)}
-	pipe := make(chan struct{}, s.cfg.MaxPipeline)
+	pipe := make(chan struct{}, maxPipeline)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	// Whatever ends the loop, answers already built still go out.
@@ -171,7 +171,7 @@ func (s *Server) serveStream(ctx context.Context, conn net.Conn, transport strin
 	for {
 		if !c.frameBuffered() {
 			c.flush()
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+			conn.SetReadDeadline(time.Now().Add(s.idle))
 			// Checked after arming: a cancellation from here on expires
 			// the deadline just set, an earlier one is seen now.
 			if ctx.Err() != nil {
@@ -360,7 +360,7 @@ func (c *streamConn) writeLocked(frames []byte) {
 	}
 }
 
-// keepaliveUnits converts the configured idle timeout to the option's
+// keepaliveUnits converts the configured keepalive to the option's
 // 100ms units (RFC 7828 §3.1), clamped to what the field holds; zero stays
 // zero and means nothing is advertised.
 func keepaliveUnits(d time.Duration) uint16 {

@@ -95,13 +95,12 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineShed bounds per-connection concurrency: with MaxPipeline=1
-// and the first query parked, the second must be answered immediately with
-// SERVFAIL + EDE 23 rather than queued.
+// TestPipelineShed bounds per-connection concurrency: with maxPipeline
+// queries parked, the next must be answered immediately with SERVFAIL +
+// EDE 23 rather than queued.
 func TestPipelineShed(t *testing.T) {
 	addr, _, _, _ := startTCP(t, Config{
-		Handler:     echoHandler(map[string]time.Duration{"slow.example.": 2 * time.Second}),
-		MaxPipeline: 1,
+		Handler: echoHandler(map[string]time.Duration{"slow.example.": 2 * time.Second}),
 	})
 
 	conn, err := net.Dial("tcp", addr)
@@ -110,15 +109,21 @@ func TestPipelineShed(t *testing.T) {
 	}
 	defer conn.Close()
 
-	dnswire.NewQuery(1, dnswire.MustName("slow.example"), dnswire.TypeA).WriteStream(conn)
-	dnswire.NewQuery(2, dnswire.MustName("fast.example"), dnswire.TypeA).WriteStream(conn)
+	var burst []byte
+	for id := uint16(1); id <= maxPipeline; id++ {
+		burst = append(burst, framed(t, dnswire.NewQuery(id, dnswire.MustName("slow.example"), dnswire.TypeA))...)
+	}
+	burst = append(burst, framed(t, dnswire.NewQuery(maxPipeline+1, dnswire.MustName("fast.example"), dnswire.TypeA))...)
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatalf("write: %v", err)
+	}
 
 	resp, err := dnswire.ReadStream(conn)
 	if err != nil {
 		t.Fatalf("reading shed response: %v", err)
 	}
-	if resp.ID != 2 {
-		t.Fatalf("first response ID = %d, want 2 (the shed query)", resp.ID)
+	if resp.ID != maxPipeline+1 {
+		t.Fatalf("first response ID = %d, want %d (the shed query)", resp.ID, maxPipeline+1)
 	}
 	if resp.RCode != dnswire.RCodeServFail {
 		t.Errorf("shed RCODE = %s, want SERVFAIL", resp.RCode)
@@ -126,26 +131,26 @@ func TestPipelineShed(t *testing.T) {
 	assertEDE(t, resp, uint16(ede.CodeNetworkError))
 }
 
-// TestConnShed bounds per-listener connections: with MaxConns=1 and one
-// connection held open, a second connection's first query is answered
-// SERVFAIL + EDE 23 and the connection closed.
+// TestConnShed bounds per-listener connections: with maxConns connections
+// held open, the next connection's first query is answered SERVFAIL +
+// EDE 23 and the connection closed.
 func TestConnShed(t *testing.T) {
-	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil), MaxConns: 1})
+	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil)})
 
-	hold, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial 1: %v", err)
-	}
-	defer hold.Close()
-	// Prove the first connection is being served before dialing the second.
-	dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA).WriteStream(hold)
-	if _, err := dnswire.ReadStream(hold); err != nil {
-		t.Fatalf("first connection exchange: %v", err)
+	// The accept loop takes connections in the order their handshakes
+	// completed and admits each before accepting the next, so the first
+	// maxConns dialled hold every slot.
+	for i := 0; i < maxConns; i++ {
+		hold, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial %d: %v", i+1, err)
+		}
+		defer hold.Close()
 	}
 
 	shed, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("dial 2: %v", err)
+		t.Fatalf("dial %d: %v", maxConns+1, err)
 	}
 	defer shed.Close()
 	dnswire.NewQuery(2, dnswire.MustName("b.example"), dnswire.TypeA).WriteStream(shed)
@@ -162,21 +167,30 @@ func TestConnShed(t *testing.T) {
 	}
 }
 
-// TestIdleTimeout: a connection with no queries is closed once IdleTimeout
-// elapses.
+// TestIdleTimeout: a connection with no queries is closed once the idle
+// timeout the server advertises (TCPKeepalive, in whole 100 ms units)
+// elapses, and not before.
 func TestIdleTimeout(t *testing.T) {
-	addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil), IdleTimeout: 100 * time.Millisecond})
+	for _, keepalive := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond} {
+		t.Run(keepalive.String(), func(t *testing.T) {
+			addr, _, _, _ := startTCP(t, Config{Handler: echoHandler(nil), TCPKeepalive: keepalive})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadAll(conn); err != nil && !os.IsTimeout(err) {
-		t.Fatalf("read: %v", err)
-	} else if err != nil {
-		t.Fatal("connection still open after idle timeout")
+			start := time.Now()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.SetReadDeadline(start.Add(time.Second))
+			if _, err := io.ReadAll(conn); err != nil && !os.IsTimeout(err) {
+				t.Fatalf("read: %v", err)
+			} else if err != nil {
+				t.Fatalf("connection still open %v after an idle timeout of %v", time.Since(start), keepalive)
+			}
+			if idle := time.Since(start); idle < keepalive {
+				t.Errorf("connection closed after %v idle, before the advertised %v", idle, keepalive)
+			}
+		})
 	}
 }
 

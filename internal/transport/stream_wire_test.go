@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -443,26 +444,31 @@ func (f upstreamFunc) Exchange(ctx context.Context, n dnswire.Name, t dnswire.Ty
 
 // TestStreamMixedPipeline: with the wire path on, what the cache declines
 // still runs out of order on its own goroutine and is still shed at
-// MaxPipeline, while hits behind it are answered inline.
+// maxPipeline, while hits behind it are answered inline.
 func TestStreamMixedPipeline(t *testing.T) {
 	slow, other := dnswire.MustName("slow.example"), dnswire.MustName("other.example")
 	srv := NewServer(Config{
-		Handler:     echoHandler(map[string]time.Duration{slow.String(): 300 * time.Millisecond}),
-		Wire:        stubWire{decline: map[dnswire.Name]bool{slow: true, other: true}},
-		MaxPipeline: 1,
+		Handler: echoHandler(map[string]time.Duration{slow.String(): 300 * time.Millisecond}),
+		Wire:    stubWire{decline: map[dnswire.Name]bool{slow: true, other: true}},
 	})
 	addr, _, _ := serveOn(t, srv, func(l net.Listener) net.Listener { return l })
 	conn := dialTCP(t, addr)
 
-	burst := framed(t, dnswire.NewQuery(1, slow, dnswire.TypeA))
-	burst = append(burst, framed(t, dnswire.NewQuery(2, other, dnswire.TypeA))...)
-	burst = append(burst, framed(t, hitQuery(3))...)
+	// IDs 1–64 fill the pipeline with slow misses; 65 is a miss past it, 66
+	// a hit.
+	const shedID, hitID = maxPipeline + 1, maxPipeline + 2
+	var burst []byte
+	for id := uint16(1); id <= maxPipeline; id++ {
+		burst = append(burst, framed(t, dnswire.NewQuery(id, slow, dnswire.TypeA))...)
+	}
+	burst = append(burst, framed(t, dnswire.NewQuery(shedID, other, dnswire.TypeA))...)
+	burst = append(burst, framed(t, hitQuery(hitID))...)
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
 	got := map[uint16]*dnswire.Message{}
 	var order []uint16
-	for i := 0; i < 3; i++ {
+	for i := 0; i < hitID; i++ {
 		resp, err := dnswire.ReadStream(conn)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
@@ -470,18 +476,18 @@ func TestStreamMixedPipeline(t *testing.T) {
 		got[resp.ID] = resp
 		order = append(order, resp.ID)
 	}
-	if order[2] != 1 {
-		t.Errorf("response order = %v, want the slow miss (1) last", order)
+	if !slices.Contains(order[:2], shedID) || !slices.Contains(order[:2], hitID) {
+		t.Errorf("response order = %v, want the slow misses (1–%d) last", order, maxPipeline)
 	}
 	if r := got[1]; r == nil || r.RCode != dnswire.RCodeNoError || len(r.Answer) != 1 {
 		t.Errorf("slow miss = %v, want the handler's answer", r)
 	}
-	if r := got[2]; r == nil || r.RCode != dnswire.RCodeServFail {
-		t.Errorf("second miss = %v, want SERVFAIL: the pipeline holds one query", r)
+	if r := got[shedID]; r == nil || r.RCode != dnswire.RCodeServFail {
+		t.Errorf("miss past the pipeline = %v, want SERVFAIL: the pipeline holds %d queries", r, maxPipeline)
 	} else {
 		assertEDE(t, r, uint16(ede.CodeNetworkError))
 	}
-	if r := got[3]; r == nil || r.RCode != dnswire.RCodeNoError || len(r.Answer) != 0 {
+	if r := got[hitID]; r == nil || r.RCode != dnswire.RCodeNoError || len(r.Answer) != 0 {
 		t.Errorf("hit = %v, want the wire cache's bare answer", r)
 	}
 	if hits, sheds := srv.m.wireServes[TransportTCP].Load(), srv.m.sheds[TransportTCP].Load(); hits != 1 || sheds != 1 {

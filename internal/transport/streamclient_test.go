@@ -40,8 +40,8 @@ func TestStreamClientReusesConnection(t *testing.T) {
 // client must redial once and succeed.
 func TestStreamClientRedialsStaleConnection(t *testing.T) {
 	addr, _, _, _ := startTCP(t, Config{
-		Handler:     echoHandler(nil),
-		IdleTimeout: 80 * time.Millisecond, // server-side
+		Handler:      echoHandler(nil),
+		TCPKeepalive: 100 * time.Millisecond, // the server's idle timeout
 	})
 	c := &StreamClient{Addr: addr}
 	defer c.Close()

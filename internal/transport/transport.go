@@ -19,13 +19,19 @@ const (
 	TransportDoH = "doh"
 )
 
-// Defaults applied by NewServer for zero Config fields.
+// Serving bounds. A stream connection accepted past maxConns has its first
+// query answered, from the wire cache or else SERVFAIL + EDE 23, and is
+// closed; a query read past maxPipeline on one connection, or a datagram
+// past maxUDPInflight on one UDP listener, is answered SERVFAIL + EDE 23.
 const (
-	DefaultMaxConns       = 1024
-	DefaultMaxPipeline    = 64
-	DefaultMaxUDPInflight = 512
-	DefaultIdleTimeout    = 30 * time.Second
+	maxConns       = 1024
+	maxPipeline    = 64
+	maxUDPInflight = 512
 )
+
+// defaultIdleTimeout closes a stream connection with no complete query when
+// the server advertises no edns-tcp-keepalive TIMEOUT.
+const defaultIdleTimeout = 30 * time.Second
 
 // DefaultWriteTimeout bounds each response write, and a client stream
 // exchange (StreamClient, QueryTCP, QueryDoT) whose context has no deadline.
@@ -85,19 +91,6 @@ type Config struct {
 	// Handler serves every query, regardless of transport.
 	Handler netsim.Handler
 
-	// MaxConns bounds concurrently served stream connections per listener.
-	// A connection accepted past the bound has its first query answered,
-	// from the wire cache or else SERVFAIL + EDE 23, and is closed.
-	MaxConns int
-
-	// MaxPipeline bounds in-flight pipelined queries per stream connection.
-	// Queries read past the bound are answered SERVFAIL + EDE 23 inline.
-	MaxPipeline int
-
-	// MaxUDPInflight bounds concurrently handled UDP queries per listener;
-	// excess datagrams are answered SERVFAIL + EDE 23.
-	MaxUDPInflight int
-
 	// Wire, when set, answers compatible queries from pre-packed response
 	// bytes before Handler is consulted. When nil, NewServer uses Handler
 	// itself if it implements WireServer; DisableWire forces every query
@@ -107,12 +100,11 @@ type Config struct {
 
 	// TCPKeepalive, when positive, is the idle timeout advertised to EDNS
 	// clients on stream transports via edns-tcp-keepalive (RFC 7828),
-	// rounded down to 100ms units. Zero advertises nothing.
+	// rounded down to 100ms units, and the one enforced: a stream
+	// connection, or a DoH client's HTTP connection, with no complete query
+	// for that long is closed. Zero advertises nothing and closes idle
+	// connections after 30 s.
 	TCPKeepalive time.Duration
-
-	// IdleTimeout closes a stream connection with no complete query for
-	// this long, and is the HTTP server's idle timeout for DoH.
-	IdleTimeout time.Duration
 
 	// Registry receives the per-transport metrics; nil disables exposition
 	// (counters still work against a private registry).
@@ -124,28 +116,17 @@ type Config struct {
 // fails, and drain in-flight queries before returning.
 type Server struct {
 	cfg       Config
-	wire      WireServer // nil when the wire fast path is off
-	router    WireRouter // wire, when it can also route to remote peers
-	keepalive uint16     // cfg.TCPKeepalive in RFC 7828 units; 0 advertises nothing
+	wire      WireServer    // nil when the wire fast path is off
+	router    WireRouter    // wire, when it can also route to remote peers
+	keepalive uint16        // cfg.TCPKeepalive in RFC 7828 units; 0 advertises nothing
+	idle      time.Duration // what keepalive advertises, or defaultIdleTimeout
 	m         *metrics
 }
 
-// NewServer builds a Server, applying defaults for zero Config fields.
+// NewServer builds a Server.
 func NewServer(cfg Config) *Server {
 	if cfg.Handler == nil {
 		panic("transport: Config.Handler must not be nil")
-	}
-	if cfg.MaxConns <= 0 {
-		cfg.MaxConns = DefaultMaxConns
-	}
-	if cfg.MaxPipeline <= 0 {
-		cfg.MaxPipeline = DefaultMaxPipeline
-	}
-	if cfg.MaxUDPInflight <= 0 {
-		cfg.MaxUDPInflight = DefaultMaxUDPInflight
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = DefaultIdleTimeout
 	}
 	wire := cfg.Wire
 	if wire == nil {
@@ -157,7 +138,11 @@ func NewServer(cfg Config) *Server {
 		wire = nil
 	}
 	router, _ := wire.(WireRouter)
-	return &Server{cfg: cfg, wire: wire, router: router, keepalive: keepaliveUnits(cfg.TCPKeepalive), m: newMetrics(cfg.Registry)}
+	s := &Server{cfg: cfg, wire: wire, router: router, keepalive: keepaliveUnits(cfg.TCPKeepalive), idle: defaultIdleTimeout, m: newMetrics(cfg.Registry)}
+	if s.keepalive != 0 {
+		s.idle = time.Duration(s.keepalive) * 100 * time.Millisecond
+	}
+	return s
 }
 
 // serveQuery is the serve core every door runs a client's query bytes

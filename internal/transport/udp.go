@@ -126,7 +126,7 @@ type udpListener struct {
 // fast path (pre-packed cache bytes, batched sends) or, when a WireRouter
 // names a remote owner, relayed to it as raw datagrams (relay.go);
 // everything else is parsed and fed to a fixed pool of udpWorkers
-// goroutines through a ring bounded by MaxUDPInflight — excess queries are
+// goroutines through a ring bounded by maxUDPInflight — excess queries are
 // shed with SERVFAIL + EDE 23. Responses never exceed the client's
 // advertised EDNS buffer size: an oversized answer is sent with TC=1 and an
 // emptied answer section instead (see packUDPResponse).
@@ -145,8 +145,8 @@ func (s *Server) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 		s:    s,
 		conn: conn,
 		io:   newUDPIO(conn, udpBatchSize),
-		sem:  make(chan struct{}, s.cfg.MaxUDPInflight),
-		jobs: make(chan udpJob, s.cfg.MaxUDPInflight),
+		sem:  make(chan struct{}, maxUDPInflight),
+		jobs: make(chan udpJob, maxUDPInflight),
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < udpWorkers; w++ {
@@ -270,7 +270,7 @@ func (l *udpListener) admit() bool {
 	}
 }
 
-// udpShedReply is the answer to a datagram shed at MaxUDPInflight.
+// udpShedReply is the answer to a datagram shed at maxUDPInflight.
 func udpShedReply(q *dnswire.Message) *dnswire.Message {
 	return shedReply(q, "server overloaded: UDP inflight limit reached")
 }

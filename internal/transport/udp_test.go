@@ -48,6 +48,37 @@ func startUDP(t *testing.T, cfg Config) (addr string, srv *Server) {
 	return conn.LocalAddr().String(), srv
 }
 
+// fill sends queries for name from conn until count, a server counter, reads
+// n. It sends in rounds of at most 64 datagrams and waits for each, so the
+// server's socket buffer does not overflow and no more than n are sent; a
+// datagram the kernel drops anyway is sent again once the counter has stood
+// still for 100 ms. The queries' IDs count up from 1.
+func fill(t *testing.T, conn net.Conn, name string, n uint64, count func() uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	id := uint16(0)
+	for got := count(); got < n; {
+		want := min(got+64, n)
+		for ; got < want; got++ {
+			id++
+			if _, err := conn.Write(mustPack(t, dnswire.NewQuery(id, dnswire.MustName(name), dnswire.TypeA))); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		last, moved := count(), time.Now()
+		for last < want && time.Since(moved) < 100*time.Millisecond {
+			if time.Now().After(deadline) {
+				t.Fatalf("the server counted %d of %d queries", last, n)
+			}
+			time.Sleep(time.Millisecond)
+			if c := count(); c != last {
+				last, moved = c, time.Now()
+			}
+		}
+		got = last
+	}
+}
+
 // TestUDPTruncationHonorsBufferSize: a response larger than the client's
 // advertised buffer must come back TC=1, within the limit, with the answer
 // section emptied and the EDE still attached.
@@ -161,8 +192,8 @@ func TestPackUDPResponseDegradesEDE(t *testing.T) {
 	}
 }
 
-// TestUDPInflightShed: with MaxUDPInflight=1 and the single slot parked,
-// the next datagram is answered SERVFAIL + EDE 23.
+// TestUDPInflightShed: with all maxUDPInflight slots parked, the next
+// datagram is answered SERVFAIL + EDE 23.
 func TestUDPInflightShed(t *testing.T) {
 	block := make(chan struct{})
 	handler := netsim.HandlerFunc(func(ctx context.Context, q *dnswire.Message) (*dnswire.Message, error) {
@@ -175,20 +206,13 @@ func TestUDPInflightShed(t *testing.T) {
 		return q.Reply(), nil
 	})
 	defer close(block)
-	addr, _ := startUDP(t, Config{Handler: handler, MaxUDPInflight: 1})
+	addr, srv := startUDP(t, Config{Handler: handler})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	// Park the only slot (fire and forget; no response will come).
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	wire, _ := dnswire.NewQuery(5, dnswire.MustName("slow.example"), dnswire.TypeA).Pack()
-	conn.Write(wire)
-	time.Sleep(100 * time.Millisecond)
+	// Park every slot (fire and forget; no response will come).
+	fill(t, dialUDP(t, addr), "slow.example.", maxUDPInflight, srv.m.queries[TransportUDP].Load)
 
 	resp, err := QueryUDP(ctx, addr, dnswire.NewQuery(6, dnswire.MustName("fast.example"), dnswire.TypeA))
 	if err != nil {
@@ -217,7 +241,7 @@ func (w gateWire) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 	return stubWire{}.ServeWire(q, limit, dst)
 }
 
-// TestUDPShedBurst: datagrams past MaxUDPInflight that arrive in one receive
+// TestUDPShedBurst: datagrams past maxUDPInflight that arrive in one receive
 // round are each answered SERVFAIL + EDE 23, and the sheds counter reads
 // how many there were. The read loop is held on a gate query while the
 // burst queues up behind it, so the burst is one round where the I/O
@@ -235,7 +259,7 @@ func TestUDPShedBurst(t *testing.T) {
 	defer close(park)
 	wire := gateWire{gate: dnswire.MustName("gate.example."), held: make(chan struct{}), release: make(chan struct{})}
 	reg := telemetry.NewRegistry()
-	addr, srv := startUDP(t, Config{Handler: handler, Wire: wire, MaxUDPInflight: 1, Registry: reg})
+	addr, srv := startUDP(t, Config{Handler: handler, Wire: wire, Registry: reg})
 	conn := dialUDP(t, addr)
 	send := func(id uint16, name string) {
 		t.Helper()
@@ -244,11 +268,11 @@ func TestUDPShedBurst(t *testing.T) {
 		}
 	}
 
-	send(1, "slow.example.") // parks the only slot
-	send(2, "gate.example.")
+	fill(t, conn, "slow.example.", maxUDPInflight, srv.m.queries[TransportUDP].Load) // parks every slot, IDs 1–512
+	send(1000, "gate.example.")
 	<-wire.held
 	rounds := srv.m.batchRounds.Load()
-	for id := uint16(10); id < 10+n; id++ {
+	for id := uint16(2000); id < 2000+n; id++ {
 		send(id, "fast.example.")
 	}
 	time.Sleep(50 * time.Millisecond) // loopback delivery is synchronous; this is margin
@@ -264,7 +288,7 @@ func TestUDPShedBurst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unpack: %v", err)
 		}
-		if resp.ID == 2 {
+		if resp.ID == 1000 {
 			continue // the gate's own answer
 		}
 		if resp.RCode != dnswire.RCodeServFail {

@@ -9,6 +9,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/cluster"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
+	"github.com/extended-dns-errors/edelab/internal/loadgen"
 	"github.com/extended-dns-errors/edelab/internal/population"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/transport"
@@ -16,8 +17,8 @@ import (
 )
 
 // optionLists pins every settable field of the module's option structs: the
-// serving tier's, the scan tier's, the zone signer's and the stream client's
-// (for the resolver and its cache, the exported fields that are not
+// serving tier's, the scan tier's, the zone signer's, the stream client's and
+// the load generator's (for the resolver, the exported fields that are not
 // counters), and of a vendor profile: a behaviour class (Support,
 // ServeStale) plus a reporting table (Map, ExtraText). The .scn language's
 // words are pinned by TestScenarioVocabularyUsed in internal/scenario.
@@ -28,43 +29,49 @@ var optionLists = []struct {
 	of     any
 	fields []string
 }{
-	{frontend.Config{}, []string{"Shards", "Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL", "Now", "Peek"}},
-	{transport.Config{}, []string{"Handler", "MaxConns", "MaxPipeline", "MaxUDPInflight", "Wire", "DisableWire", "TCPKeepalive", "IdleTimeout", "Registry"}},
+	{frontend.Config{}, []string{"Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL", "Now", "Peek"}},
+	{transport.Config{}, []string{"Handler", "Wire", "DisableWire", "TCPKeepalive", "Registry"}},
 	{transport.StreamClient{}, []string{"Addr", "TLSConfig", "RequestKeepalive"}},
-	{cluster.Config{}, []string{"Seed", "Frontend", "HotThreshold", "ForwardTimeout", "RemoteFailureLimit", "Manifest"}},
+	{cluster.Config{}, []string{"Seed", "Frontend", "HotThreshold", "ForwardTimeout", "Manifest"}},
 	{forwarder.Forwarder{}, nil},
 	{resolver.Resolver{}, []string{"Net", "Roots", "Profile", "TrustAnchor", "Now", "Transport", "DisableDelegationCache", "AnswerCacheReadOnly", "Cache"}},
-	{resolver.Cache{}, []string{"MaxEntries"}},
+	{resolver.Cache{}, nil},
 	{resolver.Profile{}, []string{"Name", "Support", "Map", "ExtraText", "ServeStale"}},
 	{campaign.Config{}, []string{"Shards", "Shard", "Workers", "Profile", "Transport", "CheckpointPath", "CheckpointInterval", "Resume", "AuthorityQPS", "MaxQPS", "Governor", "Registry"}},
 	{campaign.GovernorConfig{}, []string{"Min", "Max", "Step"}},
-	{campaign.LimiterConfig{}, []string{"AuthorityQPS", "GlobalQPS", "Now", "Sleep"}},
-	{population.Config{}, []string{"TotalDomains", "Seed", "GTLDs"}},
+	{population.Config{}, []string{"TotalDomains", "Seed"}},
 	{zone.SignOptions{}, []string{"Algorithm", "RSABits", "Inception", "Expiration", "NSEC3Iterations", "DenialNSEC", "KSK", "ZSK"}},
+	// The scenario lab sets Timeout, Retries, Backoff and Sleep from a
+	// .scn transport line; edescan and edeserver set Retries, RetryBudget
+	// and Backoff from their -retries and -retry-budget flags; a
+	// rate-capped campaign sets Admit.
+	{resolver.TransportConfig{}, []string{"Timeout", "Retries", "RetryBudget", "Backoff", "Sleep", "Admit"}},
+	// edeload sets every field from its flags.
+	{loadgen.Config{}, []string{"Server", "Transport", "QPS", "Concurrency", "Duration", "Warmup", "Mix", "QType", "Timeout", "Keepalive"}},
 }
 
 // TestOptionListsClosed fails when one of the option structs gains or loses
 // a settable field. A knob no caller sets still has to be read and
-// documented. Each one listed is set by some caller. These only by tests,
-// each to reach a path no other input reaches:
+// documented. Each one listed is set by some non-test caller, except three
+// that only tests set and that stay exported on purpose:
 //
-//   - transport MaxConns (TestConnShed), MaxPipeline (TestPipelineShed),
-//     MaxUDPInflight (TestUDPInflightShed, TestRelayDeclines) and IdleTimeout
-//     (TestIdleTimeout, TestStreamClientRedialsStaleConnection) shrink a
-//     bound to reach a shed or idle-close path;
-//   - cluster ForwardTimeout and RemoteFailureLimit (TestClusterRemoteForward,
-//     TestRelayPeerKilledTakeover) shorten a dead peer's cost;
-//   - frontend Shards (TestEvictionBound, TestLRUKeepsHotEntries) and
-//     resolver Cache.MaxEntries (TestCacheMaxEntriesHoldsUnderChurn,
-//     TestCacheKeysBounded) shrink a cache to make it evict;
-//   - resolver DisableDelegationCache (TestDelegationCacheDisabled and the
-//     root ablation benchmarks) resolves every name from the root;
-//   - population GTLDs (TestBrokenTLDsFailEveryQuery) needs 1,158 gTLDs to
-//     put a plain-NSEC TLD in the bogus-denial set;
-//   - zone DenialNSEC signs the resolver's plain-NSEC worlds (TestNSEC…) and
-//     the zone's NSEC chain tests;
-//   - campaign LimiterConfig Now and Sleep are set by campaign.New, from
-//     Config's unexported test clock.
+//   - resolver DisableDelegationCache resolves every name from the root:
+//     the reference the root query-amplification gate and ablation
+//     benchmarks measure the delegation cache against, in other packages;
+//   - cluster ForwardTimeout must be short for the dead-peer tests
+//     (TestClusterRemoteForward, TestRelayPeerKilledTakeover) and long for
+//     the relay tests on a loaded box, so no one value serves both;
+//   - zone DenialNSEC signs the plain-NSEC worlds of the resolver's tests
+//     (TestNSEC…) and the zone's NSEC chain tests: a fixture other
+//     packages build.
+//
+// A bound a test needs lowered is reached with real load when that is cheap
+// (the transport's connection, pipeline and UDP in-flight bounds, the
+// cluster's failure limit), or lowered through an unexported field that
+// only its package's tests set (resolver Cache.maxEntries, population
+// Config.gTLDs, campaign Config.now, sleep and checkpointEvery). The stream
+// idle timeout is the edns-tcp-keepalive TIMEOUT the server advertises, and
+// the frontend's shard count follows Capacity.
 func TestOptionListsClosed(t *testing.T) {
 	for _, o := range optionLists {
 		typ := reflect.TypeOf(o.of)

@@ -224,8 +224,8 @@ var wallClockAllowed = map[string]string{
 	"internal/resolver/transport.go: sleep: time.NewTimer":    "the real backoff sleep; scenarios and scans inject Sleep",
 	"internal/scan/scan.go: run: time.Now":                    "Stats.Elapsed, reported and never folded into an aggregate",
 	"internal/scan/scan.go: run: time.Since":                  "Stats.Elapsed, reported and never folded into an aggregate",
-	"internal/campaign/limiter.go: NewLimiter: time.Now":      "the default token-bucket clock; tests inject Now",
-	"internal/campaign/limiter.go: realSleep: time.NewTimer":  "the real limiter wait; tests inject Sleep",
+	"internal/campaign/limiter.go: newLimiter: time.Now":      "the default token-bucket clock; tests inject now",
+	"internal/campaign/limiter.go: realSleep: time.NewTimer":  "the real limiter wait; tests inject sleep",
 	"internal/campaign/campaign.go: Progress: time.Since":     "the progress line's domains/s rate, display only",
 	"internal/campaign/campaign.go: RunViews: time.Now":       "measurement start and checkpoint cadence; neither reaches the snapshot's canonical payload",
 	"internal/campaign/campaign.go: RunViews: time.Since":     "checkpoint cadence",
