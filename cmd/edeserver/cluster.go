@@ -64,12 +64,11 @@ func clusterManifest(tb *testbed.Testbed, prof *resolver.Profile) []cluster.Zone
 // servePrimary serves the front door through a cluster of n local replicas
 // and mounts its REST control plane on the admin listener so -join
 // secondaries can verify the manifest and take ring ranges.
-func (s *edeserver) servePrimary(ctx context.Context, n, hotThreshold int) error {
+func (s *edeserver) servePrimary(ctx context.Context, n int) error {
 	cl := cluster.New(cluster.Config{
-		Seed:         20230515,
-		Frontend:     s.fcfg,
-		HotThreshold: hotThreshold,
-		Manifest:     func() []cluster.ZoneInfo { return clusterManifest(s.tb, s.prof) },
+		Seed:     20230515,
+		Frontend: s.fcfg,
+		Manifest: func() []cluster.ZoneInfo { return clusterManifest(s.tb, s.prof) },
 	})
 	for i := 0; i < n; i++ {
 		res := s.newResolver()

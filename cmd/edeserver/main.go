@@ -100,7 +100,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
 	replicaID := fs.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
 	advertiseAddr := fs.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
-	hotBroadcast := fs.Int("hot-broadcast", 0, "with -cluster, owner cache hits after which an entry's pre-packed wire image is broadcast to every replica (0 = never broadcast)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -135,8 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit(2, "-trace-sample needs -admin: sampled traces are read back at /api/trace")
 	case (*replicaID != "" || *advertiseAddr != "") && *joinURL == "":
 		return exit(2, "-replica-id and -advertise describe a -join secondary")
-	case *hotBroadcast > 0 && *clusterN == 0:
-		return exit(2, "-hot-broadcast tunes the -cluster primary's router")
 	}
 
 	tb, err := testbed.Build()
@@ -180,7 +177,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	switch {
 	case *clusterN > 0:
-		err = s.servePrimary(ctx, *clusterN, *hotBroadcast)
+		err = s.servePrimary(ctx, *clusterN)
 	case *joinURL != "":
 		err = s.serveSecondary(ctx, *joinURL, *replicaID, *advertiseAddr)
 	default:

@@ -134,8 +134,8 @@ func TestFlags(t *testing.T) {
 	}
 	want := []string{
 		"addr", "admin", "advertise", "cache-size", "chaos", "chaos-seed", "cluster", "doh",
-		"hot-broadcast", "join", "no-wire-cache", "profile", "replica-id", "retries",
-		"retry-budget", "reuseport", "tcp", "tcp-keepalive", "tls", "tls-cert", "tls-key", "trace-sample",
+		"join", "no-wire-cache", "profile", "replica-id", "retries", "retry-budget",
+		"reuseport", "tcp", "tcp-keepalive", "tls", "tls-cert", "tls-key", "trace-sample",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags = %v (%d), want %v (%d)", got, len(got), want, len(want))
@@ -162,8 +162,6 @@ func TestUnhonourableCommandLines(t *testing.T) {
 		{[]string{"-trace-sample", "1"}, "-trace-sample needs -admin"},
 		{[]string{"-replica-id", "r1"}, "describe a -join secondary"},
 		{[]string{"-cluster", "1", "-advertise", "127.0.0.1:5301"}, "describe a -join secondary"},
-		{[]string{"-hot-broadcast", "4"}, "-hot-broadcast tunes the -cluster primary"},
-		{[]string{"-join", "http://127.0.0.1:9", "-hot-broadcast", "4"}, "-hot-broadcast tunes the -cluster primary"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

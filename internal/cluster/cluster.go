@@ -41,11 +41,6 @@ func (s nodeState) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// hotSlots sizes the approximate per-key hit counters driving hot-entry
-// broadcast (power of two; collisions only cause a harmless early broadcast
-// of a colder key).
-const hotSlots = 8192
-
 // remoteFailureLimit is how many consecutive forward failures mark a remote
 // replica down.
 const remoteFailureLimit = 3
@@ -59,21 +54,19 @@ type Config struct {
 	// replica has twice its MaxInflight routed queries in flight, the router
 	// spills the query to the next ring node.
 	Frontend frontend.Config
-	// HotThreshold is how many router-observed hits a key needs before the
-	// owner's cache entry (pre-packed wire bytes included) is broadcast to
-	// every replica. 0 disables broadcast.
-	HotThreshold int
-	// ForwardTimeout bounds one UDP forward to a remote replica.
-	ForwardTimeout time.Duration
 	// Manifest, when set, names the zone set (name + content hash) that
 	// joining secondaries must verify before taking traffic.
 	Manifest func() []ZoneInfo
+
+	// forwardTimeout bounds one UDP forward to a remote replica, parsed or
+	// relayed: 1.5 s unless a test of this package sets it.
+	forwardTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	c.Frontend = c.Frontend.WithDefaults()
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 1500 * time.Millisecond
+	if c.forwardTimeout <= 0 {
+		c.forwardTimeout = 1500 * time.Millisecond
 	}
 	return c
 }
@@ -120,7 +113,6 @@ type Cluster struct {
 	metReg  *telemetry.Registry // where per-replica counters register late
 
 	viewP atomic.Pointer[view]
-	hot   [hotSlots]atomic.Uint32
 	m     metrics
 }
 
@@ -165,7 +157,7 @@ func (c *Cluster) AddLocal(id string, up forwarder.Upstream) (*Replica, error) {
 // and admits nothing. The lookup runs before the cluster lock is taken, so
 // a hostname join never holds up StateSnapshot or a concurrent join.
 func (c *Cluster) AddRemote(id, addr string) error {
-	rb, err := newRemoteBackend(addr, c.cfg.ForwardTimeout)
+	rb, err := newRemoteBackend(addr, c.cfg.forwardTimeout)
 	if err != nil {
 		return err
 	}
@@ -351,7 +343,7 @@ func (c *Cluster) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.M
 			}
 		}
 	}
-	if resp := c.serveOn(ctx, v, target, owner, q, h); resp != nil {
+	if resp := c.serveOn(ctx, target, q); resp != nil {
 		return resp, nil
 	}
 
@@ -372,7 +364,7 @@ func (c *Cluster) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.M
 			continue // tried, or marked down by a concurrent failure
 		}
 		c.m.takeovers.Add(1)
-		if resp := c.serveOn(ctx, v, nd, owner, q, h); resp != nil {
+		if resp := c.serveOn(ctx, nd, q); resp != nil {
 			return resp, nil
 		}
 	}
@@ -383,7 +375,7 @@ func (c *Cluster) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.M
 // serveOn runs one query on nd, accounting inflight for the bounded-load
 // cap and the drain wait, and keeps the books on the outcome. nil means nd
 // failed and the caller should try the next node.
-func (c *Cluster) serveOn(ctx context.Context, v *view, nd, owner *node, q *dnswire.Message, h uint64) *dnswire.Message {
+func (c *Cluster) serveOn(ctx context.Context, nd *node, q *dnswire.Message) *dnswire.Message {
 	nd.inflight.Add(1)
 	defer nd.inflight.Add(-1)
 	nd.routed.Add(1)
@@ -398,10 +390,6 @@ func (c *Cluster) serveOn(ctx context.Context, v *view, nd, owner *node, q *dnsw
 	c.noteResult(nd, ok)
 	if !ok {
 		return nil
-	}
-	if nd == owner && len(q.Question) == 1 {
-		pk := frontend.PeekKey{Name: q.Question[0].Name, Type: q.Question[0].Type, CD: q.CheckingDisabled}
-		c.trackHot(v, owner, pk, h)
 	}
 	return resp
 }
@@ -432,8 +420,7 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 	if v == nil || len(v.nodes) == 0 {
 		return nil, false
 	}
-	h := keyHash(q.Name, q.Type, q.CD)
-	owner, target := c.wireTarget(v, h)
+	owner, target := c.wireTarget(v, keyHash(q.Name, q.Type, q.CD))
 	if target == nil || target.local == nil {
 		return nil, false
 	}
@@ -441,9 +428,7 @@ func (c *Cluster) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte,
 	if !ok {
 		return nil, false
 	}
-	if target == owner {
-		c.trackHot(v, owner, frontend.PeekKey{Name: q.Name, Type: q.Type, CD: q.CD}, h)
-	} else {
+	if target != owner {
 		c.m.takeovers.Add(1) // the owner is out of rotation (wireTarget)
 	}
 	return out, true
@@ -473,7 +458,7 @@ func (c *Cluster) RouteWire(q dnswire.WireQuery) (transport.RelayPeer, bool) {
 
 // RelayTimeout implements transport.WireRouter: a relayed query waits for
 // its answer as long as a parsed forward does.
-func (c *Cluster) RelayTimeout() time.Duration { return c.cfg.ForwardTimeout }
+func (c *Cluster) RelayTimeout() time.Duration { return c.cfg.forwardTimeout }
 
 // Addr and Done make a remote node the transport.RelayPeer RouteWire hands
 // out. Done is serveOn's bookkeeping for a query the front door relayed.
@@ -484,34 +469,6 @@ func (nd *node) Done(o transport.RelayOutcome) {
 	if o != transport.RelayAbandoned {
 		nd.routed.Add(1)
 		nd.c.noteResult(nd, o == transport.RelayAnswered)
-	}
-}
-
-// trackHot counts router-observed traffic per key slot; crossing the
-// threshold broadcasts the owner's entry — pre-packed wire images and all,
-// entries are shared by pointer — to every live local replica, so the
-// hottest keys are wire-served by whichever replica the spill lands on.
-func (c *Cluster) trackHot(v *view, owner *node, pk frontend.PeekKey, h uint64) {
-	if c.cfg.HotThreshold <= 0 || owner.local == nil {
-		return
-	}
-	if c.hot[h&(hotSlots-1)].Add(1) != uint32(c.cfg.HotThreshold) {
-		return
-	}
-	se, ok := owner.local.PeekShared(pk, false)
-	if !ok || se.IsError() {
-		return
-	}
-	shared := false
-	for _, nd := range v.nodes {
-		if nd == owner || nd.local == nil || nd.st() == stateDown {
-			continue
-		}
-		nd.local.Absorb(se)
-		shared = true
-	}
-	if shared {
-		c.m.broadcasts.Add(1)
 	}
 }
 

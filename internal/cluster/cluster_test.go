@@ -103,7 +103,7 @@ func TestClusterTransparency(t *testing.T) {
 	refRes.Now = clock.Now
 	ref := frontend.New(forwarder.ResolverUpstream{R: refRes}, frontend.Config{Now: clock.Now})
 
-	cl, _, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1, HotThreshold: 2})
+	cl, _, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1})
 
 	ctx := context.Background()
 	id := uint16(1)
@@ -177,43 +177,37 @@ func caseByLabel(t *testing.T, tb *testbed.Testbed, label string) testbed.Case {
 	return testbed.Case{}
 }
 
-// TestClusterKillTakeoverServeStale is the chaos acceptance: kill one of
-// three replicas with the backends unreachable and an expired entry; the
-// takeover replica serves the broadcast copy stale with EDE 3.
-func TestClusterKillTakeoverServeStale(t *testing.T) {
+// TestClusterDrainTakeoverServeStale is the chaos acceptance: drain the
+// owner of an expired entry with the backends unreachable; the takeover
+// replica peeks the draining owner's cache and serves the entry stale with
+// EDE 3.
+func TestClusterDrainTakeoverServeStale(t *testing.T) {
 	tb, err := testbed.Build()
 	if err != nil {
 		t.Fatalf("build testbed: %v", err)
 	}
 	clock := newVClock()
-	cl, _, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1, HotThreshold: 2})
+	cl, _, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1})
 	c := caseByLabel(t, tb, "valid")
 	ctx := context.Background()
 
-	// Three hits: the second crosses HotThreshold and broadcasts the entry
-	// (pre-packed wire image included) to every replica.
-	for i := 0; i < 3; i++ {
-		q := dnswire.NewQuery(uint16(10+i), c.Query, dnswire.TypeA)
-		resp, err := cl.HandleDNS(ctx, q)
-		if err != nil || resp.RCode != dnswire.RCodeNoError {
-			t.Fatalf("warm query %d: err=%v rcode=%v", i, err, resp.RCode)
-		}
-	}
-	if clMetric(t, cl, "edelab_cluster_broadcasts_total") == 0 {
-		t.Fatal("hot entry was not broadcast")
+	q := dnswire.NewQuery(10, c.Query, dnswire.TypeA)
+	resp, err := cl.HandleDNS(ctx, q)
+	if err != nil || resp.RCode != dnswire.RCodeNoError {
+		t.Fatalf("warm query: err=%v rcode=%v", err, resp.RCode)
 	}
 
 	owner := cl.OwnerID(c.Query, dnswire.TypeA, false)
-	if err := cl.Kill(owner); err != nil {
-		t.Fatalf("kill %s: %v", owner, err)
+	if err := cl.Drain(ctx, owner); err != nil {
+		t.Fatalf("drain %s: %v", owner, err)
 	}
 	// Backends unreachable + entry past its 300s TTL: the only way to
-	// answer is the broadcast copy, served stale.
+	// answer is the draining owner's entry, peeked and served stale.
 	tb.Net.SetFaults(netsim.NewFaultPlan(1, netsim.FaultProfile{Loss: 1}))
 	clock.Advance(400 * time.Second)
 
-	q := dnswire.NewQuery(99, c.Query, dnswire.TypeA)
-	resp, err := cl.HandleDNS(ctx, q)
+	q = dnswire.NewQuery(99, c.Query, dnswire.TypeA)
+	resp, err = cl.HandleDNS(ctx, q)
 	if err != nil {
 		t.Fatalf("takeover query: %v", err)
 	}
@@ -232,6 +226,9 @@ func TestClusterKillTakeoverServeStale(t *testing.T) {
 	}
 	if clMetric(t, cl, "edelab_cluster_takeovers_total") == 0 {
 		t.Fatal("takeover counter did not move")
+	}
+	if clMetric(t, cl, "edelab_cluster_peek_total", telemetry.L("result", "hit")) == 0 {
+		t.Fatal("the takeover answer was not peeked from the draining owner")
 	}
 }
 
@@ -273,8 +270,8 @@ func TestClusterSingleflightGlobal(t *testing.T) {
 	}
 
 	// Cold rejoin: flush the owner's cache to model a restarted process,
-	// rejoin, and query — the owner must peek the covering replica's
-	// absorbed entry, not recurse.
+	// rejoin, and query — the owner must peek the entry the covering
+	// replica took from it, not recurse.
 	var ownerRep *Replica
 	for _, rep := range reps {
 		if rep.n.id == owner {
@@ -304,7 +301,7 @@ func TestClusterDrainRejoinUnderLoad(t *testing.T) {
 		t.Fatalf("build testbed: %v", err)
 	}
 	clock := newVClock()
-	cl, reps, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1, HotThreshold: 4})
+	cl, reps, _ := buildCluster(t, tb, clock, 3, Config{Seed: 1})
 	ctx := context.Background()
 
 	// Load names: the testbed cases that answer cleanly (the broken-DNSSEC

@@ -11,7 +11,6 @@ import (
 type metrics struct {
 	takeovers    atomic.Uint64
 	spills       atomic.Uint64
-	broadcasts   atomic.Uint64
 	peekHits     atomic.Uint64
 	peekMisses   atomic.Uint64
 	forwardFails atomic.Uint64
@@ -28,9 +27,6 @@ func (c *Cluster) RegisterMetrics(reg *telemetry.Registry) {
 	reg.CounterFunc("edelab_cluster_spills_total",
 		"Queries spilled to the next ring node because the owner was over its inflight cap.",
 		c.m.spills.Load)
-	reg.CounterFunc("edelab_cluster_broadcasts_total",
-		"Hot cache entries broadcast to every replica.",
-		c.m.broadcasts.Load)
 	reg.CounterFunc("edelab_cluster_peek_total",
 		"Cross-replica cache peeks by result.",
 		c.m.peekHits.Load, telemetry.L("result", "hit"))

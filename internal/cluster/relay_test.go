@@ -196,7 +196,7 @@ func TestRelayMatchesParsedForward(t *testing.T) {
 		t.Fatalf("build testbed: %v", err)
 	}
 	clock := newVClock()
-	cl := New(Config{Seed: 1, ForwardTimeout: 3 * time.Second})
+	cl := New(Config{Seed: 1, forwardTimeout: 3 * time.Second})
 	if err := cl.AddRemote("peer", startReplica(t, tb, clock)); err != nil {
 		t.Fatalf("AddRemote: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestRelayCachedErrorFromWire(t *testing.T) {
 	wired := startDoor(t, transport.Config{Handler: fe}, false)
 	slow := startDoor(t, transport.Config{Handler: fe, DisableWire: true}, false)
 	router := func(replica string, disableWire bool) door {
-		cl := New(Config{Seed: 1, ForwardTimeout: 3 * time.Second})
+		cl := New(Config{Seed: 1, forwardTimeout: 3 * time.Second})
 		if err := cl.AddRemote("peer", replica); err != nil {
 			t.Fatalf("AddRemote: %v", err)
 		}
@@ -421,7 +421,7 @@ func TestRelayPeerKilledTakeover(t *testing.T) {
 		t.Fatalf("build testbed: %v", err)
 	}
 	cl, _, _ := buildCluster(t, tb, newVClock(), 1, Config{
-		Seed: 1, ForwardTimeout: 200 * time.Millisecond,
+		Seed: 1, forwardTimeout: 200 * time.Millisecond,
 	})
 	hole := startBlackHole(t)
 	if err := cl.AddRemote("peer", hole.conn.LocalAddr().String()); err != nil {
@@ -480,7 +480,7 @@ func TestRelayDrainWaits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build testbed: %v", err)
 	}
-	cl, _, _ := buildCluster(t, tb, newVClock(), 1, Config{Seed: 1, ForwardTimeout: 10 * time.Second})
+	cl, _, _ := buildCluster(t, tb, newVClock(), 1, Config{Seed: 1, forwardTimeout: 10 * time.Second})
 	hole := startBlackHole(t)
 	if err := cl.AddRemote("peer", hole.conn.LocalAddr().String()); err != nil {
 		t.Fatalf("AddRemote: %v", err)
@@ -541,7 +541,7 @@ func TestRemoteForwardLargeAnswer(t *testing.T) {
 		r.AddEDE(3, strings.Repeat("stale ", 100))
 		return r, nil
 	})
-	cl := New(Config{Seed: 1, ForwardTimeout: 2 * time.Second})
+	cl := New(Config{Seed: 1, forwardTimeout: 2 * time.Second})
 	if err := cl.AddRemote("peer", startDoor(t, transport.Config{Handler: big}, true).udp); err != nil {
 		t.Fatalf("AddRemote: %v", err)
 	}

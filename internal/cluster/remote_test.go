@@ -45,7 +45,7 @@ func TestClusterRemoteForward(t *testing.T) {
 
 	cl := New(Config{
 		Seed:           1,
-		ForwardTimeout: 250 * time.Millisecond,
+		forwardTimeout: 250 * time.Millisecond,
 	})
 	if err := cl.AddRemote("peer", peerAddr); err != nil {
 		t.Fatalf("AddRemote: %v", err)

@@ -124,12 +124,19 @@ func (c *Cluster) RESTHandler() http.Handler {
 		}
 		writeJSON(w, c.StateSnapshot())
 	})
+	// Drain and leave are a remote member's announcements. A local replica
+	// is refused and left as it is: no route brings one back into rotation
+	// (/join refuses a local id), so taking it out here would be for good.
 	member := func(do func(id string) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			var req struct {
 				ID string `json:"id"`
 			}
 			if !readJSON(w, r, &req) {
+				return
+			}
+			if c.isLocal(req.ID) {
+				http.Error(w, fmt.Sprintf("cluster: replica %q is local, only a remote member announces a drain or leave", req.ID), http.StatusConflict)
 				return
 			}
 			if err := do(req.ID); err != nil {
@@ -154,6 +161,15 @@ func (c *Cluster) RESTHandler() http.Handler {
 		reg.WritePrometheus(w)
 	})
 	return mux
+}
+
+// isLocal reports whether id names an in-process replica. A member's kind
+// never changes once it is admitted.
+func (c *Cluster) isLocal(id string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nd := c.findLocked(id)
+	return nd != nil && nd.local != nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

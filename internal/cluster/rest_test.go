@@ -145,6 +145,36 @@ func TestClusterRESTJoinRefusesUnresolvable(t *testing.T) {
 	}
 }
 
+// TestClusterRESTRefusesLocalDrainAndLeave: /drain and /leave speak for
+// remote members. A local replica's id is refused with 409 and changes
+// nothing; accepted, it would take the replica out of rotation for good,
+// since /join refuses a local id and no route rejoins one.
+func TestClusterRESTRefusesLocalDrainAndLeave(t *testing.T) {
+	cl := restCluster(t)
+	srv := httptest.NewServer(cl.RESTHandler())
+	defer srv.Close()
+	ctx := context.Background()
+	before, err := FetchState(ctx, srv.URL)
+	if err != nil {
+		t.Fatalf("FetchState: %v", err)
+	}
+
+	for name, announce := range map[string]func(context.Context, string, string) error{
+		"drain": AnnounceDrain, "leave": AnnounceLeave,
+	} {
+		if err := announce(ctx, srv.URL, "r0"); err == nil || !strings.Contains(err.Error(), "409 Conflict") {
+			t.Errorf("%s of local r0: %v, want 409 Conflict", name, err)
+		}
+	}
+	after, err := FetchState(ctx, srv.URL)
+	if err != nil {
+		t.Fatalf("FetchState: %v", err)
+	}
+	if r0 := member(after, "r0"); r0.State != "active" || after.Epoch != before.Epoch {
+		t.Fatalf("r0 %s at epoch %d after refused announcements, want active at %d", r0.State, after.Epoch, before.Epoch)
+	}
+}
+
 func TestVerifyManifest(t *testing.T) {
 	local := []ZoneInfo{{Name: "a.", Hash: "1"}, {Name: "b.", Hash: "2"}}
 	if err := VerifyManifest(local, []ZoneInfo{{Name: "b.", Hash: "2"}, {Name: "a.", Hash: "1"}}); err != nil {

@@ -1,8 +1,8 @@
 // Package cluster is the multi-replica serving tier: N frontend replicas
 // behind a consistent-hash query router, with cross-replica cache peeking
-// (singleflight stays global), hot-entry broadcast of pre-packed wire
-// bytes, primary→secondary state replication over the admin HTTP plane,
-// and live drain/rejoin for rolling restarts. See DESIGN.md §5j.
+// (singleflight stays global), primary→secondary state replication over
+// the admin HTTP plane, and live drain/rejoin for rolling restarts. See
+// DESIGN.md §5j.
 package cluster
 
 import (

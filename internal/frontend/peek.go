@@ -24,19 +24,14 @@ func (k key) peekKey() PeekKey {
 	return PeekKey{Name: k.name, Type: k.qtype, CD: k.cd}
 }
 
-// SharedEntry is an opaque handle to one immutable cache entry plus its key.
+// SharedEntry is an opaque handle to one immutable cache entry.
 // Because entries are immutable once stored (including their lazily captured
 // pre-packed wire images, published via atomic pointers), a SharedEntry can
-// be handed to another Frontend in the same process and absorbed into its
-// cache without copying: peeking and hot-entry broadcast share the PR 9 wire
-// bytes for free.
+// be handed to another Frontend in the same process and stored in its cache
+// without copying: a peek shares the peer's wire bytes for free.
 type SharedEntry struct {
-	k key
 	e *entry
 }
-
-// IsError reports whether this is an error-cache entry (the EDE 13 source).
-func (se *SharedEntry) IsError() bool { return se.e.isError }
 
 // Fresh reports whether the entry is still inside its TTL at now.
 func (se *SharedEntry) Fresh(now time.Time) bool { return now.Before(se.e.expiresAt) }
@@ -49,34 +44,24 @@ func (se *SharedEntry) Fresh(now time.Time) bool { return now.Before(se.e.expire
 // peers re-emit them with the same EDE 13 retry countdown a local hit would
 // produce, which is what keeps drain-time answers byte-identical.
 func (f *Frontend) PeekShared(pk PeekKey, staleOK bool) (*SharedEntry, bool) {
-	k := pk.internal()
 	now := f.cfg.Now()
-	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	e, fresh, ok := f.cache.get(pk.internal(), now, f.cfg.StaleWindow)
 	if !ok {
 		return nil, false
 	}
 	if !fresh && (!staleOK || e.isError) {
 		return nil, false
 	}
-	return &SharedEntry{k: k, e: e}, true
-}
-
-// Absorb installs a shared entry from a peer frontend into f's cache. The
-// entry keeps its original storedAt/expiresAt, so TTL decay and EDE 13 retry
-// arithmetic match the peer's (and a single-replica frontend's) answers
-// exactly.
-func (f *Frontend) Absorb(se *SharedEntry) {
-	if se == nil {
-		return
-	}
-	f.cache.put(se.k, se.e)
+	return &SharedEntry{e: e}, true
 }
 
 // peekFresh consults the cross-replica peek hook for a fresh entry before
-// recursing. A hit is absorbed locally and served as if it were a local
-// cache hit — this is what keeps singleflight global across replicas: the
-// flight leader on a non-owner replica rides the owner's cache instead of
-// starting a second recursion.
+// recursing. A hit is stored locally and served as if it were a local cache
+// hit — this is what keeps singleflight global across replicas: the flight
+// leader on a non-owner replica rides the owner's cache instead of starting
+// a second recursion. The stored entry keeps the peer's storedAt/expiresAt,
+// so TTL decay and EDE 13 retry arithmetic match the peer's (and a
+// single-replica frontend's) answers exactly.
 func (f *Frontend) peekFresh(k key) *served {
 	se, ok := f.cfg.Peek(k.peekKey(), false)
 	if !ok || se == nil {

@@ -126,16 +126,19 @@ func TestPeekStaleRescue(t *testing.T) {
 	hasEDE(t, resp, ede.CodeStaleAnswer)
 }
 
-// TestAbsorbKeepsWireImages: a broadcast entry carries its pre-packed wire
-// image, so the receiving replica wire-serves without ever recursing.
-func TestAbsorbKeepsWireImages(t *testing.T) {
+// TestPeekKeepsWireImages: a peeked entry carries the peer's pre-packed
+// wire image, so after one peek the receiving replica wire-serves without
+// ever recursing.
+func TestPeekKeepsWireImages(t *testing.T) {
 	clock := newClock()
-	upA := &stubUpstream{}
+	a, b, upA, upB := twoReplicas(t, clock)
 	upA.set(func(_ context.Context, n dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
 		return positive(n, 300), nil
 	})
-	a := New(upA, Config{Now: clock.Now})
-	b := New(&stubUpstream{}, Config{Now: clock.Now})
+	upB.set(func(_ context.Context, _ dnswire.Name, _ dnswire.Type) (*dnswire.Message, error) {
+		t.Error("replica B recursed despite A holding a fresh entry")
+		return nil, errors.New("unreachable")
+	})
 
 	// Warm A twice: first fills, second serves fresh and captures the wire
 	// image.
@@ -144,12 +147,10 @@ func TestAbsorbKeepsWireImages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pk := PeekKey{Name: dnswire.MustName("hot.example."), Type: dnswire.TypeA, CD: false}
-	se, ok := a.PeekShared(pk, false)
-	if !ok {
-		t.Fatal("owner peek missed")
+	// B's miss peeks A's entry, wire image and all.
+	if _, err := b.HandleDNS(context.Background(), query("hot.example.")); err != nil {
+		t.Fatal(err)
 	}
-	b.Absorb(se)
 
 	qw, err := query("hot.example.").Pack()
 	if err != nil {
@@ -160,9 +161,12 @@ func TestAbsorbKeepsWireImages(t *testing.T) {
 		t.Fatal("ScanQuery rejected query")
 	}
 	if _, ok := b.ServeWire(wq, 65535, nil); !ok {
-		t.Fatal("absorbed entry did not wire-serve on the receiving replica")
+		t.Fatal("peeked entry did not wire-serve on the receiving replica")
 	}
 	if b.Metrics().Snapshot().WireHits != 1 {
 		t.Fatalf("wire hit not counted on receiver: %+v", b.Metrics().Snapshot())
+	}
+	if upB.calls.Load() != 0 {
+		t.Fatalf("B recursed %d times, want 0", upB.calls.Load())
 	}
 }

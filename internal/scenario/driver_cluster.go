@@ -39,9 +39,8 @@ func (d *clusterDriver) setup(l *lab) error {
 		replicas = 3
 	}
 	d.cl = cluster.New(cluster.Config{
-		Seed:         l.seed,
-		HotThreshold: sc.Cluster.Hot,
-		Frontend:     l.frontendConfig(),
+		Seed:     l.seed,
+		Frontend: l.frontendConfig(),
 	})
 	for i := 0; i < replicas; i++ {
 		up := forwarder.ResolverUpstream{R: l.newResolver(d.prof)}

@@ -220,7 +220,6 @@ func kvSpecs(sc *Scenario) map[string]map[string]func(string) error {
 		},
 		"cluster": {
 			"replicas": intField(&sc.Cluster.Replicas),
-			"hot":      intField(&sc.Cluster.Hot),
 		},
 		"governor": {
 			"max":           intField(&sc.Governor.Max),

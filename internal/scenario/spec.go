@@ -239,28 +239,21 @@ func (f FrontendSpec) String() string {
 	return strings.Join(parts, " ")
 }
 
-// ClusterSpec tunes the cluster driver ("replicas=3 hot=2"): how many
-// frontend replicas sit behind the consistent-hash router, and the
-// owner-hit threshold past which an entry's wire image is broadcast to
-// every replica (0 never broadcasts).
+// ClusterSpec tunes the cluster driver ("replicas=3"): how many frontend
+// replicas sit behind the consistent-hash router.
 type ClusterSpec struct {
 	Replicas int
-	Hot      int
 }
 
 // IsZero reports whether every field is defaulted.
 func (c ClusterSpec) IsZero() bool { return c == ClusterSpec{} }
 
-// String renders the spec canonically, omitting zero fields.
+// String renders the spec canonically, empty when defaulted.
 func (c ClusterSpec) String() string {
-	var parts []string
-	if c.Replicas > 0 {
-		parts = append(parts, "replicas="+strconv.Itoa(c.Replicas))
+	if c.Replicas <= 0 {
+		return ""
 	}
-	if c.Hot > 0 {
-		parts = append(parts, "hot="+strconv.Itoa(c.Hot))
-	}
-	return strings.Join(parts, " ")
+	return "replicas=" + strconv.Itoa(c.Replicas)
 }
 
 // GovernorSpec tunes the campaign driver's AIMD governor

@@ -32,7 +32,7 @@ var optionLists = []struct {
 	{frontend.Config{}, []string{"Capacity", "MaxInflight", "QueryTimeout", "StaleWindow", "ErrorTTL", "Now", "Peek"}},
 	{transport.Config{}, []string{"Handler", "Wire", "DisableWire", "TCPKeepalive", "Registry"}},
 	{transport.StreamClient{}, []string{"Addr", "TLSConfig", "RequestKeepalive"}},
-	{cluster.Config{}, []string{"Seed", "Frontend", "HotThreshold", "ForwardTimeout", "Manifest"}},
+	{cluster.Config{}, []string{"Seed", "Frontend", "Manifest"}},
 	{forwarder.Forwarder{}, nil},
 	{resolver.Resolver{}, []string{"Net", "Roots", "Profile", "TrustAnchor", "Now", "Transport", "DisableDelegationCache", "AnswerCacheReadOnly", "Cache"}},
 	{resolver.Cache{}, nil},
@@ -52,15 +52,12 @@ var optionLists = []struct {
 
 // TestOptionListsClosed fails when one of the option structs gains or loses
 // a settable field. A knob no caller sets still has to be read and
-// documented. Each one listed is set by some non-test caller, except three
+// documented. Each one listed is set by some non-test caller, except two
 // that only tests set and that stay exported on purpose:
 //
 //   - resolver DisableDelegationCache resolves every name from the root:
 //     the reference the root query-amplification gate and ablation
 //     benchmarks measure the delegation cache against, in other packages;
-//   - cluster ForwardTimeout must be short for the dead-peer tests
-//     (TestClusterRemoteForward, TestRelayPeerKilledTakeover) and long for
-//     the relay tests on a loaded box, so no one value serves both;
 //   - zone DenialNSEC signs the plain-NSEC worlds of the resolver's tests
 //     (TestNSEC…) and the zone's NSEC chain tests: a fixture other
 //     packages build.
@@ -69,7 +66,8 @@ var optionLists = []struct {
 // (the transport's connection, pipeline and UDP in-flight bounds, the
 // cluster's failure limit), or lowered through an unexported field that
 // only its package's tests set (resolver Cache.maxEntries, population
-// Config.gTLDs, campaign Config.now, sleep and checkpointEvery). The stream
+// Config.gTLDs, campaign Config.now, sleep and checkpointEvery, cluster
+// Config.forwardTimeout). The stream
 // idle timeout is the edns-tcp-keepalive TIMEOUT the server advertises, and
 // the frontend's shard count follows Capacity.
 func TestOptionListsClosed(t *testing.T) {

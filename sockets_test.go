@@ -301,7 +301,7 @@ var detachedMethodsAllowed = map[string]string{
 	"frontend.(*Frontend).Metrics":               "read by the nested bench/ module, which this walk skips",
 	"scenario.(*ParseError).Unwrap":              "errors.Is and errors.As call it through the unwrap interface",
 	"dnswire.(*Message).PackNoCompress":          "the uncompressed encoding dnswire's fuzzers check Pack against and the root name-compression ablation measures",
-	"frontend.(*Frontend).FlushCache":            "the cluster tests empty a replica's cache to prove a broadcast refills it",
+	"frontend.(*Frontend).FlushCache":            "TestClusterSingleflightGlobal empties an owner's cache to show that a rejoined owner rides a peer",
 	"netsim.(*Network).Deregister":               "the resolver tests take an authority off the network mid-resolution",
 	"netsim.(*Network).SetLossRate":              "the resolver tests drop a share of every path's queries",
 	"resolver.(*Resolver).VerifiesPerResolution": "the population tests pin opt-out proofs' verification cost",
