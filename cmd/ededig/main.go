@@ -9,11 +9,12 @@
 //	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
 //	ededig -server 127.0.0.1:5353 -type AAAA valid.extended-dns-errors.com
 //
-// Besides UDP it speaks every front-door transport edeserver exposes:
+// -server names the door by its scheme, so besides UDP it speaks every
+// front-door transport edeserver exposes:
 //
-//	ededig -tcp -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
-//	ededig -tls -insecure -server 127.0.0.1:8853 rrsig-exp-all.extended-dns-errors.com
-//	ededig -doh https://127.0.0.1:8443/dns-query -insecure -doh-post valid.extended-dns-errors.com
+//	ededig -server tcp://127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
+//	ededig -server tls://127.0.0.1:8853 -insecure rrsig-exp-all.extended-dns-errors.com
+//	ededig -server https://127.0.0.1:8443/dns-query -insecure -doh-post valid.extended-dns-errors.com
 //	ededig -cd rrsig-exp-all.extended-dns-errors.com   # bogus data with EDEs instead of SERVFAIL
 //
 // With -trace the query skips the wire entirely: the built-in testbed is
@@ -56,16 +57,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ededig", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	server := fs.String("server", "127.0.0.1:5353", "DNS server address")
+	server := fs.String("server", "udp://127.0.0.1:5353", "DNS server: udp://, tcp://, tls:// (DoT) or https:// (DoH) and host:port; a bare host:port is udp")
 	qtypeName := fs.String("type", "A", "query type (A, AAAA, NS, SOA, TXT, DS, DNSKEY, NSEC3PARAM)")
 	timeout := fs.Duration("timeout", 3*time.Second, "query timeout")
 	noDO := fs.Bool("cd-only", false, "clear the DO bit")
 	cd := fs.Bool("cd", false, "set the CD (checking disabled) bit: receive bogus data with its EDE diagnostics instead of SERVFAIL")
-	useTCP := fs.Bool("tcp", false, "query over TCP (RFC 7766 two-byte framing)")
-	useTLS := fs.Bool("tls", false, "query over DoT (RFC 7858); -server is host:port of the TLS listener")
-	dohURL := fs.String("doh", "", "query over DoH (RFC 8484): endpoint URL like https://127.0.0.1:8443/dns-query (overrides -server)")
-	dohPost := fs.Bool("doh-post", false, "with -doh, use the POST application/dns-message form instead of GET ?dns=")
-	insecure := fs.Bool("insecure", false, "skip TLS certificate verification for -tls/-doh (edeserver's default cert is self-signed)")
+	dohPost := fs.Bool("doh-post", false, "with an https:// server, use the POST application/dns-message form instead of GET ?dns=")
+	insecure := fs.Bool("insecure", false, "skip TLS certificate verification on a tls:// or https:// server (edeserver's default cert is self-signed)")
 	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (ignores -server)")
 	profileName := fs.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	chaosSpec := fs.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
@@ -113,8 +111,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *chaosSpec != "" {
+	ep, err := transport.ParseEndpoint(*server)
+	switch {
+	case *chaosSpec != "":
 		return exit(2, "-chaos requires -trace (faults are injected into the in-process testbed)")
+	case err != nil:
+		return exit(2, "-server: %v", err)
+	case ep.ReusePort != 0:
+		return exit(2, "-server: reuseport shares a listening address; a client has none")
+	case *dohPost && ep.Scheme != "https":
+		return exit(2, "-doh-post needs an https:// server, not %s", ep)
+	case *insecure && ep.Scheme != "tls" && ep.Scheme != "https":
+		return exit(2, "-insecure needs a tls:// or https:// server, not %s", ep)
 	}
 
 	q := dnswire.NewQuery(uint16(time.Now().UnixNano()), name, qtype)
@@ -129,25 +137,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *insecure {
 		tlsConf = &tls.Config{InsecureSkipVerify: true}
 	}
-	var (
-		resp *dnswire.Message
-		via  = *server
-	)
+	var resp *dnswire.Message
 	start := time.Now()
-	switch {
-	case *dohURL != "":
+	switch ep.Scheme {
+	case "https":
 		client := http.DefaultClient
 		if tlsConf != nil {
 			client = &http.Client{Transport: &http.Transport{TLSClientConfig: tlsConf}}
 		}
-		resp, err = transport.QueryDoH(ctx, client, *dohURL, q, *dohPost)
-		via = *dohURL
-	case *useTLS:
-		resp, err = transport.QueryDoT(ctx, *server, tlsConf, q)
-	case *useTCP:
-		resp, err = transport.QueryTCP(ctx, *server, q)
+		resp, err = transport.QueryDoH(ctx, client, ep.String(), q, *dohPost)
+	case "tls":
+		resp, err = transport.QueryDoT(ctx, ep.Addr, tlsConf, q)
+	case "tcp":
+		resp, err = transport.QueryTCP(ctx, ep.Addr, q)
 	default:
-		resp, err = transport.QueryUDP(ctx, *server, q)
+		resp, err = transport.QueryUDP(ctx, ep.Addr, q)
 	}
 	rtt := time.Since(start)
 	if err != nil {
@@ -156,24 +160,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprint(stdout, resp.String())
 	fmt.Fprintf(stdout, ";; Query time: %d msec\n", rtt.Milliseconds())
-	fmt.Fprintf(stdout, ";; SERVER: %s (%s)\n", via, transportName(*dohURL != "", *useTLS, *useTCP))
+	fmt.Fprintf(stdout, ";; SERVER: %s (%s)\n", ep, ep.Door())
 	printEDEs(stdout, resp)
 	printDiagnosis(stdout, resp)
 	return 0
-}
-
-// transportName labels the probe for the SERVER line.
-func transportName(doh, dot, tcp bool) string {
-	switch {
-	case doh:
-		return "DoH"
-	case dot:
-		return "DoT"
-	case tcp:
-		return "TCP"
-	default:
-		return "UDP"
-	}
 }
 
 // runTrace resolves the name against the in-process testbed with a live

@@ -15,15 +15,16 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
-// doors are the loopback addresses of a fake resolver's four transports.
-type doors struct{ udp, tcp, dot, doh string }
+// doors are the endpoints of a fake resolver's four transports, and of a
+// second DoH door that refuses GET.
+type doors struct{ udp, tcp, dot, doh, postOnly string }
 
-// expiredServer runs a fake resolver on UDP, TCP, DoT and DoH (each TLS
-// door with a self-signed certificate) until the test ends. It answers
-// every query SERVFAIL with EDE 7, or NOERROR with EDE 7 when the query
-// sets CD, as a validating resolver hands a CD client the bogus data; the
-// EXTRA-TEXT names the transport the query came over. Its DoH endpoint also
-// answers under /post-only/dns-query, which refuses GET.
+// expiredServer runs a fake resolver on UDP, TCP, DoT and two DoH doors
+// (each TLS door with a self-signed certificate) until the test ends. It
+// answers every query SERVFAIL with EDE 7, or NOERROR with EDE 7 when the
+// query sets CD, as a validating resolver hands a CD client the bogus data;
+// the EXTRA-TEXT names the transport the query came over. The second DoH
+// door answers POST only.
 func expiredServer(t *testing.T) doors {
 	t.Helper()
 	cert, err := transport.SelfSignedCert("127.0.0.1")
@@ -53,30 +54,29 @@ func expiredServer(t *testing.T) doors {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, dot, doh := listen(), listen(), listen()
+	tcp, dot, doh, postOnly := listen(), listen(), listen(), listen()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for _, serveFn := range []func() error{
 		func() error { return serve("udp").ServeUDP(ctx, conn) },
 		func() error { return serve("tcp").ServeTCP(ctx, tcp) },
 		func() error { return serve("dot").ServeDoT(ctx, dot, tlsConf) },
+		// Each HTTPS server gets its own copy: serving sets its ALPN list.
+		func() error { return serve("doh").ServeDoH(ctx, doh, tlsConf.Clone()) },
 		func() error {
 			h := serve("doh").DoHHandler()
-			mux := http.NewServeMux()
-			mux.Handle(transport.DoHPath, h)
-			mux.Handle("/post-only"+transport.DoHPath, http.StripPrefix("/post-only", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			srv := &http.Server{TLSConfig: tlsConf.Clone(), Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.Method != http.MethodPost {
 					http.Error(w, "POST only", http.StatusMethodNotAllowed)
 					return
 				}
 				h.ServeHTTP(w, r)
-			})))
-			srv := &http.Server{Handler: mux, TLSConfig: tlsConf}
+			})}
 			go func() {
 				<-ctx.Done()
 				srv.Close()
 			}()
-			return srv.ServeTLS(doh, "", "")
+			return srv.ServeTLS(postOnly, "", "")
 		},
 	} {
 		wg.Add(1)
@@ -90,16 +90,17 @@ func expiredServer(t *testing.T) doors {
 		wg.Wait()
 	})
 	return doors{
-		udp: conn.LocalAddr().String(),
-		tcp: tcp.Addr().String(),
-		dot: dot.Addr().String(),
-		doh: "https://" + doh.Addr().String() + transport.DoHPath,
+		udp:      "udp://" + conn.LocalAddr().String(),
+		tcp:      "tcp://" + tcp.Addr().String(),
+		dot:      "tls://" + dot.Addr().String(),
+		doh:      "https://" + doh.Addr().String() + transport.DoHPath,
+		postOnly: "https://" + postOnly.Addr().String() + transport.DoHPath,
 	}
 }
 
 // TestExitCodes: an answered query exits 0, a failed one 1, and a command
-// line that cannot be honoured 2; each prints its own line. The transport
-// flags pick the door the fake resolver names in its EXTRA-TEXT, -insecure
+// line that cannot be honoured 2; each prints its own line. The -server
+// scheme picks the door the fake resolver names in its EXTRA-TEXT, -insecure
 // is what lets a self-signed certificate through, -doh-post is what a
 // POST-only endpoint accepts, and -cd and -cd-only set and clear their bits.
 func TestExitCodes(t *testing.T) {
@@ -112,7 +113,6 @@ func TestExitCodes(t *testing.T) {
 		defer conn.Close()
 		return conn.LocalAddr().String()
 	}()
-	postOnly := strings.Replace(srv.doh, transport.DoHPath, "/post-only"+transport.DoHPath, 1)
 	const name = "rrsig-exp-all.extended-dns-errors.com"
 	ede7 := func(via string) string {
 		return `;;   7 (Signature Expired) [dnssec-validation]: "signature expired over ` + via + `"`
@@ -130,25 +130,33 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-trace", "-profile", "google", name}, 2, "", `unknown profile "google"`},
 		{[]string{"-trace", "-chaos", "nonsense=1", name}, 2, "", "bad -chaos spec"},
 		{[]string{"-server", closed, "-timeout", "300ms", name}, 1, "", "ededig: query failed: "},
+		{[]string{"-tcp", "-server", srv.tcp, name}, 2, "", "flag provided but not defined"},
+		{[]string{"-server", "quic://127.0.0.1:853", name}, 2, "", `-server: endpoint "quic://127.0.0.1:853": unknown scheme`},
+		{[]string{"-server", srv.doh + "?reuseport=2", name}, 2, "", "the one parameter is reuseport=N, on udp"},
+		{[]string{"-server", srv.udp + "?reuseport=2", name}, 2, "", "-server: reuseport shares a listening address"},
+		{[]string{"-doh-post", "-server", srv.tcp, name}, 2, "", "-doh-post needs an https:// server"},
+		{[]string{"-insecure", "-server", srv.udp, name}, 2, "", "-insecure needs a tls:// or https:// server"},
 		{[]string{"-server", srv.udp, name}, 0, ";; SERVER: " + srv.udp + " (UDP)", ""},
+		{[]string{"-server", strings.TrimPrefix(srv.udp, "udp://"), name}, 0, ";; SERVER: " + srv.udp + " (UDP)", ""},
 		{[]string{"-server", srv.udp, name}, 0, ede7("udp"), ""},
 		{[]string{"-server", srv.udp, name}, 0, ";; opcode: QUERY, status: SERVFAIL,", ""},
 		{[]string{"-server", srv.udp, name}, 0, ";; EDNS0 udp=1232 version=0 do=true;", ""},
 		{[]string{"-cd-only", "-server", srv.udp, name}, 0, ";; EDNS0 udp=1232 version=0 do=false;", ""},
 		{[]string{"-cd", "-server", srv.udp, name}, 0, ";; opcode: QUERY, status: NOERROR,", ""},
-		{[]string{"-tcp", "-server", srv.tcp, name}, 0, ";; SERVER: " + srv.tcp + " (TCP)", ""},
-		{[]string{"-tcp", "-server", srv.tcp, name}, 0, ede7("tcp"), ""},
-		{[]string{"-cd", "-tcp", "-server", srv.tcp, name}, 0, ";; opcode: QUERY, status: NOERROR,", ""},
-		{[]string{"-cd", "-tcp", "-server", srv.tcp, name}, 0, ede7("tcp"), ""},
-		{[]string{"-tls", "-insecure", "-server", srv.dot, name}, 0, ";; SERVER: " + srv.dot + " (DoT)", ""},
-		{[]string{"-tls", "-insecure", "-server", srv.dot, name}, 0, ede7("dot"), ""},
-		{[]string{"-tls", "-server", srv.dot, name}, 1, "", "certificate"},
-		{[]string{"-doh", srv.doh, "-insecure", name}, 0, ";; SERVER: " + srv.doh + " (DoH)", ""},
-		{[]string{"-doh", srv.doh, "-insecure", name}, 0, ede7("doh"), ""},
-		{[]string{"-doh", srv.doh, "-insecure", "-doh-post", name}, 0, ede7("doh"), ""},
-		{[]string{"-doh", postOnly, "-insecure", "-doh-post", name}, 0, ede7("doh"), ""},
-		{[]string{"-doh", postOnly, "-insecure", name}, 1, "", "405 Method Not Allowed"},
-		{[]string{"-doh", srv.doh, name}, 1, "", "certificate"},
+		{[]string{"-server", srv.tcp, name}, 0, ";; SERVER: " + srv.tcp + " (TCP)", ""},
+		{[]string{"-server", srv.tcp, name}, 0, ede7("tcp"), ""},
+		{[]string{"-cd", "-server", srv.tcp, name}, 0, ";; opcode: QUERY, status: NOERROR,", ""},
+		{[]string{"-cd", "-server", srv.tcp, name}, 0, ede7("tcp"), ""},
+		{[]string{"-insecure", "-server", srv.dot, name}, 0, ";; SERVER: " + srv.dot + " (DoT)", ""},
+		{[]string{"-insecure", "-server", srv.dot, name}, 0, ede7("dot"), ""},
+		{[]string{"-server", srv.dot, name}, 1, "", "certificate"},
+		{[]string{"-server", srv.doh, "-insecure", name}, 0, ";; SERVER: " + srv.doh + " (DoH)", ""},
+		{[]string{"-server", srv.doh, "-insecure", name}, 0, ede7("doh"), ""},
+		{[]string{"-server", strings.TrimSuffix(srv.doh, transport.DoHPath), "-insecure", name}, 0, ";; SERVER: " + srv.doh + " (DoH)", ""},
+		{[]string{"-server", srv.doh, "-insecure", "-doh-post", name}, 0, ede7("doh"), ""},
+		{[]string{"-server", srv.postOnly, "-insecure", "-doh-post", name}, 0, ede7("doh"), ""},
+		{[]string{"-server", srv.postOnly, "-insecure", name}, 1, "", "405 Method Not Allowed"},
+		{[]string{"-server", srv.doh, name}, 1, "", "certificate"},
 		{[]string{"-trace", "-chaos", "loss=0.4", "-chaos-seed", "7", "valid.extended-dns-errors.com"}, 0, ";; effective seed: 7", ""},
 		{[]string{"-trace", "-profile", "quad9", name}, 0, ";; RESOLUTION TRACE:", ""},
 		// The trace names the conditions behind each code it attaches.

@@ -7,10 +7,10 @@
 // the offered load adapts to the server instead of queueing unboundedly,
 // so the achieved-QPS number is an honest capacity measurement.
 //
-//	edeserver -addr 127.0.0.1:5353 &
+//	edeserver -listen udp://127.0.0.1:5353,tcp://127.0.0.1:5353 &
 //	edeload -server 127.0.0.1:5353 -duration 5s -concurrency 8
 //	edeload -server 127.0.0.1:5353 -qps 5000 -qnames valid.extended-dns-errors.com,dnskey-none.extended-dns-errors.com
-//	edeload -server 127.0.0.1:5353 -transport tcp -keepalive -json -
+//	edeload -server tcp://127.0.0.1:5353 -keepalive -json -
 //
 // The qname mix cycles per worker, so a 4-name mix under -concurrency 8
 // keeps every name warm in the server's cache. -json writes the summary as
@@ -30,6 +30,7 @@ import (
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/loadgen"
+	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -40,8 +41,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("edeload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	server := fs.String("server", "127.0.0.1:5353", "DNS server to load (host:port)")
-	trans := fs.String("transport", "udp", "udp or tcp")
+	server := fs.String("server", "udp://127.0.0.1:5353", "DNS server to load: udp://host:port or tcp://host:port (a bare host:port is udp)")
 	qps := fs.Float64("qps", 0, "target queries per second across all workers (0 = unpaced closed loop)")
 	concurrency := fs.Int("concurrency", 8, "worker goroutines, one outstanding query each")
 	duration := fs.Duration("duration", 5*time.Second, "measurement length, after -warmup")
@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	qnames := fs.String("qnames", "valid.extended-dns-errors.com", "comma-separated qname mix, cycled per worker")
 	qtypeFlag := fs.String("qtype", "A", "query type for every qname")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-query timeout")
-	keepalive := fs.Bool("keepalive", false, "request edns-tcp-keepalive on TCP (RFC 7828)")
+	keepalive := fs.Bool("keepalive", false, "request edns-tcp-keepalive on a tcp:// server (RFC 7828)")
 	jsonOut := fs.String("json", "", "write the JSON summary to this file ('-' = stdout, the text summary then on stderr; empty = text only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -67,17 +67,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(2, "%v", err)
 	}
 	qtype, ok := parseQType(*qtypeFlag)
+	ep, err := transport.ParseEndpoint(*server)
 	switch {
 	case fs.NArg() > 0:
 		return exit(2, "unexpected argument %q", fs.Arg(0))
 	case !ok:
 		return exit(2, "unknown -qtype %q", *qtypeFlag)
-	case *trans != "udp" && *trans != "tcp":
-		return exit(2, "-transport must be udp or tcp")
+	case err != nil:
+		return exit(2, "-server: %v", err)
+	case (ep.Scheme != "udp" && ep.Scheme != "tcp") || ep.ReusePort != 0:
+		return exit(2, "-server: edeload loads a udp://host:port or tcp://host:port door, not %s", ep)
+	case *keepalive && ep.Scheme != "tcp":
+		return exit(2, "-keepalive needs a tcp:// server: UDP has no connection to keep")
 	}
 
 	r := loadgen.Run(loadgen.Config{
-		Server: *server, Transport: *trans, QPS: *qps,
+		Server: ep, QPS: *qps,
 		Concurrency: *concurrency, Duration: *duration, Warmup: *warmup,
 		Mix: mix, QType: qtype, Timeout: *timeout, Keepalive: *keepalive,
 	})
@@ -100,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if r.Responses == 0 {
-		return exit(1, "no responses from %s", *server)
+		return exit(1, "no responses from %s", ep)
 	}
 	return 0
 }

@@ -66,7 +66,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		r.AddEDE(3, "load test")
 		return r, nil
 	})
-	code, r := load(t, "-server", addr, "-qnames", "a.example,b.example",
+	code, r := load(t, "-server", "udp://"+addr, "-qnames", "a.example,b.example",
 		"-concurrency", "2", "-duration", "300ms", "-warmup", "50ms")
 	if code != 0 || r.Responses == 0 || r.AchievedQPS <= 0 {
 		t.Fatalf("exit %d, no throughput measured: %+v", code, r)
@@ -138,10 +138,15 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-qnames", " , "}, 2, "-qnames: empty mix"},
 		{[]string{"-qnames", "a..example"}, 2, `-qnames "a..example"`},
 		{[]string{"-qtype", "MX"}, 2, `unknown -qtype "MX"`},
-		{[]string{"-transport", "doh"}, 2, "-transport must be udp or tcp"},
+		{[]string{"-transport", "tcp"}, 2, "flag provided but not defined"},
+		{[]string{"-server", "https://127.0.0.1:8443"}, 2, "-server: edeload loads a udp://host:port or tcp://host:port door"},
+		{[]string{"-server", "udp://127.0.0.1:5353?reuseport=2"}, 2, "-server: edeload loads a udp://host:port or tcp://host:port door"},
+		{[]string{"-server", "quic://127.0.0.1:853"}, 2, `-server: endpoint "quic://127.0.0.1:853": unknown scheme`},
+		{[]string{"-server", "127.0.0.1"}, 2, "want scheme://host:port"},
+		{[]string{"-keepalive"}, 2, "-keepalive needs a tcp:// server"},
 		{[]string{"stray"}, 2, `unexpected argument "stray"`},
 		{[]string{"-server", silent.LocalAddr().String(), "-concurrency", "1", "-duration", "100ms",
-			"-warmup", "0s", "-timeout", "50ms"}, 1, "no responses from " + silent.LocalAddr().String()},
+			"-warmup", "0s", "-timeout", "50ms"}, 1, "no responses from udp://" + silent.LocalAddr().String()},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)

@@ -6,9 +6,9 @@
 // UDP. Every replica builds its frontend from its own -cache-size and the
 // frontend defaults, so nothing else has to be replicated.
 //
-//	edeserver -cluster 1 -addr 127.0.0.1:5300 -admin 127.0.0.1:9970 &
-//	edeserver -join http://127.0.0.1:9970 -replica-id r1 -addr 127.0.0.1:5301 &
-//	edeserver -join http://127.0.0.1:9970 -replica-id r2 -addr 127.0.0.1:5302 &
+//	edeserver -cluster 1 -listen 127.0.0.1:5300 -admin 127.0.0.1:9970 &
+//	edeserver -join http://127.0.0.1:9970 -replica-id r1 -listen 127.0.0.1:5301 &
+//	edeserver -join http://127.0.0.1:9970 -replica-id r2 -listen 127.0.0.1:5302 &
 //
 // SIGTERM on a secondary runs the rolling-restart protocol: announce
 // drain (the primary stops routing new queries here), keep serving for

@@ -76,15 +76,19 @@ func awaitSeries(t *testing.T, admin, series string, want float64) {
 // loadDeadline bounds a load that never reaches its response count.
 const loadDeadline = 20 * time.Second
 
-// load runs a closed loop of workers at server in slices of d until more
-// than min responses have come back and until (when set) holds, cycling
-// names (valid.extended-dns-errors.com when none are given). Only the first
-// slice has a warm-up, which fills the caches; every later query is
-// counted, so no timeout or error goes unrecorded. Each slice that got
+// load runs a closed loop of workers at the server endpoint in slices of d
+// until more than min responses have come back and until (when set) holds,
+// cycling names (valid.extended-dns-errors.com when none are given). Only
+// the first slice has a warm-up, which fills the caches; every later query
+// is counted, so no timeout or error goes unrecorded. Each slice that got
 // responses must show a sane latency spread, p99 ≥ p50 > 0. The result
 // sums the slices' counts and has nothing else.
-func load(t *testing.T, server, tr string, workers int, d time.Duration, min uint64, until func() bool, names ...string) loadgen.Result {
+func load(t *testing.T, server string, workers int, d time.Duration, min uint64, until func() bool, names ...string) loadgen.Result {
 	t.Helper()
+	ep, err := transport.ParseEndpoint(server)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(names) == 0 {
 		names = []string{validName}
 	}
@@ -93,7 +97,7 @@ func load(t *testing.T, server, tr string, workers int, d time.Duration, min uin
 		mix[i] = dnswire.MustName(n)
 	}
 	cfg := loadgen.Config{
-		Server: server, Transport: tr, Concurrency: workers, Duration: d, Warmup: 50 * time.Millisecond,
+		Server: ep, Concurrency: workers, Duration: d, Warmup: 50 * time.Millisecond,
 		Mix: mix, QType: dnswire.TypeA, Timeout: 2 * time.Second,
 	}
 	var total loadgen.Result
@@ -101,7 +105,7 @@ func load(t *testing.T, server, tr string, workers int, d time.Duration, min uin
 		r := loadgen.Run(cfg)
 		t.Logf("%s", r)
 		if l := r.LatencyUS; r.Responses > 0 && !(l.P99 >= l.P50 && l.P50 > 0) {
-			t.Errorf("%s: latency p50 %vµs, p99 %vµs; want p99 ≥ p50 > 0", tr, l.P50, l.P99)
+			t.Errorf("%s: latency p50 %vµs, p99 %vµs; want p99 ≥ p50 > 0", server, l.P50, l.P99)
 		}
 		total.Sent += r.Sent
 		total.Responses += r.Responses
@@ -112,7 +116,7 @@ func load(t *testing.T, server, tr string, workers int, d time.Duration, min uin
 			return total
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s load at %s: %d responses, %d timeouts, %d errors in %v; want > %d", tr, server,
+			t.Fatalf("load at %s: %d responses, %d timeouts, %d errors in %v; want > %d", server,
 				total.Responses, total.Timeouts, total.Errors, loadDeadline, min)
 		}
 	}
@@ -135,7 +139,7 @@ func clean(t *testing.T, what string, r loadgen.Result, min uint64) {
 // cancelled run (SIGTERM) drains to exit 0.
 func TestEveryTransportAnswersAlike(t *testing.T) {
 	certFile, keyFile := writeCert(t)
-	s := start(t, "-addr", "127.0.0.1:0", "-tcp", "127.0.0.1:0", "-tls", "127.0.0.1:0", "-doh", "127.0.0.1:0",
+	s := start(t, "-listen", "udp://127.0.0.1:0,tcp://127.0.0.1:0,tls://127.0.0.1:0,https://127.0.0.1:0",
 		"-tls-cert", certFile, "-tls-key", keyFile, "-admin", "127.0.0.1:0")
 	udp, admin := s.addrs(t)
 	tcp := s.await(t, `TCP listener on (\S+)`)
@@ -244,16 +248,17 @@ func TestLoadServesHitsFromTheWireCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives four closed-loop loads at a live server")
 	}
-	s := start(t, "-addr", "127.0.0.1:0", "-tcp", "127.0.0.1:0", "-reuseport", "2", "-admin", "127.0.0.1:0")
+	s := start(t, "-listen", "udp://127.0.0.1:0?reuseport=2,tcp://127.0.0.1:0", "-admin", "127.0.0.1:0")
 	udp, admin := s.addrs(t)
-	servers := map[string]string{"udp": udp, "tcp": s.await(t, `TCP listener on (\S+)`)}
+	s.await(t, `SO_REUSEPORT: (2) UDP sockets`)
+	servers := map[string]string{"udp": "udp://" + udp, "tcp": "tcp://" + s.await(t, `TCP listener on (\S+)`)}
 
 	for _, l := range []struct {
 		tr string
 		d  time.Duration
 	}{{"udp", 200 * time.Millisecond}, {"tcp", 300 * time.Millisecond}} {
 		tr := l.tr
-		r := load(t, servers[tr], tr, 8, l.d, 1000, nil)
+		r := load(t, servers[tr], 8, l.d, 1000, nil)
 		clean(t, tr, r, 1000)
 		m := scrape(t, admin)
 		wire, ok := m[`edelab_frontdoor_wire_serves_total{transport="`+tr+`"}`]
@@ -270,7 +275,7 @@ func TestLoadServesHitsFromTheWireCache(t *testing.T) {
 		wireServes := `edelab_frontdoor_wire_serves_total{transport="` + tr + `"}`
 		before := scrape(t, admin)
 		began := time.Now()
-		r := load(t, servers[tr], tr, 8, 50*time.Millisecond, 100, nil, expiredSigs)
+		r := load(t, servers[tr], 8, 50*time.Millisecond, 100, nil, expiredSigs)
 		ticks := int(time.Since(began)/time.Second) + 2
 		clean(t, tr+" flood", r, 100)
 		if r.ServFails != r.Responses {
@@ -292,11 +297,11 @@ func TestNoWireCacheServesNoWireHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives two closed-loop loads at a live server")
 	}
-	s := start(t, "-addr", "127.0.0.1:0", "-tcp", "127.0.0.1:0", "-no-wire-cache", "-admin", "127.0.0.1:0")
+	s := start(t, "-listen", "udp://127.0.0.1:0,tcp://127.0.0.1:0", "-no-wire-cache", "-admin", "127.0.0.1:0")
 	udp, admin := s.addrs(t)
 	tcp := s.await(t, `TCP listener on (\S+)`)
-	for tr, server := range map[string]string{"udp": udp, "tcp": tcp} {
-		if r := load(t, server, tr, 2, 50*time.Millisecond, 100, nil); r.Responses <= 100 || r.Errors != 0 {
+	for tr, server := range map[string]string{"udp": "udp://" + udp, "tcp": "tcp://" + tcp} {
+		if r := load(t, server, 2, 50*time.Millisecond, 100, nil); r.Responses <= 100 || r.Errors != 0 {
 			t.Errorf("%s: %d responses, %d errors; want > 100 and 0", tr, r.Responses, r.Errors)
 		}
 	}
@@ -319,10 +324,10 @@ func TestClusterSurvivesAReplicaKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a four-process cluster's worth of servers under load")
 	}
-	primary := start(t, "-cluster", "1", "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0")
+	primary := start(t, "-cluster", "1", "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0")
 	dns, admin := primary.addrs(t)
-	r1 := start(t, "-join", admin, "-replica-id", "r1", "-addr", "127.0.0.1:0")
-	r2 := start(t, "-join", admin, "-replica-id", "r2", "-addr", "127.0.0.1:0")
+	r1 := start(t, "-join", admin, "-replica-id", "r1", "-listen", "127.0.0.1:0")
+	r2 := start(t, "-join", admin, "-replica-id", "r2", "-listen", "127.0.0.1:0")
 	awaitSeries(t, admin, "edelab_cluster_replicas", 3)
 
 	// Cancel r1 as the measured load starts: announce-drain must finish the
@@ -330,7 +335,7 @@ func TestClusterSurvivesAReplicaKill(t *testing.T) {
 	// load still running until it has.
 	kill := time.AfterFunc(60*time.Millisecond, r1.cancel)
 	defer kill.Stop()
-	clean(t, "load across the kill", load(t, dns, "udp", 8, 650*time.Millisecond, 1000, r1.exited, clusterMix...), 1000)
+	clean(t, "load across the kill", load(t, dns, 8, 650*time.Millisecond, 1000, r1.exited, clusterMix...), 1000)
 	if code := r1.stop(t); code != 0 {
 		t.Errorf("r1 exit %d after cancel: %s", code, r1.stderr.String())
 	}
@@ -349,9 +354,9 @@ func TestClusterSurvivesAReplicaKill(t *testing.T) {
 
 	const routed = `edelab_cluster_routed_total{replica="r1"}`
 	before := m[routed]
-	r1 = start(t, "-join", admin, "-replica-id", "r1", "-addr", "127.0.0.1:0")
+	r1 = start(t, "-join", admin, "-replica-id", "r1", "-listen", "127.0.0.1:0")
 	awaitSeries(t, admin, "edelab_cluster_replicas", 3)
-	clean(t, "load after the rejoin", load(t, dns, "udp", 4, 250*time.Millisecond, 500, nil, clusterMix...), 500)
+	clean(t, "load after the rejoin", load(t, dns, 4, 250*time.Millisecond, 500, nil, clusterMix...), 500)
 	after := scrape(t, admin)[routed]
 	t.Logf("r1 routed: %v before the rejoin, %v after", before, after)
 	if after <= before {
@@ -369,11 +374,11 @@ func TestParsedForwardAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a two-replica cluster under load")
 	}
-	primary := start(t, "-cluster", "1", "-no-wire-cache", "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0")
+	primary := start(t, "-cluster", "1", "-no-wire-cache", "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0")
 	dns, admin := primary.addrs(t)
-	start(t, "-join", admin, "-replica-id", "r1", "-addr", "127.0.0.1:0")
+	start(t, "-join", admin, "-replica-id", "r1", "-listen", "127.0.0.1:0")
 	awaitSeries(t, admin, "edelab_cluster_replicas", 2)
-	clean(t, "load", load(t, dns, "udp", 8, 250*time.Millisecond, 1000, nil, clusterMix...), 1000)
+	clean(t, "load", load(t, dns, 8, 250*time.Millisecond, 1000, nil, clusterMix...), 1000)
 	m := scrape(t, admin)
 	if relayed, ok := m["edelab_frontdoor_relayed_total"]; !ok || relayed != 0 {
 		t.Errorf("relayed = %v (exposed %v), want 0", relayed, ok)

@@ -1,15 +1,15 @@
 // Command edeserver serves a validating recursive resolver (-profile;
 // Cloudflare by default) over the paper's testbed zones through a real
-// multi-transport front door — UDP always, plus TCP (-tcp), DoT (-tls), and
-// DoH (-doh). Point any EDE-aware client (cmd/ededig, dig +ednsopt, kdig
-// +tls, curl --doh-url) at it to see the misconfigured zones' Extended DNS
-// Errors on the wire:
+// multi-transport front door: one UDP door always, plus whichever of TCP,
+// DoT and DoH -listen names. Point any EDE-aware client (cmd/ededig, dig
+// +ednsopt, kdig +tls, curl --doh-url) at it to see the misconfigured zones'
+// Extended DNS Errors on the wire:
 //
-//	edeserver -tcp 127.0.0.1:5353 -tls 127.0.0.1:8853 -doh 127.0.0.1:8443 &
+//	edeserver -listen udp://127.0.0.1:5353,tcp://127.0.0.1:5353,tls://127.0.0.1:8853,https://127.0.0.1:8443 &
 //	ededig -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
-//	ededig -tcp -server 127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
-//	ededig -tls -insecure -server 127.0.0.1:8853 rrsig-exp-all.extended-dns-errors.com
-//	ededig -doh https://127.0.0.1:8443/dns-query -insecure valid.extended-dns-errors.com
+//	ededig -server tcp://127.0.0.1:5353 rrsig-exp-all.extended-dns-errors.com
+//	ededig -server tls://127.0.0.1:8853 -insecure rrsig-exp-all.extended-dns-errors.com
+//	ededig -server https://127.0.0.1:8443/dns-query -insecure valid.extended-dns-errors.com
 //
 // Without -tls-cert/-tls-key an ephemeral self-signed certificate is
 // generated for the TLS listeners, so clients need -insecure (or kdig's
@@ -24,7 +24,7 @@
 //
 // With -admin an HTTP admin plane comes up alongside the DNS socket:
 //
-//	edeserver -addr 127.0.0.1:5353 -admin 127.0.0.1:9970 -trace-sample 1 &
+//	edeserver -listen 127.0.0.1:5353 -admin 127.0.0.1:9970 -trace-sample 1 &
 //	curl -s 127.0.0.1:9970/metrics # Prometheus text exposition
 //	curl -s 127.0.0.1:9970/healthz
 //	curl -s '127.0.0.1:9970/api/trace?name=rrsig-exp-all'
@@ -50,6 +50,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -79,7 +81,7 @@ const traceRing = 256
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("edeserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:5353", "UDP listen address")
+	listen := fs.String("listen", "udp://127.0.0.1:5353", "comma-separated doors to serve: exactly one udp://host:port[?reuseport=N] (N SO_REUSEPORT sockets, one read loop each; linux only for N>1) and at most one each of tcp://, tls:// (DoT) and https:// (DoH at "+transport.DoHPath+"); a bare host:port is udp")
 	profileName := fs.String("profile", "cloudflare", "vendor profile of the resolver (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	admin := fs.String("admin", "", "HTTP admin plane address, e.g. 127.0.0.1:9970 (/metrics, /healthz, /api/trace, /debug/pprof)")
 	traceSample := fs.Uint64("trace-sample", 0, "record every Nth query's resolution trace into the /api/trace ring (0 = off; needs -admin)")
@@ -88,18 +90,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	chaosSeed := fs.Uint64("chaos-seed", 20230515, "seed for the fault plan; replays deterministically")
 	retries := fs.Int("retries", 0, "resolver attempts per authoritative server (0 = single-shot)")
 	retryBudget := fs.Int("retry-budget", 0, "total upstream queries per resolution step (0 = unlimited)")
-	tcpAddr := fs.String("tcp", "", "TCP listen address (RFC 7766 framing with pipelining; empty = disabled)")
-	tlsAddr := fs.String("tls", "", "DoT listen address (RFC 7858; empty = disabled)")
-	dohAddr := fs.String("doh", "", "DoH listen address serving HTTPS /dns-query (RFC 8484; empty = disabled)")
-	tlsCert := fs.String("tls-cert", "", "PEM certificate chain for -tls/-doh (requires -tls-key; omitted = ephemeral self-signed)")
-	tlsKey := fs.String("tls-key", "", "PEM private key for -tls/-doh")
-	reuseport := fs.Int("reuseport", 1, "number of SO_REUSEPORT UDP sockets sharing -addr, one read loop each (linux only for >1)")
+	tlsCert := fs.String("tls-cert", "", "PEM certificate chain for the tls:// and https:// doors (requires -tls-key; omitted = ephemeral self-signed)")
+	tlsKey := fs.String("tls-key", "", "PEM private key for the tls:// and https:// doors")
 	noWireCache := fs.Bool("no-wire-cache", false, "disable the pre-packed wire response cache (every query builds its response from scratch)")
 	tcpKeepalive := fs.Duration("tcp-keepalive", 0, "idle timeout, advertised and enforced: the RFC 7828 edns-tcp-keepalive TIMEOUT on TCP/DoT responses, and when an idle TCP, DoT or DoH connection closes (0 = not advertised; idle connections close after 30s)")
 	clusterN := fs.Int("cluster", 0, "run N frontend replicas behind a consistent-hash query router (mounts /api/cluster/ on -admin for -join peers)")
 	joinURL := fs.String("join", "", "join an existing cluster as a secondary replica, e.g. http://127.0.0.1:9970 (the primary's -admin base URL)")
 	replicaID := fs.String("replica-id", "", "replica identity announced to the cluster with -join (default: derived from the DNS listen address)")
-	advertiseAddr := fs.String("advertise", "", "DNS address the primary should forward this replica's ring range to with -join (default: the bound -addr)")
+	advertise := fs.String("advertise", "", "udp:// endpoint the primary should forward this replica's ring range to with -join (default: the bound udp:// door)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -113,26 +111,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	prof, ok := resolver.ProfileByName(*profileName)
 	var fp netsim.FaultProfile
-	var err error
+	var chaosErr, advErr error
 	if *chaos != "" {
-		fp, err = netsim.ParseFaultProfile(*chaos)
+		fp, chaosErr = netsim.ParseFaultProfile(*chaos)
+	}
+	udp, streams, listenErr := parseListen(*listen)
+	var adv transport.Endpoint
+	if *advertise != "" {
+		adv, advErr = transport.ParseEndpoint(*advertise)
 	}
 	switch {
 	case fs.NArg() > 0:
 		return exit(2, "unexpected argument %q", fs.Arg(0))
 	case !ok:
 		return exit(2, "unknown profile %q", *profileName)
-	case err != nil:
-		return exit(2, "-chaos: %v", err)
+	case chaosErr != nil:
+		return exit(2, "-chaos: %v", chaosErr)
+	case listenErr != nil:
+		return exit(2, "-listen: %v", listenErr)
+	case advErr != nil:
+		return exit(2, "-advertise: %v", advErr)
+	case *advertise != "" && (adv.Scheme != "udp" || adv.ReusePort != 0):
+		return exit(2, "-advertise: the primary forwards to one udp://host:port, not %s", adv)
 	case *clusterN > 0 && *joinURL != "":
 		return exit(2, "-cluster (primary) and -join (secondary) are mutually exclusive")
-	case (*tlsCert != "" || *tlsKey != "") && *tlsAddr == "" && *dohAddr == "":
-		return exit(2, "-tls-cert/-tls-key need a -tls or -doh listener to serve them")
+	case (*tlsCert != "" || *tlsKey != "") && !servesTLS(streams):
+		return exit(2, "-tls-cert/-tls-key need a tls:// or https:// door in -listen to serve them")
 	case (*tlsCert == "") != (*tlsKey == ""):
 		return exit(2, "-tls-cert and -tls-key must be given together")
 	case *traceSample > 0 && *admin == "":
 		return exit(2, "-trace-sample needs -admin: sampled traces are read back at /api/trace")
-	case (*replicaID != "" || *advertiseAddr != "") && *joinURL == "":
+	case (*replicaID != "" || *advertise != "") && *joinURL == "":
 		return exit(2, "-replica-id and -advertise describe a -join secondary")
 	}
 
@@ -145,7 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tb.Net.SetFaults(netsim.NewFaultPlan(*chaosSeed, fp))
 	}
 
-	conns, err := transport.ListenUDPReusePort(ctx, *addr, *reuseport)
+	conns, err := transport.ListenUDPReusePort(ctx, udp.Addr, udp.ReusePort)
 	if err != nil {
 		return exit(1, "%v", err)
 	}
@@ -164,7 +173,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tb: tb, conns: conns, prof: prof,
 		fcfg: frontend.Config{Capacity: *cacheSize},
 		reg:  telemetry.NewRegistry(), sampler: telemetry.NewSampler(*traceSample),
-		admin: *admin, tcp: *tcpAddr, dot: *tlsAddr, doh: *dohAddr, certFile: *tlsCert, keyFile: *tlsKey,
+		admin: *admin, streams: streams, certFile: *tlsCert, keyFile: *tlsKey,
 		disableWire: *noWireCache, tcpKeepalive: *tcpKeepalive,
 		stdout: stdout, stderr: stderr,
 	}
@@ -179,7 +188,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *clusterN > 0:
 		err = s.servePrimary(ctx, *clusterN)
 	case *joinURL != "":
-		err = s.serveSecondary(ctx, *joinURL, *replicaID, *advertiseAddr)
+		err = s.serveSecondary(ctx, *joinURL, *replicaID, adv.Addr)
 	default:
 		err = s.serveResolver(ctx)
 	}
@@ -187,6 +196,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit(1, "%v", err)
 	}
 	return 0
+}
+
+// parseListen splits -listen into its one udp door and the stream doors, at
+// most one of each scheme.
+func parseListen(list string) (udp transport.Endpoint, streams []transport.Endpoint, err error) {
+	seen := map[string]bool{}
+	for _, s := range strings.Split(list, ",") {
+		ep, err := transport.ParseEndpoint(strings.TrimSpace(s))
+		switch {
+		case err != nil:
+			return udp, nil, err
+		case seen[ep.Scheme]:
+			return udp, nil, fmt.Errorf("two %s:// doors; each scheme is served once", ep.Scheme)
+		case ep.Scheme == "udp":
+			udp = ep
+		default:
+			streams = append(streams, ep)
+		}
+		seen[ep.Scheme] = true
+	}
+	if !seen["udp"] {
+		return udp, nil, errors.New("no udp:// door; the UDP door is always served")
+	}
+	return udp, streams, nil
+}
+
+// servesTLS reports whether a stream door needs the certificate.
+func servesTLS(streams []transport.Endpoint) bool {
+	return slices.ContainsFunc(streams, func(ep transport.Endpoint) bool { return ep.Scheme != "tcp" })
 }
 
 // edeserver is what every serving mode shares once the command line is
@@ -203,7 +241,7 @@ type edeserver struct {
 	tlog    *telemetry.TraceLog // nil: tracing off
 	admin   string
 
-	tcp, dot, doh     string
+	streams           []transport.Endpoint // the tcp://, tls:// and https:// doors
 	certFile, keyFile string
 	disableWire       bool
 	tcpKeepalive      time.Duration
@@ -253,7 +291,7 @@ func (s *edeserver) serveResolver(ctx context.Context) error {
 // serve runs the transport front door until ctx is cancelled (SIGINT/SIGTERM)
 // — at which point every listener drains its in-flight queries — or a
 // listener fails: one ServeUDP read loop per UDP socket (several under
-// -reuseport), plus whichever stream/HTTP listeners the flags enabled, all
+// reuseport), plus a listener per stream door -listen names, all
 // funnelled into front. The wire fast path is handed over explicitly:
 // tracing may wrap front in a plain HandlerFunc, hiding its WireServer from
 // NewServer's auto-detect. Wire hits bypass tracing: they never start a
@@ -268,7 +306,7 @@ func (s *edeserver) serve(ctx context.Context, front netsim.Handler, wire transp
 	})
 
 	var tlsConf *tls.Config
-	if s.dot != "" || s.doh != "" {
+	if servesTLS(s.streams) {
 		cert, err := s.cert()
 		if err != nil {
 			return err
@@ -278,45 +316,34 @@ func (s *edeserver) serve(ctx context.Context, front netsim.Handler, wire transp
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errc := make(chan error, len(s.conns)+3)
-	n := 0
+	errc := make(chan error, len(s.conns)+len(s.streams)) // one per serving goroutine
 	for _, conn := range s.conns {
-		n++
 		go func() { errc <- srv.ServeUDP(ctx, conn) }()
 	}
-
-	if s.tcp != "" {
-		l, err := net.Listen("tcp", s.tcp)
+	for _, ep := range s.streams {
+		l, err := net.Listen("tcp", ep.Addr)
 		if err != nil {
-			return fmt.Errorf("-tcp: %w", err)
+			return fmt.Errorf("-listen %s: %w", ep, err)
 		}
-		fmt.Fprintf(s.stdout, "TCP listener on %s\n", l.Addr())
-		n++
-		go func() { errc <- srv.ServeTCP(ctx, l) }()
-	}
-	if s.dot != "" {
-		l, err := net.Listen("tcp", s.dot)
-		if err != nil {
-			return fmt.Errorf("-tls: %w", err)
+		var serve func() error
+		switch ep.Scheme {
+		case "tcp":
+			fmt.Fprintf(s.stdout, "TCP listener on %s\n", l.Addr())
+			serve = func() error { return srv.ServeTCP(ctx, l) }
+		case "tls":
+			fmt.Fprintf(s.stdout, "DoT listener on %s\n", l.Addr())
+			serve = func() error { return srv.ServeDoT(ctx, l, tlsConf.Clone()) }
+		case "https":
+			fmt.Fprintf(s.stdout, "DoH endpoint on https://%s%s\n", l.Addr(), transport.DoHPath)
+			serve = func() error { return srv.ServeDoH(ctx, l, tlsConf.Clone()) }
 		}
-		fmt.Fprintf(s.stdout, "DoT listener on %s\n", l.Addr())
-		n++
-		go func() { errc <- srv.ServeDoT(ctx, l, tlsConf.Clone()) }()
-	}
-	if s.doh != "" {
-		l, err := net.Listen("tcp", s.doh)
-		if err != nil {
-			return fmt.Errorf("-doh: %w", err)
-		}
-		fmt.Fprintf(s.stdout, "DoH endpoint on https://%s%s\n", l.Addr(), transport.DoHPath)
-		n++
-		go func() { errc <- srv.ServeDoH(ctx, l, tlsConf.Clone()) }()
+		go func() { errc <- serve() }()
 	}
 
 	// First hard failure tears the rest down; a clean ctx cancellation
 	// waits for every listener to finish draining.
 	var firstErr error
-	for i := 0; i < n; i++ {
+	for range cap(errc) {
 		if err := <-errc; err != nil && ctx.Err() == nil && firstErr == nil {
 			firstErr = err
 			cancel()

@@ -133,9 +133,9 @@ func TestFlags(t *testing.T) {
 		}
 	}
 	want := []string{
-		"addr", "admin", "advertise", "cache-size", "chaos", "chaos-seed", "cluster", "doh",
-		"join", "no-wire-cache", "profile", "replica-id", "retries", "retry-budget",
-		"reuseport", "tcp", "tcp-keepalive", "tls", "tls-cert", "tls-key", "trace-sample",
+		"admin", "advertise", "cache-size", "chaos", "chaos-seed", "cluster", "join", "listen",
+		"no-wire-cache", "profile", "replica-id", "retries", "retry-budget", "tcp-keepalive",
+		"tls-cert", "tls-key", "trace-sample",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags = %v (%d), want %v (%d)", got, len(got), want, len(want))
@@ -145,6 +145,10 @@ func TestFlags(t *testing.T) {
 // TestUnhonourableCommandLines: a flag either takes effect or the command
 // exits 2 saying why, before it builds the testbed or binds a socket.
 func TestUnhonourableCommandLines(t *testing.T) {
+	// Cancelled up front, so a line wrongly accepted fails the test at once
+	// instead of serving until it times out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		args []string
 		why  string
@@ -156,15 +160,26 @@ func TestUnhonourableCommandLines(t *testing.T) {
 		{[]string{"-chaos", "nonsense=1"}, "-chaos:"},
 		{[]string{"stray"}, `unexpected argument "stray"`},
 		{[]string{"-cluster", "1", "-join", "http://127.0.0.1:9"}, "mutually exclusive"},
-		{[]string{"-tls-cert", "c.pem", "-tls-key", "k.pem"}, "need a -tls or -doh listener"},
-		{[]string{"-tls-key", "k.pem", "-tcp", "127.0.0.1:0"}, "need a -tls or -doh listener"},
-		{[]string{"-tls", "127.0.0.1:0", "-tls-cert", "c.pem"}, "must be given together"},
+		{[]string{"-addr", "127.0.0.1:0"}, "flag provided but not defined"},
+		{[]string{"-tcp", "127.0.0.1:0"}, "flag provided but not defined"},
+		{[]string{"-reuseport", "2"}, "flag provided but not defined"},
+		{[]string{"-listen", "tcp://127.0.0.1:0"}, "-listen: no udp:// door"},
+		{[]string{"-listen", "127.0.0.1:0,udp://127.0.0.1:0"}, "-listen: two udp:// doors"},
+		{[]string{"-listen", "udp://127.0.0.1:0,tls://127.0.0.1:0,tls://127.0.0.1:0"}, "-listen: two tls:// doors"},
+		{[]string{"-listen", "udp://127.0.0.1:0,quic://127.0.0.1:0"}, `-listen: endpoint "quic://127.0.0.1:0": unknown scheme`},
+		{[]string{"-listen", "udp://127.0.0.1:0,tcp://127.0.0.1:0?reuseport=2"}, "the one parameter is reuseport=N, on udp"},
+		{[]string{"-listen", "udp://127.0.0.1:0,https://127.0.0.1:0/resolve"}, `path "/resolve"`},
+		{[]string{"-tls-cert", "c.pem", "-tls-key", "k.pem"}, "need a tls:// or https:// door"},
+		{[]string{"-tls-key", "k.pem", "-listen", "udp://127.0.0.1:0,tcp://127.0.0.1:0"}, "need a tls:// or https:// door"},
+		{[]string{"-listen", "udp://127.0.0.1:0,tls://127.0.0.1:0", "-tls-cert", "c.pem"}, "must be given together"},
 		{[]string{"-trace-sample", "1"}, "-trace-sample needs -admin"},
 		{[]string{"-replica-id", "r1"}, "describe a -join secondary"},
 		{[]string{"-cluster", "1", "-advertise", "127.0.0.1:5301"}, "describe a -join secondary"},
+		{[]string{"-join", "http://127.0.0.1:9", "-advertise", "tcp://127.0.0.1:5301"}, "-advertise: the primary forwards to one udp://host:port"},
+		{[]string{"-join", "http://127.0.0.1:9", "-advertise", "127.0.0.1"}, "-advertise: endpoint"},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run(context.Background(), tc.args, &stdout, &stderr)
+		code := run(ctx, tc.args, &stdout, &stderr)
 		if code != 2 || !strings.Contains(stderr.String(), tc.why) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 mentioning %q", tc.args, code, stderr.String(), tc.why)
 		}
@@ -180,7 +195,7 @@ func TestUnhonourableCommandLines(t *testing.T) {
 // /metrics and keeps that query's trace, EDE and all, at /api/trace; and a
 // cancelled context (SIGINT) drains it to exit 0.
 func TestServesUntilCancelled(t *testing.T) {
-	s := start(t, "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-sample", "1")
+	s := start(t, "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-sample", "1")
 	addr, admin := s.addrs(t)
 	if body := get(t, admin+"/healthz"); !strings.Contains(body, `"status": "ok"`) {
 		t.Errorf("/healthz: %s", body)
@@ -216,11 +231,11 @@ func TestServesUntilCancelled(t *testing.T) {
 // joined and answered with its own vendor's EDEs), and one with the same
 // profile joins and, cancelled, drains and leaves.
 func TestJoinChecksTheProfile(t *testing.T) {
-	primary := start(t, "-cluster", "1", "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0")
+	primary := start(t, "-cluster", "1", "-listen", "127.0.0.1:0", "-admin", "127.0.0.1:0")
 	admin := "http://" + primary.await(t, `admin plane on http://(\S+) `)
 
 	var stdout, stderr bytes.Buffer
-	code := run(context.Background(), []string{"-join", admin, "-profile", "bind", "-addr", "127.0.0.1:0"}, &stdout, &stderr)
+	code := run(context.Background(), []string{"-join", admin, "-profile", "bind", "-listen", "127.0.0.1:0"}, &stdout, &stderr)
 	if code != 1 || !strings.Contains(stderr.String(), "Cloudflare") || !strings.Contains(stderr.String(), "BIND") {
 		t.Errorf("-profile bind secondary: exit %d, stderr %q; want exit 1 naming Cloudflare and BIND", code, stderr.String())
 	}
@@ -228,7 +243,7 @@ func TestJoinChecksTheProfile(t *testing.T) {
 		t.Errorf("-profile bind secondary joined:\n%s", stdout.String())
 	}
 
-	secondary := start(t, "-join", admin, "-replica-id", "r1", "-addr", "127.0.0.1:0")
+	secondary := start(t, "-join", admin, "-replica-id", "r1", "-listen", "127.0.0.1:0")
 	secondary.await(t, `(joined cluster at \S+ as "r1")`)
 	if code := secondary.stop(t); code != 0 || !strings.Contains(secondary.stdout.String(), `replica "r1" drained and left the cluster`) {
 		t.Errorf("secondary exit %d after cancel:\n%s%s", code, secondary.stdout.String(), secondary.stderr.String())

@@ -2,8 +2,7 @@
 // netsim.Handler: the simulation registers it on a netsim.Network, and
 // internal/transport serves the same handler on real sockets. It serves
 // zone.Zone data with AA answers, referrals with glue, DNSSEC records when
-// the query sets DO, NSEC3 denial of existence, whole-zone transfers (AXFR),
-// and the access-control and degraded behaviours the paper's testbed needs
+// the query sets DO, NSEC3 denial of existence, and the access-control and degraded behaviours the paper's testbed needs
 // (allow-query-none, allow-query-localhost).
 package authserver
 
@@ -69,17 +68,14 @@ func (s *Server) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 		return resp, nil
 	}
 	question := q.Question[0]
-	if question.Class != dnswire.ClassIN {
+	// Zone transfers are off, as on a server that allows none.
+	if question.Class != dnswire.ClassIN || question.Type == dnswire.TypeAXFR {
 		resp.RCode = dnswire.RCodeRefused
 		return resp, nil
 	}
 	z := s.zoneFor(question.Name)
 	if z == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, nil
-	}
-	if question.Type == dnswire.TypeAXFR {
-		transfer(resp, z, question.Name)
 		return resp, nil
 	}
 
@@ -107,60 +103,3 @@ func (s *Server) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.Me
 }
 
 var _ netsim.Handler = (*Server)(nil)
-
-// transfer answers an AXFR question (RFC 5936) — the channel through which
-// the paper obtained the .se/.nu/.ch/.li TLD zones (§4.1) — in one message:
-// the SOA, every record, and the SOA again. Only the zone's own apex may be
-// transferred. The answer is data like any other, so the handler does not
-// ask which transport carries it: over a stream door it arrives whole, over
-// UDP (which RFC 5936 leaves undefined) a zone larger than the client's
-// buffer comes back TC=1 and the client retries over TCP.
-func transfer(resp *dnswire.Message, z *zone.Zone, origin dnswire.Name) {
-	if z.Origin != origin {
-		resp.RCode = dnswire.RCodeRefused
-		return
-	}
-	records := TransferRecords(z)
-	if len(records) == 0 {
-		resp.RCode = dnswire.RCodeServFail
-		return
-	}
-	resp.Authoritative = true
-	resp.Answer = records
-}
-
-// TransferRecords assembles a zone's AXFR stream: SOA first, every RRset and
-// its signatures, SOA again.
-func TransferRecords(z *zone.Zone) []dnswire.RR {
-	soa, ok := z.SOA()
-	if !ok {
-		return nil
-	}
-	out := []dnswire.RR{soa}
-	for _, name := range z.Names() {
-		for _, t := range allTypesAt(z, name) {
-			// The apex SOA itself opens and closes the stream.
-			if name != z.Origin || t != dnswire.TypeSOA {
-				out = append(out, z.RRset(name, t)...)
-			}
-			out = append(out, z.Sigs(name, t)...)
-		}
-	}
-	return append(out, soa)
-}
-
-func allTypesAt(z *zone.Zone, name dnswire.Name) []dnswire.Type {
-	candidates := []dnswire.Type{
-		dnswire.TypeSOA, dnswire.TypeNS, dnswire.TypeA, dnswire.TypeAAAA,
-		dnswire.TypeCNAME, dnswire.TypeMX, dnswire.TypeTXT, dnswire.TypePTR,
-		dnswire.TypeDS, dnswire.TypeDNSKEY, dnswire.TypeNSEC,
-		dnswire.TypeNSEC3, dnswire.TypeNSEC3PARAM,
-	}
-	var out []dnswire.Type
-	for _, t := range candidates {
-		if len(z.RRset(name, t)) > 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -73,6 +73,9 @@ func TestServerNXDomain(t *testing.T) {
 	}
 }
 
+// TestServerRefusesForeignNames: a name outside every zone the server holds
+// is REFUSED, and so is every zone transfer: transfers are off, so an AXFR
+// question gets no records even for a held zone's apex.
 func TestServerRefusesForeignNames(t *testing.T) {
 	s := New(testZone(t))
 	q := dnswire.NewQuery(4, dnswire.MustName("elsewhere.invalid"), dnswire.TypeA)
@@ -82,6 +85,16 @@ func TestServerRefusesForeignNames(t *testing.T) {
 	}
 	if resp.RCode != dnswire.RCodeRefused {
 		t.Errorf("rcode = %s", resp.RCode)
+	}
+	for _, name := range []string{"example.test", "www.example.test", "other.zone"} {
+		q := dnswire.NewQuery(8, dnswire.MustName(name), dnswire.TypeAXFR)
+		resp, err := s.HandleDNS(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.RCode != dnswire.RCodeRefused || resp.Authoritative || len(resp.Answer) != 0 {
+			t.Errorf("AXFR %s: rcode=%s aa=%t records=%d, want REFUSED with none", name, resp.RCode, resp.Authoritative, len(resp.Answer))
+		}
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 // Stream framing (RFC 1035 §4.2.2): over TCP — and the transports layered on
 // it, TLS for DoT — every DNS message is preceded by a two-octet big-endian
 // length. These helpers are shared by every stream user in the tree: the
-// authoritative server's TCP/AXFR path, the resolver's truncation fallback,
-// and the client-facing front door in internal/transport.
+// front door in internal/transport and its stream clients.
 
 // ErrStreamFrameTooLarge is returned when a message does not fit the 16-bit
 // length prefix.

@@ -19,16 +19,15 @@ import (
 
 // Config is one run: where, how, how hard and for how long.
 type Config struct {
-	Server      string  // host:port
-	Transport   string  // "udp" or "tcp"
-	QPS         float64 // target across all workers; 0 = unpaced closed loop
-	Concurrency int     // workers, one outstanding query each
+	Server      transport.Endpoint // a udp:// or tcp:// door
+	QPS         float64            // target across all workers; 0 = unpaced closed loop
+	Concurrency int                // workers, one outstanding query each
 	Duration    time.Duration
 	Warmup      time.Duration // load before measurement starts, not recorded
 	Mix         []dnswire.Name
 	QType       dnswire.Type
 	Timeout     time.Duration // per query
-	Keepalive   bool          // request edns-tcp-keepalive on TCP (RFC 7828)
+	Keepalive   bool          // request edns-tcp-keepalive on tcp:// (RFC 7828)
 }
 
 // Result is the machine-readable summary one run produces.
@@ -115,8 +114,8 @@ func Run(cfg Config) Result {
 		elapsed = cfg.Duration.Seconds()
 	}
 	return Result{
-		Server:      cfg.Server,
-		Transport:   cfg.Transport,
+		Server:      cfg.Server.Addr,
+		Transport:   cfg.Server.Scheme,
 		TargetQPS:   cfg.QPS,
 		Concurrency: cfg.Concurrency,
 		DurationSec: elapsed,
@@ -191,9 +190,9 @@ func worker(cfg Config, w int, c *counters, h *hist, stop *atomic.Bool, measureS
 // function. UDP matches responses by ID on a private socket; TCP reuses one
 // framed connection via StreamClient.
 func dialWorker(cfg Config) (func(*dnswire.Message) (*dnswire.Message, error), func(), error) {
-	switch cfg.Transport {
+	switch cfg.Server.Scheme {
 	case "tcp":
-		sc := &transport.StreamClient{Addr: cfg.Server, RequestKeepalive: cfg.Keepalive}
+		sc := &transport.StreamClient{Addr: cfg.Server.Addr, RequestKeepalive: cfg.Keepalive}
 		exchange := func(q *dnswire.Message) (*dnswire.Message, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 			defer cancel()
@@ -201,7 +200,7 @@ func dialWorker(cfg Config) (func(*dnswire.Message) (*dnswire.Message, error), f
 		}
 		return exchange, func() { sc.Close() }, nil
 	default:
-		conn, err := net.Dial("udp", cfg.Server)
+		conn, err := net.Dial("udp", cfg.Server.Addr)
 		if err != nil {
 			return nil, nil, err
 		}

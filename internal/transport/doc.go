@@ -34,8 +34,10 @@
 // each transport is here too (QueryUDP, QueryTCP, QueryDoT, QueryDoH for one
 // exchange, StreamClient for a kept connection), and a source-level test in
 // the module root fails if a server or client grows anywhere else. A handler
-// needs no socket code of its own to be served — an authserver.Server put
-// behind ServeTCP or ServeDoT transfers its zones (AXFR) like any answer.
+// needs no socket code of its own to be served: an authserver.Server put
+// behind any door answers as it does on netsim. The commands name a door as
+// an Endpoint (udp://, tcp://, tls:// or https:// and host:port), read by
+// ParseEndpoint.
 //
 // Load shedding reuses the frontend's semantics: when a per-connection
 // pipeline bound or a per-listener connection bound is exceeded, the excess

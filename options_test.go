@@ -47,7 +47,7 @@ var optionLists = []struct {
 	// rate-capped campaign sets Admit.
 	{resolver.TransportConfig{}, []string{"Timeout", "Retries", "RetryBudget", "Backoff", "Sleep", "Admit"}},
 	// edeload sets every field from its flags.
-	{loadgen.Config{}, []string{"Server", "Transport", "QPS", "Concurrency", "Duration", "Warmup", "Mix", "QType", "Timeout", "Keepalive"}},
+	{loadgen.Config{}, []string{"Server", "QPS", "Concurrency", "Duration", "Warmup", "Mix", "QType", "Timeout", "Keepalive"}},
 }
 
 // TestOptionListsClosed fails when one of the option structs gains or loses
