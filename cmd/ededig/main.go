@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cd := fs.Bool("cd", false, "set the CD (checking disabled) bit: receive bogus data with its EDE diagnostics instead of SERVFAIL")
 	dohPost := fs.Bool("doh-post", false, "with an https:// server, use the POST application/dns-message form instead of GET ?dns=")
 	insecure := fs.Bool("insecure", false, "skip TLS certificate verification on a tls:// or https:// server (edeserver's default cert is self-signed)")
-	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (ignores -server)")
+	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (-cd applies; the wire options -server, -insecure, -doh-post and -cd-only do not)")
 	profileName := fs.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	chaosSpec := fs.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
 	chaosSeed := fs.Uint64("chaos-seed", 20230515, "with -chaos, seed for the deterministic fault streams")
@@ -93,6 +93,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(2, "unknown type %q", *qtypeName)
 	}
 
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["chaos-seed"] && *chaosSpec == "":
+		return exit(2, "-chaos-seed requires -chaos")
+	case set["profile"] && !*traceMode:
+		return exit(2, "-profile requires -trace (it picks the in-process resolver)")
+	case *traceMode && (set["server"] || set["insecure"] || set["doh-post"] || set["cd-only"]):
+		return exit(2, "-server, -insecure, -doh-post and -cd-only are wire options; -trace resolves in-process")
+	}
+
 	if *traceMode {
 		prof, ok := resolver.ProfileByName(*profileName)
 		if !ok {
@@ -106,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fp = &p
 		}
-		if err := runTrace(stdout, name, qtype, prof, fp, *chaosSeed); err != nil {
+		if err := runTrace(stdout, name, qtype, *cd, prof, fp, *chaosSeed); err != nil {
 			return exit(1, "%v", err)
 		}
 		return 0
@@ -167,10 +178,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runTrace resolves the name against the in-process testbed with a live
-// trace in the context, then renders the span tree the resolver built.
+// trace in the context, then renders the span tree the resolver built; cd
+// asks for the CD-bit answer as -cd does on the wire.
 // A fault profile installs a deterministic fault plan on every testbed
 // path, seeded so the same invocation replays the same failures.
-func runTrace(w io.Writer, name dnswire.Name, qtype dnswire.Type, prof *resolver.Profile, fp *netsim.FaultProfile, chaosSeed uint64) error {
+func runTrace(w io.Writer, name dnswire.Name, qtype dnswire.Type, cd bool, prof *resolver.Profile, fp *netsim.FaultProfile, chaosSeed uint64) error {
 	tb, err := testbed.Build()
 	if err != nil {
 		return fmt.Errorf("building testbed: %w", err)
@@ -183,7 +195,7 @@ func runTrace(w io.Writer, name dnswire.Name, qtype dnswire.Type, prof *resolver
 	res := tb.NewResolver(prof)
 	ctx, tr := telemetry.StartTrace(context.Background(), fmt.Sprintf("%s %s", name, qtype))
 	start := time.Now()
-	result := res.Resolve(ctx, name, qtype)
+	result := res.ResolveWithOptions(ctx, name, qtype, resolver.QueryOptions{CheckingDisabled: cd})
 	rtt := time.Since(start)
 	tr.Root().End()
 

@@ -103,6 +103,8 @@ func expiredServer(t *testing.T) doors {
 // scheme picks the door the fake resolver names in its EXTRA-TEXT, -insecure
 // is what lets a self-signed certificate through, -doh-post is what a
 // POST-only endpoint accepts, and -cd and -cd-only set and clear their bits.
+// -trace applies -cd to its in-process resolution and refuses the wire
+// options; -profile and -chaos-seed refuse to be set where nothing reads them.
 func TestExitCodes(t *testing.T) {
 	srv := expiredServer(t)
 	closed := func() string {
@@ -159,6 +161,15 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-server", srv.doh, name}, 1, "", "certificate"},
 		{[]string{"-trace", "-chaos", "loss=0.4", "-chaos-seed", "7", "valid.extended-dns-errors.com"}, 0, ";; effective seed: 7", ""},
 		{[]string{"-trace", "-profile", "quad9", name}, 0, ";; RESOLUTION TRACE:", ""},
+		{[]string{"-trace", name}, 0, ";; opcode: QUERY, status: SERVFAIL,", ""},
+		{[]string{"-trace", "-cd", name}, 0, ";; opcode: QUERY, status: NOERROR,", ""},
+		{[]string{"-trace", "-server", srv.udp, name}, 2, "", "are wire options; -trace resolves in-process"},
+		{[]string{"-trace", "-insecure", name}, 2, "", "-trace resolves in-process"},
+		{[]string{"-trace", "-doh-post", name}, 2, "", "-trace resolves in-process"},
+		{[]string{"-trace", "-cd-only", name}, 2, "", "-trace resolves in-process"},
+		{[]string{"-profile", "quad9", "-server", srv.udp, name}, 2, "", "-profile requires -trace"},
+		{[]string{"-trace", "-chaos-seed", "7", name}, 2, "", "-chaos-seed requires -chaos"},
+		{[]string{"-chaos-seed", "7", "-server", srv.udp, name}, 2, "", "-chaos-seed requires -chaos"},
 		// The trace names the conditions behind each code it attaches.
 		{[]string{"-trace", "allow-query-none.extended-dns-errors.com"}, 0, "    · EDE 9 (DNSKEY Missing) attached ← condition dnskey-unobtainable", ""},
 		{[]string{"-trace", "allow-query-none.extended-dns-errors.com"}, 0, "    · EDE 22 (No Reachable Authority) attached ← condition authorities-refused", ""},

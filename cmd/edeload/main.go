@@ -71,6 +71,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case fs.NArg() > 0:
 		return exit(2, "unexpected argument %q", fs.Arg(0))
+	case *concurrency <= 0:
+		return exit(2, "-concurrency %d: need at least one worker", *concurrency)
+	case *duration <= 0, *timeout <= 0:
+		return exit(2, "-duration %v, -timeout %v: both must be positive", *duration, *timeout)
+	case !(*qps >= 0), *warmup < 0:
+		return exit(2, "-qps %v, -warmup %v: neither may be negative", *qps, *warmup)
 	case !ok:
 		return exit(2, "unknown -qtype %q", *qtypeFlag)
 	case err != nil:

@@ -145,6 +145,13 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-server", "127.0.0.1"}, 2, "want scheme://host:port"},
 		{[]string{"-keepalive"}, 2, "-keepalive needs a tcp:// server"},
 		{[]string{"stray"}, 2, `unexpected argument "stray"`},
+		{[]string{"-concurrency", "0"}, 2, "-concurrency 0: need at least one worker"},
+		{[]string{"-concurrency", "-3"}, 2, "-concurrency -3: need at least one worker"},
+		{[]string{"-duration", "0s"}, 2, "both must be positive"},
+		{[]string{"-timeout", "-1s"}, 2, "both must be positive"},
+		{[]string{"-qps", "-100"}, 2, "neither may be negative"},
+		{[]string{"-qps", "NaN"}, 2, "neither may be negative"},
+		{[]string{"-warmup", "-1s"}, 2, "neither may be negative"},
 		{[]string{"-server", silent.LocalAddr().String(), "-concurrency", "1", "-duration", "100ms",
 			"-warmup", "0s", "-timeout", "50ms"}, 1, "no responses from udp://" + silent.LocalAddr().String()},
 	} {

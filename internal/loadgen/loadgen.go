@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/telemetry"
 	"github.com/extended-dns-errors/edelab/internal/transport"
 )
 
@@ -83,7 +84,7 @@ type counters struct {
 func Run(cfg Config) Result {
 	var (
 		c    counters
-		h    = newHist()
+		h    telemetry.Histogram // latency in seconds
 		wg   sync.WaitGroup
 		stop atomic.Bool
 	)
@@ -102,7 +103,7 @@ func Run(cfg Config) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			worker(cfg, w, &c, h, &stop, measureStart, perWorkerInterval)
+			worker(cfg, w, &c, &h, &stop, measureStart, perWorkerInterval)
 		}(w)
 	}
 	time.Sleep(time.Until(end))
@@ -127,17 +128,17 @@ func Run(cfg Config) Result {
 		WithEDE:     c.withEDE.Load(),
 		AchievedQPS: float64(c.responses.Load()) / elapsed,
 		LatencyUS: LatencySummary{
-			P50:  float64(h.quantile(0.50)) / 1e3,
-			P90:  float64(h.quantile(0.90)) / 1e3,
-			P99:  float64(h.quantile(0.99)) / 1e3,
-			P999: float64(h.quantile(0.999)) / 1e3,
-			Max:  float64(h.maxNS.Load()) / 1e3,
+			P50:  h.Quantile(0.50) * 1e6,
+			P90:  h.Quantile(0.90) * 1e6,
+			P99:  h.Quantile(0.99) * 1e6,
+			P999: h.Quantile(0.999) * 1e6,
+			Max:  h.Max() * 1e6,
 		},
 	}
 }
 
 // worker drives one closed loop until stop flips.
-func worker(cfg Config, w int, c *counters, h *hist, stop *atomic.Bool, measureStart time.Time, interval time.Duration) {
+func worker(cfg Config, w int, c *counters, h *telemetry.Histogram, stop *atomic.Bool, measureStart time.Time, interval time.Duration) {
 	exchange, closeFn, err := dialWorker(cfg)
 	if err != nil {
 		c.errs.Add(1)
@@ -176,7 +177,7 @@ func worker(cfg Config, w int, c *counters, h *hist, stop *atomic.Bool, measureS
 			continue
 		}
 		c.responses.Add(1)
-		h.record(rtt.Nanoseconds())
+		h.Observe(rtt.Seconds())
 		if resp.RCode == dnswire.RCodeServFail {
 			c.servfails.Add(1)
 		}

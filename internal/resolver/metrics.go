@@ -79,7 +79,7 @@ func (r *Resolver) RegisterMetrics(reg *telemetry.Registry) {
 	transportEvent("upstream_servfail", &r.stats.upstreamServfails)
 
 	r.rttHist.Store(reg.Histogram("edelab_resolver_rtt_seconds",
-		"Upstream exchange round-trip time.", telemetry.DefBuckets))
+		"Upstream exchange round-trip time."))
 }
 
 // TransportStats is a point-in-time snapshot of the resolver's cumulative

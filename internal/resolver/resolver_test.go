@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +209,34 @@ func TestServeStaleAfterServerDeath(t *testing.T) {
 	}
 	if !want[3] || !want[22] {
 		t.Errorf("codes = %v, want 3 (Stale Answer) and 22", codes)
+	}
+}
+
+// TestServeStaleNXDOMAINAfterServerDeath is the negative twin: an expired
+// NXDOMAIN is served stale (EDE 19) when the zone's server is gone.
+func TestServeStaleNXDOMAINAfterServerDeath(t *testing.T) {
+	w := buildWorld(t)
+	r := w.resolver(ProfileCloudflare())
+	name := dnswire.MustName("nonexistent.example.com")
+	res := r.Resolve(context.Background(), name, dnswire.TypeA)
+	if res.Msg.RCode != dnswire.RCodeNXDomain {
+		t.Fatalf("warmup: %s %v, want NXDOMAIN", res.Msg.RCode, res.Conditions)
+	}
+
+	// The zone's server goes dark and the 300 s negative entry expires.
+	w.net.Deregister(w.exAddr)
+	r.Now = func() time.Time { return time.Unix(tNow+600, 0) }
+
+	res = r.Resolve(context.Background(), name, dnswire.TypeA)
+	if res.Msg.RCode != dnswire.RCodeNXDomain {
+		t.Fatalf("stale resolution rcode = %s, conditions = %v", res.Msg.RCode, res.Conditions)
+	}
+	if !slices.Contains(res.Conditions, ConditionStaleNXServed) {
+		t.Errorf("conditions = %v, want %v among them", res.Conditions, ConditionStaleNXServed)
+	}
+	codes := res.Codes()
+	if !slices.Contains(codes, 19) || !slices.Contains(codes, 22) {
+		t.Errorf("codes = %v, want 19 (Stale NXDOMAIN Answer) and 22", codes)
 	}
 }
 

@@ -4,9 +4,9 @@
 // # Metrics
 //
 // A Registry holds typed counters, gauges, and histograms. The write path is
-// lock-free and allocation-free: a Counter is one atomic word, a Histogram is
-// a fixed bucket array of atomic words plus a CAS-updated float sum. The
-// subsystems that already keep their own atomic counters (frontend.Metrics,
+// lock-free and allocation-free: a Counter is one atomic word, a Histogram a
+// fixed log-linear array of atomic words plus a CAS-updated sum and maximum.
+// The subsystems that already keep their own atomic counters (frontend.Metrics,
 // resolver query/resolution counts, netsim.Network stats) register *views* —
 // CounterFunc/GaugeFunc callbacks over the existing atomics — so their hot
 // paths and Snapshot-based tests are untouched; the registry only reads them

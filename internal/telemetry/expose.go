@@ -54,6 +54,15 @@ func writeLabels(sb *strings.Builder, labels []Label, extra ...Label) {
 	sb.WriteByte('}')
 }
 
+// writeSample writes one sample line: name, labels (extra last), value.
+func writeSample(sb *strings.Builder, name string, labels []Label, value string, extra ...Label) {
+	sb.WriteString(name)
+	writeLabels(sb, labels, extra...)
+	sb.WriteByte(' ')
+	sb.WriteString(value)
+	sb.WriteByte('\n')
+}
+
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4), families in registration order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -64,41 +73,37 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&sb, "# HELP %s %s\n", fam.name, escapeHelp(fam.help))
 		fmt.Fprintf(&sb, "# TYPE %s %s\n", fam.name, fam.kind)
 		for _, s := range fam.series {
-			if s.hist != nil {
-				h := s.hist
-				var cum uint64
-				for i, b := range h.bounds {
-					cum += h.counts[i].Load()
-					sb.WriteString(fam.name)
-					sb.WriteString("_bucket")
-					writeLabels(&sb, s.labels, L("le", formatFloat(b)))
-					fmt.Fprintf(&sb, " %d\n", cum)
-				}
-				cum += h.inf.Load()
-				sb.WriteString(fam.name)
-				sb.WriteString("_bucket")
-				writeLabels(&sb, s.labels, L("le", "+Inf"))
-				fmt.Fprintf(&sb, " %d\n", cum)
-				sb.WriteString(fam.name)
-				sb.WriteString("_sum")
-				writeLabels(&sb, s.labels)
-				fmt.Fprintf(&sb, " %s\n", formatFloat(h.Sum()))
-				sb.WriteString(fam.name)
-				sb.WriteString("_count")
-				writeLabels(&sb, s.labels)
-				fmt.Fprintf(&sb, " %d\n", h.Count())
-				continue
-			}
-			sb.WriteString(fam.name)
-			writeLabels(&sb, s.labels)
-			sb.WriteByte(' ')
-			if fam.kind == KindCounter {
-				fmt.Fprintf(&sb, "%d\n", uint64(s.value()))
-			} else {
-				fmt.Fprintf(&sb, "%s\n", formatFloat(s.value()))
+			switch {
+			case s.hist != nil:
+				writeHistogram(&sb, fam.name, s.labels, s.hist)
+			case fam.kind == KindCounter:
+				writeSample(&sb, fam.name, s.labels, strconv.FormatUint(uint64(s.value()), 10))
+			default:
+				writeSample(&sb, fam.name, s.labels, formatFloat(s.value()))
 			}
 		}
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// writeHistogram renders h down-sampled to one le per power of two, 2^minExp
+// to 2^maxExp and +Inf: the same set for every histogram on every scrape.
+// _count is the +Inf bucket's count, so the two agree even while Observe
+// races the scrape.
+func writeHistogram(sb *strings.Builder, name string, labels []Label, h *Histogram) {
+	var cum uint64
+	next := 0
+	for k := 0; k <= octaves+1; k++ {
+		end, le := numBuckets, "+Inf"
+		if k <= octaves { // bound 2^(minExp+k) closes buckets [0, 1+k*subBuckets)
+			end, le = 1+k*subBuckets, formatFloat(math.Ldexp(1, minExp+k))
+		}
+		for ; next < end; next++ {
+			cum += h.counts[next].Load()
+		}
+		writeSample(sb, name+"_bucket", labels, strconv.FormatUint(cum, 10), L("le", le))
+	}
+	writeSample(sb, name+"_sum", labels, formatFloat(h.Sum()))
+	writeSample(sb, name+"_count", labels, strconv.FormatUint(cum, 10))
 }

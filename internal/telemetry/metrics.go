@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,54 +59,6 @@ func (g *Gauge) Add(delta float64) {
 
 func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into cumulative-on-read buckets. Observe is
-// lock-free: a binary search over the static bounds plus two atomic adds and
-// a CAS loop for the running sum.
-type Histogram struct {
-	bounds  []float64 // sorted upper bounds, exclusive of +Inf
-	counts  []atomic.Uint64
-	inf     atomic.Uint64
-	total   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b))}
-}
-
-func (h *Histogram) Observe(v float64) {
-	// First bound >= v; le buckets are inclusive of their upper bound.
-	i := sort.SearchFloat64s(h.bounds, v)
-	if i < len(h.bounds) {
-		h.counts[i].Add(1)
-	} else {
-		h.inf.Add(1)
-	}
-	h.total.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// DefBuckets are the default histogram bounds: latency-shaped, in seconds,
-// spanning the netsim's sub-millisecond virtual RTTs up to multi-second
-// timeout territory.
-var DefBuckets = []float64{
-	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5,
-}
-
 // series is one labelled instance under a family.
 type series struct {
 	labels  []Label
@@ -129,6 +80,8 @@ func (s *series) value() float64 {
 		return s.gauge.Load()
 	case s.gaugeFn != nil:
 		return s.gaugeFn()
+	case s.hist != nil:
+		return float64(s.hist.Count())
 	}
 	return 0
 }
@@ -259,17 +212,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	}
 }
 
-// Histogram registers (or returns the existing) histogram series. Nil or
-// empty buckets use DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
+// Histogram registers (or returns the existing) histogram series.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	s := r.lookup(name, help, KindHistogram, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.hist == nil {
-		if len(buckets) == 0 {
-			buckets = DefBuckets
-		}
-		s.hist = newHistogram(buckets)
+		s.hist = &Histogram{}
 	}
 	return s.hist
 }
@@ -287,9 +236,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 	s := fam.index[labelSignature(labels)]
 	if s == nil {
 		return 0, false
-	}
-	if s.hist != nil {
-		return float64(s.hist.Count()), true
 	}
 	return s.value(), true
 }

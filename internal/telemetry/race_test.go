@@ -16,7 +16,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("edelab_conc_total", "concurrent counter")
 	g := reg.Gauge("edelab_conc_gauge", "concurrent gauge")
-	h := reg.Histogram("edelab_conc_seconds", "concurrent histogram", nil)
+	h := reg.Histogram("edelab_conc_seconds", "concurrent histogram")
 
 	const workers = 32
 	const iters = 500

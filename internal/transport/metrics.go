@@ -71,8 +71,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Responses served from pre-packed wire-cache bytes, by transport.", l)
 	}
 	m.pipeline = reg.Histogram("edelab_frontdoor_pipeline_depth",
-		"In-flight pipelined queries on a stream connection when a new query is admitted.",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64, 128})
+		"In-flight pipelined queries on a stream connection when a new query is admitted.")
 	m.truncations = reg.Counter("edelab_frontdoor_truncations_total",
 		"UDP responses truncated to the client's advertised EDNS buffer size.",
 		telemetry.L("transport", TransportUDP))
