@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cd := fs.Bool("cd", false, "set the CD (checking disabled) bit: receive bogus data with its EDE diagnostics instead of SERVFAIL")
 	dohPost := fs.Bool("doh-post", false, "with an https:// server, use the POST application/dns-message form instead of GET ?dns=")
 	insecure := fs.Bool("insecure", false, "skip TLS certificate verification on a tls:// or https:// server (edeserver's default cert is self-signed)")
-	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (-cd applies; the wire options -server, -insecure, -doh-post and -cd-only do not)")
+	traceMode := fs.Bool("trace", false, "resolve in-process against the built-in testbed and render the resolution trace (-cd applies; the wire options -server, -timeout, -insecure, -doh-post and -cd-only do not)")
 	profileName := fs.String("profile", "cloudflare", "vendor profile for -trace (cloudflare, bind, unbound, powerdns, knot, quad9, opendns)")
 	chaosSpec := fs.String("chaos", "", "with -trace, inject a fault profile (e.g. \"loss=0.3,lat=20ms\") into every testbed path")
 	chaosSeed := fs.Uint64("chaos-seed", 20230515, "with -chaos, seed for the deterministic fault streams")
@@ -100,8 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(2, "-chaos-seed requires -chaos")
 	case set["profile"] && !*traceMode:
 		return exit(2, "-profile requires -trace (it picks the in-process resolver)")
-	case *traceMode && (set["server"] || set["insecure"] || set["doh-post"] || set["cd-only"]):
-		return exit(2, "-server, -insecure, -doh-post and -cd-only are wire options; -trace resolves in-process")
+	case *traceMode && (set["server"] || set["timeout"] || set["insecure"] || set["doh-post"] || set["cd-only"]):
+		return exit(2, "-server, -timeout, -insecure, -doh-post and -cd-only are wire options; -trace resolves in-process")
 	}
 
 	if *traceMode {

@@ -166,6 +166,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-trace", "-server", srv.udp, name}, 2, "", "are wire options; -trace resolves in-process"},
 		{[]string{"-trace", "-insecure", name}, 2, "", "-trace resolves in-process"},
 		{[]string{"-trace", "-doh-post", name}, 2, "", "-trace resolves in-process"},
+		{[]string{"-trace", "-timeout", "1ns", name}, 2, "", "-trace resolves in-process"},
 		{[]string{"-trace", "-cd-only", name}, 2, "", "-trace resolves in-process"},
 		{[]string{"-profile", "quad9", "-server", srv.udp, name}, 2, "", "-profile requires -trace"},
 		{[]string{"-trace", "-chaos-seed", "7", name}, 2, "", "-chaos-seed requires -chaos"},

@@ -6,13 +6,18 @@
 // glue, out-of-bailiwick nameserver lookups, RRset caching with serve-stale,
 // and full DNSSEC chain validation — and reduces each failure to a
 // fine-grained Condition. Conditions are facts about what was observed on
-// the wire; the vendor profiles (profiles.go) are pure Condition→EDE tables
-// reproducing how BIND, Unbound, PowerDNS Recursor, Knot Resolver,
-// Cloudflare DNS, Quad9, and OpenDNS reported each of the paper's 63 test
-// cases (Table 4) as of May 2023.
+// the wire. One table, conditionTable, holds a row per condition — its name,
+// its class and the EDE codes each of seven vendor profiles (profiles.go)
+// reports for it — reproducing how BIND, Unbound, PowerDNS Recursor, Knot
+// Resolver, Cloudflare DNS, Quad9, and OpenDNS reported each of the paper's
+// 63 test cases (Table 4) as of May 2023.
 package resolver
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/extended-dns-errors/edelab/internal/ede"
+)
 
 // Condition is a fine-grained resolution outcome derived from validation
 // and network observations. One resolution may surface several conditions
@@ -210,69 +215,6 @@ const (
 	numConditions // sentinel
 )
 
-var conditionNames = map[Condition]string{
-	ConditionOK:                    "ok",
-	ConditionInsecure:              "insecure-delegation",
-	ConditionDSNoMatchingKey:       "ds-no-matching-key",
-	ConditionDSUnassignedAlg:       "ds-unassigned-algorithm",
-	ConditionDSReservedAlg:         "ds-reserved-algorithm",
-	ConditionDSUnsupportedDigest:   "ds-unsupported-digest",
-	ConditionDSDigestMismatch:      "ds-digest-mismatch",
-	ConditionNoZoneBitBoth:         "no-zone-key-bit",
-	ConditionNoRRSIGKSK:            "no-rrsig-by-ksk",
-	ConditionBadRRSIGKSK:           "bad-rrsig-by-ksk",
-	ConditionNoRRSIGDNSKEY:         "dnskey-unsigned",
-	ConditionBadRRSIGDNSKEY:        "dnskey-sigs-invalid",
-	ConditionSigExpiredAll:         "signatures-expired-zone",
-	ConditionSigExpiredAnswer:      "signature-expired-answer",
-	ConditionSigNotYetAll:          "signatures-not-yet-valid-zone",
-	ConditionSigNotYetAnswer:       "signature-not-yet-valid-answer",
-	ConditionRRSIGMissingAnswer:    "rrsig-missing-answer",
-	ConditionSigExpBeforeAll:       "signatures-expired-before-valid-zone",
-	ConditionSigExpBeforeAnswer:    "signature-expired-before-valid-answer",
-	ConditionNoZSK:                 "zsk-missing",
-	ConditionBadZSK:                "zsk-mismatch",
-	ConditionNoZoneBitZSK:          "zsk-zone-bit-cleared",
-	ConditionBadZSKAlgo:            "zsk-algorithm-mismatch",
-	ConditionUnassignedZSKAlgo:     "zsk-unassigned-algorithm",
-	ConditionReservedZSKAlgo:       "zsk-reserved-algorithm",
-	ConditionAnswerSigInvalid:      "answer-signature-invalid",
-	ConditionAlgUnsupported:        "algorithm-unsupported",
-	ConditionAlgDeprecated:         "algorithm-deprecated",
-	ConditionNSEC3Missing:          "nsec3-missing",
-	ConditionNSEC3BadHash:          "nsec3-no-closest-encloser",
-	ConditionNSEC3BadNext:          "nsec3-next-not-covering",
-	ConditionNSEC3BadRRSIG:         "nsec3-signature-invalid",
-	ConditionNSEC3RRSIGMissing:     "nsec3-unsigned",
-	ConditionNSEC3ParamMismatch:    "nsec3-parameter-mismatch",
-	ConditionDenialUnsignedSOA:     "denial-unsigned-soa",
-	ConditionDenialBare:            "denial-empty",
-	ConditionNSEC3IterTooHigh:      "nsec3-iterations-too-high",
-	ConditionUnreachableAllTimeout: "authorities-timeout",
-	ConditionUnreachableRefused:    "authorities-refused",
-	ConditionUnreachableServfail:   "authorities-servfail",
-	ConditionNotAuthAll:            "authorities-notauth",
-	ConditionDNSKEYUnobtainable:    "dnskey-unobtainable",
-	ConditionUpstreamError:         "upstream-error-advisory",
-	ConditionNetworkError:          "network-error",
-	ConditionCancelled:             "cancelled",
-	ConditionStaleServed:           "stale-answer-served",
-	ConditionStaleNXServed:         "stale-nxdomain-served",
-	ConditionCachedError:           "cached-error-served",
-	ConditionInvalidData:           "invalid-upstream-data",
-	ConditionIterationLimit:        "iteration-limit",
-	ConditionReferralProofMissing:  "referral-proof-missing",
-	ConditionReferralProofBogus:    "referral-proof-bogus",
-	ConditionStandbyKSKUnsigned:    "standby-ksk-unsigned",
-}
-
-func (c Condition) String() string {
-	if s, ok := conditionNames[c]; ok {
-		return s
-	}
-	return fmt.Sprintf("Condition(%d)", int(c))
-}
-
 // Class buckets conditions by how they affect the final response.
 type Class int
 
@@ -295,26 +237,82 @@ const (
 	ClassLame
 )
 
-// ClassOf buckets a condition.
-func ClassOf(c Condition) Class {
-	switch c {
-	case ConditionOK:
-		return ClassOK
-	case ConditionInsecure, ConditionDSUnassignedAlg, ConditionDSReservedAlg,
-		ConditionDSUnsupportedDigest, ConditionAlgUnsupported, ConditionAlgDeprecated,
-		ConditionNSEC3IterTooHigh:
-		return ClassInsecure
-	case ConditionUnreachableAllTimeout, ConditionUnreachableRefused,
-		ConditionUnreachableServfail, ConditionNotAuthAll,
-		ConditionDNSKEYUnobtainable, ConditionInvalidData,
-		ConditionIterationLimit, ConditionCachedError,
-		ConditionNetworkError, ConditionCancelled:
-		return ClassLame
-	case ConditionStaleServed, ConditionStaleNXServed:
-		return ClassDegraded
-	case ConditionStandbyKSKUnsigned, ConditionUpstreamError:
-		return ClassAdvisory
-	default:
-		return ClassBogus
-	}
+// cols holds one condition's EDE codes under each of the seven tested
+// systems, in Table 4's column order (AllProfiles, testbed.Systems): BIND 9,
+// Unbound, PowerDNS, Knot, Cloudflare, Quad9, OpenDNS. A nil set is Table
+// 4's "None".
+type cols [7][]ede.Code
+
+// conditionTable is the paper's Tables 3 and 4 as one table: a row per
+// condition with its name, its class and what each tested system reported
+// for it. The const comments above name the Table 3 subdomains behind each
+// row; a profile's Report reads its own column.
+var conditionTable = [numConditions]struct {
+	name  string
+	class Class
+	codes cols
+}{
+	ConditionOK:                    {"ok", ClassOK, cols{}},
+	ConditionInsecure:              {"insecure-delegation", ClassInsecure, cols{}},
+	ConditionDSNoMatchingKey:       {"ds-no-matching-key", ClassBogus, cols{nil, {9}, {9}, {6}, {9}, {9}, {6}}},
+	ConditionDSUnassignedAlg:       {"ds-unassigned-algorithm", ClassInsecure, cols{nil, nil, nil, {0}, {9}, nil, {6}}},
+	ConditionDSReservedAlg:         {"ds-reserved-algorithm", ClassInsecure, cols{nil, nil, nil, {0}, {1}, nil, {6}}},
+	ConditionDSUnsupportedDigest:   {"ds-unsupported-digest", ClassInsecure, cols{nil, nil, nil, {0}, {2}, nil, nil}},
+	ConditionDSDigestMismatch:      {"ds-digest-mismatch", ClassBogus, cols{nil, {9}, {9}, {6}, {6}, {9}, {6}}},
+	ConditionNoZoneBitBoth:         {"no-zone-key-bit", ClassBogus, cols{nil, {9}, {10}, {10}, {9}, {10}, {6}}},
+	ConditionNoRRSIGKSK:            {"no-rrsig-by-ksk", ClassBogus, cols{nil, {10}, {9}, {6}, {10}, {9}, {6}}},
+	ConditionBadRRSIGKSK:           {"bad-rrsig-by-ksk", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {6}, {6}}},
+	ConditionNoRRSIGDNSKEY:         {"dnskey-unsigned", ClassBogus, cols{nil, {10}, {10}, {10}, {10}, {9}, {6}}},
+	ConditionBadRRSIGDNSKEY:        {"dnskey-sigs-invalid", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {9}, {6}}},
+	ConditionSigExpiredAll:         {"signatures-expired-zone", ClassBogus, cols{nil, {7}, {7}, {7}, {7}, {7}, {6}}},
+	ConditionSigExpiredAnswer:      {"signature-expired-answer", ClassBogus, cols{nil, {6}, {7}, nil, {7}, {6}, {7}}},
+	ConditionSigNotYetAll:          {"signatures-not-yet-valid-zone", ClassBogus, cols{nil, {9}, {8}, {8}, {8}, {9}, {6}}},
+	ConditionSigNotYetAnswer:       {"signature-not-yet-valid-answer", ClassBogus, cols{nil, {6}, {8}, nil, {8}, {8}, {8}}},
+	ConditionRRSIGMissingAnswer:    {"rrsig-missing-answer", ClassBogus, cols{nil, {10}, {10}, {10}, {10}, {10}, nil}},
+	ConditionSigExpBeforeAll:       {"signatures-expired-before-valid-zone", ClassBogus, cols{nil, {9}, {7}, {7}, {10}, {9}, {6}}},
+	ConditionSigExpBeforeAnswer:    {"signature-expired-before-valid-answer", ClassBogus, cols{nil, {6}, {7}, nil, {7}, {7}, {7}}},
+	ConditionNoZSK:                 {"zsk-missing", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {9}, {6}}},
+	ConditionBadZSK:                {"zsk-mismatch", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {6}, {6}}},
+	ConditionNoZoneBitZSK:          {"zsk-zone-bit-cleared", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {9}, {6}}},
+	ConditionBadZSKAlgo:            {"zsk-algorithm-mismatch", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {6}, {6}}},
+	ConditionUnassignedZSKAlgo:     {"zsk-unassigned-algorithm", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {9}, {6}}},
+	ConditionReservedZSKAlgo:       {"zsk-reserved-algorithm", ClassBogus, cols{nil, {9}, {6}, {6}, {6}, {6}, {6}}},
+	ConditionAnswerSigInvalid:      {"answer-signature-invalid", ClassBogus, cols{nil, {6}, {6}, {6}, {6}, {6}, {6}}},
+	ConditionAlgUnsupported:        {"algorithm-unsupported", ClassInsecure, cols{nil, nil, nil, nil, {1}, nil, nil}},
+	ConditionAlgDeprecated:         {"algorithm-deprecated", ClassInsecure, cols{nil, nil, nil, {0}, {1}, nil, nil}},
+	ConditionNSEC3Missing:          {"nsec3-missing", ClassBogus, cols{nil, {12}, nil, {12}, {6}, nil, {12}}},
+	ConditionNSEC3BadHash:          {"nsec3-no-closest-encloser", ClassBogus, cols{nil, {6}, nil, {6}, {6}, {6}, {12}}},
+	ConditionNSEC3BadNext:          {"nsec3-next-not-covering", ClassBogus, cols{nil, {6}, nil, {6}, {6}, {6}, {6}}},
+	ConditionNSEC3BadRRSIG:         {"nsec3-signature-invalid", ClassBogus, cols{nil, {6}, nil, {6}, {6}, nil, {6}}},
+	ConditionNSEC3RRSIGMissing:     {"nsec3-unsigned", ClassBogus, cols{nil, {12}, nil, {10}, {6}, {9}, {12}}},
+	ConditionNSEC3ParamMismatch:    {"nsec3-parameter-mismatch", ClassBogus, cols{nil, {12}, nil, {12}, {6}, {9}, {12}}},
+	ConditionDenialUnsignedSOA:     {"denial-unsigned-soa", ClassBogus, cols{nil, {10}, {10}, {10}, {10}, {9}, {6}}},
+	ConditionDenialBare:            {"denial-empty", ClassBogus, cols{nil, {10}, {10}, {10}, {10}, {10}, {6}}},
+	ConditionNSEC3IterTooHigh:      {"nsec3-iterations-too-high", ClassInsecure, cols{}},
+	ConditionUnreachableAllTimeout: {"authorities-timeout", ClassLame, cols{nil, nil, nil, nil, {22}, nil, nil}},
+	ConditionUnreachableRefused:    {"authorities-refused", ClassLame, cols{nil, nil, nil, nil, {22, 23}, nil, {18}}},
+	ConditionUnreachableServfail:   {"authorities-servfail", ClassLame, cols{nil, nil, nil, nil, {22, 23}, nil, nil}},
+	ConditionNotAuthAll:            {"authorities-notauth", ClassLame, cols{nil, nil, nil, nil, {13}, nil, nil}},
+	ConditionDNSKEYUnobtainable:    {"dnskey-unobtainable", ClassLame, cols{nil, nil, nil, nil, {9}, nil, nil}},
+	ConditionUpstreamError:         {"upstream-error-advisory", ClassAdvisory, cols{nil, nil, nil, nil, {23}, nil, nil}},
+	ConditionNetworkError:          {"network-error", ClassLame, cols{nil, nil, nil, nil, {23}, nil, nil}},
+	ConditionCancelled:             {"cancelled", ClassLame, cols{}},
+	ConditionStaleServed:           {"stale-answer-served", ClassDegraded, cols{{3}, nil, nil, nil, {3}, nil, nil}},
+	ConditionStaleNXServed:         {"stale-nxdomain-served", ClassDegraded, cols{{19}, nil, nil, nil, {19}, nil, nil}},
+	ConditionCachedError:           {"cached-error-served", ClassLame, cols{nil, nil, nil, nil, {13}, nil, nil}},
+	ConditionInvalidData:           {"invalid-upstream-data", ClassLame, cols{nil, nil, nil, nil, {24}, nil, nil}},
+	ConditionIterationLimit:        {"iteration-limit", ClassLame, cols{nil, nil, nil, nil, {0}, nil, nil}},
+	ConditionReferralProofMissing:  {"referral-proof-missing", ClassBogus, cols{nil, nil, nil, nil, {12}, nil, nil}},
+	ConditionReferralProofBogus:    {"referral-proof-bogus", ClassBogus, cols{nil, nil, nil, nil, {6}, nil, nil}},
+	ConditionStandbyKSKUnsigned:    {"standby-ksk-unsigned", ClassAdvisory, cols{nil, nil, nil, nil, {10}, nil, nil}},
 }
+
+func (c Condition) String() string {
+	if c >= 0 && c < numConditions {
+		return conditionTable[c].name
+	}
+	return fmt.Sprintf("Condition(%d)", int(c))
+}
+
+// ClassOf buckets a condition.
+func ClassOf(c Condition) Class { return conditionTable[c].class }

@@ -12,23 +12,25 @@ import (
 
 // Profile captures one vendor's observable EDE behaviour as of May 2023:
 // which algorithms it validates, which conditions it reports, and with which
-// INFO-CODEs. The mapping tables transcribe the paper's Table 4 — the
-// detection machinery is shared (this package), only the reporting policy
-// differs, which is exactly the paper's conclusion ("the differences come
-// from response specificity and the support of specific EDE codes rather
-// than correctness", §1). A profile is a behaviour class (Support and
-// ServeStale, the two fields a resolution reads; SameBehaviour) plus a
-// reporting table (Map and ExtraText, read only by Report).
+// INFO-CODEs. What it reports is its column of conditionTable, the paper's
+// Table 4 — the detection machinery is shared (this package), only the
+// reporting policy differs, which is exactly the paper's conclusion ("the
+// differences come from response specificity and the support of specific
+// EDE codes rather than correctness", §1). A profile is a behaviour class
+// (Support and ServeStale, the two fields a resolution reads; SameBehaviour)
+// plus a reporting policy (its column and ExtraText, read only by Report).
 type Profile struct {
 	Name    string
 	Support dnssec.SupportSet
-	// Map lists the EDE codes emitted for each condition. Absent conditions
-	// emit nothing (the resolver still fails per the condition's class).
-	Map map[Condition][]ede.Code
 	// ExtraText enables Cloudflare-style diagnostic EXTRA-TEXT fields.
 	ExtraText bool
 	// ServeStale enables RFC 8767 stale answers when authorities fail.
 	ServeStale bool
+	// col is the profile's column of conditionTable, counted from 1 in
+	// AllProfiles order. A Profile built outside the constructors has 0
+	// and reports nothing (the resolver still fails per the conditions'
+	// classes).
+	col int
 }
 
 // ProfileBIND9 models BIND 9.19.9: full validation, but at that release the
@@ -37,13 +39,10 @@ type Profile struct {
 // is entirely "None").
 func ProfileBIND9() *Profile {
 	return &Profile{
-		Name:    "BIND 9.19.9",
-		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionStaleServed:   {ede.CodeStaleAnswer},
-			ConditionStaleNXServed: {ede.CodeStaleNXDOMAINAnswer},
-		},
+		Name:       "BIND 9.19.9",
+		Support:    dnssec.StandardSupport(),
 		ServeStale: true,
+		col:        1,
 	}
 }
 
@@ -53,117 +52,31 @@ func ProfileUnbound() *Profile {
 	return &Profile{
 		Name:    "Unbound 1.16.2",
 		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:    {ede.CodeDNSKEYMissing},
-			ConditionDSDigestMismatch:   {ede.CodeDNSKEYMissing},
-			ConditionNoZoneBitBoth:      {ede.CodeDNSKEYMissing},
-			ConditionNoRRSIGKSK:         {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGKSK:        {ede.CodeDNSKEYMissing},
-			ConditionNoRRSIGDNSKEY:      {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGDNSKEY:     {ede.CodeDNSKEYMissing},
-			ConditionSigExpiredAll:      {ede.CodeSignatureExpired},
-			ConditionSigExpiredAnswer:   {ede.CodeDNSSECBogus},
-			ConditionSigNotYetAll:       {ede.CodeDNSKEYMissing},
-			ConditionSigNotYetAnswer:    {ede.CodeDNSSECBogus},
-			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAll:    {ede.CodeDNSKEYMissing},
-			ConditionSigExpBeforeAnswer: {ede.CodeDNSSECBogus},
-			ConditionNoZSK:              {ede.CodeDNSKEYMissing},
-			ConditionBadZSK:             {ede.CodeDNSKEYMissing},
-			ConditionNoZoneBitZSK:       {ede.CodeDNSKEYMissing},
-			ConditionBadZSKAlgo:         {ede.CodeDNSKEYMissing},
-			ConditionUnassignedZSKAlgo:  {ede.CodeDNSKEYMissing},
-			ConditionReservedZSKAlgo:    {ede.CodeDNSKEYMissing},
-			ConditionAnswerSigInvalid:   {ede.CodeDNSSECBogus},
-			ConditionNSEC3Missing:       {ede.CodeNSECMissing},
-			ConditionNSEC3BadHash:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadNext:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadRRSIG:      {ede.CodeDNSSECBogus},
-			ConditionNSEC3RRSIGMissing:  {ede.CodeNSECMissing},
-			ConditionNSEC3ParamMismatch: {ede.CodeNSECMissing},
-			ConditionDenialUnsignedSOA:  {ede.CodeRRSIGsMissing},
-			ConditionDenialBare:         {ede.CodeRRSIGsMissing},
-		},
+		col:     2,
 	}
 }
 
 // ProfilePowerDNS models PowerDNS Recursor 4.8.2 (EDE enabled via
-// extended-resolution-errors=yes).
+// extended-resolution-errors=yes). It returned no EDE for the NSEC3
+// corruption cases (Table 4 rows 17–21, 23).
 func ProfilePowerDNS() *Profile {
 	return &Profile{
 		Name:    "PowerDNS 4.8.2",
 		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:    {ede.CodeDNSKEYMissing},
-			ConditionDSDigestMismatch:   {ede.CodeDNSKEYMissing},
-			ConditionNoZoneBitBoth:      {ede.CodeRRSIGsMissing},
-			ConditionNoRRSIGKSK:         {ede.CodeDNSKEYMissing},
-			ConditionBadRRSIGKSK:        {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGDNSKEY:      {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGDNSKEY:     {ede.CodeDNSSECBogus},
-			ConditionSigExpiredAll:      {ede.CodeSignatureExpired},
-			ConditionSigExpiredAnswer:   {ede.CodeSignatureExpired},
-			ConditionSigNotYetAll:       {ede.CodeSignatureNotYetValid},
-			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAll:    {ede.CodeSignatureExpired},
-			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
-			ConditionNoZSK:              {ede.CodeDNSSECBogus},
-			ConditionBadZSK:             {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitZSK:       {ede.CodeDNSSECBogus},
-			ConditionBadZSKAlgo:         {ede.CodeDNSSECBogus},
-			ConditionUnassignedZSKAlgo:  {ede.CodeDNSSECBogus},
-			ConditionReservedZSKAlgo:    {ede.CodeDNSSECBogus},
-			ConditionAnswerSigInvalid:   {ede.CodeDNSSECBogus},
-			ConditionDenialUnsignedSOA:  {ede.CodeRRSIGsMissing},
-			ConditionDenialBare:         {ede.CodeRRSIGsMissing},
-			// PowerDNS returned no EDE for the NSEC3 corruption cases
-			// (Table 4 rows 17–21, 23).
-		},
+		col:     3,
 	}
 }
 
 // ProfileKnot models Knot Resolver 5.6.0, which favours the generic DNSSEC
 // Bogus code and uses Other (0) with an "LSLC: unsupported digest/key"
-// message for unsupported algorithm material.
+// message for unsupported algorithm material. It answered the
+// expired/not-yet/exp-before "-a" variants with no EDE (Table 4 rows 10, 12,
+// 16).
 func ProfileKnot() *Profile {
 	return &Profile{
 		Name:    "Knot 5.6.0",
 		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:     {ede.CodeDNSSECBogus},
-			ConditionDSUnassignedAlg:     {ede.CodeOther},
-			ConditionDSReservedAlg:       {ede.CodeOther},
-			ConditionDSUnsupportedDigest: {ede.CodeOther},
-			ConditionDSDigestMismatch:    {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitBoth:       {ede.CodeRRSIGsMissing},
-			ConditionNoRRSIGKSK:          {ede.CodeDNSSECBogus},
-			ConditionBadRRSIGKSK:         {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGDNSKEY:       {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGDNSKEY:      {ede.CodeDNSSECBogus},
-			ConditionSigExpiredAll:       {ede.CodeSignatureExpired},
-			ConditionSigNotYetAll:        {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAnswer:  {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAll:     {ede.CodeSignatureExpired},
-			ConditionNoZSK:               {ede.CodeDNSSECBogus},
-			ConditionBadZSK:              {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitZSK:        {ede.CodeDNSSECBogus},
-			ConditionBadZSKAlgo:          {ede.CodeDNSSECBogus},
-			ConditionUnassignedZSKAlgo:   {ede.CodeDNSSECBogus},
-			ConditionReservedZSKAlgo:     {ede.CodeDNSSECBogus},
-			ConditionAnswerSigInvalid:    {ede.CodeDNSSECBogus},
-			ConditionAlgDeprecated:       {ede.CodeOther},
-			ConditionNSEC3Missing:        {ede.CodeNSECMissing},
-			ConditionNSEC3BadHash:        {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadNext:        {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadRRSIG:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3RRSIGMissing:   {ede.CodeRRSIGsMissing},
-			ConditionNSEC3ParamMismatch:  {ede.CodeNSECMissing},
-			ConditionDenialUnsignedSOA:   {ede.CodeRRSIGsMissing},
-			ConditionDenialBare:          {ede.CodeRRSIGsMissing},
-			// Knot answered the expired/not-yet/exp-before "-a" variants
-			// with no EDE (Table 4 rows 10, 12, 16).
-		},
+		col:     4,
 	}
 }
 
@@ -173,145 +86,33 @@ func ProfileKnot() *Profile {
 // and GOST support and enforces a 1024-bit RSA floor.
 func ProfileCloudflare() *Profile {
 	return &Profile{
-		Name:    "Cloudflare",
-		Support: dnssec.CloudflareSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:       {ede.CodeDNSKEYMissing},
-			ConditionDSUnassignedAlg:       {ede.CodeDNSKEYMissing},
-			ConditionDSReservedAlg:         {ede.CodeUnsupportedDNSKEYAlg},
-			ConditionDSUnsupportedDigest:   {ede.CodeUnsupportedDSDigest},
-			ConditionDSDigestMismatch:      {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitBoth:         {ede.CodeDNSKEYMissing},
-			ConditionNoRRSIGKSK:            {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGKSK:           {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGDNSKEY:         {ede.CodeRRSIGsMissing},
-			ConditionBadRRSIGDNSKEY:        {ede.CodeDNSSECBogus},
-			ConditionSigExpiredAll:         {ede.CodeSignatureExpired},
-			ConditionSigExpiredAnswer:      {ede.CodeSignatureExpired},
-			ConditionSigNotYetAll:          {ede.CodeSignatureNotYetValid},
-			ConditionSigNotYetAnswer:       {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAnswer:    {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAll:       {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAnswer:    {ede.CodeSignatureExpired},
-			ConditionNoZSK:                 {ede.CodeDNSSECBogus},
-			ConditionBadZSK:                {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitZSK:          {ede.CodeDNSSECBogus},
-			ConditionBadZSKAlgo:            {ede.CodeDNSSECBogus},
-			ConditionUnassignedZSKAlgo:     {ede.CodeDNSSECBogus},
-			ConditionReservedZSKAlgo:       {ede.CodeDNSSECBogus},
-			ConditionAnswerSigInvalid:      {ede.CodeDNSSECBogus},
-			ConditionAlgUnsupported:        {ede.CodeUnsupportedDNSKEYAlg},
-			ConditionAlgDeprecated:         {ede.CodeUnsupportedDNSKEYAlg},
-			ConditionNSEC3Missing:          {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadHash:          {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadNext:          {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadRRSIG:         {ede.CodeDNSSECBogus},
-			ConditionNSEC3RRSIGMissing:     {ede.CodeDNSSECBogus},
-			ConditionNSEC3ParamMismatch:    {ede.CodeDNSSECBogus},
-			ConditionDenialUnsignedSOA:     {ede.CodeRRSIGsMissing},
-			ConditionDenialBare:            {ede.CodeRRSIGsMissing},
-			ConditionUnreachableAllTimeout: {ede.CodeNoReachableAuthority},
-			ConditionUnreachableRefused:    {ede.CodeNoReachableAuthority, ede.CodeNetworkError},
-			ConditionUnreachableServfail:   {ede.CodeNoReachableAuthority, ede.CodeNetworkError},
-			ConditionNotAuthAll:            {ede.CodeCachedError},
-			ConditionDNSKEYUnobtainable:    {ede.CodeDNSKEYMissing},
-			ConditionUpstreamError:         {ede.CodeNetworkError},
-			ConditionNetworkError:          {ede.CodeNetworkError},
-			ConditionStaleServed:           {ede.CodeStaleAnswer},
-			ConditionStaleNXServed:         {ede.CodeStaleNXDOMAINAnswer},
-			ConditionCachedError:           {ede.CodeCachedError},
-			ConditionInvalidData:           {ede.CodeInvalidData},
-			ConditionIterationLimit:        {ede.CodeOther},
-			ConditionReferralProofMissing:  {ede.CodeNSECMissing},
-			ConditionReferralProofBogus:    {ede.CodeDNSSECBogus},
-			ConditionStandbyKSKUnsigned:    {ede.CodeRRSIGsMissing},
-		},
+		Name:       "Cloudflare",
+		Support:    dnssec.CloudflareSupport(),
 		ExtraText:  true,
 		ServeStale: true,
+		col:        5,
 	}
 }
 
-// ProfileQuad9 models Quad9.
+// ProfileQuad9 models Quad9. It returned no EDE for nsec3-missing and
+// bad-nsec3-rrsig (Table 4 rows 17, 20).
 func ProfileQuad9() *Profile {
 	return &Profile{
 		Name:    "Quad9",
 		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:    {ede.CodeDNSKEYMissing},
-			ConditionDSDigestMismatch:   {ede.CodeDNSKEYMissing},
-			ConditionNoZoneBitBoth:      {ede.CodeRRSIGsMissing},
-			ConditionNoRRSIGKSK:         {ede.CodeDNSKEYMissing},
-			ConditionBadRRSIGKSK:        {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGDNSKEY:      {ede.CodeDNSKEYMissing},
-			ConditionBadRRSIGDNSKEY:     {ede.CodeDNSKEYMissing},
-			ConditionSigExpiredAll:      {ede.CodeSignatureExpired},
-			ConditionSigExpiredAnswer:   {ede.CodeDNSSECBogus},
-			ConditionSigNotYetAll:       {ede.CodeDNSKEYMissing},
-			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionRRSIGMissingAnswer: {ede.CodeRRSIGsMissing},
-			ConditionSigExpBeforeAll:    {ede.CodeDNSKEYMissing},
-			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
-			ConditionNoZSK:              {ede.CodeDNSKEYMissing},
-			ConditionBadZSK:             {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitZSK:       {ede.CodeDNSKEYMissing},
-			ConditionBadZSKAlgo:         {ede.CodeDNSSECBogus},
-			ConditionUnassignedZSKAlgo:  {ede.CodeDNSKEYMissing},
-			ConditionReservedZSKAlgo:    {ede.CodeDNSSECBogus},
-			ConditionAnswerSigInvalid:   {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadHash:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadNext:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3RRSIGMissing:  {ede.CodeDNSKEYMissing},
-			ConditionNSEC3ParamMismatch: {ede.CodeDNSKEYMissing},
-			ConditionDenialUnsignedSOA:  {ede.CodeDNSKEYMissing},
-			ConditionDenialBare:         {ede.CodeRRSIGsMissing},
-			// Quad9 returned no EDE for nsec3-missing and bad-nsec3-rrsig
-			// (Table 4 rows 17, 20).
-		},
+		col:     6,
 	}
 }
 
 // ProfileOpenDNS models OpenDNS, which leans on the generic DNSSEC Bogus
 // code and reports ACL-refused authorities as Prohibited (18) — the paper
-// filed a ticket about the latter.
+// filed a ticket about the latter. It returned no EDE for rrsig-no-a (Table
+// 4 row 14) and for the invalid-glue groups.
 func ProfileOpenDNS() *Profile {
 	return &Profile{
 		Name:    "OpenDNS",
 		Support: dnssec.StandardSupport(),
-		Map: map[Condition][]ede.Code{
-			ConditionDSNoMatchingKey:    {ede.CodeDNSSECBogus},
-			ConditionDSUnassignedAlg:    {ede.CodeDNSSECBogus},
-			ConditionDSReservedAlg:      {ede.CodeDNSSECBogus},
-			ConditionDSDigestMismatch:   {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitBoth:      {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGKSK:         {ede.CodeDNSSECBogus},
-			ConditionBadRRSIGKSK:        {ede.CodeDNSSECBogus},
-			ConditionNoRRSIGDNSKEY:      {ede.CodeDNSSECBogus},
-			ConditionBadRRSIGDNSKEY:     {ede.CodeDNSSECBogus},
-			ConditionSigExpiredAll:      {ede.CodeDNSSECBogus},
-			ConditionSigExpiredAnswer:   {ede.CodeSignatureExpired},
-			ConditionSigNotYetAll:       {ede.CodeDNSSECBogus},
-			ConditionSigNotYetAnswer:    {ede.CodeSignatureNotYetValid},
-			ConditionSigExpBeforeAll:    {ede.CodeDNSSECBogus},
-			ConditionSigExpBeforeAnswer: {ede.CodeSignatureExpired},
-			ConditionNoZSK:              {ede.CodeDNSSECBogus},
-			ConditionBadZSK:             {ede.CodeDNSSECBogus},
-			ConditionNoZoneBitZSK:       {ede.CodeDNSSECBogus},
-			ConditionBadZSKAlgo:         {ede.CodeDNSSECBogus},
-			ConditionUnassignedZSKAlgo:  {ede.CodeDNSSECBogus},
-			ConditionReservedZSKAlgo:    {ede.CodeDNSSECBogus},
-			ConditionAnswerSigInvalid:   {ede.CodeDNSSECBogus},
-			ConditionNSEC3Missing:       {ede.CodeNSECMissing},
-			ConditionNSEC3BadHash:       {ede.CodeNSECMissing},
-			ConditionNSEC3BadNext:       {ede.CodeDNSSECBogus},
-			ConditionNSEC3BadRRSIG:      {ede.CodeDNSSECBogus},
-			ConditionNSEC3RRSIGMissing:  {ede.CodeNSECMissing},
-			ConditionNSEC3ParamMismatch: {ede.CodeNSECMissing},
-			ConditionDenialUnsignedSOA:  {ede.CodeDNSSECBogus},
-			ConditionDenialBare:         {ede.CodeDNSSECBogus},
-			ConditionUnreachableRefused: {ede.CodeProhibited},
-			// OpenDNS returned no EDE for rrsig-no-a (Table 4 row 14) and
-			// for the invalid-glue groups.
-		},
+		col:     7,
 	}
 }
 
@@ -375,7 +176,7 @@ func (p *Profile) Report(conds []Condition, details map[Condition]string) []dnsw
 			text = details[c]
 		}
 	next:
-		for _, code := range p.Map[c] {
+		for _, code := range p.codes(c) {
 			// Sets are tiny (rarely more than three codes), so a linear
 			// dedup beats allocating a seen-map on every resolution.
 			for i := range out {
@@ -394,4 +195,13 @@ func (p *Profile) Report(conds []Condition, details map[Condition]string) []dnsw
 	}
 	slices.SortFunc(out, func(a, b dnswire.EDEOption) int { return int(a.InfoCode) - int(b.InfoCode) })
 	return out
+}
+
+// codes is what p reports for c alone: c's row of conditionTable, in p's
+// column.
+func (p *Profile) codes(c Condition) []ede.Code {
+	if p.col == 0 {
+		return nil
+	}
+	return conditionTable[c].codes[p.col-1]
 }

@@ -358,7 +358,7 @@ func (r *Resolver) finish(st *resolution, qname dnswire.Name, qtype dnswire.Type
 		for _, o := range edes {
 			code := ede.Code(o.InfoCode)
 			for _, c := range st.conds {
-				if slices.Contains(r.Profile.Map[c], code) {
+				if slices.Contains(r.Profile.codes(c), code) {
 					st.span.Eventf("EDE %d (%s) attached ← condition %s", o.InfoCode, code.Name(), c)
 				}
 			}

@@ -20,7 +20,7 @@ func TestAXFR(t *testing.T) {
 	}
 	open, closed := authserver.New(authZone(t)), authserver.New(authZone(t))
 	closed.ACL = authserver.ACLRefuseAll
-	openDoors, closedDoors := startDoors(t, open), startDoors(t, closed)
+	openDoors, closedDoors := startDoors(t, Config{Handler: open}), startDoors(t, Config{Handler: closed})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -5,10 +5,13 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +19,6 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/forwarder"
 	"github.com/extended-dns-errors/edelab/internal/frontend"
-	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/testbed"
 	"github.com/extended-dns-errors/edelab/internal/zone"
@@ -47,16 +49,16 @@ func startFrontDoor(t *testing.T) *frontDoor {
 		// per-transport probes, so responses can be compared exactly.
 		Now: tb.Clock,
 	})
-	fd := startDoors(t, fe)
+	fd := startDoors(t, Config{Handler: fe})
 	fd.tb = tb
 	return fd
 }
 
-// startDoors serves h over all four transports on loopback and registers
+// startDoors serves cfg over all four transports on loopback and registers
 // shutdown with t.
-func startDoors(t *testing.T, h netsim.Handler) *frontDoor {
+func startDoors(t *testing.T, cfg Config) *frontDoor {
 	t.Helper()
-	srv := NewServer(Config{Handler: h})
+	srv := NewServer(cfg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -288,7 +290,7 @@ func authZone(t *testing.T) *zone.Zone {
 // large for the client's datagram buffer arrives TC=1 over UDP and whole
 // over TCP — the client-side fallback of RFC 7766.
 func TestAuthServerIdenticalOnEveryDoor(t *testing.T) {
-	fd := startDoors(t, authserver.New(authZone(t)))
+	fd := startDoors(t, Config{Handler: authserver.New(authZone(t))})
 	client := fd.dohClient()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -358,4 +360,130 @@ func TestAuthServerIdenticalOnEveryDoor(t *testing.T) {
 	if resp.Truncated || txts != 40 {
 		t.Errorf("same question over tcp: tc=%t TXT records=%d, want the whole RRset of 40", resp.Truncated, txts)
 	}
+}
+
+// TestEDNSConformance holds every door to the RFCs rather than to the
+// server's own slow path, with the wire cache on and off; each question is
+// asked twice, so a second ask could take the wire path. The expectations
+// are the RFCs':
+//   - RFC 6891 §6.1.3: a query for an EDNS version the server does not
+//     implement gets BADVERS in an OPT of the version it does (0), and no
+//     answer. Nothing is resolved or cached for it: the upstream is never
+//     asked, and version 0 of the same question afterwards resolves afresh.
+//   - RFC 1035 §4.1.1: QR=1 marks a response, not a query. The UDP door
+//     drops it; TCP and DoT answer FORMERR, DoH HTTP 400 (errResponse).
+func TestEDNSConformance(t *testing.T) {
+	var asked atomic.Int64
+	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
+		asked.Add(1)
+		return mixedUpstream(ctx, qname, qtype)
+	})
+	now := time.Unix(int64(testbed.Now), 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const badvers, formerr, dropped = "BADVERS", "FORMERR", "dropped"
+	rows := []struct {
+		name string
+		edit func(*dnswire.Message)
+		want string // an rcode, or dropped: no answer
+	}{
+		{"edns", func(*dnswire.Message) {}, "NOERROR"},
+		{"edns1", func(q *dnswire.Message) { q.OPT.Version = 1; q.OPT.DO = false }, badvers},
+		{"edns1-do", func(q *dnswire.Message) { q.OPT.Version = 1 }, badvers},
+		{"edns255", func(q *dnswire.Message) { q.OPT.Version = 255 }, badvers},
+		{"edns1-opt", func(q *dnswire.Message) {
+			q.OPT.Version = 1
+			q.OPT.Options = []dnswire.Option{dnswire.RawOption{OptCode: 65001, Data: []byte{1, 2, 3}}}
+		}, badvers},
+		{"qr", func(q *dnswire.Message) { q.Response = true }, formerr},
+	}
+	for _, wire := range []bool{true, false} {
+		fd := startDoors(t, Config{
+			Handler:     frontend.New(up, frontend.Config{Now: func() time.Time { return now }}),
+			DisableWire: !wire,
+		})
+		client := fd.dohClient()
+		doors := []struct {
+			name  string
+			query func(*dnswire.Message) (*dnswire.Message, error)
+		}{
+			{TransportUDP, func(q *dnswire.Message) (*dnswire.Message, error) { return udpExchange(ctx, fd.udpAddr, q) }},
+			{TransportTCP, func(q *dnswire.Message) (*dnswire.Message, error) { return QueryTCP(ctx, fd.tcpAddr, q) }},
+			{TransportDoT, func(q *dnswire.Message) (*dnswire.Message, error) {
+				return QueryDoT(ctx, fd.dotAddr, fd.tlsConf.Clone(), q)
+			}},
+			{TransportDoH, func(q *dnswire.Message) (*dnswire.Message, error) {
+				return QueryDoH(ctx, client, fd.dohURL, q, false)
+			}},
+		}
+		for _, door := range doors {
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("wire=%t/%s/%s", wire, door.name, row.name), func(t *testing.T) {
+					name := dnswire.MustName(row.name + "." + door.name + ".example.")
+					want := row.want
+					switch {
+					case want == formerr && door.name == TransportUDP:
+						want = dropped
+					case want == formerr && door.name == TransportDoH:
+						want = "HTTP 400"
+					}
+					before := asked.Load()
+					for ask := uint16(1); ask <= 2; ask++ {
+						q := dnswire.NewQuery(ask, name, dnswire.TypeA)
+						row.edit(q)
+						resp, err := door.query(q)
+						if got := outcome(resp, err); got != want {
+							t.Fatalf("ask %d: %s, want %s", ask, got, want)
+						}
+						if resp == nil {
+							continue
+						}
+						if resp.ID != q.ID || len(resp.Answer) != 0 && want != "NOERROR" {
+							t.Errorf("ask %d: id %d with %d answers, want id %d and none", ask, resp.ID, len(resp.Answer), q.ID)
+						}
+						if want == badvers && (resp.OPT == nil || resp.OPT.Version != 0) {
+							t.Errorf("ask %d: BADVERS carries OPT %v, want version 0", ask, resp.OPT)
+						}
+					}
+					if want == "NOERROR" {
+						return
+					}
+					if n := asked.Load() - before; n != 0 {
+						t.Errorf("the upstream was asked %d times", n)
+					}
+					if resp, err := door.query(dnswire.NewQuery(3, name, dnswire.TypeA)); err != nil || resp.RCode != dnswire.RCodeNoError || asked.Load() != before+1 {
+						t.Errorf("version 0 afterwards: %s after %d upstream asks, want NOERROR after 1", outcome(resp, err), asked.Load()-before)
+					}
+				})
+			}
+		}
+	}
+}
+
+// outcome names what a door answered: its rcode, dropped for no answer, or
+// HTTP 400.
+func outcome(resp *dnswire.Message, err error) string {
+	var nerr net.Error
+	switch {
+	case err == nil:
+		return resp.RCode.String()
+	case errors.As(err, &nerr) && nerr.Timeout():
+		return "dropped"
+	case strings.Contains(err.Error(), "400 Bad Request"):
+		return "HTTP 400"
+	}
+	return err.Error()
+}
+
+// udpExchange is QueryUDP that waits only a short while for the answer to
+// a response (QR=1), which the door should drop, so that a drop reads as a
+// timeout rather than holding the test.
+func udpExchange(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
+	if q.Response {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, 250*time.Millisecond)
+		defer cancel()
+	}
+	return QueryUDP(ctx, addr, q)
 }

@@ -1,6 +1,9 @@
 // Package transport is the client-facing multi-protocol front door: it owns
 // every listener a real resolver deployment exposes and funnels all of them
-// into one serve core (Server.serveQuery: scan, wire cache, parse).
+// into one serve core (Server.serveQuery: scan, wire cache, parse). The core
+// answers a query for an EDNS version other than 0 BADVERS (RFC 6891
+// §6.1.3) and refuses a response, QR=1 (RFC 1035 §4.1.1): UDP drops it, a
+// stream answers FORMERR, DoH HTTP 400.
 //
 // The paper's premise is that Extended DNS Errors reach real clients — and
 // real clients at millions-of-users scale arrive over RFC 7858 DoT and

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/netip"
 	"strings"
 	"testing"
@@ -49,8 +50,12 @@ var emptyOPT = []byte{0, 0, 41, 0x10, 0, 0, 0, 0, 0, 0, 0}
 // the wire cache the answer a DisableWire server over the same frontend
 // gives, at each door's limit — the one the query's OPT advertises for UDP,
 // 65,535 for stream and DoH. Unreadable bytes must be unreadable to both.
-// The seeds are the server-side EDNS cases of RFC 6891 compliance testing,
-// plus broken headers.
+// Beside that, two properties hold the answer to the RFCs, so that a defect
+// both paths share fails too: a query for an EDNS version other than 0 gets
+// BADVERS in an OPT of version 0 and no records (RFC 6891 §6.1.3), and a
+// message with QR set, a response (RFC 1035 §4.1.1), gets no answer over
+// UDP and FORMERR on a stream. The seeds are the server-side EDNS cases of
+// RFC 6891 compliance testing, plus broken headers.
 func FuzzServeRaw(f *testing.F) {
 	plain := func(name string) *dnswire.Message {
 		q := dnswire.NewQuery(7, dnswire.MustName(name), dnswire.TypeA)
@@ -69,8 +74,11 @@ func FuzzServeRaw(f *testing.F) {
 		rawQuery(plain("big.example."), same),
 		rawQuery(edns("fail.example.", func(*dnswire.OPT) {}), same),
 		rawQuery(edns("big.example.", func(o *dnswire.OPT) { o.UDPSize = 1232 }), same),
-		// Unknown EDNS version: BADVERS territory, never the wire path.
+		// Unknown EDNS versions: BADVERS, never the wire path.
 		rawQuery(edns("ok.example.", func(o *dnswire.OPT) { o.Version = 1 }), same),
+		rawQuery(edns("ok.example.", func(o *dnswire.OPT) { o.Version = 255; o.DO = false }), same),
+		// A response, QR set.
+		rawQuery(plain("ok.example."), func(b []byte) []byte { b[2] |= 0x80; return b }),
 		// An option the server does not know.
 		rawQuery(edns("ok.example.", func(o *dnswire.OPT) {
 			o.Options = []dnswire.Option{dnswire.RawOption{OptCode: 65001, Data: []byte{1, 2, 3}}}
@@ -94,13 +102,17 @@ func FuzzServeRaw(f *testing.F) {
 	f.Add(rawQuery(plain("ok.example."), func(b []byte) []byte { b[len(b)-1] = 3; return b }), okQuery)
 
 	// answer is what a door with limit sends for data: the core's wire
-	// answer, a FORMERR for unreadable bytes, or the slow path's packed reply.
+	// answer, nothing for a response over UDP, a FORMERR for other
+	// unreadable bytes, or the slow path's packed reply.
 	answer := func(s *Server, limit int, data []byte) []byte {
 		wire, q, err := s.serveQuery(TransportTCP, data, limit, nil, nil)
 		switch {
 		case err != nil:
 			if len(data) < 2 {
 				return []byte("unreadable")
+			}
+			if limit == 0 && errors.Is(err, errResponse) {
+				return nil
 			}
 			return appendFORMERR(nil, data)
 		case wire != nil:
@@ -127,8 +139,22 @@ func FuzzServeRaw(f *testing.F) {
 			answer(slow, limit, data)
 			answer(slow, limit, data)
 			want := answer(slow, limit, data)
-			if got := answer(wired, limit, data); !bytes.Equal(got, want) {
+			got := answer(wired, limit, data)
+			if !bytes.Equal(got, want) {
 				t.Fatalf("limit %d: the wire cache answers %x, the slow path %x", limit, got, want)
+			}
+			switch q, err := dnswire.Unpack(data); {
+			case len(data) > 2 && data[2]&0x80 != 0: // QR
+				if limit == 0 && got != nil || limit != 0 && !bytes.Equal(got, appendFORMERR(nil, data)) {
+					t.Fatalf("limit %d: a response is answered %x, want no answer over UDP and FORMERR on a stream", limit, got)
+				}
+			case err == nil && q.OPT != nil && q.OPT.Version != 0:
+				r, err := dnswire.Unpack(got)
+				if err != nil || r.RCode != dnswire.RCodeBadVers || r.OPT == nil || r.OPT.Version != 0 ||
+					len(r.Answer)+len(r.Authority)+len(r.Additional) != 0 {
+					t.Fatalf("limit %d: EDNS version %d is answered %v (%v), want BADVERS with an OPT of version 0 and no records",
+						limit, q.OPT.Version, r, err)
+				}
 			}
 		}
 	})

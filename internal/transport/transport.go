@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"net/netip"
 	"time"
 
@@ -145,14 +146,26 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
+// errResponse refuses a message with QR set: it is a response, not a query
+// (RFC 1035 §4.1.1), and answering one would let two servers reflect
+// packets at each other. The UDP door drops it; the stream doors answer it
+// as unreadable, FORMERR, and DoH with HTTP 400.
+var errResponse = errors.New("transport: message is a response (QR=1), not a query")
+
+// isResponse reports whether data's header has QR set.
+func isResponse(data []byte) bool { return len(data) > 2 && data[2]&0x80 != 0 }
+
 // serveQuery is the serve core every door runs a client's query bytes
 // through, so one question gets one answer at every door. It answers a
 // scanned query from the wire cache within limit (0: the size the query's
 // OPT advertises, a datagram door's), appending to dst; offers one the
-// cache declines to hop, when the door has one; and parses the rest. It
-// returns the wire answer, or the parsed query for the door's slow path, or
-// the parse error of unreadable bytes; all nil means hop took the query.
-// It counts wire serves and unreadable queries; the door counts queries.
+// cache declines to hop, when the door has one; and parses the rest. A
+// query whose OPT asks for an EDNS version other than 0 is answered BADVERS
+// here (ScanQuery never takes one), before the handler can resolve or cache
+// it. It returns the wire answer, or the parsed query for the door's slow
+// path, or the error of bytes that are unreadable or not a query
+// (errResponse); all nil means hop took the query. It counts wire serves
+// and refused messages; the door counts queries.
 func (s *Server) serveQuery(transport string, data []byte, limit int, dst []byte, hop func(dnswire.WireQuery) bool) ([]byte, *dnswire.Message, error) {
 	if s.wire != nil {
 		if wq, ok := dnswire.ScanQuery(data); ok {
@@ -168,10 +181,23 @@ func (s *Server) serveQuery(transport string, data []byte, limit int, dst []byte
 			}
 		}
 	}
+	if isResponse(data) {
+		s.m.errors[transport].Inc()
+		return nil, nil, errResponse
+	}
 	q, err := dnswire.Unpack(data)
 	if err != nil {
 		s.m.errors[transport].Inc()
 		return nil, nil, err
+	}
+	if q.OPT != nil && q.OPT.Version != 0 {
+		// RFC 6891 §6.1.3: BADVERS, in an OPT of version 0, the highest
+		// this server implements.
+		r := q.Reply()
+		r.RCode = dnswire.RCodeBadVers
+		r.RecursionAvailable = true
+		wire, err := r.AppendPack(dst)
+		return wire, nil, err
 	}
 	return nil, q, nil
 }

@@ -232,9 +232,10 @@ func (l *udpListener) serveDatagram(i int) {
 // formerr answers datagram i, which does not parse or is longer than any
 // query the server accepts: a datagram we cannot serve still deserves an
 // answer when its ID is readable, FORMERR with the ID echoed and no OPT
-// (RFC 1035), so a broken client fails fast instead of timing out.
+// (RFC 1035), so a broken client fails fast instead of timing out. A
+// datagram with QR set is a response and gets no answer (errResponse).
 func (l *udpListener) formerr(i int, data []byte) {
-	if len(data) >= 2 {
+	if len(data) >= 2 && !isResponse(data) {
 		l.io.queue(i, appendFORMERR(l.io.respBuf(i), data))
 	}
 }

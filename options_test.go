@@ -36,7 +36,7 @@ var optionLists = []struct {
 	{forwarder.Forwarder{}, nil},
 	{resolver.Resolver{}, []string{"Net", "Roots", "Profile", "TrustAnchor", "Now", "Transport", "DisableDelegationCache", "AnswerCacheReadOnly", "Cache"}},
 	{resolver.Cache{}, nil},
-	{resolver.Profile{}, []string{"Name", "Support", "Map", "ExtraText", "ServeStale"}},
+	{resolver.Profile{}, []string{"Name", "Support", "ExtraText", "ServeStale"}},
 	{campaign.Config{}, []string{"Shards", "Shard", "Workers", "Profile", "Transport", "CheckpointPath", "CheckpointInterval", "Resume", "AuthorityQPS", "MaxQPS", "Governor", "Registry"}},
 	{campaign.GovernorConfig{}, []string{"Min", "Max", "Step"}},
 	{population.Config{}, []string{"TotalDomains", "Seed"}},
