@@ -910,7 +910,7 @@ func BenchmarkAblationLazyZones(b *testing.B) {
 	q := dnswire.NewQuery(1, signed.Name, dnswire.TypeA)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Net.Query(context.Background(), signed.TLD.Addr, q); err != nil {
+		if _, _, err := w.Net.Exchange(context.Background(), signed.TLD.Addr, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -118,7 +118,7 @@ func TestServerOverNetsim(t *testing.T) {
 	addr := netip.MustParseAddr("198.18.5.1")
 	net_.Register(addr, New(testZone(t)))
 	q := dnswire.NewQuery(6, dnswire.MustName("example.test"), dnswire.TypeA)
-	resp, err := net_.Query(context.Background(), addr, q)
+	resp, _, err := net_.Exchange(context.Background(), addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestServerOverNetsim(t *testing.T) {
 func TestNetsimUnroutableGlue(t *testing.T) {
 	net_ := netsim.New(1)
 	q := dnswire.NewQuery(7, dnswire.MustName("x.example"), dnswire.TypeA)
-	_, err := net_.Query(context.Background(), netip.MustParseAddr("10.1.2.3"), q)
+	_, _, err := net_.Exchange(context.Background(), netip.MustParseAddr("10.1.2.3"), q)
 	if err != netsim.ErrTimeout {
 		t.Errorf("err = %v, want timeout for private address", err)
 	}

@@ -272,6 +272,91 @@ func TestRelayMatchesParsedForward(t *testing.T) {
 	}
 }
 
+// TestClusterEDNSConformance holds a three-replica router (two in-process
+// replicas and a remote one that owns the question) to two of the RFC rows
+// of internal/transport's TestEDNSConformance, through the relay (wire paths
+// on) and through the parsed forward (DisableWire), each asked twice:
+//   - RFC 6891 §6.1.3: a query for EDNS version 1 gets BADVERS in an OPT of
+//     version 0 and no answer, and no replica resolves it;
+//   - RFC 1035 §4.1.1: a message with QR=1 is a response, not a query: the
+//     UDP door drops it and TCP answers FORMERR.
+//
+// Version 0 of the same question afterwards resolves, on the remote owner.
+func TestClusterEDNSConformance(t *testing.T) {
+	tb, err := testbed.Build()
+	if err != nil {
+		t.Fatalf("build testbed: %v", err)
+	}
+	clock := newVClock()
+	cl, _, ups := buildCluster(t, tb, clock, 2, Config{Seed: 1, forwardTimeout: 3 * time.Second})
+	r := tb.NewResolver(resolver.ProfileCloudflare())
+	r.Now = clock.Now
+	remote := &countingUpstream{up: forwarder.ResolverUpstream{R: r}}
+	peer := startDoor(t, transport.Config{Handler: frontend.New(remote, frontend.Config{Now: clock.Now})}, false)
+	if err := cl.AddRemote("peer", peer.udp); err != nil {
+		t.Fatalf("AddRemote: %v", err)
+	}
+	ups = append(ups, remote)
+	asked := func() (n int64) {
+		for _, u := range ups {
+			n += u.calls.Load()
+		}
+		return n
+	}
+	var name dnswire.Name
+	for _, c := range tb.Cases {
+		if cl.OwnerID(c.Query, dnswire.TypeA, false) == "peer" {
+			name = c.Query
+			break
+		}
+	}
+	if name == "" {
+		t.Fatal("the remote replica owns no testbed case")
+	}
+	pack := func(q *dnswire.Message) []byte {
+		b, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	doors := []struct {
+		name string
+		door door
+	}{{"relay", routerDoor(t, cl, false, true)}, {"parsed", routerDoor(t, cl, true, true)}}
+	for _, d := range doors {
+		udp := newUDPClient(t, d.door.udp)
+		for ask := uint16(1); ask <= 2; ask++ {
+			q := dnswire.NewQuery(ask, name, dnswire.TypeA)
+			q.OPT.Version = 1
+			for door, raw := range map[string][]byte{"udp": udp.ask(pack(q)), "tcp": tcpAsk(t, d.door.tcp, q)} {
+				resp, err := dnswire.Unpack(raw)
+				if err != nil || resp.RCode != dnswire.RCodeBadVers || resp.OPT == nil || resp.OPT.Version != 0 || len(resp.Answer) != 0 {
+					t.Errorf("%s %s ask %d, EDNS version 1: %v (%v), want BADVERS in an OPT of version 0 and no answer", d.name, door, ask, resp, err)
+				}
+			}
+
+			q = dnswire.NewQuery(ask, name, dnswire.TypeA)
+			q.Response = true
+			udp.send(pack(q))
+			if got := udp.recv(250 * time.Millisecond); got != nil {
+				t.Errorf("%s udp ask %d, QR=1: answered %x, want dropped", d.name, ask, got)
+			}
+			if resp, err := dnswire.Unpack(tcpAsk(t, d.door.tcp, q)); err != nil || resp.RCode != dnswire.RCodeFormErr {
+				t.Errorf("%s tcp ask %d, QR=1: %v (%v), want FORMERR", d.name, ask, resp, err)
+			}
+		}
+		if n := asked(); n != 0 {
+			t.Fatalf("%s: the replicas resolved %d times", d.name, n)
+		}
+	}
+	resp, err := dnswire.Unpack(newUDPClient(t, doors[0].door.udp).ask(pack(dnswire.NewQuery(3, name, dnswire.TypeA))))
+	if err != nil || resp.RCode == dnswire.RCodeBadVers || remote.calls.Load() != 1 {
+		t.Errorf("version 0 afterwards: %v (%v) after %d recursions on the owner, want an answer after 1", resp, err, remote.calls.Load())
+	}
+}
+
 // failingUpstream answers every question SERVFAIL with the diagnosis of an
 // expired signature, so a frontend over it re-serves the failure with EDE 13.
 type failingUpstream struct{}

@@ -14,10 +14,12 @@
 // both the simulated network and the real-socket front door in
 // internal/transport. It composes five mechanisms:
 //
-//   - A sharded message cache (FNV-distributed shards, per-shard lock and
-//     LRU) bounding memory, so concurrent clients contend only within one
-//     shard. One entry per question (qname, qtype, CD), rendered per client:
-//     TTL-decremented, with RRSIGs and AD only for DO=1 clients.
+//   - A sharded message cache (an internal/ttlmap map: FNV-distributed
+//     shards, a lock per shard, one eviction rule that spares entries a
+//     fresh hit has read) bounding memory, so concurrent clients contend
+//     only within one shard. One entry per question (qname, qtype, CD),
+//     rendered per client: TTL-decremented, with RRSIGs and AD only for
+//     DO=1 clients.
 //   - Singleflight query coalescing: M concurrent clients asking the same
 //     (qname, qtype, CD), whatever their DO bits, trigger one upstream
 //     recursion and M answers.

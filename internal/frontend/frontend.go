@@ -14,6 +14,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/netsim"
 	"github.com/extended-dns-errors/edelab/internal/resolver"
 	"github.com/extended-dns-errors/edelab/internal/telemetry"
+	"github.com/extended-dns-errors/edelab/internal/ttlmap"
 )
 
 // Config tunes the frontend. The zero value gets production-ish defaults
@@ -22,7 +23,7 @@ type Config struct {
 	// Capacity bounds the total number of cached entries. Behind a
 	// frontend the resolver stores no client answer, so this is the serving
 	// stack's one bound on them. It also sets the cache's shard count
-	// (NewCache): 64 from 4,096 entries up.
+	// (ttlmap.New): 64 from 4,096 entries up.
 	Capacity int
 	// MaxInflight bounds concurrent upstream recursions; excess queries are
 	// shed with SERVFAIL + EDE 23 rather than piling up goroutines.
@@ -112,11 +113,11 @@ type served struct {
 // forwarder.ResolverUpstream). It owns the stack's client answers: every
 // recursion asks with forwarder.Options.CallerCaches, so a resolver behind it
 // keeps no answer of its own (it still keeps the zone cuts and keys). Its
-// Cache (bounded by Config.Capacity) is the one copy.
+// cache (bounded by Config.Capacity) is the one copy.
 type Frontend struct {
 	upstream forwarder.Upstream
 	cfg      Config
-	cache    *Cache
+	cache    *ttlmap.Map[key, *entry]
 	flights  flightGroup
 	sem      chan struct{}
 	metrics  Metrics
@@ -142,14 +143,13 @@ func New(up forwarder.Upstream, cfg Config) *Frontend {
 	f := &Frontend{
 		upstream: up,
 		cfg:      cfg,
-		cache:    NewCache(cfg.Capacity),
+		cache:    ttlmap.New[key, *entry](cfg.Capacity, cfg.StaleWindow, key.hash),
 		sem:      make(chan struct{}, cfg.MaxInflight),
 	}
 	f.report[modeStale] = p.Report([]resolver.Condition{resolver.ConditionStaleServed}, nil)
 	f.report[modeStaleNX] = p.Report([]resolver.Condition{resolver.ConditionStaleNXServed}, nil)
 	f.report[modeCachedError] = p.Report([]resolver.Condition{resolver.ConditionCachedError}, nil)
 	f.countdown = p.ExtraText && len(f.report[modeCachedError]) > 0
-	f.cache.onEvict = func() { f.metrics.evictions.Add(1) }
 	return f
 }
 
@@ -227,7 +227,7 @@ func (f *Frontend) HandleDNS(ctx context.Context, q *dnswire.Message) (*dnswire.
 // reports whether the cache had one. It returns by value so a hit served on
 // the spot allocates nothing.
 func (f *Frontend) freshHit(sp *telemetry.Span, k key, now time.Time) (served, bool) {
-	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	e, fresh, ok := f.cache.Get(k, now.UnixNano())
 	if !ok || !fresh {
 		return served{}, false
 	}
@@ -320,7 +320,7 @@ func (f *Frontend) fetch(ctx context.Context, k key) *served {
 // staleFor returns a stale serving outcome for k when its expired non-error
 // entry is still inside the stale window.
 func (f *Frontend) staleFor(k key, now time.Time) *served {
-	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	e, fresh, ok := f.cache.Get(k, now.UnixNano())
 	if !ok || fresh || e.isError {
 		return nil
 	}
@@ -343,7 +343,7 @@ func (f *Frontend) store(k key, resp *dnswire.Message, now time.Time) *entry {
 		storedAt:  now,
 	}
 	e.expiresAt = now.Add(ttlFor(e))
-	f.cache.put(k, e)
+	f.keep(k, e, now)
 	return e
 }
 
@@ -399,7 +399,7 @@ func (f *Frontend) storeError(k key, resp *dnswire.Message, err error, hitDeadli
 		e.edes = []dnswire.EDEOption{{InfoCode: uint16(ede.CodeNetworkError), ExtraText: text}}
 	}
 	e.expiresAt = now.Add(f.cfg.ErrorTTL)
-	f.cache.put(k, e)
+	f.keep(k, e, now)
 	return e
 }
 

@@ -497,38 +497,23 @@ func TestEvictionBound(t *testing.T) {
 
 // TestCapacityBoundsTheTotal: Capacity is the cache's bound whatever the
 // shard count, including one the shard count does not divide (5,000 over
-// 64), and a full cache holds exactly Capacity entries.
+// 64), and a full cache holds exactly Capacity entries. (The shard count
+// itself is ttlmap's TestShardCount.)
 func TestCapacityBoundsTheTotal(t *testing.T) {
-	e := &entry{rcode: dnswire.RCodeNoError}
+	e := &entry{rcode: dnswire.RCodeNoError, expiresAt: time.Unix(300, 0)}
 	for _, capacity := range []int{1, 10, 100, 5000, 16384} {
-		c := NewCache(capacity)
+		f := New(&stubUpstream{}, Config{Capacity: capacity, Now: func() time.Time { return time.Unix(0, 0) }})
 		for round := 0; round < 10; round++ {
 			for i := 0; i < capacity; i++ {
-				c.put(key{name: dnswire.MustName(fmt.Sprintf("d%d-%d.example.", round, i)), qtype: dnswire.TypeA}, e)
+				f.keep(key{name: dnswire.MustName(fmt.Sprintf("d%d-%d.example.", round, i)), qtype: dnswire.TypeA}, e, time.Unix(0, 0))
 			}
-			if n := c.Len(); n > capacity {
+			if n := f.CacheLen(); n > capacity {
 				t.Fatalf("capacity %d: %d entries after %d inserts", capacity, n, (round+1)*capacity)
 			}
 		}
-		if n := c.Len(); n != capacity {
-			t.Errorf("capacity %d over %d shards: a full cache holds %d entries", capacity, len(c.shards), n)
+		if n := f.CacheLen(); n != capacity {
+			t.Errorf("capacity %d: a full cache holds %d entries", capacity, n)
 		}
-	}
-}
-
-// TestShardCount: the shard count follows Capacity, so edeserver's and the
-// benchmark's capacities (16,384 and the default 65,536) keep 64 shards and
-// a test-sized cache is one LRU.
-func TestShardCount(t *testing.T) {
-	for _, c := range []struct{ capacity, shards int }{
-		{8, 1}, {127, 1}, {128, 2}, {1000, 8}, {4096, 64}, {16384, 64}, {65536, 64},
-	} {
-		if got := len(NewCache(c.capacity).shards); got != c.shards {
-			t.Errorf("capacity %d: %d shards, want %d", c.capacity, got, c.shards)
-		}
-	}
-	if got := len(New(&stubUpstream{}, Config{}).cache.shards); got != 64 {
-		t.Errorf("default capacity: %d shards, want 64", got)
 	}
 }
 
@@ -541,7 +526,7 @@ func TestLRUKeepsHotEntries(t *testing.T) {
 	hot := query("hot.example.")
 	f.HandleDNS(context.Background(), hot)
 	f.HandleDNS(context.Background(), query("b.example."))
-	f.HandleDNS(context.Background(), hot) // refresh LRU position
+	f.HandleDNS(context.Background(), hot) // a fresh hit: the next eviction spares it
 	f.HandleDNS(context.Background(), query("c.example."))
 	before := up.calls.Load()
 	f.HandleDNS(context.Background(), hot)

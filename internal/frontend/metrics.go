@@ -51,7 +51,8 @@ type Snapshot struct {
 	// CoalescedWaits counts queries that piggybacked on another client's
 	// in-flight recursion instead of starting their own.
 	CoalescedWaits uint64
-	// Evictions counts cache entries displaced by the capacity bound.
+	// Evictions counts live cache entries displaced by the capacity bound
+	// (entries past their stale window are dropped, not counted).
 	Evictions uint64
 	// Overloads counts queries shed because the in-flight bound was hit.
 	Overloads uint64

@@ -45,7 +45,7 @@ func (se *SharedEntry) Fresh(now time.Time) bool { return now.Before(se.e.expire
 // produce, which is what keeps drain-time answers byte-identical.
 func (f *Frontend) PeekShared(pk PeekKey, staleOK bool) (*SharedEntry, bool) {
 	now := f.cfg.Now()
-	e, fresh, ok := f.cache.get(pk.internal(), now, f.cfg.StaleWindow)
+	e, fresh, ok := f.cache.Get(pk.internal(), now.UnixNano())
 	if !ok {
 		return nil, false
 	}
@@ -67,7 +67,7 @@ func (f *Frontend) peekFresh(k key) *served {
 	if !ok || se == nil {
 		return nil
 	}
-	f.cache.put(k, se.e)
+	f.keep(k, se.e, f.cfg.Now())
 	if se.e.isError {
 		return &served{mode: modeCachedError, e: se.e}
 	}
@@ -82,7 +82,7 @@ func (f *Frontend) peekStale(k key, now time.Time) *served {
 	if !ok || se == nil {
 		return nil
 	}
-	f.cache.put(k, se.e)
+	f.keep(k, se.e, now)
 	switch {
 	case se.e.isError:
 		if !se.Fresh(now) {

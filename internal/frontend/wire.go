@@ -75,7 +75,7 @@ func (f *Frontend) ServeWire(q dnswire.WireQuery, limit int, dst []byte) ([]byte
 	}
 	k := key{name: q.Name, qtype: q.Type, cd: q.CD}
 	now := f.cfg.Now()
-	e, fresh, ok := f.cache.get(k, now, f.cfg.StaleWindow)
+	e, fresh, ok := f.cache.Get(k, now.UnixNano())
 	if !ok || !fresh {
 		return nil, false
 	}

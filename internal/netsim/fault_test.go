@@ -41,7 +41,7 @@ func dropSequence(t *testing.T, seed uint64, fp FaultProfile, k int) []bool {
 	n.SetFaults(NewFaultPlan(seed, fp))
 	out := make([]bool, k)
 	for i := range out {
-		_, err := n.Query(context.Background(), addr, faultQuery("seq.test."))
+		_, _, err := n.Exchange(context.Background(), addr, faultQuery("seq.test."))
 		out[i] = err != nil
 	}
 	return out
@@ -145,12 +145,12 @@ func TestFaultReorderSwapsResponses(t *testing.T) {
 
 	// First reordered response has nothing pending: it is delayed, the
 	// client observes a timeout.
-	_, err := n.Query(context.Background(), addr, faultQuery("first.test."))
+	_, _, err := n.Exchange(context.Background(), addr, faultQuery("first.test."))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("first reorder: err = %v, want ErrTimeout", err)
 	}
 	// Second query receives the delayed response for the first question.
-	resp, err := n.Query(context.Background(), addr, faultQuery("second.test."))
+	resp, _, err := n.Exchange(context.Background(), addr, faultQuery("second.test."))
 	if err != nil {
 		t.Fatalf("second reorder: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestFaultDuplicateHitsHandlerTwice(t *testing.T) {
 		return &dnswire.Message{ID: q.ID, Response: true, Question: q.Question, OPT: &dnswire.OPT{UDPSize: 1232}}, nil
 	}))
 	n.SetFaults(NewFaultPlan(7, FaultProfile{Duplicate: 1}))
-	if _, err := n.Query(context.Background(), addr, faultQuery("dup.test.")); err != nil {
+	if _, _, err := n.Exchange(context.Background(), addr, faultQuery("dup.test.")); err != nil {
 		t.Fatalf("dup query: %v", err)
 	}
 	if calls != 2 {
@@ -237,10 +237,10 @@ func TestFaultOverridePerEndpoint(t *testing.T) {
 	plan.Override(addr, FaultProfile{Loss: 1})
 	n.SetFaults(plan)
 
-	if _, err := n.Query(context.Background(), addr, faultQuery("o.test.")); !errors.Is(err, ErrTimeout) {
+	if _, _, err := n.Exchange(context.Background(), addr, faultQuery("o.test.")); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("overridden endpoint: err = %v, want ErrTimeout", err)
 	}
-	if _, err := n.Query(context.Background(), other, faultQuery("o.test.")); err != nil {
+	if _, _, err := n.Exchange(context.Background(), other, faultQuery("o.test.")); err != nil {
 		t.Fatalf("default endpoint must stay fault-free: %v", err)
 	}
 }

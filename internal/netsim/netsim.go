@@ -177,17 +177,11 @@ func roundTrip(m *dnswire.Message) (*dnswire.Message, error) {
 	return parsed, err
 }
 
-// Query sends msg to the endpoint at server and returns its response. The
-// message round-trips through wire format in both directions so that every
-// exchange exercises the real codec.
-func (n *Network) Query(ctx context.Context, server netip.Addr, msg *dnswire.Message) (*dnswire.Message, error) {
-	resp, _, err := n.Exchange(ctx, server, msg)
-	return resp, err
-}
-
-// Exchange is Query with the simulated round-trip time exposed: zero on a
-// perfect network, the injected latency when a fault plan adds one. Clients
-// tracking SRTT for server selection feed from it.
+// Exchange sends msg to the endpoint at server and returns its response and
+// the simulated round-trip time: zero on a perfect network, the injected
+// latency when a fault plan adds one. Clients tracking SRTT for server
+// selection feed from it. The message round-trips through wire format in
+// both directions so that every exchange exercises the real codec.
 func (n *Network) Exchange(ctx context.Context, server netip.Addr, msg *dnswire.Message) (*dnswire.Message, time.Duration, error) {
 	return n.Attempt(ctx, server, msg, 0, false)
 }

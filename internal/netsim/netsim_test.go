@@ -22,7 +22,7 @@ func TestQueryRoundTripsThroughWireFormat(t *testing.T) {
 	addr := netip.MustParseAddr("198.18.9.1")
 	n.Register(addr, echoHandler())
 	q := dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)
-	resp, err := n.Query(context.Background(), addr, q)
+	resp, _, err := n.Exchange(context.Background(), addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestQueryRoundTripsThroughWireFormat(t *testing.T) {
 
 func TestQueryToUnregisteredTimesOut(t *testing.T) {
 	n := New(42)
-	_, err := n.Query(context.Background(), netip.MustParseAddr("198.18.9.2"),
+	_, _, err := n.Exchange(context.Background(), netip.MustParseAddr("198.18.9.2"),
 		dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
 	if err != ErrTimeout {
 		t.Errorf("err = %v", err)
@@ -49,7 +49,7 @@ func TestLossRate(t *testing.T) {
 	addr := netip.MustParseAddr("198.18.9.3")
 	n.Register(addr, echoHandler())
 	n.SetLossRate(1.0)
-	_, err := n.Query(context.Background(), addr,
+	_, _, err := n.Exchange(context.Background(), addr,
 		dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
 	if err != ErrTimeout {
 		t.Errorf("err = %v with 100%% loss", err)
@@ -64,7 +64,7 @@ func TestDeregister(t *testing.T) {
 	addr := netip.MustParseAddr("198.18.9.4")
 	n.Register(addr, echoHandler())
 	n.Deregister(addr)
-	if _, err := n.Query(context.Background(), addr,
+	if _, _, err := n.Exchange(context.Background(), addr,
 		dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)); err != ErrTimeout {
 		t.Errorf("err = %v after deregister", err)
 	}
@@ -109,7 +109,7 @@ func TestHandlerErrorCountsAsError(t *testing.T) {
 	n := New(3)
 	addr := netip.MustParseAddr("198.18.9.9")
 	n.Register(addr, Unresponsive())
-	if _, err := n.Query(context.Background(), addr,
+	if _, _, err := n.Exchange(context.Background(), addr,
 		dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA)); err != ErrTimeout {
 		t.Errorf("err = %v", err)
 	}
@@ -132,7 +132,7 @@ func TestNoEDNSClampsExtendedRCode(t *testing.T) {
 	n := New(42)
 	addr := netip.MustParseAddr("198.18.9.7")
 	n.Register(addr, NoEDNS(inner))
-	resp, err := n.Query(context.Background(), addr,
+	resp, _, err := n.Exchange(context.Background(), addr,
 		dnswire.NewQuery(1, dnswire.MustName("a.example"), dnswire.TypeA))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestConcurrentQueriesRaceClean(t *testing.T) {
 				if i%2 == 0 {
 					addr = refusedAddr
 				}
-				n.Query(context.Background(), addr, q)
+				n.Exchange(context.Background(), addr, q)
 			}
 		}(g)
 	}

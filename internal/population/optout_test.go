@@ -222,7 +222,7 @@ func TestOptOutChainConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := w.Net.Query(context.Background(), tld.Addr, dnswire.NewQuery(uint16(i), d.Name, dnswire.TypeA))
+			resp, _, err := w.Net.Exchange(context.Background(), tld.Addr, dnswire.NewQuery(uint16(i), d.Name, dnswire.TypeA))
 			if err != nil {
 				t.Error(err)
 				return

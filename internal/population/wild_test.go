@@ -65,7 +65,7 @@ func TestWildClock(t *testing.T) {
 		if got := w.Now().Unix(); got != int64(step.at) {
 			t.Fatalf("step %d: SetClock(%d), clock reads %d", i, step.at, got)
 		}
-		resp, err := w.Net.Query(context.Background(), w.nsAddrsFor(stale)[0], q)
+		resp, _, err := w.Net.Exchange(context.Background(), w.nsAddrsFor(stale)[0], q)
 		answered := err == nil && resp.RCode == dnswire.RCodeNoError && len(resp.Answer) > 0
 		if answered != step.answer {
 			t.Errorf("step %d at %+ds: answered %t (%v), want %t", i, int64(step.at)-int64(ScanTime), answered, err, step.answer)
@@ -100,7 +100,7 @@ func TestTLDServerReferral(t *testing.T) {
 		t.Fatal("no healthy domain")
 	}
 	q := dnswire.NewQuery(1, healthy.Name, dnswire.TypeA)
-	resp, err := w.Net.Query(context.Background(), healthy.TLD.Addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), healthy.TLD.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTLDServerDNSKEY(t *testing.T) {
 	w := smallWild(t)
 	tld := w.Pop.TLDs[0]
 	q := dnswire.NewQuery(2, tld.Name, dnswire.TypeDNSKEY)
-	resp, err := w.Net.Query(context.Background(), tld.Addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), tld.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTLDServerDNSKEY(t *testing.T) {
 		t.Errorf("DNSKEY answer: keys=%d sigs=%d", keys, sigs)
 	}
 	// The response must be cached: a second query returns the same set.
-	resp2, err := w.Net.Query(context.Background(), tld.Addr, q)
+	resp2, _, err := w.Net.Exchange(context.Background(), tld.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTLDServerStandbyPublishesExtraKSK(t *testing.T) {
 		t.Fatal("no standby TLD")
 	}
 	q := dnswire.NewQuery(3, standby.Name, dnswire.TypeDNSKEY)
-	resp, err := w.Net.Query(context.Background(), standby.Addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), standby.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTLDServerRefusesForeign(t *testing.T) {
 	w := smallWild(t)
 	tld := w.Pop.TLDs[0]
 	q := dnswire.NewQuery(4, dnswire.MustName("elsewhere.invalid"), dnswire.TypeA)
-	resp, err := w.Net.Query(context.Background(), tld.Addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), tld.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestTLDServerUnknownChildReferral(t *testing.T) {
 	w := smallWild(t)
 	tld := w.Pop.TLDs[0]
 	q := dnswire.NewQuery(5, tld.Name.Child("never-registered"), dnswire.TypeA)
-	resp, err := w.Net.Query(context.Background(), tld.Addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), tld.Addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestProviderServesSignedDomain(t *testing.T) {
 	addr := w.providerFor(signed)
 
 	q := dnswire.NewQuery(6, signed.Name, dnswire.TypeA)
-	resp, err := w.Net.Query(context.Background(), addr, q)
+	resp, _, err := w.Net.Exchange(context.Background(), addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestProviderServesSignedDomain(t *testing.T) {
 	}
 
 	q = dnswire.NewQuery(7, signed.Name, dnswire.TypeDNSKEY)
-	resp, err = w.Net.Query(context.Background(), addr, q)
+	resp, _, err = w.Net.Exchange(context.Background(), addr, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestNSECDenialTLDsServeNSECProofs(t *testing.T) {
 		}
 		checked++
 		q := dnswire.NewQuery(9, d.Name, dnswire.TypeA)
-		resp, err := w.Net.Query(context.Background(), d.TLD.Addr, q)
+		resp, _, err := w.Net.Exchange(context.Background(), d.TLD.Addr, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/extended-dns-errors/edelab/internal/dnssec"
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 	"github.com/extended-dns-errors/edelab/internal/fnv1a"
+	"github.com/extended-dns-errors/edelab/internal/ttlmap"
 )
 
 // cacheKey addresses one cached question. The CD bit is part of the key: a
@@ -20,33 +21,27 @@ type cacheKey struct {
 	cd    bool
 }
 
-// shard returns the answer-shard index for the key: FNV-1a over the name
-// bytes mixed with the qtype, masked to the power-of-two shard count (the
-// same scheme as internal/frontend's cache).
-func (k cacheKey) shard() uint64 {
+// hash picks the key's answer shard: FNV-1a over the name bytes mixed with
+// the qtype (the same scheme as internal/frontend's cache key).
+func (k cacheKey) hash() uint64 {
 	h := (fnv1a.Sum64(k.name) ^ uint64(k.qtype)) * fnv1a.Prime64
 	if k.cd {
 		h = (h ^ 0xff) * fnv1a.Prime64
 	}
-	return h & (numShards - 1)
+	return h
 }
 
 // cachedAnswer is a completed resolution stored for reuse, including failed
 // ones (the error cache behind EDE 13). Only a resolver answering clients on
 // its own stores them — a read-only scan and a resolver behind a frontend do
-// not — and it keeps one per distinct question until maxEntries, so the entry
-// is kept to 64 bytes: the expiry is Unix nanoseconds rather than a time.Time.
+// not — and it keeps one per distinct question up to DefaultMaxEntries, so
+// the entry is kept to 64 bytes; its expiry is the answer map's.
 type cachedAnswer struct {
 	answer     []dnswire.RR
 	conditions []Condition
-	expiresAt  int64
 	rcode      dnswire.RCode
 	secure     bool
 }
-
-// numShards is the answer-map shard count; a power of two so the hash can be
-// masked. 64 shards keep 128 scan workers from convoying on one mutex.
-const numShards = 64
 
 // DefaultMaxEntries bounds each of the cache's three maps — answers, zone
 // cuts, zone keys. It is deliberately generous — far above anything the
@@ -56,15 +51,9 @@ const numShards = 64
 // store no answers. The cut and key maps grow with the zones a serving
 // resolver resolves under, fronted or not; only a scan (AnswerCacheReadOnly)
 // keeps its own names' cuts and keys off them. A full cut map of unsigned
-// zones behind shared nameserver sets is about 75 MB (72 bytes a cut); one
-// whose every zone has its own nameservers, about 180 MB.
+// zones behind shared nameserver sets is about 84 MB (80 bytes a cut); one
+// whose every zone has its own nameservers, about 171 MB.
 const DefaultMaxEntries = 1 << 20
-
-// evictProbes is how many entries an over-full shard examines per insert.
-// Expired entries among the probes are preferred victims; otherwise the
-// probed entry closest to expiry goes. This approximate policy is O(1) per
-// insert and needs no auxiliary bookkeeping on the hit path.
-const evictProbes = 8
 
 // staleWindow is how long past expiry an answer may still be served as stale
 // data (RFC 8767 suggests 1–3 days).
@@ -74,70 +63,38 @@ const staleWindow = 24 * time.Hour
 // EDE 13 on a hit).
 const errorTTL = 30 * time.Second
 
-// perShard is each shard's slice of maxEntries, for both sharded maps.
-func (c *Cache) perShard() int { return max(c.maxEntries/numShards, 1) }
-
-// evictProbed removes at least one entry from a full shard map, whose lock
-// the caller holds. It probes a handful of entries (map iteration order is
-// effectively random), deleting any whose expiry is more than grace behind
-// nowNs; if none is, it deletes the probed entry with the earliest expiry.
-func evictProbed[K comparable, V any](m map[K]V, nowNs, grace int64, expiresAt func(V) int64) {
-	var victim K
-	var victimExpiry int64
-	probed := 0
-	evicted := false
-	for k, e := range m {
-		if exp := expiresAt(e); nowNs >= exp+grace {
-			delete(m, k)
-			evicted = true
-		} else if probed == 0 || exp < victimExpiry {
-			victim, victimExpiry = k, exp
-		}
-		probed++
-		if probed >= evictProbes {
-			break
-		}
-	}
-	if !evicted && probed > 0 {
-		delete(m, victim)
-	}
-}
-
-// answerShard is one lock-striped slice of the answer map.
-type answerShard struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cachedAnswer
-}
-
 // Cache stores completed resolutions and validated zone keys. It implements
 // the behaviours the paper's §4.2 items 11–13 rely on: serve-stale (EDE 3,
 // 19) and cached errors (EDE 13).
 //
-// Answers are sharded by question hash with a mutex per shard; zone keys sit
-// behind a read-write lock so the common case — every resolution re-checking
-// the already-validated DNSKEY chain for root, TLD, and zone — is a shared
-// read lock, not a serializing exclusive one.
+// Its three maps — answers, zone cuts, zone keys — are ttlmap instances, each
+// capped at DefaultMaxEntries (which only this package's tests lower) and
+// sharded by key hash with a mutex per shard; a full shard evicts by
+// ttlmap's one rule. Answers are served stale for staleWindow past their
+// expiry; a cut or a key is dead once it expires.
 type Cache struct {
-	shards [numShards]answerShard
+	answers *ttlmap.Map[cacheKey, *cachedAnswer]
 
-	// delegations is the infrastructure cache: zone cuts learned from
-	// referrals, looked up deepest-match so a resolution starts at the
-	// closest known enclosing cut instead of the root.
-	delegations [numShards]delegationShard
+	// cuts is the infrastructure cache: zone cuts learned from referrals,
+	// looked up deepest-match so a resolution starts at the closest known
+	// enclosing cut instead of the root. With the zone name as its key, its
+	// expiry and a pointer to its shared body, a cut costs about 80 bytes of
+	// live heap, against 196 when each cut was its own object graph
+	// (EXPERIMENTS E32).
+	cuts *ttlmap.Map[dnswire.Name, *cutBody]
 
-	keyMu sync.RWMutex
-	keys  map[dnswire.Name]*zoneKeys
+	// bodies interns unsigned cut bodies by the hash of what they say, so
+	// cuts behind one nameserver set share one body. It is dropped when it
+	// reaches bodyLimit entries; cuts keep their bodies.
+	bodyMu    sync.Mutex
+	bodies    map[uint64]*cutBody
+	bodyLimit int
+
+	keys *ttlmap.Map[dnswire.Name, *zoneKeys]
 
 	// verified remembers signatures this cache's resolver has already
 	// verified; every validation goes through it.
 	verified *dnssec.VerifyMemo
-
-	// maxEntries caps each of the three maps — answers, zone cuts, zone keys
-	// — at this many entries: DefaultMaxEntries, which only this package's
-	// tests lower. When a map (for the sharded two, a shard's slice of the
-	// cap) is full, inserts evict expired entries or, failing that, the
-	// probed entry closest to expiry.
-	maxEntries int
 }
 
 // zoneKeys is a validated key-establishment outcome for one zone.
@@ -186,48 +143,31 @@ func (b *cutBody) dsSet() []dnswire.DS {
 	return *b.ds
 }
 
-// cachedCut is one delegation (zone cut) in the Cache: its expiry and a
-// pointer to its shared body, stored by value. With the zone name as its key
-// and its share of the map, a cut costs about 72 bytes of live heap, against
-// 196 when each cut was its own object graph (EXPERIMENTS E32).
-type cachedCut struct {
-	expiresAt int64 // Unix nanoseconds, as in cachedAnswer
-	body      *cutBody
-}
-
 // maxDelegationTTL caps how long a learned cut may be reused, whatever the
 // referral's RR TTLs claim (mirrors real-resolver infrastructure caps).
 const maxDelegationTTL = 24 * time.Hour
 
-// delegationShard is one lock-striped slice of the delegation map, with the
-// table that interns its unsigned cuts' bodies.
-type delegationShard struct {
-	mu      sync.Mutex
-	entries map[dnswire.Name]cachedCut
-	// bodies holds the shard's unsigned cut bodies by the hash of what they
-	// say. It is dropped when it reaches bodyTableLen; cuts keep their bodies.
-	bodies map[uint64]*cutBody
-}
-
-// intern returns the shard's body that says what b says, filing a copy of b
-// as that body when none does. A cut with a DS set gets a body of its own, so
-// one zone's DS set is never served for another. The caller holds s.mu.
-func (s *delegationShard) intern(b cutBody, limit int) *cutBody {
+// intern returns the interned body that says what b says, filing a copy of
+// b as that body when none does. A cut with a DS set gets a body of its own,
+// so one zone's DS set is never served for another.
+func (c *Cache) intern(b cutBody) *cutBody {
 	if b.ds != nil {
 		own := new(cutBody)
 		*own = b
 		return own
 	}
 	h := b.hash()
-	if have := s.bodies[h]; have != nil && have.says(&b) {
+	c.bodyMu.Lock()
+	defer c.bodyMu.Unlock()
+	if have := c.bodies[h]; have != nil && have.says(&b) {
 		return have
 	}
-	if s.bodies == nil || len(s.bodies) >= limit {
-		s.bodies = make(map[uint64]*cutBody)
+	if c.bodies == nil || len(c.bodies) >= c.bodyLimit {
+		c.bodies = make(map[uint64]*cutBody)
 	}
 	filed := new(cutBody)
 	*filed = b
-	s.bodies[h] = filed
+	c.bodies[h] = filed
 	return filed
 }
 
@@ -256,11 +196,6 @@ func (b *cutBody) hash() uint64 {
 func (b *cutBody) says(o *cutBody) bool {
 	return b.secure == o.secure && slices.Equal(b.servers, o.servers) && slices.Equal(b.conds, o.conds)
 }
-
-// bodyTableLen is how many bodies a shard's intern table holds before it is
-// dropped: 1/128 of the shard's cuts, so a world where no two zones share a
-// nameserver set pays little for a table that saves it nothing.
-func (c *Cache) bodyTableLen() int { return max(c.perShard()/128, 8) }
 
 // leafState is where a resolution of a unique-name scan (AnswerCacheReadOnly)
 // keeps its own name's infrastructure: the zone cuts at or below the client's
@@ -315,26 +250,20 @@ func (l *leafState) cut(qname dnswire.Name, nowNs int64) (dnswire.Name, *cutBody
 	return zone, cut
 }
 
-// nameShard hashes a zone name onto a shard index (FNV-1a, same scheme as
-// cacheKey.shard).
-func nameShard(n dnswire.Name) uint64 {
-	return fnv1a.Sum64(n) & (numShards - 1)
-}
-
 // NewCache creates an empty cache holding up to DefaultMaxEntries per map.
-func NewCache() *Cache {
-	c := &Cache{
-		keys:       make(map[dnswire.Name]*zoneKeys),
-		verified:   new(dnssec.VerifyMemo),
-		maxEntries: DefaultMaxEntries,
+func NewCache() *Cache { return newCache(DefaultMaxEntries) }
+
+// newCache creates an empty cache holding up to maxEntries per map. The body
+// intern table holds 1/128 of that, so a world where no two zones share a
+// nameserver set pays little for a table that saves it nothing.
+func newCache(maxEntries int) *Cache {
+	return &Cache{
+		answers:   ttlmap.New[cacheKey, *cachedAnswer](maxEntries, staleWindow, cacheKey.hash),
+		cuts:      ttlmap.New[dnswire.Name, *cutBody](maxEntries, 0, fnv1a.Sum64[dnswire.Name]),
+		bodyLimit: max(maxEntries/128, 8),
+		keys:      ttlmap.New[dnswire.Name, *zoneKeys](maxEntries, 0, fnv1a.Sum64[dnswire.Name]),
+		verified:  new(dnssec.VerifyMemo),
 	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[cacheKey]*cachedAnswer)
-	}
-	for i := range c.delegations {
-		c.delegations[i].entries = make(map[dnswire.Name]cachedCut)
-	}
-	return c
 }
 
 // closestCut returns the body of the deepest fresh zone cut enclosing qname:
@@ -393,126 +322,53 @@ func (st *resolution) storeKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
 func (c *Cache) getDelegation(qname dnswire.Name, now time.Time) (dnswire.Name, *cutBody) {
 	nowNs := now.UnixNano()
 	for n := qname; !n.IsRoot(); n = n.Parent() {
-		s := &c.delegations[nameShard(n)]
-		s.mu.Lock()
-		e, ok := s.entries[n]
-		if ok && nowNs < e.expiresAt {
-			s.mu.Unlock()
-			return n, e.body
+		if body, fresh, _ := c.cuts.Get(n, nowNs); fresh {
+			return n, body
 		}
-		if ok {
-			delete(s.entries, n)
-		}
-		s.mu.Unlock()
 	}
 	return dnswire.Root, nil
 }
 
-// putDelegation stores a cut learned from a referral for ttl, evicting from
-// the target shard if it is at capacity (a cut is dead the moment it
-// expires). An unsigned cut shares the body of any cut in the shard that says
-// the same thing.
+// putDelegation stores a cut learned from a referral for ttl. An unsigned
+// cut shares the body of any cut that says the same thing.
 func (c *Cache) putDelegation(zone dnswire.Name, b cutBody, now time.Time, ttl time.Duration) {
 	nowNs := now.UnixNano()
-	s := &c.delegations[nameShard(zone)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.entries[zone]; !exists && len(s.entries) >= c.perShard() {
-		evictProbed(s.entries, nowNs, 0, func(e cachedCut) int64 { return e.expiresAt })
-	}
-	s.entries[zone] = cachedCut{expiresAt: nowNs + int64(ttl), body: s.intern(b, c.bodyTableLen())}
+	c.cuts.Put(zone, c.intern(b), nowNs+int64(ttl), nowNs)
 }
 
 // DelegationLen reports the number of cached zone cuts (for tests).
-func (c *Cache) DelegationLen() int {
-	n := 0
-	for i := range c.delegations {
-		s := &c.delegations[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) DelegationLen() int { return c.cuts.Len() }
 
 // KeyLen reports the number of cached zone-key establishments, the third map
-// maxEntries bounds.
-func (c *Cache) KeyLen() int {
-	c.keyMu.RLock()
-	defer c.keyMu.RUnlock()
-	return len(c.keys)
-}
+// DefaultMaxEntries bounds.
+func (c *Cache) KeyLen() int { return c.keys.Len() }
 
 // getAnswer returns a cached answer. fresh is false when the entry is past
 // its TTL but within the stale window.
 func (c *Cache) getAnswer(key cacheKey, now time.Time) (entry *cachedAnswer, fresh bool, ok bool) {
-	s := &c.shards[key.shard()]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, found := s.entries[key]
-	if !found {
-		return nil, false, false
-	}
-	nowNs := now.UnixNano()
-	if nowNs < e.expiresAt {
-		return e, true, true
-	}
-	if nowNs < e.expiresAt+int64(staleWindow) {
-		return e, false, true
-	}
-	delete(s.entries, key)
-	return nil, false, false
+	return c.answers.Get(key, now.UnixNano())
 }
 
-// putAnswer stores a resolution outcome at now with the given TTL, evicting
-// from the target shard if it is at capacity (an answer is dead once it is
-// past the stale window).
+// putAnswer stores a resolution outcome at now with the given TTL.
 func (c *Cache) putAnswer(key cacheKey, e *cachedAnswer, now time.Time, ttl time.Duration) {
 	nowNs := now.UnixNano()
-	e.expiresAt = nowNs + int64(ttl)
-	s := &c.shards[key.shard()]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.entries[key]; !exists && len(s.entries) >= c.perShard() {
-		evictProbed(s.entries, nowNs, int64(staleWindow), func(e *cachedAnswer) int64 { return e.expiresAt })
-	}
-	s.entries[key] = e
+	c.answers.Put(key, e, nowNs+int64(ttl), nowNs)
 }
 
-// getKeys returns the cached key establishment for zone. This is the
-// validated-DNSKEY fast path: a hit costs one shared read lock, so repeated
-// key establishment for the same zone neither re-verifies signatures nor
-// serializes behind other resolutions.
+// getKeys returns the cached key establishment for zone: the validated-DNSKEY
+// fast path, so repeated key establishment for the same zone does not
+// re-verify signatures.
 func (c *Cache) getKeys(zone dnswire.Name, now time.Time) (*zoneKeys, bool) {
-	c.keyMu.RLock()
-	k, ok := c.keys[zone]
-	c.keyMu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	if now.After(k.expiresAt) {
-		// Expired: drop it under the write lock (re-checking, since another
-		// goroutine may have refreshed the zone in between).
-		c.keyMu.Lock()
-		if cur, ok := c.keys[zone]; ok && now.After(cur.expiresAt) {
-			delete(c.keys, zone)
-		}
-		c.keyMu.Unlock()
-		return nil, false
-	}
-	return k, true
+	k, fresh, _ := c.keys.Get(zone, now.UnixNano())
+	return k, fresh
 }
 
-// putKeys stores the key establishment for zone, evicting at capacity like
-// the other two maps: a serving resolver validates every signed zone its
-// clients reach, and must not keep all of them forever.
+// putKeys stores the key establishment for zone, bounded like the other two
+// maps: a serving resolver validates every signed zone its clients reach,
+// and must not keep all of them forever. A key establishment is good through
+// its expiry instant, hence the nanosecond past it.
 func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
-	c.keyMu.Lock()
-	defer c.keyMu.Unlock()
-	if _, exists := c.keys[zone]; !exists && len(c.keys) >= c.maxEntries {
-		evictProbed(c.keys, now.UnixNano(), 0, func(k *zoneKeys) int64 { return k.expiresAt.UnixNano() })
-	}
-	c.keys[zone] = k
+	c.keys.Put(zone, k, k.expiresAt.UnixNano()+1, now.UnixNano())
 }
 
 // VerifyStats reports how many signature checks cost a verification and how
@@ -520,35 +376,16 @@ func (c *Cache) putKeys(zone dnswire.Name, k *zoneKeys, now time.Time) {
 func (c *Cache) VerifyStats() dnssec.VerifyStats { return c.verified.Stats() }
 
 // Len reports the number of cached answers (for tests and benchmarks).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Len() int { return c.answers.Len() }
 
 // Flush clears everything: answers, zone keys, delegations, and the memory
 // of which signatures have verified.
 func (c *Cache) Flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[cacheKey]*cachedAnswer)
-		s.mu.Unlock()
-	}
-	for i := range c.delegations {
-		s := &c.delegations[i]
-		s.mu.Lock()
-		s.entries = make(map[dnswire.Name]cachedCut)
-		s.bodies = nil
-		s.mu.Unlock()
-	}
-	c.keyMu.Lock()
-	c.keys = make(map[dnswire.Name]*zoneKeys)
-	c.keyMu.Unlock()
+	c.answers.Flush()
+	c.cuts.Flush()
+	c.bodyMu.Lock()
+	c.bodies = nil
+	c.bodyMu.Unlock()
+	c.keys.Flush()
 	c.verified.Reset()
 }

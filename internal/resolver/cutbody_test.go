@@ -20,36 +20,33 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// zonesInOneShard returns n zone names that hash onto the same delegation
-// shard, so their cuts meet one intern table.
-func zonesInOneShard(n int) []dnswire.Name {
-	var out []dnswire.Name
-	want := nameShard(dnswire.MustName("z0.example."))
-	for i := 0; len(out) < n; i++ {
-		if z := dnswire.MustName(fmt.Sprintf("z%d.example.", i)); nameShard(z) == want {
-			out = append(out, z)
+// cutsAbove returns the fresh cuts the Cache holds at or above each of names,
+// by zone.
+func (c *Cache) cutsAbove(names []dnswire.Name, now time.Time) map[dnswire.Name]*cutBody {
+	cuts := make(map[dnswire.Name]*cutBody)
+	for _, n := range names {
+		for ; !n.IsRoot(); n = n.Parent() {
+			if body, fresh, _ := c.cuts.Get(n, now.UnixNano()); fresh {
+				cuts[n] = body
+			}
 		}
 	}
-	return out
+	return cuts
 }
 
-// bodyCount is the number of distinct bodies the Cache's cuts point to.
-func (c *Cache) bodyCount() int {
+// bodyCount is the number of distinct bodies the cuts at or above names
+// point to.
+func (c *Cache) bodyCount(names []dnswire.Name, now time.Time) int {
 	seen := make(map[*cutBody]bool)
-	for i := range c.delegations {
-		s := &c.delegations[i]
-		s.mu.Lock()
-		for _, e := range s.entries {
-			seen[e.body] = true
-		}
-		s.mu.Unlock()
+	for _, body := range c.cutsAbove(names, now) {
+		seen[body] = true
 	}
 	return len(seen)
 }
 
 // TestUnsignedCutsShareOneBody: a resolver behind a frontend answers every
-// domain of a population once, and every two unsigned cuts of one shard that
-// say the same thing — servers, conditions, secure — point to one body. The
+// domain of a population once, and every two unsigned cuts that say the
+// same thing — servers, conditions, secure — point to one body. The
 // world's domains sit behind 16 providers and a few broken nameservers, so
 // the unsigned cuts are many and their bodies few. (Every TLD cut carries a
 // DS set, and so a body of its own.)
@@ -59,31 +56,33 @@ func TestUnsignedCutsShareOneBody(t *testing.T) {
 	for _, d := range pop.Domains {
 		r.ResolveWithOptions(context.Background(), d.Name, dnswire.TypeA, QueryOptions{CallerCaches: true})
 	}
+	names := make([]dnswire.Name, len(pop.Domains))
+	for i, d := range pop.Domains {
+		names[i] = d.Name
+	}
 	unsigned, bodies := 0, make(map[*cutBody]bool)
-	for i := range r.Cache.delegations {
-		byContent := make(map[string]*cutBody)
-		for zone, e := range r.Cache.delegations[i].entries {
-			if e.body.ds != nil {
-				continue
-			}
-			unsigned++
-			bodies[e.body] = true
-			k := fmt.Sprint(e.body.servers, e.body.conds, e.body.secure)
-			if have, ok := byContent[k]; ok && have != e.body {
-				t.Errorf("shard %d: %s has a body of its own for %s", i, zone, k)
-			}
-			byContent[k] = e.body
+	byContent := make(map[string]*cutBody)
+	for zone, body := range r.Cache.cutsAbove(names, w.Now()) {
+		if body.ds != nil {
+			continue
 		}
+		unsigned++
+		bodies[body] = true
+		k := fmt.Sprint(body.servers, body.conds, body.secure)
+		if have, ok := byContent[k]; ok && have != body {
+			t.Errorf("%s has a body of its own for %s", zone, k)
+		}
+		byContent[k] = body
 	}
 	t.Logf("%d domains: %d cuts, %d of them unsigned over %d bodies; %d bodies in all",
-		len(pop.Domains), r.Cache.DelegationLen(), unsigned, len(bodies), r.Cache.bodyCount())
+		len(pop.Domains), r.Cache.DelegationLen(), unsigned, len(bodies), r.Cache.bodyCount(names, w.Now()))
 	if len(bodies)*4 > unsigned {
 		t.Errorf("%d unsigned cuts over %d bodies; want at least four cuts a body", unsigned, len(bodies))
 	}
 }
 
-// TestCutsThatDifferNeverShare: cuts in one shard share a body only when
-// they say the same thing. A different DS set, condition, condition detail,
+// TestCutsThatDifferNeverShare: cuts share a body only when they say the
+// same thing. A different DS set, condition, condition detail,
 // server or server order each keep a body of their own, and every cut reads
 // back what was filed for it. Two cuts with one DS set do not share either:
 // a DS set is a zone's own.
@@ -108,7 +107,7 @@ func TestCutsThatDifferNeverShare(t *testing.T) {
 		{"one DS set", cutBody{servers: []netip.Addr{a}, secure: true}, cutBody{servers: []netip.Addr{a}, secure: true}, ds1, ds1, false},
 	}
 	now := time.Unix(tNow, 0)
-	zones := zonesInOneShard(2)
+	zones := []dnswire.Name{dnswire.MustName("z0.example."), dnswire.MustName("z1.example.")}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &Resolver{Cache: NewCache()}
@@ -183,7 +182,7 @@ func TestFrontedResolverCutsCostLittle(t *testing.T) {
 	cuts1, heap1 := r.Cache.DelegationLen(), liveHeap()
 	perCut := float64(int64(heap1)-int64(heap0)) / float64(cuts1-cuts0)
 	t.Logf("second half: cuts %d → %d over %d bodies, live heap %.1f → %.1f MB: %.0f B a cut",
-		cuts0, cuts1, r.Cache.bodyCount(), float64(heap0)/1e6, float64(heap1)/1e6, perCut)
+		cuts0, cuts1, r.Cache.bodyCount(append(halves[0], halves[1]...), w.Now()), float64(heap0)/1e6, float64(heap1)/1e6, perCut)
 	if perCut > 96 {
 		t.Errorf("a fronted resolver retains %.0f B per added cut, want at most 96", perCut)
 	}
@@ -200,14 +199,17 @@ func TestDistinctServerSetsCostNoMore(t *testing.T) {
 	const zones = 10000
 	c := NewCache()
 	now := time.Unix(tNow, 0)
+	names := make([]dnswire.Name, zones)
+	for i := range names {
+		names[i] = dnswire.MustName(fmt.Sprintf("z%d.example.", i))
+	}
 	before := liveHeap()
-	for i := range zones {
-		zone := dnswire.MustName(fmt.Sprintf("z%d.example.", i))
+	for i, zone := range names {
 		servers := []netip.Addr{netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})}
 		c.putDelegation(zone, cutBody{servers: servers}, now, time.Hour)
 	}
 	perCut := float64(int64(liveHeap())-int64(before)) / zones
-	t.Logf("%d cuts over %d bodies: %.0f B a cut", c.DelegationLen(), c.bodyCount(), perCut)
+	t.Logf("%d cuts over %d bodies: %.0f B a cut", c.DelegationLen(), c.bodyCount(names, now), perCut)
 	if perCut > 178 {
 		t.Errorf("a cut behind its own nameserver costs %.0f B, more than the 178 B it cost unshared", perCut)
 	}

@@ -102,8 +102,8 @@ func TestTraceEnabledRecordsResolution(t *testing.T) {
 // eviction prefers entries already past the stale window, and that the cache
 // still answers.
 func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
-	c := NewCache()
-	c.maxEntries = 256 // 4 entries per shard
+	const maxEntries = 256 // 4 shards of 64
+	c := newCache(maxEntries)
 	now := time.Unix(tNow, 0)
 
 	for i := 0; i < 10000; i++ {
@@ -112,8 +112,8 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 	}
 	// Each shard may briefly sit at its per-shard cap; the total must never
 	// exceed maxEntries.
-	if n := c.Len(); n > c.maxEntries {
-		t.Fatalf("cache grew to %d entries, cap %d", n, c.maxEntries)
+	if n := c.Len(); n > maxEntries {
+		t.Fatalf("cache grew to %d entries, cap %d", n, maxEntries)
 	}
 	if n := c.Len(); n == 0 {
 		t.Fatal("eviction emptied the cache entirely")
@@ -138,24 +138,29 @@ func TestCacheMaxEntriesHoldsUnderChurn(t *testing.T) {
 			live++
 		}
 	}
-	if live < c.maxEntries/2 {
-		t.Errorf("only %d of the fresh entries survived churn against expired ones (cap %d)", live, c.maxEntries)
+	if live < maxEntries/2 {
+		t.Errorf("only %d of the fresh entries survived churn against expired ones (cap %d)", live, maxEntries)
 	}
 }
 
 // TestCacheKeysBounded: the zone-key map obeys maxEntries like the answer and
 // cut maps, so a serving resolver does not keep one entry for every signed
-// zone it has ever validated.
+// zone it has ever validated. The bound is exact below 64 entries too, where
+// a cap of 64 shards of at least one entry each once held 64.
 func TestCacheKeysBounded(t *testing.T) {
-	c := NewCache()
-	c.maxEntries = 8
+	const maxEntries = 8
+	c := newCache(maxEntries)
 	now := time.Unix(tNow, 0)
 	for i := 0; i < 100; i++ {
 		zone := dnswire.MustName(fmt.Sprintf("zone-%d.example.", i))
 		c.putKeys(zone, &zoneKeys{secure: true, expiresAt: now.Add(time.Hour)}, now)
+		c.putAnswer(cacheKey{name: zone, qtype: dnswire.TypeA}, &cachedAnswer{}, now, time.Hour)
+		c.putDelegation(zone, cutBody{}, now, time.Hour)
 	}
-	if n := c.KeyLen(); n > c.maxEntries {
-		t.Fatalf("100 zones left %d key entries, cap %d", n, c.maxEntries)
+	for m, n := range map[string]int{"key": c.KeyLen(), "answer": c.Len(), "cut": c.DelegationLen()} {
+		if n != maxEntries {
+			t.Errorf("100 zones left %d %s entries, cap %d", n, m, maxEntries)
+		}
 	}
 	if _, ok := c.getKeys(dnswire.MustName("zone-99.example."), now); !ok {
 		t.Error("the zone stored last was evicted by its own insert")
@@ -163,11 +168,10 @@ func TestCacheKeysBounded(t *testing.T) {
 }
 
 // TestCacheConcurrentChurn hammers all shards from many goroutines under a
-// small cap; run with -race this verifies the sharded maps and the key cache
-// RWMutex are sound.
+// small cap; run with -race this verifies the sharded maps are sound.
 func TestCacheConcurrentChurn(t *testing.T) {
-	c := NewCache()
-	c.maxEntries = 128
+	const maxEntries = 128
+	c := newCache(maxEntries)
 	now := time.Unix(tNow, 0)
 	zone := dnswire.MustName("example.com.")
 
@@ -188,8 +192,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > c.maxEntries {
-		t.Fatalf("cache grew to %d entries under concurrent churn, cap %d", n, c.maxEntries)
+	if n := c.Len(); n > maxEntries {
+		t.Fatalf("cache grew to %d entries under concurrent churn, cap %d", n, maxEntries)
 	}
 }
 

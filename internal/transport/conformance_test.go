@@ -5,8 +5,10 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"reflect"
@@ -364,14 +366,25 @@ func TestAuthServerIdenticalOnEveryDoor(t *testing.T) {
 
 // TestEDNSConformance holds every door to the RFCs rather than to the
 // server's own slow path, with the wire cache on and off; each question is
-// asked twice, so a second ask could take the wire path. The expectations
-// are the RFCs':
+// asked twice, so a second ask could take the wire path. The rows are the
+// server-side cases of EDNS compliance testing (plain, edns, edns@512, do,
+// ednsopt, ednsflags, optlist, zflag, edns1, edns1opt, the opcodes) plus QR.
+// The expectations are the RFCs':
+//   - RFC 6891 §6.1.1 and §7: a reply carries an OPT exactly when the query
+//     did; §6.1.2: options the server does not implement are ignored, so
+//     the reply carries none but EDE (RFC 8914); §6.1.4: EDNS flags other
+//     than DO are zero in a reply; §6.2.5: a UDP reply fits the payload
+//     size the query advertises (512 without an OPT). RFC 3225 §3: DO is
+//     copied from the query.
 //   - RFC 6891 §6.1.3: a query for an EDNS version the server does not
 //     implement gets BADVERS in an OPT of the version it does (0), and no
 //     answer. Nothing is resolved or cached for it: the upstream is never
 //     asked, and version 0 of the same question afterwards resolves afresh.
-//   - RFC 1035 §4.1.1: QR=1 marks a response, not a query. The UDP door
-//     drops it; TCP and DoT answer FORMERR, DoH HTTP 400 (errResponse).
+//   - RFC 1035 §4.1.1: the header Z bit is zero in every reply. An opcode
+//     other than QUERY (IQUERY, NOTIFY, UPDATE) is a kind of query this
+//     server does not support: NOTIMP, with nothing resolved. QR=1 marks a
+//     response, not a query: the UDP door drops it; TCP and DoT answer
+//     FORMERR, DoH HTTP 400 (errResponse).
 func TestEDNSConformance(t *testing.T) {
 	var asked atomic.Int64
 	up := upstreamFunc(func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
@@ -382,21 +395,48 @@ func TestEDNSConformance(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	const badvers, formerr, dropped = "BADVERS", "FORMERR", "dropped"
+	const badvers, formerr, notimp, dropped = "BADVERS", "FORMERR", "NOTIMP", "dropped"
 	rows := []struct {
 		name string
 		edit func(*dnswire.Message)
-		want string // an rcode, or dropped: no answer
+		// mangle sets what a Message cannot carry: the header Z bit and
+		// undefined EDNS flags.
+		mangle func([]byte)
+		want   string // an rcode, or dropped: no answer
 	}{
-		{"edns", func(*dnswire.Message) {}, "NOERROR"},
-		{"edns1", func(q *dnswire.Message) { q.OPT.Version = 1; q.OPT.DO = false }, badvers},
-		{"edns1-do", func(q *dnswire.Message) { q.OPT.Version = 1 }, badvers},
-		{"edns255", func(q *dnswire.Message) { q.OPT.Version = 255 }, badvers},
+		{"plain", func(q *dnswire.Message) { q.OPT = nil }, nil, "NOERROR"},
+		{"edns", func(q *dnswire.Message) { q.OPT.DO = false }, nil, "NOERROR"},
+		{"edns@512", func(q *dnswire.Message) { q.OPT.DO = false; q.OPT.UDPSize = 512 }, nil, "NOERROR"},
+		{"do", func(q *dnswire.Message) { q.OPT.DO = true }, nil, "NOERROR"},
+		{"ednsopt", func(q *dnswire.Message) {
+			q.OPT.DO = false
+			q.OPT.Options = []dnswire.Option{dnswire.RawOption{OptCode: 100}}
+		}, nil, "NOERROR"},
+		{"ednsflags", func(q *dnswire.Message) { q.OPT.DO = false }, func(b []byte) {
+			off, _ := dnswire.TrailingOPT(b)
+			b[off+8] |= 0x80 // EDNS flags 0x0080, undefined
+		}, "NOERROR"},
+		{"optlist", func(q *dnswire.Message) {
+			q.OPT.DO = false
+			q.OPT.Options = []dnswire.Option{
+				dnswire.RawOption{OptCode: dnswire.OptionCodeNSID},
+				dnswire.RawOption{OptCode: 8, Data: []byte{0, 1, 0, 0}}, // client subnet 0.0.0.0/0
+				dnswire.RawOption{OptCode: 9},                           // expire
+				dnswire.RawOption{OptCode: dnswire.OptionCodeCookie, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+			}
+		}, nil, "NOERROR"},
+		{"zflag", func(q *dnswire.Message) { q.OPT.DO = false }, func(b []byte) { b[3] |= 0x40 }, "NOERROR"},
+		{"edns1", func(q *dnswire.Message) { q.OPT.Version = 1; q.OPT.DO = false }, nil, badvers},
+		{"edns1-do", func(q *dnswire.Message) { q.OPT.Version = 1 }, nil, badvers},
+		{"edns255", func(q *dnswire.Message) { q.OPT.Version = 255 }, nil, badvers},
 		{"edns1-opt", func(q *dnswire.Message) {
 			q.OPT.Version = 1
 			q.OPT.Options = []dnswire.Option{dnswire.RawOption{OptCode: 65001, Data: []byte{1, 2, 3}}}
-		}, badvers},
-		{"qr", func(q *dnswire.Message) { q.Response = true }, formerr},
+		}, nil, badvers},
+		{"iquery", func(q *dnswire.Message) { q.Opcode = 1 }, nil, notimp},
+		{"notify", func(q *dnswire.Message) { q.Opcode = dnswire.OpcodeNotify }, nil, notimp},
+		{"update", func(q *dnswire.Message) { q.Opcode = dnswire.OpcodeUpdate }, nil, notimp},
+		{"qr", func(q *dnswire.Message) { q.Response = true }, nil, formerr},
 	}
 	for _, wire := range []bool{true, false} {
 		fd := startDoors(t, Config{
@@ -405,22 +445,24 @@ func TestEDNSConformance(t *testing.T) {
 		})
 		client := fd.dohClient()
 		doors := []struct {
-			name  string
-			query func(*dnswire.Message) (*dnswire.Message, error)
+			name string
+			ask  func([]byte) ([]byte, error)
 		}{
-			{TransportUDP, func(q *dnswire.Message) (*dnswire.Message, error) { return udpExchange(ctx, fd.udpAddr, q) }},
-			{TransportTCP, func(q *dnswire.Message) (*dnswire.Message, error) { return QueryTCP(ctx, fd.tcpAddr, q) }},
-			{TransportDoT, func(q *dnswire.Message) (*dnswire.Message, error) {
-				return QueryDoT(ctx, fd.dotAddr, fd.tlsConf.Clone(), q)
+			{TransportUDP, func(q []byte) ([]byte, error) { return udpRaw(ctx, fd.udpAddr, q) }},
+			{TransportTCP, func(q []byte) ([]byte, error) {
+				var d net.Dialer
+				return streamRaw(ctx, d.DialContext, fd.tcpAddr, q)
 			}},
-			{TransportDoH, func(q *dnswire.Message) (*dnswire.Message, error) {
-				return QueryDoH(ctx, client, fd.dohURL, q, false)
+			{TransportDoT, func(q []byte) ([]byte, error) {
+				d := tls.Dialer{Config: fd.tlsConf.Clone()}
+				return streamRaw(ctx, d.DialContext, fd.dotAddr, q)
 			}},
+			{TransportDoH, func(q []byte) ([]byte, error) { return dohRaw(ctx, client, fd.dohURL, q) }},
 		}
 		for _, door := range doors {
 			for _, row := range rows {
 				t.Run(fmt.Sprintf("wire=%t/%s/%s", wire, door.name, row.name), func(t *testing.T) {
-					name := dnswire.MustName(row.name + "." + door.name + ".example.")
+					name := dnswire.MustName(strings.ReplaceAll(row.name, "@", "-") + "." + door.name + ".example.")
 					want := row.want
 					switch {
 					case want == formerr && door.name == TransportUDP:
@@ -432,18 +474,56 @@ func TestEDNSConformance(t *testing.T) {
 					for ask := uint16(1); ask <= 2; ask++ {
 						q := dnswire.NewQuery(ask, name, dnswire.TypeA)
 						row.edit(q)
-						resp, err := door.query(q)
+						b, err := q.Pack()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if row.mangle != nil {
+							row.mangle(b)
+						}
+						raw, err := door.ask(b)
+						var resp *dnswire.Message
+						if err == nil {
+							resp, err = dnswire.Unpack(raw)
+						}
 						if got := outcome(resp, err); got != want {
 							t.Fatalf("ask %d: %s, want %s", ask, got, want)
 						}
 						if resp == nil {
 							continue
 						}
-						if resp.ID != q.ID || len(resp.Answer) != 0 && want != "NOERROR" {
-							t.Errorf("ask %d: id %d with %d answers, want id %d and none", ask, resp.ID, len(resp.Answer), q.ID)
+						if resp.ID != q.ID || (len(resp.Answer) > 0) != (want == "NOERROR") {
+							t.Errorf("ask %d: id %d with %d answers, want id %d and answers only on NOERROR", ask, resp.ID, len(resp.Answer), q.ID)
 						}
-						if want == badvers && (resp.OPT == nil || resp.OPT.Version != 0) {
-							t.Errorf("ask %d: BADVERS carries OPT %v, want version 0", ask, resp.OPT)
+						if raw[3]&0x40 != 0 {
+							t.Errorf("ask %d: the reply's header Z bit is set", ask)
+						}
+						if want == formerr {
+							continue
+						}
+						limit := 512
+						if q.OPT != nil {
+							limit = max(limit, int(q.OPT.UDPSize))
+						}
+						if door.name == TransportUDP && len(raw) > limit {
+							t.Errorf("ask %d: a %d-byte UDP reply to a query advertising %d", ask, len(raw), limit)
+						}
+						if (resp.OPT != nil) != (q.OPT != nil) {
+							t.Fatalf("ask %d: reply OPT %v to query OPT %v", ask, resp.OPT, q.OPT)
+						}
+						if q.OPT == nil {
+							continue
+						}
+						if resp.OPT.Version != 0 || resp.OPT.DO != q.OPT.DO {
+							t.Errorf("ask %d: reply OPT version %d DO %t, want version 0 and the query's DO %t", ask, resp.OPT.Version, resp.OPT.DO, q.OPT.DO)
+						}
+						if off, ok := dnswire.TrailingOPT(raw); !ok || raw[off+7]&0x7f != 0 || raw[off+8] != 0 {
+							t.Errorf("ask %d: reply EDNS flags other than DO are set (OPT at %d, %t)", ask, off, ok)
+						}
+						for _, o := range resp.OPT.Options {
+							if o.Code() != dnswire.OptionCodeEDE {
+								t.Errorf("ask %d: the reply carries option %v", ask, o)
+							}
 						}
 					}
 					if want == "NOERROR" {
@@ -452,13 +532,85 @@ func TestEDNSConformance(t *testing.T) {
 					if n := asked.Load() - before; n != 0 {
 						t.Errorf("the upstream was asked %d times", n)
 					}
-					if resp, err := door.query(dnswire.NewQuery(3, name, dnswire.TypeA)); err != nil || resp.RCode != dnswire.RCodeNoError || asked.Load() != before+1 {
+					b, _ := dnswire.NewQuery(3, name, dnswire.TypeA).Pack()
+					raw, err := door.ask(b)
+					var resp *dnswire.Message
+					if err == nil {
+						resp, err = dnswire.Unpack(raw)
+					}
+					if err != nil || resp.RCode != dnswire.RCodeNoError || asked.Load() != before+1 {
 						t.Errorf("version 0 afterwards: %s after %d upstream asks, want NOERROR after 1", outcome(resp, err), asked.Load()-before)
 					}
 				})
 			}
 		}
 	}
+}
+
+// udpRaw sends query bytes over UDP and returns the datagram that comes
+// back. It waits only a short while for the answer to a response (QR=1),
+// which the door should drop, so that a drop reads as a timeout rather than
+// holding the test.
+func udpRaw(ctx context.Context, addr string, query []byte) ([]byte, error) {
+	if isResponse(query) {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, 250*time.Millisecond)
+		defer cancel()
+	}
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	dl, _ := ctx.Deadline()
+	conn.SetDeadline(dl)
+	if _, err := conn.Write(query); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 65535)
+	n, err := conn.Read(buf)
+	return buf[:n], err
+}
+
+// streamRaw sends query bytes as one frame over a new connection (TCP, or
+// TLS for DoT) and returns the frame that comes back.
+func streamRaw(ctx context.Context, dial func(context.Context, string, string) (net.Conn, error), addr string, query []byte) ([]byte, error) {
+	conn, err := dial(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	dl, _ := ctx.Deadline()
+	conn.SetDeadline(dl)
+	if _, err := conn.Write(append([]byte{byte(len(query) >> 8), byte(len(query))}, query...)); err != nil {
+		return nil, err
+	}
+	frame, err := readRawFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	return frame[2:], nil
+}
+
+// dohRaw sends query bytes to a DoH endpoint in the GET form and returns the
+// body of a 200 answer, or an error naming the HTTP status.
+func dohRaw(ctx context.Context, client *http.Client, endpoint string, query []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, endpoint+"?dns="+base64.RawURLEncoding.EncodeToString(query), nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", dohContentType)
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("DoH endpoint returned %s", resp.Status)
+	}
+	return body, err
 }
 
 // outcome names what a door answered: its rcode, dropped for no answer, or
@@ -474,16 +626,4 @@ func outcome(resp *dnswire.Message, err error) string {
 		return "HTTP 400"
 	}
 	return err.Error()
-}
-
-// udpExchange is QueryUDP that waits only a short while for the answer to
-// a response (QR=1), which the door should drop, so that a drop reads as a
-// timeout rather than holding the test.
-func udpExchange(ctx context.Context, addr string, q *dnswire.Message) (*dnswire.Message, error) {
-	if q.Response {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, 250*time.Millisecond)
-		defer cancel()
-	}
-	return QueryUDP(ctx, addr, q)
 }

@@ -64,8 +64,8 @@ var optionLists = []struct {
 //
 // A bound a test needs lowered is reached with real load when that is cheap
 // (the transport's connection, pipeline and UDP in-flight bounds, the
-// cluster's failure limit), or lowered through an unexported field that
-// only its package's tests set (resolver Cache.maxEntries, population
+// cluster's failure limit), or lowered through an unexported field or
+// constructor that only its package's tests use (resolver newCache, population
 // Config.gTLDs, campaign Config.now, sleep and checkpointEvery, cluster
 // Config.forwardTimeout). The stream
 // idle timeout is the edns-tcp-keepalive TIMEOUT the server advertises, and
