@@ -3,19 +3,15 @@ package dnssec
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
+	"github.com/extended-dns-errors/edelab/internal/ttlmap"
 )
 
-// Memo geometry: 64 shards × 128 sets × 2 ways × 32-byte digests = 512 KiB
-// (plus a reference bit per way), fixed for the life of the memo.
-const (
-	memoShards = 64
-	memoSets   = 128
-	memoWays   = 2
-)
+// memoCapacity is how many verified signatures a memo remembers.
+const memoCapacity = 16384
 
 // VerifyMemo remembers which (algorithm, public key, signature, signed data)
 // tuples have verified, so that a signature a validator has already checked —
@@ -31,55 +27,28 @@ const (
 //
 // The key is a SHA-256 over the whole tuple because the bytes come off the
 // network: a weaker hash would let an attacker craft a forged signature that
-// collides with a verified one. Replacement within a set is second-chance
-// (CLOCK): a hit marks its entry referenced, an insert takes the first
-// unreferenced way from the hand on and clears the marks it passes. An entry
-// hit since the hand last passed it therefore outlives the next insert, so
-// signatures seen once (a signed domain's own RRsets, per-child NSEC proofs)
-// replace each other rather than the ones every resolution uses, and one that
-// does get displaced is back after a single verification.
+// collides with a verified one. The table is a ttlmap.Map whose entries never
+// expire, so its eviction rule is by use alone: an over-full shard evicts the
+// probed signature stored or hit longest ago. Signatures seen once (a signed
+// domain's own RRsets, per-child NSEC proofs) therefore replace each other
+// rather than the ones every resolution uses, and one that does get displaced
+// is back after a single verification, newest of any probe that finds it.
 //
-// The zero value is ready to use, and a nil *VerifyMemo verifies without
-// remembering or counting.
+// A nil *VerifyMemo verifies without remembering or counting.
 type VerifyMemo struct {
 	verifies atomic.Uint64
 	hits     atomic.Uint64
-	shards   [memoShards]memoShard
+	verified *ttlmap.Map[[sha256.Size]byte, struct{}]
 }
 
-type memoShard struct {
-	mu   sync.Mutex
-	sets [memoSets]memoSet
+// NewVerifyMemo returns an empty memo.
+func NewVerifyMemo() *VerifyMemo {
+	return &VerifyMemo{verified: ttlmap.New[[sha256.Size]byte, struct{}](memoCapacity, 0, digestHash)}
 }
 
-type memoSet struct {
-	digest     [memoWays][sha256.Size]byte
-	referenced [memoWays]bool
-	hand       uint8 // way the next insert examines first
-}
-
-// lookup reports whether key is remembered, marking it referenced if so.
-func (s *memoSet) lookup(key *[sha256.Size]byte) bool {
-	for w := range s.digest {
-		if s.digest[w] == *key {
-			s.referenced[w] = true
-			return true
-		}
-	}
-	return false
-}
-
-// insert remembers key in place of the first way, from the hand on, that has
-// not been referenced since the hand last passed it.
-func (s *memoSet) insert(key *[sha256.Size]byte) {
-	w := int(s.hand)
-	for i := 0; i < memoWays && s.referenced[w]; i++ {
-		s.referenced[w] = false
-		w = (w + 1) % memoWays
-	}
-	s.digest[w] = *key
-	s.hand = uint8((w + 1) % memoWays)
-}
+// digestHash spreads memo keys over the map's shards: the digest is already
+// uniform, so its first eight bytes will do.
+func digestHash(k [sha256.Size]byte) uint64 { return binary.LittleEndian.Uint64(k[:8]) }
 
 // VerifyStats counts what a memo's owner paid for signature checks.
 type VerifyStats struct {
@@ -95,14 +64,7 @@ func (m *VerifyMemo) Stats() VerifyStats {
 }
 
 // Reset forgets every remembered signature. The counters keep running.
-func (m *VerifyMemo) Reset() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		s.sets = [memoSets]memoSet{}
-		s.mu.Unlock()
-	}
-}
+func (m *VerifyMemo) Reset() { m.verified.Flush() }
 
 // verify is Verify behind the memo.
 func (m *VerifyMemo) verify(alg Algorithm, pubWire, data, sig []byte) error {
@@ -110,33 +72,15 @@ func (m *VerifyMemo) verify(alg Algorithm, pubWire, data, sig []byte) error {
 		return Verify(alg, pubWire, data, sig)
 	}
 	key := memoKey(alg, pubWire, data, sig)
-	// An empty slot reads as the all-zero digest, so that one digest is never
-	// trusted or stored.
-	usable := key != [sha256.Size]byte{}
-	s := &m.shards[key[0]%memoShards]
-	set := &s.sets[key[1]%memoSets]
-	if usable {
-		s.mu.Lock()
-		hit := set.lookup(&key)
-		s.mu.Unlock()
-		if hit {
-			m.hits.Add(1)
-			return nil
-		}
+	if _, _, hit := m.verified.Get(key, 0); hit {
+		m.hits.Add(1)
+		return nil
 	}
 	m.verifies.Add(1)
 	if err := Verify(alg, pubWire, data, sig); err != nil {
 		return err
 	}
-	if usable {
-		s.mu.Lock()
-		// Another goroutine may have verified and inserted the same tuple
-		// meanwhile.
-		if !set.lookup(&key) {
-			set.insert(&key)
-		}
-		s.mu.Unlock()
-	}
+	m.verified.Put(key, struct{}{}, math.MaxInt64, 0)
 	return nil
 }
 

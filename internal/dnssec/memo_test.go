@@ -2,9 +2,9 @@ package dnssec
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"github.com/extended-dns-errors/edelab/internal/dnswire"
 )
@@ -25,19 +25,19 @@ func wantStats(t *testing.T, m *VerifyMemo, verifies, hits uint64) {
 
 func TestVerifyMemoRemembersSuccess(t *testing.T) {
 	rrs, sigs, keys := memoFixture(t, AlgED25519, 0)
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	for i := 0; i < 3; i++ {
 		if chk := m.CheckRRset(rrs, sigs, keys, testNow, StandardSupport()); chk.Status != SigOK {
 			t.Fatalf("pass %d: %v", i, chk.Status)
 		}
 	}
-	wantStats(t, &m, 1, 2)
+	wantStats(t, m, 1, 2)
 
 	m.Reset()
 	if chk := m.CheckRRset(rrs, sigs, keys, testNow, StandardSupport()); chk.Status != SigOK {
 		t.Fatal(chk.Status)
 	}
-	wantStats(t, &m, 2, 2)
+	wantStats(t, m, 2, 2)
 }
 
 // A failing signature is verified again every time it is presented: a
@@ -49,7 +49,7 @@ func TestVerifyMemoNeverRemembersFailure(t *testing.T) {
 	bad.Signature[0] ^= 0xFF
 	badSigs := []dnswire.RR{{Name: sigs[0].Name, Class: sigs[0].Class, TTL: sigs[0].TTL, Data: bad}}
 
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	// The good twin is remembered first; the forgery differs only in its
 	// signature bytes and must not ride on it.
 	if chk := m.CheckRRset(rrs, sigs, keys, testNow, StandardSupport()); chk.Status != SigOK {
@@ -60,7 +60,7 @@ func TestVerifyMemoNeverRemembersFailure(t *testing.T) {
 			t.Fatalf("pass %d: %v, want crypto-failed", i, chk.Status)
 		}
 	}
-	wantStats(t, &m, 4, 0)
+	wantStats(t, m, 4, 0)
 
 	// Same data and signature under another key of the same tag-less shape.
 	_, _, otherKeys := memoFixture(t, AlgED25519, 0)
@@ -74,7 +74,7 @@ func TestVerifyMemoNeverRemembersFailure(t *testing.T) {
 // expires, and still goes unvalidated by a validator that does not implement
 // its algorithm or rejects its key size.
 func TestVerifyMemoPolicyEvaluatedEveryUse(t *testing.T) {
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	rrs, sigs, keys := memoFixture(t, AlgED25519, 0)
 	if chk := m.CheckRRset(rrs, sigs, keys, testNow, StandardSupport()); chk.Status != SigOK {
 		t.Fatal(chk.Status)
@@ -107,13 +107,7 @@ func TestVerifyMemoPolicyEvaluatedEveryUse(t *testing.T) {
 	if chk := m.CheckRRset(rsaRRs, rsaSigs, rsaKeys, testNow, strict); chk.Status != SigUnsupportedAlg {
 		t.Errorf("remembered 512-bit RSA signature under a 1024-bit floor: %v", chk.Status)
 	}
-	wantStats(t, &m, 2, 0)
-}
-
-func TestVerifyMemoFixedSize(t *testing.T) {
-	if size := unsafe.Sizeof(VerifyMemo{}); size > 1<<20 {
-		t.Errorf("VerifyMemo is %d bytes, want at most 1 MiB", size)
-	}
+	wantStats(t, m, 2, 0)
 }
 
 // standinTuple is a cheap, distinct, verifying tuple per i (HMAC stand-in
@@ -121,6 +115,60 @@ func TestVerifyMemoFixedSize(t *testing.T) {
 func standinTuple(pub []byte, i int) (data, sig []byte) {
 	data = binary.BigEndian.AppendUint64([]byte("one-shot:"), uint64(i))
 	return data, standinMAC(AlgECCGOST, pub, data)
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// The memo is bounded by what it holds, not by its struct: after six times
+// its capacity in distinct tuples it holds exactly memoCapacity (16,384)
+// signatures, and their live heap stays under 2 MiB: about 110 bytes a
+// signature for the 32-byte digest, the map slot and the map's spare room.
+func TestVerifyMemoFixedSize(t *testing.T) {
+	pub := make([]byte, 32)
+	before := liveHeap()
+	m := NewVerifyMemo()
+	for i := 0; i < 6*memoCapacity; i++ {
+		data, sig := standinTuple(pub, i)
+		if err := m.verify(AlgECCGOST, pub, data, sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := m.verified.Len(); n != memoCapacity {
+		t.Errorf("the memo holds %d signatures after %d distinct ones, want %d", n, 6*memoCapacity, memoCapacity)
+	}
+	live := liveHeap() - before
+	runtime.KeepAlive(m)
+	t.Logf("live heap at capacity: %d B (%.2f MiB, %.0f B a signature)", live, float64(live)/(1<<20), float64(live)/memoCapacity)
+	if live > 2<<20 {
+		t.Errorf("the memo's live heap at capacity is %d B, want at most 2 MiB", live)
+	}
+}
+
+// A memo hit costs no allocation: the key is hashed from a stack buffer and
+// looked up by value.
+func TestVerifyMemoHitAllocs(t *testing.T) {
+	pub := make([]byte, 32)
+	data, sig := standinTuple(pub, 1)
+	m := NewVerifyMemo()
+	if err := m.verify(AlgECCGOST, pub, data, sig); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.verify(AlgECCGOST, pub, data, sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a memo hit makes %.1f allocations, want 0", allocs)
+	}
+	wantStats(t, m, 1, 101)
 }
 
 // Signatures seen once must not keep the ones every resolution uses out of
@@ -131,7 +179,7 @@ func standinTuple(pub []byte, i int) (data, sig []byte) {
 // back after a single verification.
 func TestVerifyMemoOneShotsDoNotFlushHotEntries(t *testing.T) {
 	pub := make([]byte, 32)
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	touchHot := func() (verified uint64) {
 		before := m.Stats().Verifies
 		for i := 0; i < 500; i++ {
@@ -143,7 +191,7 @@ func TestVerifyMemoOneShotsDoNotFlushHotEntries(t *testing.T) {
 		return m.Stats().Verifies - before
 	}
 	touchHot()
-	touchHot() // entries sharing a set have settled into its two ways
+	touchHot() // every hot entry has been read since it was stored
 
 	const rounds, burst = 100, 1000
 	var hotUses, hotVerifies uint64
@@ -157,9 +205,10 @@ func TestVerifyMemoOneShotsDoNotFlushHotEntries(t *testing.T) {
 		hotVerifies += touchHot()
 		hotUses += 500
 	}
-	if rounds*burst < 6*memoShards*memoSets*memoWays {
+	if rounds*burst < 6*memoCapacity {
 		t.Fatal("the flood is smaller than intended")
 	}
+	t.Logf("%d of %d hot uses verified again", hotVerifies, hotUses)
 	if hotVerifies*50 > hotUses {
 		t.Errorf("%d of %d hot uses had to verify again under one-shot traffic, want under 2%%", hotVerifies, hotUses)
 	}
@@ -171,7 +220,7 @@ func TestVerifyMemoOneShotsDoNotFlushHotEntries(t *testing.T) {
 func TestVerifyMemoConcurrent(t *testing.T) {
 	rrs, sigs, keys := memoFixture(t, AlgED25519, 0)
 	pub := make([]byte, 32)
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -210,7 +259,7 @@ func BenchmarkCheckRRsetMemoHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	sigs, keys, sup := []dnswire.RR{sig}, []dnswire.DNSKEY{key.DNSKEY()}, StandardSupport()
-	var m VerifyMemo
+	m := NewVerifyMemo()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -262,7 +262,7 @@ func newCache(maxEntries int) *Cache {
 		cuts:      ttlmap.New[dnswire.Name, *cutBody](maxEntries, 0, fnv1a.Sum64[dnswire.Name]),
 		bodyLimit: max(maxEntries/128, 8),
 		keys:      ttlmap.New[dnswire.Name, *zoneKeys](maxEntries, 0, fnv1a.Sum64[dnswire.Name]),
-		verified:  new(dnssec.VerifyMemo),
+		verified:  dnssec.NewVerifyMemo(),
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package ttlmap is the repository's one expiring cache map. The frontend's
-// message cache and the resolver's answer, zone-cut and zone-key maps are
-// instances of it: a sharded map with a capacity bound in which every entry
-// lives through one lifetime — fresh until its expiry, stale for a grace
-// period after it, then dead — and an over-full shard makes room by one
-// eviction rule.
+// message cache, the resolver's answer, zone-cut and zone-key maps and
+// dnssec's verified-signature memo are instances of it: a sharded map with a
+// capacity bound in which every entry lives through one lifetime — fresh
+// until its expiry, stale for a grace period after it, then dead — and an
+// over-full shard makes room by one eviction rule.
 package ttlmap
 
 import (
@@ -19,8 +19,9 @@ const (
 )
 
 // probes is how many entries an over-full shard examines per insert. Map
-// iteration starts at a random position, so the probes are a random sample
-// of the shard; the rule is O(1) per insert and needs no list to maintain.
+// iteration starts at a random slot, so the probes are a sample of the shard
+// (consecutive slots, not a uniform draw); the rule is O(1) per insert and
+// needs no list to maintain.
 const probes = 8
 
 // Map maps K to V under a total capacity. Lookups contend only within one
@@ -31,19 +32,21 @@ type Map[K comparable, V any] struct {
 	grace  int64 // how long past its expiry an entry is still served stale
 }
 
-// shard is one lock domain and its slice of the capacity.
+// shard is one lock domain and its slice of the capacity. puts counts the
+// shard's Puts: it is the clock that orders its entries' last uses.
 type shard[K comparable, V any] struct {
 	mu    sync.Mutex
 	m     map[K]slot[V]
 	limit int
+	puts  uint64
 }
 
-// slot is one entry: the value, its expiry in Unix nanoseconds, and whether
-// a fresh Get has read it since eviction last probed it.
+// slot is one entry: the value, its expiry in Unix nanoseconds, and the
+// shard's Put count when it was stored or last read fresh.
 type slot[V any] struct {
-	v   V
-	exp int64
-	ref bool
+	v    V
+	exp  int64
+	used uint64
 }
 
 // New builds a map holding at most capacity entries (minimum 1) over the
@@ -78,8 +81,9 @@ func (m *Map[K, V]) shard(k K) *shard[K, V] {
 
 // Get returns the value under k at now (Unix nanoseconds) and whether it is
 // fresh. ok is false on a miss and for a dead entry, which Get drops. A fresh
-// hit marks the entry referenced, so the next eviction that probes it passes
-// it by; a stale hit does not, so stale entries never outcompete live ones.
+// hit stamps the entry as used now, so it outlives every probed entry stored
+// or read before it; a stale hit does not, so stale entries never outcompete
+// live ones. A hit writes the map only when a Put has come since the stamp.
 func (m *Map[K, V]) Get(k K, now int64) (v V, fresh, ok bool) {
 	s := m.shard(k)
 	s.mu.Lock()
@@ -89,8 +93,8 @@ func (m *Map[K, V]) Get(k K, now int64) (v V, fresh, ok bool) {
 	case !found:
 		return v, false, false
 	case now < e.exp:
-		if !e.ref {
-			e.ref = true
+		if e.used != s.puts {
+			e.used = s.puts
 			s.m[k] = e
 		}
 		return e.v, true, true
@@ -112,48 +116,37 @@ func (m *Map[K, V]) Put(k K, v V, exp, now int64) (evicted bool) {
 	if _, exists := s.m[k]; !exists && len(s.m) >= s.limit {
 		evicted = s.evict(now, m.grace)
 	}
-	s.m[k] = slot[V]{v: v, exp: exp}
+	s.m[k] = slot[V]{v: v, exp: exp, used: s.puts}
+	s.puts++
 	return evicted
 }
 
 // evict is the one eviction rule. It probes up to eight entries and deletes
-// every one past its grace; when none is, it evicts the first probed entry no
-// fresh Get has read since it was last probed, clearing the references of
-// those it passes on the way, or, when every probed entry was referenced,
-// the one closest to expiry. It reports whether a live entry went. The caller
-// holds s.mu.
+// every one past its grace; when none is, it evicts the probed entry least
+// recently used, the one stored or read fresh before the others (the first
+// probed on a tie). An entry just stored or read is thus the last of its
+// probes to go, whichever slot it sits in. It reports whether a live entry
+// went. The caller holds s.mu.
 func (s *shard[K, V]) evict(now, grace int64) bool {
-	var victim, closest K
-	var haveVictim bool
-	var closestExp int64
+	var victim K
+	var victimUsed uint64
 	dead, probed := 0, 0
 	for k, e := range s.m {
 		switch {
 		case now >= e.exp+grace:
 			delete(s.m, k)
 			dead++
-		case haveVictim:
-		case e.ref:
-			e.ref = false
-			s.m[k] = e
-		default:
-			victim, haveVictim = k, true
-		}
-		if probed == 0 || e.exp < closestExp {
-			closest, closestExp = k, e.exp
+		case probed == 0 || e.used < victimUsed:
+			victim, victimUsed = k, e.used
 		}
 		if probed++; probed == probes {
 			break
 		}
 	}
-	switch {
-	case dead > 0 || probed == 0:
+	if dead > 0 || probed == 0 {
 		return false
-	case haveVictim:
-		delete(s.m, victim)
-	default:
-		delete(s.m, closest)
 	}
+	delete(s.m, victim)
 	return true
 }
 
